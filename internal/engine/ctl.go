@@ -48,11 +48,11 @@ type execCtl struct {
 	ctx context.Context
 	err error // first observed ctx error, latched for the execution
 	rec *trace.Recorder
-	// prunes maps OpFilter plan nodes to their precomputed qualifying
-	// row-spaces (prune.go). A nil map (the NoScanPrune opt-out, or fronts
+	// prunes holds the precomputed qualifying row-space of each OpFilter
+	// plan node (prune.go). A nil cache (the NoScanPrune opt-out, or fronts
 	// that never computed one) misses every lookup, so operators need no
 	// separate gate.
-	prunes pruneCache
+	prunes *pruneCache
 }
 
 // bind points the control at the next execution's context, clearing any

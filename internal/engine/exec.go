@@ -204,7 +204,7 @@ func ExecuteRowsContext(ctx context.Context, db *Database, plan *Plan, opts Exec
 	if opts.Trace {
 		ctl.rec = trace.NewRecorder(countPlanNodes(plan.Root))
 	}
-	if res, ok, err := trySummaryAgg(ctl, db, plan, opts); ok {
+	if res, ok, err := trySummaryAgg(ctl, db, plan, opts, nil); ok {
 		return res, err
 	}
 	ctl.prunes = prunesFor(db, plan, opts, nil)

@@ -89,7 +89,7 @@ func cloneExecNode(n *ExecNode) *ExecNode {
 // ExecuteContext, with an optional pre-opened scan and prepared join
 // builds. ctx is observed at batch boundaries (see ctl.go); a canceled
 // execution returns the context's error.
-func executeColumnarFrom(ctx context.Context, db *Database, plan *Plan, opts ExecOptions, ov *scanOverride, builds buildCache, prunes pruneCache) (*ExecResult, error) {
+func executeColumnarFrom(ctx context.Context, db *Database, plan *Plan, opts ExecOptions, ov *scanOverride, builds buildCache, prunes *pruneCache) (*ExecResult, error) {
 	ctl := &execCtl{ctx: ctx}
 	if opts.Trace {
 		ctl.rec = trace.NewRecorder(countPlanNodes(plan.Root))
@@ -99,7 +99,7 @@ func executeColumnarFrom(ctx context.Context, db *Database, plan *Plan, opts Exe
 	// parallel executor's fallback), whose one-invocation contract obliges
 	// us to drive it.
 	if ov == nil {
-		if res, ok, err := trySummaryAgg(ctl, db, plan, opts); ok {
+		if res, ok, err := trySummaryAgg(ctl, db, plan, opts, prunes); ok {
 			return res, err
 		}
 	}
@@ -215,7 +215,7 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverri
 		// A precomputed qualifying row-space turns filter-over-scan into a
 		// pruned scan: non-matching tuples are never generated, and when
 		// every conjunct was proven the filter operator disappears.
-		if pr := ctl.prunes[pn]; pr != nil {
+		if pr := ctl.prunes.scan(pn); pr != nil {
 			return openPrunedFilter(db, pn, pr, need, capRows, ov, builds, ctl)
 		}
 		// The filter refines the child's selection in place, so its output

@@ -59,7 +59,7 @@ func ExecuteParallelContext(ctx context.Context, db *Database, plan *Plan, opts 
 // ExecuteParallelContext, with optional prepared join builds (the serve
 // cache's steady-state path). The caller has already folded opts.Timeout
 // into ctx when it should apply.
-func executeParallelFrom(ctx context.Context, db *Database, plan *Plan, opts ExecOptions, builds buildCache, prunes pruneCache) (*ExecResult, error) {
+func executeParallelFrom(ctx context.Context, db *Database, plan *Plan, opts ExecOptions, builds buildCache, prunes *pruneCache) (*ExecResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -75,7 +75,7 @@ func executeParallelFrom(ctx context.Context, db *Database, plan *Plan, opts Exe
 	}
 	// The summary-direct fast path preempts worker fan-out entirely: an
 	// O(summary rows) evaluation has nothing to parallelize.
-	if res, ok, err := trySummaryAgg(ctl, db, plan, opts); ok {
+	if res, ok, err := trySummaryAgg(ctl, db, plan, opts, prunes); ok {
 		return res, err
 	}
 	ctl.prunes = prunesFor(db, plan, opts, prunes)
@@ -233,7 +233,7 @@ func openParallel(db *Database, plan *Plan, opts ExecOptions, builds buildCache,
 	// path, keeping the operator shape mode-invariant.
 	var prune *scanPrune
 	if fp := pp.filterPn; fp != nil {
-		if pr := ctl.prunes[fp]; pr != nil {
+		if pr := ctl.prunes.scan(fp); pr != nil {
 			if rs, ok := src.(rowSpaceSource); ok {
 				if pruned, ok := rs.SectionSet(pr.ivs).(parallel.Source); ok {
 					pp.src = pruned

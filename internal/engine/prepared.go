@@ -21,8 +21,8 @@ type Prepared struct {
 	db      *Database
 	plan    *Plan
 	builds  buildCache
-	prunes  pruneCache // qualifying row-spaces, computed once at Prepare time
-	spanCap int        // span-arena capacity a traced execution needs, sized here
+	prunes  *pruneCache // row-spaces and summary-direct proof, judged once at Prepare time
+	spanCap int         // span-arena capacity a traced execution needs, sized here
 }
 
 // Plan returns the compiled plan the Prepared executes.
@@ -168,7 +168,7 @@ func (p *Prepared) ExecuteInContext(ctx context.Context, st *ExecState, opts Exe
 		// and aggregation state all reset in place, so steady-state
 		// fast-path executions allocate nothing.
 		st.ctl.prunes = prunesFor(p.db, p.plan, opts, p.prunes)
-		st.sagg = summaryAggFor(p.db, p.plan, opts)
+		st.sagg = summaryAggFor(p.db, p.plan, opts, p.prunes)
 		if st.sagg != nil {
 			st.sagg.open(&st.ctl)
 			st.res = ExecResult{Root: &st.sagg.node, Trace: st.sagg.sp}

@@ -2,23 +2,19 @@ package engine
 
 // Predicate pushdown into generation: because a datagen table is a pure
 // function of its registered summary, a filter over it can be evaluated
-// against the summary *before* any tuple exists. buildPruneCache intersects
-// each summary row's per-column value sets with the compiled predicate and
-// classifies every filter column per row:
+// against the summary *before* any tuple exists. buildPruneCache has
+// cycle.Judge rule on every (filter, summary row) pair and turns each
+// verdict into the positions the scan will visit:
 //
-//   - pruned:   the row provably contributes nothing (a fixed or unspecced
-//     value outside the predicate, a cycling set disjoint from it, or a
-//     primary-key range that misses) — the whole row is skipped and its
-//     tuples are never generated.
-//   - position-compiled: exactly one cycling column is partially restricted
-//     (PR 8's provability rule); its matching cycle offsets are computed in
-//     closed form (cycle.Ranks) and expanded to the row's matching global
-//     positions (cycle.Positions), so only σ's tuples are generated.
-//   - residual: anything the summary cannot decide exactly — a second
-//     independently restricted cycling column, a duplicate or explicit-pk
-//     spec (where the generator paths disagree), or a position set too
-//     fragmented to enumerate — keeps a superset of the row's tuples and
-//     leaves the full MatchVec filter in place.
+//   - skip:     the row provably contributes nothing — the whole row is
+//     skipped and its tuples are never generated.
+//   - all:      every tuple qualifies; the row is scanned whole.
+//   - driven:   one column (a cycling set, or the primary-key window)
+//     decides; the matching positions are computed in closed form
+//     (cycle.Ranks, cycle.Positions), so only σ's tuples are generated.
+//   - residual: a second cycling column restricts independently, or the
+//     position set is too fragmented to enumerate — the scan keeps a
+//     superset of the row's tuples and the full MatchVec filter stays.
 //
 // The result is a qualifying row-space: an ascending, disjoint list of
 // [lo,hi) global-row intervals the scan iterates instead of [0, Total).
@@ -30,6 +26,7 @@ package engine
 import (
 	"repro/internal/batch"
 	"repro/internal/cycle"
+	"repro/internal/pred"
 	"repro/internal/synopsis"
 	"repro/internal/value"
 )
@@ -69,16 +66,31 @@ func (pr *scanPrune) add(lo, hi int64) {
 	pr.ivs = append(pr.ivs, value.Ival(lo, hi))
 }
 
-// pruneCache maps OpFilter plan nodes to their qualifying row-space. It is
-// computed once per plan (at Prepare time for prepared statements) and
-// shared by every executor front, so all of them make identical prune
+// pruneCache is one plan's reading of the registered summaries, taken in a
+// single pass over each (filter, summary row) pair: the qualifying
+// row-space of every filtered datagen scan, and whether the plan's
+// summary-direct candidate is exactly answerable without scanning at all.
+// It is computed once per plan (at Prepare time for prepared statements)
+// and shared by every executor front, so all of them make identical
 // decisions — a precondition for the byte-parity and span-shape invariants.
-type pruneCache map[*PlanNode]*scanPrune
+type pruneCache struct {
+	scans  map[*PlanNode]*scanPrune // by OpFilter node
+	direct bool                     // plan.SummaryAgg is provably exact on every summary row
+}
+
+// scan returns the qualifying row-space of a filter node, nil when the
+// cache is absent (opted out) or the filter's scan runs unpruned.
+func (pc *pruneCache) scan(pn *PlanNode) *scanPrune {
+	if pc == nil {
+		return nil
+	}
+	return pc.scans[pn]
+}
 
 // prunesFor resolves the prune cache for one execution: the opt-out yields
 // nil (every lookup misses), a prepared statement passes its cached spaces
 // through, and ad-hoc execution computes them fresh.
-func prunesFor(db *Database, plan *Plan, opts ExecOptions, cached pruneCache) pruneCache {
+func prunesFor(db *Database, plan *Plan, opts ExecOptions, cached *pruneCache) *pruneCache {
 	if opts.NoScanPrune {
 		return nil
 	}
@@ -91,9 +103,15 @@ func prunesFor(db *Database, plan *Plan, opts ExecOptions, cached pruneCache) pr
 // buildPruneCache walks the plan for filter-over-scan shapes on
 // summary-backed datagen tables and precomputes each one's qualifying
 // row-space. Filters that prune nothing and absorb nothing are left out —
-// their scans run exactly as before.
-func buildPruneCache(db *Database, plan *Plan) pruneCache {
-	prunes := make(pruneCache)
+// their scans run exactly as before. The summary-direct candidate, when
+// there is one, sits on the root's filter (or on a bare scan), so its proof
+// rides the same verdicts instead of judging the rows again.
+func buildPruneCache(db *Database, plan *Plan) *pruneCache {
+	pc := &pruneCache{scans: make(map[*PlanNode]*scanPrune)}
+	cand, candRel, candPK := directCandidate(db, plan)
+	if cand != nil && cand.Pred == nil {
+		pc.direct = directExact(cand, candRel, candPK)
+	}
 	var walk func(pn *PlanNode)
 	walk = func(pn *PlanNode) {
 		for _, c := range pn.Children {
@@ -114,27 +132,30 @@ func buildPruneCache(db *Database, plan *Plan) pruneCache {
 		if t == nil {
 			return
 		}
-		if pr := prunePred(pn, rel, t.PKIndex()); pr != nil {
-			prunes[pn] = pr
+		pr, exact := prunePred(pn.Pred, rel, t.PKIndex(), cand)
+		pc.direct = pc.direct || exact
+		if pr != nil {
+			pc.scans[pn] = pr
 		}
 	}
 	walk(plan.Root)
-	return prunes
+	return pc
 }
 
-// prunePred classifies every summary row of rel against the filter's
-// compiled region and assembles the qualifying row-space. Returns nil when
-// pruning would change nothing (nothing pruned, nothing absorbed).
-func prunePred(pn *PlanNode, rel *synopsis.Relation, pkIdx int) *scanPrune {
-	p := pn.Pred
+// prunePred has every summary row of rel judged against the filter's
+// compiled region and assembles the qualifying row-space; nil when pruning
+// would change nothing (nothing pruned, nothing absorbed). When cand, the
+// plan's summary-direct candidate, is filtered by this same region, it also
+// reports whether every verdict leaves cand exactly answerable.
+func prunePred(p *pred.Region, rel *synopsis.Relation, pkIdx int, cand *PlanNode) (_ *scanPrune, exact bool) {
 	pr := &scanPrune{table: p.Table, absorbed: true}
+	exact = cand != nil && cand.Pred == p
 	var (
+		clipBuf  value.IntervalSet // Judge's pk-window scratch
 		interBuf value.IntervalSet // S ∩ P scratch
 		rankBuf  value.IntervalSet // cycle.Ranks scratch
 		posBuf   value.IntervalSet // cycle.Positions scratch
-		pkBuf    value.IntervalSet // pk-range ∩ P scratch
-		rowBuf   value.IntervalSet // [base, base+n) singleton scratch
-		clipBuf  value.IntervalSet // positions ∩ pk restriction scratch
+		cutBuf   value.IntervalSet // positions ∩ pk window scratch
 	)
 	var base int64
 	for j := range rel.Rows {
@@ -146,133 +167,53 @@ func prunePred(pn *PlanNode, rel *synopsis.Relation, pkIdx int) *scanPrune {
 		rowBase := base
 		base += n
 
-		var (
-			skip   bool
-			hard   bool              // some conjunct undecidable: residual needed
-			drive  value.IntervalSet // driving cycling column's cycle set
-			driveP value.IntervalSet // its predicate set
-			pkIvs  value.IntervalSet // direct position restriction from a pk conjunct
-		)
-		for i, c := range p.Cols {
-			P := p.Sets[i]
-			// Resolve column c's spec; a duplicate spec means the generator's
-			// row-major and columnar paths disagree, so nothing about the
-			// column is provable.
-			var sp *synopsis.ColSpec
-			dup := false
-			for si := range row.Specs {
-				if row.Specs[si].Col != c {
-					continue
-				}
-				if sp != nil {
-					dup = true
-					break
-				}
-				sp = &row.Specs[si]
-			}
-			if c == pkIdx {
-				if sp != nil {
-					hard = true // explicit spec on the auto-numbered key
-					continue
-				}
-				// The key auto-numbers this row's tuples [rowBase, rowBase+n):
-				// the conjunct restricts positions directly.
-				rowBuf = append(rowBuf[:0], value.Ival(rowBase, rowBase+n))
-				pkBuf = rowBuf.IntersectInto(pkBuf, P)
-				if len(pkBuf) == 0 {
-					skip = true
-					break
-				}
-				pkIvs = pkBuf
-				continue
-			}
-			if dup {
-				hard = true
-				continue
-			}
-			if sp == nil {
-				// Unspecced columns generate 0 on the columnar path.
-				if !P.Contains(0) {
-					skip = true
-					break
-				}
-				continue
-			}
-			if sp.Fixed != nil {
-				if !P.Contains(*sp.Fixed) {
-					skip = true
-					break
-				}
-				continue
-			}
-			S := sp.Set
-			m := S.IntersectLen(P)
-			switch {
-			case m == 0:
-				skip = true
-			case m == S.Len():
-				// Every cycled value matches: no restriction from this column.
-			case drive == nil:
-				drive, driveP = S, P
-			default:
-				// A second independently restricted cycling column: the first
-				// one's positions remain a valid superset, the residual filter
-				// supplies the conjunction.
-				hard = true
-			}
-			if skip {
-				break
-			}
+		v := cycle.Judge(row, rowBase, p, pkIdx, &clipBuf)
+		if exact {
+			_, exact = directRow(cand, row, pkIdx, v)
 		}
-		if skip {
+		switch v.Kind {
+		case cycle.Skip:
 			pr.skipped++
 			continue
-		}
-		if hard {
+		case cycle.Residual:
 			pr.absorbed = false
 		}
 
-		// Assemble this row's qualifying positions: the driving column's
-		// closed-form position set if one exists (and stays compact),
-		// clipped by any pk restriction.
-		lo, hi := rowBase, rowBase+n
-		var pos value.IntervalSet
-		if drive != nil {
-			L := drive.Len()
-			interBuf = drive.IntersectInto(interBuf, driveP)
-			rankBuf = cycle.Ranks(rankBuf, drive, interBuf)
-			cycles := (n + L - 1) / L
-			if cycles*int64(len(rankBuf)) > n/8+4 {
+		// The row is scanned whole unless the pk window or the driving
+		// cycle's closed-form positions (cut by the window) narrow it to pos.
+		whole, pos := v.Clip == nil, v.Clip
+		if v.Set != nil {
+			L := v.Set.Len()
+			interBuf = v.Set.IntersectInto(interBuf, v.Pred)
+			rankBuf = cycle.Ranks(rankBuf, v.Set, interBuf)
+			if cycles := (n + L - 1) / L; cycles*int64(len(rankBuf)) > n/8+4 {
 				// Enumerating would fragment the row-space beyond the win:
-				// keep the whole row and let the residual filter decide.
+				// keep what we have and let the residual filter decide.
 				pr.absorbed = false
 			} else {
-				pos = cycle.Positions(posBuf, rowBase, n, L, rankBuf)
-				posBuf = pos
+				posBuf = cycle.Positions(posBuf, rowBase, n, L, rankBuf)
+				if whole {
+					whole, pos = false, posBuf
+				} else {
+					cutBuf = posBuf.IntersectInto(cutBuf, pos)
+					pos = cutBuf
+				}
 			}
 		}
 		switch {
-		case pos != nil && pkIvs != nil:
-			clipBuf = pos.IntersectInto(clipBuf, pkIvs)
-			pos = clipBuf
-		case pos == nil && pkIvs != nil:
-			pos = pkIvs
-		}
-		if pos != nil {
-			if len(pos) == 0 {
-				pr.skipped++
-				continue
-			}
+		case whole:
+			pr.add(rowBase, rowBase+n)
+		case len(pos) == 0:
+			pr.skipped++
+		default:
 			for _, iv := range pos {
 				pr.add(iv.Lo, iv.Hi)
 			}
-			continue
 		}
-		pr.add(lo, hi)
 	}
 	pr.pruned = rel.Total - pr.total
 	if pr.pruned == 0 && !pr.absorbed {
-		return nil // nothing gained: no rows pruned, filter still needed
+		return nil, exact // nothing gained: no rows pruned, filter still needed
 	}
-	return pr
+	return pr, exact
 }

@@ -9,15 +9,17 @@ package engine
 // back to regeneration otherwise, so results are byte-identical to the
 // regenerating executors by construction.
 //
-// Provability is judged per summary row against the generator's semantics
-// (generator.go): within a summary row of Count n, the tuple at offset w
-// takes value Set.At(w mod Set.Len()) for each cycling-set column (the phase
-// resets to zero at every summary row), fixed columns hold their value,
-// unspecced columns hold 0, and the primary key auto-numbers globally — row
-// j's tuples span [cum[j], cum[j]+n). A row is provable when at most one
-// cycling column is "driving" — partially restricted by the predicate or
-// enumerated as a GROUP BY key — and every cycling aggregate input coincides
-// with it. Everything the row contributes is then closed-form: with
+// Provability is judged per summary row against the generator's value law
+// (synopsis.Row.Spec): within a summary row of Count n, the tuple at offset
+// w takes value Set.At(w mod Set.Len()) for each cycling-set column (the
+// phase resets to zero at every summary row), fixed columns hold their
+// value, unspecced columns hold 0, and the primary key auto-numbers
+// globally — a row whose first tuple is global tuple g spans [g, g+n), which
+// the evaluator treats as one more cycling set. cycle.Judge rules on the
+// predicate; a row is provable when at most one cycling column is
+// "driving" — the verdict's driver or one enumerated as a GROUP BY key — and
+// every cycling aggregate input coincides with it. Everything the row
+// contributes is then closed-form: with
 // I = S ∩ P, cycles = n/L, and Pref the first n mod L points of S,
 //
 //	matches  = cycles·|I| + |I ∩ Pref|
@@ -64,14 +66,6 @@ type ApproxInfo struct {
 type rowSpec struct {
 	set   value.IntervalSet
 	fixed int64
-}
-
-// rowClass is the outcome of classifying one summary row.
-type rowClass struct {
-	skip bool // the row provably contributes nothing (predicate excludes it)
-	ok   bool // provably exact
-	hard bool // not even estimable (pathological spec the generator treats path-dependently)
-	e    int  // driving cycling column as an index into need, -1 when none
 }
 
 // aggContrib is one aggregate's exact contribution from one summary row (or
@@ -125,18 +119,14 @@ func (ap *approxState) reset() {
 type summaryAggEval struct {
 	cand *PlanNode
 	rel  *synopsis.Relation
-	pk   int     // primary-key column index, -1 when the table has none
-	cum  []int64 // cum[j] = global tuple index of summary row j's first tuple
+	pk   int // primary-key column index, -1 when the table has none
 
 	countOnly bool // OpAggregate root: bare COUNT(*), no select items
-	global    bool // no GROUP BY keys
 
-	need     []int               // needed table columns, ascending
-	pkPos    int                 // position of pk in need, -1 when unused
-	predOf   []value.IntervalSet // per need position: predicate set or nil
-	grpOf    []bool              // per need position: is a GROUP BY key
-	rs       []rowSpec           // per need position: resolved spec (per row)
-	explicit []bool              // per need position: spec seen (per row)
+	need   []int               // needed table columns, ascending
+	predOf []value.IntervalSet // per need position: predicate set or nil
+	grpOf  []bool              // per need position: is a GROUP BY key
+	rs     []rowSpec           // per need position: resolved spec (per row)
 
 	st      *groupAggState
 	contrib []aggContrib
@@ -144,9 +134,11 @@ type summaryAggEval struct {
 	apInfo  ApproxInfo
 
 	// Interval scratch, reused via write-back so steady state allocates
-	// nothing: pkBuf synthesizes the row's primary-key range, interBuf holds
-	// I = S ∩ P, prefBuf the cycle prefix, iprefBuf their intersection. All
-	// uses extract scalars before the next column touches them.
+	// nothing: clipBuf is Judge's pk-window scratch, pkBuf synthesizes the
+	// row's primary-key range, interBuf holds I = S ∩ P, prefBuf the cycle
+	// prefix, iprefBuf their intersection. All uses extract scalars before
+	// the next column touches them.
+	clipBuf  value.IntervalSet
 	pkBuf    value.IntervalSet
 	interBuf value.IntervalSet
 	prefBuf  value.IntervalSet
@@ -157,31 +149,54 @@ type summaryAggEval struct {
 	sp     *trace.Span
 }
 
-// summaryAggFor returns a proven evaluator for the plan's summary-direct
-// candidate, or nil when the fast path does not apply: no candidate, opted
-// out, no registered summary, the table does not regenerate, or some summary
-// row is not provably exact (nor estimable under opts.Approx).
-func summaryAggFor(db *Database, plan *Plan, opts ExecOptions) *summaryAggEval {
-	cand := plan.SummaryAgg
-	if cand == nil || opts.NoSummaryAgg {
+// directCandidate returns the plan's summary-direct candidate together
+// with its relation summary and primary-key index, or a nil candidate when
+// the fast path cannot apply whatever the rows say: no candidate, no
+// registered summary, or a table that does not regenerate.
+func directCandidate(db *Database, plan *Plan) (cand *PlanNode, rel *synopsis.Relation, pk int) {
+	cand = plan.SummaryAgg
+	if cand == nil || !db.DatagenEnabled(cand.Table) {
+		return nil, nil, -1
+	}
+	rel = db.Summary(cand.Table)
+	t := db.Schema.Table(cand.Table)
+	if rel == nil || t == nil {
+		return nil, nil, -1
+	}
+	return cand, rel, t.PKIndex()
+}
+
+// summaryAggFor returns an evaluator for the plan's summary-direct
+// candidate, or nil when the fast path does not apply: directCandidate's
+// gates, the opt-out, or some summary row that is not provably exact —
+// unless opts.Approx may estimate it, which it can for any row of a global
+// aggregate. judged, when non-nil, is the plan's Prepare-time pruneCache,
+// whose proof is reused instead of judging every row again.
+func summaryAggFor(db *Database, plan *Plan, opts ExecOptions, judged *pruneCache) *summaryAggEval {
+	if opts.NoSummaryAgg {
 		return nil
 	}
-	rel := db.Summary(cand.Table)
-	if rel == nil || !db.DatagenEnabled(cand.Table) {
+	cand, rel, pk := directCandidate(db, plan)
+	if cand == nil {
 		return nil
 	}
-	e := newSummaryAggEval(db, cand, rel)
-	if e == nil || !e.prove(opts.Approx) {
-		return nil
+	if !opts.Approx || len(cand.GroupBy) > 0 {
+		exact := judged != nil && judged.direct
+		if judged == nil {
+			exact = directExact(cand, rel, pk)
+		}
+		if !exact {
+			return nil
+		}
 	}
-	return e
+	return newSummaryAggEval(cand, rel, pk)
 }
 
 // trySummaryAgg is the dispatch hook the execution fronts call before
 // opening the regenerating operator tree. ok=false means fall back; ok=true
 // means the fast path claimed the query and res/err is the outcome.
-func trySummaryAgg(ctl *execCtl, db *Database, plan *Plan, opts ExecOptions) (*ExecResult, bool, error) {
-	e := summaryAggFor(db, plan, opts)
+func trySummaryAgg(ctl *execCtl, db *Database, plan *Plan, opts ExecOptions, judged *pruneCache) (*ExecResult, bool, error) {
+	e := summaryAggFor(db, plan, opts, judged)
 	if e == nil {
 		return nil, false, nil
 	}
@@ -193,17 +208,12 @@ func trySummaryAgg(ctl *execCtl, db *Database, plan *Plan, opts ExecOptions) (*E
 	return res, true, nil
 }
 
-func newSummaryAggEval(db *Database, cand *PlanNode, rel *synopsis.Relation) *summaryAggEval {
-	t := db.Schema.Table(cand.Table)
-	if t == nil {
-		return nil
-	}
+func newSummaryAggEval(cand *PlanNode, rel *synopsis.Relation, pk int) *summaryAggEval {
 	e := &summaryAggEval{
 		cand:      cand,
 		rel:       rel,
-		pk:        t.PKIndex(),
+		pk:        pk,
 		countOnly: len(cand.Items) == 0,
-		global:    len(cand.GroupBy) == 0,
 	}
 	if cand.Pred != nil {
 		for _, c := range cand.Pred.Cols {
@@ -218,7 +228,6 @@ func newSummaryAggEval(db *Database, cand *PlanNode, rel *synopsis.Relation) *su
 			e.need = addCol(e.need, a.Col)
 		}
 	}
-	e.pkPos = e.needPos(e.pk)
 	e.predOf = make([]value.IntervalSet, len(e.need))
 	if cand.Pred != nil {
 		for i, c := range cand.Pred.Cols {
@@ -230,13 +239,6 @@ func newSummaryAggEval(db *Database, cand *PlanNode, rel *synopsis.Relation) *su
 		e.grpOf[e.needPos(c)] = true
 	}
 	e.rs = make([]rowSpec, len(e.need))
-	e.explicit = make([]bool, len(e.need))
-	e.cum = make([]int64, len(rel.Rows))
-	var run int64
-	for j := range rel.Rows {
-		e.cum[j] = run
-		run += rel.Rows[j].Count
-	}
 	e.st = newGroupAggState(cand)
 	e.contrib = make([]aggContrib, len(cand.Aggs))
 	e.ap.aggs = make([]approxAgg, len(cand.Aggs))
@@ -255,121 +257,83 @@ func (e *summaryAggEval) needPos(c int) int {
 	return -1
 }
 
-// prove classifies every summary row: the fast path runs only when each row
-// either provably contributes nothing or is provably exact — or, under
-// approx on a global aggregate, at least estimable.
-func (e *summaryAggEval) prove(approx bool) bool {
-	approx = approx && e.global
-	for j := range e.rel.Rows {
-		c := e.classify(&e.rel.Rows[j], j)
-		if c.skip || c.ok {
-			continue
-		}
-		if !approx || c.hard {
+// directExact reports whether every summary row of rel is provably exact
+// for cand: the proof an execution without a Prepare-time pruneCache runs.
+func directExact(cand *PlanNode, rel *synopsis.Relation, pk int) bool {
+	var clip value.IntervalSet
+	var base int64
+	for j := range rel.Rows {
+		row := &rel.Rows[j]
+		if _, ok := directRow(cand, row, pk, cycle.Judge(row, base, cand.Pred, pk, &clip)); !ok {
 			return false
 		}
+		base += row.Count
 	}
 	return true
 }
 
-// classify resolves the row's specs for the needed columns into e.rs and
-// judges the row. A predicate column whose values never match skips the row
-// outright, and skipping wins over non-provability: an excluded row
-// contributes exactly nothing no matter how many columns cycle.
-func (e *summaryAggEval) classify(row *synopsis.Row, j int) rowClass {
-	n := row.Count
-	if n == 0 {
-		return rowClass{skip: true}
+// directRow decides whether one summary row, given the predicate's verdict
+// v on it, is exactly answerable for cand, and names the row's driving
+// column (-1 when none). A skipped row is exact whatever else cycles: it
+// contributes nothing. Otherwise at most one column may cycle among the
+// verdict's driver, the GROUP BY keys and the aggregate inputs — the primary
+// key, one value per tuple, counts as cycling.
+//
+//hydra:hotpath
+func directRow(cand *PlanNode, row *synopsis.Row, pk int, v cycle.Verdict) (drive int, ok bool) {
+	switch {
+	case v.Kind == cycle.Skip:
+		return -1, true
+	case v.Kind == cycle.Residual, v.Set != nil && v.Clip != nil:
+		// Two independently restricted cycles (a pk window on top of a
+		// cycling column is one): only an estimate is possible.
+		return -1, false
 	}
-	for i := range e.rs {
-		e.rs[i] = rowSpec{}
-		e.explicit[i] = false
-	}
-	for si := range row.Specs {
-		sp := &row.Specs[si]
-		pos := e.needPos(sp.Col)
-		if pos < 0 {
+	drive = v.Col
+	for _, c := range cand.GroupBy {
+		if !cyclesIn(row, c, pk) {
 			continue
 		}
-		if sp.Col == e.pk || e.explicit[pos] {
-			// An explicit spec on the auto-numbered primary key, or a
-			// duplicate spec for one column: the generator's row-major and
-			// columnar paths disagree on these, so the row is neither
-			// provable nor estimable.
-			return rowClass{hard: true}
+		// Grouping by the auto-numbered key means one group per tuple:
+		// enumeration would match regeneration's cost, so fall back.
+		if c == pk || drive >= 0 && drive != c {
+			return drive, false
 		}
-		e.explicit[pos] = true
-		if sp.Fixed != nil {
-			e.rs[pos] = rowSpec{fixed: *sp.Fixed}
-		} else {
-			e.rs[pos] = rowSpec{set: sp.Set}
+		drive = c
+	}
+	for ai := range cand.Aggs {
+		if c := cand.Aggs[ai].Col; c >= 0 && drive >= 0 && drive != c && cyclesIn(row, c, pk) {
+			return drive, false
 		}
 	}
-	if e.pkPos >= 0 && !e.explicit[e.pkPos] {
-		e.pkBuf = append(e.pkBuf[:0], value.Ival(e.cum[j], e.cum[j]+n))
-		e.rs[e.pkPos] = rowSpec{set: e.pkBuf}
-	}
+	return drive, true
+}
 
-	cls := rowClass{e: -1}
-	failed := false
-	if p := e.cand.Pred; p != nil {
-		for i, c := range p.Cols {
-			r := &e.rs[e.needPos(c)]
-			P := p.Sets[i]
-			if r.set == nil {
-				if !P.Contains(r.fixed) {
-					return rowClass{skip: true}
-				}
-				continue
-			}
-			m := r.set.IntersectLen(P)
-			switch {
-			case m == 0:
-				return rowClass{skip: true}
-			case m == r.set.Len():
-				// Every cycled value matches: no restriction.
-			default:
-				if cls.e >= 0 && cls.e != e.needPos(c) {
-					failed = true // two independently restricted cycling columns
-					continue
-				}
-				cls.e = e.needPos(c)
-			}
+// cyclesIn reports whether column c takes more than one value across the
+// row's tuples: a cycling set, or the auto-numbered primary key.
+func cyclesIn(row *synopsis.Row, c, pk int) bool {
+	if c == pk {
+		return true
+	}
+	sp := row.Spec(c, pk)
+	return sp != nil && sp.Fixed == nil
+}
+
+// resolve loads e.rs with the row's value law for every needed column.
+func (e *summaryAggEval) resolve(row *synopsis.Row, base int64) {
+	for i, c := range e.need {
+		switch sp := row.Spec(c, e.pk); {
+		case c == e.pk:
+			e.pkBuf = append(e.pkBuf[:0], value.Ival(base, base+row.Count))
+			e.rs[i] = rowSpec{set: e.pkBuf}
+		case sp == nil:
+			e.rs[i] = rowSpec{}
+		case sp.Fixed != nil:
+			e.rs[i] = rowSpec{fixed: *sp.Fixed}
+		default:
+			e.rs[i] = rowSpec{set: sp.Set}
 		}
 	}
-	if failed {
-		return cls
-	}
-	for _, c := range e.cand.GroupBy {
-		pos := e.needPos(c)
-		if e.rs[pos].set == nil {
-			continue
-		}
-		if c == e.pk {
-			// Grouping by the auto-numbered key means one group per tuple:
-			// enumeration would match regeneration's cost, so fall back.
-			return cls
-		}
-		if cls.e >= 0 && cls.e != pos {
-			return cls
-		}
-		cls.e = pos
-	}
-	for ai := range e.cand.Aggs {
-		c := e.cand.Aggs[ai].Col
-		if c < 0 {
-			continue
-		}
-		pos := e.needPos(c)
-		if e.rs[pos].set == nil {
-			continue
-		}
-		if cls.e >= 0 && cls.e != pos {
-			return cls
-		}
-	}
-	cls.ok = true
-	return cls
 }
 
 // open mirrors the evaluation as a childless SUMMARY AGG ExecNode and, when
@@ -396,18 +360,21 @@ func (e *summaryAggEval) run(ctl *execCtl, res *ExecResult, opts ExecOptions) er
 	}
 	e.st.reset()
 	e.ap.reset()
+	var base int64
 	for j := range e.rel.Rows {
 		row := &e.rel.Rows[j]
-		c := e.classify(row, j)
-		switch {
-		case c.skip:
-		case c.ok:
-			e.addRow(row, c)
-		default:
-			// prove admitted this row only under Approx on a global
-			// aggregate: estimate it.
-			e.estimateRow(row)
+		v := cycle.Judge(row, base, e.cand.Pred, e.pk, &e.clipBuf)
+		if v.Kind != cycle.Skip {
+			e.resolve(row, base)
+			if drive, ok := directRow(e.cand, row, e.pk, v); ok {
+				e.addRow(row, e.needPos(drive))
+			} else {
+				// summaryAggFor admitted this row only under Approx on a
+				// global aggregate: estimate it.
+				e.estimateRow(row)
+			}
 		}
+		base += row.Count
 	}
 	if e.ap.used {
 		e.emitApprox(res, opts)
@@ -439,10 +406,11 @@ func (e *summaryAggEval) width() int {
 	return len(e.cand.Items)
 }
 
-// addRow folds one provably exact summary row into the aggregation state.
-func (e *summaryAggEval) addRow(row *synopsis.Row, c rowClass) {
+// addRow folds one provably exact summary row into the aggregation state;
+// drive is its driving column as a need position, -1 when none.
+func (e *summaryAggEval) addRow(row *synopsis.Row, drive int) {
 	n := row.Count
-	if c.e < 0 {
+	if drive < 0 {
 		// No driving column: every tuple matches, keys are fixed, cycling
 		// aggregate inputs run full independent cycles.
 		e.fillKeys(-1, 0)
@@ -452,24 +420,24 @@ func (e *summaryAggEval) addRow(row *synopsis.Row, c rowClass) {
 		e.fold(n)
 		return
 	}
-	S := e.rs[c.e].set
+	S := e.rs[drive].set
 	L := S.Len()
 	cycles, rem := n/L, n%L
 	I := S
-	if P := e.predOf[c.e]; P != nil {
+	if P := e.predOf[drive]; P != nil {
 		e.interBuf = S.IntersectInto(e.interBuf, P)
 		I = e.interBuf
 	}
 	e.prefBuf = S.PrefixInto(e.prefBuf, rem)
 	e.iprefBuf = I.IntersectInto(e.iprefBuf, e.prefBuf)
-	if e.grpOf[c.e] {
+	if e.grpOf[drive] {
 		// The driving column is a GROUP BY key: enumerate its matching
 		// values. With zero full cycles only the prefix's values occur, so
 		// the enumeration (like the whole evaluation) is bounded by n.
 		if cycles == 0 {
-			e.enumGroups(c.e, e.iprefBuf, 0)
+			e.enumGroups(drive, e.iprefBuf, 0)
 		} else {
-			e.enumGroups(c.e, I, cycles)
+			e.enumGroups(drive, I, cycles)
 		}
 		return
 	}
@@ -621,8 +589,8 @@ func (e *summaryAggEval) pointContrib(ai int, v, cnt int64) aggContrib {
 // estimateRow folds one non-provable summary row into the approximate
 // accumulators: cycling predicate columns are treated as independent, so
 // the row matches with probability frac = Π mᵢ/Lᵢ, contributing n·frac
-// expected rows with per-row variance frac·(1−frac). Classification has
-// already resolved e.rs for this row.
+// expected rows with per-row variance frac·(1−frac). run has already
+// resolved e.rs for this row.
 func (e *summaryAggEval) estimateRow(row *synopsis.Row) {
 	n := row.Count
 	frac := 1.0

@@ -68,6 +68,11 @@ func saggDBRows(t *testing.T, rows []synopsis.Row) *Database {
 	if err := rel.Validate(s.Table("m")); err != nil {
 		t.Fatal(err)
 	}
+	return saggRegister(s, rel)
+}
+
+// saggRegister opens a dataless database over rel as given, unvalidated.
+func saggRegister(s *schema.Schema, rel *synopsis.Relation) *Database {
 	db := NewDatabase(s)
 	tab := s.Table("m")
 	db.SetDatagen("m", func() (RowSource, error) {
@@ -236,35 +241,70 @@ func TestSummaryAggApprox(t *testing.T) {
 	}
 }
 
-// TestSummaryAggHardSpecs pins the defensive rejections: an explicit spec
-// on the auto-numbered primary key and duplicate specs for one column are
-// path-inconsistent in the generator, so when the query references such a
-// column the fast path must decline even under Approx. (Pathological specs
-// on columns a query never reads cannot affect its answer, so those stay
-// eligible.)
+// TestSummaryAggHardSpecs pins both halves of the pathological-spec story.
+// A spec on the auto-numbered primary key and duplicate specs for one
+// column are rejected by Validate, so no summary file carries them. And an
+// in-memory summary registered without validation is sound all the same:
+// synopsis.Row.Spec resolves such rows one way (the key auto-numbers, the
+// first spec wins), so the summary-direct, pruned and regenerating regimes
+// all answer exactly what a database materialized from that summary does —
+// there is nothing left to decline.
 func TestSummaryAggHardSpecs(t *testing.T) {
-	for name, tc := range map[string]struct {
-		rows []synopsis.Row
-		sql  string
-	}{
-		"pk spec": {
-			rows: []synopsis.Row{{Count: 5, Specs: []synopsis.ColSpec{
-				synopsis.FixedSpec(0, 42), synopsis.FixedSpec(1, 1),
-			}}},
-			sql: "SELECT COUNT(*) FROM m WHERE pk >= 0",
-		},
-		"duplicate spec": {
-			rows: []synopsis.Row{{Count: 5, Specs: []synopsis.ColSpec{
-				synopsis.FixedSpec(1, 1), synopsis.FixedSpec(1, 2),
-			}}},
-			sql: "SELECT COUNT(*), SUM(a) FROM m WHERE a >= 0",
-		},
+	s := saggSchema()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	tab := s.Table("m")
+	for name, row := range map[string]synopsis.Row{
+		// pk would be 42 five times over if the spec were honoured.
+		"pk spec": {Count: 5, Specs: []synopsis.ColSpec{
+			synopsis.FixedSpec(0, 42), synopsis.FixedSpec(1, 1),
+		}},
+		// a cycles 1,2,1,2,1 by the first spec; the second would make it 9.
+		"duplicate spec": {Count: 5, Specs: []synopsis.ColSpec{
+			synopsis.SetSpec(1, set(value.Ival(1, 3))), synopsis.FixedSpec(1, 9),
+		}},
 	} {
-		db := saggDBRows(t, tc.rows)
-		for _, opts := range []ExecOptions{{}, {Approx: true}} {
-			res := saggExec(t, db, tc.sql, opts)
-			if res.Path == PathSummary {
-				t.Errorf("%s (approx=%v): pathological row was answered summary-directly", name, opts.Approx)
+		rel := &synopsis.Relation{Table: "m", Total: row.Count, Rows: []synopsis.Row{row}}
+		if err := rel.Validate(tab); err == nil {
+			t.Errorf("%s: Validate accepted the summary", name)
+		}
+
+		db := saggRegister(s, rel)
+		stored := &Relation{Table: tab}
+		for src := generator.NewStream(tab, rel); ; {
+			tup, ok := src.Next()
+			if !ok {
+				break
+			}
+			stored.Rows = append(stored.Rows, append([]int64(nil), tup...))
+		}
+		mat := NewDatabase(s)
+		if err := mat.AddRelation(stored); err != nil {
+			t.Fatal(err)
+		}
+
+		for sql, path := range map[string]string{
+			"SELECT COUNT(*), SUM(a) FROM m WHERE a >= 2":            PathSummary,
+			"SELECT COUNT(*) FROM m WHERE pk >= 1 AND pk < 4":        PathSummary,
+			"SELECT a, COUNT(*) FROM m WHERE pk < 42 GROUP BY a":     PathSummary,
+			"SELECT * FROM m WHERE a >= 2 ORDER BY pk":               "",
+			"SELECT * FROM m WHERE pk >= 1 AND pk < 4 ORDER BY pk":   "",
+			"SELECT DISTINCT pk FROM m WHERE a < 2 ORDER BY pk DESC": "",
+		} {
+			want := saggExec(t, mat, sql, ExecOptions{SampleLimit: 30})
+			for _, opts := range []ExecOptions{
+				{}, {Approx: true}, {NoSummaryAgg: true}, {NoSummaryAgg: true, NoScanPrune: true}, {Parallelism: 2},
+			} {
+				opts.SampleLimit = 30
+				got := saggExec(t, db, sql, opts)
+				if got.Rows != want.Rows || got.Count != want.Count || !reflect.DeepEqual(got.Sample, want.Sample) {
+					t.Errorf("%s: %s under %+v diverged from the materialized database:\n got %d/%d %v\nwant %d/%d %v",
+						name, sql, opts, got.Rows, got.Count, got.Sample, want.Rows, want.Count, want.Sample)
+				}
+				if !opts.NoSummaryAgg && got.Path != path {
+					t.Errorf("%s: %s under %+v: Path = %q, want %q", name, sql, opts, got.Path, path)
+				}
 			}
 		}
 	}
@@ -315,14 +355,14 @@ func TestSummaryAggGateConditions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if summaryAggFor(db, plan, ExecOptions{}) == nil {
+	if summaryAggFor(db, plan, ExecOptions{}, nil) == nil {
 		t.Fatal("eligible query did not get an evaluator")
 	}
-	if summaryAggFor(db, plan, ExecOptions{NoSummaryAgg: true}) != nil {
+	if summaryAggFor(db, plan, ExecOptions{NoSummaryAgg: true}, nil) != nil {
 		t.Fatal("NoSummaryAgg did not disable the fast path")
 	}
 	db.SetSummary("m", nil)
-	if summaryAggFor(db, plan, ExecOptions{}) != nil {
+	if summaryAggFor(db, plan, ExecOptions{}, nil) != nil {
 		t.Fatal("fast path survived summary unregistration")
 	}
 }

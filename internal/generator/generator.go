@@ -5,11 +5,14 @@
 // produced in memory the generation velocity can be regulated precisely
 // (the rows/sec slider of the demo's vendor interface).
 //
-// Generation is batched: NextBatch expands a summary row's Count tuples in
-// a tight per-column loop, hoisting the Fixed/Set dispatch out of the row
-// loop and replacing the per-row modulo of the cycling sets with an
-// incrementing interval cursor. The row-at-a-time Next is a thin view over
-// an internal batch, so both paths share one generation kernel.
+// Generation is batched and has one kernel, fillColBatch: it expands a
+// summary row's Count tuples column by column in unit-stride passes,
+// hoisting the Fixed/Set dispatch out of the row loop and replacing the
+// per-row modulo of the cycling sets with an incrementing interval cursor.
+// NextColBatch exposes the kernel directly (the engine scans through it);
+// NextBatch transposes tiles of it into row-major batches, and the
+// row-at-a-time Next is a thin view over an internal batch — so every
+// access style yields the same tuples by construction.
 package generator
 
 import (
@@ -54,6 +57,11 @@ type Stream struct {
 	// build: the parallel executor calls Section concurrently from workers.
 	cum     []int64
 	cumOnce sync.Once
+
+	// Row-major adapter state, built on first use: appendRows transposes
+	// full-width column tiles.
+	tile    *batch.ColBatch
+	allCols []int
 
 	// Row-at-a-time adapter state: Next serves views into buf.
 	buf    *batch.Batch
@@ -223,10 +231,9 @@ func (s *Stream) Next() ([]int64, bool) {
 	return row, true
 }
 
-// tileRows bounds how many rows one column-fill pass covers. A tile of
-// 128 rows times a typical row width stays within the L1 cache, so the
-// per-spec passes over a tile hit L1 instead of re-walking the whole
-// batch (one cache line per row) once per column.
+// tileRows is how many rows the row-major adapter draws from the kernel at
+// a time. A tile of 128 rows times a typical row width stays within the L1
+// cache, so the transpose reads and writes cache-resident lines.
 const tileRows = 128
 
 // NextBatch resets dst and fills it with up to dst.Cap() generated rows,
@@ -236,55 +243,41 @@ const tileRows = 128
 //hydra:hotpath
 func (s *Stream) NextBatch(dst *batch.Batch) bool {
 	dst.Reset()
-	s.fillBatch(dst)
+	s.appendRows(dst)
 	return dst.Len() > 0
 }
 
-// fillBatch appends generated rows to dst without resetting it, until dst
-// is full or the stream's range is exhausted. SectionSet splices several
-// range segments into one batch through this.
+// appendRows is the row-major face of the kernel: it draws full-width
+// column tiles from fillColBatch and transposes each onto the end of dst,
+// until dst is full or the stream's range is exhausted. Row-major output
+// is therefore the columnar output pivoted, by construction; SectionSet
+// splices several range segments into one batch through this.
 //
 //hydra:hotpath
-func (s *Stream) fillBatch(dst *batch.Batch) {
-	ncols := len(s.table.Columns)
-	for !dst.Full() && s.pk < s.end && s.rowIdx < len(s.rel.Rows) {
-		row := &s.rel.Rows[s.rowIdx]
-		if s.within >= row.Count {
-			s.rowIdx++
-			s.within = 0
-			continue
+func (s *Stream) appendRows(dst *batch.Batch) {
+	if s.tile == nil {
+		s.allCols = make([]int, len(s.table.Columns))
+		for c := range s.allCols {
+			s.allCols[c] = c
 		}
-		k := row.Count - s.within
-		if k > tileRows {
-			k = tileRows
+		s.tile = batch.NewCol(len(s.allCols), tileRows, s.allCols)
+	}
+	ncols := len(s.allCols)
+	for free := dst.Cap() - dst.Len(); free > 0; free = dst.Cap() - dst.Len() {
+		s.tile.Reset()
+		s.fillColBatch(s.tile, s.allCols, min(free, tileRows))
+		k := s.tile.Len()
+		if k == 0 {
+			return
 		}
-		if left := s.end - s.pk; k > left {
-			k = left
-		}
-		if free := int64(dst.Cap() - dst.Len()); k > free {
-			k = free
-		}
-		out := dst.Extend(int(k))
-		if s.pkIdx >= 0 {
-			pk := s.pk
-			for off := s.pkIdx; off < len(out); off += ncols {
-				out[off] = pk
-				pk++
+		out := dst.Extend(k)
+		for c := range s.allCols {
+			off := c
+			for _, v := range s.tile.Col(c)[:k] {
+				out[off] = v
+				off += ncols
 			}
 		}
-		for si := range row.Specs {
-			sp := &row.Specs[si]
-			if sp.Fixed != nil {
-				v := *sp.Fixed
-				for off := sp.Col; off < len(out); off += ncols {
-					out[off] = v
-				}
-				continue
-			}
-			fillCycling(out, sp.Col, ncols, sp.Set, s.within)
-		}
-		s.within += k
-		s.pk += k
 	}
 }
 
@@ -292,27 +285,28 @@ func (s *Stream) fillBatch(dst *batch.Batch) {
 // in column-major form, materializing only the columns listed in cols —
 // the projection pushdown of the columnar engine. Unprojected columns are
 // never touched: no storage is read or written for them, so a query
-// needing three of a table's twenty-plus columns pays for three. Every
-// projected column of a summary-row segment is filled in one unit-stride
-// pass (fixed values and primary keys as straight stores, cycling sets via
-// the same phase-aligned cursor as the row-major path), so the values are
-// byte-identical to NextBatch's, column by column. Stream implements
-// batch.ColProjector; a Section or Partition sub-stream stops at its
-// range's upper bound.
+// needing three of a table's twenty-plus columns pays for three. Stream
+// implements batch.ColProjector; a Section or Partition sub-stream stops
+// at its range's upper bound.
 //
 //hydra:hotpath
 func (s *Stream) NextColBatch(dst *batch.ColBatch, cols []int) bool {
 	dst.Reset()
-	s.fillColBatch(dst, cols)
+	s.fillColBatch(dst, cols, dst.Cap())
 	return dst.Len() > 0
 }
 
-// fillColBatch is NextColBatch's kernel without the reset: it appends to
-// whatever dst already holds, so SectionSet can splice segments.
+// fillColBatch is the generation kernel — the only code that turns a
+// summary row into tuples. It appends to dst until dst holds limit rows or
+// the stream's range is exhausted, filling each projected column of a
+// summary-row segment in one unit-stride pass under the law of
+// synopsis.Row.Spec: the primary key auto-numbers, an unspecced column is
+// 0, a fixed spec is a straight store, and a cycling set is walked with a
+// phase-aligned cursor.
 //
 //hydra:hotpath
-func (s *Stream) fillColBatch(dst *batch.ColBatch, cols []int) {
-	for dst.Len() < dst.Cap() && s.pk < s.end && s.rowIdx < len(s.rel.Rows) {
+func (s *Stream) fillColBatch(dst *batch.ColBatch, cols []int, limit int) {
+	for dst.Len() < limit && s.pk < s.end && s.rowIdx < len(s.rel.Rows) {
 		row := &s.rel.Rows[s.rowIdx]
 		if s.within >= row.Count {
 			s.rowIdx++
@@ -323,7 +317,7 @@ func (s *Stream) fillColBatch(dst *batch.ColBatch, cols []int) {
 		if left := s.end - s.pk; k > left {
 			k = left
 		}
-		if free := int64(dst.Cap() - dst.Len()); k > free {
+		if free := int64(limit - dst.Len()); k > free {
 			k = free
 		}
 		base := dst.Len()
@@ -338,27 +332,17 @@ func (s *Stream) fillColBatch(dst *batch.ColBatch, cols []int) {
 				}
 				continue
 			}
-			filled := false
-			for si := range row.Specs {
-				sp := &row.Specs[si]
-				if sp.Col != c {
-					continue
-				}
-				if sp.Fixed != nil {
-					v := *sp.Fixed
-					for i := range seg {
-						seg[i] = v
-					}
-				} else {
-					fillCycling(seg, 0, 1, sp.Set, s.within)
-				}
-				filled = true
-				break
-			}
-			if !filled {
+			sp := row.Spec(c, s.pkIdx)
+			switch {
+			case sp == nil:
+				clear(seg)
+			case sp.Fixed != nil:
+				v := *sp.Fixed
 				for i := range seg {
-					seg[i] = 0
+					seg[i] = v
 				}
+			default:
+				fillCycling(seg, sp.Set, s.within)
 			}
 		}
 		s.within += k
@@ -366,13 +350,13 @@ func (s *Stream) fillColBatch(dst *batch.ColBatch, cols []int) {
 	}
 }
 
-// fillCycling writes the cycling-set column col of a row-major segment:
-// value i of the segment is set.At((start+i) mod set.Len()), the same
-// deterministic fan-out as the row-at-a-time path (foreign keys spread
-// evenly across the referenced key range, as the paper's alignment
-// intends). The modulo and rank search run once per segment; the loop then
-// walks the interval set with an incrementing cursor.
-func fillCycling(out []int64, col, stride int, set value.IntervalSet, start int64) {
+// fillCycling writes one cycling-set column segment: value i of the segment
+// is set.At((start+i) mod set.Len()) — the deterministic fan-out that
+// spreads foreign keys evenly across the referenced key range, as the
+// paper's alignment intends. The modulo and rank search run once per
+// segment; the loop then walks the interval set with an incrementing
+// cursor.
+func fillCycling(seg []int64, set value.IntervalSet, start int64) {
 	rank := start % set.Len()
 	iv := 0
 	for rank >= set[iv].Len() {
@@ -381,8 +365,8 @@ func fillCycling(out []int64, col, stride int, set value.IntervalSet, start int6
 	}
 	v := set[iv].Lo + rank
 	hi := set[iv].Hi
-	for off := col; off < len(out); off += stride {
-		out[off] = v
+	for i := range seg {
+		seg[i] = v
 		v++
 		if v == hi {
 			iv++

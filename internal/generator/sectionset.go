@@ -137,7 +137,7 @@ func (ss *SectionSet) NextBatch(dst *batch.Batch) bool {
 			continue
 		}
 		before := ss.gen.pk
-		ss.gen.fillBatch(dst)
+		ss.gen.appendRows(dst)
 		ss.pos += ss.gen.pk - before
 	}
 	return dst.Len() > 0
@@ -155,7 +155,7 @@ func (ss *SectionSet) NextColBatch(dst *batch.ColBatch, cols []int) bool {
 			continue
 		}
 		before := ss.gen.pk
-		ss.gen.fillColBatch(dst, cols)
+		ss.gen.fillColBatch(dst, cols, dst.Cap())
 		ss.pos += ss.gen.pk - before
 	}
 	return dst.Len() > 0

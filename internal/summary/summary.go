@@ -51,6 +51,3 @@ func SetSpec(col int, s value.IntervalSet) ColSpec { return synopsis.SetSpec(col
 
 // DecodeJSON reads a summary written by Database.EncodeJSON.
 func DecodeJSON(r io.Reader) (*Database, error) { return synopsis.DecodeJSON(r) }
-
-// DecodeGob reads a summary written by Database.EncodeGob.
-func DecodeGob(r io.Reader) (*Database, error) { return synopsis.DecodeGob(r) }

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -41,6 +42,31 @@ func SetSpec(col int, s value.IntervalSet) ColSpec { return ColSpec{Col: col, Se
 type Row struct {
 	Count int64     `json:"count"`
 	Specs []ColSpec `json:"specs"`
+}
+
+// Spec resolves the value law of column col within the row — the one rule
+// the tuple generator and every summary-direct reasoner share. The tuple at
+// offset w of the row (global index g) holds, in column col:
+//
+//   - g itself when col is the primary key pkIdx: the key always
+//     auto-numbers, whatever the row's specs say (Spec returns nil);
+//   - 0 when no spec names col (Spec returns nil);
+//   - otherwise what the first spec naming col prescribes: *Fixed, or
+//     Set.At(w mod Set.Len()).
+//
+// Validate rejects rows where the first two clauses would hide a spec
+// (duplicates, pk specs); the rule keeps unvalidated in-memory summaries
+// deterministic all the same.
+func (r *Row) Spec(col, pkIdx int) *ColSpec {
+	if col == pkIdx {
+		return nil
+	}
+	for i := range r.Specs {
+		if r.Specs[i].Col == col {
+			return &r.Specs[i]
+		}
+	}
+	return nil
 }
 
 // AtomPK is one entry of a relation's alignment index: a partition atom's
@@ -82,18 +108,33 @@ func (r *Relation) AxisIndex(key string) int {
 }
 
 // Validate checks internal consistency: counts non-negative and summing to
-// Total, every spec either fixed or a non-empty set.
+// Total without overflowing, every spec either fixed or a non-empty set,
+// and at most one spec per column with none on the auto-numbered primary
+// key — so every spec a summary file carries is one Row.Spec honours.
 func (r *Relation) Validate(t *schema.Table) error {
 	var sum int64
+	pk := t.PKIndex()
+	seen := make([]bool, len(t.Columns))
 	for i, row := range r.Rows {
 		if row.Count < 0 {
 			return fmt.Errorf("summary: %s row %d: negative count", r.Table, i)
 		}
+		if row.Count > math.MaxInt64-sum {
+			return fmt.Errorf("summary: %s row %d: cumulative count overflows", r.Table, i)
+		}
 		sum += row.Count
+		clear(seen)
 		for _, sp := range row.Specs {
 			if sp.Col < 0 || sp.Col >= len(t.Columns) {
 				return fmt.Errorf("summary: %s row %d: bad column %d", r.Table, i, sp.Col)
 			}
+			if sp.Col == pk {
+				return fmt.Errorf("summary: %s row %d: spec on auto-numbered primary key column %d", r.Table, i, sp.Col)
+			}
+			if seen[sp.Col] {
+				return fmt.Errorf("summary: %s row %d: duplicate spec for column %d", r.Table, i, sp.Col)
+			}
+			seen[sp.Col] = true
 			if sp.Fixed == nil && sp.Set.Empty() {
 				return fmt.Errorf("summary: %s row %d col %d: empty spec", r.Table, i, sp.Col)
 			}
@@ -146,18 +187,11 @@ func DecodeJSON(r io.Reader) (*Database, error) {
 }
 
 // EncodeGob writes the summary in the compact binary form used for the
-// size accounting the paper reports ("a few KB").
+// size accounting the paper reports ("a few KB"). It is write-only: gob
+// omits zero values, so a Fixed spec of 0 would not survive a decode —
+// summaries travel as JSON.
 func (d *Database) EncodeGob(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(d)
-}
-
-// DecodeGob reads a summary written by EncodeGob.
-func DecodeGob(r io.Reader) (*Database, error) {
-	var d Database
-	if err := gob.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("summary: decoding gob: %w", err)
-	}
-	return &d, nil
 }
 
 // Size returns the gob-encoded size in bytes. The alignment index
