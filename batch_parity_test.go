@@ -1,11 +1,12 @@
 package hydra
 
-// End-to-end parity of the batched execution path: over the toy and
-// TPC-DS-like workloads, dataless batched execution must return results
-// byte-identical to (a) the row-at-a-time reference path and (b)
-// materialized execution — same rows, counts, samples, and per-operator
-// cardinalities. This is the contract that lets Execute default to batches
-// while ExecuteRows stays the executable specification.
+// End-to-end parity of batched execution under full regeneration: over the
+// toy and TPC-DS-like workloads, every entry point at every worker count
+// (eachFront), dataless and materialized, must return results
+// byte-identical to the row-at-a-time reference — same rows, counts,
+// samples, path, and per-operator cardinalities. This is the contract that
+// lets execution default to batches while the row pivot stays the
+// executable specification.
 
 import (
 	"reflect"
@@ -13,36 +14,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/sqlkit"
 	"repro/internal/toy"
 	"repro/internal/tpcds"
 )
 
-func execWith(t *testing.T, db *engine.Database, sql string, opts engine.ExecOptions,
-	f func(*engine.Database, *engine.Plan, engine.ExecOptions) (*engine.ExecResult, error)) *engine.ExecResult {
-	t.Helper()
-	q, err := sqlkit.Parse(sql)
-	if err != nil {
-		t.Fatalf("parse %q: %v", sql, err)
-	}
-	plan, err := engine.BuildPlan(db.Schema, q)
-	if err != nil {
-		t.Fatalf("plan %q: %v", sql, err)
-	}
-	res, err := f(db, plan, opts)
-	if err != nil {
-		t.Fatalf("exec %q: %v", sql, err)
-	}
-	return res
-}
-
+// sameResult compares everything two executions under one regime ceiling
+// must share: the values, the regime that ran, and the operator tree.
 func sameResult(t *testing.T, label string, got, want *engine.ExecResult) {
 	t.Helper()
-	if got.Rows != want.Rows || got.Count != want.Count {
-		t.Fatalf("%s: rows/count = %d/%d, want %d/%d", label, got.Rows, got.Count, want.Rows, want.Count)
-	}
-	if !reflect.DeepEqual(got.Sample, want.Sample) {
-		t.Fatalf("%s: samples differ:\n got %v\nwant %v", label, got.Sample, want.Sample)
+	sameValues(t, label, got, want)
+	if got.Path != want.Path {
+		t.Fatalf("%s: path %q, want %q", label, got.Path, want.Path)
 	}
 	sameNode(t, label, got.Root, want.Root)
 }
@@ -75,9 +57,9 @@ func sameNode(t *testing.T, label string, got, want *engine.ExecNode) {
 }
 
 // checkWorkloadParity builds a summary from the package, then runs every
-// workload query three ways — dataless batched, dataless row-at-a-time,
-// and materialized batched — and requires identical results. Small batch
-// sizes force batch-boundary edge cases through every operator.
+// workload query on every entry point, dataless and materialized, and
+// requires results identical to the dataless row pivot's. Small batch sizes
+// force batch-boundary edge cases through every operator.
 func checkWorkloadParity(t *testing.T, pkg *TransferPackage, queries []string) {
 	t.Helper()
 	sum, _, err := Build(pkg, DefaultBuildOptions())
@@ -90,32 +72,30 @@ func checkWorkloadParity(t *testing.T, pkg *TransferPackage, queries []string) {
 		t.Fatal(err)
 	}
 	for _, size := range []int{0, 3} {
-		// NoSummaryAgg pins the regenerating pipeline: this suite compares
-		// operator trees node by node, which the summary-direct fast path
-		// intentionally collapses. NoScanPrune keeps the trees isomorphic to
-		// the materialized side's (pruning absorbs filter operators that a
-		// stored scan must still run). Value parity with both fast paths
-		// enabled is checked separately below (and exhaustively in the
-		// summaryagg and scan-prune parity suites).
-		opts := engine.ExecOptions{SampleLimit: 5, BatchSize: size, NoSummaryAgg: true, NoScanPrune: true}
+		// The PathRegen ceiling pins full regeneration: this suite compares
+		// operator trees node by node, which the summary-direct answer
+		// collapses and pruning reshapes (it absorbs filter operators that a
+		// stored scan must still run). Value parity with the better regimes
+		// allowed is checked below at these batch sizes, and on every entry
+		// point in the summaryagg and scan-prune parity suites.
+		opts := ExecOptions{SampleLimit: 5, BatchSize: size, Regime: engine.PathRegen}
 		for _, sql := range queries {
-			batched := execWith(t, regen, sql, opts, engine.Execute)
-			rows := execWith(t, regen, sql, opts, engine.ExecuteRows)
-			sameResult(t, sql, batched, rows)
-			matBatched := execWith(t, mat, sql, opts, engine.Execute)
-			matRows := execWith(t, mat, sql, opts, engine.ExecuteRows)
-			sameResult(t, sql+" [materialized]", matBatched, matRows)
+			ref := rowPivot(t, regen, sql, opts)
+			eachFront(t, regen, sql, opts, func(label string, res *ExecResult) {
+				sameResult(t, label, res, ref)
+			})
 			// Dataless and materialized execution see the same tuples, so
 			// their results (not just counts) must coincide too.
-			sameResult(t, sql+" [dataless vs materialized]", batched, matBatched)
-			// With the fast paths allowed, values must still be identical
-			// whether the summary, the pruned scan, or the full pipeline
-			// answered.
-			fastOpts := opts
-			fastOpts.NoSummaryAgg = false
-			fastOpts.NoScanPrune = false
-			fast := execWith(t, regen, sql, fastOpts, engine.Execute)
-			sameValues(t, sql+" [fast path]", fast, batched)
+			eachFront(t, mat, sql, opts, func(label string, res *ExecResult) {
+				sameResult(t, label+" [materialized]", res, ref)
+			})
+			best := opts
+			best.Regime = ""
+			fast, err := Query(regen, sql, best)
+			if err != nil {
+				t.Fatalf("%s [best regime]: %v", sql, err)
+			}
+			sameValues(t, sql+" [best regime]", fast, ref)
 		}
 	}
 }

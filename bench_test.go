@@ -10,6 +10,7 @@ package hydra
 // or use "go run ./cmd/hydra bench" for the full-size tables.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -175,8 +176,7 @@ func BenchmarkGenerateBatches(b *testing.B) {
 // the workload's first query, prepared once, then executed repeatedly with
 // full state reuse — the serve front end's cache-hit regime. Post-warmup
 // the scan→filter→count path allocates nothing per query (pinned by
-// TestSteadyStateZeroAlloc and enforced again by the bench smoke via
-// "hydra bench -json").
+// TestSteadyStateZeroAlloc).
 func BenchmarkDatalessQuery(b *testing.B) {
 	cfg := benchConfig()
 	pkg, sum := mustBuild(b, cfg)
@@ -231,7 +231,7 @@ func BenchmarkDatalessQueryRowAtATime(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.ExecuteRows(db, plan, engine.ExecOptions{}); err != nil {
+		if _, err := engine.ExecuteRowsContext(context.Background(), db, plan, engine.ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -254,7 +254,7 @@ func BenchmarkDatalessJoinQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Execute(db, plan, engine.ExecOptions{}); err != nil {
+		if _, err := engine.ExecuteContext(context.Background(), db, plan, engine.ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -284,8 +284,8 @@ func BenchmarkPreparedJoinQuery(b *testing.B) {
 // BenchmarkGroupByQuery measures vectorized grouped aggregation — the full
 // COUNT/SUM/MIN/MAX/AVG suite grouped by store — regenerated datalessly:
 // fresh columnar execution and the steady-state ExecuteIn path whose
-// recycled hash-agg state runs allocation-free ("hydra bench -json" pins
-// allocs to 0 as groupby_steady).
+// recycled hash-agg state runs allocation-free
+// (TestSteadyStateZeroAllocGroupBy pins allocs to 0).
 func BenchmarkGroupByQuery(b *testing.B) {
 	cfg := benchConfig()
 	_, sum := mustBuild(b, cfg)
@@ -335,11 +335,12 @@ func BenchmarkParallelQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	oversubscribe(b, 8)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			opts := engine.ExecOptions{Parallelism: workers}
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.ExecuteParallel(db, plan, opts); err != nil {
+				if _, err := engine.ExecuteContext(context.Background(), db, plan, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -391,8 +392,8 @@ func BenchmarkE10Ablation(b *testing.B) {
 // the planner pushes the bound into the sort, which keeps a 100-row
 // max-heap instead of sorting every collected row — EXPERIMENTS.md E14
 // sweeps the bound), and the steady-state ExecuteIn path whose recycled
-// sort state runs allocation-free ("hydra bench -json" pins allocs to 0 as
-// orderby_steady).
+// sort state runs allocation-free (TestSteadyStateZeroAllocOrderBy pins
+// allocs to 0).
 func BenchmarkOrderByQuery(b *testing.B) {
 	cfg := benchConfig()
 	_, sum := mustBuild(b, cfg)
@@ -468,19 +469,19 @@ func BenchmarkDistinctQuery(b *testing.B) {
 // BenchmarkPrunedQuery measures predicate pushdown into generation: a
 // low-selectivity filtered join whose filter is compiled into the scan's
 // qualifying row-space, so non-matching tuples are never materialized.
-// "baseline" runs the identical plan with NoScanPrune — the spread is what
-// skip-and-seek generation saves. The steady sub-benchmark reuses prepared
-// state over rewinding SectionSet iterators (pruned_steady in the bench
-// JSON pins it to zero allocations).
+// "baseline" runs the identical plan under the PathRegen ceiling — the
+// spread is what skip-and-seek generation saves. The steady sub-benchmark
+// reuses prepared state over rewinding SectionSet iterators
+// (TestSteadyStateZeroAllocPruned pins it to zero allocations).
 func BenchmarkPrunedQuery(b *testing.B) {
 	cfg := benchConfig()
 	_, sum := mustBuild(b, cfg)
 	db := Regen(sum, 0)
 	const sql = "SELECT COUNT(*) FROM store_sales, item WHERE ss_item_sk = i_item_sk AND ss_quantity >= 20 AND ss_quantity < 22"
-	opts := ExecOptions{NoSummaryAgg: true}
+	opts := ExecOptions{Regime: engine.PathPruned}
 	b.Run("baseline", func(b *testing.B) {
 		ref := opts
-		ref.NoScanPrune = true
+		ref.Regime = engine.PathRegen
 		for i := 0; i < b.N; i++ {
 			if _, err := Query(db, sql, ref); err != nil {
 				b.Fatal(err)

@@ -253,7 +253,6 @@ func cmdBench(args []string) error {
 	sf := fs.Float64("sf", 1.0, "warehouse scale factor")
 	nq := fs.Int("queries", 131, "workload size")
 	seed := fs.Int64("seed", 7, "seed")
-	jsonOut := fs.Bool("json", false, "emit machine-readable micro-benchmark rows (one JSON object per line) instead of the experiment tables")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the benchmark run to this file")
 	fs.Parse(args)
 
@@ -270,12 +269,6 @@ func cmdBench(args []string) error {
 	}
 
 	cfg := experiments.Config{Seed: *seed, ScaleFactor: *sf, Queries: *nq}
-	if *jsonOut {
-		if *exp != "all" {
-			return fmt.Errorf("-json runs the fixed micro-benchmark suite and cannot be combined with -exp %s", *exp)
-		}
-		return runJSONBench(os.Stdout, cfg)
-	}
 	w := os.Stdout
 	run := func(id string, fn func() error) error {
 		if *exp != "all" && !strings.EqualFold(*exp, id) {
@@ -302,8 +295,8 @@ func cmdBench(args []string) error {
 		{"E12", func() error { return experiments.E12Projection(w, cfg) }},
 		{"E13", func() error { return experiments.E13GroupBy(w, cfg, []int{0, 1, 2, 4, 8}) }},
 		{"E14", func() error { return experiments.E14TopK(w, cfg, []int{1000, 100, 10, 1}) }},
-		// E15 (overload sweep) runs through the loadtest harness and the
-		// bench -json loadtest_* rows, not as a table here.
+		// E15 (overload sweep) runs through the loadtest harness (hydra
+		// loadtest), not as a table here.
 		{"E16", func() error { return experiments.E16TraceOverhead(w, cfg) }},
 		{"E17", func() error { return experiments.E17SummaryAgg(w, cfg, []float64{0.25, 0.5, 1, 2, 4}) }},
 		{"E18", func() error { return experiments.E18ScanPrune(w, cfg, []float64{0.001, 0.01, 0.1, 0.5, 1}) }},

@@ -1,16 +1,12 @@
 // Command hydralint is the engine's invariant multichecker (DESIGN.md §12).
-//
-// Standalone:
-//
-//	hydralint ./...                # analyze packages, print diagnostics
-//	hydralint -hotpath=true ./...  # run a subset (go vet flag convention)
-//
-// Under the go command, which additionally covers test compilation units:
+// It runs under the go command, which hands it every compilation unit, test
+// variants included:
 //
 //	go build -o bin/hydralint ./cmd/hydralint
 //	go vet -vettool=$(pwd)/bin/hydralint ./...
+//	go vet -vettool=$(pwd)/bin/hydralint -hotpath ./...  # run a subset
 //
-// Exit status: 0 clean, 1 diagnostics found, 2 driver failure.
+// Exit status per unit: 0 clean, 1 diagnostics found or driver failure.
 package main
 
 import (

@@ -1,7 +1,7 @@
 // Parallel demonstrates morsel-driven parallel regeneration: the TPC-DS
 // workload's summary is built once, then one dataless join query runs
-// through the sequential batched executor and through the parallel
-// executor at increasing worker counts, with byte-identical answers. It
+// sequentially and then with ExecOptions.Parallelism at increasing worker
+// counts, with byte-identical answers in the same regime. It
 // also shows raw generation fanned out over partitioned streams — the
 // embarrassing parallelism that deterministic summary layout buys.
 //
@@ -45,20 +45,24 @@ func main() {
 	sql := pkg.Workload[0].SQL
 	fmt.Println("=== Morsel-parallel dataless execution ===")
 	fmt.Println(sql)
-	base, err := hydra.Query(regen, sql, hydra.ExecOptions{})
+	// This single-table aggregate would be answered from the summary alone,
+	// with nothing to parallelize; the "pruned" ceiling makes every run
+	// regenerate tuples, which is what the worker sweep is about.
+	seq := hydra.ExecOptions{Regime: hydra.PathPruned}
+	base, err := hydra.Query(regen, sql, seq)
 	if err != nil {
 		log.Fatalf("sequential query: %v", err)
 	}
-	baseElapsed := timeQuery(regen, sql, hydra.ExecOptions{})
-	fmt.Printf("  sequential: COUNT=%d in %v\n", base.Count, baseElapsed.Round(time.Microsecond))
+	baseElapsed := timeQuery(regen, sql, seq)
+	fmt.Printf("  sequential: COUNT=%d (regime %q) in %v\n", base.Count, base.Path, baseElapsed.Round(time.Microsecond))
 	for _, w := range []int{1, 2, 4, 8} {
-		opts := hydra.ExecOptions{Parallelism: w}
+		opts := hydra.ExecOptions{Parallelism: w, Regime: hydra.PathPruned}
 		res, err := hydra.Query(regen, sql, opts)
 		if err != nil {
 			log.Fatalf("parallel query (w=%d): %v", w, err)
 		}
-		if res.Count != base.Count {
-			log.Fatalf("parallelism %d changed the answer: %d != %d", w, res.Count, base.Count)
+		if res.Count != base.Count || res.Path != base.Path {
+			log.Fatalf("parallelism %d changed the answer: %d (%s) != %d (%s)", w, res.Count, res.Path, base.Count, base.Path)
 		}
 		elapsed := timeQuery(regen, sql, opts)
 		fmt.Printf("  workers=%d (clamped to GOMAXPROCS=%d): COUNT=%d in %v (%.2fx)\n",

@@ -118,6 +118,14 @@ type (
 	Mapping = anonymize.Mapping
 )
 
+// The three execution regimes, best first: what ExecResult.Path reports and
+// what ExecOptions.Regime caps (the zero value means the best provable).
+const (
+	PathSummary = engine.PathSummary // answered from summary-row arithmetic; no tuple generated
+	PathPruned  = engine.PathPruned  // operator pipeline over scans that skip provably dead tuples
+	PathRegen   = engine.PathRegen   // operator pipeline over full regeneration
+)
+
 // DefaultBuildOptions returns the options used by the demo flows.
 func DefaultBuildOptions() BuildOptions { return summary.DefaultBuildOptions() }
 
@@ -174,10 +182,11 @@ func Verify(db *Database, workload []*AQP) (*Report, error) {
 // a bounded top-K sort. All of it identically on every execution path.
 // With opts.Parallelism >= 1 execution is morsel-parallel (grouped,
 // distinct, and sorted queries run per-worker partial states merged
-// deterministically); Execute clamps the value into [0, GOMAXPROCS]. This
-// is the call the hydra serve front end issues per HTTP request — db is
-// safe for concurrent Query calls because every execution opens fresh
-// scan state.
+// deterministically). ExecResult.Path names the regime that answered —
+// summary, pruned, or regen — and opts.Regime caps it. db is safe for
+// concurrent Query calls because every execution opens fresh scan state.
+// Query and Prepare are the ctx-free conveniences; the engine package
+// itself takes a context everywhere.
 func Query(db *Database, sql string, opts ExecOptions) (*ExecResult, error) {
 	return QueryContext(context.Background(), db, sql, opts)
 }

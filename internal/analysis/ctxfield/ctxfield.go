@@ -3,44 +3,26 @@
 // into execCtl — it is never stored in long-lived structs, where it would
 // outlive its cancellation scope and pin request-scoped values.
 //
-// Two rules:
-//
-//  1. No struct field of type context.Context, except in the struct named
-//     execCtl (the engine's one sanctioned binding point). Deliberate
-//     exceptions need //hydralint:ignore ctxfield <reason>.
-//
-//  2. Every exported Execute* function or method follows the paired-API
-//     convention: the context-taking variant is named <X>Context with ctx
-//     as its first parameter, and the ctx-free twin <X> must exist as a
-//     one-statement wrapper delegating to <X>Context(context.Background(),
-//     ...). An exported Execute* that takes a context under the wrong name,
-//     or a twin that does anything besides delegate, breaks the pairing
-//     callers rely on.
-//
-// Test files are skipped.
+// The rule: no struct field of type context.Context, except in the struct
+// named execCtl (the engine's one sanctioned binding point). Deliberate
+// exceptions need //hydralint:ignore ctxfield <reason>. Test files are
+// skipped.
 package ctxfield
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis/lintkit"
 )
 
 var Analyzer = &lintkit.Analyzer{
 	Name: "ctxfield",
-	Doc:  "no context.Context struct fields outside execCtl; Execute*/Execute*Context pairing",
+	Doc:  "no context.Context struct fields outside execCtl",
 	Run:  run,
 }
 
 const allowedStruct = "execCtl"
-
-func run(pass *lintkit.Pass) error {
-	checkFields(pass)
-	checkExecutePairs(pass)
-	return nil
-}
 
 // isContextType reports whether t is exactly context.Context.
 func isContextType(t types.Type) bool {
@@ -52,7 +34,7 @@ func isContextType(t types.Type) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
-func checkFields(pass *lintkit.Pass) {
+func run(pass *lintkit.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
@@ -71,128 +53,5 @@ func checkFields(pass *lintkit.Pass) {
 			return true
 		})
 	}
-}
-
-// checkExecutePairs enforces the Execute*/Execute*Context convention.
-func checkExecutePairs(pass *lintkit.Pass) {
-	// Index exported Execute* declarations by (receiver type, name).
-	type key struct {
-		recv string
-		name string
-	}
-	decls := make(map[key]*ast.FuncDecl)
-	var order []key
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || !strings.HasPrefix(fd.Name.Name, "Execute") || !ast.IsExported(fd.Name.Name) {
-				continue
-			}
-			if pass.InTestFile(fd.Pos()) {
-				continue
-			}
-			k := key{receiverName(fd), fd.Name.Name}
-			decls[k] = fd
-			order = append(order, k)
-		}
-	}
-	for _, k := range order {
-		fd := decls[k]
-		if strings.HasSuffix(k.name, "Context") {
-			if !firstParamIsContext(pass, fd) {
-				pass.Reportf(fd.Pos(), "%s must take a context.Context as its first parameter", k.name)
-			}
-			continue
-		}
-		if takesContext(pass, fd) {
-			pass.Reportf(fd.Pos(), "exported %s takes a context.Context but is not named %sContext — the pairing convention requires the ctx variant to carry the Context suffix", k.name, k.name)
-			continue
-		}
-		twinKey := key{k.recv, k.name + "Context"}
-		twin := decls[twinKey]
-		if twin == nil {
-			pass.Reportf(fd.Pos(), "exported %s has no %sContext variant — every Execute API must offer a context-taking twin", k.name, k.name)
-			continue
-		}
-		if !delegatesToTwin(pass, fd, k.name+"Context") {
-			pass.Reportf(fd.Pos(), "%s must be a one-statement wrapper delegating to %sContext(context.Background(), ...)", k.name, k.name)
-		}
-	}
-}
-
-// receiverName names a method's receiver base type, or "" for functions.
-func receiverName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) != 1 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	if ix, ok := t.(*ast.IndexExpr); ok {
-		if id, ok := ix.X.(*ast.Ident); ok {
-			return id.Name
-		}
-	}
-	return ""
-}
-
-func firstParamIsContext(pass *lintkit.Pass, fd *ast.FuncDecl) bool {
-	params := fd.Type.Params.List
-	return len(params) > 0 && isContextType(pass.TypesInfo.TypeOf(params[0].Type))
-}
-
-func takesContext(pass *lintkit.Pass, fd *ast.FuncDecl) bool {
-	for _, p := range fd.Type.Params.List {
-		if isContextType(pass.TypesInfo.TypeOf(p.Type)) {
-			return true
-		}
-	}
-	return false
-}
-
-// delegatesToTwin reports whether fd's body is exactly one statement calling
-// <twin>(context.Background(), ...) — as a return, or as a bare call when
-// the function has no results.
-func delegatesToTwin(pass *lintkit.Pass, fd *ast.FuncDecl, twin string) bool {
-	if fd.Body == nil || len(fd.Body.List) != 1 {
-		return false
-	}
-	var call *ast.CallExpr
-	switch s := fd.Body.List[0].(type) {
-	case *ast.ReturnStmt:
-		if len(s.Results) != 1 {
-			return false
-		}
-		call, _ = lintkit.Unparen(s.Results[0]).(*ast.CallExpr)
-	case *ast.ExprStmt:
-		call, _ = lintkit.Unparen(s.X).(*ast.CallExpr)
-	}
-	if call == nil {
-		return false
-	}
-	switch fun := lintkit.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fun.Name != twin {
-			return false
-		}
-	case *ast.SelectorExpr:
-		if fun.Sel.Name != twin {
-			return false
-		}
-	default:
-		return false
-	}
-	if len(call.Args) == 0 {
-		return false
-	}
-	first, ok := lintkit.Unparen(call.Args[0]).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	callee := lintkit.CalleeFunc(pass.TypesInfo, first)
-	return callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "context" && callee.Name() == "Background"
+	return nil
 }

@@ -1,6 +1,5 @@
 // Package a exercises the ctxfield analyzer: execCtl is the sanctioned
-// context holder, session is the violation, and the Execute* declarations
-// cover the pairing convention's compliant and broken shapes.
+// context holder, session is the violation.
 package a
 
 import "context"
@@ -19,51 +18,4 @@ type session struct {
 
 type db struct {
 	ctl execCtl
-}
-
-// ExecuteContext / Execute form a compliant pair.
-func (d *db) ExecuteContext(ctx context.Context, q string) error {
-	d.ctl.ctx = ctx
-	_ = q
-	return nil
-}
-
-func (d *db) Execute(q string) error {
-	return d.ExecuteContext(context.Background(), q)
-}
-
-// ExecuteScan takes a context under the wrong name.
-func (d *db) ExecuteScan(ctx context.Context, q string) error { // want `exported ExecuteScan takes a context\.Context but is not named ExecuteScanContext`
-	_ = ctx
-	_ = q
-	return nil
-}
-
-// ExecuteSolo has no context-taking twin at all.
-func (d *db) ExecuteSolo(q string) error { // want `exported ExecuteSolo has no ExecuteSoloContext variant`
-	_ = q
-	return nil
-}
-
-// ExecuteEagerContext exists, but ExecuteEager does more than delegate.
-func (d *db) ExecuteEagerContext(ctx context.Context, q string) error {
-	_ = ctx
-	_ = q
-	return nil
-}
-
-func (d *db) ExecuteEager(q string) error { // want `ExecuteEager must be a one-statement wrapper delegating to ExecuteEagerContext`
-	q = q + ";"
-	return d.ExecuteEagerContext(context.Background(), q)
-}
-
-// ExecuteOddContext claims the suffix but hides the context mid-signature.
-func (d *db) ExecuteOddContext(q string, ctx context.Context) error { // want `ExecuteOddContext must take a context\.Context as its first parameter`
-	_ = ctx
-	_ = q
-	return nil
-}
-
-func (d *db) ExecuteOdd(q string) error { // want `ExecuteOdd must be a one-statement wrapper delegating to ExecuteOddContext`
-	return d.ExecuteOddContext(q, context.Background())
 }

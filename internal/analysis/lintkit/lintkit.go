@@ -4,13 +4,11 @@
 // Diagnostic, a Reportf helper — so that the analyzers read like ordinary
 // go/analysis analyzers and could be ported onto x/tools mechanically. It
 // is implemented on the standard library alone (go/ast, go/types, the gc
-// export-data importer, and the go command for package discovery) because
-// the build environment vendors no third-party modules.
+// export-data importer) because the build environment vendors no
+// third-party modules.
 //
-// Three drivers share this vocabulary:
+// Two drivers share this vocabulary:
 //
-//   - cmd/hydralint run standalone ("hydralint ./...") loads packages via
-//     `go list -export -deps -json` (loader.go);
 //   - cmd/hydralint invoked by `go vet -vettool=` speaks the go command's
 //     unitchecker protocol (unit.go): -V=full / -flags / one *.cfg file per
 //     compilation unit, with types resolved from compiler export data;
@@ -55,7 +53,7 @@ type Diagnostic struct {
 }
 
 // A Package is one type-checked compilation unit, however it was loaded
-// (go list, a vet .cfg, or a linttest testdata directory).
+// (a vet .cfg or a linttest testdata directory).
 type Package struct {
 	PkgPath string
 	Fset    *token.FileSet

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/ast"
 	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
 	"log"
 	"os"
+	"runtime"
 	"strings"
 )
 
@@ -24,8 +27,8 @@ import (
 //
 // Each .cfg names the unit's Go files and maps every dependency's package
 // path to its compiler export data, so the unit is re-type-checked exactly
-// as the compiler saw it — including test variants, which the standalone
-// loader does not cover. hydralint carries no cross-package facts, so
+// as the compiler saw it — test variants included. hydralint carries no
+// cross-package facts, so
 // VetxOnly dependency visits write an empty facts file and exit; the
 // analyzers are designed around per-package invariants (markers propagate
 // through a package's call graph, conventions bind package-local types)
@@ -47,10 +50,8 @@ type unitConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
-// Main is the entry point shared by cmd/hydralint's two modes: the
-// unitchecker protocol when invoked by go vet (a single *.cfg argument),
-// and the standalone loader otherwise (package patterns, "./..." default).
-// It does not return.
+// Main is cmd/hydralint's entry point: the unitchecker protocol, as invoked
+// by go vet (a single *.cfg argument). It does not return.
 func Main(progname string, analyzers []*Analyzer) {
 	log.SetFlags(0)
 	log.SetPrefix(progname + ": ")
@@ -72,11 +73,10 @@ func Main(progname string, analyzers []*Analyzer) {
 
 	analyzers = selectAnalyzers(analyzers, enabled)
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runUnit(args[0], analyzers, *jsonOut)
-		panic("unreachable")
+	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
+		log.Fatalf("run under the go command: go vet -vettool=$(command -v %s) ./...", progname)
 	}
-	runStandalone(args, analyzers, *jsonOut)
+	runUnit(args[0], analyzers, *jsonOut)
 	panic("unreachable")
 }
 
@@ -106,44 +106,6 @@ func selectAnalyzers(analyzers []*Analyzer, enabled map[string]*string) []*Analy
 		}
 	}
 	return keep
-}
-
-// runStandalone loads the patterns with the go-list loader and prints
-// diagnostics to stdout. Exit status: 0 clean, 1 diagnostics, 2 failure.
-func runStandalone(patterns []string, analyzers []*Analyzer, jsonOut bool) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := Load(".", patterns)
-	if err != nil {
-		log.Println(err)
-		os.Exit(2)
-	}
-	found := false
-	jsonTree := make(map[string]map[string][]jsonDiagnostic)
-	for _, pkg := range pkgs {
-		diags, err := RunPackage(pkg, analyzers)
-		if err != nil {
-			log.Println(err)
-			os.Exit(2)
-		}
-		if jsonOut {
-			addJSONDiags(jsonTree, pkg.PkgPath, pkg, diags)
-		} else {
-			for _, d := range diags {
-				fmt.Printf("%s: %s [%s]\n", pkg.Fset.Position(d.Pos), d.Message, d.Analyzer)
-			}
-		}
-		found = found || len(diags) > 0
-	}
-	if jsonOut {
-		printJSONTree(jsonTree)
-		os.Exit(0)
-	}
-	if found {
-		os.Exit(1)
-	}
-	os.Exit(0)
 }
 
 // runUnit analyzes the single compilation unit described by cfgFile, per
@@ -214,6 +176,59 @@ func unitImporter(cfg *unitConfig) (*token.FileSet, types.Importer) {
 		return os.Open(file)
 	})
 	return fset, imp
+}
+
+// importerFunc adapts a function to types.Importer (mirroring the adapter
+// x/tools' unitchecker uses).
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// mapImports applies a unit's ImportMap (vendoring, test-variant rewrites)
+// before delegating to its export-data importer.
+func mapImports(imp types.Importer, importMap map[string]string) types.Importer {
+	if len(importMap) == 0 {
+		return imp
+	}
+	return importerFunc(func(path string) (*types.Package, error) {
+		if mapped, ok := importMap[path]; ok {
+			path = mapped
+		}
+		return imp.Import(path)
+	})
+}
+
+// checkPackage parses files and type-checks them as one package, recording
+// the full types.Info the analyzers need. goVersion, when non-empty, pins
+// the language version (the go command supplies it per unit).
+func checkPackage(fset *token.FileSet, pkgPath string, files []string, imp types.Importer, goVersion string) (*Package, error) {
+	var astFiles []*ast.File
+	for _, name := range files {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		astFiles = append(astFiles, f)
+	}
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Implicits:  make(map[ast.Node]types.Object),
+		Instances:  make(map[*ast.Ident]types.Instance),
+		Scopes:     make(map[ast.Node]*types.Scope),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}
+	conf := &types.Config{
+		Importer:  imp,
+		Sizes:     types.SizesFor("gc", runtime.GOARCH),
+		GoVersion: goVersion,
+	}
+	tpkg, err := conf.Check(pkgPath, fset, astFiles, info)
+	if err != nil {
+		return nil, fmt.Errorf("typechecking %s: %v", pkgPath, err)
+	}
+	return &Package{PkgPath: pkgPath, Fset: fset, Files: astFiles, Types: tpkg, Info: info}, nil
 }
 
 // writeVetx satisfies the protocol's facts contract: the go command expects

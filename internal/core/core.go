@@ -10,6 +10,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -95,7 +96,7 @@ func CaptureClient(db *engine.Database, queries []string, opts CaptureOptions) (
 		if err != nil {
 			return nil, fmt.Errorf("core: query %d: %w", qi, err)
 		}
-		res, err := engine.Execute(db, plan, engine.ExecOptions{})
+		res, err := engine.ExecuteContext(context.TODO(), db, plan, engine.ExecOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("core: query %d: %w", qi, err)
 		}

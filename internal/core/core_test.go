@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -134,7 +135,7 @@ func TestRegenVsMaterializedAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resR, err := engine.Execute(regen, planR, engine.ExecOptions{})
+		resR, err := engine.ExecuteContext(context.Background(), regen, planR, engine.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func TestRegenVsMaterializedAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resM, err := engine.Execute(mat, planM, engine.ExecOptions{})
+		resM, err := engine.ExecuteContext(context.Background(), mat, planM, engine.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

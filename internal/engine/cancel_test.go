@@ -97,6 +97,7 @@ type execFront struct {
 
 func contextFronts(t *testing.T) []execFront {
 	t.Helper()
+	oversubscribe(t, 8)
 	fronts := []execFront{
 		{"ExecuteContext", ExecuteContext},
 		{"ExecuteRowsContext", ExecuteRowsContext},
@@ -104,10 +105,10 @@ func contextFronts(t *testing.T) []execFront {
 	for _, w := range []int{1, 2, 4, 8} {
 		w := w
 		fronts = append(fronts, execFront{
-			fmt.Sprintf("ExecuteParallelContext_w%d", w),
+			fmt.Sprintf("ExecuteContext_w%d", w),
 			func(ctx context.Context, db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
 				opts.Parallelism = w
-				return ExecuteParallelContext(ctx, db, plan, opts)
+				return ExecuteContext(ctx, db, plan, opts)
 			},
 		})
 	}
@@ -284,20 +285,23 @@ func TestCancelTimeoutValidation(t *testing.T) {
 	}
 }
 
-// TestCancelResultParity: execution under a background context is
-// byte-identical to the ctx-free fronts — the plumbing is free when unused.
+// TestCancelResultParity: execution under a live, never-canceled context
+// with a generous deadline is byte-identical to execution under
+// context.Background() — the plumbing is free when unused.
 func TestCancelResultParity(t *testing.T) {
 	db := starDatabase(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, sql := range parallelQueries {
 		plan := mustPlan(t, db, sql)
-		want, err := Execute(db, plan, ExecOptions{SampleLimit: 7})
+		want, err := execute(db, plan, ExecOptions{SampleLimit: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ExecuteContext(context.Background(), db, plan, ExecOptions{SampleLimit: 7})
+		got, err := ExecuteContext(ctx, db, plan, ExecOptions{SampleLimit: 7, Timeout: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, sql+" [ExecuteContext]", got, want)
+		requireIdentical(t, sql+" [live context]", got, want)
 	}
 }

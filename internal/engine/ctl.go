@@ -8,11 +8,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Cooperative cancellation. Every execution front — Execute, ExecuteRows,
-// ExecuteParallel, Prepared.Execute, Prepared.ExecuteIn — now has a
-// context-taking variant, and the ctx-free signatures are thin wrappers
-// over context.Background(). Cancellation is cooperative at batch
-// boundaries: the engine never preempts a kernel mid-batch (a batch is at
+// Cooperative cancellation. The executor (Prepared.run) takes a context;
+// the only ctx-free signatures left in this package, Prepared.Execute and
+// Prepared.ExecuteIn, are thin wrappers over context.Background().
+// Cancellation is cooperative at batch boundaries: the engine never preempts a kernel mid-batch (a batch is at
 // most a few thousand rows, microseconds of work), it checks between
 // batches and unwinds.
 //
@@ -24,7 +23,7 @@ import (
 //     sink and COUNT(*) drain loops, hash-join build drains, and the join
 //     probe's pull loop, because all of them advance only by pulling scan
 //     batches.
-//   - the root drive loop (runColumnar and the ExecuteRows pivot) — covers
+//   - the root drive loop (runColumnar and the runRows pivot) — covers
 //     the emit phase of blocking sinks, whose output streaming pulls no
 //     scan batches.
 //   - the parallel worker's morsel loop — each worker carries its own
@@ -49,9 +48,8 @@ type execCtl struct {
 	err error // first observed ctx error, latched for the execution
 	rec *trace.Recorder
 	// prunes holds the precomputed qualifying row-space of each OpFilter
-	// plan node (prune.go). A nil cache (the NoScanPrune opt-out, or fronts
-	// that never computed one) misses every lookup, so operators need no
-	// separate gate.
+	// plan node (prune.go). A nil cache (the PathRegen ceiling) misses every
+	// lookup, so operators need no separate gate.
 	prunes *pruneCache
 }
 

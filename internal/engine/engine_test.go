@@ -68,7 +68,7 @@ func run(t *testing.T, db *Database, sql string) *ExecResult {
 	if err != nil {
 		t.Fatalf("plan %q: %v", sql, err)
 	}
-	res, err := Execute(db, plan, ExecOptions{SampleLimit: 100})
+	res, err := execute(db, plan, ExecOptions{SampleLimit: 100})
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
@@ -200,7 +200,7 @@ func TestMissingRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Execute(db, plan, ExecOptions{}); err == nil {
+	if _, err := execute(db, plan, ExecOptions{}); err == nil {
 		t.Error("execute over missing relation succeeded")
 	}
 }

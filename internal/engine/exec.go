@@ -24,7 +24,7 @@ type ExecNode struct {
 	// pruning (prune.go) the invariant is: a SCAN reports the rows it
 	// actually generated — the pruned row-space, a pure function of the
 	// summary and the predicate, so the number is identical on every
-	// execution front and across prepared re-executions — and a residual
+	// entry point and across prepared re-executions — and a residual
 	// FILTER reports its survivors. A fully absorbed filter disappears
 	// from the tree; the scan's OutRows then equals what the filter's
 	// output was unpruned, which is what keeps the execution-mode
@@ -54,9 +54,11 @@ type ExecResult struct {
 	// ExecOptions.Trace, nil otherwise. It mirrors Root's shape, with wall
 	// time, rows, batches, and bytes per operator.
 	Trace *trace.Span
-	// Path names the execution path that answered the query: PathSummary
-	// when the summary-direct aggregate fast path did, empty when the
-	// regenerating operator pipeline did.
+	// Path names the regime that answered the query, in the vocabulary
+	// ExecOptions.Regime takes: PathSummary when the summary-direct aggregate
+	// fast path did, PathPruned when the operator pipeline ran over at least
+	// one scan whose row-space was pruned (some SCAN in Root reports
+	// RowsPruned > 0), PathRegen when every scan regenerated its whole table.
 	Path string
 	// Approx is set when the execution ran with ExecOptions.Approx and the
 	// summary-direct path answered: it reports whether any summary row was
@@ -65,9 +67,14 @@ type ExecResult struct {
 	Approx *ApproxInfo
 }
 
-// PathSummary is ExecResult.Path's value when the summary-direct aggregate
-// fast path answered the query without regenerating rows.
-const PathSummary = "summary"
+// The three execution regimes, best first: what ExecResult.Path reports and
+// what ExecOptions.Regime caps. Untyped string constants, so they compare
+// against a plain string as well as against the fields.
+const (
+	PathSummary = "summary" // answered from summary-row arithmetic, no tuple generated
+	PathPruned  = "pruned"  // operator pipeline over scans that skip provably dead tuples
+	PathRegen   = "regen"   // operator pipeline over full regeneration
+)
 
 // ExecOptions tune execution.
 type ExecOptions struct {
@@ -78,10 +85,10 @@ type ExecOptions struct {
 	// exercising batch boundaries.
 	BatchSize int
 	// Parallelism selects morsel-driven parallel execution: 0 (the
-	// default) runs the sequential batched executor, n >= 1 runs the
-	// scan→filter→probe pipeline on n workers (see exec_parallel.go).
-	// Execute clamps it into [0, GOMAXPROCS]; ExecuteParallel honors it
-	// verbatim so tests can oversubscribe.
+	// default) drives the operator tree sequentially, n >= 1 runs the
+	// scan→filter→probe pipeline on n workers (see exec_parallel.go) when
+	// the plan's leaf scan is partitionable. Normalize clamps it into
+	// [0, GOMAXPROCS]; that is its one meaning on every entry point.
 	Parallelism int
 	// Timeout bounds the execution's wall clock when positive: the
 	// context-taking entry points derive a deadline from it (stacked on
@@ -89,7 +96,7 @@ type ExecOptions struct {
 	// earlier one wins) and the query fails with context.DeadlineExceeded
 	// at the next batch boundary after it expires. Zero means no
 	// engine-imposed deadline; negative is rejected by Normalize. The
-	// ctx-free wrappers honor it too, so a plain Execute with a Timeout
+	// ctx-free entry points honor it too, so a plain Execute with a Timeout
 	// is self-limiting.
 	Timeout time.Duration
 	// Trace enables per-operator span recording: the result carries a span
@@ -107,17 +114,17 @@ type ExecOptions struct {
 	// interval on the matching-row count. Off (the default), only provably
 	// exact answers take the fast path and everything else regenerates.
 	Approx bool
-	// NoSummaryAgg forces the regenerating pipeline even when the
-	// summary-direct fast path could answer exactly. Verification flows
-	// comparing full operator trees and benchmarks measuring regeneration
-	// set it; normal queries should not.
-	NoSummaryAgg bool
-	// NoScanPrune disables predicate pushdown into generation (prune.go):
-	// scans iterate the full [0, Total) row-space and every filter runs as
-	// a MatchVec operator. The pruned path is byte-identical by
-	// construction; this opt-out exists for the parity suites and
-	// benchmarks that measure the unpruned baseline.
-	NoScanPrune bool
+	// Regime is a ceiling on the execution regime. The zero value lets the
+	// engine take the best regime it can prove: summary-direct, else pruned
+	// scans, else full regeneration. PathPruned rules out the summary-direct
+	// answer (the operator pipeline runs, pruning where it can); PathRegen
+	// also rules out pruning (every scan iterates [0, Total) and every
+	// filter runs as a MatchVec operator). Lower regimes are byte-identical
+	// by construction; the ceiling exists for verification flows comparing
+	// full operator trees and for references and benchmarks that measure
+	// regeneration. ExecResult.Path reports the regime that ran. Prepare
+	// ignores it: it is a per-execution choice.
+	Regime string
 }
 
 // ErrInvalidOptions tags ExecOptions validation failures; test with
@@ -131,6 +138,11 @@ func (o ExecOptions) validate() error {
 	}
 	if o.Timeout < 0 {
 		return fmt.Errorf("engine: %w: Timeout %v is negative", ErrInvalidOptions, o.Timeout)
+	}
+	switch o.Regime {
+	case "", PathPruned, PathRegen:
+	default:
+		return fmt.Errorf("engine: %w: Regime %q is not one of \"\", %q, %q", ErrInvalidOptions, o.Regime, PathPruned, PathRegen)
 	}
 	return nil
 }
@@ -151,77 +163,45 @@ func (o ExecOptions) Normalize() (ExecOptions, error) {
 	return o, nil
 }
 
-// Execute runs a plan against the database and returns the annotated
+// ExecuteContext runs a plan against the database and returns the annotated
 // operator tree. Scans honor each table's datagen setting, so the same call
-// serves both stored and dataless execution. Execution is columnar with
-// projection pushdown and selection vectors (see exec_col.go); with
-// opts.Parallelism >= 1 it is also morsel-parallel (see exec_parallel.go),
-// with results byte-identical to the sequential path. ExecuteRows is the
-// row-pivot reference front over the same operators and produces identical
-// results. Execute is ExecuteContext over context.Background().
-func Execute(db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
-	return ExecuteContext(context.Background(), db, plan, opts)
-}
-
-// ExecuteContext is Execute under a context: cancellation (and
-// opts.Timeout, stacked onto any deadline ctx already carries) is observed
-// cooperatively at batch boundaries, and a stopped query returns
-// context.Canceled or context.DeadlineExceeded — identically on the
-// sequential and parallel paths, with no goroutine left behind.
+// serves both stored and dataless execution. It is the ad-hoc entry to the
+// engine's one executor (Prepared.run): a Prepared with empty caches and a
+// fresh ExecState, so nothing is drained ahead and a row-space is judged
+// only when the summary-direct proof fails. Cancellation (and opts.Timeout,
+// stacked onto any deadline ctx already carries) is observed cooperatively
+// at batch boundaries, and a stopped query returns context.Canceled or
+// context.DeadlineExceeded — identically sequential or parallel, with no
+// goroutine left behind.
 func ExecuteContext(ctx context.Context, db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := withTimeout(ctx, opts.Timeout)
-	defer cancel()
-	if opts.Parallelism >= 1 {
-		return executeParallelFrom(ctx, db, plan, opts, nil, nil)
-	}
-	return executeColumnarFrom(ctx, db, plan, opts, nil, nil, nil)
+	p := Prepared{db: db, plan: plan}
+	return p.run(ctx, new(ExecState), opts)
 }
 
-// ExecuteRows runs a plan and surfaces its output one row at a time: a thin
-// row-pivot adapter over the columnar operator pipeline. There is no second
-// operator set behind it — the pivot drives the very same iterators Execute
-// drives and transposes each live batch row out — so it is kept as the
-// executable reference front the batch-driven paths are pinned against: any
-// divergence between Execute, ExecuteParallel, or Prepared.ExecuteIn and
-// this path is a bug in batch driving, not in operator semantics.
-func ExecuteRows(db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
-	return ExecuteRowsContext(context.Background(), db, plan, opts)
-}
-
-// ExecuteRowsContext is ExecuteRows under a context, with the same
-// batch-boundary cancellation contract as ExecuteContext.
+// ExecuteRowsContext runs a plan and surfaces its output one row at a time:
+// a row-pivot sink over the same run path. There is no second operator set
+// and no second regime decision behind it — the pivot drives the very
+// iterators ExecuteContext drives, sequentially, and transposes each live
+// batch row out — so it is kept as the executable reference every
+// batch-driven entry point is pinned against: any divergence from it is a
+// bug in batch driving, not in operator semantics.
 func ExecuteRowsContext(ctx context.Context, db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	ctx, cancel := withTimeout(ctx, opts.Timeout)
-	defer cancel()
-	ctl := &execCtl{ctx: ctx}
-	if opts.Trace {
-		ctl.rec = trace.NewRecorder(countPlanNodes(plan.Root))
-	}
-	if res, ok, err := trySummaryAgg(ctl, db, plan, opts, nil); ok {
-		return res, err
-	}
-	ctl.prunes = prunesFor(db, plan, opts, nil)
-	it, width, pop, node, err := openCol(db, plan.Root, rowNeed(plan), opts.BatchSize, nil, nil, ctl)
-	if err != nil {
-		return nil, err
-	}
-	res := &ExecResult{Root: node, Trace: node.sp}
-	b := batch.NewCol(width, opts.BatchSize, pop)
-	row := make([]int64, width)
+	opts.Parallelism = 0
+	p := Prepared{db: db, plan: plan}
+	return p.run(ctx, &ExecState{pivot: true}, opts)
+}
+
+// runRows is the row pivot's drive loop: runColumnar's contract, one row at
+// a time.
+func runRows(ctl *execCtl, it colIterator, b *batch.ColBatch, plan *Plan, opts ExecOptions, res *ExecResult) error {
+	row := make([]int64, b.Width())
 	agg := plan.countStar()
 	for !ctl.stopped() && it.Next(b) {
 		live := b.Live()
 		for i := 0; i < live; i++ {
 			b.LiveRow(i, row)
 			res.Rows++
-			if opts.SampleLimit > 0 && len(res.Sample) < opts.SampleLimit {
+			if len(res.Sample) < opts.SampleLimit {
 				res.Sample = append(res.Sample, append([]int64(nil), row...))
 			}
 			if agg {
@@ -229,14 +209,8 @@ func ExecuteRowsContext(ctx context.Context, db *Database, plan *Plan, opts Exec
 			}
 		}
 	}
-	node.OutRows = res.Rows
-	if ctl.err != nil {
-		return nil, ctl.err
-	}
-	if err := it.deferredErr(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	res.Root.OutRows = res.Rows
+	return it.deferredErr()
 }
 
 // rowNeed is the column set the row pivot must materialize: every root

@@ -27,7 +27,7 @@ func execBoth(t *testing.T, db *Database, sql string, opts ExecOptions) (*ExecRe
 		}
 		return res
 	}
-	return exec(Execute), exec(ExecuteRows)
+	return exec(execute), exec(executeRows)
 }
 
 // requireEqualResults compares every observable of two ExecResults: row and

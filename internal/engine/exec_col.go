@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -17,16 +16,15 @@ import (
 // summary, filters flip a selection vector instead of compacting row data,
 // and hash joins read nothing but the key column until output
 // materialization. Blocking root operators (GROUP BY, DISTINCT, ORDER BY)
-// are the sink framework in sink.go. Every execution front composes these
-// same operators: Execute drives them batch-wise, ExecuteRows (exec.go) is
-// a thin row-pivot adapter over the identical pipeline, ExecuteParallel
-// (exec_parallel.go) replicates the probe spine per worker over shared
-// build arenas and folds sink partial states, and Prepared/ExecuteIn
-// recycles the opened tree. The parity suites hold all of them to
-// byte-identical results.
+// are the sink framework in sink.go. The one executor (Prepared.run)
+// composes these same operators every way it runs: it drives them
+// batch-wise, or through the row pivot (exec.go), or replicates the probe
+// spine per worker over shared build arenas and folds sink partial states
+// (exec_parallel.go), and a caller-owned ExecState recycles the opened
+// tree. The parity suites hold all of them to byte-identical results.
 
 // colIterator is the engine-internal columnar operator contract — the one
-// operator set every execution front composes. Next resets dst, fills it
+// operator set every execution composes. Next resets dst, fills it
 // with up to dst.Cap() physical output rows (of which Live() are selected),
 // and reports whether it produced any. After the first false return the
 // operator is exhausted. rewind restores the just-opened state for another
@@ -50,15 +48,25 @@ type rowSeeker interface {
 }
 
 // scanOverride hands an already-opened scan source to openCol, so a caller
-// that had to open a table's source to inspect it (the parallel executor
-// probing partitionability) does not invoke the table's DatagenFunc a
-// second time on fallback — the func's contract is one invocation per scan.
-// Self-joins are rejected at planning, so the table name identifies the
-// scan uniquely; used guards against regressions.
+// that had to open a table's source to inspect it (openParallel probing
+// partitionability, openPrunedFilter probing for a row-space) does not
+// invoke the table's DatagenFunc a second time — the func's contract is one
+// invocation per scan. Self-joins are rejected at planning, so the table
+// name identifies the scan uniquely; used guards against regressions.
 type scanOverride struct {
 	table string
 	src   batch.Source
 	used  bool
+}
+
+// open returns the table's scan source: the handed-down one on its first
+// request, a freshly opened one otherwise.
+func (ov *scanOverride) open(db *Database, table string) (batch.Source, error) {
+	if ov != nil && !ov.used && ov.table == table {
+		ov.used = true
+		return ov.src, nil
+	}
+	return db.openBatchScan(table)
 }
 
 // buildCache maps hash-join plan nodes to build state prepared ahead of
@@ -83,42 +91,6 @@ func cloneExecNode(n *ExecNode) *ExecNode {
 		}
 	}
 	return &out
-}
-
-// executeColumnarFrom is the sequential columnar executor behind
-// ExecuteContext, with an optional pre-opened scan and prepared join
-// builds. ctx is observed at batch boundaries (see ctl.go); a canceled
-// execution returns the context's error.
-func executeColumnarFrom(ctx context.Context, db *Database, plan *Plan, opts ExecOptions, ov *scanOverride, builds buildCache, prunes *pruneCache) (*ExecResult, error) {
-	ctl := &execCtl{ctx: ctx}
-	if opts.Trace {
-		ctl.rec = trace.NewRecorder(countPlanNodes(plan.Root))
-	}
-	// The summary-direct fast path claims eligible aggregate plans before
-	// any operator opens — unless a pre-opened scan was handed down (the
-	// parallel executor's fallback), whose one-invocation contract obliges
-	// us to drive it.
-	if ov == nil {
-		if res, ok, err := trySummaryAgg(ctl, db, plan, opts, prunes); ok {
-			return res, err
-		}
-	}
-	ctl.prunes = prunesFor(db, plan, opts, prunes)
-	need := rootNeed(plan, opts)
-	it, width, pop, node, err := openCol(db, plan.Root, need, opts.BatchSize, ov, builds, ctl)
-	if err != nil {
-		return nil, err
-	}
-	res := &ExecResult{Root: node, Trace: node.sp}
-	b := batch.NewCol(width, opts.BatchSize, pop)
-	derr := runColumnar(ctl, it, b, plan, opts, res)
-	if ctl.err != nil {
-		return nil, ctl.err
-	}
-	if derr != nil {
-		return nil, derr
-	}
-	return res, nil
 }
 
 // rootNeed is the column set the plan's root output must materialize: the
@@ -194,16 +166,9 @@ func runColumnar(ctl *execCtl, it colIterator, b *batch.ColBatch, plan *Plan, op
 func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverride, builds buildCache, ctl *execCtl) (colIterator, int, []int, *ExecNode, error) {
 	switch pn.Op {
 	case OpScan:
-		var src batch.Source
-		if ov != nil && !ov.used && ov.table == pn.Table {
-			src = ov.src
-			ov.used = true
-		} else {
-			var err error
-			src, err = db.openBatchScan(pn.Table)
-			if err != nil {
-				return nil, 0, nil, nil, err
-			}
+		src, err := ov.open(db, pn.Table)
+		if err != nil {
+			return nil, 0, nil, nil, err
 		}
 		node := &ExecNode{Op: pn.Op.String(), Table: pn.Table}
 		width := len(db.Schema.Table(pn.Table).Columns)
@@ -310,7 +275,7 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverri
 	case OpSort:
 		// The child materializes the output columns plus the sort keys; the
 		// state collects exactly that set, which is also the comparator's
-		// tiebreak domain (identical across all execution fronts).
+		// tiebreak domain (identical however the plan is executed).
 		childNeed := pn.childNeeds(need)[0]
 		child, width, pop, childNode, err := openCol(db, pn.Children[0], childNeed, capRows, ov, builds, ctl)
 		if err != nil {
@@ -355,16 +320,9 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverri
 // path unopened-again, honoring the one-invocation-per-scan contract.
 func openPrunedFilter(db *Database, pn *PlanNode, pr *scanPrune, need []int, capRows int, ov *scanOverride, builds buildCache, ctl *execCtl) (colIterator, int, []int, *ExecNode, error) {
 	scanPn := pn.Children[0]
-	var src batch.Source
-	if ov != nil && !ov.used && ov.table == scanPn.Table {
-		src = ov.src
-		ov.used = true
-	} else {
-		var err error
-		src, err = db.openBatchScan(scanPn.Table)
-		if err != nil {
-			return nil, 0, nil, nil, err
-		}
+	src, err := ov.open(db, scanPn.Table)
+	if err != nil {
+		return nil, 0, nil, nil, err
 	}
 	rs, ok := src.(rowSpaceSource)
 	if !ok {

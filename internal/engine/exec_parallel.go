@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"time"
 
@@ -32,65 +31,6 @@ import (
 // order sorting), and sample rows are re-assembled in morsel order, so the
 // ExecResult is byte-identical to the sequential columnar executor's,
 // regardless of worker count or scheduling.
-
-// ExecuteParallel runs the plan on opts.Parallelism workers (<= 0 selects
-// GOMAXPROCS; the value is honored verbatim, without Execute's clamp, so
-// callers can oversubscribe deliberately). Plans whose probe-side scan
-// cannot be partitioned — a velocity-paced stream or a caller-supplied
-// datagen source — fall back to the sequential columnar executor, which
-// produces the identical result.
-func ExecuteParallel(db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
-	return ExecuteParallelContext(context.Background(), db, plan, opts)
-}
-
-// ExecuteParallelContext is ExecuteParallel under a context: every worker
-// observes ctx in its morsel loop (and, per batch, through its scan leaf),
-// drains cleanly, and the lowest-index error convention of
-// internal/parallel extends to cancellation so context.Canceled /
-// context.DeadlineExceeded surface deterministically regardless of worker
-// scheduling. No goroutine outlives the call.
-func ExecuteParallelContext(ctx context.Context, db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
-	ctx, cancel := withTimeout(ctx, opts.Timeout)
-	defer cancel()
-	return executeParallelFrom(ctx, db, plan, opts, nil, nil)
-}
-
-// executeParallelFrom is the parallel executor behind
-// ExecuteParallelContext, with optional prepared join builds (the serve
-// cache's steady-state path). The caller has already folded opts.Timeout
-// into ctx when it should apply.
-func executeParallelFrom(ctx context.Context, db *Database, plan *Plan, opts ExecOptions, builds buildCache, prunes *pruneCache) (*ExecResult, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// The open phase (hash-join build drains) runs sequentially under the
-	// caller's context via its own control.
-	ctl := &execCtl{ctx: ctx}
-	if opts.Trace {
-		ctl.rec = trace.NewRecorder(countPlanNodes(plan.Root))
-	}
-	// The summary-direct fast path preempts worker fan-out entirely: an
-	// O(summary rows) evaluation has nothing to parallelize.
-	if res, ok, err := trySummaryAgg(ctl, db, plan, opts, prunes); ok {
-		return res, err
-	}
-	ctl.prunes = prunesFor(db, plan, opts, prunes)
-	pp, fallback, err := openParallel(db, plan, opts, builds, ctl)
-	if err != nil {
-		return nil, err
-	}
-	if pp == nil {
-		// Not partitionable. If the leaf scan was already opened to probe
-		// its capability, hand it to the sequential path — a table's
-		// DatagenFunc is invoked once per scan, never twice.
-		return executeColumnarFrom(ctx, db, plan, opts, fallback, builds, ctl.prunes)
-	}
-	return pp.run(ctx, workers, opts)
-}
 
 // isRootSink reports whether op is a blocking root operator handled by the
 // sink framework (everything that is not part of the probe spine).
@@ -188,7 +128,7 @@ func (pp *parallelPlan) spineNodes() []*ExecNode {
 // sides. A nil parallelPlan (with nil error) means the plan is not
 // morsel-partitionable — the leaf scan's source lacks the parallel.Source
 // contract or the spine has an unexpected shape — and the caller must fall
-// back to sequential execution; the returned scanOverride then carries the
+// drive the plan sequentially; the returned scanOverride then carries the
 // already-opened leaf source, if any, so it is reused rather than opened
 // a second time. ctl guards the sequential build-side drains: a drain the
 // context interrupts surfaces the context error as an open failure.
@@ -400,12 +340,14 @@ type workerState struct {
 	sort   *sortState
 }
 
-// run executes the opened plan on the given number of workers and merges
-// worker state into the sequential-identical ExecResult. Workers observe
-// ctx per morsel and — through their scan leaves — per batch; the first
-// real worker error cancels the siblings, and pure cancellation surfaces
-// the context's own error deterministically (parallel.RunCtx).
-func (pp *parallelPlan) run(ctx context.Context, workers int, opts ExecOptions) (*ExecResult, error) {
+// run executes the opened plan on opts.Parallelism workers and merges worker
+// state into res, identical to the sequential result. Workers observe ctx
+// per morsel and — through their scan leaves — per batch; the first real
+// worker error cancels the siblings, and pure cancellation surfaces the
+// context's own error deterministically (parallel.RunCtx). Worker partials
+// fold into the plan's own nodes and spans, so a parallelPlan runs once.
+func (pp *parallelPlan) run(ctx context.Context, res *ExecResult, opts ExecOptions) error {
+	workers := opts.Parallelism
 	total := pp.src.Total()
 	size := morselRows(total, workers, opts.BatchSize)
 	// A worker beyond the morsel count would build a pipeline only to find
@@ -544,7 +486,7 @@ func (pp *parallelPlan) run(ctx context.Context, workers int, opts ExecOptions) 
 		}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Deterministic merge: per-node sums are schedule-independent, sink
@@ -568,13 +510,12 @@ func (pp *parallelPlan) run(ctx context.Context, workers int, opts ExecOptions) 
 		outRows += st.rows
 	}
 
-	res := &ExecResult{Root: pp.root, Trace: pp.root.sp}
 	switch {
 	case bottom == nil:
 		res.Rows = outRows
 		res.Sample = mergedRunRows(states, 0, outRows, opts.SampleLimit)
 		pp.root.OutRows = res.Rows
-		return res, nil
+		return nil
 
 	case bottom.Op == OpLimit:
 		// LIMIT over the bare spine: pure arithmetic over the merged counts,
@@ -596,7 +537,7 @@ func (pp *parallelPlan) run(ctx context.Context, workers int, opts ExecOptions) 
 			limitNode.sp.Rows = em
 		}
 		pp.root.OutRows = res.Rows
-		return res, nil
+		return nil
 	}
 
 	// Sink-state bottom: fold worker partials in worker order, finish once,
@@ -651,12 +592,9 @@ func (pp *parallelPlan) run(ctx context.Context, workers int, opts ExecOptions) 
 	mctl := &execCtl{ctx: ctx}
 	derr := runColumnar(mctl, cur, b, pp.plan, opts, res)
 	if mctl.err != nil {
-		return nil, mctl.err
+		return mctl.err
 	}
-	if derr != nil {
-		return nil, derr
-	}
-	return res, nil
+	return derr
 }
 
 // mergedRunRows reassembles the workers' morsel-tagged output runs in

@@ -43,6 +43,26 @@ func bigStarDatabase(t *testing.T, factRows int) *Database {
 	return db
 }
 
+// execute and executeRows are the ctx-free spellings of the package's two
+// ad-hoc entry points, for tests that have no context to pass.
+func execute(db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
+	return ExecuteContext(context.Background(), db, plan, opts)
+}
+
+func executeRows(db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
+	return ExecuteRowsContext(context.Background(), db, plan, opts)
+}
+
+// oversubscribe raises GOMAXPROCS to n for the rest of the test, so worker
+// counts up to n survive Normalize's clamp on a small box: Parallelism has
+// one meaning, and more workers than cores comes from more Ps.
+func oversubscribe(t testing.TB, n int) {
+	if prev := runtime.GOMAXPROCS(0); prev < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
 func mustPlan(t *testing.T, db *Database, sql string) *Plan {
 	t.Helper()
 	q, err := sqlkit.Parse(sql)
@@ -101,24 +121,25 @@ var parallelQueries = []string{
 	"SELECT d_fk, COUNT(*) FROM fact GROUP BY d_fk ORDER BY d_fk DESC LIMIT 2 OFFSET 1",
 }
 
-// TestExecuteParallelStoredParity holds morsel-parallel execution over
+// TestParallelStoredParity holds morsel-parallel execution over
 // stored relations to byte-identical results vs the sequential batched
 // executor, across worker counts (including oversubscription) and batch
 // sizes that force many small morsels.
-func TestExecuteParallelStoredParity(t *testing.T) {
+func TestParallelStoredParity(t *testing.T) {
+	oversubscribe(t, 8)
 	db := bigStarDatabase(t, 5000)
 	for _, sql := range parallelQueries {
 		plan := mustPlan(t, db, sql)
 		for _, size := range []int{0, 3, 64} {
 			seqOpts := ExecOptions{SampleLimit: 7, BatchSize: size}
-			want, err := executeColumnarFrom(context.Background(), db, plan, seqOpts, nil, nil, nil)
+			want, err := execute(db, plan, seqOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range []int{1, 2, 4, 8} {
 				opts := seqOpts
 				opts.Parallelism = w
-				got, err := ExecuteParallel(db, plan, opts)
+				got, err := execute(db, plan, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,11 +149,12 @@ func TestExecuteParallelStoredParity(t *testing.T) {
 	}
 }
 
-// TestExecuteParallelFallback routes plans whose scan source cannot be
-// partitioned (a caller-supplied datagen closure) through the sequential
-// path with identical results — and without invoking the DatagenFunc a
+// TestParallelFallback drives plans whose scan source cannot be
+// partitioned (a caller-supplied datagen closure) sequentially, with
+// identical results — and without invoking the DatagenFunc a
 // second time (its contract is one invocation per scan).
-func TestExecuteParallelFallback(t *testing.T) {
+func TestParallelFallback(t *testing.T) {
+	oversubscribe(t, 4)
 	db := bigStarDatabase(t, 200)
 	rows := db.Relation("fact").Rows
 	var opened int
@@ -149,12 +171,12 @@ func TestExecuteParallelFallback(t *testing.T) {
 		"SELECT DISTINCT q FROM fact",
 	} {
 		plan := mustPlan(t, db, sql)
-		want, err := executeColumnarFrom(context.Background(), db, plan, ExecOptions{SampleLimit: 5}, nil, nil, nil)
+		want, err := execute(db, plan, ExecOptions{SampleLimit: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		opened = 0
-		got, err := ExecuteParallel(db, plan, ExecOptions{SampleLimit: 5, Parallelism: 4})
+		got, err := execute(db, plan, ExecOptions{SampleLimit: 5, Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,17 +206,30 @@ func (s *sliceOpaque) Next() ([]int64, bool) {
 func TestExecOptionsValidation(t *testing.T) {
 	db := starDatabase(t)
 	plan := mustPlan(t, db, "SELECT COUNT(*) FROM fact")
+	prep, err := Prepare(db, plan, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st ExecState
 	for _, exec := range []struct {
 		name string
 		f    func(*Database, *Plan, ExecOptions) (*ExecResult, error)
 	}{
-		{"Execute", Execute},
-		{"ExecuteRows", ExecuteRows},
-		{"ExecuteParallel", ExecuteParallel},
+		{"ExecuteContext", execute},
+		{"ExecuteRowsContext", executeRows},
+		{"Prepare", func(db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
+			_, err := Prepare(db, plan, opts)
+			return nil, err
+		}},
+		{"Prepared.Execute", func(_ *Database, _ *Plan, opts ExecOptions) (*ExecResult, error) { return prep.Execute(opts) }},
+		{"Prepared.ExecuteIn", func(_ *Database, _ *Plan, opts ExecOptions) (*ExecResult, error) { return prep.ExecuteIn(&st, opts) }},
 	} {
-		_, err := exec.f(db, plan, ExecOptions{BatchSize: -1})
-		if !errors.Is(err, ErrInvalidOptions) {
-			t.Fatalf("%s: BatchSize -1 returned %v, want ErrInvalidOptions", exec.name, err)
+		// The regime vocabulary is a ceiling: "summary" is the zero value's
+		// meaning, not a fourth word.
+		for _, bad := range []ExecOptions{{BatchSize: -1}, {Timeout: -1}, {Regime: PathSummary}, {Regime: "fast"}} {
+			if _, err := exec.f(db, plan, bad); !errors.Is(err, ErrInvalidOptions) {
+				t.Fatalf("%s: %+v returned %v, want ErrInvalidOptions", exec.name, bad, err)
+			}
 		}
 	}
 }
@@ -223,17 +258,17 @@ func TestExecOptionsNormalizeClampsParallelism(t *testing.T) {
 	}
 }
 
-// TestExecuteDispatchesOnParallelism checks the wiring: Execute with
-// Parallelism >= 1 must produce the same result object shape as the
+// TestExecuteDispatchesOnParallelism checks the wiring: ExecuteContext
+// with Parallelism >= 1 must produce the same result object shape as the
 // sequential default (a smoke check that the dispatch itself is sound).
 func TestExecuteDispatchesOnParallelism(t *testing.T) {
 	db := bigStarDatabase(t, 1000)
 	plan := mustPlan(t, db, "SELECT COUNT(*) FROM fact, dim WHERE d_fk = d_pk AND q >= 2")
-	want, err := Execute(db, plan, ExecOptions{})
+	want, err := execute(db, plan, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Execute(db, plan, ExecOptions{Parallelism: 1, BatchSize: 16})
+	got, err := execute(db, plan, ExecOptions{Parallelism: 1, BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // sample large enough to materialize every group row.
 func execGrouped(t *testing.T, db *Database, sql string) *ExecResult {
 	t.Helper()
-	res, err := Execute(db, mustPlan(t, db, sql), ExecOptions{SampleLimit: 100})
+	res, err := execute(db, mustPlan(t, db, sql), ExecOptions{SampleLimit: 100})
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
@@ -98,10 +98,10 @@ func TestGroupAggOverflow(t *testing.T) {
 	plan := mustPlan(t, db, sql)
 
 	for name, f := range map[string]func() (*ExecResult, error){
-		"columnar": func() (*ExecResult, error) { return Execute(db, plan, ExecOptions{}) },
-		"rows":     func() (*ExecResult, error) { return ExecuteRows(db, plan, ExecOptions{}) },
+		"columnar": func() (*ExecResult, error) { return execute(db, plan, ExecOptions{}) },
+		"rows":     func() (*ExecResult, error) { return executeRows(db, plan, ExecOptions{}) },
 		"parallel": func() (*ExecResult, error) {
-			return ExecuteParallel(db, plan, ExecOptions{Parallelism: 2})
+			return execute(db, plan, ExecOptions{Parallelism: 2})
 		},
 	} {
 		if _, err := f(); !errors.Is(err, ErrAggOverflow) {
@@ -120,12 +120,12 @@ func TestGroupAggOverflow(t *testing.T) {
 
 	// Negative direction wraps the other way.
 	db2 := valueDatabase(t, [][]int64{{0, math.MinInt64}, {0, -1}})
-	if _, err := Execute(db2, mustPlan(t, db2, sql), ExecOptions{}); !errors.Is(err, ErrAggOverflow) {
+	if _, err := execute(db2, mustPlan(t, db2, sql), ExecOptions{}); !errors.Is(err, ErrAggOverflow) {
 		t.Errorf("negative overflow: err = %v, want ErrAggOverflow", err)
 	}
 
 	// AVG shares the sum and therefore the detection.
-	if _, err := Execute(db, mustPlan(t, db, "SELECT k, AVG(v) FROM vals GROUP BY k"), ExecOptions{}); !errors.Is(err, ErrAggOverflow) {
+	if _, err := execute(db, mustPlan(t, db, "SELECT k, AVG(v) FROM vals GROUP BY k"), ExecOptions{}); !errors.Is(err, ErrAggOverflow) {
 		t.Errorf("AVG overflow: err = %v, want ErrAggOverflow", err)
 	}
 }
@@ -137,23 +137,24 @@ func TestGroupAggOverflow(t *testing.T) {
 // detection would fail this sequentially (MaxInt64 + MaxInt64 overflows
 // before the negatives arrive) and divergently under partitioning.
 func TestGroupAggSumExactCancellation(t *testing.T) {
+	oversubscribe(t, 8)
 	db := valueDatabase(t, [][]int64{
 		{0, math.MaxInt64}, {0, math.MaxInt64}, {0, -math.MaxInt64}, {0, -math.MaxInt64}, {0, 42},
 	})
 	const sql = "SELECT k, SUM(v), AVG(v) FROM vals GROUP BY k"
 	plan := mustPlan(t, db, sql)
-	want, err := ExecuteRows(db, plan, ExecOptions{SampleLimit: 10})
+	want, err := executeRows(db, plan, ExecOptions{SampleLimit: 10})
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	if !reflect.DeepEqual(want.Sample, [][]int64{{0, 42, 8}}) {
 		t.Fatalf("reference sample = %v", want.Sample)
 	}
-	if got, err := Execute(db, plan, ExecOptions{SampleLimit: 10}); err != nil || !reflect.DeepEqual(got.Sample, want.Sample) {
+	if got, err := execute(db, plan, ExecOptions{SampleLimit: 10}); err != nil || !reflect.DeepEqual(got.Sample, want.Sample) {
 		t.Fatalf("columnar = %v, %v", got, err)
 	}
 	for _, w := range []int{1, 2, 4, 8} {
-		got, err := ExecuteParallel(db, plan, ExecOptions{SampleLimit: 10, Parallelism: w, BatchSize: 1})
+		got, err := execute(db, plan, ExecOptions{SampleLimit: 10, Parallelism: w, BatchSize: 1})
 		if err != nil || !reflect.DeepEqual(got.Sample, want.Sample) {
 			t.Fatalf("parallel w=%d = %v, %v", w, got, err)
 		}

@@ -17,12 +17,24 @@ import (
 // rebuilds a hash table. Cancellation cannot poison a Prepared: the arenas
 // are immutable after Prepare, and a canceled execution abandons only its
 // private probe state.
+//
+// Prepared is also the engine's one executor: every entry point is run over
+// some Prepared and some ExecState. What each owns:
+//
+//	entry point                 Prepared            ExecState
+//	ExecuteContext (ad hoc)     empty caches        fresh
+//	ExecuteRowsContext          empty caches        fresh, row-pivot drive
+//	Prepared.Execute[Context]   the caller's        fresh
+//	Prepared.ExecuteIn[Context] the caller's        the caller's, reused
+//
+// Empty caches mean nothing is drained or judged ahead: builds drain live
+// at open, and a row-space is built only after the summary-direct proof
+// fails.
 type Prepared struct {
-	db      *Database
-	plan    *Plan
-	builds  buildCache
-	prunes  *pruneCache // row-spaces and summary-direct proof, judged once at Prepare time
-	spanCap int         // span-arena capacity a traced execution needs, sized here
+	db     *Database
+	plan   *Plan
+	builds buildCache
+	prunes *pruneCache // row-spaces and summary-direct proof, judged once at Prepare time
 }
 
 // Plan returns the compiled plan the Prepared executes.
@@ -31,16 +43,16 @@ func (p *Prepared) Plan() *Plan { return p.plan }
 // Prepare compiles the plan's hash-join build sides into shared arenas.
 // Builds materialize every build-side column, so later executions may
 // request any sample projection. opts supplies the build drain's batch
-// size; Parallelism, SampleLimit, and Timeout are ignored here (the drain
-// is deliberately uncancellable: a Prepared under construction is not yet
-// shared, and a per-request deadline belongs to executions, not to the
+// size; Parallelism, SampleLimit, Timeout, and Regime are ignored here (the
+// drain is deliberately uncancellable: a Prepared under construction is not
+// yet shared, and a per-request deadline belongs to executions, not to the
 // cache-fill work other requests will reuse).
 func Prepare(db *Database, plan *Plan, opts ExecOptions) (*Prepared, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{db: db, plan: plan, builds: make(buildCache), spanCap: countPlanNodes(plan.Root)}
+	p := &Prepared{db: db, plan: plan, builds: make(buildCache)}
 	// Prune row-spaces are computed once and shared by every execution (and
 	// by the build drain below, so cached build sides make the same prune
 	// decisions as live ones — span-shape parity depends on it).
@@ -63,10 +75,7 @@ func (p *Prepared) prepareNode(pn *PlanNode, capRows int) error {
 		if err := p.prepareNode(build, capRows); err != nil {
 			return err
 		}
-		all := make([]int, len(build.Cols))
-		for i := range all {
-			all[i] = i
-		}
+		all := allCols(len(build.Cols))
 		buildIt, bw, buildPop, buildNode, err := openCol(p.db, build, all, capRows, nil, p.builds, &execCtl{prunes: p.prunes})
 		if err != nil {
 			return err
@@ -79,56 +88,50 @@ func (p *Prepared) prepareNode(pn *PlanNode, capRows int) error {
 	return nil
 }
 
-// Execute runs the prepared plan: identical results to Execute on the raw
-// plan, minus the build cost. With opts.Parallelism >= 1 the probe pipeline
-// is morsel-parallel over the same shared builds.
+// Execute runs the prepared plan in a fresh ExecState: identical results to
+// ad-hoc execution of the raw plan, minus the build cost. It is
+// ExecuteContext over context.Background().
 func (p *Prepared) Execute(opts ExecOptions) (*ExecResult, error) {
 	return p.ExecuteContext(context.Background(), opts)
 }
 
 // ExecuteContext is Execute under a context, with the engine's
-// batch-boundary cancellation contract (see ExecuteContext): the probe
-// pipeline stops at the next batch once ctx is done or opts.Timeout
-// expires, returning the context's error. The shared build arenas are
-// untouched by a canceled execution.
+// batch-boundary cancellation contract (see the package-level
+// ExecuteContext). The shared build arenas are untouched by a canceled
+// execution.
 func (p *Prepared) ExecuteContext(ctx context.Context, opts ExecOptions) (*ExecResult, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := withTimeout(ctx, opts.Timeout)
-	defer cancel()
-	if opts.Parallelism >= 1 {
-		return executeParallelFrom(ctx, p.db, p.plan, opts, p.builds, p.prunes)
-	}
-	return executeColumnarFrom(ctx, p.db, p.plan, opts, nil, p.builds, p.prunes)
+	return p.run(ctx, new(ExecState), opts)
 }
 
 // ExecState is caller-owned reusable execution state for ExecuteIn: the
-// opened operator tree, its ExecNode mirror, the root column batch, the
-// result struct, and the execution's cancellation control (owned for the
-// state's lifetime and rebound per call, so context plumbing costs no
-// allocations). One goroutine per ExecState.
+// opened operator tree (or the summary-direct evaluator, or the parallel
+// plan), its ExecNode mirror, the root column batch, the result struct, and
+// the execution's cancellation control (owned for the state's lifetime and
+// rebound per call, so context plumbing costs no allocations). One
+// goroutine per ExecState.
 type ExecState struct {
-	it    colIterator
-	b     *batch.ColBatch
+	it    colIterator     // sequential operator tree; nil when sagg or par drives
+	b     *batch.ColBatch // it's root batch
+	sagg  *summaryAggEval // summary-direct evaluator when that regime answers
+	par   *parallelPlan   // morsel-parallel plan when opts.Parallelism >= 1 found a partitionable leaf
 	res   ExecResult
-	opts  ExecOptions
+	opts  ExecOptions // the options the state was opened for: the reuse key
 	ctl   execCtl
-	sagg  *summaryAggEval // summary-direct evaluator when the fast path applies
+	pivot bool // ExecuteRowsContext's state: whole rows, driven one at a time
 	valid bool
 }
 
-// ExecuteIn runs the prepared plan sequentially inside st, reusing every
-// piece of per-execution state from the previous call: iterators are
-// rewound (deterministic scans re-seek to row zero instead of reopening),
-// batches, selection buffers, and ExecNodes are recycled, and the returned
-// result aliases st — it is valid until the next ExecuteIn on the same
-// state. After the first call, executions with an unchanged opts value and
-// SampleLimit == 0 allocate nothing: the steady-state scan→filter→count
+// ExecuteIn runs the prepared plan inside st, reusing every piece of
+// per-execution state from the previous call: iterators are rewound
+// (deterministic scans re-seek to row zero instead of reopening), batches,
+// selection buffers, and ExecNodes are recycled, and the returned result
+// aliases st — it is valid until the next ExecuteIn on the same state.
+// After the first call, sequential executions with an unchanged opts value
+// and SampleLimit == 0 allocate nothing: the steady-state scan→filter→count
 // path runs at zero allocations per query, which BenchmarkDatalessQuery
-// pins. opts.Parallelism is ignored (the reuse path is sequential by
-// construction).
+// pins. (With opts.Parallelism >= 1 the state is reopened per call: worker
+// partials fold into the tree, so a parallel plan runs once.) It is
+// ExecuteInContext over context.Background().
 func (p *Prepared) ExecuteIn(st *ExecState, opts ExecOptions) (*ExecResult, error) {
 	return p.ExecuteInContext(context.Background(), st, opts)
 }
@@ -137,10 +140,18 @@ func (p *Prepared) ExecuteIn(st *ExecState, opts ExecOptions) (*ExecResult, erro
 // at batch boundaries through the state's own execCtl (a field rebind, not
 // a per-batch closure, so the zero-allocation steady state survives — with
 // a background context and no Timeout, nothing is allocated). A canceled
-// execution leaves st reusable: the next call rewinds and recycles the
-// same state, and results are unaffected — cancellation cannot poison the
+// or failed execution leaves st reusable: the next call rewinds or reopens
+// the same state, and results are unaffected — neither can poison the
 // prepared state.
 func (p *Prepared) ExecuteInContext(ctx context.Context, st *ExecState, opts ExecOptions) (*ExecResult, error) {
+	return p.run(ctx, st, opts)
+}
+
+// run is the engine's one executor, behind every entry point: it normalizes
+// the options (the one place Parallelism is clamped), folds the timeout
+// into ctx, opens st for opts unless st already is, and drives whatever
+// open chose.
+func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*ExecResult, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
 		return nil, err
@@ -151,71 +162,110 @@ func (p *Prepared) ExecuteInContext(ctx context.Context, st *ExecState, opts Exe
 	// the execution-shaping options only (a per-call Timeout change must
 	// not rebuild the operator tree).
 	opts.Timeout = 0
-	opts.Parallelism = 0
 	st.ctl.bind(ctx)
-	if !st.valid || st.opts != opts {
-		// Trace participates in the reuse key: flipping it rebuilds the tree
-		// once, with spans drawn from an arena sized at Prepare time. After
-		// that, traced steady state recycles spans via Reset exactly as the
-		// untraced path recycles batches — zero allocations either way.
-		if opts.Trace {
-			st.ctl.rec = trace.NewRecorder(p.spanCap)
-		} else {
-			st.ctl.rec = nil
-		}
-		// The summary-direct fast path is judged once per tree build and
-		// then recycled like the operator tree: its span, scratch buffers,
-		// and aggregation state all reset in place, so steady-state
-		// fast-path executions allocate nothing.
-		st.ctl.prunes = prunesFor(p.db, p.plan, opts, p.prunes)
-		st.sagg = summaryAggFor(p.db, p.plan, opts, p.prunes)
-		if st.sagg != nil {
-			st.sagg.open(&st.ctl)
-			st.res = ExecResult{Root: &st.sagg.node, Trace: st.sagg.sp}
-			st.opts = opts
-			st.valid = true
-		} else {
-			need := rootNeed(p.plan, opts)
-			it, width, pop, node, err := openCol(p.db, p.plan.Root, need, opts.BatchSize, nil, p.builds, &st.ctl)
-			if err != nil {
-				return nil, err
-			}
-			st.it = it
-			st.b = batch.NewCol(width, opts.BatchSize, pop)
-			st.res = ExecResult{Root: node, Trace: node.sp}
-			st.opts = opts
-			st.valid = true
-		}
-	} else {
+	if st.valid && st.opts == opts {
 		if st.ctl.rec != nil {
 			st.ctl.rec.Reset()
 		}
-		if st.sagg == nil {
+		if st.it != nil {
 			if err := st.it.rewind(p.db); err != nil {
 				return nil, err
 			}
 		}
+	} else if err := p.open(st, opts); err != nil {
+		return nil, err
 	}
-	st.res.Rows, st.res.Count = 0, 0
-	st.res.Sample = nil
-	st.res.Path = ""
-	st.res.Approx = nil
-	if st.sagg != nil {
-		st.res.Path = PathSummary
-		if err := st.sagg.run(&st.ctl, &st.res, opts); err != nil {
-			return nil, err
-		}
-		if st.ctl.err != nil {
-			return nil, st.ctl.err
-		}
-		return &st.res, nil
+	res := &st.res
+	res.Rows, res.Count, res.Sample, res.Approx = 0, 0, nil, nil
+	switch {
+	case st.sagg != nil:
+		err = st.sagg.run(&st.ctl, res, opts)
+	case st.par != nil:
+		err = st.par.run(ctx, res, opts)
+	case st.pivot:
+		err = runRows(&st.ctl, st.it, st.b, p.plan, opts, res)
+	default:
+		err = runColumnar(&st.ctl, st.it, st.b, p.plan, opts, res)
 	}
-	derr := runColumnar(&st.ctl, st.it, st.b, p.plan, opts, &st.res)
+	// A context error latched mid-drive takes precedence over the
+	// pipeline's deferred error.
 	if st.ctl.err != nil {
 		return nil, st.ctl.err
 	}
-	if derr != nil {
-		return nil, derr
+	if err != nil {
+		return nil, err
 	}
-	return &st.res, nil
+	return res, nil
+}
+
+// open decides the regime under opts.Regime's ceiling and builds st's
+// execution state for it — the one place either happens. Summary-direct is
+// tried first (from the Prepare-time proof when there is one); failing
+// that the operator tree opens over the plan's pruned row-spaces (cached,
+// or judged now), or over full scans under the PathRegen ceiling. With
+// opts.Parallelism >= 1 the tree opens as a parallelPlan when its leaf scan
+// is partitionable; otherwise the leaf openParallel already opened is
+// handed to the sequential tree, so a table's DatagenFunc is invoked once
+// per scan either way. st is reset before anything is built and valid only
+// once open succeeds, so a failed open never leaves a half-built state
+// behind for the reuse branch to trust.
+// Everything here — the trace arena (Trace is part of the reuse key), the
+// evaluator's scratch, the tree — is then recycled in place by later calls
+// with the same opts.
+func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
+	*st = ExecState{pivot: st.pivot, ctl: execCtl{ctx: st.ctl.ctx}}
+	if opts.Trace {
+		st.ctl.rec = trace.NewRecorder(countPlanNodes(p.plan.Root))
+	}
+	root, path := (*ExecNode)(nil), PathSummary
+	if st.sagg = summaryAggFor(p.db, p.plan, opts, p.prunes); st.sagg != nil {
+		st.sagg.open(&st.ctl)
+		root = &st.sagg.node
+	} else {
+		st.ctl.prunes = prunesFor(p.db, p.plan, opts, p.prunes)
+		builds := p.builds
+		if opts.Regime == PathRegen && p.prunes != nil && len(p.prunes.scans) > 0 {
+			// The cached build sides were drained over pruned scans; full
+			// regeneration drains them live.
+			builds = nil
+		}
+		var leaf *scanOverride
+		if opts.Parallelism >= 1 {
+			var err error
+			if st.par, leaf, err = openParallel(p.db, p.plan, opts, builds, &st.ctl); err != nil {
+				return err
+			}
+		}
+		if st.par != nil {
+			root = st.par.root
+		} else {
+			need := rootNeed(p.plan, opts)
+			if st.pivot {
+				need = rowNeed(p.plan)
+			}
+			it, width, pop, node, err := openCol(p.db, p.plan.Root, need, opts.BatchSize, leaf, builds, &st.ctl)
+			if err != nil {
+				return err
+			}
+			st.it, st.b, root = it, batch.NewCol(width, opts.BatchSize, pop), node
+		}
+		if path = PathRegen; prunedRows(root) > 0 {
+			path = PathPruned
+		}
+	}
+	st.res = ExecResult{Root: root, Trace: root.sp, Path: path}
+	// Worker partials fold into a parallel plan's own nodes and spans, so it
+	// runs once: the state stays invalid and the next call reopens.
+	st.opts, st.valid = opts, st.par == nil
+	return nil
+}
+
+// prunedRows sums RowsPruned over the tree's scans — live ones and the
+// frozen build sides a Prepared carries alike.
+func prunedRows(n *ExecNode) int64 {
+	total := n.RowsPruned
+	for _, c := range n.Children {
+		total += prunedRows(c)
+	}
+	return total
 }

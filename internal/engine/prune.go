@@ -71,7 +71,7 @@ func (pr *scanPrune) add(lo, hi int64) {
 // row-space of every filtered datagen scan, and whether the plan's
 // summary-direct candidate is exactly answerable without scanning at all.
 // It is computed once per plan (at Prepare time for prepared statements)
-// and shared by every executor front, so all of them make identical
+// and shared by every execution, so all of them make identical
 // decisions — a precondition for the byte-parity and span-shape invariants.
 type pruneCache struct {
 	scans  map[*PlanNode]*scanPrune // by OpFilter node
@@ -79,7 +79,7 @@ type pruneCache struct {
 }
 
 // scan returns the qualifying row-space of a filter node, nil when the
-// cache is absent (opted out) or the filter's scan runs unpruned.
+// cache is absent (the PathRegen ceiling) or the filter's scan runs unpruned.
 func (pc *pruneCache) scan(pn *PlanNode) *scanPrune {
 	if pc == nil {
 		return nil
@@ -87,11 +87,11 @@ func (pc *pruneCache) scan(pn *PlanNode) *scanPrune {
 	return pc.scans[pn]
 }
 
-// prunesFor resolves the prune cache for one execution: the opt-out yields
-// nil (every lookup misses), a prepared statement passes its cached spaces
-// through, and ad-hoc execution computes them fresh.
+// prunesFor resolves the prune cache for one execution: the PathRegen
+// ceiling yields nil (every lookup misses), a prepared statement passes its
+// cached spaces through, and ad-hoc execution computes them fresh.
 func prunesFor(db *Database, plan *Plan, opts ExecOptions, cached *pruneCache) *pruneCache {
-	if opts.NoScanPrune {
+	if opts.Regime == PathRegen {
 		return nil
 	}
 	if cached != nil {

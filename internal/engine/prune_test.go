@@ -19,7 +19,7 @@ func TestPruneShortRowMatchesNothing(t *testing.T) {
 		{Count: 12, Specs: []synopsis.ColSpec{synopsis.SetSpec(1, set(value.Ival(0, 10))), synopsis.FixedSpec(2, 8)}},
 	})
 	const sql = "SELECT * FROM m WHERE a >= 5 ORDER BY pk"
-	want := saggExec(t, db, sql, ExecOptions{SampleLimit: 30, NoScanPrune: true})
+	want := saggExec(t, db, sql, ExecOptions{SampleLimit: 30, Regime: PathRegen})
 	got := saggExec(t, db, sql, ExecOptions{SampleLimit: 30})
 	if got.Rows != want.Rows || !reflect.DeepEqual(got.Sample, want.Sample) {
 		t.Fatalf("pruned scan diverged: got %d %v, want %d %v", got.Rows, got.Sample, want.Rows, want.Sample)

@@ -7,20 +7,20 @@ import (
 
 // The sink framework: every blocking root operator — grouped aggregation,
 // DISTINCT, ORDER BY, COUNT(*) — is one state object implementing sinkState,
-// executed by the single colSinkIter operator. The same state serves all
-// execution fronts:
+// executed by the single colSinkIter operator. The same state serves every
+// way the executor runs:
 //
-//   - the sequential columnar executor drives observe over child batches and
-//     emit over the finished state (colSinkIter);
-//   - ExecuteRows is a row pivot over the identical pipeline, so the row
-//     path exercises the very same state;
-//   - the morsel-parallel executor holds one state per worker (partial
+//   - the sequential drive runs observe over child batches and emit over
+//     the finished state (colSinkIter);
+//   - ExecuteRowsContext is a row pivot over the identical pipeline, so the
+//     row path exercises the very same state;
+//   - the morsel-parallel branch holds one state per worker (partial
 //     accumulation via observe), folds partials with merge in worker-index
 //     order, and emits the merged state through stateEmitIter — the
 //     partial-state/merge contract that replaces per-executor operator
 //     reimplementations;
-//   - Prepared.ExecuteIn recycles the state via reset, so grouped, distinct,
-//     and sorted steady-state queries allocate nothing.
+//   - a reused ExecState (Prepared.ExecuteIn) recycles the state via reset,
+//     so grouped, distinct, and sorted steady-state queries allocate nothing.
 //
 // finish freezes the deterministic output order exactly once; emit is then a
 // pure, restartable read. deferredErr surfaces failures that can only be
@@ -122,7 +122,7 @@ func (g *colSinkIter) deferredErr() error {
 
 // stateEmitIter streams an already-finished sinkState — the parallel
 // executor's merged partials — through the same emit contract colSinkIter
-// uses, so the merge side of ExecuteParallel is the sequential emission
+// uses, so the merge side of a parallel run is the sequential emission
 // code, not a reimplementation. It is single-shot: the merged state is not
 // re-drainable.
 type stateEmitIter struct {

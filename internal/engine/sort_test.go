@@ -9,7 +9,7 @@ import (
 // sample large enough to materialize every output row.
 func execSampled(t *testing.T, db *Database, sql string) *ExecResult {
 	t.Helper()
-	res, err := Execute(db, mustPlan(t, db, sql), ExecOptions{SampleLimit: 100})
+	res, err := execute(db, mustPlan(t, db, sql), ExecOptions{SampleLimit: 100})
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}

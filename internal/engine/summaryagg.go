@@ -168,12 +168,13 @@ func directCandidate(db *Database, plan *Plan) (cand *PlanNode, rel *synopsis.Re
 
 // summaryAggFor returns an evaluator for the plan's summary-direct
 // candidate, or nil when the fast path does not apply: directCandidate's
-// gates, the opt-out, or some summary row that is not provably exact —
+// gates, a Regime ceiling below it, or some summary row that is not provably
+// exact —
 // unless opts.Approx may estimate it, which it can for any row of a global
 // aggregate. judged, when non-nil, is the plan's Prepare-time pruneCache,
 // whose proof is reused instead of judging every row again.
 func summaryAggFor(db *Database, plan *Plan, opts ExecOptions, judged *pruneCache) *summaryAggEval {
-	if opts.NoSummaryAgg {
+	if opts.Regime != "" {
 		return nil
 	}
 	cand, rel, pk := directCandidate(db, plan)
@@ -190,22 +191,6 @@ func summaryAggFor(db *Database, plan *Plan, opts ExecOptions, judged *pruneCach
 		}
 	}
 	return newSummaryAggEval(cand, rel, pk)
-}
-
-// trySummaryAgg is the dispatch hook the execution fronts call before
-// opening the regenerating operator tree. ok=false means fall back; ok=true
-// means the fast path claimed the query and res/err is the outcome.
-func trySummaryAgg(ctl *execCtl, db *Database, plan *Plan, opts ExecOptions, judged *pruneCache) (*ExecResult, bool, error) {
-	e := summaryAggFor(db, plan, opts, judged)
-	if e == nil {
-		return nil, false, nil
-	}
-	e.open(ctl)
-	res := &ExecResult{Root: &e.node, Trace: e.sp, Path: PathSummary}
-	if err := e.run(ctl, res, opts); err != nil {
-		return nil, true, err
-	}
-	return res, true, nil
 }
 
 func newSummaryAggEval(cand *PlanNode, rel *synopsis.Relation, pk int) *summaryAggEval {

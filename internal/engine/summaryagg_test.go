@@ -92,7 +92,7 @@ func saggExec(t *testing.T, db *Database, sql string, opts ExecOptions) *ExecRes
 	if err != nil {
 		t.Fatalf("plan %q: %v", sql, err)
 	}
-	res, err := Execute(db, plan, opts)
+	res, err := execute(db, plan, opts)
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
@@ -144,7 +144,7 @@ func TestSummaryAggParityHandBuilt(t *testing.T) {
 		{"SELECT COUNT(*) FROM m LIMIT 1", false},
 	}
 	for _, tc := range cases {
-		want := saggExec(t, db, tc.sql, ExecOptions{SampleLimit: 30, NoSummaryAgg: true})
+		want := saggExec(t, db, tc.sql, ExecOptions{SampleLimit: 30, Regime: PathPruned})
 		got := saggExec(t, db, tc.sql, ExecOptions{SampleLimit: 30})
 		if got.Rows != want.Rows || got.Count != want.Count || !reflect.DeepEqual(got.Sample, want.Sample) {
 			t.Errorf("%s: fast path diverged:\n got %d/%d %v\nwant %d/%d %v",
@@ -154,8 +154,8 @@ func TestSummaryAggParityHandBuilt(t *testing.T) {
 		if fast := got.Path == PathSummary; fast != tc.fast {
 			t.Errorf("%s: Path = %q, want fast=%v", tc.sql, got.Path, tc.fast)
 		}
-		if want.Path != "" {
-			t.Errorf("%s: NoSummaryAgg execution reported Path %q", tc.sql, want.Path)
+		if want.Path == PathSummary {
+			t.Errorf("%s: execution under the %q ceiling reported Path %q", tc.sql, PathPruned, want.Path)
 		}
 	}
 }
@@ -174,10 +174,10 @@ func TestSummaryAggFallbackNonProvable(t *testing.T) {
 		}},
 	})
 	sql := "SELECT COUNT(*) FROM m WHERE a < 2 AND b < 102"
-	want := saggExec(t, db, sql, ExecOptions{NoSummaryAgg: true})
+	want := saggExec(t, db, sql, ExecOptions{Regime: PathRegen})
 	got := saggExec(t, db, sql, ExecOptions{})
-	if got.Path != "" {
-		t.Fatalf("non-provable query took path %q, want regeneration", got.Path)
+	if got.Path != PathPruned {
+		t.Fatalf("non-provable query took path %q, want %q (a drives the scan, b stays residual)", got.Path, PathPruned)
 	}
 	if got.Count != want.Count || got.Rows != want.Rows {
 		t.Fatalf("fallback diverged: %d/%d, want %d/%d", got.Rows, got.Count, want.Rows, want.Count)
@@ -187,7 +187,7 @@ func TestSummaryAggFallbackNonProvable(t *testing.T) {
 	if one.Path != PathSummary {
 		t.Fatalf("single-column restriction took path %q, want summary", one.Path)
 	}
-	oneWant := saggExec(t, db, "SELECT COUNT(*) FROM m WHERE a < 2", ExecOptions{NoSummaryAgg: true})
+	oneWant := saggExec(t, db, "SELECT COUNT(*) FROM m WHERE a < 2", ExecOptions{Regime: PathPruned})
 	if one.Count != oneWant.Count {
 		t.Fatalf("single-column count %d, want %d", one.Count, oneWant.Count)
 	}
@@ -209,7 +209,7 @@ func TestSummaryAggApprox(t *testing.T) {
 		}},
 	})
 	sql := "SELECT COUNT(*) FROM m WHERE a < 2 AND b < 102"
-	exact := saggExec(t, db, sql, ExecOptions{NoSummaryAgg: true})
+	exact := saggExec(t, db, sql, ExecOptions{Regime: PathPruned})
 	approx := saggExec(t, db, sql, ExecOptions{Approx: true})
 	if approx.Path != PathSummary {
 		t.Fatalf("approx query took path %q, want summary", approx.Path)
@@ -229,7 +229,7 @@ func TestSummaryAggApprox(t *testing.T) {
 	if prov.Path != PathSummary || prov.Approx == nil || prov.Approx.Estimated {
 		t.Fatalf("provable approx query: path %q approx %+v, want exact summary answer", prov.Path, prov.Approx)
 	}
-	exactProv := saggExec(t, db, "SELECT COUNT(*) FROM m WHERE a < 2", ExecOptions{NoSummaryAgg: true})
+	exactProv := saggExec(t, db, "SELECT COUNT(*) FROM m WHERE a < 2", ExecOptions{Regime: PathPruned})
 	if prov.Count != exactProv.Count {
 		t.Fatalf("provable approx count %d, want %d", prov.Count, exactProv.Count)
 	}
@@ -284,17 +284,17 @@ func TestSummaryAggHardSpecs(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for sql, path := range map[string]string{
-			"SELECT COUNT(*), SUM(a) FROM m WHERE a >= 2":            PathSummary,
-			"SELECT COUNT(*) FROM m WHERE pk >= 1 AND pk < 4":        PathSummary,
-			"SELECT a, COUNT(*) FROM m WHERE pk < 42 GROUP BY a":     PathSummary,
-			"SELECT * FROM m WHERE a >= 2 ORDER BY pk":               "",
-			"SELECT * FROM m WHERE pk >= 1 AND pk < 4 ORDER BY pk":   "",
-			"SELECT DISTINCT pk FROM m WHERE a < 2 ORDER BY pk DESC": "",
+		for sql, direct := range map[string]bool{
+			"SELECT COUNT(*), SUM(a) FROM m WHERE a >= 2":            true,
+			"SELECT COUNT(*) FROM m WHERE pk >= 1 AND pk < 4":        true,
+			"SELECT a, COUNT(*) FROM m WHERE pk < 42 GROUP BY a":     true,
+			"SELECT * FROM m WHERE a >= 2 ORDER BY pk":               false,
+			"SELECT * FROM m WHERE pk >= 1 AND pk < 4 ORDER BY pk":   false,
+			"SELECT DISTINCT pk FROM m WHERE a < 2 ORDER BY pk DESC": false,
 		} {
 			want := saggExec(t, mat, sql, ExecOptions{SampleLimit: 30})
 			for _, opts := range []ExecOptions{
-				{}, {Approx: true}, {NoSummaryAgg: true}, {NoSummaryAgg: true, NoScanPrune: true}, {Parallelism: 2},
+				{}, {Approx: true}, {Regime: PathPruned}, {Regime: PathRegen}, {Parallelism: 2},
 			} {
 				opts.SampleLimit = 30
 				got := saggExec(t, db, sql, opts)
@@ -302,8 +302,11 @@ func TestSummaryAggHardSpecs(t *testing.T) {
 					t.Errorf("%s: %s under %+v diverged from the materialized database:\n got %d/%d %v\nwant %d/%d %v",
 						name, sql, opts, got.Rows, got.Count, got.Sample, want.Rows, want.Count, want.Sample)
 				}
-				if !opts.NoSummaryAgg && got.Path != path {
-					t.Errorf("%s: %s under %+v: Path = %q, want %q", name, sql, opts, got.Path, path)
+				// Summary-direct answers exactly the candidates, and only
+				// under no ceiling; the regen ceiling prunes nothing.
+				if (got.Path == PathSummary) != (direct && opts.Regime == "") ||
+					opts.Regime == PathRegen && got.Path != PathRegen {
+					t.Errorf("%s: %s under %+v: Path = %q (summary-direct candidate: %v)", name, sql, opts, got.Path, direct)
 				}
 			}
 		}
@@ -344,7 +347,7 @@ func TestSummaryAggCandidateShapes(t *testing.T) {
 }
 
 // TestSummaryAggGateConditions pins the dispatch gate: no registered
-// summary, datagen disabled, or the NoSummaryAgg opt-out all yield nil.
+// summary, datagen disabled, or a Regime ceiling below it all yield nil.
 func TestSummaryAggGateConditions(t *testing.T) {
 	db := saggDB(t)
 	q, err := sqlkit.Parse("SELECT COUNT(*) FROM m")
@@ -358,8 +361,8 @@ func TestSummaryAggGateConditions(t *testing.T) {
 	if summaryAggFor(db, plan, ExecOptions{}, nil) == nil {
 		t.Fatal("eligible query did not get an evaluator")
 	}
-	if summaryAggFor(db, plan, ExecOptions{NoSummaryAgg: true}, nil) != nil {
-		t.Fatal("NoSummaryAgg did not disable the fast path")
+	if summaryAggFor(db, plan, ExecOptions{Regime: PathPruned}, nil) != nil {
+		t.Fatal("the pruned ceiling did not disable the fast path")
 	}
 	db.SetSummary("m", nil)
 	if summaryAggFor(db, plan, ExecOptions{}, nil) != nil {

@@ -66,7 +66,7 @@ func E1Example(w io.Writer, seed int64) error {
 	if err != nil {
 		return err
 	}
-	res, err := engine.Execute(db, plan, engine.ExecOptions{})
+	res, err := execute(db, plan, engine.ExecOptions{})
 	if err != nil {
 		return err
 	}
@@ -323,7 +323,7 @@ func runCount(db *engine.Database, sql string) (int64, error) {
 	}
 	// The count must come from actual regeneration (or materialized rows),
 	// not the summary-direct fast path this helper is meant to validate.
-	res, err := engine.Execute(db, plan, engine.ExecOptions{NoSummaryAgg: true})
+	res, err := execute(db, plan, engine.ExecOptions{Regime: engine.PathPruned})
 	if err != nil {
 		return 0, err
 	}

@@ -22,6 +22,7 @@ import (
 // answers are cross-checked against the row-at-a-time reference executor,
 // byte for byte, at every point of the sweep.
 func E13GroupBy(w io.Writer, cfg Config, workerCounts []int) error {
+	defer oversubscribe(workerCounts)()
 	pkg, err := capture(cfg)
 	if err != nil {
 		return err
@@ -52,17 +53,13 @@ func E13GroupBy(w io.Writer, cfg Config, workerCounts []int) error {
 		if err != nil {
 			return err
 		}
-		ref, err := engine.ExecuteRows(regen, plan, engine.ExecOptions{SampleLimit: 1 << 20, NoSummaryAgg: true})
+		ref, err := executeRows(regen, plan, engine.ExecOptions{SampleLimit: 1 << 20, Regime: engine.PathPruned})
 		if err != nil {
 			return err
 		}
 		for _, workers := range workerCounts {
-			opts := engine.ExecOptions{Parallelism: workers, NoSummaryAgg: true}
-			exec := engine.Execute
-			if workers >= 1 {
-				exec = engine.ExecuteParallel
-			}
-			res, elapsed, err := timeExec(regen, plan, opts, exec)
+			opts := engine.ExecOptions{Parallelism: workers, Regime: engine.PathPruned}
+			res, elapsed, err := timeExec(regen, plan, opts)
 			if err != nil {
 				return err
 			}
@@ -74,7 +71,7 @@ func E13GroupBy(w io.Writer, cfg Config, workerCounts []int) error {
 		}
 		// Sampled run: materialize every group row and hold it to the
 		// reference output (the byte-identical contract, not just counts).
-		res, err := engine.Execute(regen, plan, engine.ExecOptions{SampleLimit: 1 << 20, NoSummaryAgg: true})
+		res, err := execute(regen, plan, engine.ExecOptions{SampleLimit: 1 << 20, Regime: engine.PathPruned})
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -14,12 +15,14 @@ import (
 
 // E11Parallel measures morsel-driven worker scaling of dataless execution:
 // the workload's most expensive query (largest total scan input) runs
-// through the sequential batched executor and through engine.ExecuteParallel
-// at each worker count, reporting throughput, speedup over sequential, and
-// verifying that every answer — count and per-operator cardinalities — is
-// identical. Worker counts beyond GOMAXPROCS cannot speed up a CPU-bound
-// pipeline; the table makes that visible rather than hiding it.
+// sequentially and then with ExecOptions.Parallelism set to each worker
+// count, reporting throughput, speedup over sequential, and verifying that
+// every answer — count and per-operator cardinalities — is identical.
+// Worker counts beyond the box's cores cannot speed up a CPU-bound pipeline;
+// the sweep raises GOMAXPROCS to its largest count (oversubscribe) so the
+// table makes that visible rather than having Normalize clamp it away.
 func E11Parallel(w io.Writer, cfg Config, workers []int) error {
+	defer oversubscribe(workers)()
 	pkg, err := capture(cfg)
 	if err != nil {
 		return err
@@ -71,15 +74,15 @@ func E11Parallel(w io.Writer, cfg Config, workers []int) error {
 
 	fmt.Fprintf(w, "E11: morsel-driven worker scaling (GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
 	fmt.Fprintf(w, "query: %s (scan input %d rows)\n", sql, best)
-	seq, seqElapsed, err := timeExec(regen, plan, engine.ExecOptions{NoSummaryAgg: true}, engine.Execute)
+	seq, seqElapsed, err := timeExec(regen, plan, engine.ExecOptions{Regime: engine.PathPruned})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "%-10s %-12s %-14s %-10s %-8s\n", "workers", "count", "elapsed", "rows/sec", "speedup")
 	fmt.Fprintf(w, "%-10s %-12d %-14v %-10.0f %-8s\n", "seq", seq.Count, seqElapsed.Round(time.Microsecond), float64(best)/seqElapsed.Seconds(), "1.00")
 	for _, n := range workers {
-		opts := engine.ExecOptions{Parallelism: n, NoSummaryAgg: true}
-		res, elapsed, err := timeExec(regen, plan, opts, engine.ExecuteParallel)
+		opts := engine.ExecOptions{Parallelism: n, Regime: engine.PathPruned}
+		res, elapsed, err := timeExec(regen, plan, opts)
 		if err != nil {
 			return err
 		}
@@ -93,16 +96,38 @@ func E11Parallel(w io.Writer, cfg Config, workers []int) error {
 	return nil
 }
 
-// timeExec runs the plan three times through f and returns the last result
-// with the median elapsed time.
-func timeExec(db *engine.Database, plan *engine.Plan, opts engine.ExecOptions,
-	f func(*engine.Database, *engine.Plan, engine.ExecOptions) (*engine.ExecResult, error)) (*engine.ExecResult, time.Duration, error) {
+// execute and executeRows are the experiments' ctx-free spellings of the
+// engine's two ad-hoc entry points.
+func execute(db *engine.Database, plan *engine.Plan, opts engine.ExecOptions) (*engine.ExecResult, error) {
+	return engine.ExecuteContext(context.Background(), db, plan, opts)
+}
+
+func executeRows(db *engine.Database, plan *engine.Plan, opts engine.ExecOptions) (*engine.ExecResult, error) {
+	return engine.ExecuteRowsContext(context.Background(), db, plan, opts)
+}
+
+// oversubscribe raises GOMAXPROCS to the sweep's largest worker count, when
+// that exceeds it, and returns the restore: Parallelism is clamped to
+// GOMAXPROCS, so a sweep past the box's cores needs the Ps to exist.
+func oversubscribe(workers []int) (restore func()) {
+	prev := runtime.GOMAXPROCS(0)
+	want := prev
+	for _, n := range workers {
+		want = max(want, n)
+	}
+	runtime.GOMAXPROCS(want)
+	return func() { runtime.GOMAXPROCS(prev) }
+}
+
+// timeExec executes the plan three times and returns the last result with
+// the median elapsed time.
+func timeExec(db *engine.Database, plan *engine.Plan, opts engine.ExecOptions) (*engine.ExecResult, time.Duration, error) {
 	var res *engine.ExecResult
 	var err error
 	times := make([]time.Duration, 3)
 	for i := range times {
 		start := time.Now()
-		res, err = f(db, plan, opts)
+		res, err = execute(db, plan, opts)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -60,12 +60,12 @@ func E12Projection(w io.Writer, cfg Config) error {
 			return err
 		}
 		scanCols := len(plan.RequiredScanCols(v.sample > 0)["store_sales"])
-		opts := engine.ExecOptions{SampleLimit: v.sample, NoSummaryAgg: true}
-		res, elapsed, err := timeExec(regen, plan, opts, engine.Execute)
+		opts := engine.ExecOptions{SampleLimit: v.sample, Regime: engine.PathPruned}
+		res, elapsed, err := timeExec(regen, plan, opts)
 		if err != nil {
 			return err
 		}
-		ref, err := engine.ExecuteRows(regen, plan, opts)
+		ref, err := executeRows(regen, plan, opts)
 		if err != nil {
 			return err
 		}

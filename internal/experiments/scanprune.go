@@ -60,9 +60,9 @@ func E18ScanPrune(w io.Writer, cfg Config, selectivities []float64) error {
 		if err != nil {
 			return err
 		}
-		opts := engine.ExecOptions{SampleLimit: 8, NoSummaryAgg: true}
+		opts := engine.ExecOptions{SampleLimit: 8, Regime: engine.PathPruned}
 		refOpts := opts
-		refOpts.NoScanPrune = true
+		refOpts.Regime = engine.PathRegen
 		slow, slowElapsed, err := bestExec(regen, plan, refOpts)
 		if err != nil {
 			return err
@@ -96,7 +96,7 @@ func bestExec(db *engine.Database, plan *engine.Plan, opts engine.ExecOptions) (
 	best := time.Duration(0)
 	for i := 0; i < 7; i++ {
 		start := time.Now()
-		r, err := engine.Execute(db, plan, opts)
+		r, err := execute(db, plan, opts)
 		if err != nil {
 			return nil, 0, err
 		}

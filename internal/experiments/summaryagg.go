@@ -55,11 +55,11 @@ func E17SummaryAgg(w io.Writer, cfg Config, scales []float64) error {
 		if err != nil {
 			return err
 		}
-		slow, slowElapsed, err := timeExec(regen, plan, engine.ExecOptions{NoSummaryAgg: true}, engine.Execute)
+		slow, slowElapsed, err := timeExec(regen, plan, engine.ExecOptions{Regime: engine.PathPruned})
 		if err != nil {
 			return err
 		}
-		fast, fastElapsed, err := timeExec(regen, plan, engine.ExecOptions{}, engine.Execute)
+		fast, fastElapsed, err := timeExec(regen, plan, engine.ExecOptions{})
 		if err != nil {
 			return err
 		}

@@ -59,17 +59,13 @@ func E14TopK(w io.Writer, cfg Config, limits []int) error {
 		if err != nil {
 			return err
 		}
-		ref, err := engine.ExecuteRows(regen, plan, engine.ExecOptions{SampleLimit: 1 << 20})
+		ref, err := executeRows(regen, plan, engine.ExecOptions{SampleLimit: 1 << 20})
 		if err != nil {
 			return err
 		}
 		for _, workers := range []int{0, 2} {
 			opts := engine.ExecOptions{SampleLimit: 1 << 20, Parallelism: workers}
-			exec := engine.Execute
-			if workers >= 1 {
-				exec = engine.ExecuteParallel
-			}
-			res, elapsed, err := timeExec(regen, plan, opts, exec)
+			res, elapsed, err := timeExec(regen, plan, opts)
 			if err != nil {
 				return err
 			}

@@ -45,7 +45,7 @@ func E16TraceOverhead(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	prep, err := engine.Prepare(regen, plan, engine.ExecOptions{NoSummaryAgg: true})
+	prep, err := engine.Prepare(regen, plan, engine.ExecOptions{Regime: engine.PathPruned})
 	if err != nil {
 		return err
 	}
@@ -58,8 +58,8 @@ func E16TraceOverhead(w io.Writer, cfg Config) error {
 		opts  engine.ExecOptions
 	}
 	variants := []variant{
-		{"trace off", engine.ExecOptions{NoSummaryAgg: true}},
-		{"trace on", engine.ExecOptions{Trace: true, NoSummaryAgg: true}},
+		{"trace off", engine.ExecOptions{Regime: engine.PathPruned}},
+		{"trace on", engine.ExecOptions{Trace: true, Regime: engine.PathPruned}},
 	}
 	var scanRows float64
 	var walk func(pn *engine.PlanNode)
@@ -129,7 +129,7 @@ func E16TraceOverhead(w io.Writer, cfg Config) error {
 
 	// The artifact: one traced execution rendered as EXPLAIN ANALYZE text.
 	var st engine.ExecState
-	res, err := prep.ExecuteIn(&st, engine.ExecOptions{Trace: true, NoSummaryAgg: true})
+	res, err := prep.ExecuteIn(&st, engine.ExecOptions{Trace: true, Regime: engine.PathPruned})
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package preprocess
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ func captureToy(t *testing.T, queries []string) (*engine.Database, []*aqp.AQP) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.Execute(db, plan, engine.ExecOptions{})
+		res, err := engine.ExecuteContext(context.Background(), db, plan, engine.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestExtractRejectsNonFKJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Execute(db, plan, engine.ExecOptions{})
+	res, err := engine.ExecuteContext(context.Background(), db, plan, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

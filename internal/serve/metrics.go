@@ -114,8 +114,8 @@ type metrics struct {
 	resultRows    atomic.Int64
 	batches       atomic.Int64
 	cacheBuildNS  atomic.Int64
-	// summaryAggQueries counts queries answered by the summary-direct
-	// aggregate fast path (ExecResult.Path == "summary").
+	// summaryAggQueries counts queries answered in the "summary" regime
+	// (ExecResult.Path names one of summary | pruned | regen).
 	summaryAggQueries atomic.Int64
 	// rowsPruned and summaryRowsSkipped sum the scan nodes' prune
 	// accounting: tuples proven non-matching at plan time and never

@@ -295,8 +295,10 @@ func TestServeSummaryAggPath(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// A single-table aggregate is answered summary-directly; a join
-	// regenerates. Both report their path.
+	// The three regimes, each reported in the engine's own word: a
+	// single-table aggregate is answered summary-directly, a filtered join
+	// runs the pipeline over pruned scans, an unfiltered join regenerates
+	// every tuple.
 	fastSQL := "SELECT COUNT(*) FROM s WHERE s.a >= 20 AND s.a < 60"
 	resp, qr := postQueryReq(t, ts.URL, QueryRequest{SQL: fastSQL}, nil)
 	if resp.StatusCode != http.StatusOK || qr.Path != "summary" {
@@ -309,10 +311,14 @@ func TestServeSummaryAggPath(t *testing.T) {
 	if qr.Approx != nil {
 		t.Fatalf("exact summary answer carries approx info %+v", qr.Approx)
 	}
-	joinSQL := toy.Workload()[3]
-	resp, qr = postQueryReq(t, ts.URL, QueryRequest{SQL: joinSQL}, nil)
-	if resp.StatusCode != http.StatusOK || qr.Path != "regen" {
-		t.Fatalf("join: status %d path %q, want 200 %q", resp.StatusCode, qr.Path, "regen")
+	for _, q := range []struct{ sql, path string }{
+		{toy.Workload()[3], "pruned"},
+		{"SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk", "regen"},
+	} {
+		resp, qr = postQueryReq(t, ts.URL, QueryRequest{SQL: q.sql}, nil)
+		if resp.StatusCode != http.StatusOK || qr.Path != q.path {
+			t.Fatalf("%s: status %d path %q, want 200 %q", q.sql, resp.StatusCode, qr.Path, q.path)
+		}
 	}
 
 	// An approx request on an exactly answerable query stays exact (no
@@ -330,10 +336,10 @@ func TestServeSummaryAggPath(t *testing.T) {
 
 	// The /statsz ring remembers each query's path (newest first).
 	stats := getStats(t, ts.URL)
-	if len(stats.Recent) < 3 {
-		t.Fatalf("statsz ring holds %d entries, want >= 3", len(stats.Recent))
+	if len(stats.Recent) < 4 {
+		t.Fatalf("statsz ring holds %d entries, want >= 4", len(stats.Recent))
 	}
-	byNewest := []string{"summary", "regen", "summary"}
+	byNewest := []string{"summary", "regen", "pruned", "summary"}
 	for i, wantPath := range byNewest {
 		if got := stats.Recent[i].Path; got != wantPath {
 			t.Fatalf("statsz recent[%d] path %q, want %q (%s)", i, got, wantPath, stats.Recent[i].SQL)

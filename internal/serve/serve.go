@@ -271,9 +271,10 @@ type QueryResponse struct {
 	BatchSize   int              `json:"batch_size,omitempty"`
 	Cache       string           `json:"cache,omitempty"`
 	ElapsedNS   int64            `json:"elapsed_ns"`
-	// Path says how the query was answered: "summary" when the
-	// summary-direct aggregate fast path computed it from summary-row
-	// arithmetic without regenerating tuples, "regen" otherwise.
+	// Path is the regime that answered, engine.ExecResult.Path verbatim:
+	// "summary" (summary-row arithmetic, no tuple generated), "pruned" (the
+	// operator pipeline over at least one scan that skipped provably dead
+	// tuples), or "regen" (every scan regenerated its whole table).
 	Path string `json:"path"`
 	// Approx is present only when an approx request was answered with a
 	// bounded-error estimate rather than an exact value.
@@ -496,12 +497,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	elapsed := time.Since(start)
 	pruned := s.met.observeQuery(res, elapsed)
-	// The response always names the execution path; the engine leaves
-	// Path empty for the regenerating pipeline.
-	path := res.Path
-	if path == "" {
-		path = "regen"
-	}
 	topOp := res.Root.Op
 	if res.Trace != nil {
 		if tops := trace.TopSelf(res.Trace, 1); len(tops) > 0 {
@@ -515,7 +510,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ElapsedNS: elapsed.Nanoseconds(),
 		Rows:      res.Rows,
 		TopOp:     topOp,
-		Path:      path,
+		Path:      res.Path,
 		Pruned:    pruned,
 	})
 	if thr := s.opts.SlowQueryThreshold; thr > 0 && elapsed >= thr {
@@ -546,7 +541,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		BatchSize:   opts.BatchSize,
 		Cache:       cacheState,
 		ElapsedNS:   elapsed.Nanoseconds(),
-		Path:        path,
+		Path:        res.Path,
 	}
 	// The engine reports approx state whenever estimation was permitted;
 	// the response carries it only when an estimate was actually returned.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -53,7 +54,7 @@ func seqCount(t *testing.T, sum *summary.Database, sql string) *engine.ExecResul
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Execute(db, plan, engine.ExecOptions{})
+	res, err := engine.ExecuteContext(context.Background(), db, plan, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +651,7 @@ func TestServeGroupedQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := engine.Execute(db, plan, engine.ExecOptions{SampleLimit: 100})
+		want, err := engine.ExecuteContext(context.Background(), db, plan, engine.ExecOptions{SampleLimit: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -784,7 +785,7 @@ func TestServeSortLimitDistinct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := engine.Execute(db, plan, engine.ExecOptions{SampleLimit: 4})
+		want, err := engine.ExecuteContext(context.Background(), db, plan, engine.ExecOptions{SampleLimit: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

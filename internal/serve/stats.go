@@ -19,9 +19,8 @@ type QuerySummary struct {
 	Cache     string `json:"cache,omitempty"`
 	ElapsedNS int64  `json:"elapsed_ns"`
 	Rows      int64  `json:"rows"`
-	// Path says how the query was answered: "summary" when the
-	// summary-direct aggregate fast path proved the answer from summary-row
-	// arithmetic, "regen" when tuples were regenerated.
+	// Path is the regime that answered: "summary", "pruned", or "regen"
+	// (see QueryResponse.Path).
 	Path string `json:"path,omitempty"`
 	// Pruned is the number of tuples scan pruning proved non-matching and
 	// never generated for this query (0 when pruning did not apply).

@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/aqp"
@@ -22,7 +23,7 @@ func captureWorkload(t *testing.T, db *engine.Database, queries []string) []*aqp
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.Execute(db, plan, engine.ExecOptions{})
+		res, err := engine.ExecuteContext(context.Background(), db, plan, engine.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/aqp"
@@ -28,7 +29,7 @@ func buildToy(t *testing.T) (*engine.Database, *Database, *BuildReport) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.Execute(db, plan, engine.ExecOptions{})
+		res, err := engine.ExecuteContext(context.Background(), db, plan, engine.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +206,7 @@ func TestPKPredicateRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Execute(db, plan, engine.ExecOptions{})
+	res, err := engine.ExecuteContext(context.Background(), db, plan, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package toy
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -41,7 +42,7 @@ func TestWorkloadExecutes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("plan %q: %v", sql, err)
 		}
-		if _, err := engine.Execute(db, plan, engine.ExecOptions{}); err != nil {
+		if _, err := engine.ExecuteContext(context.Background(), db, plan, engine.ExecOptions{}); err != nil {
 			t.Fatalf("exec %q: %v", sql, err)
 		}
 	}

@@ -7,6 +7,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -60,7 +61,7 @@ func Verify(db *engine.Database, workload []*aqp.AQP) (*Report, error) {
 		// and scan pruning (which can absorb a filter operator outright)
 		// must stand aside: regeneration is the thing being verified, and
 		// the tree must be isomorphic to the client's annotation.
-		res, err := engine.Execute(db, plan, engine.ExecOptions{NoSummaryAgg: true, NoScanPrune: true})
+		res, err := engine.ExecuteContext(context.TODO(), db, plan, engine.ExecOptions{Regime: engine.PathRegen})
 		if err != nil {
 			return nil, fmt.Errorf("verify: query %d: %w", qi, err)
 		}

@@ -1,14 +1,14 @@
 package hydra
 
-// End-to-end parity of morsel-driven parallel execution: over the toy and
-// TPC-DS-like workloads, dataless parallel execution must return results
-// byte-identical to the sequential batched executor — same rows, counts,
-// samples, and per-operator cardinalities — at every worker count. This is
-// the acceptance contract that lets Execute fan out behind
-// ExecOptions.Parallelism without perturbing a single annotated plan.
+// End-to-end parity of morsel-driven parallel execution under the default
+// (best provable) regime: over the toy and TPC-DS-like workloads, every
+// entry point at every worker count must return results byte-identical to
+// the sequential ad-hoc query — same rows, counts, samples, path, and
+// per-operator cardinalities. This is the acceptance contract that lets
+// execution fan out behind ExecOptions.Parallelism without perturbing a
+// single annotated plan.
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -18,10 +18,9 @@ import (
 )
 
 // checkParallelParity builds a summary from the package, then runs every
-// workload query datalessly with the sequential executor and with the
-// parallel executor at 1, 2, 4, and 8 workers, requiring identical
-// results. Small batch sizes force many small morsels through every
-// operator.
+// workload query datalessly on every entry point at 0, 1, 4, and 8 workers,
+// requiring results identical to sequential Query's. Small batch sizes
+// force many small morsels through every operator.
 func checkParallelParity(t *testing.T, pkg *TransferPackage, queries []string) {
 	t.Helper()
 	sum, _, err := Build(pkg, DefaultBuildOptions())
@@ -30,15 +29,15 @@ func checkParallelParity(t *testing.T, pkg *TransferPackage, queries []string) {
 	}
 	regen := Regen(sum, 0)
 	for _, size := range []int{0, 3} {
-		opts := engine.ExecOptions{SampleLimit: 5, BatchSize: size}
+		opts := ExecOptions{SampleLimit: 5, BatchSize: size}
 		for _, sql := range queries {
-			want := execWith(t, regen, sql, opts, engine.Execute)
-			for _, workers := range []int{1, 2, 4, 8} {
-				popts := opts
-				popts.Parallelism = workers
-				got := execWith(t, regen, sql, popts, engine.ExecuteParallel)
-				sameResult(t, fmt.Sprintf("%s [batch=%d workers=%d]", sql, size, workers), got, want)
+			want, err := Query(regen, sql, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
 			}
+			eachFront(t, regen, sql, opts, func(label string, res *ExecResult) {
+				sameResult(t, label, res, want)
+			})
 		}
 	}
 }
@@ -97,11 +96,17 @@ func TestParallelParityVelocityFallback(t *testing.T) {
 	fast := Regen(sum, 0)
 	sql := toy.Workload()[0]
 	// A paced stream cannot prune (it lacks the row-space capability), so the
-	// full-speed reference must scan unpruned too for the trees to match.
-	opts := engine.ExecOptions{SampleLimit: 5, NoScanPrune: true}
-	want := execWith(t, fast, sql, opts, engine.Execute)
-	popts := opts
-	popts.Parallelism = 4
-	got := execWith(t, slow, sql, popts, engine.ExecuteParallel)
+	// full-speed reference must regenerate in full too for the trees to match.
+	opts := ExecOptions{SampleLimit: 5, Regime: engine.PathRegen}
+	want, err := Query(fast, sql, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oversubscribe(t, 4)
+	opts.Parallelism = 4
+	got, err := Query(slow, sql, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sameResult(t, sql+" [paced fallback]", got, want)
 }

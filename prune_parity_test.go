@@ -1,23 +1,20 @@
 package hydra
 
 // Cross-front parity for predicate pushdown into generation (scan pruning):
-// every execution front — batched, row-at-a-time, morsel-parallel at several
-// worker counts, prepared one-shot, prepared state-reusing, and the public
-// Query facade — must return results byte-identical to the NoScanPrune
-// reference, which generates every tuple and filters afterward. The suite
-// sweeps selectivities from 0% to 100% (including boundary-straddling and
-// mid-cycle windows, primary-key position restrictions, and a residual
-// two-column conjunction), on the toy and TPC-DS-like workloads, and asserts
-// that pruning actually fires where it must — guarding against a regression
-// that silently scans unpruned while parity keeps passing.
+// every entry point at every worker count (eachFront) must return results
+// byte-identical to the full-regeneration reference, which generates every
+// tuple and filters afterward. The suite sweeps selectivities from 0% to
+// 100% (including boundary-straddling and mid-cycle windows, primary-key
+// position restrictions, and a residual two-column conjunction), on the toy
+// and TPC-DS-like workloads, and asserts that pruning actually fires where
+// it must — guarding against a regression that silently scans unpruned
+// while parity keeps passing.
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/sqlkit"
 	"repro/internal/toy"
 	"repro/internal/tpcds"
 )
@@ -68,93 +65,33 @@ func prunedRows(n *engine.ExecNode) int64 {
 	return total
 }
 
-// pruneFronts runs sql through all execution fronts with pruning enabled
-// and compares each against the NoScanPrune reference (which must also skip
-// the summary-direct path — the regenerating pipeline is the thing under
-// test on both sides). Returns the pruned-row count Execute observed.
+// pruneFronts runs sql on every entry point under the PathPruned ceiling
+// (the operator pipeline is the thing under test, so the summary-direct
+// answer stands aside) and compares each against the row pivot under
+// PathRegen. Pruning is a pure function of summary and predicate, so every
+// entry point must observe the identical pruned-row count, and report the
+// path that count implies. Returns the count.
 func pruneFronts(t *testing.T, db *Database, sql string) int64 {
 	t.Helper()
-	opts := ExecOptions{SampleLimit: 8, NoSummaryAgg: true}
-	refOpts := opts
-	refOpts.NoScanPrune = true
-	want, err := Query(db, sql, refOpts)
-	if err != nil {
-		t.Fatalf("%s [reference]: %v", sql, err)
+	want := rowPivot(t, db, sql, ExecOptions{SampleLimit: 8, Regime: engine.PathRegen})
+	if got := prunedRows(want.Root); got != 0 || want.Path != engine.PathRegen {
+		t.Errorf("%s: full-regeneration reference reports %d pruned rows on path %q", sql, got, want.Path)
 	}
-
-	q, err := sqlkit.Parse(sql)
-	if err != nil {
-		t.Fatalf("parse %q: %v", sql, err)
-	}
-	plan, err := engine.BuildPlan(db.Schema, q)
-	if err != nil {
-		t.Fatalf("plan %q: %v", sql, err)
-	}
-	results := map[string]*ExecResult{}
-	exec := func(front string, res *ExecResult, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s [%s]: %v", sql, front, err)
+	pruned := int64(-1)
+	eachFront(t, db, sql, ExecOptions{SampleLimit: 8, Regime: engine.PathPruned}, func(label string, res *ExecResult) {
+		sameValues(t, label, res, want)
+		got := prunedRows(res.Root)
+		if pruned < 0 {
+			pruned = got
 		}
-		results[front] = res
-	}
-
-	res, err := engine.Execute(db, plan, opts)
-	exec("Execute", res, err)
-	res, err = engine.ExecuteRows(db, plan, opts)
-	exec("ExecuteRows", res, err)
-	for _, w := range []int{1, 4, 8} {
-		par := opts
-		par.Parallelism = w
-		res, err = engine.ExecuteParallel(db, plan, par)
-		switch w {
-		case 1:
-			exec("ExecuteParallel/w1", res, err)
-		case 4:
-			exec("ExecuteParallel/w4", res, err)
-		default:
-			exec("ExecuteParallel/w8", res, err)
+		if got != pruned {
+			t.Errorf("%s: pruned %d rows, the first entry point pruned %d", label, got, pruned)
 		}
-	}
-	prep, err := Prepare(db, sql, opts)
-	if err != nil {
-		t.Fatalf("%s [Prepare]: %v", sql, err)
-	}
-	res, err = prep.Execute(opts)
-	exec("Prepared.Execute", res, err)
-	var st ExecState
-	for round := 0; round < 3; round++ {
-		res, err = prep.ExecuteIn(&st, opts)
-		exec("Prepared.ExecuteIn", res, err)
-		checkPruneParity(t, sql, "Prepared.ExecuteIn", res, want)
-	}
-	res, err = Query(db, sql, opts)
-	exec("Query", res, err)
-
-	pruned := prunedRows(results["Execute"].Root)
-	for front, res := range results {
-		checkPruneParity(t, sql, front, res, want)
-		// Pruning is a pure function of summary and predicate, so every
-		// front must observe the identical pruned-row count.
-		if got := prunedRows(res.Root); got != pruned {
-			t.Errorf("%s: front %s pruned %d rows, Execute pruned %d", sql, front, got, pruned)
+		if (res.Path == engine.PathPruned) != (got > 0) || res.Path == engine.PathSummary {
+			t.Errorf("%s: path %q with %d rows pruned", label, res.Path, got)
 		}
-	}
-	if got := prunedRows(want.Root); got != 0 {
-		t.Errorf("%s: NoScanPrune reference reports %d pruned rows", sql, got)
-	}
+	})
 	return pruned
-}
-
-func checkPruneParity(t *testing.T, sql, front string, got, want *ExecResult) {
-	t.Helper()
-	if got.Rows != want.Rows || got.Count != want.Count {
-		t.Fatalf("%s [%s]: rows/count = %d/%d, want %d/%d",
-			sql, front, got.Rows, got.Count, want.Rows, want.Count)
-	}
-	if !reflect.DeepEqual(got.Sample, want.Sample) {
-		t.Fatalf("%s [%s]: samples differ:\n got %v\nwant %v", sql, front, got.Sample, want.Sample)
-	}
 }
 
 func TestScanPruneParityToy(t *testing.T) {

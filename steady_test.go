@@ -39,10 +39,10 @@ func TestExecuteInDatalessParity(t *testing.T) {
 	db := core.RegenDatabase(sum, 0)
 	queries := append(toy.Workload(), toy.GroupWorkload()...)
 	for _, sql := range append(queries, toy.SortWorkload()...) {
-		// The reference result is pinned to the regenerating pipeline, so
-		// this parity run also crosses paths: ExecuteIn answers eligible
+		// The reference result is pinned to full regeneration, so this
+		// parity run also crosses regimes: ExecuteIn answers eligible
 		// aggregates summary-directly and must agree byte for byte.
-		want, err := Query(db, sql, ExecOptions{SampleLimit: 4, NoSummaryAgg: true})
+		want, err := Query(db, sql, ExecOptions{SampleLimit: 4, Regime: engine.PathRegen})
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
@@ -79,13 +79,13 @@ func TestExecuteInDatalessParity(t *testing.T) {
 // scan→filter→count steady state: after the first ExecuteIn builds the
 // reusable state, repeated executions — regenerating every tuple from the
 // summary each time — allocate nothing. This is the contract
-// BenchmarkDatalessQuery reports and "hydra bench -json" enforces in CI.
+// BenchmarkDatalessQuery reports.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
-	// NoSummaryAgg keeps this audit on the regenerating pipeline it was
-	// written for; the summary-direct path has its own audit below.
-	opts := ExecOptions{NoSummaryAgg: true}
+	// The PathPruned ceiling keeps this audit on the operator pipeline it
+	// was written for; the summary-direct path has its own audit below.
+	opts := ExecOptions{Regime: engine.PathPruned}
 	prep, err := Prepare(db, "SELECT COUNT(*) FROM s WHERE s.a >= 20 AND s.a < 60", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +114,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 // summary-direct fast path: after the first ExecuteIn builds and proves the
 // evaluator, repeated executions — filtered count and grouped
 // multi-aggregate alike — reuse its scratch interval sets and the shared
-// aggregation state, allocating nothing. This is the "summary_steady" row
-// "hydra bench -json" enforces in CI.
+// aggregation state, allocating nothing.
 func TestSteadyStateZeroAllocSummaryAgg(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
@@ -155,12 +154,11 @@ func TestSteadyStateZeroAllocSummaryAgg(t *testing.T) {
 // pruned scan path: a filtered join whose filter is absorbed into the scan's
 // row-space executes through SectionSet iterators that rewind in place, so
 // repeated ExecuteIn — regenerating only the qualifying tuples each time —
-// allocates nothing. This is the "pruned_steady" row "hydra bench -json"
-// enforces in CI.
+// allocates nothing.
 func TestSteadyStateZeroAllocPruned(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
-	opts := ExecOptions{NoSummaryAgg: true}
+	opts := ExecOptions{Regime: engine.PathPruned}
 	prep, err := Prepare(db, "SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk AND s.a >= 20 AND s.a < 22", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -189,37 +187,44 @@ func TestSteadyStateZeroAllocPruned(t *testing.T) {
 }
 
 // TestSteadyStateZeroAllocGroupBy extends the zero-allocation audit to the
-// grouped pipeline: after warmup, repeated ExecuteIn of a GROUP BY /
-// multi-aggregate query recycles the hash-agg state — open-addressed group
-// table, key arenas, accumulators, output order — and allocates nothing.
+// hash-aggregation sink, GROUP BY and DISTINCT alike (one state serves
+// both): after warmup, repeated ExecuteIn recycles it — open-addressed
+// group table, key arenas, accumulators, output order — and allocates
+// nothing.
 func TestSteadyStateZeroAllocGroupBy(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
-	opts := ExecOptions{NoSummaryAgg: true}
-	prep, err := Prepare(db, "SELECT s.a, COUNT(*), SUM(s.b), MIN(s.b), MAX(s.b), AVG(s.b) FROM s WHERE s.a < 60 GROUP BY s.a", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st engine.ExecState
-	res, err := prep.ExecuteIn(&st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := res.Rows
-	if want == 0 {
-		t.Fatal("grouped steady-state query produced no groups")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
+	// Both shapes would otherwise be answered summary-directly.
+	opts := ExecOptions{Regime: engine.PathPruned}
+	for _, sql := range []string{
+		"SELECT s.a, COUNT(*), SUM(s.b), MIN(s.b), MAX(s.b), AVG(s.b) FROM s WHERE s.a < 60 GROUP BY s.a",
+		"SELECT DISTINCT s.a, s.b FROM s",
+	} {
+		prep, err := Prepare(db, sql, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		var st engine.ExecState
 		res, err := prep.ExecuteIn(&st, opts)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", sql, err)
 		}
-		if res.Rows != want {
-			t.Fatalf("groups drifted: %d, want %d", res.Rows, want)
+		want := res.Rows
+		if want == 0 {
+			t.Fatalf("%s: steady-state query produced no groups", sql)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state grouped query allocates %.2f objects per query, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			res, err := prep.ExecuteIn(&st, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rows != want {
+				t.Fatalf("groups drifted: %d, want %d", res.Rows, want)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: steady state allocates %.2f objects per query, want 0", sql, allocs)
+		}
 	}
 }
 

@@ -1,10 +1,9 @@
 package hydra
 
 // Cross-front parity for the summary-direct aggregate fast path: every
-// execution front — batched, row-at-a-time, morsel-parallel, prepared
-// one-shot, prepared state-reusing, and the public Query facade — must
-// return results byte-identical to the regenerating pipeline on the same
-// query, whether the summary or the pipeline answered. The suite runs the
+// entry point at every worker count (eachFront) must return results
+// byte-identical to the regenerating pipeline on the same query, whether
+// the summary or the pipeline answered. The suite runs the
 // toy and TPC-DS-like workloads plus targeted probes for the arithmetic
 // edge cases (boundary-straddling predicates, empty matches, GROUP BY keys
 // drawn from cycling sets), and asserts that the fast path actually claims
@@ -12,12 +11,10 @@ package hydra
 // silently falls back everywhere while parity keeps passing.
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/sqlkit"
 	"repro/internal/toy"
 	"repro/internal/tpcds"
 )
@@ -42,82 +39,27 @@ var saggProbes = []string{
 	"SELECT COUNT(*), SUM(t.c) FROM t WHERE t.c < 5",
 }
 
-// summaryAggFronts runs sql through all six execution fronts with the fast
-// path enabled and compares each against the NoSummaryAgg reference.
-// Returns whether the fast path answered (it must answer uniformly: all
-// fronts or none).
+// summaryAggFronts runs sql on every entry point under the default regime
+// and compares each against the row pivot under full regeneration. Returns
+// whether the summary answered (it must answer uniformly: every entry point
+// or none).
 func summaryAggFronts(t *testing.T, db *Database, sql string) bool {
 	t.Helper()
-	opts := ExecOptions{SampleLimit: 8}
-	refOpts := opts
-	refOpts.NoSummaryAgg = true
-	want, err := Query(db, sql, refOpts)
-	if err != nil {
-		t.Fatalf("%s [reference]: %v", sql, err)
-	}
-
-	q, err := sqlkit.Parse(sql)
-	if err != nil {
-		t.Fatalf("parse %q: %v", sql, err)
-	}
-	plan, err := engine.BuildPlan(db.Schema, q)
-	if err != nil {
-		t.Fatalf("plan %q: %v", sql, err)
-	}
-	results := map[string]*ExecResult{}
-	exec := func(front string, res *ExecResult, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s [%s]: %v", sql, front, err)
+	want := rowPivot(t, db, sql, ExecOptions{SampleLimit: 8, Regime: engine.PathRegen})
+	path := ""
+	eachFront(t, db, sql, ExecOptions{SampleLimit: 8}, func(label string, res *ExecResult) {
+		sameValues(t, label, res, want)
+		if res.Approx != nil {
+			t.Fatalf("%s: exact execution carries approx info %+v", label, res.Approx)
 		}
-		results[front] = res
-	}
-
-	res, err := engine.Execute(db, plan, opts)
-	exec("Execute", res, err)
-	res, err = engine.ExecuteRows(db, plan, opts)
-	exec("ExecuteRows", res, err)
-	par := opts
-	par.Parallelism = 4
-	res, err = engine.ExecuteParallel(db, plan, par)
-	exec("ExecuteParallel", res, err)
-	prep, err := Prepare(db, sql, opts)
-	if err != nil {
-		t.Fatalf("%s [Prepare]: %v", sql, err)
-	}
-	res, err = prep.Execute(opts)
-	exec("Prepared.Execute", res, err)
-	var st ExecState
-	for round := 0; round < 3; round++ {
-		res, err = prep.ExecuteIn(&st, opts)
-		exec("Prepared.ExecuteIn", res, err)
-		checkSummaryParity(t, sql, "Prepared.ExecuteIn", res, want)
-	}
-	res, err = Query(db, sql, opts)
-	exec("Query", res, err)
-
-	fast := results["Execute"].Path == engine.PathSummary
-	for front, res := range results {
-		checkSummaryParity(t, sql, front, res, want)
-		if got := res.Path == engine.PathSummary; got != fast {
-			t.Errorf("%s: front %s path %q disagrees with Execute (fast=%v)", sql, front, res.Path, fast)
+		if path == "" {
+			path = res.Path
 		}
-	}
-	return fast
-}
-
-func checkSummaryParity(t *testing.T, sql, front string, got, want *ExecResult) {
-	t.Helper()
-	if got.Rows != want.Rows || got.Count != want.Count {
-		t.Fatalf("%s [%s]: rows/count = %d/%d, want %d/%d",
-			sql, front, got.Rows, got.Count, want.Rows, want.Count)
-	}
-	if !reflect.DeepEqual(got.Sample, want.Sample) {
-		t.Fatalf("%s [%s]: samples differ:\n got %v\nwant %v", sql, front, got.Sample, want.Sample)
-	}
-	if got.Approx != nil {
-		t.Fatalf("%s [%s]: exact execution carries approx info %+v", sql, front, got.Approx)
-	}
+		if res.Path != path {
+			t.Errorf("%s: path %q disagrees with the first entry point's %q", label, res.Path, path)
+		}
+	})
+	return path == engine.PathSummary
 }
 
 func TestSummaryAggParityToy(t *testing.T) {

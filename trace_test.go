@@ -2,9 +2,8 @@ package hydra
 
 // Query-level tracing contracts: the span tree a traced execution returns
 // must mirror the plan's shape with identical per-operator cardinalities on
-// every execution front — sequential columnar, row-pivot, morsel-parallel
-// at 1..8 workers, and prepared execution fresh and state-reusing — and
-// tracing must not change any answer. The traced steady state shares the
+// every entry point at every worker count (eachFront), and tracing must not
+// change any answer. The traced steady state shares the
 // zero-allocation contract: spans are preallocated at Prepare time and
 // recycled by Reset, so ExecuteIn with Trace on allocates nothing after
 // warmup.
@@ -17,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/sqlkit"
 	"repro/internal/toy"
 	"repro/internal/trace"
 )
@@ -61,9 +59,11 @@ func checkSpanMirrorsPlan(t *testing.T, label string, sp *TraceSpan, node *ExecN
 }
 
 // TestTraceSpanParityAcrossFronts executes every toy workload query traced
-// on all five fronts and holds each front's span tree to the sequential
+// on every entry point and holds each span tree to the sequential
 // reference: identical preorder shape, ops, details, cardinalities, and
-// detached markers, with the answer itself unchanged by tracing.
+// detached markers, with the answer itself unchanged by tracing. The three
+// ExecuteIn rounds on one state also pin that the recycled span arena
+// reports single-execution counters each time, not accumulations.
 func TestTraceSpanParityAcrossFronts(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
@@ -94,78 +94,24 @@ func TestTraceSpanParityAcrossFronts(t *testing.T) {
 		}
 		refShape := spanShape(ref.Trace)
 
-		q, err := sqlkit.Parse(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := engine.BuildPlan(db.Schema, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		fronts := []struct {
-			name string
-			run  func() (*ExecResult, error)
-		}{
-			{"rows", func() (*ExecResult, error) {
-				return engine.ExecuteRows(db, plan, ExecOptions{SampleLimit: 4, Trace: true})
-			}},
-			{"parallel_w1", func() (*ExecResult, error) {
-				return engine.ExecuteParallel(db, plan, ExecOptions{SampleLimit: 4, Trace: true, Parallelism: 1})
-			}},
-			{"parallel_w4", func() (*ExecResult, error) {
-				return engine.ExecuteParallel(db, plan, ExecOptions{SampleLimit: 4, Trace: true, Parallelism: 4})
-			}},
-			{"parallel_w8", func() (*ExecResult, error) {
-				return engine.ExecuteParallel(db, plan, ExecOptions{SampleLimit: 4, Trace: true, Parallelism: 8})
-			}},
-			{"prepared", func() (*ExecResult, error) {
-				prep, err := engine.Prepare(db, plan, ExecOptions{})
-				if err != nil {
-					return nil, err
-				}
-				return prep.ExecuteContext(t.Context(), ExecOptions{SampleLimit: 4, Trace: true})
-			}},
-			{"prepared_in", func() (*ExecResult, error) {
-				prep, err := engine.Prepare(db, plan, ExecOptions{})
-				if err != nil {
-					return nil, err
-				}
-				var st ExecState
-				// Three rounds on one state: the recycled span arena must
-				// report single-execution counters each time, not accumulate.
-				var res *ExecResult
-				for i := 0; i < 3; i++ {
-					if res, err = prep.ExecuteIn(&st, ExecOptions{SampleLimit: 4, Trace: true}); err != nil {
-						return nil, err
-					}
-				}
-				return res, nil
-			}},
-		}
-		for _, fr := range fronts {
-			res, err := fr.run()
-			if err != nil {
-				t.Fatalf("%s [%s]: %v", sql, fr.name, err)
-			}
+		eachFront(t, db, sql, ExecOptions{SampleLimit: 4, Trace: true}, func(label string, res *ExecResult) {
 			if res.Rows != ref.Rows || res.Count != ref.Count {
-				t.Fatalf("%s [%s]: answer drifted: %d/%d, want %d/%d",
-					sql, fr.name, res.Rows, res.Count, ref.Rows, ref.Count)
+				t.Fatalf("%s: answer drifted: %d/%d, want %d/%d", label, res.Rows, res.Count, ref.Rows, ref.Count)
 			}
 			if res.Trace == nil {
-				t.Fatalf("%s [%s]: no span tree", sql, fr.name)
+				t.Fatalf("%s: no span tree", label)
 			}
 			got := spanShape(res.Trace)
 			if len(got) != len(refShape) {
-				t.Fatalf("%s [%s]: span tree has %d nodes, reference %d:\n%v\nvs\n%v",
-					sql, fr.name, len(got), len(refShape), got, refShape)
+				t.Fatalf("%s: span tree has %d nodes, reference %d:\n%v\nvs\n%v",
+					label, len(got), len(refShape), got, refShape)
 			}
 			for i := range got {
 				if got[i] != refShape[i] {
-					t.Fatalf("%s [%s]: span[%d] = %s, reference %s", sql, fr.name, i, got[i], refShape[i])
+					t.Fatalf("%s: span[%d] = %s, reference %s", label, i, got[i], refShape[i])
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -264,25 +210,18 @@ func TestExplainAnalyzeSummaryAggGolden(t *testing.T) {
 	}
 }
 
-// TestRenderTraceParallelShape pins that the parallel front renders the
+// TestRenderTraceParallelShape pins that a parallel execution renders the
 // same tree shape (ops and cardinalities) as sequential execution — the
 // mode-invariance the span merge exists for.
 func TestRenderTraceParallelShape(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
-	q, err := sqlkit.Parse(toy.Query)
+	seq, err := Query(db, toy.Query, ExecOptions{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := engine.BuildPlan(db.Schema, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := engine.Execute(db, plan, ExecOptions{Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := engine.ExecuteParallel(db, plan, ExecOptions{Trace: true, Parallelism: 4})
+	oversubscribe(t, 4)
+	par, err := Query(db, toy.Query, ExecOptions{Trace: true, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
