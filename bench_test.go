@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/generator"
@@ -135,36 +136,19 @@ func BenchmarkE9Referential(b *testing.B) {
 	}
 }
 
-// BenchmarkGenerateRows measures raw tuple-generation throughput (the
-// velocity ceiling of dynamic regeneration).
-func BenchmarkGenerateRows(b *testing.B) {
-	cfg := benchConfig()
-	pkg, sum := mustBuild(b, cfg)
-	_ = pkg
-	b.ResetTimer()
-	stream := Stream(sum, "store_sales")
-	n := 0
-	for i := 0; i < b.N; i++ {
-		if _, ok := stream.Next(); !ok {
-			stream = Stream(sum, "store_sales")
-			continue
-		}
-		n++
-	}
-	_ = n
-}
-
-// BenchmarkGenerateBatches measures tuple-generation throughput on the
-// batched path (Stream.NextBatch); ns/op is amortized per generated row.
+// BenchmarkGenerateBatches measures raw tuple-generation throughput (the
+// velocity ceiling of dynamic regeneration) through the scan contract,
+// every column projected; ns/op is amortized per generated row.
 func BenchmarkGenerateBatches(b *testing.B) {
 	cfg := benchConfig()
 	_, sum := mustBuild(b, cfg)
 	stream := Stream(sum, "store_sales")
-	dst := NewBatch(stream.Cols(), 0)
+	all := batch.AllCols(stream.Cols())
+	dst := NewColBatch(len(all), 0)
 	b.ResetTimer()
 	var n int64
 	for n < int64(b.N) {
-		if !stream.NextBatch(dst) {
+		if !stream.NextColBatch(dst, all) {
 			stream = Stream(sum, "store_sales")
 			continue
 		}
@@ -212,28 +196,6 @@ func BenchmarkDatalessQueryFull(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = rep
-	}
-}
-
-// BenchmarkDatalessQueryRowAtATime runs the same query through the
-// row-at-a-time reference executor, quantifying what batching buys.
-func BenchmarkDatalessQueryRowAtATime(b *testing.B) {
-	cfg := benchConfig()
-	pkg, sum := mustBuild(b, cfg)
-	db := Regen(sum, 0)
-	q, err := sqlkit.Parse(pkg.Workload[0].SQL)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := engine.BuildPlan(db.Schema, q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.ExecuteRowsContext(context.Background(), db, plan, engine.ExecOptions{}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -364,8 +326,9 @@ func BenchmarkParallelGenerate(b *testing.B) {
 					wg.Add(1)
 					go func(p *generator.Stream) {
 						defer wg.Done()
-						dst := NewBatch(p.Cols(), 0)
-						for p.NextBatch(dst) {
+						all := batch.AllCols(p.Cols())
+						dst := NewColBatch(len(all), 0)
+						for p.NextColBatch(dst, all) {
 						}
 					}(p)
 				}

@@ -10,6 +10,7 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/anonymize"
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/generator"
@@ -151,10 +152,16 @@ func cmdGenerate(args []string) error {
 		names = append(names, c.Name)
 	}
 	fmt.Println(strings.Join(names, "\t"))
-	var src interface{ Next() ([]int64, bool) } = generator.NewStream(t, rel)
+	// The row reader over a (possibly) paced stream: a 1-row batch makes the
+	// schedule row-granular from the first row; unpaced, the default batch
+	// is plain read-ahead.
+	capRows := 0
 	if *rate > 0 {
-		src = generator.NewPaced(src, *rate)
+		capRows = 1
 	}
+	src := batch.NewRowReader(
+		generator.NewPaced(generator.NewStream(t, rel), *rate),
+		batch.NewCol(len(t.Columns), capRows, batch.AllCols(len(t.Columns))))
 	start := time.Now()
 	var n int64
 	for {

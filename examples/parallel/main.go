@@ -16,6 +16,7 @@ import (
 	"time"
 
 	hydra "repro"
+	"repro/internal/batch"
 	"repro/internal/generator"
 	"repro/internal/tpcds"
 )
@@ -81,8 +82,9 @@ func main() {
 			wg.Add(1)
 			go func(p *generator.Stream) {
 				defer wg.Done()
-				dst := hydra.NewBatch(p.Cols(), 0)
-				for p.NextBatch(dst) {
+				all := batch.AllCols(p.Cols())
+				dst := batch.NewCol(len(all), 0, all)
+				for p.NextColBatch(dst, all) {
 				}
 			}(p)
 		}

@@ -41,7 +41,7 @@ func main() {
 	for _, t := range sum.Schema.Tables {
 		stored := 0
 		if rel := regen.Relation(t.Name); rel != nil {
-			stored = len(rel.Rows)
+			stored = rel.Len()
 		}
 		fmt.Printf("  %-14s stored=%d datagen=%v\n", t.Name, stored, regen.DatagenEnabled(t.Name))
 	}
@@ -50,13 +50,15 @@ func main() {
 	fmt.Println("\nvelocity control (store_sales relation):")
 	fmt.Printf("  %-14s %-14s %-10s\n", "target_rps", "achieved_rps", "rows")
 	for _, rate := range []float64{500, 2000, 10000, 0} {
+		// Rows over a paced stream: a 1-row batch makes the schedule
+		// row-granular; unpaced, the default batch is plain read-ahead.
 		stream := hydra.Stream(sum, "store_sales")
-		src := hydra.Pace(stream, rate)
 		n := int64(0)
-		limit := int64(rate) // ~1 second worth; unlimited drains the table
+		limit, capRows := int64(rate), 1 // ~1 second worth
 		if rate == 0 {
-			limit = stream.Total()
+			limit, capRows = stream.Total(), 0 // unlimited drains the table
 		}
+		src := hydra.Rows(hydra.Pace(stream, rate), hydra.NewColBatch(stream.Cols(), capRows))
 		start := time.Now()
 		for n < limit {
 			if _, ok := src.Next(); !ok {

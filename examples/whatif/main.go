@@ -58,7 +58,7 @@ func main() {
 	fmt.Println("\nfirst 5 what-if store_sales tuples (velocity 10 rows/sec):")
 	st := feas.Summary.Schema.Table("store_sales")
 	stream := hydra.Stream(feas.Summary, "store_sales")
-	paced := hydra.Pace(stream, 10)
+	paced := hydra.Rows(hydra.Pace(stream, 10), hydra.NewColBatch(stream.Cols(), 1))
 	for i := 0; i < 5; i++ {
 		row, ok := paced.Next()
 		if !ok {

@@ -47,8 +47,18 @@ type (
 	Database = engine.Database
 	// Relation is a stored table.
 	Relation = engine.Relation
-	// RowSource yields coded rows one at a time.
-	RowSource = engine.RowSource
+	// ColProjector is the scan contract: the one thing a scan source is.
+	// NextColBatch fills the projected columns of a ColBatch. The
+	// generator's Stream, a Pace-d source, stored relations and FromRows
+	// all speak it, and a datagen function (Database.SetDatagen) returns
+	// one.
+	ColProjector = batch.ColProjector
+	// RowSource yields coded rows one at a time. It survives only as the
+	// input type of FromRows, for row-at-a-time producers outside this
+	// module.
+	RowSource = batch.RowSource
+	// RowReader reads a ColProjector one row at a time; see Rows.
+	RowReader = batch.RowReader
 
 	// ExecOptions tune query execution: sample retention, batch capacity,
 	// and morsel-driven parallelism (Parallelism 0 = sequential; n >= 1
@@ -68,16 +78,13 @@ type (
 	// and surface the root via ExecResult.Trace.
 	TraceSpan = trace.Span
 
-	// Batch is a reusable fixed-capacity buffer of coded rows, the unit
-	// the batched generation and execution pipelines move tuples in.
+	// Batch is the row-major batch. Bench-only: nothing but the
+	// benchmark's generator.batch_rows_per_s row (Stream.NextBatch) uses
+	// it, and it goes when that row does.
 	Batch = batch.Batch
-	// BatchSource yields coded rows a batch at a time. The generator's
-	// Stream and its Paced wrapper both implement it.
-	BatchSource = batch.Source
 	// ColBatch is the column-major batch (one vector per populated column
-	// plus a selection vector) the engine's columnar executor moves rows
-	// in; the generator's Stream fills it under projection pushdown via
-	// NextColBatch.
+	// plus a selection vector) — the only layout the generator, stored
+	// relations and the engine move tuples in.
 	ColBatch = batch.ColBatch
 
 	// Prepared is a plan readied for repeated execution: hash-join build
@@ -241,23 +248,40 @@ func Prepare(db *Database, sql string, opts ExecOptions) (*Prepared, error) {
 }
 
 // Stream opens a raw tuple-generation stream for one table of the summary,
-// for callers that want rows rather than query execution. The stream is
-// batch-capable: call Next for one row at a time or NextBatch (with a
-// batch from NewBatch) for amortized bulk generation.
+// for callers that want tuples rather than query execution. The stream is
+// a ColProjector: call NextColBatch with a batch from NewColBatch, or read
+// it row by row through Rows.
 func Stream(sum *Summary, table string) *generator.Stream {
 	return generator.NewStream(sum.Schema.Table(table), sum.Relations[table])
 }
 
-// NewBatch returns an empty row batch of the given width; capRows <= 0
-// selects the default capacity.
+// NewColBatch returns an empty column batch of the given row width with
+// every column populated (whole rows); capRows <= 0 selects the default
+// capacity.
+func NewColBatch(width, capRows int) *ColBatch {
+	return batch.NewCol(width, capRows, batch.AllCols(width))
+}
+
+// Rows reads src one row at a time through b — the one row view over a
+// scan source. b's capacity is the read-ahead: over a Pace-d source a
+// 1-row batch delivers rows on the requested schedule from the first row,
+// a larger one trades schedule granularity for throughput. The returned
+// row slice is reused across Next calls.
+func Rows(src ColProjector, b *ColBatch) *RowReader { return batch.NewRowReader(src, b) }
+
+// FromRows adapts a row-at-a-time producer to the scan contract, for
+// datagen functions supplied from outside this module. A row whose length
+// differs from the table's width stops the scan and fails the query.
+func FromRows(src RowSource) ColProjector { return batch.FromRows(src) }
+
+// NewBatch returns an empty row-major batch. Bench-only, like Batch.
 func NewBatch(cols, capRows int) *Batch { return batch.New(cols, capRows) }
 
-// Pace throttles a row source to rowsPerSec (the demo's velocity slider);
-// a non-positive rate returns the source unchanged. The returned source is
-// batch-capable: it implements BatchSource, crediting whole batches
-// against the absolute pacing schedule (and delegating batch generation to
-// src when src itself is a BatchSource).
-func Pace(src RowSource, rowsPerSec float64) RowSource {
+// Pace throttles a scan source to rowsPerSec (the demo's velocity slider);
+// a non-positive rate returns the source unchanged. The paced source
+// forwards the projection and credits each batch it produces against an
+// absolute schedule, so the caller's batch capacity is the pacing granule.
+func Pace(src ColProjector, rowsPerSec float64) ColProjector {
 	if rowsPerSec <= 0 {
 		return src
 	}

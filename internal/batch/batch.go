@@ -1,14 +1,19 @@
-// Package batch provides the fixed-capacity row batch that Hydra's
-// generation and execution pipelines move tuples in. Producing and
-// consuming rows a batch at a time amortizes per-row interface calls and
-// bounds checks across the whole pipeline: the generator expands a summary
-// row's Count tuples in one tight loop, and every engine operator accounts
-// cardinalities once per batch instead of once per row.
+// Package batch provides the fixed-capacity column batch that Hydra's
+// generation and execution pipelines move tuples in, and the one contract
+// a scan source speaks. Producing and consuming rows a batch at a time
+// amortizes per-row interface calls and bounds checks across the whole
+// pipeline: the generator expands a summary row's Count tuples in one tight
+// loop per column, and every engine operator accounts cardinalities once
+// per batch instead of once per row.
 //
-// A Batch is row-major: the coded values of row i occupy the contiguous
-// slice data[i*cols : (i+1)*cols]. Row-major layout keeps single rows
-// addressable as []int64, so batch operators share predicate and decode
-// code with the row-at-a-time path.
+// ColBatch (colbatch.go) is the only layout the engine, the generator's
+// kernel and stored relations use, and ColProjector is the only pull
+// contract. Rows exist at two edges only: RowReader (rows.go) pivots any
+// ColProjector into whole rows for consumers that want tuples (CSV export,
+// the velocity demos), and ColBatch.LiveRow pivots result rows out at the
+// sink.
+//
+// The row-major Batch below is kept for the benchmark alone.
 package batch
 
 // DefaultCap is the default batch capacity in rows. 1024 rows of a
@@ -16,8 +21,14 @@ package batch
 // while amortizing per-batch overhead to noise.
 const DefaultCap = 1024
 
-// Batch is a reusable, fixed-capacity buffer of coded rows. The zero value
-// is not usable; construct with New.
+// Batch is a reusable, fixed-capacity buffer of coded rows, row-major: the
+// values of row i occupy data[i*cols : (i+1)*cols]. The zero value is not
+// usable; construct with New.
+//
+// Pinned by the benchmark: bench/regen.go times generator.Stream.NextBatch
+// into a Batch as generator.batch_rows_per_s, and that is the type's only
+// caller outside tests. The next benchmark PR drops that ledger row together
+// with this type, Stream.NextBatch and Stream.appendRows (see ROADMAP).
 type Batch struct {
 	cols    int
 	capRows int
@@ -94,11 +105,3 @@ func (b *Batch) Truncate(n int) {
 
 // Data returns the batch's flat row-major storage (Len()*Cols() values).
 func (b *Batch) Data() []int64 { return b.data }
-
-// Source yields coded rows a batch at a time. NextBatch resets dst, fills
-// it with up to dst.Cap() rows, and reports whether it produced any; once
-// it returns false the source is exhausted. dst must have been constructed
-// with the source's column width.
-type Source interface {
-	NextBatch(dst *Batch) bool
-}

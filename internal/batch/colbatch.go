@@ -1,11 +1,11 @@
 package batch
 
-// ColBatch is the column-major counterpart of Batch: the values of column c
-// occupy one contiguous []int64, and a reusable selection vector marks which
-// rows are live. The layout is what makes late materialization possible —
-// an operator touches only the columns it was asked to populate, a filter
-// flips selection indices instead of moving row data, and unit-stride
-// column fills replace the strided walks of the row-major path.
+// ColBatch is the column-major batch: the values of column c occupy one
+// contiguous []int64, and a reusable selection vector marks which rows are
+// live. The layout is what makes late materialization possible — an
+// operator touches only the columns it was asked to populate, a filter
+// flips selection indices instead of moving row data, and column fills are
+// unit-stride.
 //
 // A batch is constructed for a fixed set of populated columns; the other
 // columns carry no storage (Col returns nil), so a scan projected to three
@@ -34,6 +34,16 @@ func NewCol(width, capRows int, populated []int) *ColBatch {
 		}
 	}
 	return b
+}
+
+// AllCols is the complete column set [0, n): the populated list of a
+// whole-row batch and the projection of a whole-row scan.
+func AllCols(n int) []int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // Width returns the logical row width.
@@ -116,15 +126,18 @@ func (b *ColBatch) LiveRow(i int, dst []int64) {
 	}
 }
 
-// ColSource yields column batches. NextColBatch resets dst, fills exactly
-// the columns in cols (which must all be populated in dst), sets the
-// physical length, and reports whether any rows were produced; the batch is
-// left dense. Once it returns false the source is exhausted.
+// ColProjector is the scan contract — the one thing a scan source is.
+// NextColBatch resets dst, fills exactly the columns in cols (which must
+// all be populated in dst) with up to dst.Cap() rows, sets the physical
+// length, and reports whether any rows were produced; the batch is left
+// dense. Once it returns false the source is exhausted.
 //
 // The projection is the caller's required-column set: implementations must
-// never touch columns outside it. The generator's Stream and the engine's
-// stored-relation cursor implement ColProjector natively; row-major sources
-// are adapted by transposition.
+// never touch columns outside it. The generator's Stream and SectionSet,
+// its Paced wrapper, the engine's stored-relation cursor and the RowSource
+// adapter (FromRows) implement it; everything else a source may offer —
+// SeekRow, Total/Section, SectionSet, Err — is an optional capability the
+// engine discovers by type assertion.
 type ColProjector interface {
 	NextColBatch(dst *ColBatch, cols []int) bool
 }

@@ -83,7 +83,7 @@ func CaptureClient(db *engine.Database, queries []string, opts CaptureOptions) (
 	// reflects the actual client data.
 	for _, t := range pkg.Schema.Tables {
 		if rel := db.Relation(t.Name); rel != nil {
-			t.RowCount = int64(len(rel.Rows))
+			t.RowCount = int64(rel.Len())
 		}
 	}
 
@@ -109,16 +109,12 @@ func CaptureClient(db *engine.Database, queries []string, opts CaptureOptions) (
 			if rel == nil {
 				continue
 			}
-			ts := &stats.TableStats{Table: t.Name, RowCount: int64(len(rel.Rows))}
+			ts := &stats.TableStats{Table: t.Name, RowCount: int64(rel.Len())}
 			for ci, col := range t.Columns {
 				if col.PrimaryKey {
 					continue
 				}
-				codes := make([]int64, len(rel.Rows))
-				for ri, row := range rel.Rows {
-					codes[ri] = row[ci]
-				}
-				ts.Columns = append(ts.Columns, stats.BuildColumnStats(col.Name, codes, opts.HistogramBuckets, opts.MCVSize))
+				ts.Columns = append(ts.Columns, stats.BuildColumnStats(col.Name, rel.Col(ci), opts.HistogramBuckets, opts.MCVSize))
 			}
 			pkg.Stats = append(pkg.Stats, ts)
 		}
@@ -139,8 +135,9 @@ func BuildFromPackage(pkg *TransferPackage, opts summary.BuildOptions) (*summary
 // RegenDatabase returns a dataless database: every table's scan is served
 // by the tuple generator straight from the summary (the paper's datagen
 // relation property). rowsPerSec throttles generation per scan; zero means
-// unlimited. The returned sources are batch-capable (both Stream and Paced
-// implement batch.Source), so engine execution runs on the batched path.
+// unlimited. Either way the source is a batch.ColProjector — the Stream
+// itself, or its Paced wrapper, which forwards the query's projection and
+// credits each batch against the rate.
 //
 // At full speed the summary is also registered with the engine, enabling the
 // summary-direct aggregate fast path: provably exact aggregates skip
@@ -152,7 +149,7 @@ func RegenDatabase(sum *summary.Database, rowsPerSec float64) *engine.Database {
 	for name := range sum.Relations {
 		rel := sum.Relations[name]
 		t := sum.Schema.Table(name)
-		db.SetDatagen(name, func() (engine.RowSource, error) {
+		db.SetDatagen(name, func() (batch.ColProjector, error) {
 			stream := generator.NewStream(t, rel)
 			if rowsPerSec > 0 {
 				return generator.NewPaced(stream, rowsPerSec), nil
@@ -166,27 +163,21 @@ func RegenDatabase(sum *summary.Database, rowsPerSec float64) *engine.Database {
 	return db
 }
 
-// MaterializedDatabase expands the summary into stored rows — the demo's
-// optional materialize mode, and the reference point dynamic regeneration
-// is compared against. Expansion runs through the generator's batch path:
-// each batch is copied once into a flat arena that the stored rows slice
-// into, so materialization costs two allocations per batch instead of one
-// per row.
+// MaterializedDatabase expands the summary into stored relations — the
+// demo's optional materialize mode, and the reference point dynamic
+// regeneration is compared against. The generator's column batches are read
+// back as rows and appended, which is where the stored columns are laid out
+// (engine.Relation.Append is the only way in).
 func MaterializedDatabase(sum *summary.Database) (*engine.Database, error) {
 	db := engine.NewDatabase(sum.Schema)
 	for name, relSum := range sum.Relations {
 		t := sum.Schema.Table(name)
-		ncols := len(t.Columns)
 		rel := &engine.Relation{Table: t}
-		if relSum.Total > 0 {
-			rel.Rows = make([][]int64, 0, relSum.Total)
-		}
-		stream := generator.NewStream(t, relSum)
-		b := batch.New(ncols, 0)
-		for stream.NextBatch(b) {
-			arena := append([]int64(nil), b.Data()...)
-			for i := 0; i < b.Len(); i++ {
-				rel.Rows = append(rel.Rows, arena[i*ncols:(i+1)*ncols:(i+1)*ncols])
+		w := len(t.Columns)
+		rows := batch.NewRowReader(generator.NewStream(t, relSum), batch.NewCol(w, 0, batch.AllCols(w)))
+		for row, ok := rows.Next(); ok; row, ok = rows.Next() {
+			if err := rel.Append(row); err != nil {
+				return nil, err
 			}
 		}
 		if err := db.AddRelation(rel); err != nil {

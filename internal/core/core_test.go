@@ -114,7 +114,7 @@ func TestRegenVsMaterializedAgree(t *testing.T) {
 	}
 	// Every stored relation must be fully materialized...
 	for name, rel := range sum.Relations {
-		if got := int64(len(mat.Relation(name).Rows)); got != rel.Total {
+		if got := int64(mat.Relation(name).Len()); got != rel.Total {
 			t.Errorf("%s materialized %d of %d", name, got, rel.Total)
 		}
 		// ...while the dataless database stores nothing.

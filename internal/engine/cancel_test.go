@@ -13,19 +13,19 @@ import (
 )
 
 // slowGen is a deterministic, partitionable datagen source for the fact
-// table: rows are a pure function of their index, every NextBatch may
+// table: rows are a pure function of their index, every NextColBatch may
 // sleep (simulating a slow regeneration), and batch number fireAt may
 // invoke a hook — the seam the mid-query cancellation tests use to cancel
 // a context at an exact, schedule-independent point in the scan.
 type slowGen struct {
 	total  int64
 	delay  time.Duration
-	fireAt int64        // NextBatch call number that triggers fire (0 = never)
+	fireAt int64        // NextColBatch call number that triggers fire (0 = never)
 	fire   func()       // invoked exactly once, from call #fireAt
-	calls  atomic.Int64 // NextBatch calls across all sections
+	calls  atomic.Int64 // NextColBatch calls across all sections
 }
 
-func (g *slowGen) open() (RowSource, error) { return &slowSection{g: g, hi: g.total}, nil }
+func (g *slowGen) open() (batch.ColProjector, error) { return &slowSection{g: g, hi: g.total}, nil }
 
 func (g *slowGen) reset(fireAt int64, fire func()) {
 	g.fireAt = fireAt
@@ -33,31 +33,15 @@ func (g *slowGen) reset(fireAt int64, fire func()) {
 	g.calls.Store(0)
 }
 
-// slowSection is one [lo, hi) sub-range of a slowGen: a RowSource that is
-// also batch-capable and morsel-partitionable, so it exercises the
-// sequential and parallel scan paths alike.
+// slowSection is one [lo, hi) sub-range of a slowGen: a scan source that
+// is also morsel-partitionable, so it exercises the sequential and parallel
+// scan paths alike.
 type slowSection struct {
 	g       *slowGen
 	pos, hi int64
 }
 
-func (s *slowSection) fillRow(row []int64) {
-	row[0] = s.pos
-	row[1] = s.pos % 4
-	row[2] = s.pos % 10
-}
-
-func (s *slowSection) Next() ([]int64, bool) {
-	if s.pos >= s.hi {
-		return nil, false
-	}
-	row := make([]int64, 3)
-	s.fillRow(row)
-	s.pos++
-	return row, true
-}
-
-func (s *slowSection) NextBatch(dst *batch.Batch) bool {
+func (s *slowSection) NextColBatch(dst *batch.ColBatch, cols []int) bool {
 	if n := s.g.calls.Add(1); s.g.fire != nil && n == s.g.fireAt {
 		s.g.fire()
 	}
@@ -65,16 +49,24 @@ func (s *slowSection) NextBatch(dst *batch.Batch) bool {
 		time.Sleep(s.g.delay)
 	}
 	dst.Reset()
-	for !dst.Full() && s.pos < s.hi {
-		s.fillRow(dst.Append())
-		s.pos++
+	n := int(min(s.hi-s.pos, int64(dst.Cap())))
+	if n <= 0 {
+		return false
 	}
-	return dst.Len() > 0
+	dst.SetLen(n)
+	for _, c := range cols {
+		mod := []int64{1 << 62, 4, 10}[c] // row g is (g, g%4, g%10)
+		for i, out := 0, dst.Col(c); i < n; i++ {
+			out[i] = (s.pos + int64(i)) % mod
+		}
+	}
+	s.pos += int64(n)
+	return true
 }
 
 func (s *slowSection) Total() int64 { return s.hi }
 
-func (s *slowSection) Section(lo, hi int64) batch.Source {
+func (s *slowSection) Section(lo, hi int64) batch.ColProjector {
 	return &slowSection{g: s.g, pos: lo, hi: hi}
 }
 

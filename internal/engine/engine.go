@@ -5,8 +5,9 @@
 // dynamic-regeneration source (the paper's "datagen" relation property) so
 // queries run against tables holding zero stored rows.
 //
-// Rows are slices of integer codes (see package schema for the coding); all
-// operators are pipelined iterators except the hash-join build side.
+// Values are integer codes (see package schema for the coding), moved in
+// column batches from one scan contract (batch.ColProjector); all operators
+// are pipelined iterators except the hash-join build side.
 package engine
 
 import (
@@ -17,29 +18,61 @@ import (
 	"repro/internal/synopsis"
 )
 
-// RowSource yields coded rows one at a time. Next returns ok=false when the
-// source is exhausted.
-type RowSource interface {
-	Next() (row []int64, ok bool)
-}
+// DatagenFunc opens a fresh dynamic-regeneration source for a table. It is
+// invoked once per scan of the table. The source speaks the engine's one
+// scan contract, batch.ColProjector; a caller outside this module that
+// produces rows one at a time wraps its producer in batch.FromRows.
+type DatagenFunc func() (batch.ColProjector, error)
 
-// DatagenFunc opens a fresh dynamic-regeneration stream for a table. It is
-// invoked once per scan of the table.
-type DatagenFunc func() (RowSource, error)
-
-// Relation is a stored table: the schema plus materialized coded rows.
+// Relation is a stored table: the schema plus materialized coded values,
+// held column-major — the layout every scan hands out — so a stored scan is
+// a copy per projected column and a section is a sub-slice. Append is the
+// only way in.
 type Relation struct {
 	Table *schema.Table
-	Rows  [][]int64
+	cols  [][]int64 // one per schema column, each n long
+	n     int
 }
 
-// Append adds a row after checking arity.
+// Append adds a row after checking arity. The row is copied; the caller may
+// reuse its slice. The first Append reserves Table.RowCount rows per
+// column, so loading a table of the declared size never regrows.
 func (r *Relation) Append(row []int64) error {
 	if len(row) != len(r.Table.Columns) {
 		return fmt.Errorf("engine: relation %s: row arity %d, want %d", r.Table.Name, len(row), len(r.Table.Columns))
 	}
-	r.Rows = append(r.Rows, row)
+	if r.cols == nil {
+		r.cols = make([][]int64, len(row))
+		for c := range r.cols {
+			r.cols[c] = make([]int64, 0, max(r.Table.RowCount, 0))
+		}
+	}
+	for c, v := range row {
+		r.cols[c] = append(r.cols[c], v)
+	}
+	r.n++
 	return nil
+}
+
+// Len returns the number of stored rows.
+func (r *Relation) Len() int { return r.n }
+
+// Col returns the stored values of column c, in row order. The slice
+// aliases the relation's storage and must not be modified.
+func (r *Relation) Col(c int) []int64 {
+	if r.cols == nil {
+		return nil
+	}
+	return r.cols[c]
+}
+
+// Row returns a copy of row i.
+func (r *Relation) Row(i int) []int64 {
+	row := make([]int64, len(r.cols))
+	for c, col := range r.cols {
+		row[c] = col[i]
+	}
+	return row
 }
 
 // Database holds stored relations and per-table datagen overrides.
@@ -60,10 +93,16 @@ func NewDatabase(s *schema.Schema) *Database {
 	}
 }
 
-// AddRelation registers a stored relation for a schema table.
+// AddRelation registers a stored relation for a schema table. A relation
+// whose column count differs from the schema's table of that name is
+// refused: scans size their batches from the schema.
 func (db *Database) AddRelation(rel *Relation) error {
-	if db.Schema.Table(rel.Table.Name) == nil {
+	t := db.Schema.Table(rel.Table.Name)
+	if t == nil {
 		return fmt.Errorf("engine: table %s not in schema", rel.Table.Name)
+	}
+	if len(rel.Table.Columns) != len(t.Columns) {
+		return fmt.Errorf("engine: relation %s has %d columns, schema table has %d", rel.Table.Name, len(rel.Table.Columns), len(t.Columns))
 	}
 	db.rels[rel.Table.Name] = rel
 	return nil
@@ -107,9 +146,9 @@ func (db *Database) SetSummary(table string, rel *synopsis.Relation) {
 // Summary returns the registered relation summary for a table, or nil.
 func (db *Database) Summary(table string) *synopsis.Relation { return db.summaries[table] }
 
-// openScan returns a row source for the table: the datagen stream when
-// enabled, otherwise a cursor over stored rows.
-func (db *Database) openScan(table string) (RowSource, error) {
+// openScan returns the table's scan source: the datagen source when
+// enabled, otherwise a cursor over the stored columns.
+func (db *Database) openScan(table string) (batch.ColProjector, error) {
 	if fn, ok := db.datagen[table]; ok {
 		return fn()
 	}
@@ -117,120 +156,53 @@ func (db *Database) openScan(table string) (RowSource, error) {
 	if rel == nil {
 		return nil, fmt.Errorf("engine: table %s has neither stored rows nor datagen", table)
 	}
-	return &sliceSource{rows: rel.Rows}, nil
+	return &relCursor{cols: rel.cols, hi: rel.n}, nil
 }
 
-// openBatchScan returns a batch source for the table: batch-capable
-// sources (the generator's Stream, its Paced wrapper, stored relations)
-// are used directly, any other datagen source is adapted row by row.
-func (db *Database) openBatchScan(table string) (batch.Source, error) {
-	src, err := db.openScan(table)
-	if err != nil {
-		return nil, err
-	}
-	if bs, ok := src.(batch.Source); ok {
-		return bs, nil
-	}
-	return &rowBatchSource{src: src}, nil
+// relCursor scans rows [lo, hi) of a stored relation's columns. It offers
+// every scan capability: projection, SeekRow, and Total/Section (the
+// parallel.Source contract, so stored relations are morsel-partitionable
+// like generator streams).
+type relCursor struct {
+	cols   [][]int64
+	lo, hi int
+	i      int // rows of the window already produced
 }
 
-type sliceSource struct {
-	rows [][]int64
-	i    int
-}
-
-func (s *sliceSource) Next() ([]int64, bool) {
-	if s.i >= len(s.rows) {
-		return nil, false
-	}
-	r := s.rows[s.i]
-	s.i++
-	return r, true
-}
-
-// NextBatch copies stored rows into dst, implementing batch.Source.
-func (s *sliceSource) NextBatch(dst *batch.Batch) bool {
-	dst.Reset()
-	for !dst.Full() && s.i < len(s.rows) {
-		copy(dst.Append(), s.rows[s.i])
-		s.i++
-	}
-	return dst.Len() > 0
-}
-
-// NextColBatch transposes stored rows into dst's projected columns,
+// NextColBatch copies the next rows of the projected columns into dst,
 // implementing batch.ColProjector: only the requested columns are read or
 // written, mirroring the generator's projection pushdown.
-func (s *sliceSource) NextColBatch(dst *batch.ColBatch, cols []int) bool {
+//
+//hydra:hotpath
+func (s *relCursor) NextColBatch(dst *batch.ColBatch, cols []int) bool {
 	dst.Reset()
-	n := len(s.rows) - s.i
+	at := s.lo + s.i
+	n := min(s.hi-at, dst.Cap())
 	if n <= 0 {
 		return false
 	}
-	if n > dst.Cap() {
-		n = dst.Cap()
-	}
 	dst.SetLen(n)
-	rows := s.rows[s.i : s.i+n]
 	for _, c := range cols {
-		out := dst.Col(c)
-		for i, row := range rows {
-			out[i] = row[c]
-		}
+		copy(dst.Col(c), s.cols[c][at:at+n])
 	}
 	s.i += n
 	return true
 }
 
-// SeekRow repositions the cursor to row i (clamped), so prepared
-// executions rewind a stored scan without reopening it.
-func (s *sliceSource) SeekRow(i int64) {
-	if i < 0 {
-		i = 0
-	}
-	if n := int64(len(s.rows)); i > n {
-		i = n
-	}
-	s.i = int(i)
+// SeekRow repositions the cursor to row i of its window (clamped), so
+// prepared executions rewind a stored scan without reopening it.
+func (s *relCursor) SeekRow(i int64) {
+	s.i = int(min(max(i, 0), s.Total()))
 }
 
-// Total returns the number of stored rows, implementing (with Section) the
-// parallel.Source contract so stored relations are morsel-partitionable
-// like generator streams.
-func (s *sliceSource) Total() int64 { return int64(len(s.rows)) }
+// Total returns the number of rows in the cursor's window.
+func (s *relCursor) Total() int64 { return int64(s.hi - s.lo) }
 
-// Section opens an independent cursor over rows [lo, hi).
-func (s *sliceSource) Section(lo, hi int64) batch.Source {
-	n := int64(len(s.rows))
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return &sliceSource{rows: s.rows[lo:hi]}
-}
-
-// rowBatchSource adapts a row-at-a-time source to batch.Source for datagen
-// functions supplied by callers outside this module.
-type rowBatchSource struct {
-	src RowSource
-}
-
-func (a *rowBatchSource) NextBatch(dst *batch.Batch) bool {
-	dst.Reset()
-	for !dst.Full() {
-		row, ok := a.src.Next()
-		if !ok {
-			break
-		}
-		copy(dst.Append(), row)
-	}
-	return dst.Len() > 0
+// Section opens an independent cursor over rows [lo, hi) of the window
+// (bounds clamped).
+func (s *relCursor) Section(lo, hi int64) batch.ColProjector {
+	n := s.Total()
+	lo = min(max(lo, 0), n)
+	hi = min(max(hi, lo), n)
+	return &relCursor{cols: s.cols, lo: s.lo + int(lo), hi: s.lo + int(hi)}
 }

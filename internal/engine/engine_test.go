@@ -1,8 +1,13 @@
 package engine
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/schema"
 	"repro/internal/sqlkit"
 )
@@ -153,17 +158,7 @@ func TestDatagenScan(t *testing.T) {
 	db := starDatabase(t)
 	// Replace dim's scan with a synthetic two-row stream.
 	rows := [][]int64{{0, 50}, {1, 60}}
-	db.SetDatagen("dim", func() (RowSource, error) {
-		i := 0
-		return rowFunc(func() ([]int64, bool) {
-			if i >= len(rows) {
-				return nil, false
-			}
-			r := rows[i]
-			i++
-			return r, true
-		}), nil
-	})
+	db.SetDatagen("dim", func() (batch.ColProjector, error) { return rowsScan(rows), nil })
 	if !db.DatagenEnabled("dim") {
 		t.Fatal("datagen not enabled")
 	}
@@ -185,11 +180,172 @@ type rowFunc func() ([]int64, bool)
 
 func (f rowFunc) Next() ([]int64, bool) { return f() }
 
-func TestRelationAppendArity(t *testing.T) {
+// rowsScan serves rows, as given, through the one row adapter — the shape
+// of a datagen source supplied from outside the module.
+func rowsScan(rows [][]int64) batch.ColProjector {
+	i := 0
+	return batch.FromRows(rowFunc(func() ([]int64, bool) {
+		if i >= len(rows) {
+			return nil, false
+		}
+		i++
+		return rows[i-1], true
+	}))
+}
+
+// rowsOf copies a stored relation's rows out.
+func rowsOf(rel *Relation) [][]int64 {
+	out := make([][]int64, rel.Len())
+	for i := range out {
+		out[i] = rel.Row(i)
+	}
+	return out
+}
+
+// TestDatagenRowArityRejected is the regression for a wrong answer at the
+// parent: a caller-supplied datagen source yielding a row shorter than the
+// table was accepted, its missing columns inherited whatever the previous
+// batch had left in the storage, and the answer depended on BatchSize (dim
+// served as {0,50},{1,60},{2},{3}: COUNT(*) WHERE a >= 55 was 1 at the
+// default batch size and 2 at BatchSize 2); a longer row was silently
+// truncated. Now the scan stops and the query fails with ErrRowArity — on
+// every front, at every batch size, whether dim is the scanned leaf or a
+// hash-join build side.
+func TestDatagenRowArityRejected(t *testing.T) {
+	for name, rows := range map[string][][]int64{
+		"short": {{0, 50}, {1, 60}, {2}, {3}},
+		"long":  {{0, 50}, {1, 60, 7}, {2, 70}},
+	} {
+		db := starDatabase(t)
+		db.SetDatagen("dim", func() (batch.ColProjector, error) { return rowsScan(rows), nil })
+		for _, sql := range []string{
+			"SELECT COUNT(*) FROM dim WHERE a >= 55",
+			"SELECT COUNT(*) FROM fact, dim WHERE fact.d_fk = dim.d_pk",
+			"SELECT a, COUNT(*) FROM dim GROUP BY a",
+		} {
+			plan := mustPlan(t, db, sql)
+			for _, size := range []int{0, 1, 2} {
+				for _, f := range contextFronts(t) {
+					res, err := f.run(context.Background(), db, plan, ExecOptions{BatchSize: size})
+					if !errors.Is(err, batch.ErrRowArity) {
+						t.Fatalf("%s rows, %s [%s batch=%d]: result %+v, err %v; want ErrRowArity", name, sql, f.name, size, res, err)
+					}
+				}
+			}
+		}
+		// A reused state fails the same way every round: the rewind reopens
+		// the unseekable source, which stops on the same row.
+		prep, err := Prepare(db, mustPlan(t, db, "SELECT COUNT(*) FROM dim WHERE a >= 55"), ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st ExecState
+		for round := 0; round < 3; round++ {
+			if _, err := prep.ExecuteIn(&st, ExecOptions{}); !errors.Is(err, batch.ErrRowArity) {
+				t.Fatalf("%s rows, ExecuteIn round %d: err %v, want ErrRowArity", name, round, err)
+			}
+		}
+	}
+}
+
+// TestRelationAppend: arity is checked, and the row is copied — a caller
+// reusing its row slice must not rewrite what it already appended.
+func TestRelationAppend(t *testing.T) {
 	s := starSchema()
 	rel := &Relation{Table: s.Table("dim")}
 	if err := rel.Append([]int64{1}); err == nil {
 		t.Error("arity mismatch accepted")
+	}
+	row := []int64{0, 10}
+	for i := int64(0); i < 3; i++ {
+		row[0], row[1] = i, 10*i
+		if err := rel.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := rowsOf(rel), [][]int64{{0, 0}, {1, 10}, {2, 20}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("stored %v, want %v", got, want)
+	}
+}
+
+// TestStoredCursor pins the stored relation's scan source — read through
+// the row reader like every other source kind — to the rows appended: at
+// batch capacities {1, 3, 128, 1024}, under projection subsets, and through
+// each capability (Total, Section with clamped and nested bounds, SeekRow).
+func TestStoredCursor(t *testing.T) {
+	s := starSchema()
+	rel := &Relation{Table: s.Table("fact")}
+	var want [][]int64
+	for i := int64(0); i < 300; i++ {
+		want = append(want, []int64{i, i % 7, 3 * i})
+		if err := rel.Append(want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := NewDatabase(s)
+	if err := db.AddRelation(rel); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *relCursor {
+		src, err := db.openScan("fact")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src.(*relCursor)
+	}
+	for _, cols := range [][]int{{0, 1, 2}, {1}, {0, 2}, nil} {
+		proj := make([][]int64, len(want))
+		for i, row := range want {
+			proj[i] = make([]int64, len(row))
+			for _, c := range cols {
+				proj[i][c] = row[c]
+			}
+		}
+		for _, capRows := range []int{1, 3, 128, 1024} {
+			read := func(src batch.ColProjector) [][]int64 {
+				r := batch.NewRowReader(src, batch.NewCol(3, capRows, cols))
+				var out [][]int64
+				for row, ok := r.Next(); ok; row, ok = r.Next() {
+					out = append(out, append([]int64(nil), row...))
+				}
+				return out
+			}
+			label := fmt.Sprintf("cols %v cap %d", cols, capRows)
+			cur := open()
+			if cur.Total() != 300 {
+				t.Fatalf("Total = %d", cur.Total())
+			}
+			if got := read(cur); !reflect.DeepEqual(got, proj) {
+				t.Fatalf("%s: full scan diverged", label)
+			}
+			cur.SeekRow(290)
+			if got := read(cur); !reflect.DeepEqual(got, proj[290:]) {
+				t.Fatalf("%s: SeekRow(290) tail %v", label, got)
+			}
+			cur.SeekRow(-5)
+			if got := read(cur); !reflect.DeepEqual(got, proj) {
+				t.Fatalf("%s: SeekRow clamped to start diverged", label)
+			}
+			cur.SeekRow(9999)
+			if got := read(cur); len(got) != 0 {
+				t.Fatalf("%s: SeekRow past the end produced %d rows", label, len(got))
+			}
+			var got [][]int64
+			for _, b := range [][2]int64{{-4, 100}, {100, 100}, {100, 257}, {257, 900}} {
+				got = append(got, read(cur.Section(b[0], b[1]))...)
+			}
+			if !reflect.DeepEqual(got, proj) {
+				t.Fatalf("%s: section concatenation diverged", label)
+			}
+			mid := cur.Section(50, 250).(*relCursor)
+			if got := read(mid.Section(10, 20)); !reflect.DeepEqual(got, proj[60:70]) {
+				t.Fatalf("%s: nested section = %v", label, got)
+			}
+			mid.SeekRow(195)
+			if got := read(mid); !reflect.DeepEqual(got, proj[245:250]) {
+				t.Fatalf("%s: SeekRow inside a section = %v", label, got)
+			}
+		}
 	}
 }
 
@@ -210,5 +366,20 @@ func TestAddRelationUnknownTable(t *testing.T) {
 	other := &schema.Table{Name: "ghost"}
 	if err := db.AddRelation(&Relation{Table: other}); err == nil {
 		t.Error("AddRelation accepted unknown table")
+	}
+}
+
+// TestAddRelationWidthMismatch: scans size their batches from the schema,
+// so a relation whose table has the schema table's name but another column
+// count is refused.
+func TestAddRelationWidthMismatch(t *testing.T) {
+	db := NewDatabase(starSchema())
+	narrow := &schema.Table{Name: "dim", Columns: []*schema.Column{{Name: "d_pk", PrimaryKey: true}}}
+	rel := &Relation{Table: narrow}
+	if err := rel.Append([]int64{0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddRelation(rel); err == nil {
+		t.Error("AddRelation accepted a 1-column relation for the 2-column dim")
 	}
 }

@@ -220,5 +220,5 @@ func rowNeed(plan *Plan) []int {
 	if plan.countStar() {
 		return []int{0}
 	}
-	return allCols(len(plan.Root.Cols))
+	return batch.AllCols(len(plan.Root.Cols))
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/sqlkit"
 )
 
@@ -115,22 +116,22 @@ func TestBatchRowParityStored(t *testing.T) {
 func TestBatchRowParityDatagen(t *testing.T) {
 	db := starDatabase(t)
 	stored := map[string][][]int64{
-		"dim":  db.Relation("dim").Rows,
-		"fact": db.Relation("fact").Rows,
+		"dim":  rowsOf(db.Relation("dim")),
+		"fact": rowsOf(db.Relation("fact")),
 	}
 	for name, rows := range stored {
 		rows := rows
-		db.SetDatagen(name, func() (RowSource, error) {
+		db.SetDatagen(name, func() (batch.ColProjector, error) {
 			i := 0
 			buf := make([]int64, len(rows[0]))
-			return rowFunc(func() ([]int64, bool) {
+			return batch.FromRows(rowFunc(func() ([]int64, bool) {
 				if i >= len(rows) {
 					return nil, false
 				}
-				copy(buf, rows[i]) // reuse the buffer like generator.Stream
+				copy(buf, rows[i]) // a producer may reuse its row buffer
 				i++
 				return buf, true
-			}), nil
+			})), nil
 		})
 	}
 	for _, size := range []int{1, 3, 0} {

@@ -47,6 +47,13 @@ type rowSeeker interface {
 	SeekRow(int64)
 }
 
+// failingSource is the capability of a scan source that can stop early on
+// bad input (batch.RowScan over a caller's row producer): the scan operator
+// surfaces Err as its deferred error once the drain ends.
+type failingSource interface {
+	Err() error
+}
+
 // scanOverride hands an already-opened scan source to openCol, so a caller
 // that had to open a table's source to inspect it (openParallel probing
 // partitionability, openPrunedFilter probing for a row-space) does not
@@ -55,18 +62,18 @@ type rowSeeker interface {
 // name identifies the scan uniquely; used guards against regressions.
 type scanOverride struct {
 	table string
-	src   batch.Source
+	src   batch.ColProjector
 	used  bool
 }
 
 // open returns the table's scan source: the handed-down one on its first
 // request, a freshly opened one otherwise.
-func (ov *scanOverride) open(db *Database, table string) (batch.Source, error) {
+func (ov *scanOverride) open(db *Database, table string) (batch.ColProjector, error) {
 	if ov != nil && !ov.used && ov.table == table {
 		ov.used = true
 		return ov.src, nil
 	}
-	return db.openBatchScan(table)
+	return db.openScan(table)
 }
 
 // buildCache maps hash-join plan nodes to build state prepared ahead of
@@ -102,18 +109,9 @@ func rootNeed(plan *Plan, opts ExecOptions) []int {
 		return []int{0}
 	}
 	if opts.SampleLimit > 0 {
-		return allCols(len(plan.Root.Cols))
+		return batch.AllCols(len(plan.Root.Cols))
 	}
 	return nil
-}
-
-// allCols is the complete column set [0, n).
-func allCols(n int) []int {
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	return all
 }
 
 // runColumnar drives the opened operator tree to exhaustion, accumulating
@@ -172,7 +170,7 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverri
 		}
 		node := &ExecNode{Op: pn.Op.String(), Table: pn.Table}
 		width := len(db.Schema.Table(pn.Table).Columns)
-		s := &colScanIter{table: pn.Table, src: src, proj: asProjector(src, width), cols: need, width: width, node: node, ctl: ctl}
+		s := &colScanIter{table: pn.Table, src: src, cols: need, node: node, ctl: ctl}
 		s.sp, s.rowBytes = ctl.annotate(node), 8*int64(len(need))
 		return s, width, need, node, nil
 
@@ -218,12 +216,15 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverri
 				return nil, 0, nil, nil, err
 			}
 			bstart := time.Now()
-			jb = newColJoinBuild(buildIt, bw, pn.RightKey, capRows, buildNeed, buildPop)
+			jb, err = newColJoinBuild(buildIt, bw, pn.RightKey, capRows, buildNeed, buildPop)
 			buildNS = time.Since(bstart).Nanoseconds()
 			if ctl.stopped() {
 				// The drain ended early because the context was done: the
 				// arena is incomplete and the execution is over.
 				return nil, 0, nil, nil, ctl.err
+			}
+			if err != nil {
+				return nil, 0, nil, nil, err
 			}
 		}
 		node := &ExecNode{Op: pn.Op.String(), JoinSQL: pn.JoinSQL, Children: []*ExecNode{probeNode, buildNode}}
@@ -336,14 +337,13 @@ func openPrunedFilter(db *Database, pn *PlanNode, pr *scanPrune, need []int, cap
 		node := &ExecNode{Op: pn.Op.String(), Table: pn.Pred.Table, PredSQL: pn.Pred.SQL(table), Children: []*ExecNode{childNode}}
 		return &colFilterIter{child: child, m: pn.Pred.Matcher(), node: node, sp: ctl.annotate(node)}, width, pop, node, nil
 	}
-	sub := rs.SectionSet(pr.ivs)
 	width := len(db.Schema.Table(scanPn.Table).Columns)
 	scanCols := need
 	if !pr.absorbed {
 		scanCols = pn.childNeeds(need)[0]
 	}
 	scanNode := &ExecNode{Op: OpScan.String(), Table: scanPn.Table, RowsPruned: pr.pruned, SummaryRowsSkipped: pr.skipped}
-	s := &colScanIter{table: scanPn.Table, src: sub, proj: asProjector(sub, width), cols: scanCols, width: width, node: scanNode, ctl: ctl}
+	s := &colScanIter{table: scanPn.Table, src: rs.SectionSet(pr.ivs), cols: scanCols, node: scanNode, ctl: ctl}
 	s.sp, s.rowBytes = ctl.annotate(scanNode), 8*int64(len(scanCols))
 	if pr.absorbed {
 		return s, width, scanCols, scanNode, nil
@@ -353,47 +353,6 @@ func openPrunedFilter(db *Database, pn *PlanNode, pr *scanPrune, need []int, cap
 	return &colFilterIter{child: s, m: pn.Pred.Matcher(), node: node, sp: ctl.annotate(node)}, width, scanCols, node, nil
 }
 
-// asProjector views a scan source as a column projector: batch-capable
-// columnar sources (the generator's Stream, stored-relation cursors) are
-// used directly; row-major sources (Paced wrappers, caller-supplied
-// datagen) are adapted by transposing whole row batches.
-func asProjector(src batch.Source, width int) batch.ColProjector {
-	if cp, ok := src.(batch.ColProjector); ok {
-		return cp
-	}
-	return &rowColAdapter{src: src, width: width}
-}
-
-// rowColAdapter adapts a row-major batch.Source to batch.ColProjector.
-// Projection cannot be pushed into an opaque source, so the full row batch
-// is produced and only the requested columns transposed out.
-type rowColAdapter struct {
-	src   batch.Source
-	width int
-	buf   *batch.Batch
-}
-
-func (a *rowColAdapter) NextColBatch(dst *batch.ColBatch, cols []int) bool {
-	dst.Reset()
-	if a.buf == nil || a.buf.Cap() != dst.Cap() {
-		a.buf = batch.New(a.width, dst.Cap())
-	}
-	if !a.src.NextBatch(a.buf) {
-		return false
-	}
-	n := a.buf.Len()
-	data := a.buf.Data()
-	w := a.buf.Cols()
-	dst.SetLen(n)
-	for _, c := range cols {
-		out := dst.Col(c)
-		for i, off := 0, c; i < n; i, off = i+1, off+w {
-			out[i] = data[off]
-		}
-	}
-	return true
-}
-
 // colScanIter passes projected source batches through, counting them. It
 // is the engine's per-batch cancellation point: every unbounded loop in
 // the tree — the filter's skip loop, sink and COUNT(*) drains, hash-join
@@ -401,10 +360,8 @@ func (a *rowColAdapter) NextColBatch(dst *batch.ColBatch, cols []int) bool {
 // single check here stops them all within one batch of the context ending.
 type colScanIter struct {
 	table    string
-	src      batch.Source
-	proj     batch.ColProjector
+	src      batch.ColProjector
 	cols     []int
-	width    int
 	node     *ExecNode
 	ctl      *execCtl
 	sp       *trace.Span // nil when untraced
@@ -428,7 +385,7 @@ func (s *colScanIter) next(dst *batch.ColBatch) bool {
 	if s.ctl.stopped() {
 		return false
 	}
-	if !s.proj.NextColBatch(dst, s.cols) {
+	if !s.src.NextColBatch(dst, s.cols) {
 		return false
 	}
 	s.node.OutRows += int64(dst.Len())
@@ -442,16 +399,22 @@ func (s *colScanIter) rewind(db *Database) error {
 		return nil
 	}
 	// Not seekable (paced or opaque source): a rewind is a fresh scan.
-	src, err := db.openBatchScan(s.table)
+	src, err := db.openScan(s.table)
 	if err != nil {
 		return err
 	}
 	s.src = src
-	s.proj = asProjector(src, s.width)
 	return nil
 }
 
-func (s *colScanIter) deferredErr() error { return nil }
+// deferredErr reports why the source stopped early, when it can say: a
+// short final batch and a failed scan look the same to Next.
+func (s *colScanIter) deferredErr() error {
+	if fs, ok := s.src.(failingSource); ok {
+		return fs.Err()
+	}
+	return nil
+}
 
 // colFilterIter refines each child batch's selection vector in place with
 // the compiled predicate's vector matcher. No row data moves; order is
@@ -514,8 +477,10 @@ type colJoinBuild struct {
 
 // newColJoinBuild drains the build-side iterator into the arenas + index:
 // only the need columns are retained (need must include the key column);
-// pop is the populated set of the build child's batches.
-func newColJoinBuild(build colIterator, width, rightKey, capRows int, need, pop []int) *colJoinBuild {
+// pop is the populated set of the build child's batches. The drain is a
+// complete execution of the build subtree, so its deferred error (a scan
+// source that stopped on bad input) is returned here.
+func newColJoinBuild(build colIterator, width, rightKey, capRows int, need, pop []int) (*colJoinBuild, error) {
 	jb := &colJoinBuild{width: width, arena: make([][]int64, width), idx: make(map[int64][]int32)}
 	b := batch.NewCol(width, capRows, pop)
 	var n int32
@@ -541,7 +506,7 @@ func newColJoinBuild(build colIterator, width, rightKey, capRows int, need, pop 
 		}
 	}
 	jb.rows = n
-	return jb
+	return jb, build.deferredErr()
 }
 
 // colHashJoinIter streams probe batches against a colJoinBuild. Until a
@@ -607,7 +572,8 @@ func (h *colHashJoinIter) rewind(db *Database) error {
 }
 
 // deferredErr surfaces probe-side deferred errors; the build side is fully
-// consumed at open time, so any failure there was already returned.
+// consumed at open time, so any failure there was already returned
+// (newColJoinBuild).
 func (h *colHashJoinIter) deferredErr() error { return h.probe.deferredErr() }
 
 func (h *colHashJoinIter) Next(dst *batch.ColBatch) bool {

@@ -64,7 +64,6 @@ type parallelPlan struct {
 
 	src      parallel.Source
 	scanNeed []int // projection pushed into each morsel's scan
-	scanCols int   // scan width
 	scanNode *ExecNode
 
 	filterPn   *PlanNode // nil when the scan is unfiltered
@@ -156,7 +155,7 @@ func openParallel(db *Database, plan *Plan, opts ExecOptions, builds buildCache,
 
 	// The leaf must expose a partitionable row space before any build-side
 	// work is worth doing.
-	src, err := db.openBatchScan(pn.Table)
+	src, err := db.openScan(pn.Table)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -234,7 +233,6 @@ func openParallel(db *Database, plan *Plan, opts ExecOptions, builds buildCache,
 	}
 	ctl.annotate(pp.scanNode)
 	width := len(db.Schema.Table(pn.Table).Columns)
-	pp.scanCols = width
 	cur := pp.scanNode
 	if fp := pp.filterPn; fp != nil {
 		table := db.Schema.Table(fp.Pred.Table)
@@ -262,10 +260,13 @@ func openParallel(db *Database, plan *Plan, opts ExecOptions, builds buildCache,
 				return nil, nil, err
 			}
 			bstart := time.Now()
-			jb = newColJoinBuild(buildIt, w, jpn.RightKey, opts.BatchSize, buildNeeds[i], buildPop)
+			jb, err = newColJoinBuild(buildIt, w, jpn.RightKey, opts.BatchSize, buildNeeds[i], buildPop)
 			buildNS = time.Since(bstart).Nanoseconds()
 			if ctl.stopped() {
 				return nil, nil, ctl.err
+			}
+			if err != nil {
+				return nil, nil, err
 			}
 			buildNode, bw = bn, w
 		}
@@ -415,7 +416,7 @@ func (pp *parallelPlan) run(ctx context.Context, res *ExecResult, opts ExecOptio
 		// is swapped per morsel, join iterators reset their probe cursors.
 		scanShadow := &ExecNode{}
 		st.shadow = append(st.shadow, scanShadow)
-		scanIt := &colScanIter{cols: pp.scanNeed, width: pp.scanCols, node: scanShadow, ctl: wctl}
+		scanIt := &colScanIter{cols: pp.scanNeed, node: scanShadow, ctl: wctl}
 		if wspans != nil {
 			scanIt.sp, scanIt.rowBytes = wspans[w][0], 8*int64(len(pp.scanNeed))
 		}
@@ -457,9 +458,7 @@ func (pp *parallelPlan) run(ctx context.Context, res *ExecResult, opts ExecOptio
 			if !ok {
 				return nil
 			}
-			sec := pp.src.Section(lo, hi)
-			scanIt.src = sec
-			scanIt.proj = asProjector(sec, pp.scanCols)
+			scanIt.src = pp.src.Section(lo, hi)
 			for _, ji := range joinIts {
 				ji.reset()
 			}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/sqlkit"
 )
 
@@ -156,11 +157,11 @@ func TestParallelStoredParity(t *testing.T) {
 func TestParallelFallback(t *testing.T) {
 	oversubscribe(t, 4)
 	db := bigStarDatabase(t, 200)
-	rows := db.Relation("fact").Rows
+	rows := rowsOf(db.Relation("fact"))
 	var opened int
-	db.SetDatagen("fact", func() (RowSource, error) {
+	db.SetDatagen("fact", func() (batch.ColProjector, error) {
 		opened++
-		return &sliceOpaque{rows: rows}, nil
+		return batch.FromRows(&sliceOpaque{rows: rows}), nil
 	})
 	for _, sql := range []string{
 		"SELECT COUNT(*) FROM fact WHERE q >= 3",
@@ -187,8 +188,8 @@ func TestParallelFallback(t *testing.T) {
 	}
 }
 
-// sliceOpaque is a row source that deliberately hides any batch or
-// partition capability.
+// sliceOpaque is a row-at-a-time producer: behind batch.FromRows it offers
+// the scan contract and none of the seek or partition capabilities.
 type sliceOpaque struct {
 	rows [][]int64
 	i    int

@@ -75,15 +75,16 @@ func (p *Prepared) prepareNode(pn *PlanNode, capRows int) error {
 		if err := p.prepareNode(build, capRows); err != nil {
 			return err
 		}
-		all := allCols(len(build.Cols))
+		all := batch.AllCols(len(build.Cols))
 		buildIt, bw, buildPop, buildNode, err := openCol(p.db, build, all, capRows, nil, p.builds, &execCtl{prunes: p.prunes})
 		if err != nil {
 			return err
 		}
-		p.builds[pn] = &preparedBuild{
-			jb:   newColJoinBuild(buildIt, bw, pn.RightKey, capRows, all, buildPop),
-			node: buildNode,
+		jb, err := newColJoinBuild(buildIt, bw, pn.RightKey, capRows, all, buildPop)
+		if err != nil {
+			return err
 		}
+		p.builds[pn] = &preparedBuild{jb: jb, node: buildNode}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/generator"
 )
 
@@ -102,7 +103,7 @@ func TestExecuteInFailedOpenInvalidatesState(t *testing.T) {
 	rel, tab := db.Summary("m"), db.Schema.Table("m")
 	failing := false
 	errDatagen := errors.New("datagen unavailable")
-	db.SetDatagen("m", func() (RowSource, error) {
+	db.SetDatagen("m", func() (batch.ColProjector, error) {
 		if failing {
 			return nil, errDatagen
 		}

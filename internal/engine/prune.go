@@ -37,7 +37,7 @@ import (
 // (SectionSet); sources that don't — paced streams, caller-supplied
 // datagen — simply scan unpruned.
 type rowSpaceSource interface {
-	SectionSet(ivs []value.Interval) batch.Source
+	SectionSet(ivs []value.Interval) batch.ColProjector
 }
 
 // scanPrune is the precomputed qualifying row-space for one OpFilter node

@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/generator"
 	"repro/internal/schema"
 	"repro/internal/sqlkit"
@@ -75,7 +76,7 @@ func saggDBRows(t *testing.T, rows []synopsis.Row) *Database {
 func saggRegister(s *schema.Schema, rel *synopsis.Relation) *Database {
 	db := NewDatabase(s)
 	tab := s.Table("m")
-	db.SetDatagen("m", func() (RowSource, error) {
+	db.SetDatagen("m", func() (batch.ColProjector, error) {
 		return generator.NewStream(tab, rel), nil
 	})
 	db.SetSummary("m", rel)
@@ -272,12 +273,12 @@ func TestSummaryAggHardSpecs(t *testing.T) {
 
 		db := saggRegister(s, rel)
 		stored := &Relation{Table: tab}
-		for src := generator.NewStream(tab, rel); ; {
-			tup, ok := src.Next()
-			if !ok {
-				break
+		w := len(tab.Columns)
+		src := batch.NewRowReader(generator.NewStream(tab, rel), batch.NewCol(w, 0, batch.AllCols(w)))
+		for tup, ok := src.Next(); ok; tup, ok = src.Next() {
+			if err := stored.Append(tup); err != nil {
+				t.Fatal(err)
 			}
-			stored.Rows = append(stored.Rows, append([]int64(nil), tup...))
 		}
 		mat := NewDatabase(s)
 		if err := mat.AddRelation(stored); err != nil {

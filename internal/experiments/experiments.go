@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/aqp"
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/generator"
@@ -226,7 +227,15 @@ func E6Velocity(w io.Writer, cfg Config, rates []float64, rows int64) error {
 				n = budget
 			}
 		}
-		src := generator.NewPaced(generator.NewStream(t, sum.Relations[table]), rate)
+		// The row reader over a paced source: a 1-row batch makes the
+		// schedule row-granular; unpaced, the default batch is read-ahead.
+		capRows := 0
+		if rate > 0 {
+			capRows = 1
+		}
+		src := batch.NewRowReader(
+			generator.NewPaced(generator.NewStream(t, sum.Relations[table]), rate),
+			batch.NewCol(len(t.Columns), capRows, batch.AllCols(len(t.Columns))))
 		start := time.Now()
 		var got int64
 		for got < n {
@@ -264,7 +273,7 @@ func E7Datagen(w io.Writer, cfg Config) error {
 	for _, t := range sum.Schema.Tables {
 		stored := 0
 		if rel := regen.Relation(t.Name); rel != nil {
-			stored = len(rel.Rows)
+			stored = rel.Len()
 		}
 		fmt.Fprintf(w, "table %-12s stored_rows=%d datagen=%v\n", t.Name, stored, regen.DatagenEnabled(t.Name))
 	}
@@ -273,7 +282,8 @@ func E7Datagen(w io.Writer, cfg Config) error {
 	// points where the value vector changes as primary keys advance).
 	fmt.Fprintln(w, "\nSample regenerated ITEM tuples (Table 1):")
 	itemT := sum.Schema.Table("item")
-	stream := generator.NewStream(itemT, sum.Relations["item"])
+	itemW := len(itemT.Columns)
+	stream := batch.NewRowReader(generator.NewStream(itemT, sum.Relations["item"]), batch.NewCol(itemW, 0, batch.AllCols(itemW)))
 	fmt.Fprintf(w, "%-10s %-14s %-12s %-12s\n", "item_sk", "i_manager_id", "i_class", "i_category")
 	shown := 0
 	idx := int64(0)

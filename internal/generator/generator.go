@@ -9,10 +9,10 @@
 // summary row's Count tuples column by column in unit-stride passes,
 // hoisting the Fixed/Set dispatch out of the row loop and replacing the
 // per-row modulo of the cycling sets with an incrementing interval cursor.
-// NextColBatch exposes the kernel directly (the engine scans through it);
-// NextBatch transposes tiles of it into row-major batches, and the
-// row-at-a-time Next is a thin view over an internal batch — so every
-// access style yields the same tuples by construction.
+// Every source here — Stream, its Section/Partition sub-streams, the
+// SectionSet pruned scan and the Paced limiter — is a batch.ColProjector
+// and nothing else: NextColBatch is the kernel under projection pushdown.
+// Consumers that want whole rows read any of them through batch.RowReader.
 package generator
 
 import (
@@ -27,10 +27,7 @@ import (
 
 // Stream yields the coded rows of one relation summary in primary-key
 // order: summary row j expands to its Count tuples, and tuple i (globally)
-// receives primary key i. Stream implements engine.RowSource and
-// batch.Source. Use one access style per stream — Next buffers rows
-// internally, so interleaving it with direct NextBatch calls would skip
-// the buffered tail.
+// receives primary key i. Stream implements batch.ColProjector.
 //
 // Because generation is a pure function of the summary, a stream's row
 // space is partitionable: SeekRow repositions to any global tuple index,
@@ -59,14 +56,9 @@ type Stream struct {
 	cumOnce sync.Once
 
 	// Row-major adapter state, built on first use: appendRows transposes
-	// full-width column tiles.
+	// full-width column tiles. Bench-only, like NextBatch.
 	tile    *batch.ColBatch
 	allCols []int
-
-	// Row-at-a-time adapter state: Next serves views into buf.
-	buf    *batch.Batch
-	flat   []int64 // buf's row-major data
-	cursor int     // offset of the next row within flat
 }
 
 // NewStream opens a generation stream over a relation synopsis.
@@ -146,9 +138,6 @@ func (s *Stream) seekTo(g int64) {
 		s.within = 0
 	}
 	s.pk = g
-	// Invalidate the row-at-a-time view: buffered rows predate the seek.
-	s.flat = nil
-	s.cursor = 0
 }
 
 // section returns an independent sub-stream over rows [lo, hi) of s's own
@@ -186,7 +175,7 @@ func (s *Stream) section(lo, hi int64) *Stream {
 // concatenation in range order reproduces the parent exactly. Together
 // with Total this implements the parallel.Source contract the engine's
 // morsel-driven executor schedules over.
-func (s *Stream) Section(lo, hi int64) batch.Source { return s.section(lo, hi) }
+func (s *Stream) Section(lo, hi int64) batch.ColProjector { return s.section(lo, hi) }
 
 // Partition splits the stream's own row range into n contiguous
 // sub-streams of near-equal size (n < 1 is treated as 1). When n exceeds
@@ -210,35 +199,20 @@ func (s *Stream) Partition(n int) []*Stream {
 // Cols returns the width of generated rows.
 func (s *Stream) Cols() int { return len(s.table.Columns) }
 
-// Next produces the next tuple. The returned slice is reused across calls;
-// callers that retain rows must copy them.
-//
-//hydra:hotpath
-func (s *Stream) Next() ([]int64, bool) {
-	if s.cursor >= len(s.flat) {
-		if s.buf == nil {
-			s.buf = batch.New(len(s.table.Columns), 0)
-		}
-		if !s.NextBatch(s.buf) {
-			return nil, false
-		}
-		s.flat = s.buf.Data()
-		s.cursor = 0
-	}
-	ncols := len(s.table.Columns)
-	row := s.flat[s.cursor : s.cursor+ncols : s.cursor+ncols]
-	s.cursor += ncols
-	return row, true
-}
-
 // tileRows is how many rows the row-major adapter draws from the kernel at
 // a time. A tile of 128 rows times a typical row width stays within the L1
 // cache, so the transpose reads and writes cache-resident lines.
 const tileRows = 128
 
-// NextBatch resets dst and fills it with up to dst.Cap() generated rows,
-// reporting whether any were produced. dst must have width Cols(). A
-// Section or Partition sub-stream stops at its range's upper bound.
+// NextBatch resets dst and fills it with up to dst.Cap() generated rows in
+// row-major form, reporting whether any were produced. dst must have width
+// Cols(). A Section or Partition sub-stream stops at its range's upper
+// bound.
+//
+// Pinned by the benchmark (bench/regen.go times it as
+// generator.batch_rows_per_s) and called by nothing else outside tests: it
+// is not part of the scan contract, and the next benchmark PR deletes it
+// with appendRows, tile, allCols and batch.Batch (see ROADMAP).
 //
 //hydra:hotpath
 func (s *Stream) NextBatch(dst *batch.Batch) bool {
@@ -250,8 +224,7 @@ func (s *Stream) NextBatch(dst *batch.Batch) bool {
 // appendRows is the row-major face of the kernel: it draws full-width
 // column tiles from fillColBatch and transposes each onto the end of dst,
 // until dst is full or the stream's range is exhausted. Row-major output
-// is therefore the columnar output pivoted, by construction; SectionSet
-// splices several range segments into one batch through this.
+// is therefore the columnar output pivoted, by construction.
 //
 //hydra:hotpath
 func (s *Stream) appendRows(dst *batch.Batch) {
@@ -379,20 +352,23 @@ func fillCycling(seg []int64, set value.IntervalSet, start int64) {
 	}
 }
 
-// Paced wraps a row source with a rate limiter, realizing the demo's
-// velocity slider. A rate of zero or less means unlimited.
+// Paced wraps a scan source with a rate limiter, realizing the demo's
+// velocity slider. A rate of zero or less means unlimited. Paced is a
+// batch.ColProjector and forwards the projection, so a paced scan expands
+// only the columns its query needs; it deliberately offers none of the
+// seek or section capabilities (a paced scan is sequential by definition).
 //
 // Pacing uses an absolute schedule: row i is due at start + i·interval, so
 // sleep overshoot (which on a typical kernel is tens of microseconds to a
 // millisecond per sleep) is automatically credited back — the achieved rate
 // converges to the requested one instead of drifting low. Batches are
-// credited wholesale: NextBatch waits until its first row is due, then
-// advances the schedule by the whole batch, so the achieved rate still
-// converges while the per-row syscall overhead disappears.
+// credited wholesale: NextColBatch waits until its first row is due, then
+// advances the schedule by the rows the batch holds, so the caller's batch
+// capacity is the pacing granule — a 1-row batch (batch.RowReader over one)
+// delivers rows on the schedule from the first row on, a full-size batch
+// pays one sleep per batch.
 type Paced struct {
-	src interface {
-		Next() ([]int64, bool)
-	}
+	src      batch.ColProjector
 	interval time.Duration // time budget per row
 	due      time.Time     // when the next row is due
 	started  bool
@@ -408,9 +384,7 @@ type Paced struct {
 const maxBurstBehind = 100 * time.Millisecond
 
 // NewPaced limits src to rowsPerSec rows per second.
-func NewPaced(src interface {
-	Next() ([]int64, bool)
-}, rowsPerSec float64) *Paced {
+func NewPaced(src batch.ColProjector, rowsPerSec float64) *Paced {
 	p := &Paced{src: src, now: time.Now, sleep: time.Sleep}
 	if rowsPerSec > 0 {
 		p.interval = time.Duration(float64(time.Second) / rowsPerSec)
@@ -418,47 +392,32 @@ func NewPaced(src interface {
 	return p
 }
 
-// Next returns the next row no sooner than the rate allows. Sleeps shorter
-// than a millisecond are skipped and repaid on later rows, so high target
-// rates stay accurate without a syscall per row.
-func (p *Paced) Next() ([]int64, bool) {
-	if p.interval <= 0 {
-		return p.src.Next()
-	}
-	p.pace(1)
-	return p.src.Next()
-}
-
-// NextBatch produces the next batch no sooner than the rate allows,
-// crediting exactly the rows the batch actually holds against the
+// NextColBatch produces the wrapped source's next batch no sooner than the
+// rate allows, crediting exactly the rows the batch holds against the
 // absolute schedule — a partial final batch advances the schedule by its
-// own length, not the batch capacity, so tiny trailing batches cannot
-// drift the achieved rate. When the wrapped source is not batch-capable
-// the batch is assembled row by row (unpaced) and then credited wholesale,
-// identical to the batch-capable path; in particular the Next call that
-// discovers exhaustion no longer charges a phantom row.
-func (p *Paced) NextBatch(dst *batch.Batch) bool {
-	if bs, ok := p.src.(batch.Source); ok {
-		if !bs.NextBatch(dst) {
-			return false
-		}
-	} else {
-		dst.Reset()
-		for !dst.Full() {
-			row, ok := p.src.Next()
-			if !ok {
-				break
-			}
-			copy(dst.Append(), row)
-		}
-		if dst.Len() == 0 {
-			return false
-		}
+// own length, not the batch capacity, and the call that discovers
+// exhaustion charges nothing. Sleeps shorter than a millisecond are skipped
+// and repaid on later batches, so high target rates stay accurate without a
+// syscall per batch.
+//
+//hydra:hotpath
+func (p *Paced) NextColBatch(dst *batch.ColBatch, cols []int) bool {
+	if !p.src.NextColBatch(dst, cols) {
+		return false
 	}
 	if p.interval > 0 {
 		p.pace(int64(dst.Len()))
 	}
 	return true
+}
+
+// Err forwards the wrapped source's scan error (batch.RowScan reports one),
+// so pacing an external producer does not hide why its scan stopped.
+func (p *Paced) Err() error {
+	if e, ok := p.src.(interface{ Err() error }); ok {
+		return e.Err()
+	}
+	return nil
 }
 
 // pace blocks until the next row is due, then advances the schedule by n

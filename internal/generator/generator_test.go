@@ -1,10 +1,12 @@
 package generator
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/schema"
 	"repro/internal/synopsis"
 	"repro/internal/value"
@@ -43,14 +45,7 @@ func TestStreamExpandsRows(t *testing.T) {
 	if s.Total() != 7 {
 		t.Fatalf("Total = %d", s.Total())
 	}
-	var got [][]int64
-	for {
-		row, ok := s.Next()
-		if !ok {
-			break
-		}
-		got = append(got, append([]int64(nil), row...))
-	}
+	got := readAll(s, s.Cols(), 0)
 	if len(got) != 7 {
 		t.Fatalf("produced %d rows", len(got))
 	}
@@ -76,8 +71,8 @@ func TestStreamExpandsRows(t *testing.T) {
 
 func TestStreamEmptySummary(t *testing.T) {
 	s := NewStream(genTable(), &synopsis.Relation{Table: "t"})
-	if _, ok := s.Next(); ok {
-		t.Error("empty summary produced a row")
+	if got := readAll(s, s.Cols(), 0); len(got) != 0 {
+		t.Errorf("empty summary produced %v", got)
 	}
 }
 
@@ -87,13 +82,7 @@ func TestPacedRate(t *testing.T) {
 	}}
 	p := NewPaced(NewStream(genTable(), rel), 1000) // 1000 rows/sec
 	start := time.Now()
-	n := 0
-	for {
-		if _, ok := p.Next(); !ok {
-			break
-		}
-		n++
-	}
+	n := len(readAll(p, 3, 1)) // a 1-row batch: row-granular pacing
 	elapsed := time.Since(start)
 	if n != 400 {
 		t.Fatalf("rows = %d", n)
@@ -106,15 +95,31 @@ func TestPacedRate(t *testing.T) {
 
 func TestPacedUnlimited(t *testing.T) {
 	p := NewPaced(NewStream(genTable(), genSummary()), 0)
-	n := 0
-	for {
-		if _, ok := p.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 7 {
+	if n := len(readAll(p, 3, 0)); n != 7 {
 		t.Errorf("rows = %d", n)
+	}
+}
+
+// shortRows is an outside row producer whose second row is too short.
+type shortRows struct{ i int }
+
+func (s *shortRows) Next() ([]int64, bool) {
+	s.i++
+	return [][]int64{{0, 1, 2}, {1, 1}, {2, 1, 2}}[s.i-1], true
+}
+
+// TestPacedForwardsScanError: pacing an external row producer must not
+// hide why its scan stopped — the engine asks the source it was handed.
+func TestPacedForwardsScanError(t *testing.T) {
+	p := NewPaced(batch.FromRows(&shortRows{}), 0)
+	if got := readAll(p, 3, 1); len(got) != 1 {
+		t.Fatalf("%d rows before the short one, want 1", len(got))
+	}
+	if err := p.Err(); !errors.Is(err, batch.ErrRowArity) {
+		t.Fatalf("Err = %v, want ErrRowArity", err)
+	}
+	if err := NewPaced(NewStream(genTable(), genSummary()), 0).Err(); err != nil {
+		t.Fatalf("a source that cannot fail reported %v", err)
 	}
 }
 

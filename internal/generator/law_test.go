@@ -12,7 +12,7 @@ import (
 // lawRows is the Tuple-Generator law written down, not a generator: tuple
 // g of the relation, at offset w of its summary row, holds g in the primary
 // key, Fixed or Set.At(w mod |Set|) where the row's first spec for the
-// column says so, and 0 elsewhere. Every access style is pinned to it.
+// column says so, and 0 elsewhere. Every source kind is pinned to it.
 func lawRows(tbl *schema.Table, rel *synopsis.Relation) [][]int64 {
 	var out [][]int64
 	for _, row := range rel.Rows {
@@ -34,9 +34,82 @@ func lawRows(tbl *schema.Table, rel *synopsis.Relation) [][]int64 {
 	return out
 }
 
+// readRows drains a scan source the one way rows are read: batch.RowReader
+// over a batch of the given capacity whose populated columns are the
+// projection. Unprojected columns read 0.
+func readRows(src batch.ColProjector, width, capRows int, cols []int) [][]int64 {
+	r := batch.NewRowReader(src, batch.NewCol(width, capRows, cols))
+	var out [][]int64
+	for row, ok := r.Next(); ok; row, ok = r.Next() {
+		out = append(out, append([]int64(nil), row...))
+	}
+	return out
+}
+
+// readAll is readRows with every column projected.
+func readAll(src batch.ColProjector, width, capRows int) [][]int64 {
+	return readRows(src, width, capRows, batch.AllCols(width))
+}
+
+// project is what readRows yields for rows under a projection: the columns
+// outside cols zeroed.
+func project(rows [][]int64, cols []int) [][]int64 {
+	out := make([][]int64, len(rows))
+	for i, row := range rows {
+		out[i] = make([]int64, len(row))
+		for _, c := range cols {
+			out[i][c] = row[c]
+		}
+	}
+	return out
+}
+
+// sameRows requires two row slices to be byte-identical.
+func sameRows(t *testing.T, label string, got, want [][]int64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s: row %d width %d, want %d", label, i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("%s: row %d = %v, want %v", label, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// edgeSummary stresses the batch boundaries: a multi-interval cycling set,
+// a Count far larger than small batch capacities (so one summary row spans
+// several batches), zero-count rows between populated ones, and a final
+// partial batch.
+func edgeSummary() *synopsis.Relation {
+	return &synopsis.Relation{
+		Table: "t",
+		Total: 17,
+		Rows: []synopsis.Row{
+			{Count: 0, Specs: []synopsis.ColSpec{synopsis.FixedSpec(1, 1)}},
+			{Count: 11, Specs: []synopsis.ColSpec{
+				synopsis.FixedSpec(1, 42),
+				synopsis.SetSpec(2, value.NewIntervalSet(value.Ival(2, 4), value.Point(7))),
+			}},
+			{Count: 0, Specs: []synopsis.ColSpec{synopsis.FixedSpec(1, 2)}},
+			{Count: 6, Specs: []synopsis.ColSpec{
+				synopsis.SetSpec(1, value.NewIntervalSet(value.Point(5))),
+				synopsis.SetSpec(2, value.NewIntervalSet(value.Ival(0, 10))),
+			}},
+			{Count: 0, Specs: []synopsis.ColSpec{synopsis.FixedSpec(1, 3)}},
+		},
+	}
+}
+
 // omitSummary's second row leaves column a unspecced: it must generate 0
 // there. With 4+4 rows, any batch capacity up to 4 makes the second row's
-// tuples land in slots the first row's a=7 tuples just occupied.
+// tuples land in slots the first row's a=7 tuples just occupied — the
+// stale-storage shape row-major generation once got wrong.
 func omitSummary() *synopsis.Relation {
 	return &synopsis.Relation{
 		Table: "t",
@@ -70,60 +143,95 @@ func unvalidatedSummary() *synopsis.Relation {
 	}
 }
 
-// TestUnspeccedColumnIsZero is the regression for the row-major path
-// leaking the previous batch's values into a column the summary row omits.
-func TestUnspeccedColumnIsZero(t *testing.T) {
+// lawSummaries is every summary shape the law tests run over: the
+// partition shapes (batch edges, a long cycling row, singleton rows,
+// empty), an all-zero-count relation, and the two the law has opinions on.
+func lawSummaries() map[string]*synopsis.Relation {
+	s := partitionSummaries()
+	s["zeroCount"] = &synopsis.Relation{Table: "t", Rows: []synopsis.Row{
+		{Count: 0, Specs: []synopsis.ColSpec{synopsis.FixedSpec(1, 1)}},
+	}}
+	s["omit"] = omitSummary()
+	s["unvalidated"] = unvalidatedSummary()
+	return s
+}
+
+// TestEverySourceKindObeysTheLaw pins every scan source the generator
+// offers — Stream, Section, Partition, SectionSet and its sections, and
+// Paced over each shape — read through the row reader, to lawRows: at
+// batch capacities that split summary rows and cycles, and under every
+// projection shape (whole rows, single columns, subsets, none).
+func TestEverySourceKindObeysTheLaw(t *testing.T) {
 	tbl := genTable()
-	for _, capRows := range []int{1, 2, 4} {
-		rows := collectBatches(NewStream(tbl, omitSummary()), capRows)
-		if len(rows) != 8 {
-			t.Fatalf("cap %d: %d rows, want 8", capRows, len(rows))
+	width := len(tbl.Columns)
+	projections := [][]int{{0, 1, 2}, {0}, {1}, {2}, {0, 2}, {1, 2}, nil}
+	for name, rel := range lawSummaries() {
+		law := lawRows(tbl, rel)
+		// Every other run of three positions, so SectionSet hops land
+		// mid-row and mid-cycle.
+		var ivs value.IntervalSet
+		var keptLaw [][]int64
+		for lo := int64(1); lo < rel.Total; lo += 6 {
+			hi := min(lo+3, rel.Total)
+			ivs = append(ivs, value.Ival(lo, hi))
+			keptLaw = append(keptLaw, law[lo:hi]...)
 		}
-		for g, row := range rows[4:] {
-			if row[1] != 0 {
-				t.Errorf("cap %d: tuple %d has a=%d in an unspecced column, want 0", capRows, 4+g, row[1])
+		for _, cols := range projections {
+			want, kept := project(law, cols), project(keptLaw, cols)
+			for _, capRows := range []int{1, 3, 128, 1024} {
+				read := func(src batch.ColProjector) [][]int64 { return readRows(src, width, capRows, cols) }
+				sameRows(t, name+" Stream", read(NewStream(tbl, rel)), want)
+				sameRows(t, name+" Paced", read(NewPaced(NewStream(tbl, rel), 0)), want)
+
+				lo, hi := rel.Total/3, rel.Total-rel.Total/4
+				sameRows(t, name+" Section", read(NewStream(tbl, rel).Section(lo, hi)), want[lo:hi])
+
+				var got [][]int64
+				for _, p := range NewStream(tbl, rel).Partition(5) {
+					got = append(got, read(p)...)
+				}
+				sameRows(t, name+" Partition", got, want)
+
+				ss := NewStream(tbl, rel).sectionSet(ivs)
+				sameRows(t, name+" SectionSet", read(ss), kept)
+				n := ss.Total()
+				got = append(read(ss.Section(0, n/2)), read(ss.Section(n/2, n))...)
+				sameRows(t, name+" SectionSet.Section", got, kept)
+				sameRows(t, name+" Paced SectionSet", read(NewPaced(ss.Section(0, n), 0)), kept)
 			}
 		}
 	}
 }
 
-// TestEveryAccessStyleObeysTheLaw pins each tuple of Next, NextBatch,
-// NextColBatch and SectionSet (both layouts) to lawRows, across capacities
-// that split summary rows, tiles and cycles.
-func TestEveryAccessStyleObeysTheLaw(t *testing.T) {
-	tbl := genTable()
-	all := []int{0, 1, 2}
-	summaries := partitionSummaries()
-	summaries["omit"] = omitSummary()
-	summaries["unvalidated"] = unvalidatedSummary()
-	for name, rel := range summaries {
-		want := lawRows(tbl, rel)
-		sameRows(t, name+" Next", collectRows(NewStream(tbl, rel)), want)
-		for _, capRows := range []int{1, 3, 4, tileRows, tileRows + 1, 1000} {
-			sameRows(t, name+" NextBatch", collectBatches(NewStream(tbl, rel), capRows), want)
-			sameRows(t, name+" NextColBatch", collectColBatches(NewStream(tbl, rel), capRows, all), want)
-
-			// Every other run of three positions, so hops land mid-row and mid-cycle.
-			var ivs value.IntervalSet
-			var kept [][]int64
-			for lo := int64(1); lo < rel.Total; lo += 6 {
-				hi := min(lo+3, rel.Total)
-				ivs = append(ivs, value.Ival(lo, hi))
-				kept = append(kept, want[lo:hi]...)
-			}
-			ss := NewStream(tbl, rel).sectionSet(ivs)
-			sameRows(t, name+" SectionSet.NextBatch", drainSource(ss, len(all), capRows), kept)
-			ss.SeekRow(0)
-			var got [][]int64
-			cb := batch.NewCol(len(all), capRows, all)
-			for ss.NextColBatch(cb, all) {
-				for i := 0; i < cb.Len(); i++ {
-					row := make([]int64, len(all))
-					cb.LiveRow(i, row)
-					got = append(got, row)
-				}
-			}
-			sameRows(t, name+" SectionSet.NextColBatch", got, kept)
+// collectBatches drains a stream via the row-major NextBatch.
+func collectBatches(s *Stream, capRows int) [][]int64 {
+	var out [][]int64
+	b := batch.New(s.Cols(), capRows)
+	for s.NextBatch(b) {
+		for i := 0; i < b.Len(); i++ {
+			out = append(out, append([]int64(nil), b.Row(i)...))
 		}
+	}
+	return out
+}
+
+// TestNextBatchIsTheKernelPivoted is the one test of the row-major path the
+// benchmark still times: NextBatch equals the law at capacities that split
+// summary rows, transpose tiles and cycles — including the omit summary at
+// capacities up to 4, the regression for row-major batches leaking the
+// previous batch's values into a column the summary row leaves unspecced —
+// and leaves an exhausted batch empty.
+func TestNextBatchIsTheKernelPivoted(t *testing.T) {
+	tbl := genTable()
+	for name, rel := range lawSummaries() {
+		want := lawRows(tbl, rel)
+		for _, capRows := range []int{0, 1, 2, 3, 4, 17, tileRows, tileRows + 1, 1000} {
+			sameRows(t, name+" NextBatch", collectBatches(NewStream(tbl, rel), capRows), want)
+		}
+	}
+	s := NewStream(tbl, &synopsis.Relation{Table: "t"})
+	b := batch.New(s.Cols(), 8)
+	if s.NextBatch(b) || b.Len() != 0 {
+		t.Fatalf("empty relation: NextBatch produced %d rows", b.Len())
 	}
 }

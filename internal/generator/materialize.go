@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/batch"
 	"repro/internal/schema"
 	"repro/internal/synopsis"
 )
@@ -21,11 +22,11 @@ func Materialize(w io.Writer, t *schema.Table, rel *synopsis.Relation) (int64, e
 	if err := cw.Write(header); err != nil {
 		return 0, err
 	}
-	stream := NewStream(t, rel)
+	rows := batch.NewRowReader(NewStream(t, rel), batch.NewCol(len(t.Columns), 0, batch.AllCols(len(t.Columns))))
 	record := make([]string, len(t.Columns))
 	var n int64
 	for {
-		row, ok := stream.Next()
+		row, ok := rows.Next()
 		if !ok {
 			break
 		}

@@ -10,24 +10,6 @@ import (
 	"repro/internal/value"
 )
 
-// sameRows requires two row slices to be byte-identical.
-func sameRows(t *testing.T, label string, got, want [][]int64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("%s: row %d width %d, want %d", label, i, len(got[i]), len(want[i]))
-		}
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("%s: row %d = %v, want %v", label, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // bigCyclingSummary exercises seeks landing mid-cycling-interval: one
 // summary row whose multi-interval cycling set length (6) does not divide
 // the row count, preceded and followed by other rows.
@@ -74,18 +56,6 @@ func partitionSummaries() map[string]*synopsis.Relation {
 	}
 }
 
-// drainSource collects every row a batch source produces.
-func drainSource(src batch.Source, cols, capRows int) [][]int64 {
-	var out [][]int64
-	b := batch.New(cols, capRows)
-	for src.NextBatch(b) {
-		for i := 0; i < b.Len(); i++ {
-			out = append(out, append([]int64(nil), b.Row(i)...))
-		}
-	}
-	return out
-}
-
 // TestPartitionConcatenationParity is the core partitioning contract: for
 // every summary shape and partition count — including counts far larger
 // than Total — concatenating the partitions' outputs is byte-identical to
@@ -93,7 +63,7 @@ func drainSource(src batch.Source, cols, capRows int) [][]int64 {
 func TestPartitionConcatenationParity(t *testing.T) {
 	tbl := genTable()
 	for name, rel := range partitionSummaries() {
-		want := collectRows(NewStream(tbl, rel))
+		want := lawRows(tbl, rel)
 		for _, n := range []int{1, 2, 3, 5, 7, 16, 100, 2000} {
 			parts := NewStream(tbl, rel).Partition(n)
 			if len(parts) != n {
@@ -103,7 +73,7 @@ func TestPartitionConcatenationParity(t *testing.T) {
 			var sumTotals int64
 			for _, p := range parts {
 				sumTotals += p.Total()
-				got = append(got, drainSource(p, p.Cols(), 3)...)
+				got = append(got, readAll(p, p.Cols(), 3)...)
 			}
 			if sumTotals != rel.Total {
 				t.Fatalf("%s n=%d: partition totals sum to %d, want %d", name, n, sumTotals, rel.Total)
@@ -117,7 +87,7 @@ func TestPartitionConcatenationParity(t *testing.T) {
 func TestSectionParity(t *testing.T) {
 	tbl := genTable()
 	for name, rel := range partitionSummaries() {
-		want := collectRows(NewStream(tbl, rel))
+		want := lawRows(tbl, rel)
 		parent := NewStream(tbl, rel)
 		bounds := []struct{ lo, hi int64 }{
 			{0, rel.Total},                   // full range
@@ -143,7 +113,7 @@ func TestSectionParity(t *testing.T) {
 			if ch < cl {
 				ch = cl
 			}
-			got := drainSource(parent.Section(lo, hi), len(tbl.Columns), 4)
+			got := readAll(parent.Section(lo, hi), len(tbl.Columns), 4)
 			sameRows(t, name, got, want[cl:ch])
 		}
 	}
@@ -151,12 +121,11 @@ func TestSectionParity(t *testing.T) {
 
 // TestSeekRowMatchesSequential seeks to every position of every summary —
 // in particular positions landing mid-cycling-interval — and requires the
-// remainder of the stream to equal the sequential tail, through both the
-// batch and the row-at-a-time access paths.
+// remainder of the stream to equal the sequential tail.
 func TestSeekRowMatchesSequential(t *testing.T) {
 	tbl := genTable()
 	for name, rel := range partitionSummaries() {
-		want := collectRows(NewStream(tbl, rel))
+		want := lawRows(tbl, rel)
 		step := int64(1)
 		if rel.Total > 64 {
 			step = 13 // sample positions, keeping mid-interval phases
@@ -164,93 +133,115 @@ func TestSeekRowMatchesSequential(t *testing.T) {
 		for i := int64(0); i <= rel.Total; i += step {
 			s := NewStream(tbl, rel)
 			s.SeekRow(i)
-			got := drainSource(s, s.Cols(), 5)
-			sameRows(t, name, got, want[i:])
-
-			s = NewStream(tbl, rel)
-			s.SeekRow(i)
-			sameRows(t, name+" [row path]", collectRows(s), want[i:])
+			sameRows(t, name, readAll(s, s.Cols(), 5), want[i:])
 		}
 	}
 }
 
 // TestSeekRowAfterConsumption re-seeks a partially consumed stream,
-// including backwards, and checks the row-at-a-time buffer is invalidated.
+// including backwards and past both ends.
 func TestSeekRowAfterConsumption(t *testing.T) {
 	tbl := genTable()
 	rel := bigCyclingSummary()
-	want := collectRows(NewStream(tbl, rel))
+	want := lawRows(tbl, rel)
 	s := NewStream(tbl, rel)
-	for i := 0; i < 100; i++ {
-		s.Next()
+	all := batch.AllCols(s.Cols())
+	if b := batch.NewCol(s.Cols(), 100, all); !s.NextColBatch(b, all) || b.Len() != 100 {
+		t.Fatalf("consumed %d rows, want 100", b.Len())
 	}
 	s.SeekRow(17)
-	sameRows(t, "backward seek", collectRows(s), want[17:])
+	sameRows(t, "backward seek", readAll(s, s.Cols(), 7), want[17:])
 	s.SeekRow(rel.Total + 99) // clamped to the end: exhausted
-	if row, ok := s.Next(); ok {
-		t.Fatalf("seek past end still produced %v", row)
+	if got := readAll(s, s.Cols(), 7); len(got) != 0 {
+		t.Fatalf("seek past end still produced %v", got)
 	}
 	s.SeekRow(-3) // clamped to the start
-	sameRows(t, "seek clamped to start", collectRows(s), want)
+	sameRows(t, "seek clamped to start", readAll(s, s.Cols(), 7), want)
+}
+
+// pacedClock builds a 10-row stream paced at one row per second on an
+// injected clock that records every sleep.
+func pacedClock() (p *Paced, t0 time.Time, slept *[]time.Duration) {
+	rel := &synopsis.Relation{Table: "t", Total: 10, Rows: []synopsis.Row{
+		{Count: 10, Specs: []synopsis.ColSpec{
+			synopsis.FixedSpec(1, 1),
+			synopsis.SetSpec(2, value.NewIntervalSet(value.Ival(0, 3))),
+		}},
+	}}
+	p = NewPaced(NewStream(genTable(), rel), 1)
+	t0 = time.Unix(1000, 0)
+	clock := t0
+	slept = new([]time.Duration)
+	p.now = func() time.Time { return clock }
+	p.sleep = func(d time.Duration) { *slept = append(*slept, d); clock = clock.Add(d) }
+	return p, t0, slept
+}
+
+func sameSleeps(t *testing.T, got, want []time.Duration) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("sleeps %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sleep %d = %v, want %v", i, got[i], want[i])
+		}
+	}
 }
 
 // TestPacedBatchScheduleExact pins the absolute pacing schedule with a
 // fake clock: batches of 4, 4, and 2 rows at one second per row must
 // advance the schedule by exactly 10 seconds — partial final batches are
-// credited by the rows they actually hold, and source exhaustion charges
-// nothing.
+// credited by the rows they actually hold, the call that discovers
+// exhaustion charges no phantom row, and the projection is forwarded
+// (only the projected column is populated at all).
 func TestPacedBatchScheduleExact(t *testing.T) {
-	run := func(name string, wrap func(*Stream) interface {
-		Next() ([]int64, bool)
-	}) {
-		rel := &synopsis.Relation{Table: "t", Total: 10, Rows: []synopsis.Row{
-			{Count: 10, Specs: []synopsis.ColSpec{
-				synopsis.FixedSpec(1, 1),
-				synopsis.SetSpec(2, value.NewIntervalSet(value.Ival(0, 3))),
-			}},
-		}}
-		p := NewPaced(wrap(NewStream(genTable(), rel)), 1) // 1 row/sec
-		t0 := time.Unix(1000, 0)
-		clock := t0
-		var slept []time.Duration
-		p.now = func() time.Time { return clock }
-		p.sleep = func(d time.Duration) { slept = append(slept, d); clock = clock.Add(d) }
-
-		b := batch.New(3, 4)
-		var lens []int
-		for p.NextBatch(b) {
-			lens = append(lens, b.Len())
-		}
-		if len(lens) != 3 || lens[0] != 4 || lens[1] != 4 || lens[2] != 2 {
-			t.Fatalf("%s: batch lengths %v, want [4 4 2]", name, lens)
-		}
-		// Absolute schedule: batch 1 starts the clock (no sleep), batch 2 is
-		// due when batch 1's 4 rows elapse, batch 3 when batch 2's do.
-		wantSlept := []time.Duration{4 * time.Second, 4 * time.Second}
-		if len(slept) != len(wantSlept) {
-			t.Fatalf("%s: sleeps %v, want %v", name, slept, wantSlept)
-		}
-		for i := range wantSlept {
-			if slept[i] != wantSlept[i] {
-				t.Fatalf("%s: sleep %d = %v, want %v", name, i, slept[i], wantSlept[i])
-			}
-		}
-		// The final partial batch credits exactly its 2 rows: the schedule
-		// ends at t0 + 10s, not t0 + 12s, and exhaustion added nothing.
-		if want := t0.Add(10 * time.Second); !p.due.Equal(want) {
-			t.Fatalf("%s: schedule ends at %v, want %v", name, p.due, want)
-		}
+	p, t0, slept := pacedClock()
+	cols := []int{2}
+	b := batch.NewCol(3, 4, cols)
+	var lens []int
+	for p.NextColBatch(b, cols) {
+		lens = append(lens, b.Len())
 	}
-	run("batch source", func(s *Stream) interface {
-		Next() ([]int64, bool)
-	} {
-		return s
-	})
-	run("row fallback", func(s *Stream) interface {
-		Next() ([]int64, bool)
-	} {
-		return rowOnly{s}
-	})
+	if len(lens) != 3 || lens[0] != 4 || lens[1] != 4 || lens[2] != 2 {
+		t.Fatalf("batch lengths %v, want [4 4 2]", lens)
+	}
+	// Absolute schedule: batch 1 starts the clock (no sleep), batch 2 is
+	// due when batch 1's 4 rows elapse, batch 3 when batch 2's do.
+	sameSleeps(t, *slept, []time.Duration{4 * time.Second, 4 * time.Second})
+	// The final partial batch credits exactly its 2 rows: the schedule
+	// ends at t0 + 10s, not t0 + 12s, and exhaustion added nothing.
+	if want := t0.Add(10 * time.Second); !p.due.Equal(want) {
+		t.Fatalf("schedule ends at %v, want %v", p.due, want)
+	}
+}
+
+// TestPacedRowGranularSchedule pins the velocity contract of `hydra
+// generate -rate`, the velocity and whatif examples and E6: the row reader
+// over a 1-row batch on a Paced source delivers row i at start + i·interval
+// — the first row at once, not after a default-capacity batch's worth of
+// schedule — and exhaustion charges nothing.
+func TestPacedRowGranularSchedule(t *testing.T) {
+	p, t0, slept := pacedClock()
+	rows := batch.NewRowReader(p, batch.NewCol(3, 1, batch.AllCols(3)))
+	if _, ok := rows.Next(); !ok || len(*slept) != 0 {
+		t.Fatalf("first row: ok=%v after sleeps %v, want it at once", ok, *slept)
+	}
+	n := 1
+	for _, ok := rows.Next(); ok; _, ok = rows.Next() {
+		n++
+	}
+	if n != 10 {
+		t.Fatalf("%d rows, want 10", n)
+	}
+	want := make([]time.Duration, 9)
+	for i := range want {
+		want[i] = time.Second
+	}
+	sameSleeps(t, *slept, want)
+	if end := t0.Add(10 * time.Second); !p.due.Equal(end) {
+		t.Fatalf("schedule ends at %v, want %v", p.due, end)
+	}
 }
 
 // TestConcurrentSections drives Section from many goroutines against one
@@ -260,7 +251,7 @@ func TestPacedBatchScheduleExact(t *testing.T) {
 func TestConcurrentSections(t *testing.T) {
 	tbl := genTable()
 	rel := bigCyclingSummary()
-	want := collectRows(NewStream(tbl, rel))
+	want := lawRows(tbl, rel)
 	parent := NewStream(tbl, rel)
 	const workers = 8
 	var wg sync.WaitGroup
@@ -275,7 +266,7 @@ func TestConcurrentSections(t *testing.T) {
 				if hi > rel.Total {
 					hi = rel.Total
 				}
-				got := drainSource(parent.Section(lo, hi), len(tbl.Columns), 4)
+				got := readAll(parent.Section(lo, hi), len(tbl.Columns), 4)
 				if int64(len(got)) != hi-lo {
 					errs <- "wrong section length"
 					return
@@ -305,7 +296,7 @@ func TestConcurrentSections(t *testing.T) {
 func TestNestedSections(t *testing.T) {
 	tbl := genTable()
 	rel := bigCyclingSummary()
-	want := collectRows(NewStream(tbl, rel))
+	want := lawRows(tbl, rel)
 	parts := NewStream(tbl, rel).Partition(4)
 	quarter := rel.Total / 4
 	for k, p := range parts {
@@ -314,14 +305,14 @@ func TestNestedSections(t *testing.T) {
 		// Repartitioning a partition must re-cover exactly its range.
 		var got [][]int64
 		for _, sub := range p.Partition(3) {
-			got = append(got, drainSource(sub, sub.Cols(), 4)...)
+			got = append(got, readAll(sub, sub.Cols(), 4)...)
 		}
 		sameRows(t, "nested partition", got, want[lo:hi])
 		// Section bounds are relative to the partition.
-		mid := drainSource(p.Section(1, quarter-1), p.Cols(), 4)
+		mid := readAll(p.Section(1, quarter-1), p.Cols(), 4)
 		sameRows(t, "nested section", mid, want[lo+1:lo+quarter-1])
 		// SeekRow is relative too: row 2 of the partition, then drain.
 		p.SeekRow(2)
-		sameRows(t, "relative seek", drainSource(p, p.Cols(), 4), want[lo+2:hi])
+		sameRows(t, "relative seek", readAll(p, p.Cols(), 4), want[lo+2:hi])
 	}
 }

@@ -36,9 +36,9 @@ type SectionSet struct {
 // [0, Total)). The receiver's own cursor is untouched; like Section, the
 // result is an independent source sharing the immutable summary and
 // cumulative-count index. The returned source also implements
-// batch.ColProjector and parallel.Source (Total/Section), and SeekRow for
-// rewinds, so the engine's scan can drop it in wherever a Stream goes.
-func (s *Stream) SectionSet(ivs []value.Interval) batch.Source { return s.sectionSet(ivs) }
+// parallel.Source (Total/Section) and SeekRow for rewinds, so the engine's
+// scan can drop it in wherever a Stream goes.
+func (s *Stream) SectionSet(ivs []value.Interval) batch.ColProjector { return s.sectionSet(ivs) }
 
 func (s *Stream) sectionSet(ivs []value.Interval) *SectionSet {
 	cum := s.cumCounts()
@@ -58,9 +58,6 @@ func (s *Stream) sectionSet(ivs []value.Interval) *SectionSet {
 
 // Total returns the number of qualifying tuples in this source's window.
 func (ss *SectionSet) Total() int64 { return ss.end - ss.base }
-
-// Cols returns the width of generated rows.
-func (ss *SectionSet) Cols() int { return len(ss.gen.table.Columns) }
 
 // SeekRow repositions so the next tuple produced is qualifying row i of
 // this source's own window (clamped to [0, Total()]), mirroring
@@ -123,28 +120,11 @@ func (ss *SectionSet) nextSegment() {
 	ss.seg = k
 }
 
-// NextBatch fills dst with up to dst.Cap() qualifying rows, splicing
-// segments so batches stay full until the window is exhausted. The
-// concatenation of the outputs equals the unpruned stream filtered to the
-// qualifying positions, byte for byte.
-//
-//hydra:hotpath
-func (ss *SectionSet) NextBatch(dst *batch.Batch) bool {
-	dst.Reset()
-	for !dst.Full() && ss.pos < ss.end {
-		if ss.gen.pk >= ss.gen.end {
-			ss.nextSegment()
-			continue
-		}
-		before := ss.gen.pk
-		ss.gen.appendRows(dst)
-		ss.pos += ss.gen.pk - before
-	}
-	return dst.Len() > 0
-}
-
-// NextColBatch is NextBatch in column-major form with projection pushdown;
-// SectionSet implements batch.ColProjector exactly as Stream does.
+// NextColBatch fills dst's projected columns with up to dst.Cap()
+// qualifying rows, splicing segments so batches stay full until the window
+// is exhausted. The concatenation of the outputs equals the unpruned stream
+// filtered to the qualifying positions, byte for byte. SectionSet
+// implements batch.ColProjector exactly as Stream does.
 //
 //hydra:hotpath
 func (ss *SectionSet) NextColBatch(dst *batch.ColBatch, cols []int) bool {
@@ -165,7 +145,7 @@ func (ss *SectionSet) NextColBatch(dst *batch.ColBatch, cols []int) bool {
 // this source's own window (pruned coordinates, bounds clamped). Together
 // with Total this implements parallel.Source, so morsels partition the
 // pruned row space directly.
-func (ss *SectionSet) Section(lo, hi int64) batch.Source {
+func (ss *SectionSet) Section(lo, hi int64) batch.ColProjector {
 	n := ss.end - ss.base
 	if lo < 0 {
 		lo = 0

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/schema"
 	"repro/internal/synopsis"
 	"repro/internal/value"
@@ -45,27 +44,12 @@ func ssTable() (*schema.Table, *synopsis.Relation) {
 	return t, rel
 }
 
-// collect drains a batch source into row-major rows.
-func collect(t *testing.T, src batch.Source, width int) [][]int64 {
-	t.Helper()
-	b := batch.New(width, 32)
-	var out [][]int64
-	for src.NextBatch(b) {
-		data := b.Data()
-		for i := 0; i+width <= len(data); i += width {
-			out = append(out, append([]int64(nil), data[i:i+width]...))
-		}
-	}
-	return out
-}
-
-// reference generates the full stream and keeps rows whose global index
-// falls in ivs — the generate-then-filter semantics SectionSet must match.
+// reference is the law filtered to the rows whose global index falls in
+// ivs — the generate-then-filter semantics SectionSet must match.
 func reference(t *testing.T, tab *schema.Table, rel *synopsis.Relation, ivs value.IntervalSet) [][]int64 {
 	t.Helper()
-	full := collect(t, NewStream(tab, rel), len(tab.Columns))
 	var out [][]int64
-	for g, row := range full {
+	for g, row := range lawRows(tab, rel) {
 		if ivs.Contains(int64(g)) {
 			out = append(out, row)
 		}
@@ -94,29 +78,13 @@ func TestSectionSetByteIdentical(t *testing.T) {
 			if got, wantN := ss.Total(), int64(len(want)); got != wantN {
 				t.Fatalf("Total() = %d, want %d", got, wantN)
 			}
-			got := collect(t, ss, len(tab.Columns))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("rows = %v, want %v", got, want)
-			}
+			sameRows(t, "whole rows", readAll(ss, len(tab.Columns), 32), want)
 
-			// Column-major with projection must agree column by column.
-			ss2 := NewStream(tab, rel).sectionSet(tc.ivs)
+			// Under a projection the projected columns agree and the
+			// others are never touched.
 			cols := []int{0, 2}
-			cb := batch.NewCol(len(tab.Columns), 16, cols)
-			var ci int
-			for ss2.NextColBatch(cb, cols) {
-				for i := 0; i < cb.Len(); i++ {
-					for _, c := range cols {
-						if got, want := cb.Col(c)[i], want[ci][c]; got != want {
-							t.Fatalf("col batch row %d col %d = %d, want %d", ci, c, got, want)
-						}
-					}
-					ci++
-				}
-			}
-			if ci != len(want) {
-				t.Fatalf("col batches yielded %d rows, want %d", ci, len(want))
-			}
+			ss2 := NewStream(tab, rel).sectionSet(tc.ivs)
+			sameRows(t, "projected", readRows(ss2, len(tab.Columns), 16, cols), project(want, cols))
 		})
 	}
 }
@@ -130,7 +98,7 @@ func TestSectionSetSeekAndSection(t *testing.T) {
 	for _, at := range []int64{0, 1, 6, 7, 20, int64(len(want)) - 1, int64(len(want))} {
 		ss := NewStream(tab, rel).sectionSet(ivs)
 		ss.SeekRow(at)
-		got := collect(t, ss, len(tab.Columns))
+		got := readAll(ss, len(tab.Columns), 32)
 		if wantTail := want[at:]; !reflect.DeepEqual(got, append([][]int64(nil), wantTail...)) {
 			if !(len(got) == 0 && len(wantTail) == 0) {
 				t.Fatalf("SeekRow(%d): got %d rows, want %d", at, len(got), len(wantTail))
@@ -147,7 +115,7 @@ func TestSectionSetSeekAndSection(t *testing.T) {
 		for k := int64(0); k < n; k++ {
 			lo := total * k / n
 			hi := total * (k + 1) / n
-			got = append(got, collect(t, ss.Section(lo, hi), len(tab.Columns))...)
+			got = append(got, readAll(ss.Section(lo, hi), len(tab.Columns), 32)...)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d-way section concat: got %d rows, want %d", n, len(got), len(want))
@@ -156,7 +124,7 @@ func TestSectionSetSeekAndSection(t *testing.T) {
 
 	// Sections nest: a section of a section addresses the inner window.
 	mid := ss.Section(3, total-2).(*SectionSet)
-	inner := collect(t, mid.Section(1, 4), len(tab.Columns))
+	inner := readAll(mid.Section(1, 4), len(tab.Columns), 32)
 	if !reflect.DeepEqual(inner, append([][]int64(nil), want[4:7]...)) {
 		t.Fatalf("nested section: got %v, want %v", inner, want[4:7])
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // refMatchVec is the executable specification MatchVec is held to: apply
-// the per-row Match to every candidate.
-func refMatchVec(m *Matcher, cols [][]int64, n int, sel []int32, width int) []int32 {
+// the definitional per-row Region.Match to every candidate.
+func refMatchVec(m *Region, cols [][]int64, n int, sel []int32, width int) []int32 {
 	row := make([]int64, width)
 	gather := func(r int32) []int64 {
 		for c := range row {
@@ -48,7 +48,7 @@ func sameSel(t *testing.T, label string, got, want []int32) {
 	}
 }
 
-// TestMatchVecRandomized pins MatchVec to per-row Match over randomized
+// TestMatchVecRandomized pins MatchVec to Region.Match over randomized
 // regions: 1-3 constrained columns, single-interval and multi-interval
 // sets, dense inputs and random selections.
 func TestMatchVecRandomized(t *testing.T) {
@@ -88,7 +88,7 @@ func TestMatchVecRandomized(t *testing.T) {
 			}
 		}
 		got := m.MatchVec(cols, n, sel, make([]int32, 0, n))
-		want := refMatchVec(m, cols, n, sel, width)
+		want := refMatchVec(r, cols, n, sel, width)
 		sameSel(t, "randomized", got, want)
 	}
 }

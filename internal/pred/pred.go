@@ -228,7 +228,8 @@ func compareString(c *schema.Column, op sqlkit.CompareOp, val value.Value, dom v
 }
 
 // Match reports whether a coded row of the region's table satisfies the
-// region.
+// region. It is the definition MatchVec is tested against, not an
+// execution path.
 func (r *Region) Match(row []int64) bool {
 	for i, col := range r.Cols {
 		if !r.Sets[i].Contains(row[col]) {
@@ -238,10 +239,11 @@ func (r *Region) Match(row []int64) bool {
 	return true
 }
 
-// Matcher is a compiled form of a Region for hot row-matching loops:
-// single-interval column sets (the overwhelmingly common case for range
-// predicates) are reduced to two integer compares, and only multi-interval
-// sets fall back to the binary search of IntervalSet.Contains.
+// Matcher is a compiled form of a Region for the vectorized filter
+// (MatchVec): single-interval column sets (the overwhelmingly common case
+// for range predicates) are reduced to two integer compares, and only
+// multi-interval sets fall back to the binary search of
+// IntervalSet.Contains.
 type Matcher struct {
 	cols []matcherCol
 }
@@ -271,41 +273,7 @@ func (r *Region) Matcher() *Matcher {
 	return m
 }
 
-// Single reports whether the matcher is one contiguous range on one
-// column — the overwhelmingly common shape for the SPJ workloads Hydra
-// handles — returning the column and its half-open [lo, hi) bounds so hot
-// loops can inline the two compares.
-func (m *Matcher) Single() (col int, lo, hi int64, ok bool) {
-	if len(m.cols) != 1 || m.cols[0].set != nil {
-		return 0, 0, 0, false
-	}
-	mc := &m.cols[0]
-	return mc.col, mc.lo, mc.hi, true
-}
-
-// ColRange is one contiguous per-column constraint: row[Col] ∈ [Lo, Hi).
-type ColRange struct {
-	Col    int
-	Lo, Hi int64
-}
-
-// AllRanges returns the matcher as a list of contiguous per-column ranges
-// when every constrained column is a single interval, or nil when any
-// column needs a multi-interval set. Hot loops iterate the returned slice
-// with inline compares instead of calling Match per row.
-func (m *Matcher) AllRanges() []ColRange {
-	out := make([]ColRange, len(m.cols))
-	for i := range m.cols {
-		mc := &m.cols[i]
-		if mc.set != nil {
-			return nil
-		}
-		out[i] = ColRange{Col: mc.col, Lo: mc.lo, Hi: mc.hi}
-	}
-	return out
-}
-
-// MatchVec is the vector-at-a-time form of Match: it appends to dst the
+// MatchVec is the vector-at-a-time form of Region.Match: it appends to dst the
 // candidate rows whose column values satisfy every constraint, reading
 // column c's vector from cols[c]. Candidates are the entries of sel or,
 // when sel is nil, rows 0..n-1. dst must have length 0 and enough capacity
@@ -382,26 +350,6 @@ func (m *Matcher) MatchVec(cols [][]int64, n int, sel []int32, dst []int32) []in
 		dst = dst[:k]
 	}
 	return dst
-}
-
-// Match reports whether the coded row satisfies the compiled region.
-//
-//hydra:hotpath
-func (m *Matcher) Match(row []int64) bool {
-	for i := range m.cols {
-		mc := &m.cols[i]
-		if mc.set == nil {
-			v := row[mc.col]
-			if v < mc.lo || v >= mc.hi {
-				return false
-			}
-			continue
-		}
-		if !mc.set.Contains(row[mc.col]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Empty reports whether the region selects no rows (some column set empty).

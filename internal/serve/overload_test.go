@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/engine"
 )
 
 // slowR is a datagen source for the toy schema's r table (r_pk, s_fk,
@@ -28,26 +27,24 @@ type slowR struct {
 	pos     int64
 }
 
-func (g *slowR) Next() ([]int64, bool) {
-	if g.pos >= g.total {
-		return nil, false
-	}
-	row := []int64{g.pos, g.pos % 7, g.pos % 5}
-	g.pos++
-	return row, true
-}
-
-func (g *slowR) NextBatch(dst *batch.Batch) bool {
+func (g *slowR) NextColBatch(dst *batch.ColBatch, cols []int) bool {
 	if d := g.delayNS.Load(); d > 0 {
 		time.Sleep(time.Duration(d))
 	}
 	dst.Reset()
-	for !dst.Full() && g.pos < g.total {
-		row := dst.Append()
-		row[0], row[1], row[2] = g.pos, g.pos%7, g.pos%5
-		g.pos++
+	n := int(min(g.total-g.pos, int64(dst.Cap())))
+	if n <= 0 {
+		return false
 	}
-	return dst.Len() > 0
+	dst.SetLen(n)
+	for _, c := range cols {
+		mod := []int64{1 << 62, 7, 5}[c] // row i is (i, i%7, i%5)
+		for i, out := 0, dst.Col(c); i < n; i++ {
+			out[i] = (g.pos + int64(i)) % mod
+		}
+	}
+	g.pos += int64(n)
+	return true
 }
 
 // slowServer builds a server over the toy summary whose r scans stream
@@ -60,7 +57,7 @@ func slowServer(t *testing.T, total int64, delay time.Duration, opts Options) (*
 	srv := New(buildToySummary(t), opts)
 	var delayNS atomic.Int64
 	delayNS.Store(int64(delay))
-	srv.db.SetDatagen("r", func() (engine.RowSource, error) {
+	srv.db.SetDatagen("r", func() (batch.ColProjector, error) {
 		g := &slowR{total: total}
 		g.delayNS.Store(delayNS.Load())
 		return g, nil

@@ -72,15 +72,21 @@ func Database(seed int64) (*engine.Database, error) {
 
 	sRel := &engine.Relation{Table: s.Table("s")}
 	for i := int64(0); i < SRows; i++ {
-		sRel.Rows = append(sRel.Rows, []int64{i, r.Int63n(100), r.Int63n(1000)})
+		if err := sRel.Append([]int64{i, r.Int63n(100), r.Int63n(1000)}); err != nil {
+			return nil, err
+		}
 	}
 	tRel := &engine.Relation{Table: s.Table("t")}
 	for i := int64(0); i < TRows; i++ {
-		tRel.Rows = append(tRel.Rows, []int64{i, r.Int63n(10)})
+		if err := tRel.Append([]int64{i, r.Int63n(10)}); err != nil {
+			return nil, err
+		}
 	}
 	rRel := &engine.Relation{Table: s.Table("r")}
 	for i := int64(0); i < RRows; i++ {
-		rRel.Rows = append(rRel.Rows, []int64{i, r.Int63n(SRows), r.Int63n(TRows)})
+		if err := rRel.Append([]int64{i, r.Int63n(SRows), r.Int63n(TRows)}); err != nil {
+			return nil, err
+		}
 	}
 	for _, rel := range []*engine.Relation{sRel, tRel, rRel} {
 		if err := db.AddRelation(rel); err != nil {

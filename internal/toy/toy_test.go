@@ -2,6 +2,8 @@ package toy
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/engine"
@@ -17,12 +19,13 @@ func TestSchemaAndDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(db.Relation("r").Rows); got != RRows {
+	r := db.Relation("r")
+	if got := r.Len(); got != RRows {
 		t.Errorf("r rows = %d", got)
 	}
 	// Referential integrity of the generated foreign keys.
-	for _, row := range db.Relation("r").Rows {
-		if row[1] < 0 || row[1] >= SRows || row[2] < 0 || row[2] >= TRows {
+	for i := 0; i < r.Len(); i++ {
+		if row := r.Row(i); row[1] < 0 || row[1] >= SRows || row[2] < 0 || row[2] >= TRows {
 			t.Fatalf("dangling fk in %v", row)
 		}
 	}
@@ -45,5 +48,30 @@ func TestWorkloadExecutes(t *testing.T) {
 		if _, err := engine.ExecuteContext(context.Background(), db, plan, engine.ExecOptions{}); err != nil {
 			t.Fatalf("exec %q: %v", sql, err)
 		}
+	}
+}
+
+// TestDatabaseFingerprint pins the toy database bit for bit (FNV-1a of
+// every value of s, t, r in row, column order, recorded when relations
+// still held rows): loading it through Relation.Append must draw from the
+// rng in exactly the same order.
+func TestDatabaseFingerprint(t *testing.T) {
+	db, err := Database(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, name := range []string{"s", "t", "r"} {
+		rel := db.Relation(name)
+		for i := 0; i < rel.Len(); i++ {
+			for _, v := range rel.Row(i) {
+				binary.LittleEndian.PutUint64(buf[:], uint64(v))
+				h.Write(buf[:])
+			}
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x3bfe417f38296529); got != want {
+		t.Fatalf("toy fingerprint %#x, want %#x", got, want)
 	}
 }

@@ -168,13 +168,15 @@ func GenerateDatabase(s *schema.Schema, seed int64) (*engine.Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		rel := &engine.Relation{Table: t, Rows: make([][]int64, 0, t.RowCount)}
+		rel := &engine.Relation{Table: t}
+		row := make([]int64, len(t.Columns))
 		for i := int64(0); i < t.RowCount; i++ {
-			row := make([]int64, len(t.Columns))
 			for ci := range t.Columns {
 				row[ci] = dists[ci].Draw(r)
 			}
-			rel.Rows = append(rel.Rows, row)
+			if err := rel.Append(row); err != nil {
+				return nil, err
+			}
 		}
 		if err := db.AddRelation(rel); err != nil {
 			return nil, err

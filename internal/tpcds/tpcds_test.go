@@ -1,6 +1,9 @@
 package tpcds
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,13 +44,13 @@ func TestGenerateDatabase(t *testing.T) {
 	}
 	for _, tbl := range s.Tables {
 		rel := db.Relation(tbl.Name)
-		if rel == nil || int64(len(rel.Rows)) != tbl.RowCount {
-			t.Fatalf("%s has %d rows, want %d", tbl.Name, len(rel.Rows), tbl.RowCount)
+		if rel == nil || int64(rel.Len()) != tbl.RowCount {
+			t.Fatalf("%s has %d rows, want %d", tbl.Name, rel.Len(), tbl.RowCount)
 		}
 		for ci, col := range tbl.Columns {
-			for _, row := range rel.Rows {
-				if row[ci] < col.DomainLo || row[ci] >= col.DomainHi {
-					t.Fatalf("%s.%s code %d outside [%d,%d)", tbl.Name, col.Name, row[ci], col.DomainLo, col.DomainHi)
+			for _, v := range rel.Col(ci) {
+				if v < col.DomainLo || v >= col.DomainHi {
+					t.Fatalf("%s.%s code %d outside [%d,%d)", tbl.Name, col.Name, v, col.DomainLo, col.DomainHi)
 				}
 			}
 		}
@@ -55,9 +58,9 @@ func TestGenerateDatabase(t *testing.T) {
 	// Foreign keys reference existing primary keys (sequential 0..n-1).
 	fact := db.Relation("store_sales")
 	nItem := s.Table("item").RowCount
-	for _, row := range fact.Rows {
-		if row[2] < 0 || row[2] >= nItem {
-			t.Fatalf("dangling ss_item_sk %d", row[2])
+	for _, v := range fact.Col(2) {
+		if v < 0 || v >= nItem {
+			t.Fatalf("dangling ss_item_sk %d", v)
 		}
 	}
 }
@@ -72,13 +75,38 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, rb := a.Relation("item").Rows, b.Relation("item").Rows
-	for i := range ra {
-		for j := range ra[i] {
-			if ra[i][j] != rb[i][j] {
-				t.Fatalf("row %d differs across equal seeds", i)
+	ra, rb := a.Relation("item"), b.Relation("item")
+	for i := 0; i < ra.Len(); i++ {
+		if !slices.Equal(ra.Row(i), rb.Row(i)) {
+			t.Fatalf("row %d differs across equal seeds", i)
+		}
+	}
+}
+
+// TestGenerateDatabaseFingerprint pins the warehouse bit for bit: the
+// FNV-1a of every value in schema, row, column order, recorded when
+// relations still held rows. The benchmark's counts (summary_bytes,
+// lp.pivots, exact_share) are functions of this data, so loading it any
+// other way must draw from the rng in exactly this order.
+func TestGenerateDatabaseFingerprint(t *testing.T) {
+	s := Schema(0.1)
+	db, err := GenerateDatabase(s, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, tbl := range s.Tables {
+		rel := db.Relation(tbl.Name)
+		for i := 0; i < rel.Len(); i++ {
+			for _, v := range rel.Row(i) {
+				binary.LittleEndian.PutUint64(buf[:], uint64(v))
+				h.Write(buf[:])
 			}
 		}
+	}
+	if got, want := h.Sum64(), uint64(0x5acbe15b9b7f4718); got != want {
+		t.Fatalf("warehouse fingerprint %#x, want %#x", got, want)
 	}
 }
 
