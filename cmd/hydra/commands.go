@@ -80,7 +80,6 @@ func cmdVendor(args []string) error {
 	in := fs.String("in", "pkg.json", "transfer package")
 	out := fs.String("out", "summary.json", "summary output (JSON)")
 	grid := fs.Bool("grid", false, "also compute the DataSynth grid-partitioning LP sizes")
-	exact := fs.Bool("exact", false, "solve LPs with exact rational arithmetic")
 	fs.Parse(args)
 
 	pkg, err := readPackage(*in)
@@ -89,7 +88,6 @@ func cmdVendor(args []string) error {
 	}
 	opts := summary.DefaultBuildOptions()
 	opts.GridCompare = *grid
-	opts.ExactLP = *exact
 	sum, rep, err := core.BuildFromPackage(pkg, opts)
 	if err != nil {
 		return err

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	hydra client   -scenario tpcds -sf 1 -queries 131 -out pkg.json [-anonymize]
-//	hydra vendor   -in pkg.json -out summary.json [-grid] [-exact]
+//	hydra vendor   -in pkg.json -out summary.json [-grid]
 //	hydra generate -summary summary.json -table item [-limit 10] [-rate 5000] [-csv out.csv]
 //	hydra verify   -in pkg.json -summary summary.json [-worst 10]
 //	hydra scenario -in pkg.json -factor 1000 [-out scaled.json]

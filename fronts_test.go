@@ -15,8 +15,9 @@ import (
 )
 
 // frontWorkers is the Parallelism sweep: sequential, the parallel branch
-// with one worker, and two oversubscribed counts.
-var frontWorkers = []int{0, 1, 4, 8}
+// with one worker and with two (what the benchmark runs), and two
+// oversubscribed counts.
+var frontWorkers = []int{0, 1, 2, 4, 8}
 
 // oversubscribe raises GOMAXPROCS to n for the rest of the test, so worker
 // counts up to n survive ExecOptions.Normalize's clamp on a small box:

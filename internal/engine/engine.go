@@ -19,9 +19,12 @@ import (
 )
 
 // DatagenFunc opens a fresh dynamic-regeneration source for a table. It is
-// invoked once per scan of the table. The source speaks the engine's one
-// scan contract, batch.ColProjector; a caller outside this module that
-// produces rows one at a time wraps its producer in batch.FromRows.
+// invoked once per scan operator opened on the table: once for a build side
+// however many workers probe it, and, for the leaf of a morsel-parallel
+// execution, once per worker (each then scans sections of the first
+// worker's source). The source speaks the engine's one scan contract,
+// batch.ColProjector; a caller outside this module that produces rows one
+// at a time wraps its producer in batch.FromRows.
 type DatagenFunc func() (batch.ColProjector, error)
 
 // Relation is a stored table: the schema plus materialized coded values,

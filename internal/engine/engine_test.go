@@ -202,6 +202,18 @@ func rowsOf(rel *Relation) [][]int64 {
 	return out
 }
 
+// sectionedRows is a partitionable row producer: rowsScan's scan, plus the
+// Total/Section pair that lets a parallel execution cut it into morsels —
+// each section its own pass of the row adapter over its slice of the rows.
+type sectionedRows struct {
+	*batch.RowScan
+	rows [][]int64
+}
+
+func (s sectionedRows) Total() int64 { return int64(len(s.rows)) }
+
+func (s sectionedRows) Section(lo, hi int64) batch.ColProjector { return rowsScan(s.rows[lo:hi]) }
+
 // TestDatagenRowArityRejected is the regression for a wrong answer at the
 // parent: a caller-supplied datagen source yielding a row shorter than the
 // table was accepted, its missing columns inherited whatever the previous
@@ -210,14 +222,25 @@ func rowsOf(rel *Relation) [][]int64 {
 // default batch size and 2 at BatchSize 2); a longer row was silently
 // truncated. Now the scan stops and the query fails with ErrRowArity — on
 // every front, at every batch size, whether dim is the scanned leaf or a
-// hash-join build side.
+// hash-join build side. The sectioned input is the same failure behind a
+// partitionable source: the morsel that holds the short row stops, and a
+// parallel worker used to drain it without asking why — no rows, no error.
 func TestDatagenRowArityRejected(t *testing.T) {
-	for name, rows := range map[string][][]int64{
-		"short": {{0, 50}, {1, 60}, {2}, {3}},
-		"long":  {{0, 50}, {1, 60, 7}, {2, 70}},
+	sectioned := func(rows [][]int64) batch.ColProjector {
+		return sectionedRows{rowsScan(rows).(*batch.RowScan), rows}
+	}
+	for _, in := range []struct {
+		name string
+		rows [][]int64
+		open func([][]int64) batch.ColProjector
+	}{
+		{"short", [][]int64{{0, 50}, {1, 60}, {2}, {3}}, rowsScan},
+		{"long", [][]int64{{0, 50}, {1, 60, 7}, {2, 70}}, rowsScan},
+		{"sectioned", [][]int64{{0, 50}, {1, 60}, {2}, {3, 70}}, sectioned},
 	} {
+		name, rows, open := in.name, in.rows, in.open
 		db := starDatabase(t)
-		db.SetDatagen("dim", func() (batch.ColProjector, error) { return rowsScan(rows), nil })
+		db.SetDatagen("dim", func() (batch.ColProjector, error) { return open(rows), nil })
 		for _, sql := range []string{
 			"SELECT COUNT(*) FROM dim WHERE a >= 55",
 			"SELECT COUNT(*) FROM fact, dim WHERE fact.d_fk = dim.d_pk",

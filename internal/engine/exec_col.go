@@ -15,13 +15,14 @@ import (
 // each operator must populate, scans expand only those columns from the
 // summary, filters flip a selection vector instead of compacting row data,
 // and hash joins read nothing but the key column until output
-// materialization. Blocking root operators (GROUP BY, DISTINCT, ORDER BY)
-// are the sink framework in sink.go. The one executor (Prepared.run)
-// composes these same operators every way it runs: it drives them
-// batch-wise, or through the row pivot (exec.go), or replicates the probe
-// spine per worker over shared build arenas and folds sink partial states
-// (exec_parallel.go), and a caller-owned ExecState recycles the opened
-// tree. The parity suites hold all of them to byte-identical results.
+// materialization. Blocking root operators (COUNT(*), GROUP BY, DISTINCT,
+// ORDER BY) are the sink framework in sink.go. The one executor
+// (Prepared.run) composes these same operators, opened by the one opener
+// (openCol), every way it runs: it drives them batch-wise, or through the
+// row pivot (exec.go), or opens the probe spine once per worker over shared
+// build arenas and folds sink partial states (exec_parallel.go), and a
+// caller-owned ExecState recycles the opened tree. The parity suites hold
+// all of them to byte-identical results.
 
 // colIterator is the engine-internal columnar operator contract — the one
 // operator set every execution composes. Next resets dst, fills it
@@ -54,37 +55,63 @@ type failingSource interface {
 	Err() error
 }
 
-// scanOverride hands an already-opened scan source to openCol, so a caller
-// that had to open a table's source to inspect it (openParallel probing
-// partitionability, openPrunedFilter probing for a row-space) does not
-// invoke the table's DatagenFunc a second time — the func's contract is one
-// invocation per scan. Self-joins are rejected at planning, so the table
-// name identifies the scan uniquely; used guards against regressions.
-type scanOverride struct {
-	table string
-	src   batch.ColProjector
-	used  bool
+// buildCache is where openCol's hash joins find their build sides — the
+// shared read-only columnar arena plus the build-side ExecNode subtree with
+// its counts as the drain left them — and where it leaves the ones it had to
+// drain. Two layers: base is a Prepared's cache, drained ahead over every
+// build column and never written by an execution; m belongs to whoever is
+// opening (Prepare filling its cache, or one parallel execution whose
+// workers open the same plan one after another, so the first drains and the
+// rest hit). A nil m retains nothing: a sequential execution opens each
+// join once.
+type buildCache struct {
+	m    map[*PlanNode]*preparedBuild
+	base map[*PlanNode]*preparedBuild
 }
-
-// open returns the table's scan source: the handed-down one on its first
-// request, a freshly opened one otherwise.
-func (ov *scanOverride) open(db *Database, table string) (batch.ColProjector, error) {
-	if ov != nil && !ov.used && ov.table == table {
-		ov.used = true
-		return ov.src, nil
-	}
-	return db.openScan(table)
-}
-
-// buildCache maps hash-join plan nodes to build state prepared ahead of
-// execution (Prepare): the shared read-only columnar arena plus the
-// build-side ExecNode subtree with its counts frozen at build time. An
-// execution that finds its join in the cache pays probe cost only.
-type buildCache map[*PlanNode]*preparedBuild
 
 type preparedBuild struct {
 	jb   *colJoinBuild
-	node *ExecNode // build-child subtree template; cloned per execution
+	node *ExecNode // build-child subtree template; cloned per use
+}
+
+// build returns join pn's build side, holding at least the need columns, and
+// the ExecNode subtree that reports it: a cached side is probed as is, its
+// subtree cloned into the caller's plan annotation with the counts frozen;
+// an uncached one is opened and drained here — the one place a build side is
+// drained, whoever asks — and retained when the cache retains. buildNS is
+// the drain's wall clock, zero on a hit. The drain is a cancellation point
+// through its scan leaves: one the context interrupts leaves an incomplete
+// arena, and surfaces the context error as an open failure.
+func (bc *buildCache) build(db *Database, pn *PlanNode, need []int, capRows int, ctl *execCtl) (jb *colJoinBuild, node *ExecNode, buildNS int64, err error) {
+	pb := bc.m[pn]
+	if pb == nil {
+		pb = bc.base[pn]
+	}
+	if pb != nil {
+		node = cloneExecNode(pb.node)
+		ctl.annotateFrozen(node)
+		return pb.jb, node, 0, nil
+	}
+	it, width, pop, node, err := openCol(db, pn.Children[1], need, capRows, bc, ctl)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	start := time.Now()
+	jb, err = newColJoinBuild(it, width, pn.RightKey, capRows, need, pop)
+	buildNS = time.Since(start).Nanoseconds()
+	if ctl.stopped() {
+		return nil, nil, 0, ctl.err
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	// The subtree ran for the last time: its spans keep the drain's counters
+	// when a reused state recycles the arena for the next execution.
+	trace.Walk(node.sp, (*trace.Span).Freeze)
+	if bc.m != nil {
+		bc.m[pn] = &preparedBuild{jb: jb, node: node}
+	}
+	return jb, node, buildNS, nil
 }
 
 // cloneExecNode deep-copies a frozen build-side ExecNode subtree so each
@@ -150,43 +177,67 @@ func runColumnar(ctl *execCtl, it colIterator, b *batch.ColBatch, plan *Plan, op
 }
 
 // openCol builds the columnar operator tree for pn and its ExecNode mirror,
-// materializing only the need columns of pn's output. It returns, besides
-// the operator's output width, the populated column set of the batches the
-// operator fills — a superset of need when a scan also writes predicate or
-// key columns that ride along in the same physical batch — which the
-// parent must use to size its receiving batch. Like the row path,
-// hash-join build sides are consumed at open time — unless builds already
-// carries them, in which case the shared arena is probed directly and the
-// frozen build subtree is cloned into the plan annotation. ctl is the
-// execution's cancellation control, threaded into every scan leaf (the
-// engine's per-batch check point); a build drain interrupted by
-// cancellation surfaces the context error here, as an open failure.
-func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverride, builds buildCache, ctl *execCtl) (colIterator, int, []int, *ExecNode, error) {
+// materializing only the need columns of pn's output — the only code that
+// turns a plan node into an operator, for every caller: the sequential
+// tree, each parallel worker's pipeline, a build side about to be drained.
+// It returns, besides the operator's output width, the populated column set
+// of the batches the operator fills — a superset of need when a scan also
+// writes predicate or key columns that ride along in the same physical
+// batch — which the parent must use to size its receiving batch. Hash-join
+// build sides are consumed at open time, through builds (see
+// buildCache.build). ctl is the execution's cancellation control, threaded
+// into every scan leaf (the engine's per-batch check point), and carries the
+// plan's pruned row-spaces.
+func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildCache, ctl *execCtl) (colIterator, int, []int, *ExecNode, error) {
 	switch pn.Op {
 	case OpScan:
-		src, err := ov.open(db, pn.Table)
+		src, err := db.openScan(pn.Table)
 		if err != nil {
 			return nil, 0, nil, nil, err
 		}
-		node := &ExecNode{Op: pn.Op.String(), Table: pn.Table}
-		width := len(db.Schema.Table(pn.Table).Columns)
-		s := &colScanIter{table: pn.Table, src: src, cols: need, node: node, ctl: ctl}
-		s.sp, s.rowBytes = ctl.annotate(node), 8*int64(len(need))
-		return s, width, need, node, nil
+		s, width := newColScanIter(db, pn.Table, src, need, nil, ctl)
+		return s, width, need, s.node, nil
 
 	case OpFilter:
-		// A precomputed qualifying row-space turns filter-over-scan into a
-		// pruned scan: non-matching tuples are never generated, and when
-		// every conjunct was proven the filter operator disappears.
-		if pr := ctl.prunes.scan(pn); pr != nil {
-			return openPrunedFilter(db, pn, pr, need, capRows, ov, builds, ctl)
-		}
 		// The filter refines the child's selection in place, so its output
 		// batches are the child's: populated set passes through.
 		childNeed := pn.childNeeds(need)[0]
-		child, width, pop, childNode, err := openCol(db, pn.Children[0], childNeed, capRows, ov, builds, ctl)
-		if err != nil {
-			return nil, 0, nil, nil, err
+		var child colIterator
+		var width int
+		var pop []int
+		var childNode *ExecNode
+		if pr := ctl.prunes.scan(pn); pr != nil {
+			// Predicate pushdown into generation: a precomputed qualifying
+			// row-space (only filter-over-scan has one) turns the child into
+			// a pruned scan — non-matching tuples are never generated, and
+			// parallel morsels partition live rows only. When every conjunct
+			// was proven the scan replaces the filter outright, skipping the
+			// predicate columns the MatchVec would have read; otherwise the
+			// residual filter wraps it, exact because pruning only removed
+			// provably-failing tuples and never reordered survivors. A
+			// source without the capability (a paced stream, caller-supplied
+			// datagen) scans unpruned under the whole filter.
+			table := pn.Children[0].Table
+			src, err := db.openScan(table)
+			if err != nil {
+				return nil, 0, nil, nil, err
+			}
+			if rs, ok := src.(rowSpaceSource); !ok {
+				pr = nil
+			} else if src = rs.SectionSet(pr.ivs); pr.absorbed {
+				childNeed = need
+			}
+			s, w := newColScanIter(db, table, src, childNeed, pr, ctl)
+			if pr != nil && pr.absorbed {
+				return s, w, childNeed, s.node, nil
+			}
+			child, width, pop, childNode = s, w, childNeed, s.node
+		} else {
+			var err error
+			child, width, pop, childNode, err = openCol(db, pn.Children[0], childNeed, capRows, builds, ctl)
+			if err != nil {
+				return nil, 0, nil, nil, err
+			}
 		}
 		table := db.Schema.Table(pn.Pred.Table)
 		node := &ExecNode{Op: pn.Op.String(), Table: pn.Pred.Table, PredSQL: pn.Pred.SQL(table), Children: []*ExecNode{childNode}}
@@ -194,38 +245,13 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverri
 
 	case OpHashJoin:
 		cn := pn.childNeeds(need)
-		probeNeed, buildNeed := cn[0], cn[1]
-		probe, pw, probePop, probeNode, err := openCol(db, pn.Children[0], probeNeed, capRows, ov, builds, ctl)
+		probe, pw, probePop, probeNode, err := openCol(db, pn.Children[0], cn[0], capRows, builds, ctl)
 		if err != nil {
 			return nil, 0, nil, nil, err
 		}
-		var jb *colJoinBuild
-		var buildNode *ExecNode
-		var bw int
-		var buildNS int64
-		if pb, ok := builds[pn]; ok {
-			jb = pb.jb
-			buildNode = cloneExecNode(pb.node)
-			bw = jb.width
-			ctl.annotateFrozen(buildNode)
-		} else {
-			var buildIt colIterator
-			var buildPop []int
-			buildIt, bw, buildPop, buildNode, err = openCol(db, pn.Children[1], buildNeed, capRows, ov, builds, ctl)
-			if err != nil {
-				return nil, 0, nil, nil, err
-			}
-			bstart := time.Now()
-			jb, err = newColJoinBuild(buildIt, bw, pn.RightKey, capRows, buildNeed, buildPop)
-			buildNS = time.Since(bstart).Nanoseconds()
-			if ctl.stopped() {
-				// The drain ended early because the context was done: the
-				// arena is incomplete and the execution is over.
-				return nil, 0, nil, nil, ctl.err
-			}
-			if err != nil {
-				return nil, 0, nil, nil, err
-			}
+		jb, buildNode, buildNS, err := builds.build(db, pn, cn[1], capRows, ctl)
+		if err != nil {
+			return nil, 0, nil, nil, err
 		}
 		node := &ExecNode{Op: pn.Op.String(), JoinSQL: pn.JoinSQL, Children: []*ExecNode{probeNode, buildNode}}
 		ji := newColHashJoinIter(probe, jb, pw, pn.LeftKey, need, probePop, capRows)
@@ -238,66 +264,44 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverri
 			buildNode.sp.Detached = true
 			ji.sp, ji.rowBytes = sp, 8*int64(len(need))
 		}
-		return ji, pw + bw, need, node, nil
+		return ji, pw + jb.width, need, node, nil
 
-	case OpAggregate:
-		child, width, pop, childNode, err := openCol(db, pn.Children[0], nil, capRows, ov, builds, ctl)
+	case OpAggregate, OpGroupAgg, OpDistinct, OpSort:
+		// The blocking sinks are one operator over three states. What the
+		// child materializes is the sink's to say (childNeeds): nothing for
+		// COUNT(*), where only cardinalities flow; exactly the keys and
+		// aggregate inputs for GROUP BY and DISTINCT, whatever the parent
+		// needs; the output columns plus the sort keys for ORDER BY — the set
+		// the sort state collects, which is also its comparator's tiebreak
+		// domain (identical however the plan is executed). The sink's own
+		// output batches populate only need.
+		childNeed := pn.childNeeds(need)[0]
+		child, width, pop, childNode, err := openCol(db, pn.Children[0], childNeed, capRows, builds, ctl)
 		if err != nil {
 			return nil, 0, nil, nil, err
 		}
-		node := &ExecNode{Op: pn.Op.String(), Children: []*ExecNode{childNode}}
-		c := &colCountStarIter{child: child, buf: batch.NewCol(width, capRows, pop), node: node, sp: ctl.annotate(node)}
-		return c, 1, []int{0}, node, nil
-
-	case OpGroupAgg, OpDistinct:
-		// The child materializes exactly the grouping (or distinct) keys and
-		// aggregate inputs (childNeeds ignores the parent's need); the
-		// node's own output batches populate only the columns the caller
-		// asked for — nothing when just the group count flows, every select
-		// item when rows are sampled. Both operators are the one sink
-		// operator over the one hash-aggregation state.
-		childNeed := pn.childNeeds(nil)[0]
-		child, width, pop, childNode, err := openCol(db, pn.Children[0], childNeed, capRows, ov, builds, ctl)
-		if err != nil {
-			return nil, 0, nil, nil, err
-		}
-		node := &ExecNode{Op: pn.Op.String(), Children: []*ExecNode{childNode}}
 		g := &colSinkIter{
 			child:   child,
 			buf:     batch.NewCol(width, capRows, pop),
-			st:      newGroupAggState(pn),
 			outCols: need,
-			node:    node,
+			node:    &ExecNode{Op: pn.Op.String(), Children: []*ExecNode{childNode}},
 			ctl:     ctl,
 		}
-		g.sp, g.rowBytes = ctl.annotate(node), 8*int64(len(need))
-		return g, len(pn.Items), need, node, nil
-
-	case OpSort:
-		// The child materializes the output columns plus the sort keys; the
-		// state collects exactly that set, which is also the comparator's
-		// tiebreak domain (identical however the plan is executed).
-		childNeed := pn.childNeeds(need)[0]
-		child, width, pop, childNode, err := openCol(db, pn.Children[0], childNeed, capRows, ov, builds, ctl)
-		if err != nil {
-			return nil, 0, nil, nil, err
+		switch pn.Op {
+		case OpAggregate:
+			g.st, width = &countState{}, 1
+		case OpSort:
+			g.st = newSortState(pn, childNeed, width)
+		default:
+			g.st, width = newGroupAggState(pn), len(pn.Items)
 		}
-		node := &ExecNode{Op: pn.Op.String(), Children: []*ExecNode{childNode}}
-		s := &colSinkIter{
-			child:   child,
-			buf:     batch.NewCol(width, capRows, pop),
-			st:      newSortState(pn, childNeed, width),
-			outCols: need,
-			node:    node,
-			ctl:     ctl,
-		}
-		s.sp, s.rowBytes = ctl.annotate(node), 8*int64(len(need))
-		return s, width, need, node, nil
+		g.sp, g.rowBytes = ctl.annotate(g.node), 8*int64(len(need))
+		return g, width, need, g.node, nil
 
 	case OpLimit:
 		// Pure truncation over the child's batches: output layout and
 		// populated set pass through untouched.
-		child, width, pop, childNode, err := openCol(db, pn.Children[0], pn.childNeeds(need)[0], capRows, ov, builds, ctl)
+		child, width, pop, childNode, err := openCol(db, pn.Children[0], pn.childNeeds(need)[0], capRows, builds, ctl)
 		if err != nil {
 			return nil, 0, nil, nil, err
 		}
@@ -310,47 +314,17 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverri
 	}
 }
 
-// openPrunedFilter opens an OpFilter whose qualifying row-space was
-// precomputed: the child scan iterates only the qualifying intervals via
-// the source's SectionSet. When the filter was fully absorbed the scan
-// replaces it outright (and skips materializing the predicate columns the
-// MatchVec would have read); otherwise the residual filter wraps the pruned
-// scan — exact because pruning only removed provably-failing tuples and
-// never reordered survivors. A source without the row-space capability (a
-// paced stream, caller-supplied datagen) is handed down to the ordinary
-// path unopened-again, honoring the one-invocation-per-scan contract.
-func openPrunedFilter(db *Database, pn *PlanNode, pr *scanPrune, need []int, capRows int, ov *scanOverride, builds buildCache, ctl *execCtl) (colIterator, int, []int, *ExecNode, error) {
-	scanPn := pn.Children[0]
-	src, err := ov.open(db, scanPn.Table)
-	if err != nil {
-		return nil, 0, nil, nil, err
+// newColScanIter wraps an opened source in the scan operator over the cols
+// projection, and reports the table's width. pr is the row-space src was
+// swapped for, nil for a whole-table scan.
+func newColScanIter(db *Database, table string, src batch.ColProjector, cols []int, pr *scanPrune, ctl *execCtl) (*colScanIter, int) {
+	node := &ExecNode{Op: OpScan.String(), Table: table}
+	if pr != nil {
+		node.RowsPruned, node.SummaryRowsSkipped = pr.pruned, pr.skipped
 	}
-	rs, ok := src.(rowSpaceSource)
-	if !ok {
-		local := &scanOverride{table: scanPn.Table, src: src}
-		childNeed := pn.childNeeds(need)[0]
-		child, width, pop, childNode, err := openCol(db, scanPn, childNeed, capRows, local, builds, ctl)
-		if err != nil {
-			return nil, 0, nil, nil, err
-		}
-		table := db.Schema.Table(pn.Pred.Table)
-		node := &ExecNode{Op: pn.Op.String(), Table: pn.Pred.Table, PredSQL: pn.Pred.SQL(table), Children: []*ExecNode{childNode}}
-		return &colFilterIter{child: child, m: pn.Pred.Matcher(), node: node, sp: ctl.annotate(node)}, width, pop, node, nil
-	}
-	width := len(db.Schema.Table(scanPn.Table).Columns)
-	scanCols := need
-	if !pr.absorbed {
-		scanCols = pn.childNeeds(need)[0]
-	}
-	scanNode := &ExecNode{Op: OpScan.String(), Table: scanPn.Table, RowsPruned: pr.pruned, SummaryRowsSkipped: pr.skipped}
-	s := &colScanIter{table: scanPn.Table, src: rs.SectionSet(pr.ivs), cols: scanCols, node: scanNode, ctl: ctl}
-	s.sp, s.rowBytes = ctl.annotate(scanNode), 8*int64(len(scanCols))
-	if pr.absorbed {
-		return s, width, scanCols, scanNode, nil
-	}
-	table := db.Schema.Table(pn.Pred.Table)
-	node := &ExecNode{Op: pn.Op.String(), Table: pn.Pred.Table, PredSQL: pn.Pred.SQL(table), Children: []*ExecNode{scanNode}}
-	return &colFilterIter{child: s, m: pn.Pred.Matcher(), node: node, sp: ctl.annotate(node)}, width, scanCols, node, nil
+	s := &colScanIter{table: table, src: src, cols: cols, node: node, ctl: ctl}
+	s.sp, s.rowBytes = ctl.annotate(node), 8*int64(len(cols))
+	return s, len(db.Schema.Table(table).Columns)
 }
 
 // colScanIter passes projected source batches through, counting them. It
@@ -641,50 +615,3 @@ func (h *colHashJoinIter) next(dst *batch.ColBatch) bool {
 	h.node.OutRows += int64(j)
 	return j > 0
 }
-
-// colCountStarIter drains its child, emitting the single COUNT(*) row. Its
-// drain batch materializes no columns at all: pure cardinality flow.
-type colCountStarIter struct {
-	child colIterator
-	buf   *batch.ColBatch
-	node  *ExecNode
-	sp    *trace.Span // nil when untraced
-	done  bool
-}
-
-func (c *colCountStarIter) Next(dst *batch.ColBatch) bool {
-	if c.sp == nil {
-		return c.next(dst)
-	}
-	c.sp.Begin()
-	if !c.next(dst) {
-		c.sp.ObserveEmpty()
-		return false
-	}
-	c.sp.Observe(1, 8)
-	return true
-}
-
-func (c *colCountStarIter) next(dst *batch.ColBatch) bool {
-	dst.Reset()
-	if c.done {
-		return false
-	}
-	c.done = true
-	var n int64
-	for c.child.Next(c.buf) {
-		n += int64(c.buf.Live())
-	}
-	dst.SetLen(1)
-	dst.Col(0)[0] = n
-	c.node.OutRows++
-	return true
-}
-
-func (c *colCountStarIter) rewind(db *Database) error {
-	c.done = false
-	c.node.OutRows = 0
-	return c.child.rewind(db)
-}
-
-func (c *colCountStarIter) deferredErr() error { return c.child.deferredErr() }

@@ -3,34 +3,34 @@ package engine
 import (
 	"context"
 	"sort"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/parallel"
-	"repro/internal/trace"
 )
 
-// Morsel-driven parallel execution over the columnar spine. Because a
-// dataless scan is a pure function of the summary — any row range of a
-// relation can be generated independently — the probe side of a plan's
-// scan→filter(→probe) pipeline splits into contiguous row-range morsels
-// that workers pull from a shared atomic queue. Hash-join build sides are
-// consumed once, sequentially, into read-only colJoinBuild arenas shared
-// by every worker; each worker probes them with its own columnar pipeline
-// (projected scans, selection-vector filters), accumulating per-operator
-// cardinalities into worker-local shadow ExecNodes.
+// Morsel-driven parallel execution. Because a dataless scan is a pure
+// function of the summary — any row range of a relation can be generated
+// independently — the probe side of a plan's scan→filter(→probe) pipeline
+// splits into contiguous row-range morsels that workers pull from a shared
+// atomic queue. Nothing here builds operators: a worker's pipeline is an
+// openCol tree like any other. The execution's own tree, opened first, is
+// worker 0's; it drained every hash-join build side into the execution's
+// build cache on the way, so the other workers, opened from the same
+// sub-plan against that cache, hit on every join and share the read-only
+// arenas. Per morsel a worker points its scan leaf at the morsel's section,
+// resets its join cursors and drains its pipeline.
 //
 // Root sinks — COUNT(*), GROUP BY, DISTINCT, ORDER BY, LIMIT — compose via
 // the partial-state/merge contract of sink.go rather than parallel-specific
-// operator code: each worker folds its morsels' spine output into a private
-// sinkState (groupAggState, sortState, or the plain row count), partials
-// merge in worker-index order, and the merged state is emitted through the
-// same colSinkIter/colLimitIter operators the sequential executor runs. The
-// merge is deterministic end to end: shadow counts are summed in worker
-// order, sink states merge order-insensitively (exact 128-bit sums; total-
-// order sorting), and sample rows are re-assembled in morsel order, so the
-// ExecResult is byte-identical to the sequential columnar executor's,
-// regardless of worker count or scheduling.
+// operator code: each worker folds its morsels' spine output into the state
+// of its own innermost sink, partials merge into worker 0's in worker-index
+// order, and worker 0's tree then emits from the merged state through the
+// sinks it was opened with. The merge is deterministic end to end: operator
+// counts are summed in worker order, sink states merge order-insensitively
+// (exact 128-bit sums; total-order sorting), and sample rows are
+// re-assembled in morsel order, so the ExecResult is byte-identical to the
+// sequential drive of the same tree, regardless of worker count or
+// scheduling.
 
 // isRootSink reports whether op is a blocking root operator handled by the
 // sink framework (everything that is not part of the probe spine).
@@ -42,261 +42,119 @@ func isRootSink(op OpKind) bool {
 	return false
 }
 
-// joinStage is one hash join of the probe spine: the shared read-only
-// build state plus what a worker needs to instantiate its probe iterator.
-type joinStage struct {
-	jb        *colJoinBuild
-	leftKey   int
-	probeCols int
-	probePop  []int     // populated columns of the stage's probe-side batches
-	outNeed   []int     // output columns the stage materializes
-	node      *ExecNode // real (merged) node
+// sinkInput returns the operator a root sink operator drains, nil when it is
+// a spine operator.
+func sinkInput(it colIterator) colIterator {
+	switch s := it.(type) {
+	case *colSinkIter:
+		return s.child
+	case *colLimitIter:
+		return s.child
+	}
+	return nil
 }
 
-// parallelPlan is a plan opened for morsel-driven execution: the root sink
-// stack peeled off (outermost first), the probe spine decomposed into
-// scan → optional filter → join stages (innermost first), all build sides
-// already consumed into shared arenas, and required-column sets resolved
-// top-down through sinks and spine alike.
+// parallelPlan is what a parallel execution holds besides its tree: the
+// leaf's partitionable row space, cut into morsels, and one pipeline per
+// worker.
 type parallelPlan struct {
-	plan *Plan
-	rec  *trace.Recorder // non-nil when the execution is traced
-
-	src      parallel.Source
-	scanNeed []int // projection pushed into each morsel's scan
-	scanNode *ExecNode
-
-	filterPn   *PlanNode // nil when the scan is unfiltered
-	filterNode *ExecNode
-
-	stages []joinStage // innermost (nearest the scan) first
-
-	// The root sink stack, outermost first: sinks[len-1] (the bottom sink,
-	// nearest the spine) is what workers fold their spine output into;
-	// everything above it is applied once, at merge time, through the same
-	// operators the sequential executor uses. sinkNeeds[i] is the column
-	// set sink i's output must materialize (sinkNeeds[0] derives from the
-	// root; sinkNeeds[len] is the spine top's need).
-	sinks     []*PlanNode
-	sinkNodes []*ExecNode
-	sinkNeeds [][]int
-
-	root    *ExecNode
-	width   int   // output width of the spine top (below any sink)
-	topNeed []int // populated columns of the spine top's batches
+	src     parallel.Source // the leaf's row space — the pruned one when the opener swapped it in
+	morsels *parallel.Morsels
+	workers []*morselWorker // workers[0] runs the execution's own tree
+	// bottom is the innermost root sink of the execution's tree (the spine
+	// top when the plan has none): the operator the workers' output merges
+	// into, below which every worker has its own copy.
+	bottom colIterator
 }
 
-// bottom returns the innermost sink plan node, or nil when the plan is pure
-// spine.
-func (pp *parallelPlan) bottom() *PlanNode {
-	if len(pp.sinks) == 0 {
-		return nil
-	}
-	return pp.sinks[len(pp.sinks)-1]
+// morselWorker is one worker's pipeline: the part of an opened tree from the
+// innermost root sink down, taken apart into what the morsel loop touches.
+type morselWorker struct {
+	ctl   *execCtl           // the tree's; bound to the pool's context while it runs
+	top   colIterator        // spine top: what a morsel drains
+	node  *ExecNode          // top's node
+	joins []*colHashJoinIter // probe cursors, reset per morsel
+	leaf  *colScanIter       // re-pointed at each morsel's section
+	b     *batch.ColBatch    // receives top's batches
+	sink  sinkState          // the innermost sink's state; nil when rows flow out (bare spine, LIMIT)
+	runs  []sampleRun
 }
 
-// sinkWidth returns the output width of sink i; i == len(sinks) addresses
-// the spine top.
-func (pp *parallelPlan) sinkWidth(i int) int {
-	if i == len(pp.sinks) {
-		return pp.width
+// newMorselWorker takes apart the tree it (ExecNode mirror node), rooted at
+// a plan's innermost root sink or spine top and opened with ctl. b receives
+// the spine's batches when no sink brings its own drain batch. Nil when the
+// spine is not scan→filter→probe all the way down.
+func newMorselWorker(it colIterator, node *ExecNode, b *batch.ColBatch, ctl *execCtl) *morselWorker {
+	w := &morselWorker{ctl: ctl, node: node, b: b}
+	if s, ok := it.(*colSinkIter); ok {
+		w.sink, w.b = s.st, s.buf
 	}
-	switch sn := pp.sinks[i]; sn.Op {
-	case OpGroupAgg, OpDistinct:
-		return len(sn.Items)
-	case OpAggregate:
-		return 1
-	default: // OpSort, OpLimit: layout passes through
-		return pp.sinkWidth(i + 1)
+	if in := sinkInput(it); in != nil {
+		w.node, it = node.Children[0], in
+	}
+	w.top = it
+	for {
+		switch s := it.(type) {
+		case *colHashJoinIter:
+			w.joins = append(w.joins, s)
+			it = s.probe
+		case *colFilterIter:
+			it = s.child
+		case *colScanIter:
+			w.leaf = s
+			return w
+		default:
+			return nil
+		}
 	}
 }
 
-// spineNodes lists the real probe-spine ExecNodes in merge order.
-func (pp *parallelPlan) spineNodes() []*ExecNode {
-	nodes := []*ExecNode{pp.scanNode}
-	if pp.filterNode != nil {
-		nodes = append(nodes, pp.filterNode)
+// openParallel readies the tree just opened for plan — it and its mirror
+// node, over builds and ctl, with root batch b — for morsel-driven
+// execution, or returns nil when its leaf scan is not partitionable and the
+// tree is to be driven as it stands. It walks plan and tree down to the
+// innermost root sink, makes that sub-tree worker 0, and opens the other
+// workers from the same sub-plan: builds retains what the first open
+// drained, so each of theirs hits on every join, and the same prune cache
+// yields the same pruned scans and absorbed filters — the trees are
+// identically shaped by construction.
+func openParallel(db *Database, plan *Plan, it colIterator, node *ExecNode, b *batch.ColBatch, opts ExecOptions, builds *buildCache, ctl *execCtl) (*parallelPlan, error) {
+	pn, need := plan.Root, rootNeed(plan, opts)
+	for isRootSink(pn.Op) && isRootSink(pn.Children[0].Op) {
+		need, pn, node, it = pn.childNeeds(need)[0], pn.Children[0], node.Children[0], sinkInput(it)
 	}
-	for i := range pp.stages {
-		nodes = append(nodes, pp.stages[i].node)
+	w0 := newMorselWorker(it, node, b, ctl)
+	if w0 == nil {
+		return nil, nil
 	}
-	return nodes
-}
-
-// openParallel decomposes the plan into sink stack + probe spine + build
-// sides. A nil parallelPlan (with nil error) means the plan is not
-// morsel-partitionable — the leaf scan's source lacks the parallel.Source
-// contract or the spine has an unexpected shape — and the caller must fall
-// drive the plan sequentially; the returned scanOverride then carries the
-// already-opened leaf source, if any, so it is reused rather than opened
-// a second time. ctl guards the sequential build-side drains: a drain the
-// context interrupts surfaces the context error as an open failure.
-func openParallel(db *Database, plan *Plan, opts ExecOptions, builds buildCache, ctl *execCtl) (*parallelPlan, *scanOverride, error) {
-	pp := &parallelPlan{plan: plan}
-	pn := plan.Root
-	for isRootSink(pn.Op) {
-		pp.sinks = append(pp.sinks, pn)
-		pn = pn.Children[0]
-	}
-	// Collect the probe spine top-down: joins, then an optional filter,
-	// then the leaf scan.
-	var joinPns []*PlanNode // outermost first
-	for pn.Op == OpHashJoin {
-		joinPns = append(joinPns, pn)
-		pn = pn.Children[0]
-	}
-	if pn.Op == OpFilter {
-		pp.filterPn = pn
-		pn = pn.Children[0]
-	}
-	if pn.Op != OpScan {
-		return nil, nil, nil
-	}
-
-	// The leaf must expose a partitionable row space before any build-side
-	// work is worth doing.
-	src, err := db.openScan(pn.Table)
-	if err != nil {
-		return nil, nil, err
-	}
-	ps, ok := src.(parallel.Source)
+	src, ok := w0.leaf.src.(parallel.Source)
 	if !ok {
-		return nil, &scanOverride{table: pn.Table, src: src}, nil
+		return nil, nil
 	}
-	pp.src = ps
-
-	// Predicate pushdown into generation: swap the leaf's row space for the
-	// precomputed qualifying one, so morsels partition only live rows and
-	// workers never inherit dead ranges. An absorbed filter disappears from
-	// the spine — the residual-free case — exactly as on the sequential
-	// path, keeping the operator shape mode-invariant.
-	var prune *scanPrune
-	if fp := pp.filterPn; fp != nil {
-		if pr := ctl.prunes.scan(fp); pr != nil {
-			if rs, ok := src.(rowSpaceSource); ok {
-				if pruned, ok := rs.SectionSet(pr.ivs).(parallel.Source); ok {
-					pp.src = pruned
-					prune = pr
-					if pr.absorbed {
-						pp.filterPn = nil
-					}
-				}
-			}
+	// A worker beyond the morsel count would open a pipeline only to find
+	// the queue empty; clamping costs nothing and changes nothing (the merge
+	// is a sum). The clamp depends only on plan and options, so determinism
+	// is preserved.
+	total := src.Total()
+	size := morselRows(total, opts.Parallelism, opts.BatchSize)
+	workers := int(min(int64(opts.Parallelism), max((total+size-1)/size, 1)))
+	pp := &parallelPlan{src: src, morsels: parallel.NewMorsels(total, size), workers: []*morselWorker{w0}, bottom: it}
+	for len(pp.workers) < workers {
+		// Each worker owns its cancellation control (latching is
+		// single-goroutine state); spans come from the execution's recorder,
+		// here, before the pool starts (it is not concurrency-safe).
+		wctl := &execCtl{rec: ctl.rec, prunes: ctl.prunes}
+		wit, width, pop, wnode, err := openCol(db, pn, need, opts.BatchSize, builds, wctl)
+		if err != nil {
+			return nil, err
 		}
-	}
-
-	// Required-column analysis, top-down: the root's need (samples
-	// materialize the full output, COUNT(*) only its count column) is
-	// translated through each sink by the same childNeeds the sequential
-	// executor uses, then along the join spine.
-	pp.sinkNeeds = make([][]int, len(pp.sinks)+1)
-	pp.sinkNeeds[0] = rootNeed(plan, opts)
-	for i, sn := range pp.sinks {
-		pp.sinkNeeds[i+1] = sn.childNeeds(pp.sinkNeeds[i])[0]
-	}
-	need := pp.sinkNeeds[len(pp.sinks)]
-	pp.topNeed = need
-	probeNeeds := make([][]int, len(joinPns)) // by joinPns index (outermost first)
-	buildNeeds := make([][]int, len(joinPns))
-	outNeeds := make([][]int, len(joinPns))
-	for i, jpn := range joinPns {
-		cn := jpn.childNeeds(need)
-		outNeeds[i] = need
-		probeNeeds[i], buildNeeds[i] = cn[0], cn[1]
-		need = probeNeeds[i]
-	}
-	if fp := pp.filterPn; fp != nil {
-		need = fp.childNeeds(need)[0]
-	}
-	pp.scanNeed = need
-	// The populated set of each stage's probe-side batches: the scan's
-	// pushed-down projection for the innermost join (predicate columns ride
-	// along in the same physical batch), the inner join's materialized
-	// output for the rest.
-	probePops := make([][]int, len(joinPns))
-	for i := len(joinPns) - 1; i >= 0; i-- {
-		if i == len(joinPns)-1 {
-			probePops[i] = pp.scanNeed
-		} else {
-			probePops[i] = outNeeds[i+1]
+		var wb *batch.ColBatch
+		if w0.sink == nil {
+			wb = batch.NewCol(width, opts.BatchSize, pop)
 		}
+		pp.workers = append(pp.workers, newMorselWorker(wit, wnode, wb, wctl))
 	}
-
-	// Real ExecNode tree, mirroring openCol's shape exactly. Traced
-	// executions annotate every real node with a span: workers record into
-	// private spans and the real ones receive the worker-order merge.
-	pp.rec = ctl.rec
-	pp.scanNode = &ExecNode{Op: OpScan.String(), Table: pn.Table}
-	if prune != nil {
-		pp.scanNode.RowsPruned = prune.pruned
-		pp.scanNode.SummaryRowsSkipped = prune.skipped
-	}
-	ctl.annotate(pp.scanNode)
-	width := len(db.Schema.Table(pn.Table).Columns)
-	cur := pp.scanNode
-	if fp := pp.filterPn; fp != nil {
-		table := db.Schema.Table(fp.Pred.Table)
-		pp.filterNode = &ExecNode{Op: OpFilter.String(), Table: fp.Pred.Table, PredSQL: fp.Pred.SQL(table), Children: []*ExecNode{cur}}
-		ctl.annotate(pp.filterNode)
-		cur = pp.filterNode
-	}
-	// Build sides are consumed innermost-first (the order the sequential
-	// executor drains them in); each becomes a shared read-only arena —
-	// or is served straight from the prepared build cache.
-	for i := len(joinPns) - 1; i >= 0; i-- {
-		jpn := joinPns[i]
-		var jb *colJoinBuild
-		var buildNode *ExecNode
-		var bw int
-		var buildNS int64
-		if pb, ok := builds[jpn]; ok {
-			jb = pb.jb
-			buildNode = cloneExecNode(pb.node)
-			bw = jb.width
-			ctl.annotateFrozen(buildNode)
-		} else {
-			buildIt, w, buildPop, bn, err := openCol(db, jpn.Children[1], buildNeeds[i], opts.BatchSize, nil, builds, ctl)
-			if err != nil {
-				return nil, nil, err
-			}
-			bstart := time.Now()
-			jb, err = newColJoinBuild(buildIt, w, jpn.RightKey, opts.BatchSize, buildNeeds[i], buildPop)
-			buildNS = time.Since(bstart).Nanoseconds()
-			if ctl.stopped() {
-				return nil, nil, ctl.err
-			}
-			if err != nil {
-				return nil, nil, err
-			}
-			buildNode, bw = bn, w
-		}
-		node := &ExecNode{Op: OpHashJoin.String(), JoinSQL: jpn.JoinSQL, Children: []*ExecNode{cur, buildNode}}
-		if sp := ctl.annotate(node); sp != nil {
-			sp.BuildNS = buildNS
-			buildNode.sp.Detached = true
-		}
-		pp.stages = append(pp.stages, joinStage{
-			jb:        jb,
-			leftKey:   jpn.LeftKey,
-			probeCols: width,
-			probePop:  probePops[i],
-			outNeed:   outNeeds[i],
-			node:      node,
-		})
-		width += bw
-		cur = node
-	}
-	pp.width = width
-	// Sink ExecNodes wrap the spine, innermost-out.
-	pp.sinkNodes = make([]*ExecNode, len(pp.sinks))
-	for i := len(pp.sinks) - 1; i >= 0; i-- {
-		node := &ExecNode{Op: pp.sinks[i].Op.String(), Children: []*ExecNode{cur}}
-		ctl.annotate(node)
-		pp.sinkNodes[i] = node
-		cur = node
-	}
-	pp.root = cur
-	return pp, nil, nil
+	return pp, nil
 }
 
 // morselRows picks the scheduling granule: bounded above by the default
@@ -328,284 +186,139 @@ type sampleRun struct {
 	rows [][]int64
 }
 
-// workerState is one worker's private accumulation: shadow ExecNodes for
-// the spine (merged by summation afterwards), the count of rows the spine
-// top produced, morsel-tagged output runs, and — when the bottom sink is a
-// grouped aggregate, DISTINCT, or ORDER BY — the worker's partial sink
-// state (the partial-state half of the partial-state/merge contract).
-type workerState struct {
-	shadow []*ExecNode
-	rows   int64
-	runs   []sampleRun
-	group  *groupAggState
-	sort   *sortState
-}
-
-// run executes the opened plan on opts.Parallelism workers and merges worker
-// state into res, identical to the sequential result. Workers observe ctx
-// per morsel and — through their scan leaves — per batch; the first real
-// worker error cancels the siblings, and pure cancellation surfaces the
-// context's own error deterministically (parallel.RunCtx). Worker partials
-// fold into the plan's own nodes and spans, so a parallelPlan runs once.
-func (pp *parallelPlan) run(ctx context.Context, res *ExecResult, opts ExecOptions) error {
-	workers := opts.Parallelism
-	total := pp.src.Total()
-	size := morselRows(total, workers, opts.BatchSize)
-	// A worker beyond the morsel count would build a pipeline only to find
-	// the queue empty; clamping costs nothing and changes nothing (the
-	// merge is a sum). The clamp depends only on plan and options, so
-	// determinism is preserved.
-	if n := (total + size - 1) / size; int64(workers) > n {
-		workers = int(n)
-		if workers < 1 {
-			workers = 1
+// runMorsel drains one morsel through a worker's pipeline — into the
+// worker's sink state, or, when rows flow out of the spine, into the
+// returned run of at most runCap rows — and reports the pipeline's deferred
+// error: a section that stopped on bad input fails the query at any worker
+// count, as it does the sequential drive.
+func runMorsel(it colIterator, b *batch.ColBatch, sink sinkState, runCap int64) ([][]int64, error) {
+	var rows [][]int64
+	for it.Next(b) {
+		if sink != nil {
+			sink.observe(b) // infallible; totals are judged at merge-side finish
+			continue
+		}
+		for i, live := 0, b.Live(); int64(len(rows)) < runCap && i < live; i++ {
+			row := make([]int64, b.Width())
+			b.LiveRow(i, row)
+			rows = append(rows, row)
 		}
 	}
-	morsels := parallel.NewMorsels(total, size)
+	return rows, it.deferredErr()
+}
 
-	bottom := pp.bottom()
+// run executes the opened plan on its workers and merges their state into
+// st's tree and result, identical to the sequential drive's. Workers observe
+// ctx per morsel and — through their scan leaves — per batch; the first real
+// worker error cancels the siblings, and pure cancellation surfaces the
+// context's own error deterministically (parallel.RunCtx). Worker partials
+// fold into the execution's own nodes, spans and sink state, so a
+// parallelPlan runs once.
+func (pp *parallelPlan) run(ctx context.Context, st *ExecState, plan *Plan, opts ExecOptions) error {
 	// Workers collect output-row runs when rows (not sink partials) flow out
 	// of the spine and the caller samples them: the pure spine, or a root
 	// LIMIT directly over it.
+	sinkIt, _ := pp.bottom.(*colSinkIter)
+	limitIt, _ := pp.bottom.(*colLimitIter)
 	var runCap int64
-	if opts.SampleLimit > 0 {
-		switch {
-		case bottom == nil:
-			runCap = int64(opts.SampleLimit)
-		case bottom.Op == OpLimit:
-			runCap = bottom.Offset + int64(opts.SampleLimit)
+	if opts.SampleLimit > 0 && sinkIt == nil {
+		runCap = int64(opts.SampleLimit)
+		if limitIt != nil {
+			runCap += limitIt.offset
 		}
 	}
-
-	states := make([]*workerState, workers)
-	for w := range states {
-		states[w] = &workerState{}
-		if bottom != nil {
-			switch bottom.Op {
-			case OpGroupAgg, OpDistinct:
-				states[w].group = newGroupAggState(bottom)
-			case OpSort:
-				states[w].sort = newSortState(bottom, pp.topNeed, pp.width)
-			}
-		}
-	}
-
-	// Traced runs give each worker private spans for its spine pipeline,
-	// created here (the recorder is not concurrency-safe) and folded into
-	// the real nodes' spans after the pool joins — in worker order, so the
-	// merged trace is deterministic. Positions follow spineNodes order.
-	spine := pp.spineNodes()
-	var wspans [][]*trace.Span
-	if pp.rec != nil {
-		wspans = make([][]*trace.Span, workers)
-		for w := range wspans {
-			spans := make([]*trace.Span, len(spine))
-			for i, node := range spine {
-				spans[i] = pp.rec.NewSpan(node.Op, "")
-			}
-			wspans[w] = spans
-		}
-	}
-
-	err := parallel.RunCtx(ctx, workers, func(wctx context.Context, w int) error {
-		st := states[w]
-		// Each worker owns its cancellation control (latching is
-		// single-goroutine state) over the pool's shared child context.
-		wctl := &execCtl{ctx: wctx}
-		// Worker-local columnar pipeline over shadow nodes; the scan source
-		// is swapped per morsel, join iterators reset their probe cursors.
-		scanShadow := &ExecNode{}
-		st.shadow = append(st.shadow, scanShadow)
-		scanIt := &colScanIter{cols: pp.scanNeed, node: scanShadow, ctl: wctl}
-		if wspans != nil {
-			scanIt.sp, scanIt.rowBytes = wspans[w][0], 8*int64(len(pp.scanNeed))
-		}
-		var cur colIterator = scanIt
-		if fp := pp.filterPn; fp != nil {
-			filterShadow := &ExecNode{}
-			st.shadow = append(st.shadow, filterShadow)
-			fi := &colFilterIter{child: cur, m: fp.Pred.Matcher(), node: filterShadow}
-			if wspans != nil {
-				fi.sp = wspans[w][1]
-			}
-			cur = fi
-		}
-		joinIts := make([]*colHashJoinIter, len(pp.stages))
-		for i := range pp.stages {
-			stage := &pp.stages[i]
-			joinShadow := &ExecNode{}
-			st.shadow = append(st.shadow, joinShadow)
-			ji := newColHashJoinIter(cur, stage.jb, stage.probeCols, stage.leftKey, stage.outNeed, stage.probePop, opts.BatchSize)
-			ji.node = joinShadow
-			if wspans != nil {
-				ji.sp, ji.rowBytes = wspans[w][len(st.shadow)-1], 8*int64(len(stage.outNeed))
-			}
-			joinIts[i] = ji
-			cur = ji
-		}
-		topPop := pp.topNeed
-		if len(pp.stages) == 0 {
-			topPop = pp.scanNeed
-		}
-		b := batch.NewCol(pp.width, opts.BatchSize, topPop)
+	err := parallel.RunCtx(ctx, len(pp.workers), func(wctx context.Context, i int) error {
+		w := pp.workers[i]
+		w.ctl.bind(wctx)
 		for {
-			if wctl.stopped() {
+			if w.ctl.stopped() {
 				// Drain cleanly: abandon remaining morsels, surface the
 				// context error for deterministic selection in RunCtx.
-				return wctl.err
+				return w.ctl.err
 			}
-			lo, hi, ok := morsels.Next()
+			lo, hi, ok := pp.morsels.Next()
 			if !ok {
 				return nil
 			}
-			scanIt.src = pp.src.Section(lo, hi)
-			for _, ji := range joinIts {
+			w.leaf.src = pp.src.Section(lo, hi)
+			for _, ji := range w.joins {
 				ji.reset()
 			}
-			run := sampleRun{lo: lo}
-			for cur.Next(b) {
-				live := b.Live()
-				st.rows += int64(live)
-				switch {
-				case st.group != nil:
-					st.group.observe(b) // infallible; totals are judged at merge-side finish
-				case st.sort != nil:
-					st.sort.observe(b)
-				default:
-					for i := 0; int64(len(run.rows)) < runCap && i < live; i++ {
-						row := make([]int64, b.Width())
-						b.LiveRow(i, row)
-						run.rows = append(run.rows, row)
-					}
-				}
+			rows, err := runMorsel(w.top, w.b, w.sink, runCap)
+			if err != nil {
+				return err
 			}
-			if len(run.rows) > 0 {
-				st.runs = append(st.runs, run)
+			if len(rows) > 0 {
+				w.runs = append(w.runs, sampleRun{lo: lo, rows: rows})
 			}
 		}
 	})
+	// Worker 0 ran the execution's own tree under the pool's context; what
+	// is left of the drive runs on the calling goroutine under the caller's,
+	// so a cancellation arriving during a large merged-sort emit still
+	// unwinds at the next batch boundary.
+	st.ctl.bind(ctx)
 	if err != nil {
 		return err
 	}
 
 	// Deterministic merge: per-node sums are schedule-independent, sink
 	// partials fold in worker order, and output runs reassemble in morsel
-	// (= sequential row) order. Traced runs fold worker spans into the real
-	// nodes' spans the same way — summed durations, widened windows.
-	for i, node := range spine {
-		var sum int64
-		for _, st := range states {
-			sum += st.shadow[i].OutRows
-		}
-		node.OutRows = sum
-		if node.sp != nil {
-			for _, spans := range wspans {
-				node.sp.Merge(spans[i])
+	// (= sequential row) order. The worker trees are identically shaped, so
+	// the fold walks them in step down the probe spine (a join's build
+	// subtree, Children[1], was drained once and is already final); traced
+	// runs fold spans the same way — summed durations, widened windows.
+	w0 := pp.workers[0]
+	for _, w := range pp.workers[1:] {
+		for dst, src := w0.node, w.node; ; dst, src = dst.Children[0], src.Children[0] {
+			dst.OutRows += src.OutRows
+			if dst.sp != nil {
+				dst.sp.Merge(src.sp)
+			}
+			if len(dst.Children) == 0 {
+				break
 			}
 		}
-	}
-	var outRows int64
-	for _, st := range states {
-		outRows += st.rows
-	}
-
-	switch {
-	case bottom == nil:
-		res.Rows = outRows
-		res.Sample = mergedRunRows(states, 0, outRows, opts.SampleLimit)
-		pp.root.OutRows = res.Rows
-		return nil
-
-	case bottom.Op == OpLimit:
-		// LIMIT over the bare spine: pure arithmetic over the merged counts,
-		// with sample rows cut from the morsel-ordered runs.
-		em := outRows - bottom.Offset
-		if em < 0 {
-			em = 0
+		if w0.sink != nil {
+			w0.sink.merge(w.sink)
 		}
-		if em > bottom.Limit {
-			em = bottom.Limit
-		}
-		res.Rows = em
-		res.Sample = mergedRunRows(states, bottom.Offset, em, opts.SampleLimit)
-		limitNode := pp.sinkNodes[len(pp.sinks)-1]
-		limitNode.OutRows = em
-		if limitNode.sp != nil {
+	}
+	if sinkIt != nil {
+		// The merged state finishes once and worker 0's tree emits it through
+		// the very sinks the sequential drive runs.
+		sinkIt.adopt()
+		return runColumnar(&st.ctl, st.it, st.b, plan, opts, &st.res)
+	}
+	// Rows flowed out of the spine: the count is the merged spine top's, a
+	// LIMIT over it pure arithmetic, and the sample is cut from the
+	// morsel-ordered runs.
+	res := &st.res
+	var skip int64
+	res.Rows = w0.node.OutRows
+	if limitIt != nil {
+		skip = limitIt.offset
+		res.Rows = min(max(res.Rows-skip, 0), limitIt.limit)
+		limitIt.node.OutRows = res.Rows
+		if limitIt.sp != nil {
 			// No operator ran for the arithmetic LIMIT; mirror its
 			// cardinality into the span so traced shapes stay mode-invariant.
-			limitNode.sp.Rows = em
-		}
-		pp.root.OutRows = res.Rows
-		return nil
-	}
-
-	// Sink-state bottom: fold worker partials in worker order, finish once,
-	// then emit the merged state through the very operators the sequential
-	// executor runs for the sinks above it.
-	var merged sinkState
-	switch bottom.Op {
-	case OpGroupAgg, OpDistinct:
-		g := states[0].group
-		for _, st := range states[1:] {
-			g.merge(st.group)
-		}
-		merged = g
-	case OpSort:
-		s := states[0].sort
-		for _, st := range states[1:] {
-			s.merge(st.sort)
-		}
-		merged = s
-	case OpAggregate:
-		merged = &countState{n: outRows}
-	}
-	merged.finish()
-
-	bi := len(pp.sinks) - 1
-	var cur colIterator = &stateEmitIter{
-		st: merged, outCols: pp.sinkNeeds[bi], node: pp.sinkNodes[bi],
-		sp: pp.sinkNodes[bi].sp, rowBytes: 8 * int64(len(pp.sinkNeeds[bi])),
-	}
-	for i := bi - 1; i >= 0; i-- {
-		sn := pp.sinks[i]
-		childW := pp.sinkWidth(i + 1)
-		switch sn.Op {
-		case OpSort:
-			cur = &colSinkIter{
-				child:    cur,
-				buf:      batch.NewCol(childW, opts.BatchSize, pp.sinkNeeds[i+1]),
-				st:       newSortState(sn, pp.sinkNeeds[i+1], childW),
-				outCols:  pp.sinkNeeds[i],
-				node:     pp.sinkNodes[i],
-				sp:       pp.sinkNodes[i].sp,
-				rowBytes: 8 * int64(len(pp.sinkNeeds[i])),
-			}
-		case OpLimit:
-			cur = &colLimitIter{child: cur, limit: sn.Limit, offset: sn.Offset, node: pp.sinkNodes[i], sp: pp.sinkNodes[i].sp}
+			limitIt.sp.Rows = res.Rows
 		}
 	}
-	b := batch.NewCol(pp.sinkWidth(0), opts.BatchSize, pp.sinkNeeds[0])
-	// The merge-side emission runs on the calling goroutine under the same
-	// context: a cancellation arriving during a large merged-sort emit still
-	// unwinds at the next batch boundary.
-	mctl := &execCtl{ctx: ctx}
-	derr := runColumnar(mctl, cur, b, pp.plan, opts, res)
-	if mctl.err != nil {
-		return mctl.err
-	}
-	return derr
+	res.Sample = mergedRunRows(pp.workers, skip, res.Rows, opts.SampleLimit)
+	return nil
 }
 
 // mergedRunRows reassembles the workers' morsel-tagged output runs in
 // sequential row order and returns the sample: up to sampleLimit rows after
 // skipping skip rows, capped at emit rows total.
-func mergedRunRows(states []*workerState, skip, emit int64, sampleLimit int) [][]int64 {
+func mergedRunRows(workers []*morselWorker, skip, emit int64, sampleLimit int) [][]int64 {
 	if sampleLimit <= 0 || emit <= 0 {
 		return nil
 	}
 	var runs []sampleRun
-	for _, st := range states {
-		runs = append(runs, st.runs...)
+	for _, w := range workers {
+		runs = append(runs, w.runs...)
 	}
 	sort.Slice(runs, func(i, j int) bool { return runs[i].lo < runs[j].lo })
 	var out [][]int64

@@ -33,8 +33,8 @@ import (
 type Prepared struct {
 	db     *Database
 	plan   *Plan
-	builds buildCache
-	prunes *pruneCache // row-spaces and summary-direct proof, judged once at Prepare time
+	builds map[*PlanNode]*preparedBuild // every join's build side, drained once over all its columns
+	prunes *pruneCache                  // row-spaces and summary-direct proof, judged once at Prepare time
 }
 
 // Plan returns the compiled plan the Prepared executes.
@@ -52,41 +52,30 @@ func Prepare(db *Database, plan *Plan, opts ExecOptions) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{db: db, plan: plan, builds: make(buildCache)}
+	p := &Prepared{db: db, plan: plan, builds: make(map[*PlanNode]*preparedBuild)}
 	// Prune row-spaces are computed once and shared by every execution (and
 	// by the build drain below, so cached build sides make the same prune
 	// decisions as live ones — span-shape parity depends on it).
 	p.prunes = buildPruneCache(db, plan)
-	if err := p.prepareNode(plan.Root, opts.BatchSize); err != nil {
+	if err := p.drainBuilds(plan.Root, opts.BatchSize, &buildCache{m: p.builds}, &execCtl{prunes: p.prunes}); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func (p *Prepared) prepareNode(pn *PlanNode, capRows int) error {
-	switch pn.Op {
-	case OpFilter, OpAggregate, OpGroupAgg, OpDistinct, OpSort, OpLimit:
-		return p.prepareNode(pn.Children[0], capRows)
-	case OpHashJoin:
-		if err := p.prepareNode(pn.Children[0], capRows); err != nil {
+// drainBuilds fills the cache with the build side of every hash join under
+// pn, innermost first, so a join nested in a build side is found drained.
+func (p *Prepared) drainBuilds(pn *PlanNode, capRows int, builds *buildCache, ctl *execCtl) error {
+	for _, c := range pn.Children {
+		if err := p.drainBuilds(c, capRows, builds, ctl); err != nil {
 			return err
 		}
-		build := pn.Children[1]
-		if err := p.prepareNode(build, capRows); err != nil {
-			return err
-		}
-		all := batch.AllCols(len(build.Cols))
-		buildIt, bw, buildPop, buildNode, err := openCol(p.db, build, all, capRows, nil, p.builds, &execCtl{prunes: p.prunes})
-		if err != nil {
-			return err
-		}
-		jb, err := newColJoinBuild(buildIt, bw, pn.RightKey, capRows, all, buildPop)
-		if err != nil {
-			return err
-		}
-		p.builds[pn] = &preparedBuild{jb: jb, node: buildNode}
 	}
-	return nil
+	if pn.Op != OpHashJoin {
+		return nil
+	}
+	_, _, _, err := builds.build(p.db, pn, batch.AllCols(len(pn.Children[1].Cols)), capRows, ctl)
+	return err
 }
 
 // Execute runs the prepared plan in a fresh ExecState: identical results to
@@ -105,16 +94,16 @@ func (p *Prepared) ExecuteContext(ctx context.Context, opts ExecOptions) (*ExecR
 }
 
 // ExecState is caller-owned reusable execution state for ExecuteIn: the
-// opened operator tree (or the summary-direct evaluator, or the parallel
-// plan), its ExecNode mirror, the root column batch, the result struct, and
-// the execution's cancellation control (owned for the state's lifetime and
-// rebound per call, so context plumbing costs no allocations). One
-// goroutine per ExecState.
+// opened operator tree (or the summary-direct evaluator), its ExecNode
+// mirror, the root column batch, the result struct, and the execution's
+// cancellation control (owned for the state's lifetime and rebound per
+// call, so context plumbing costs no allocations). One goroutine per
+// ExecState.
 type ExecState struct {
-	it    colIterator     // sequential operator tree; nil when sagg or par drives
+	it    colIterator     // the operator tree; nil when sagg answers
 	b     *batch.ColBatch // it's root batch
 	sagg  *summaryAggEval // summary-direct evaluator when that regime answers
-	par   *parallelPlan   // morsel-parallel plan when opts.Parallelism >= 1 found a partitionable leaf
+	par   *parallelPlan   // it's morsel workers when opts.Parallelism >= 1 found a partitionable leaf
 	res   ExecResult
 	opts  ExecOptions // the options the state was opened for: the reuse key
 	ctl   execCtl
@@ -182,7 +171,7 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 	case st.sagg != nil:
 		err = st.sagg.run(&st.ctl, res, opts)
 	case st.par != nil:
-		err = st.par.run(ctx, res, opts)
+		err = st.par.run(ctx, st, p.plan, opts)
 	case st.pivot:
 		err = runRows(&st.ctl, st.it, st.b, p.plan, opts, res)
 	default:
@@ -203,13 +192,14 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 // execution state for it — the one place either happens. Summary-direct is
 // tried first (from the Prepare-time proof when there is one); failing
 // that the operator tree opens over the plan's pruned row-spaces (cached,
-// or judged now), or over full scans under the PathRegen ceiling. With
-// opts.Parallelism >= 1 the tree opens as a parallelPlan when its leaf scan
-// is partitionable; otherwise the leaf openParallel already opened is
-// handed to the sequential tree, so a table's DatagenFunc is invoked once
-// per scan either way. st is reset before anything is built and valid only
-// once open succeeds, so a failed open never leaves a half-built state
-// behind for the reuse branch to trust.
+// or judged now), or over full scans under the PathRegen ceiling — one
+// openCol of the plan's root, whatever drives it afterwards. With
+// opts.Parallelism >= 1 and a partitionable leaf scan that tree becomes the
+// first of the workers' (openParallel); otherwise it is driven as it
+// stands, so a table's DatagenFunc is invoked once per scan operator either
+// way. st is reset before anything is built and valid only once open
+// succeeds, so a failed open never leaves a half-built state behind for the
+// reuse branch to trust.
 // Everything here — the trace arena (Trace is part of the reuse key), the
 // evaluator's scratch, the tree — is then recycled in place by later calls
 // with the same opts.
@@ -224,31 +214,29 @@ func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 		root = &st.sagg.node
 	} else {
 		st.ctl.prunes = prunesFor(p.db, p.plan, opts, p.prunes)
-		builds := p.builds
+		builds := &buildCache{base: p.builds}
 		if opts.Regime == PathRegen && p.prunes != nil && len(p.prunes.scans) > 0 {
 			// The cached build sides were drained over pruned scans; full
 			// regeneration drains them live.
-			builds = nil
+			builds.base = nil
 		}
-		var leaf *scanOverride
 		if opts.Parallelism >= 1 {
-			var err error
-			if st.par, leaf, err = openParallel(p.db, p.plan, opts, builds, &st.ctl); err != nil {
-				return err
-			}
+			// What this open drains, its other workers' opens find.
+			builds.m = make(map[*PlanNode]*preparedBuild)
 		}
-		if st.par != nil {
-			root = st.par.root
-		} else {
-			need := rootNeed(p.plan, opts)
-			if st.pivot {
-				need = rowNeed(p.plan)
-			}
-			it, width, pop, node, err := openCol(p.db, p.plan.Root, need, opts.BatchSize, leaf, builds, &st.ctl)
-			if err != nil {
+		need := rootNeed(p.plan, opts)
+		if st.pivot {
+			need = rowNeed(p.plan)
+		}
+		it, width, pop, node, err := openCol(p.db, p.plan.Root, need, opts.BatchSize, builds, &st.ctl)
+		if err != nil {
+			return err
+		}
+		st.it, st.b, root = it, batch.NewCol(width, opts.BatchSize, pop), node
+		if opts.Parallelism >= 1 {
+			if st.par, err = openParallel(p.db, p.plan, it, node, st.b, opts, builds, &st.ctl); err != nil {
 				return err
 			}
-			st.it, st.b, root = it, batch.NewCol(width, opts.BatchSize, pop), node
 		}
 		if path = PathRegen; prunedRows(root) > 0 {
 			path = PathPruned

@@ -14,11 +14,12 @@ import (
 //     the finished state (colSinkIter);
 //   - ExecuteRowsContext is a row pivot over the identical pipeline, so the
 //     row path exercises the very same state;
-//   - the morsel-parallel branch holds one state per worker (partial
-//     accumulation via observe), folds partials with merge in worker-index
-//     order, and emits the merged state through stateEmitIter — the
-//     partial-state/merge contract that replaces per-executor operator
-//     reimplementations;
+//   - the morsel-parallel branch gives every worker its own pipeline, the
+//     bottom sink's state included: workers fold their morsels in with
+//     observe, the partials merge into the first worker's state in
+//     worker-index order, and that worker's tree — the execution's — emits
+//     from there (colSinkIter.adopt), through the very sinks the sequential
+//     drive runs;
 //   - a reused ExecState (Prepared.ExecuteIn) recycles the state via reset,
 //     so grouped, distinct, and sorted steady-state queries allocate nothing.
 //
@@ -30,6 +31,10 @@ import (
 type sinkState interface {
 	// observe folds one child batch into the state (selection-aware).
 	observe(b *batch.ColBatch)
+	// merge folds another execution's partial state of the same kind — a
+	// parallel worker's — into this one; the finished output must not depend
+	// on how the input was split or in what order partials merge.
+	merge(other sinkState)
 	// finish freezes the deterministic output order and judges deferred
 	// failures. Called exactly once per execution, after the last observe —
 	// for parallel execution, after the last merge.
@@ -47,14 +52,15 @@ type sinkState interface {
 // colSinkIter is the one blocking operator of the columnar pipeline: it
 // drains its child into a sinkState on the first Next, then streams the
 // state's deterministic output. OpGroupAgg, OpDistinct (both groupAggState),
-// and OpSort (sortState) are this operator with different states.
+// OpSort (sortState) and OpAggregate (countState) are this operator with
+// different states.
 type colSinkIter struct {
 	child    colIterator
 	buf      *batch.ColBatch // child output drain batch
 	st       sinkState
 	outCols  []int // output columns the caller materializes
 	node     *ExecNode
-	ctl      *execCtl    // nil = uncancellable (parallel merge emission)
+	ctl      *execCtl
 	sp       *trace.Span // nil when untraced
 	rowBytes int64       // bytes materialized per emitted row
 
@@ -87,7 +93,7 @@ func (g *colSinkIter) next(dst *batch.ColBatch) bool {
 		// A drain cut short by cancellation (the child's scan leaf stopped)
 		// must not pay for finish — sorting or ordering a large partial
 		// state would delay the unwind well past a batch boundary.
-		if g.ctl != nil && g.ctl.stopped() {
+		if g.ctl.stopped() {
 			return false
 		}
 		g.st.finish() // freezes order; may park a deferred error
@@ -105,6 +111,13 @@ func (g *colSinkIter) next(dst *batch.ColBatch) bool {
 	return true
 }
 
+// adopt takes the state as drained: the parallel branch folded the workers'
+// partials into it, so the first Next finishes nothing and drains nothing.
+func (g *colSinkIter) adopt() {
+	g.st.finish()
+	g.drained = true
+}
+
 func (g *colSinkIter) rewind(db *Database) error {
 	g.st.reset()
 	g.drained = false
@@ -120,65 +133,15 @@ func (g *colSinkIter) deferredErr() error {
 	return g.child.deferredErr()
 }
 
-// stateEmitIter streams an already-finished sinkState — the parallel
-// executor's merged partials — through the same emit contract colSinkIter
-// uses, so the merge side of a parallel run is the sequential emission
-// code, not a reimplementation. It is single-shot: the merged state is not
-// re-drainable.
-type stateEmitIter struct {
-	st       sinkState
-	outCols  []int
-	node     *ExecNode
-	sp       *trace.Span // nil when untraced
-	rowBytes int64
-	pos      int
-}
-
-func (e *stateEmitIter) Next(dst *batch.ColBatch) bool {
-	if e.sp == nil {
-		return e.next(dst)
-	}
-	e.sp.Begin()
-	if !e.next(dst) {
-		e.sp.ObserveEmpty()
-		return false
-	}
-	e.sp.Observe(int64(dst.Live()), int64(dst.Live())*e.rowBytes)
-	return true
-}
-
-func (e *stateEmitIter) next(dst *batch.ColBatch) bool {
-	dst.Reset()
-	if e.st.deferredErr() != nil {
-		return false
-	}
-	k := e.st.emit(dst, e.outCols, e.pos)
-	if k == 0 {
-		return false
-	}
-	e.pos += k
-	e.node.OutRows += int64(k)
-	return true
-}
-
-func (e *stateEmitIter) rewind(*Database) error {
-	e.pos = 0
-	e.node.OutRows = 0
-	return nil
-}
-
-func (e *stateEmitIter) deferredErr() error { return e.st.deferredErr() }
-
 // countState is COUNT(*) as a sinkState: a row counter emitting the single
-// aggregate row. The sequential executor uses the streaming colCountStarIter
-// (which needs no materialized state at all); countState is how the parallel
-// executor's merged row count re-enters the shared sink emission path when
-// sinks sit above the aggregate.
+// aggregate row. Its drain batches materialize no columns at all — pure
+// cardinality flow.
 type countState struct {
 	n int64
 }
 
 func (st *countState) observe(b *batch.ColBatch) { st.n += int64(b.Live()) }
+func (st *countState) merge(o sinkState)         { st.n += o.(*countState).n }
 func (st *countState) finish()                   {}
 func (st *countState) reset()                    { st.n = 0 }
 func (st *countState) deferredErr() error        { return nil }

@@ -113,9 +113,9 @@ const denseCutover = 4096
 
 // SolveAtoms solves the relaxed LP, rounds the fractional atom counts to
 // integers, and runs a bounded repair pass that shifts rows between atoms
-// to cancel residuals introduced by rounding. exact selects the rational
-// solver; otherwise large systems use the revised simplex automatically.
-func SolveAtoms(s *AtomSystem, exact bool) (*SolveResult, error) {
+// to cancel residuals introduced by rounding. Large systems use the revised
+// simplex automatically.
+func SolveAtoms(s *AtomSystem) (*SolveResult, error) {
 	if s.NumAtoms == 0 {
 		return nil, fmt.Errorf("lp: atom system with no atoms")
 	}
@@ -124,24 +124,14 @@ func SolveAtoms(s *AtomSystem, exact bool) (*SolveResult, error) {
 		objVal float64
 		pivots int
 	)
-	switch {
-	case !exact && s.NumAtoms > denseCutover:
+	if s.NumAtoms > denseCutover {
 		x, obj, piv, err := solveAtomsRevised(s)
 		if err != nil {
 			return nil, err
 		}
 		xs, objVal, pivots = x, obj, piv
-	default:
-		p := s.BuildRelaxed()
-		var (
-			sol *Solution
-			err error
-		)
-		if exact {
-			sol, err = SolveExact(p)
-		} else {
-			sol, err = Solve(p)
-		}
+	} else {
+		sol, err := Solve(s.BuildRelaxed())
 		if err != nil {
 			return nil, err
 		}

@@ -5,10 +5,9 @@ import (
 	"math/big"
 )
 
-// SolveExact runs the same two-phase simplex in exact rational arithmetic.
-// It is slower than Solve but immune to floating-point drift; tests use it
-// as the ground truth for the float64 path, and callers can select it for
-// small, numerically delicate systems.
+// SolveExact runs the same two-phase simplex in exact rational arithmetic:
+// slower than Solve but immune to floating-point drift, the differential
+// oracle the float64 path is held to (TestQuickExactAgreesWithFloat).
 func SolveExact(p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

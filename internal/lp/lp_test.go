@@ -133,7 +133,7 @@ func TestQuickSolveAtomsConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s, _ := randSystem(r)
-		res, err := SolveAtoms(s, false)
+		res, err := SolveAtoms(s)
 		if err != nil {
 			return false
 		}
@@ -165,22 +165,22 @@ func TestQuickExactAgreesWithFloat(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s, _ := randSystem(r)
-		a, err := SolveAtoms(s, false)
+		a, err := SolveAtoms(s)
 		if err != nil {
 			return false
 		}
-		b, err := SolveAtoms(s, true)
-		if err != nil {
+		b, err := SolveExact(s.BuildRelaxed())
+		if err != nil || b.Status != Optimal {
 			return false
 		}
-		return a.LPObj <= 1e-6 && b.LPObj <= 1e-6
+		return a.LPObj <= 1e-6 && b.Obj <= 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestQuickRevisedAgreesWithDense: force the revised path (by constructing
+// TestRevisedLargeSystem: force the revised path (by constructing
 // a system above the cutover) and check it satisfies all constraints.
 func TestRevisedLargeSystem(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
@@ -203,7 +203,7 @@ func TestRevisedLargeSystem(t *testing.T) {
 		}
 		s.Cons = append(s.Cons, AtomConstraint{Atoms: atoms, Card: card})
 	}
-	res, err := SolveAtoms(s, false)
+	res, err := SolveAtoms(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +211,11 @@ func TestRevisedLargeSystem(t *testing.T) {
 	// tiny integer residuals (the paper's "virtually no error"); they must
 	// stay negligible relative to the constraint cardinalities.
 	var dev, cards int64
-	for i, resid := range res.Residuals {
+	for _, resid := range res.Residuals {
 		if resid < 0 {
 			resid = -resid
 		}
 		dev += resid
-		_ = i
 	}
 	for _, c := range s.Cons {
 		cards += c.Card
@@ -233,7 +232,7 @@ func TestSolveAtomsInfeasibleRelaxes(t *testing.T) {
 		AtomConstraint{Atoms: []int{0}, Card: 3, Label: "a"},
 		AtomConstraint{Atoms: []int{0}, Card: 7, Label: "b"},
 	)
-	res, err := SolveAtoms(s, false)
+	res, err := SolveAtoms(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func TestSolveAtomsGELowerBound(t *testing.T) {
 		AtomConstraint{Atoms: []int{0, 1}, Card: 30, Label: "eq"},
 		AtomConstraint{Atoms: []int{1}, Card: 1, Kind: GE, Label: "ge"},
 	)
-	res, err := SolveAtoms(s, false)
+	res, err := SolveAtoms(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +275,7 @@ func TestSolveAtomsGELowerBound(t *testing.T) {
 }
 
 func TestSolveAtomsEmpty(t *testing.T) {
-	if _, err := SolveAtoms(&AtomSystem{}, false); err == nil {
+	if _, err := SolveAtoms(&AtomSystem{}); err == nil {
 		t.Error("zero-atom system accepted")
 	}
 }

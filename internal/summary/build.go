@@ -14,8 +14,6 @@ import (
 
 // BuildOptions tune summary construction.
 type BuildOptions struct {
-	// ExactLP selects the exact rational simplex instead of float64.
-	ExactLP bool
 	// SpreadUnconstrained gives columns no constraint touches a cycling
 	// set over their whole domain (realistic value diversity) instead of
 	// a single fixed value.
@@ -439,7 +437,7 @@ func (rb *relBuild) solve(opts BuildOptions) error {
 			g.layout = []int{0}
 			continue
 		}
-		res, err := lp.SolveAtoms(g.sys, opts.ExactLP)
+		res, err := lp.SolveAtoms(g.sys)
 		if err != nil {
 			return err
 		}

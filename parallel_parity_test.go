@@ -11,14 +11,16 @@ package hydra
 import (
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/generator"
 	"repro/internal/toy"
 	"repro/internal/tpcds"
 )
 
 // checkParallelParity builds a summary from the package, then runs every
-// workload query datalessly on every entry point at 0, 1, 4, and 8 workers,
+// workload query datalessly on every entry point at every frontWorkers count,
 // requiring results identical to sequential Query's. Small batch sizes
 // force many small morsels through every operator.
 func checkParallelParity(t *testing.T, pkg *TransferPackage, queries []string) {
@@ -109,4 +111,50 @@ func TestParallelParityVelocityFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, sql+" [paced fallback]", got, want)
+}
+
+// TestBuildSideOpenedOnce counts how often a two-join query opens one of its
+// build tables. Ad hoc, every execution drains the build side exactly once,
+// however many workers probe it: the first worker's open drains it into the
+// execution's build cache and the others' opens find it there. Prepared,
+// the one drain happens at Prepare and an execution never opens the table.
+func TestBuildSideOpenedOnce(t *testing.T) {
+	db := core.RegenDatabase(toySummary(t), 0)
+	tab, rel, opens := db.Schema.Table("s"), db.Summary("s"), 0
+	db.SetDatagen("s", func() (batch.ColProjector, error) {
+		opens++
+		return generator.NewStream(tab, rel), nil
+	})
+	oversubscribe(t, 4)
+	want, err := Query(db, toy.Query, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := Prepare(db, toy.Query, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opens != 2 {
+		t.Fatalf("one ad hoc query and one Prepare opened s %d times, want 2", opens)
+	}
+	for _, w := range []int{0, 1, 4} {
+		opts := ExecOptions{Parallelism: w}
+		opens = 0
+		got, err := Query(db, toy.Query, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, "ad hoc", got, want)
+		if opens != 1 {
+			t.Errorf("ad hoc, %d workers: s opened %d times, want 1", w, opens)
+		}
+		opens = 0
+		if got, err = prep.Execute(opts); err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, "prepared", got, want)
+		if opens != 0 {
+			t.Errorf("prepared, %d workers: s opened %d times per execution, want 0", w, opens)
+		}
+	}
 }

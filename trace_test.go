@@ -67,9 +67,26 @@ func checkSpanMirrorsPlan(t *testing.T, label string, sp *TraceSpan, node *ExecN
 func TestTraceSpanParityAcrossFronts(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
-	queries := append(append(toy.Workload(), toy.GroupWorkload()...), toy.SortWorkload()...)
-	for _, sql := range queries {
-		untraced, err := Query(db, sql, ExecOptions{SampleLimit: 4})
+	type traced struct{ sql, regime string }
+	var queries []traced
+	for _, sql := range append(append(toy.Workload(), toy.GroupWorkload()...), toy.SortWorkload()...) {
+		queries = append(queries, traced{sql, ""})
+	}
+	// Joins whose probe leaf is filtered too, the shapes a parallel worker's
+	// pipeline takes below the join: scan→probe over a row space pruned to a
+	// pk window (the filter absorbed), scan→filter→probe over a pruned scan
+	// with a residual, and, under the regen ceiling, scan→filter→probe over
+	// the whole table beside a build side whose own FILTER a Prepared serves
+	// frozen.
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk AND r.r_pk >= 2000 AND r.r_pk < 9000 AND s.a < 50",
+		"SELECT * FROM r, s WHERE r.s_fk = s.s_pk AND r.s_fk >= 100 AND r.t_fk < 50 AND s.a < 50 AND s.b >= 100",
+	} {
+		queries = append(queries, traced{sql, ""}, traced{sql, engine.PathRegen})
+	}
+	for _, q := range queries {
+		sql, opts := q.sql+" ["+q.regime+"]", ExecOptions{SampleLimit: 4, Regime: q.regime}
+		untraced, err := Query(db, q.sql, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
@@ -77,7 +94,8 @@ func TestTraceSpanParityAcrossFronts(t *testing.T) {
 			t.Fatalf("%s: untraced execution grew a span tree", sql)
 		}
 
-		ref, err := Query(db, sql, ExecOptions{SampleLimit: 4, Trace: true})
+		opts.Trace = true
+		ref, err := Query(db, q.sql, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
@@ -94,7 +112,7 @@ func TestTraceSpanParityAcrossFronts(t *testing.T) {
 		}
 		refShape := spanShape(ref.Trace)
 
-		eachFront(t, db, sql, ExecOptions{SampleLimit: 4, Trace: true}, func(label string, res *ExecResult) {
+		eachFront(t, db, q.sql, opts, func(label string, res *ExecResult) {
 			if res.Rows != ref.Rows || res.Count != ref.Count {
 				t.Fatalf("%s: answer drifted: %d/%d, want %d/%d", label, res.Rows, res.Count, ref.Rows, ref.Count)
 			}
