@@ -123,6 +123,13 @@ func TestHashJoin(t *testing.T) {
 	if res2.Sample[0][1] != res2.Sample[0][3] {
 		t.Errorf("join key mismatch in output row %v", res2.Sample[0])
 	}
+	// The build side is the fact table, keyed by its duplicate-heavy foreign
+	// key: each dim row meets its fact rows in fact order.
+	res3 := run(t, db, "SELECT * FROM dim, fact WHERE dim.d_pk = fact.d_fk")
+	want := [][]int64{{0, 10, 0, 0, 1}, {0, 10, 1, 0, 2}, {1, 20, 2, 1, 3}, {2, 30, 3, 2, 4}, {3, 40, 4, 3, 5}, {3, 40, 5, 3, 6}}
+	if !reflect.DeepEqual(res3.Sample, want) {
+		t.Errorf("dim ⋈ fact rows %v, want %v", res3.Sample, want)
+	}
 }
 
 func TestUnqualifiedColumns(t *testing.T) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/batch"
@@ -438,26 +439,99 @@ func (f *colFilterIter) deferredErr() error { return f.child.deferredErr() }
 
 // colJoinBuild is the one-time build side of a hash join: per-column
 // arenas of the build rows the output needs (unneeded columns carry no
-// storage) plus a key → row-index map. Selection vectors are compacted
+// storage) plus a flat key index over them. Selection vectors are compacted
 // away during the drain, so arena row r is the r-th surviving build row.
 // After construction a colJoinBuild is read-only: the parallel executor
 // shares one across all workers, and Prepare shares one across executions.
+//
+// The index groups the arena rows by key into runs, one per distinct key in
+// first-seen order, laid out compressed-sparse-row: run g's rows are
+// byKey[start[g]:start[g+1]], ascending, with key keys[g]. slots is an
+// open-addressed table (power of two, at least twice the build rows, so
+// under half full) of run number + 1, 0 marking an empty slot; a key's home
+// slot is the top bits of a multiplicative hash — keys that differ only in
+// high bits (i<<32 strides) still spread — and collisions probe linearly.
 type colJoinBuild struct {
 	width int
 	arena [][]int64 // len width; nil for unpopulated columns
-	idx   map[int64][]int32
-	rows  int32
+	slots []int32
+	keys  []int64
+	start []int32 // len(keys)+1
+	byKey []int32
+	shift uint // 64 − log2(len(slots))
 }
 
-// newColJoinBuild drains the build-side iterator into the arenas + index:
-// only the need columns are retained (need must include the key column);
-// pop is the populated set of the build child's batches. The drain is a
-// complete execution of the build subtree, so its deferred error (a scan
-// source that stopped on bad input) is returned here.
+// hashMul is 2^64/φ: Fibonacci hashing's multiplier.
+const hashMul = 0x9E3779B97F4A7C15
+
+// matches returns the ascending arena rows whose key is k, nil for none.
+// The slice aliases the index: callers only read it.
+func (jb *colJoinBuild) matches(k int64) []int32 {
+	s := jb.slots[jb.slot(k)]
+	if s == 0 {
+		return nil
+	}
+	return jb.byKey[jb.start[s-1]:jb.start[s]]
+}
+
+// slot returns the index of key k's slot, or of the empty slot that ends
+// its probe sequence when k is absent.
+func (jb *colJoinBuild) slot(k int64) int {
+	mask := len(jb.slots) - 1
+	i := int(uint64(k) * hashMul >> jb.shift)
+	for s := jb.slots[i]; s != 0 && jb.keys[s-1] != k; s = jb.slots[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// runOf returns key k's run, adding it when absent.
+func (jb *colJoinBuild) runOf(k int64) int32 {
+	i := jb.slot(k)
+	if jb.slots[i] == 0 {
+		jb.keys = append(jb.keys, k)
+		jb.start = append(jb.start, 0)
+		jb.slots[i] = int32(len(jb.keys))
+	}
+	return jb.slots[i] - 1
+}
+
+// index builds the key index over the drained key column: one pass inserts
+// the runs and counts their rows into start, a prefix sum turns the counts
+// into run ends, and a reverse pass places each row just below its run's
+// end — leaving runs ascending and start[g] at run g's first row.
+func (jb *colJoinBuild) index(key []int64) {
+	size := 1
+	for size < 2*len(key) {
+		size <<= 1
+	}
+	jb.slots = make([]int32, size)
+	jb.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, k := range key {
+		jb.start[jb.runOf(k)]++
+	}
+	var end int32
+	for g, c := range jb.start {
+		end += c
+		jb.start[g] = end
+	}
+	jb.start = append(jb.start, end)
+	jb.byKey = make([]int32, len(key))
+	for r := len(key) - 1; r >= 0; r-- {
+		g := jb.runOf(key[r])
+		jb.start[g]--
+		jb.byKey[jb.start[g]] = int32(r)
+	}
+}
+
+// newColJoinBuild drains the build-side iterator into the arenas, then
+// indexes them: only the need columns are retained (need must include the
+// key column); pop is the populated set of the build child's batches. The
+// drain is a complete execution of the build subtree, so its deferred error
+// (a scan source that stopped on bad input) is returned here.
 func newColJoinBuild(build colIterator, width, rightKey, capRows int, need, pop []int) (*colJoinBuild, error) {
-	jb := &colJoinBuild{width: width, arena: make([][]int64, width), idx: make(map[int64][]int32)}
+	jb := &colJoinBuild{width: width, arena: make([][]int64, width)}
 	b := batch.NewCol(width, capRows, pop)
-	var n int32
 	for build.Next(b) {
 		if sel := b.Sel(); sel == nil {
 			k := b.Len()
@@ -474,12 +548,8 @@ func newColJoinBuild(build colIterator, width, rightKey, capRows int, need, pop 
 				jb.arena[c] = a
 			}
 		}
-		for _, k := range jb.arena[rightKey][n:] {
-			jb.idx[k] = append(jb.idx[k], n)
-			n++
-		}
 	}
-	jb.rows = n
+	jb.index(jb.arena[rightKey])
 	return jb, build.deferredErr()
 }
 
@@ -608,7 +678,7 @@ func (h *colHashJoinIter) next(dst *batch.ColBatch) bool {
 			h.curRow = h.pi
 		}
 		h.pi++
-		h.matches = h.build.idx[h.pbatch.Col(h.leftKey)[h.curRow]]
+		h.matches = h.build.matches(h.pbatch.Col(h.leftKey)[h.curRow])
 		h.mi = 0
 	}
 	dst.SetLen(j)

@@ -1,9 +1,10 @@
 package lp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // AtomConstraint is one volumetric constraint expressed over partition
@@ -176,16 +177,19 @@ func SolveAtoms(s *AtomSystem) (*SolveResult, error) {
 // remaining residuals are reported, mirroring the paper's small constant
 // volumetric discrepancies.
 func repair(rows []AtomConstraint, counts []int64) {
-	degree := make(map[int]int)
+	degree := make([]int, len(counts))
 	for _, r := range rows {
 		for _, a := range r.Atoms {
 			degree[a]++
 		}
 	}
+	// Each row's members by (degree, atom), sorted when the row is first
+	// unsatisfied; degrees never change, so later passes reuse the order.
+	order := make([][]int, len(rows))
 	const passes = 8
 	for pass := 0; pass < passes; pass++ {
 		changed := false
-		for _, r := range rows {
+		for i, r := range rows {
 			var sum int64
 			for _, a := range r.Atoms {
 				sum += counts[a]
@@ -197,14 +201,13 @@ func repair(rows []AtomConstraint, counts []int64) {
 			if resid == 0 {
 				continue
 			}
-			members := append([]int(nil), r.Atoms...)
-			sort.Slice(members, func(i, j int) bool {
-				if degree[members[i]] != degree[members[j]] {
-					return degree[members[i]] < degree[members[j]]
-				}
-				return members[i] < members[j]
-			})
-			for _, a := range members {
+			if order[i] == nil {
+				order[i] = slices.Clone(r.Atoms)
+				slices.SortFunc(order[i], func(a, b int) int {
+					return cmp.Or(cmp.Compare(degree[a], degree[b]), cmp.Compare(a, b))
+				})
+			}
+			for _, a := range order[i] {
 				if resid == 0 {
 					break
 				}

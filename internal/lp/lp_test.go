@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -271,6 +272,28 @@ func TestSolveAtomsGELowerBound(t *testing.T) {
 		if r != 0 {
 			t.Errorf("residual %s = %d", res.Labels[i], r)
 		}
+	}
+}
+
+// TestRepairDegreeOrder pins repair's greedy order on a rounding that
+// leaves residuals of both signs. Rows a {0,1,2} = 10, b {2,3} = 5,
+// c {3} ≥ 2 and |R| = 15 give degrees 2, 2, 3, 3, 1; the rounded counts
+// 1, 8, 3, 3, 1 miss a by −2, b by −1 and |R| by −1 (c's surplus is no
+// residual). Pass 1: a takes 1 from atom 0 (its lower-numbered tie with
+// atom 1, clamped at 0) and 1 from atom 1; b takes 1 from atom 2 (tie with
+// 3); |R| is now +2 short and adds both to atom 4, its lowest degree.
+// Pass 2: a is +1 short (atom 0), then |R| is 1 over (atom 4). Pass 3
+// changes nothing.
+func TestRepairDegreeOrder(t *testing.T) {
+	s := &AtomSystem{NumAtoms: 5, Total: 15, Cons: []AtomConstraint{
+		{Atoms: []int{0, 1, 2}, Card: 10},
+		{Atoms: []int{2, 3}, Card: 5},
+		{Atoms: []int{3}, Card: 2, Kind: GE},
+	}}
+	counts := []int64{1, 8, 3, 3, 1}
+	repair(s.rows(), counts)
+	if want := []int64{1, 7, 2, 3, 2}; !reflect.DeepEqual(counts, want) {
+		t.Errorf("repaired counts %v, want %v", counts, want)
 	}
 }
 

@@ -399,28 +399,28 @@ func prepareRelation(t *schema.Table, s *schema.Schema, w *preprocess.Workload, 
 		g.sys.Cons = append(g.sys.Cons, lp.AtomConstraint{Atoms: members, Card: c.Card, Label: c.Label})
 	}
 
-	// Preference: keep downstream-referenced regions populated.
+	// Preference: keep downstream-referenced regions' atoms populated.
+	prefer := make([][]bool, len(rb.groups))
 	for key := range w.Referenced[t.Name] {
 		ri, ok := regionIdx[key]
 		if !ok || regionGroup[ri] < 0 {
 			continue
 		}
-		g := rb.groups[regionGroup[ri]]
-		gri := g.regIdx[ri]
-		preferSet := map[int]bool{}
-		for _, p := range g.sys.Prefer {
-			preferSet[p] = true
+		gi := regionGroup[ri]
+		g, gri := rb.groups[gi], rb.groups[gi].regIdx[ri]
+		if prefer[gi] == nil {
+			prefer[gi] = make([]bool, len(g.atoms))
 		}
 		for ai := range g.atoms {
-			if g.atoms[ai].In(gri) {
-				preferSet[ai] = true
+			prefer[gi][ai] = prefer[gi][ai] || g.atoms[ai].In(gri)
+		}
+	}
+	for gi, in := range prefer {
+		for ai, p := range in {
+			if p {
+				rb.groups[gi].sys.Prefer = append(rb.groups[gi].sys.Prefer, ai)
 			}
 		}
-		g.sys.Prefer = g.sys.Prefer[:0]
-		for ai := range preferSet {
-			g.sys.Prefer = append(g.sys.Prefer, ai)
-		}
-		sort.Ints(g.sys.Prefer)
 	}
 	return rb, nil
 }

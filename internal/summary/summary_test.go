@@ -3,6 +3,7 @@ package summary
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/aqp"
@@ -19,8 +20,18 @@ func buildToy(t *testing.T) (*engine.Database, *Database, *BuildReport) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum, rep, err := Build(db.Schema, toyWorkload(t, db, toy.Workload()), DefaultBuildOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, sum, rep
+}
+
+// toyWorkload captures the queries' AQPs on db and extracts their workload.
+func toyWorkload(t *testing.T, db *engine.Database, sqls []string) *preprocess.Workload {
+	t.Helper()
 	var aqps []*aqp.AQP
-	for _, sql := range toy.Workload() {
+	for _, sql := range sqls {
 		q, err := sqlkit.Parse(sql)
 		if err != nil {
 			t.Fatal(err)
@@ -39,11 +50,43 @@ func buildToy(t *testing.T) (*engine.Database, *Database, *BuildReport) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, rep, err := Build(db.Schema, w, DefaultBuildOptions())
+	return w
+}
+
+// TestPreferIsReferencedUnion: two joins reference the overlapping s
+// regions a < 50 and 20 <= a < 60. s is referenced, so it is one group,
+// whose axis a is cut at 20, 50 and 60 into four atoms; Prefer lists the
+// three inside either region — the sorted union, the overlap once — and
+// leaves out the one above 60.
+func TestPreferIsReferencedUnion(t *testing.T) {
+	db, err := toy.Database(11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db, sum, rep
+	w := toyWorkload(t, db, []string{
+		"SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk AND s.a < 50",
+		"SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk AND s.a >= 20 AND s.a < 60",
+	})
+	if n := len(w.Referenced["s"]); n != 2 {
+		t.Fatalf("%d referenced s regions, want 2", n)
+	}
+	rb, err := prepareRelation(db.Schema.Table("s"), db.Schema, w, DefaultBuildOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rb.groups) != 1 || len(rb.groups[0].atoms) != 4 {
+		t.Fatalf("s: %d groups, want 1 of 4 atoms", len(rb.groups))
+	}
+	g := rb.groups[0]
+	var want []int
+	for ai, atom := range g.atoms {
+		if atom.Rep[0].Hi <= 60 {
+			want = append(want, ai)
+		}
+	}
+	if len(want) != 3 || !reflect.DeepEqual(g.sys.Prefer, want) {
+		t.Errorf("Prefer = %v, want the atoms below a = 60, ascending: %v (atoms %+v)", g.sys.Prefer, want, g.atoms)
+	}
 }
 
 func TestBuildToyExact(t *testing.T) {

@@ -186,6 +186,49 @@ func TestSteadyStateZeroAllocPruned(t *testing.T) {
 	}
 }
 
+// TestSteadyStateZeroAllocJoin pins the contract on the hash-join probe: a
+// Prepared filtered join drains its build side once, at Prepare, and
+// repeated ExecuteIn — probing the frozen key index with every regenerated
+// (or, pruned, every qualifying) probe row — allocates nothing.
+func TestSteadyStateZeroAllocJoin(t *testing.T) {
+	sum := toySummary(t)
+	db := core.RegenDatabase(sum, 0)
+	for _, c := range []struct {
+		regime string
+		sql    string
+	}{
+		{engine.PathRegen, "SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk AND s.a < 50"},
+		{engine.PathPruned, "SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk AND s.a < 50 AND r.t_fk < 30"},
+	} {
+		opts := ExecOptions{Regime: c.regime}
+		prep, err := Prepare(db, c.sql, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		var st engine.ExecState
+		res, err := prep.ExecuteIn(&st, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if res.Path != c.regime || res.Count == 0 {
+			t.Fatalf("%s: answered via %q with count %d, want %q and some rows", c.sql, res.Path, res.Count, c.regime)
+		}
+		want := res.Count
+		allocs := testing.AllocsPerRun(200, func() {
+			res, err := prep.ExecuteIn(&st, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Count != want {
+				t.Fatalf("count drifted: %d, want %d", res.Count, want)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s at %s: steady state allocates %.2f objects per query, want 0", c.sql, c.regime, allocs)
+		}
+	}
+}
+
 // TestSteadyStateZeroAllocGroupBy extends the zero-allocation audit to the
 // hash-aggregation sink, GROUP BY and DISTINCT alike (one state serves
 // both): after warmup, repeated ExecuteIn recycles it — open-addressed
