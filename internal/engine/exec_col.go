@@ -464,14 +464,12 @@ type colJoinBuild struct {
 // hashMul is 2^64/φ: Fibonacci hashing's multiplier.
 const hashMul = 0x9E3779B97F4A7C15
 
-// matches returns the ascending arena rows whose key is k, nil for none.
-// The slice aliases the index: callers only read it.
-func (jb *colJoinBuild) matches(k int64) []int32 {
+// matches returns the bounds of key k's run: byKey[lo:hi] are the ascending
+// arena rows whose key is k, and lo == hi for none: an empty slot (0) reads
+// start[0] twice. Small enough to inline into the probe loop.
+func (jb *colJoinBuild) matches(k int64) (lo, hi int32) {
 	s := jb.slots[jb.slot(k)]
-	if s == 0 {
-		return nil
-	}
-	return jb.byKey[jb.start[s-1]:jb.start[s]]
+	return jb.start[max(s, 1)-1], jb.start[s]
 }
 
 // slot returns the index of key k's slot, or of the empty slot that ends
@@ -507,6 +505,10 @@ func (jb *colJoinBuild) index(key []int64) {
 	}
 	jb.slots = make([]int32, size)
 	jb.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	// A run per row at most: exact for unique-key builds, so runOf's appends
+	// never regrow.
+	jb.keys = make([]int64, 0, len(key))
+	jb.start = make([]int32, 0, len(key)+1)
 	for _, k := range key {
 		jb.start[jb.runOf(k)]++
 	}
@@ -553,10 +555,12 @@ func newColJoinBuild(build colIterator, width, rightKey, capRows int, need, pop 
 	return jb, build.deferredErr()
 }
 
-// colHashJoinIter streams probe batches against a colJoinBuild. Until a
-// probe row matches, only its key column is read; output materialization
-// gathers exactly the needed columns — probe values replicated per match
-// run, build values fetched from the arenas by match index.
+// colHashJoinIter streams probe batches against a colJoinBuild in two
+// phases per output batch. The pair loop walks the live probe rows in
+// selection order, reading nothing but the key column, looks each key up
+// once and appends a (probe row, arena row) pair per match; then one tight
+// gather loop per needed column fills the output — probe columns from the
+// probe batch by pRows, build columns from the arenas by bRows.
 type colHashJoinIter struct {
 	probe     colIterator
 	node      *ExecNode
@@ -568,25 +572,30 @@ type colHashJoinIter struct {
 	probeOut  []int // needed output columns from the probe side
 	buildOut  []int // needed output columns from the build side (build-local indices)
 
+	// The pair vectors, capacity the output batch's: pair i is output row i.
+	pRows, bRows []int32
+
 	// probe cursor, carried across Next calls when dst fills mid-batch
-	pbatch  *batch.ColBatch
-	pi      int // next unprocessed live row of pbatch (selection order)
-	curRow  int // current probe physical row
-	matches []int32
-	mi      int
-	done    bool
+	pbatch   *batch.ColBatch
+	pi       int   // next unprocessed live row of pbatch (selection order)
+	curRow   int32 // probe physical row of a run cut by a full output batch
+	mi, mEnd int32 // the cut run's unemitted rows: byKey[mi:mEnd]
+	done     bool
 }
 
 // newColHashJoinIter builds the probe-side iterator: need is the join
 // output's required columns, probePop the populated set of the probe
 // child's batches.
 func newColHashJoinIter(probe colIterator, jb *colJoinBuild, probeCols, leftKey int, need, probePop []int, capRows int) *colHashJoinIter {
+	pbatch := batch.NewCol(probeCols, capRows, probePop)
 	h := &colHashJoinIter{
 		probe:     probe,
 		leftKey:   leftKey,
 		probeCols: probeCols,
 		build:     jb,
-		pbatch:    batch.NewCol(probeCols, capRows, probePop),
+		pRows:     make([]int32, pbatch.Cap()),
+		bRows:     make([]int32, pbatch.Cap()),
+		pbatch:    pbatch,
 	}
 	for _, c := range need {
 		if c < probeCols {
@@ -600,12 +609,12 @@ func newColHashJoinIter(probe colIterator, jb *colJoinBuild, probeCols, leftKey 
 
 // reset clears the probe-side cursor so the iterator can serve a fresh
 // probe source (the parallel executor reuses one iterator per worker
-// across morsels). The shared build state is untouched.
+// across morsels), dropping a run cut by the last output batch. The shared
+// build state is untouched.
 func (h *colHashJoinIter) reset() {
 	h.pbatch.Reset()
 	h.pi = 0
-	h.matches = nil
-	h.mi = 0
+	h.mi, h.mEnd = 0, 0
 	h.done = false
 }
 
@@ -633,38 +642,36 @@ func (h *colHashJoinIter) Next(dst *batch.ColBatch) bool {
 	return true
 }
 
+// next fills dst with up to Cap pairs' output. A probe pull overwrites
+// pbatch, so the probe columns of the pairs collected before one are
+// gathered first (from is where the ungathered pairs start); output
+// batches stay packed across probe batches.
 func (h *colHashJoinIter) next(dst *batch.ColBatch) bool {
 	dst.Reset()
 	capRows := dst.Cap()
-	j := 0
+	pRows, bRows := h.pRows[:capRows], h.bRows[:capRows]
+	jb := h.build
+	byKey := jb.byKey
+	j, from := 0, 0
+	// The pair loop.
 	for j < capRows {
-		if h.mi < len(h.matches) {
-			k := len(h.matches) - h.mi
-			if k > capRows-j {
-				k = capRows - j
+		if h.mi < h.mEnd {
+			// The rest of a run the previous batch cut.
+			run := byKey[h.mi:min(h.mEnd, h.mi+int32(capRows-j))]
+			for _, r := range run {
+				pRows[j], bRows[j] = h.curRow, r
+				j++
 			}
-			for _, c := range h.probeOut {
-				v := h.pbatch.Col(c)[h.curRow]
-				out := dst.Col(c)[j : j+k]
-				for i := range out {
-					out[i] = v
-				}
-			}
-			for _, bc := range h.buildOut {
-				src := h.build.arena[bc]
-				out := dst.Col(h.probeCols + bc)[j : j+k]
-				for i := 0; i < k; i++ {
-					out[i] = src[h.matches[h.mi+i]]
-				}
-			}
-			h.mi += k
-			j += k
+			h.mi += int32(len(run))
 			continue
 		}
 		if h.done {
 			break
 		}
-		if h.pi >= h.pbatch.Live() {
+		live := h.pbatch.Live()
+		if h.pi >= live {
+			h.gatherProbe(dst, from, j)
+			from = j
 			if !h.probe.Next(h.pbatch) {
 				h.done = true
 				break
@@ -672,16 +679,47 @@ func (h *colHashJoinIter) next(dst *batch.ColBatch) bool {
 			h.pi = 0
 			continue
 		}
-		if sel := h.pbatch.Sel(); sel != nil {
-			h.curRow = int(sel[h.pi])
-		} else {
-			h.curRow = h.pi
+		keys, sel := h.pbatch.Col(h.leftKey), h.pbatch.Sel()
+		pi := h.pi
+		for pi < live && j < capRows {
+			p := int32(pi)
+			if sel != nil {
+				p = sel[pi]
+			}
+			pi++
+			lo, hi := jb.matches(keys[p])
+			if end := lo + int32(capRows-j); hi > end {
+				h.curRow, h.mi, h.mEnd = p, end, hi
+				hi = end
+			}
+			for _, r := range byKey[lo:hi] {
+				pRows[j], bRows[j] = p, r
+				j++
+			}
 		}
-		h.pi++
-		h.matches = h.build.matches(h.pbatch.Col(h.leftKey)[h.curRow])
-		h.mi = 0
+		h.pi = pi
+	}
+	// The gather: one loop per needed column.
+	h.gatherProbe(dst, from, j)
+	for _, bc := range h.buildOut {
+		src, out := jb.arena[bc], dst.Col(h.probeCols + bc)[:j]
+		for i, r := range bRows[:j] {
+			out[i] = src[r]
+		}
 	}
 	dst.SetLen(j)
 	h.node.OutRows += int64(j)
 	return j > 0
+}
+
+// gatherProbe fills the probe columns of output rows [from, to) from the
+// current probe batch.
+func (h *colHashJoinIter) gatherProbe(dst *batch.ColBatch, from, to int) {
+	rows := h.pRows[from:to]
+	for _, c := range h.probeOut {
+		src, out := h.pbatch.Col(c), dst.Col(c)[from:to]
+		for i, r := range rows {
+			out[i] = src[r]
+		}
+	}
 }
