@@ -12,6 +12,7 @@ package engine
 
 import (
 	"fmt"
+	"weak"
 
 	"repro/internal/batch"
 	"repro/internal/schema"
@@ -78,12 +79,14 @@ func (r *Relation) Row(i int) []int64 {
 	return row
 }
 
-// Database holds stored relations and per-table datagen overrides.
+// Database holds stored relations and per-table datagen overrides, and the
+// build sides Prepare drained over them (shared.go).
 type Database struct {
 	Schema    *schema.Schema
 	rels      map[string]*Relation
 	datagen   map[string]DatagenFunc
 	summaries map[string]*synopsis.Relation
+	builds    *sharedBuilds
 }
 
 // NewDatabase creates an empty database over the schema.
@@ -93,12 +96,15 @@ func NewDatabase(s *schema.Schema) *Database {
 		rels:      make(map[string]*Relation),
 		datagen:   make(map[string]DatagenFunc),
 		summaries: make(map[string]*synopsis.Relation),
+		builds:    &sharedBuilds{m: make(map[buildLeaf]weak.Pointer[preparedBuild])},
 	}
 }
 
 // AddRelation registers a stored relation for a schema table. A relation
 // whose column count differs from the schema's table of that name is
-// refused: scans size their batches from the schema.
+// refused: scans size their batches from the schema. Append the rows first:
+// like SetDatagen and SetSummary, registering drops the database's shared
+// build sides (shared.go), which hold what a table's scan returned then.
 func (db *Database) AddRelation(rel *Relation) error {
 	t := db.Schema.Table(rel.Table.Name)
 	if t == nil {
@@ -108,6 +114,7 @@ func (db *Database) AddRelation(rel *Relation) error {
 		return fmt.Errorf("engine: relation %s has %d columns, schema table has %d", rel.Table.Name, len(rel.Table.Columns), len(t.Columns))
 	}
 	db.rels[rel.Table.Name] = rel
+	db.builds.clear()
 	return nil
 }
 
@@ -118,6 +125,7 @@ func (db *Database) Relation(name string) *Relation { return db.rels[name] }
 // the table stream rows from fn instead of stored data. Passing nil disables
 // it.
 func (db *Database) SetDatagen(table string, fn DatagenFunc) {
+	db.builds.clear()
 	if fn == nil {
 		delete(db.datagen, table)
 		return
@@ -139,6 +147,7 @@ func (db *Database) DatagenEnabled(table string) bool {
 // datagen source must not register one, since queries answered
 // summary-directly bypass the scan entirely. Passing nil unregisters.
 func (db *Database) SetSummary(table string, rel *synopsis.Relation) {
+	db.builds.clear()
 	if rel == nil {
 		delete(db.summaries, table)
 		return

@@ -461,6 +461,16 @@ type colJoinBuild struct {
 	shift uint // 64 − log2(len(slots))
 }
 
+// bytes is the build's footprint: cap × 8 per populated arena, plus the
+// index — 4 B a slot, 8 B a key, 4 B a run start, 4 B a byKey row.
+func (jb *colJoinBuild) bytes() int64 {
+	n := 4*cap(jb.slots) + 8*cap(jb.keys) + 4*cap(jb.start) + 4*cap(jb.byKey)
+	for _, a := range jb.arena {
+		n += 8 * cap(a)
+	}
+	return int64(n)
+}
+
 // hashMul is 2^64/φ: Fibonacci hashing's multiplier.
 const hashMul = 0x9E3779B97F4A7C15
 

@@ -73,6 +73,22 @@ func TestJoinIndexMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// TestJoinBuildBytes pins what a build weighs: allocated capacity, not
+// length — 8 B per arena row of a populated column (an unpopulated one is
+// free), 4 B a slot, 8 B a key, 4 B a run start, 4 B a byKey row.
+func TestJoinBuildBytes(t *testing.T) {
+	jb := &colJoinBuild{
+		arena: [][]int64{make([]int64, 3, 5), nil},
+		slots: make([]int32, 8),
+		keys:  make([]int64, 2, 3),
+		start: make([]int32, 3, 4),
+		byKey: make([]int32, 3),
+	}
+	if got, want := jb.bytes(), int64(8*5+4*8+8*3+4*4+4*3); got != want {
+		t.Fatalf("bytes = %d, want %d", got, want)
+	}
+}
+
 // joinOracleSchema returns prb(p_id, p_key, p_val) and bld(b_key, b_val):
 // a probe and a build side joined on p_key = b_key, neither key a primary
 // key, so the build may repeat keys.

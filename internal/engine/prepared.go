@@ -8,15 +8,18 @@ import (
 )
 
 // Prepared is a plan readied for repeated execution against one database:
-// every hash-join build side has been drained once into a shared read-only
-// columnar arena, so each Execute pays probe cost only. Because dataless
-// scans are pure functions of the summary, the arenas are valid for the
-// database's lifetime; a Prepared is safe for concurrent Execute calls
-// (each opens fresh probe state over the shared builds). This is what the
-// serve front end caches per normalized query — steady-state traffic never
-// rebuilds a hash table. Cancellation cannot poison a Prepared: the arenas
-// are immutable after Prepare, and a canceled execution abandons only its
-// private probe state.
+// every hash-join build side has been drained into a read-only columnar
+// arena, so each Execute pays probe cost only. Because dataless scans are
+// pure functions of the summary, a build side depends on its build leaf
+// alone, and the arenas are valid for the database's lifetime: a Prepared
+// holds references to builds the database shares across Prepareds
+// (shared.go), draining only the leaves no live Prepared already holds. A
+// Prepared is safe for concurrent Execute calls (each opens fresh probe
+// state over the shared builds). This is what the serve front end caches
+// per normalized query — steady-state traffic never rebuilds a hash table.
+// Cancellation cannot poison a Prepared: the arenas are immutable after
+// their drain, and a canceled execution abandons only its private probe
+// state.
 //
 // Prepared is also the engine's one executor: every entry point is run over
 // some Prepared and some ExecState. What each owns:
@@ -33,7 +36,7 @@ import (
 type Prepared struct {
 	db     *Database
 	plan   *Plan
-	builds map[*PlanNode]*preparedBuild // every join's build side, drained once over all its columns
+	builds map[*PlanNode]*preparedBuild // every join's build side over all its columns, drained here or taken from db's shared layer
 	prunes *pruneCache                  // row-spaces and summary-direct proof, judged once at Prepare time
 }
 
@@ -64,7 +67,11 @@ func Prepare(db *Database, plan *Plan, opts ExecOptions) (*Prepared, error) {
 }
 
 // drainBuilds fills the cache with the build side of every hash join under
-// pn, innermost first, so a join nested in a build side is found drained.
+// pn, innermost first, so a join nested in a build side is found drained. A
+// build leaf the database's shared layer holds is taken from it; one it
+// lacks is drained and published. (A leaf's prune row-space, like its
+// rows, is a function of the leaf alone, so a shared build is the one this
+// plan would have drained.)
 func (p *Prepared) drainBuilds(pn *PlanNode, capRows int, builds *buildCache, ctl *execCtl) error {
 	for _, c := range pn.Children {
 		if err := p.drainBuilds(c, capRows, builds, ctl); err != nil {
@@ -74,8 +81,22 @@ func (p *Prepared) drainBuilds(pn *PlanNode, capRows int, builds *buildCache, ct
 	if pn.Op != OpHashJoin {
 		return nil
 	}
-	_, _, _, err := builds.build(p.db, pn, batch.AllCols(len(pn.Children[1].Cols)), capRows, ctl)
-	return err
+	leaf, shared := buildLeafOf(pn)
+	var gen uint64
+	if shared {
+		var pb *preparedBuild
+		if pb, gen = p.db.builds.get(leaf); pb != nil {
+			builds.m[pn] = pb
+			return nil
+		}
+	}
+	if _, _, _, err := builds.build(p.db, pn, batch.AllCols(len(pn.Children[1].Cols)), capRows, ctl); err != nil {
+		return err
+	}
+	if shared {
+		builds.m[pn] = p.db.builds.put(leaf, builds.m[pn], gen)
+	}
+	return nil
 }
 
 // Execute runs the prepared plan in a fresh ExecState: identical results to

@@ -2,7 +2,11 @@ package engine
 
 import (
 	"errors"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/batch"
 	"repro/internal/generator"
@@ -143,4 +147,184 @@ func execWithf(t *testing.T, db *Database, sql string, opts ExecOptions,
 		t.Fatalf("exec %q: %v", sql, err)
 	}
 	return res
+}
+
+// sharedJoins are star joins over four dim builds: the bare scan keyed on
+// d_pk (the first two, whose probe sides differ), two filters, and the bare
+// scan keyed on a.
+var sharedJoins = []string{
+	"SELECT COUNT(*) FROM fact, dim WHERE fact.d_fk = dim.d_pk",
+	"SELECT * FROM fact, dim WHERE fact.d_fk = dim.d_pk AND fact.q >= 3",
+	"SELECT COUNT(*) FROM fact, dim WHERE fact.d_fk = dim.d_pk AND dim.a >= 30",
+	"SELECT * FROM fact, dim WHERE fact.d_fk = dim.d_pk AND dim.a < 25 AND q > 1",
+	"SELECT * FROM fact, dim WHERE fact.f_pk = dim.a",
+}
+
+// sharedKeys is the number of keys in db's shared build layer.
+func sharedKeys(db *Database) int {
+	db.builds.mu.Lock()
+	defer db.builds.mu.Unlock()
+	return len(db.builds.m)
+}
+
+// joinBuild returns the build p holds for its plan's one hash join.
+func joinBuild(t *testing.T, p *Prepared) *preparedBuild {
+	t.Helper()
+	for pn := p.plan.Root; len(pn.Children) > 0; pn = pn.Children[0] {
+		if pn.Op == OpHashJoin {
+			return p.builds[pn]
+		}
+	}
+	t.Fatal("plan has no hash join")
+	return nil
+}
+
+// TestSharedBuildsLifetime: Prepareds over one build leaf hold one build,
+// the layer weighs each live build once, InvalidateBuilds empties it
+// without touching the builds Prepareds hold, and once every Prepared is
+// dropped the GC clears the entries and their cleanups remove the keys.
+func TestSharedBuildsLifetime(t *testing.T) {
+	db := bigStarDatabase(t, 200)
+	prepareAll := func() []*Prepared {
+		var preps []*Prepared
+		for _, sql := range sharedJoins {
+			p, err := Prepare(db, mustPlan(t, db, sql), ExecOptions{})
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			preps = append(preps, p)
+		}
+		return preps
+	}
+	preps := prepareAll()
+	if n := sharedKeys(db); n != 4 {
+		t.Fatalf("%d shared builds for four builds, want 4", n)
+	}
+	if joinBuild(t, preps[0]) != joinBuild(t, preps[1]) {
+		t.Fatal("two Prepareds over the bare dim scan hold two builds")
+	}
+	var want int64
+	for _, i := range []int{0, 2, 3, 4} {
+		want += joinBuild(t, preps[i]).jb.bytes()
+	}
+	if got := db.SharedBuildBytes(); got != want || got == 0 {
+		t.Fatalf("SharedBuildBytes = %d, want %d (each live build once)", got, want)
+	}
+
+	db.InvalidateBuilds()
+	if n, b := sharedKeys(db), db.SharedBuildBytes(); n != 0 || b != 0 {
+		t.Fatalf("after InvalidateBuilds: %d keys, %d bytes, want 0", n, b)
+	}
+	held := joinBuild(t, preps[0])
+	preps = prepareAll()
+	if joinBuild(t, preps[0]) == held {
+		t.Fatal("a Prepare after InvalidateBuilds took the build drained before it")
+	}
+	for i, sql := range sharedJoins {
+		got, err := preps[i].Execute(ExecOptions{SampleLimit: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireEqualResults(t, sql, got, execWithf(t, db, sql, ExecOptions{SampleLimit: 5}, execute))
+	}
+
+	preps, held = nil, nil
+	deadline := time.Now().Add(10 * time.Second)
+	for sharedKeys(db) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d shared builds still keyed 10s after every Prepared was dropped", sharedKeys(db))
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if b := db.SharedBuildBytes(); b != 0 {
+		t.Fatalf("empty layer weighs %d bytes", b)
+	}
+}
+
+// TestSharedBuildsInvalidatedMidDrain: a build whose drain an
+// InvalidateBuilds overtakes is not published, so no later Prepare takes
+// arenas drained against the state the invalidation disowned.
+func TestSharedBuildsInvalidatedMidDrain(t *testing.T) {
+	db := bigStarDatabase(t, 200)
+	rows := rowsOf(db.Relation("dim"))
+	db.SetDatagen("dim", func() (batch.ColProjector, error) {
+		db.InvalidateBuilds()
+		return rowsScan(rows), nil
+	})
+	p, err := Prepare(db, mustPlan(t, db, sharedJoins[0]), ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sharedKeys(db); n != 0 {
+		t.Fatalf("a build drained across InvalidateBuilds was published (%d keys)", n)
+	}
+	runtime.KeepAlive(p)
+}
+
+// TestSharedBuildsConcurrent races Prepare and Execute — each goroutine on
+// its own plans, over the build leaf two of sharedJoins share and the two
+// leaves only one query uses — against InvalidateBuilds (run it under
+// -race): every answer and annotated tree equals the ad hoc execution's,
+// however its builds were come by.
+func TestSharedBuildsConcurrent(t *testing.T) {
+	oversubscribe(t, 4)
+	db := bigStarDatabase(t, 500)
+	opts := ExecOptions{SampleLimit: 5, BatchSize: 64}
+	const goroutines, rounds = 4, 24
+	var plans [goroutines][]*Plan
+	for g := range plans {
+		for _, sql := range sharedJoins {
+			plans[g] = append(plans[g], mustPlan(t, db, sql))
+		}
+	}
+	var wants []*ExecResult
+	for _, sql := range sharedJoins {
+		wants = append(wants, execWithf(t, db, sql, opts, execute))
+	}
+
+	stop := make(chan struct{})
+	invalidated := make(chan struct{})
+	go func() {
+		defer close(invalidated)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				db.InvalidateBuilds()
+				runtime.Gosched()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rounds {
+				k := (g + i) % len(sharedJoins)
+				p, err := Prepare(db, plans[g][k], opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				o := opts
+				o.Parallelism = i % 3
+				got, err := p.Execute(o)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want := wants[k]
+				if got.Rows != want.Rows || got.Count != want.Count || !reflect.DeepEqual(got.Sample, want.Sample) || !reflect.DeepEqual(got.Root, want.Root) {
+					t.Errorf("%s [goroutine %d round %d]: result differs from ad hoc execution", sharedJoins[k], g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-invalidated
 }

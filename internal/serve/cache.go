@@ -3,7 +3,9 @@
 // expensive half of execution — parsing, planning, and above all draining
 // hash-join build sides into arenas — is a pure function of the database.
 // The cache keys normalized SQL to an engine.Prepared (compiled plan +
-// shared read-only build arenas), so a cache hit pays probe cost only.
+// references to read-only build arenas the database shares across every
+// live Prepared), so a cache hit pays probe cost only, and a miss drains
+// only the build leaves no cached plan already holds.
 package serve
 
 import (
@@ -15,8 +17,10 @@ import (
 )
 
 // DefaultCacheSize is the LRU capacity used when Options.PlanCacheSize is
-// zero. Entries are one compiled plan plus that query's build arenas; a
-// few dozen cover a realistic dashboard workload.
+// zero. Entries are one compiled plan plus references to the shared build
+// arenas of its join leaves, so memory scales with the distinct build
+// leaves the entries hold, not with the entries; a few dozen cover a
+// realistic dashboard workload.
 const DefaultCacheSize = 64
 
 // normalizeSQL collapses the whitespace variance of otherwise-identical
@@ -235,11 +239,15 @@ func (c *planCache) invalidate() {
 // Misses counts builds. Hits + Misses therefore equals requests (failed
 // builds excepted: the builder's miss is recorded, its waiters record
 // nothing), so the hit rate stays honest under a coalesced cold-start herd.
+// Bytes is the footprint of the build sides live in the database's shared
+// layer (engine.Database.SharedBuildBytes), each counted once however many
+// entries hold it.
 type CacheStats struct {
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
 	Entries int   `json:"entries"`
 	Cap     int   `json:"cap"`
+	Bytes   int64 `json:"bytes"`
 }
 
 func (c *planCache) stats() CacheStats {

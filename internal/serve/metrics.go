@@ -316,6 +316,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# TYPE hydra_plan_cache_build_seconds_total counter\n")
 	fmt.Fprintf(&b, "hydra_plan_cache_build_seconds_total %g\n", float64(s.met.cacheBuildNS.Load())/1e9)
 
+	fmt.Fprintf(&b, "# HELP hydra_cache_bytes Bytes of the build sides live in the shared layer the cached plans hold, each counted once.\n")
+	fmt.Fprintf(&b, "# TYPE hydra_cache_bytes gauge\n")
+	fmt.Fprintf(&b, "hydra_cache_bytes %d\n", s.db.SharedBuildBytes())
+
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	fmt.Fprintf(&b, "# HELP hydra_goroutines Goroutines currently live in the process.\n")

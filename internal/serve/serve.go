@@ -200,14 +200,23 @@ func (s *Server) BeginDrain() { s.adm.beginDrain() }
 // period expires. Idempotent.
 func (s *Server) CancelInFlight() { s.hardCancel() }
 
-// InvalidateCache drops every cached plan and build arena — the hook to
-// call when the served summary is swapped or mutated out from under the
-// server. In-flight requests finish against the arenas they already hold
-// (arenas are immutable, so this is safe); new requests re-plan.
-func (s *Server) InvalidateCache() { s.cache.invalidate() }
+// InvalidateCache drops every cached plan and the database's shared build
+// arenas — the hook to call when the served summary is swapped or mutated
+// out from under the server. In-flight requests finish against the arenas
+// they already hold (arenas are immutable, so this is safe); new requests
+// re-plan and re-drain.
+func (s *Server) InvalidateCache() {
+	s.cache.invalidate()
+	s.db.InvalidateBuilds()
+}
 
-// CacheStats snapshots plan-cache effectiveness.
-func (s *Server) CacheStats() CacheStats { return s.cache.stats() }
+// CacheStats snapshots plan-cache effectiveness and the bytes of the build
+// sides the cached plans share.
+func (s *Server) CacheStats() CacheStats {
+	st := s.cache.stats()
+	st.Bytes = s.db.SharedBuildBytes()
+	return st
+}
 
 // Handler returns the HTTP handler exposing the query, health, and stats
 // endpoints.
@@ -309,7 +318,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, StatsResponse{Cache: s.cache.stats(), Recent: s.ring.snapshot()})
+	s.writeJSON(w, http.StatusOK, StatsResponse{Cache: s.CacheStats(), Recent: s.ring.snapshot()})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -322,7 +331,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Status:      "ok",
 		Tables:      len(s.sum.Relations),
 		Parallelism: s.opts.Parallelism,
-		Cache:       s.cache.stats(),
+		Cache:       s.CacheStats(),
 	})
 }
 

@@ -16,8 +16,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/generator"
 	"repro/internal/sqlkit"
 	"repro/internal/summary"
 	"repro/internal/toy"
@@ -309,6 +311,52 @@ func TestServeCacheHit(t *testing.T) {
 	if qr.Count != want.Count {
 		t.Fatalf("post-invalidate count %d, want %d", qr.Count, want.Count)
 	}
+}
+
+// TestServeCacheSharedBuilds: two cold misses over one build leaf — the same
+// s filter, one with an added r predicate — are two plans, so both report
+// "miss", but the second drains nothing: s is not opened and /statsz
+// cache.bytes is unchanged. InvalidateCache takes cache.bytes to 0, and the
+// next miss drains s again.
+func TestServeCacheSharedBuilds(t *testing.T) {
+	sum := buildToySummary(t)
+	srv := New(sum, Options{})
+	tab, rel := srv.db.Schema.Table("s"), srv.db.Summary("s")
+	var opens atomic.Int64
+	srv.db.SetDatagen("s", func() (batch.ColProjector, error) {
+		opens.Add(1)
+		return generator.NewStream(tab, rel), nil
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const sql = "SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk AND s.a >= 20 AND s.a < 60"
+	miss := func(label, sql string, wantOpens, wantBytes int64) int64 {
+		t.Helper()
+		resp, qr := postQuery(t, ts.URL, sql)
+		if resp.StatusCode != http.StatusOK || qr.Cache != "miss" {
+			t.Fatalf("%s: status %d cache %q, want 200 miss", label, resp.StatusCode, qr.Cache)
+		}
+		if want := seqCount(t, sum, sql); qr.Count != want.Count {
+			t.Fatalf("%s: count %d, want %d", label, qr.Count, want.Count)
+		}
+		if got := opens.Load(); got != wantOpens {
+			t.Fatalf("%s: s opened %d times in all, want %d", label, got, wantOpens)
+		}
+		b := getStats(t, ts.URL).Cache.Bytes
+		if b <= 0 || (wantBytes > 0 && b != wantBytes) {
+			t.Fatalf("%s: cache.bytes %d, want %d", label, b, wantBytes)
+		}
+		return b
+	}
+	b := miss("first miss", sql, 1, 0)
+	miss("same s leaf, added r predicate", sql+" AND r.t_fk < 30", 1, b)
+
+	srv.InvalidateCache()
+	if got := getStats(t, ts.URL).Cache.Bytes; got != 0 {
+		t.Fatalf("after InvalidateCache: cache.bytes %d, want 0", got)
+	}
+	miss("miss after InvalidateCache", sql, 2, b)
 }
 
 // TestServeCacheLRUEviction fills a size-2 cache with three distinct

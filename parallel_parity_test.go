@@ -9,6 +9,8 @@ package hydra
 // single annotated plan.
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/batch"
@@ -118,13 +120,19 @@ func TestParallelParityVelocityFallback(t *testing.T) {
 // however many workers probe it: the first worker's open drains it into the
 // execution's build cache and the others' opens find it there. Prepared,
 // the one drain happens at Prepare and an execution never opens the table.
+// Across Prepareds, while the first still holds its builds: any Prepare
+// over the same s build leaf — whatever its probe side or batch size —
+// takes the database's shared build and opens s not at all, a different s
+// filter is a different leaf and drains once, and SetDatagen or SetSummary
+// drops the shared builds so the next Prepare drains again.
 func TestBuildSideOpenedOnce(t *testing.T) {
 	db := core.RegenDatabase(toySummary(t), 0)
 	tab, rel, opens := db.Schema.Table("s"), db.Summary("s"), 0
-	db.SetDatagen("s", func() (batch.ColProjector, error) {
+	counting := func() (batch.ColProjector, error) {
 		opens++
 		return generator.NewStream(tab, rel), nil
-	})
+	}
+	db.SetDatagen("s", counting)
 	oversubscribe(t, 4)
 	want, err := Query(db, toy.Query, ExecOptions{})
 	if err != nil {
@@ -157,4 +165,49 @@ func TestBuildSideOpenedOnce(t *testing.T) {
 			t.Errorf("prepared, %d workers: s opened %d times per execution, want 0", w, opens)
 		}
 	}
+
+	// prepareOpens prepares sql at batch size size, requires s opened
+	// wantOpens times by the Prepare, and holds every front's answer to the
+	// full-regeneration reference and each Prepared execution's tree to the
+	// ad hoc query's.
+	prepareOpens := func(label, sql string, size, wantOpens int) {
+		t.Helper()
+		opens = 0
+		p, err := Prepare(db, sql, ExecOptions{BatchSize: size})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if opens != wantOpens {
+			t.Errorf("%s: Prepare opened s %d times, want %d", label, opens, wantOpens)
+		}
+		opts := ExecOptions{SampleLimit: 5, BatchSize: size}
+		ref, err := Query(db, sql, ExecOptions{SampleLimit: 5, Regime: engine.PathRegen})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		eachFront(t, db, sql, opts, func(front string, res *ExecResult) {
+			sameValues(t, label+" "+front, res, ref)
+		})
+		for _, w := range []int{0, 2} {
+			opts.Parallelism = w
+			adhoc, err := Query(db, sql, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got, err := p.Execute(opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sameResult(t, label, got, adhoc)
+		}
+	}
+	prepareOpens("same s leaf, probe-side predicate", toy.Query+" AND r.r_pk < 6000", 0, 0)
+	prepareOpens("same query, batch size 7", toy.Query, 7, 0)
+	prepareOpens("different s filter", strings.Replace(toy.Query, "s.a < 60", "s.a < 50", 1), 0, 1)
+	db.SetDatagen("s", counting)
+	prepareOpens("after SetDatagen", toy.Query, 0, 1)
+	db.SetSummary("s", rel)
+	prepareOpens("after SetSummary", toy.Query, 0, 1)
+	// The first Prepared held the shared builds throughout.
+	runtime.KeepAlive(prep)
 }
