@@ -67,9 +67,8 @@ func Prepare(db *Database, plan *Plan, opts ExecOptions) (*Prepared, error) {
 }
 
 // drainBuilds fills the cache with the build side of every hash join under
-// pn, innermost first, so a join nested in a build side is found drained. A
-// build leaf the database's shared layer holds is taken from it; one it
-// lacks is drained and published. (A leaf's prune row-space, like its
+// pn. A build leaf the database's shared layer holds is taken from it; one
+// it lacks is drained and published. (A leaf's prune row-space, like its
 // rows, is a function of the leaf alone, so a shared build is the one this
 // plan would have drained.)
 func (p *Prepared) drainBuilds(pn *PlanNode, capRows int, builds *buildCache, ctl *execCtl) error {
@@ -81,21 +80,16 @@ func (p *Prepared) drainBuilds(pn *PlanNode, capRows int, builds *buildCache, ct
 	if pn.Op != OpHashJoin {
 		return nil
 	}
-	leaf, shared := buildLeafOf(pn)
-	var gen uint64
-	if shared {
-		var pb *preparedBuild
-		if pb, gen = p.db.builds.get(leaf); pb != nil {
-			builds.m[pn] = pb
-			return nil
-		}
+	leaf := buildLeafOf(pn)
+	pb, gen := p.db.builds.get(leaf)
+	if pb != nil {
+		builds.m[pn] = pb
+		return nil
 	}
 	if _, _, _, err := builds.build(p.db, pn, batch.AllCols(len(pn.Children[1].Cols)), capRows, ctl); err != nil {
 		return err
 	}
-	if shared {
-		builds.m[pn] = p.db.builds.put(leaf, builds.m[pn], gen)
-	}
+	builds.m[pn] = p.db.builds.put(leaf, builds.m[pn], gen)
 	return nil
 }
 

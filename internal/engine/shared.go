@@ -39,16 +39,13 @@ type buildLeaf struct {
 	key  int
 }
 
-// buildLeafOf returns join pn's build leaf; ok is false when the build child
-// is anything but a scan or a filter over one, which is not shared.
-func buildLeafOf(pn *PlanNode) (_ buildLeaf, ok bool) {
-	switch c := pn.Children[1]; {
-	case c.Op == OpScan:
-		return buildLeaf{c.Table, pn.RightKey}, true
-	case c.Op == OpFilter && c.Children[0].Op == OpScan:
-		return buildLeaf{c.Pred.Key(), pn.RightKey}, true
+// buildLeafOf returns join pn's build leaf. BuildPlan's build child is
+// always one table's leaf: a scan, or a filter over one.
+func buildLeafOf(pn *PlanNode) buildLeaf {
+	if c := pn.Children[1]; c.Op == OpFilter {
+		return buildLeaf{c.Pred.Key(), pn.RightKey}
 	}
-	return buildLeaf{}, false
+	return buildLeaf{pn.Children[1].Table, pn.RightKey}
 }
 
 // get returns the live build for k, nil if there is none, and the layer's

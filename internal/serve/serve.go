@@ -160,6 +160,11 @@ type Server struct {
 	// held) and before execution — the seam deterministic overload tests
 	// block in to hold slots occupied.
 	testHookAdmitted func()
+
+	// testHookInvalidating, when set, runs inside InvalidateCache between
+	// dropping the shared builds and dropping the cached plans — the window
+	// a miss must not carry an old build through.
+	testHookInvalidating func()
 }
 
 // New builds a server over the summary.
@@ -205,9 +210,17 @@ func (s *Server) CancelInFlight() { s.hardCancel() }
 // out from under the server. In-flight requests finish against the arenas
 // they already hold (arenas are immutable, so this is safe); new requests
 // re-plan and re-drain.
+//
+// The shared builds go first. A miss that starts between the two steps
+// then finds no old build to take, and one that took an old build before
+// the first step began its plan-cache build under the old generation,
+// which the second step retires, so its Prepared is never cached.
 func (s *Server) InvalidateCache() {
-	s.cache.invalidate()
 	s.db.InvalidateBuilds()
+	if h := s.testHookInvalidating; h != nil {
+		h()
+	}
+	s.cache.invalidate()
 }
 
 // CacheStats snapshots plan-cache effectiveness and the bytes of the build

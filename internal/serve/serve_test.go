@@ -321,12 +321,7 @@ func TestServeCacheHit(t *testing.T) {
 func TestServeCacheSharedBuilds(t *testing.T) {
 	sum := buildToySummary(t)
 	srv := New(sum, Options{})
-	tab, rel := srv.db.Schema.Table("s"), srv.db.Summary("s")
-	var opens atomic.Int64
-	srv.db.SetDatagen("s", func() (batch.ColProjector, error) {
-		opens.Add(1)
-		return generator.NewStream(tab, rel), nil
-	})
+	opens := countOpens(srv, "s")
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -357,6 +352,60 @@ func TestServeCacheSharedBuilds(t *testing.T) {
 		t.Fatalf("after InvalidateCache: cache.bytes %d, want 0", got)
 	}
 	miss("miss after InvalidateCache", sql, 2, b)
+}
+
+// countOpens makes table's datagen source count how often a scan opens it.
+func countOpens(srv *Server, table string) *atomic.Int64 {
+	tab, rel := srv.db.Schema.Table(table), srv.db.Summary(table)
+	var opens atomic.Int64
+	srv.db.SetDatagen(table, func() (batch.ColProjector, error) {
+		opens.Add(1)
+		return generator.NewStream(tab, rel), nil
+	})
+	return &opens
+}
+
+// TestServeInvalidateCacheWindow starts a miss inside InvalidateCache, after
+// the shared builds are dropped and before the cached plans are. While a
+// cached entry still holds the old s build, the miss must drain s afresh
+// rather than take it, and what it prepared must not stay cached once
+// InvalidateCache returns.
+func TestServeInvalidateCacheWindow(t *testing.T) {
+	sum := buildToySummary(t)
+	srv := New(sum, Options{})
+	opens := countOpens(srv, "s")
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const sql = "SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk AND s.a >= 20 AND s.a < 60"
+	const inWindow = sql + " AND r.t_fk < 30"
+	want := seqCount(t, sum, inWindow)
+	if resp, qr := postQuery(t, ts.URL, sql); resp.StatusCode != http.StatusOK || qr.Cache != "miss" || opens.Load() != 1 {
+		t.Fatalf("warm-up: status %d cache %q, s opened %d times, want 200 miss and 1", resp.StatusCode, qr.Cache, opens.Load())
+	}
+	// Keep the old build reachable through the window, whatever the LRU does.
+	held, ok := srv.cache.get(normalizeSQL(sql))
+	if !ok {
+		t.Fatal("warm-up query was not cached")
+	}
+
+	srv.testHookInvalidating = func() {
+		resp, qr := postQuery(t, ts.URL, inWindow)
+		if resp.StatusCode != http.StatusOK || qr.Cache != "miss" || qr.Count != want.Count {
+			t.Fatalf("miss inside InvalidateCache: status %d cache %q count %d, want 200 miss %d", resp.StatusCode, qr.Cache, qr.Count, want.Count)
+		}
+		if got := opens.Load(); got != 2 {
+			t.Fatalf("miss inside InvalidateCache: s opened %d times in all, want 2 (it took the old build)", got)
+		}
+	}
+	srv.InvalidateCache()
+	srv.testHookInvalidating = nil
+	runtime.KeepAlive(held)
+
+	resp, qr := postQuery(t, ts.URL, inWindow)
+	if resp.StatusCode != http.StatusOK || qr.Cache != "miss" || qr.Count != want.Count {
+		t.Fatalf("after InvalidateCache: status %d cache %q count %d, want 200 miss %d (the Prepared made inside it stayed cached)", resp.StatusCode, qr.Cache, qr.Count, want.Count)
+	}
 }
 
 // TestServeCacheLRUEviction fills a size-2 cache with three distinct
