@@ -8,15 +8,14 @@
 // summary row — so the helpers live in one package rather than two
 // re-implementations.
 //
-// The 128-bit sum helpers (Mul128, MulAcc128, SumSet128 and the float
-// conversions) are the exact arithmetic the aggregate path folds with;
-// Ranks and Positions are the position kernels the pruned scan seeks with.
-// All of them are allocation-free: the position kernels append only into
-// caller-provided destination slices.
+// The 128-bit sum helpers (Mul128, MulAcc128, SumSet128) are the exact
+// arithmetic the aggregate path folds with; Ranks and Positions are the
+// position kernels the pruned scan seeks with. All of them are
+// allocation-free: the position kernels append only into caller-provided
+// destination slices.
 package cycle
 
 import (
-	"math"
 	"math/bits"
 
 	"repro/internal/value"
@@ -66,37 +65,6 @@ func SumSet128(s value.IntervalSet) (lo, hi int64) {
 		hi += phi + int64(carry)
 	}
 	return lo, hi
-}
-
-// SumSetFloat is SumSet128's float64 counterpart for the estimation path.
-func SumSetFloat(s value.IntervalSet) float64 {
-	var sum float64
-	for _, iv := range s {
-		sum += float64(iv.Hi-iv.Lo) * (float64(iv.Lo) + float64(iv.Hi-1)) / 2
-	}
-	return sum
-}
-
-// Sum128Float converts a signed 128-bit value to float64.
-func Sum128Float(lo, hi int64) float64 {
-	if hi == lo>>63 {
-		// The value fits in the low word; converting it directly avoids the
-		// catastrophic hi/lo cancellation of the wide path (−2⁶⁴ + ~2⁶⁴)
-		// for small negative values.
-		return float64(lo)
-	}
-	return math.Ldexp(float64(hi), 64) + float64(uint64(lo))
-}
-
-// ClampInt64 saturates a float64 into int64.
-func ClampInt64(f float64) int64 {
-	if f >= math.MaxInt64 {
-		return math.MaxInt64
-	}
-	if f <= math.MinInt64 {
-		return math.MinInt64
-	}
-	return int64(f)
 }
 
 // Ranks maps the surviving values of one cycling column into rank space:

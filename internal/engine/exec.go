@@ -60,11 +60,6 @@ type ExecResult struct {
 	// one scan whose row-space was pruned (some SCAN in Root reports
 	// RowsPruned > 0), PathRegen when every scan regenerated its whole table.
 	Path string
-	// Approx is set when the execution ran with ExecOptions.Approx and the
-	// summary-direct path answered: it reports whether any summary row was
-	// estimated rather than proven, with a 95% confidence interval. Nil on
-	// the regenerating path (which is always exact).
-	Approx *ApproxInfo
 }
 
 // The three execution regimes, best first: what ExecResult.Path reports and
@@ -107,13 +102,6 @@ type ExecOptions struct {
 	// preallocated at open time, so even traced ExecuteIn steady state
 	// allocates nothing per query.
 	Trace bool
-	// Approx permits the summary-direct fast path to answer global (non
-	// GROUP BY) aggregates whose summary rows are not all provably exact,
-	// estimating the remainder under a cross-column independence
-	// assumption. The result then carries ApproxInfo with a 95% confidence
-	// interval on the matching-row count. Off (the default), only provably
-	// exact answers take the fast path and everything else regenerates.
-	Approx bool
 	// Regime is a ceiling on the execution regime. The zero value lets the
 	// engine take the best regime it can prove: summary-direct, else pruned
 	// scans, else full regeneration. PathPruned rules out the summary-direct

@@ -181,7 +181,7 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 		return nil, err
 	}
 	res := &st.res
-	res.Rows, res.Count, res.Sample, res.Approx = 0, 0, nil, nil
+	res.Rows, res.Count, res.Sample = 0, 0, nil
 	switch {
 	case st.sagg != nil:
 		err = st.sagg.run(&st.ctl, res, opts)

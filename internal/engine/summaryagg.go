@@ -31,16 +31,9 @@ package engine
 // Accumulation reuses groupAggState — the very state behind OpGroupAgg and
 // OpDistinct — so group ordering, empty-group identities, AVG truncation,
 // and the ErrAggOverflow policy are shared code, not re-implementations.
-//
-// With ExecOptions.Approx, global (non-grouped) aggregates additionally
-// accept rows with independently restricted cycling columns, estimated under
-// a cross-column independence assumption with a Poisson-binomial variance;
-// the result then carries ApproxInfo with a 95% confidence interval on the
-// matching-row count. Grouped queries never estimate — they fall back.
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/cycle"
@@ -49,17 +42,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/value"
 )
-
-// ApproxInfo reports the estimation status of a summary-direct answer
-// produced under ExecOptions.Approx. Estimated is false when every summary
-// row was provably exact (the answer is identical to regeneration); when
-// true, CI95 is the half-width of the 95% confidence interval on the
-// matching-row count (COUNT answers; derived aggregates inherit its
-// uncertainty scaled by their value range).
-type ApproxInfo struct {
-	Estimated bool    `json:"estimated"`
-	CI95      float64 `json:"ci95"`
-}
 
 // rowSpec is one needed column's resolved value law within one summary row:
 // a cycling interval set, or (set == nil) a fixed value.
@@ -73,42 +55,6 @@ type rowSpec struct {
 type aggContrib struct {
 	sumLo, sumHi int64
 	min, max     int64
-}
-
-// approxAgg accumulates one aggregate's estimated contributions.
-type approxAgg struct {
-	sum      float64
-	min, max int64
-	valid    bool
-}
-
-func (a *approxAgg) note(mn, mx int64) {
-	if !a.valid {
-		a.min, a.max, a.valid = mn, mx, true
-		return
-	}
-	if mn < a.min {
-		a.min = mn
-	}
-	if mx > a.max {
-		a.max = mx
-	}
-}
-
-// approxState carries the estimated half of an Approx execution; the exact
-// half lives in the shared groupAggState.
-type approxState struct {
-	used           bool
-	estCnt, varCnt float64
-	aggs           []approxAgg
-}
-
-func (ap *approxState) reset() {
-	ap.used = false
-	ap.estCnt, ap.varCnt = 0, 0
-	for i := range ap.aggs {
-		ap.aggs[i] = approxAgg{}
-	}
 }
 
 // summaryAggEval evaluates one OpSummaryAgg candidate against one relation
@@ -130,8 +76,6 @@ type summaryAggEval struct {
 
 	st      *groupAggState
 	contrib []aggContrib
-	ap      approxState
-	apInfo  ApproxInfo
 
 	// Interval scratch, reused via write-back so steady state allocates
 	// nothing: clipBuf is Judge's pk-window scratch, pkBuf synthesizes the
@@ -169,10 +113,8 @@ func directCandidate(db *Database, plan *Plan) (cand *PlanNode, rel *synopsis.Re
 // summaryAggFor returns an evaluator for the plan's summary-direct
 // candidate, or nil when the fast path does not apply: directCandidate's
 // gates, a Regime ceiling below it, or some summary row that is not provably
-// exact —
-// unless opts.Approx may estimate it, which it can for any row of a global
-// aggregate. judged, when non-nil, is the plan's Prepare-time pruneCache,
-// whose proof is reused instead of judging every row again.
+// exact. judged, when non-nil, is the plan's Prepare-time pruneCache, whose
+// proof is reused instead of judging every row again.
 func summaryAggFor(db *Database, plan *Plan, opts ExecOptions, judged *pruneCache) *summaryAggEval {
 	if opts.Regime != "" {
 		return nil
@@ -181,14 +123,12 @@ func summaryAggFor(db *Database, plan *Plan, opts ExecOptions, judged *pruneCach
 	if cand == nil {
 		return nil
 	}
-	if !opts.Approx || len(cand.GroupBy) > 0 {
-		exact := judged != nil && judged.direct
-		if judged == nil {
-			exact = directExact(cand, rel, pk)
-		}
-		if !exact {
-			return nil
-		}
+	exact := judged != nil && judged.direct
+	if judged == nil {
+		exact = directExact(cand, rel, pk)
+	}
+	if !exact {
+		return nil
 	}
 	return newSummaryAggEval(cand, rel, pk)
 }
@@ -226,7 +166,6 @@ func newSummaryAggEval(cand *PlanNode, rel *synopsis.Relation, pk int) *summaryA
 	e.rs = make([]rowSpec, len(e.need))
 	e.st = newGroupAggState(cand)
 	e.contrib = make([]aggContrib, len(cand.Aggs))
-	e.ap.aggs = make([]approxAgg, len(cand.Aggs))
 	e.detail = fmt.Sprintf("%s [%d summary rows]", cand.Table, len(rel.Rows))
 	return e
 }
@@ -271,7 +210,7 @@ func directRow(cand *PlanNode, row *synopsis.Row, pk int, v cycle.Verdict) (driv
 		return -1, true
 	case v.Kind == cycle.Residual, v.Set != nil && v.Clip != nil:
 		// Two independently restricted cycles (a pk window on top of a
-		// cycling column is one): only an estimate is possible.
+		// cycling column is one) couple through tuple offsets.
 		return -1, false
 	}
 	drive = v.Col
@@ -344,39 +283,26 @@ func (e *summaryAggEval) run(ctl *execCtl, res *ExecResult, opts ExecOptions) er
 		e.sp.Begin()
 	}
 	e.st.reset()
-	e.ap.reset()
 	var base int64
 	for j := range e.rel.Rows {
 		row := &e.rel.Rows[j]
 		v := cycle.Judge(row, base, e.cand.Pred, e.pk, &e.clipBuf)
 		if v.Kind != cycle.Skip {
+			// summaryAggFor admitted the plan only if every row is provable.
 			e.resolve(row, base)
-			if drive, ok := directRow(e.cand, row, e.pk, v); ok {
-				e.addRow(row, e.needPos(drive))
-			} else {
-				// summaryAggFor admitted this row only under Approx on a
-				// global aggregate: estimate it.
-				e.estimateRow(row)
-			}
+			drive, _ := directRow(e.cand, row, e.pk, v)
+			e.addRow(row, e.needPos(drive))
 		}
 		base += row.Count
 	}
-	if e.ap.used {
-		e.emitApprox(res, opts)
-	} else {
-		e.st.finish()
-		if err := e.st.err; err != nil {
-			if e.sp != nil {
-				e.sp.ObserveEmpty()
-			}
-			return err
+	e.st.finish()
+	if err := e.st.err; err != nil {
+		if e.sp != nil {
+			e.sp.ObserveEmpty()
 		}
-		if opts.Approx {
-			e.apInfo = ApproxInfo{}
-			res.Approx = &e.apInfo
-		}
-		e.emitExact(res, opts)
+		return err
 	}
+	e.emitExact(res, opts)
 	e.node.OutRows = res.Rows
 	if e.sp != nil {
 		e.sp.Observe(res.Rows, res.Rows*int64(e.width())*8)
@@ -571,66 +497,6 @@ func (e *summaryAggEval) pointContrib(ai int, v, cnt int64) aggContrib {
 	return aggContrib{sumLo: lo, sumHi: hi, min: x, max: x}
 }
 
-// estimateRow folds one non-provable summary row into the approximate
-// accumulators: cycling predicate columns are treated as independent, so
-// the row matches with probability frac = Π mᵢ/Lᵢ, contributing n·frac
-// expected rows with per-row variance frac·(1−frac). run has already
-// resolved e.rs for this row.
-func (e *summaryAggEval) estimateRow(row *synopsis.Row) {
-	n := row.Count
-	frac := 1.0
-	if p := e.cand.Pred; p != nil {
-		for i, c := range p.Cols {
-			r := &e.rs[e.needPos(c)]
-			if r.set == nil {
-				continue // contained, or classification would have skipped
-			}
-			frac *= float64(r.set.IntersectLen(p.Sets[i])) / float64(r.set.Len())
-		}
-	}
-	if frac <= 0 {
-		return
-	}
-	est := float64(n) * frac
-	ap := &e.ap
-	ap.used = true
-	ap.estCnt += est
-	ap.varCnt += float64(n) * frac * (1 - frac)
-	for ai := range e.cand.Aggs {
-		c := e.cand.Aggs[ai].Col
-		if c < 0 {
-			continue
-		}
-		a := &ap.aggs[ai]
-		r := &e.rs[e.needPos(c)]
-		if r.set == nil {
-			a.sum += float64(r.fixed) * est
-			a.note(r.fixed, r.fixed)
-			continue
-		}
-		// Sum the input over its own matching offsets, then scale by the
-		// probability the other columns match too.
-		S := r.set
-		cycles, rem := n/S.Len(), n%S.Len()
-		I := S
-		fracD := 1.0
-		if P := e.predOf[e.needPos(c)]; P != nil {
-			e.interBuf = S.IntersectInto(e.interBuf, P)
-			I = e.interBuf
-			fracD = float64(I.Len()) / float64(S.Len())
-		}
-		e.prefBuf = S.PrefixInto(e.prefBuf, rem)
-		e.iprefBuf = I.IntersectInto(e.iprefBuf, e.prefBuf)
-		own := float64(cycles)*cycle.SumSetFloat(I) + cycle.SumSetFloat(e.iprefBuf)
-		if fracD > 0 {
-			a.sum += own * frac / fracD
-		}
-		if !I.Empty() {
-			a.note(I.Min(), I.Max())
-		}
-	}
-}
-
 // emitExact writes the result in the regenerating executors' conventions:
 // COUNT(*) is one row carrying the count; grouped output is one row per
 // group in the shared deterministic order, sampled on request.
@@ -656,74 +522,4 @@ func (e *summaryAggEval) emitExact(res *ExecResult, opts ExecOptions) {
 			res.Sample = append(res.Sample, out)
 		}
 	}
-}
-
-// emitApprox combines the exact and estimated halves into one global answer.
-// SUM/AVG totals are carried in float64 and clamped into int64 rather than
-// overflow-checked — an estimated answer has no exactness to protect.
-func (e *summaryAggEval) emitApprox(res *ExecResult, opts ExecOptions) {
-	st := e.st
-	ap := &e.ap
-	totalF := float64(st.counts[0]) + ap.estCnt
-	cnt := cycle.ClampInt64(math.Round(totalF))
-	e.apInfo = ApproxInfo{Estimated: true, CI95: 1.96 * math.Sqrt(ap.varCnt)}
-	res.Approx = &e.apInfo
-	if e.countOnly {
-		res.Rows, res.Count = 1, cnt
-		if opts.SampleLimit > 0 {
-			//hydralint:ignore hotpath sampled rows escape to the caller by design; SampleLimit>0 is off the steady-state path
-			res.Sample = append(res.Sample, []int64{cnt})
-		}
-		return
-	}
-	res.Rows = 1 // a global aggregate always answers one row
-	if opts.SampleLimit > 0 {
-		out := make([]int64, len(e.cand.Items))
-		for oc, it := range e.cand.Items {
-			out[oc] = e.approxValue(it, cnt, totalF)
-		}
-		res.Sample = append(res.Sample, out)
-	}
-}
-
-// approxValue finalizes one output column of an estimated global answer.
-func (e *summaryAggEval) approxValue(it GroupOut, cnt int64, totalF float64) int64 {
-	st := e.st
-	ai := it.Agg
-	a := &e.ap.aggs[ai]
-	exactCnt := st.counts[0]
-	switch st.aggs[ai].Fn {
-	case sqlkit.AggCount:
-		return cnt
-	case sqlkit.AggSum, sqlkit.AggAvg:
-		total := cycle.Sum128Float(st.accs[ai][0], st.accsHi[ai][0]) + a.sum
-		if st.aggs[ai].Fn == sqlkit.AggAvg {
-			if totalF <= 0 {
-				return 0
-			}
-			return cycle.ClampInt64(math.Trunc(total / totalF))
-		}
-		return cycle.ClampInt64(total)
-	case sqlkit.AggMin:
-		switch {
-		case exactCnt > 0 && a.valid:
-			return min(st.accs[ai][0], a.min)
-		case exactCnt > 0:
-			return st.accs[ai][0]
-		case a.valid:
-			return a.min
-		}
-		return 0
-	case sqlkit.AggMax:
-		switch {
-		case exactCnt > 0 && a.valid:
-			return max(st.accs[ai][0], a.max)
-		case exactCnt > 0:
-			return st.accs[ai][0]
-		case a.valid:
-			return a.max
-		}
-		return 0
-	}
-	return 0
 }

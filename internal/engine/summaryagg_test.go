@@ -5,12 +5,11 @@ package engine
 // boundary-straddling predicates on cycling sets, empty-match rows, group
 // keys drawn from cycling sets, the synthesized primary-key range, and
 // non-provable rows (two independently restricted cycling columns) that
-// force exact fallback or — under Approx — estimation. Each query runs
+// force exact fallback. Each query runs
 // fast-path and regenerating, byte-identical (reflect.DeepEqual on rows,
 // count, and sample).
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -163,82 +162,45 @@ func TestSummaryAggParityHandBuilt(t *testing.T) {
 
 // TestSummaryAggFallbackNonProvable pins that a summary row with two
 // independently restricted cycling columns defeats the proof — the query
-// falls back to regeneration and still answers exactly.
+// falls back to the pruned pipeline and still answers exactly — while a
+// single restricted cycling column over the same rows stays summary-direct.
 func TestSummaryAggFallbackNonProvable(t *testing.T) {
-	db := saggDBRows(t, []synopsis.Row{
+	for name, rows := range map[string][]synopsis.Row{
 		// a cycles mod 4, b cycles mod 3 within one row: restricting both
 		// couples the columns through tuple offsets, which per-column
 		// interval arithmetic cannot express.
-		{Count: 12, Specs: []synopsis.ColSpec{
+		"one row": {{Count: 12, Specs: []synopsis.ColSpec{
 			synopsis.SetSpec(1, set(value.Ival(0, 4))),
 			synopsis.SetSpec(2, set(value.Ival(100, 103))),
-		}},
-	})
-	sql := "SELECT COUNT(*) FROM m WHERE a < 2 AND b < 102"
-	want := saggExec(t, db, sql, ExecOptions{Regime: PathRegen})
-	got := saggExec(t, db, sql, ExecOptions{})
-	if got.Path != PathPruned {
-		t.Fatalf("non-provable query took path %q, want %q (a drives the scan, b stays residual)", got.Path, PathPruned)
-	}
-	if got.Count != want.Count || got.Rows != want.Rows {
-		t.Fatalf("fallback diverged: %d/%d, want %d/%d", got.Rows, got.Count, want.Rows, want.Count)
-	}
-	// A single restricted cycling column in the same row IS provable.
-	one := saggExec(t, db, "SELECT COUNT(*) FROM m WHERE a < 2", ExecOptions{})
-	if one.Path != PathSummary {
-		t.Fatalf("single-column restriction took path %q, want summary", one.Path)
-	}
-	oneWant := saggExec(t, db, "SELECT COUNT(*) FROM m WHERE a < 2", ExecOptions{Regime: PathPruned})
-	if one.Count != oneWant.Count {
-		t.Fatalf("single-column count %d, want %d", one.Count, oneWant.Count)
-	}
-}
-
-// TestSummaryAggApprox exercises ExecOptions.Approx on the non-provable
-// shape: the estimate must carry ApproxInfo, land within its own 95%
-// confidence interval of the exact answer (the toy sizes make the interval
-// generous), and grouped queries must never estimate.
-func TestSummaryAggApprox(t *testing.T) {
-	db := saggDBRows(t, []synopsis.Row{
-		{Count: 1200, Specs: []synopsis.ColSpec{
-			synopsis.SetSpec(1, set(value.Ival(0, 4))),
-			synopsis.SetSpec(2, set(value.Ival(100, 103))),
-		}},
-		{Count: 10, Specs: []synopsis.ColSpec{
-			synopsis.SetSpec(1, set(value.Ival(0, 5))),
-			synopsis.FixedSpec(2, 101),
-		}},
-	})
-	sql := "SELECT COUNT(*) FROM m WHERE a < 2 AND b < 102"
-	exact := saggExec(t, db, sql, ExecOptions{Regime: PathPruned})
-	approx := saggExec(t, db, sql, ExecOptions{Approx: true})
-	if approx.Path != PathSummary {
-		t.Fatalf("approx query took path %q, want summary", approx.Path)
-	}
-	if approx.Approx == nil || !approx.Approx.Estimated {
-		t.Fatalf("approx result carries no estimation info: %+v", approx.Approx)
-	}
-	if approx.Approx.CI95 <= 0 {
-		t.Fatalf("estimated answer has no confidence interval: %+v", approx.Approx)
-	}
-	if diff := math.Abs(float64(approx.Count - exact.Count)); diff > approx.Approx.CI95 {
-		t.Fatalf("estimate %d is %.1f off the exact %d, beyond its CI95 %.1f",
-			approx.Count, diff, exact.Count, approx.Approx.CI95)
-	}
-	// A provable query under Approx answers exactly and says so.
-	prov := saggExec(t, db, "SELECT COUNT(*) FROM m WHERE a < 2", ExecOptions{Approx: true})
-	if prov.Path != PathSummary || prov.Approx == nil || prov.Approx.Estimated {
-		t.Fatalf("provable approx query: path %q approx %+v, want exact summary answer", prov.Path, prov.Approx)
-	}
-	exactProv := saggExec(t, db, "SELECT COUNT(*) FROM m WHERE a < 2", ExecOptions{Regime: PathPruned})
-	if prov.Count != exactProv.Count {
-		t.Fatalf("provable approx count %d, want %d", prov.Count, exactProv.Count)
-	}
-	// Grouped queries never estimate: non-provable rows mean fallback even
-	// under Approx.
-	grp := saggExec(t, db, "SELECT a, COUNT(*) FROM m WHERE b < 102 GROUP BY a", ExecOptions{Approx: true})
-	if grp.Path == PathSummary {
-		t.Fatalf("grouped non-provable query was answered summary-directly under Approx")
+		}}},
+		// The coupled row beside a provable one: one coupled row is enough
+		// to send the whole query to the pipeline.
+		"two rows": {
+			{Count: 1200, Specs: []synopsis.ColSpec{
+				synopsis.SetSpec(1, set(value.Ival(0, 4))),
+				synopsis.SetSpec(2, set(value.Ival(100, 103))),
+			}},
+			{Count: 10, Specs: []synopsis.ColSpec{
+				synopsis.SetSpec(1, set(value.Ival(0, 5))),
+				synopsis.FixedSpec(2, 101),
+			}},
+		},
+	} {
+		db := saggDBRows(t, rows)
+		for sql, path := range map[string]string{
+			// a drives the scan, b stays residual.
+			"SELECT COUNT(*) FROM m WHERE a < 2 AND b < 102": PathPruned,
+			"SELECT COUNT(*) FROM m WHERE a < 2":             PathSummary,
+		} {
+			want := saggExec(t, db, sql, ExecOptions{Regime: PathRegen})
+			got := saggExec(t, db, sql, ExecOptions{})
+			if got.Path != path {
+				t.Errorf("%s: %s took path %q, want %q", name, sql, got.Path, path)
+			}
+			if got.Count != want.Count || got.Rows != want.Rows {
+				t.Errorf("%s: %s diverged from regeneration: %d/%d, want %d/%d", name, sql, got.Rows, got.Count, want.Rows, want.Count)
+			}
+		}
 	}
 }
 
@@ -295,7 +257,7 @@ func TestSummaryAggHardSpecs(t *testing.T) {
 		} {
 			want := saggExec(t, mat, sql, ExecOptions{SampleLimit: 30})
 			for _, opts := range []ExecOptions{
-				{}, {Approx: true}, {Regime: PathPruned}, {Regime: PathRegen}, {Parallelism: 2},
+				{}, {Regime: PathPruned}, {Regime: PathRegen}, {Parallelism: 2},
 			} {
 				opts.SampleLimit = 30
 				got := saggExec(t, db, sql, opts)

@@ -288,8 +288,8 @@ func TestServeObservabilityMetrics(t *testing.T) {
 // TestServeSummaryAggPath pins the serve surface of the summary-direct
 // fast path: the response's "path" field says how each query was answered,
 // the /statsz ring records it, hydra_summaryagg_queries_total counts the
-// summary-answered population, and an approx request gets its own
-// plan-cache entry plus estimation info when estimation actually happened.
+// summary-answered population, and a request still carrying the retired
+// "approx" field is answered exactly like the plain one.
 func TestServeSummaryAggPath(t *testing.T) {
 	sum := buildToySummary(t)
 	srv := New(sum, Options{SampleLimit: 2})
@@ -309,9 +309,6 @@ func TestServeSummaryAggPath(t *testing.T) {
 	if qr.Count != want.Count {
 		t.Fatalf("summary-path count %d, want %d", qr.Count, want.Count)
 	}
-	if qr.Approx != nil {
-		t.Fatalf("exact summary answer carries approx info %+v", qr.Approx)
-	}
 	for _, q := range []struct{ sql, path string }{
 		{toy.Workload()[3], "pruned"},
 		{"SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk", "regen"},
@@ -322,17 +319,33 @@ func TestServeSummaryAggPath(t *testing.T) {
 		}
 	}
 
-	// An approx request on an exactly answerable query stays exact (no
-	// approx payload) but must not share the exact request's cache entry.
-	resp, qr = postQueryReq(t, ts.URL, QueryRequest{SQL: fastSQL, Approx: true}, nil)
-	if resp.StatusCode != http.StatusOK || qr.Path != "summary" || qr.Approx != nil {
-		t.Fatalf("approx-eligible exact query: status %d path %q approx %+v", resp.StatusCode, qr.Path, qr.Approx)
+	// Older clients may still send "approx": true. The decoder ignores the
+	// unknown field: the answer is the exact one, from the plain request's
+	// cache entry, and the response has no "approx" key.
+	sqlJSON, _ := json.Marshal(fastSQL) // a string always marshals
+	hr, err := http.Post(ts.URL+"/query", "application/json",
+		strings.NewReader(`{"sql":`+string(sqlJSON)+`,"approx":true}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if qr.Cache != "miss" {
-		t.Fatalf("approx request reused the exact entry (cache %q, want miss)", qr.Cache)
+	raw, err := io.ReadAll(hr.Body)
+	hr.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if qr.Count != want.Count {
-		t.Fatalf("approx-mode exact count %d, want %d", qr.Count, want.Count)
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatalf("status %d: %v: %s", hr.StatusCode, err, raw)
+	}
+	if _, ok := keys["approx"]; ok || hr.StatusCode != http.StatusOK {
+		t.Fatalf("request with the retired approx field: status %d, body %s", hr.StatusCode, raw)
+	}
+	if err := json.Unmarshal(raw, &qr); err != nil {
+		t.Fatal(err)
+	}
+	if qr.Path != "summary" || qr.Cache != "hit" || qr.Count != want.Count {
+		t.Fatalf("request with the retired approx field: path %q cache %q count %d, want summary hit %d",
+			qr.Path, qr.Cache, qr.Count, want.Count)
 	}
 
 	// The /statsz ring remembers each query's path (newest first).

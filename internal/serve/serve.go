@@ -270,11 +270,6 @@ type QueryRequest struct {
 	// the HTTP spelling of EXPLAIN ANALYZE (an EXPLAIN ANALYZE prefix on the
 	// SQL itself has the same effect).
 	Explain bool `json:"explain,omitempty"`
-	// Approx permits the summary-direct fast path to return bounded-error
-	// estimates for global aggregates it cannot prove exact; the response
-	// then carries "approx" with the 95% confidence interval. Exactly
-	// answerable queries are unaffected (the answer stays exact).
-	Approx bool `json:"approx,omitempty"`
 }
 
 // QueryResponse is the POST /query reply: the COUNT value (for COUNT(*)
@@ -298,9 +293,6 @@ type QueryResponse struct {
 	// operator pipeline over at least one scan that skipped provably dead
 	// tuples), or "regen" (every scan regenerated its whole table).
 	Path string `json:"path"`
-	// Approx is present only when an approx request was answered with a
-	// bounded-error estimate rather than an exact value.
-	Approx *engine.ApproxInfo `json:"approx,omitempty"`
 	// Trace is the per-operator span tree (wall time, self time, rows,
 	// batches, bytes) and TraceText its rendered text form; both are present
 	// only when the request asked for explain.
@@ -416,7 +408,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		BatchSize:   s.opts.BatchSize,
 		Parallelism: s.opts.Parallelism,
 		Trace:       explain || s.opts.TraceQueries,
-		Approx:      req.Approx,
 	}
 	if req.BatchSize != nil {
 		opts.BatchSize = *req.BatchSize
@@ -565,11 +556,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ElapsedNS:   elapsed.Nanoseconds(),
 		Path:        res.Path,
 	}
-	// The engine reports approx state whenever estimation was permitted;
-	// the response carries it only when an estimate was actually returned.
-	if res.Approx != nil && res.Approx.Estimated {
-		resp.Approx = res.Approx
-	}
 	// The span tree rides back only when the client asked for it: routine
 	// traced queries (TraceQueries) feed metrics without inflating every
 	// response body.
@@ -601,13 +587,6 @@ func (s *Server) prepared(sql string, opts engine.ExecOptions) (*engine.Prepared
 		return prep, "bypass", err
 	}
 	key := normalizeSQL(sql)
-	// Approx executions get their own cache entries: the option changes what
-	// an execution may return (estimates), so the two populations must never
-	// share a prepared entry even as the execution machinery evolves. The
-	// NUL separator cannot occur in normalized SQL.
-	if opts.Approx {
-		key += "\x00approx"
-	}
 	if prep, ok := s.cache.get(key); ok {
 		return prep, "hit", nil
 	}
