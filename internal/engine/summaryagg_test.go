@@ -163,43 +163,66 @@ func TestSummaryAggParityHandBuilt(t *testing.T) {
 // TestSummaryAggFallbackNonProvable pins that a summary row with two
 // independently restricted cycling columns defeats the proof — the query
 // falls back to the pruned pipeline and still answers exactly — while a
-// single restricted cycling column over the same rows stays summary-direct.
+// single restricted cycling column over the same row stays summary-direct.
 func TestSummaryAggFallbackNonProvable(t *testing.T) {
-	for name, rows := range map[string][]synopsis.Row{
-		// a cycles mod 4, b cycles mod 3 within one row: restricting both
-		// couples the columns through tuple offsets, which per-column
-		// interval arithmetic cannot express.
-		"one row": {{Count: 12, Specs: []synopsis.ColSpec{
+	// a cycles mod 4, b cycles mod 3 within one row: restricting both
+	// couples the columns through tuple offsets, which per-column interval
+	// arithmetic cannot express.
+	db := saggDBRows(t, []synopsis.Row{
+		{Count: 12, Specs: []synopsis.ColSpec{
 			synopsis.SetSpec(1, set(value.Ival(0, 4))),
 			synopsis.SetSpec(2, set(value.Ival(100, 103))),
-		}}},
-		// The coupled row beside a provable one: one coupled row is enough
-		// to send the whole query to the pipeline.
-		"two rows": {
-			{Count: 1200, Specs: []synopsis.ColSpec{
-				synopsis.SetSpec(1, set(value.Ival(0, 4))),
-				synopsis.SetSpec(2, set(value.Ival(100, 103))),
-			}},
-			{Count: 10, Specs: []synopsis.ColSpec{
-				synopsis.SetSpec(1, set(value.Ival(0, 5))),
-				synopsis.FixedSpec(2, 101),
-			}},
-		},
+		}},
+	})
+	saggCheckPaths(t, db)
+}
+
+// TestSummaryAggApprox pins that the shape approximate answering used to
+// estimate — a coupled row beside a provable one — is answered exactly:
+// one coupled row sends the global COUNT to the pruned pipeline, the
+// single-column restriction stays summary-direct, and the grouped query
+// over the coupled columns falls back as well. Every answer equals
+// regeneration.
+func TestSummaryAggApprox(t *testing.T) {
+	db := saggDBRows(t, []synopsis.Row{
+		{Count: 1200, Specs: []synopsis.ColSpec{
+			synopsis.SetSpec(1, set(value.Ival(0, 4))),
+			synopsis.SetSpec(2, set(value.Ival(100, 103))),
+		}},
+		{Count: 10, Specs: []synopsis.ColSpec{
+			synopsis.SetSpec(1, set(value.Ival(0, 5))),
+			synopsis.FixedSpec(2, 101),
+		}},
+	})
+	saggCheckPaths(t, db)
+	sql := "SELECT a, COUNT(*) FROM m WHERE b < 102 GROUP BY a"
+	want := saggExec(t, db, sql, ExecOptions{SampleLimit: 30, Regime: PathRegen})
+	got := saggExec(t, db, sql, ExecOptions{SampleLimit: 30})
+	if got.Path == PathSummary {
+		t.Errorf("grouped non-provable query was answered summary-directly")
+	}
+	if !reflect.DeepEqual(got.Sample, want.Sample) || got.Count != want.Count || got.Rows != want.Rows {
+		t.Errorf("grouped query diverged from regeneration: %d/%d %v, want %d/%d %v",
+			got.Rows, got.Count, got.Sample, want.Rows, want.Count, want.Sample)
+	}
+}
+
+// saggCheckPaths runs the coupled two-column COUNT (a drives the scan, b
+// stays residual: pruned) and the single-column COUNT (summary-direct) over
+// db, holding each to its path and to regeneration's answer.
+func saggCheckPaths(t *testing.T, db *Database) {
+	t.Helper()
+	for sql, path := range map[string]string{
+		"SELECT COUNT(*) FROM m WHERE a < 2 AND b < 102": PathPruned,
+		"SELECT COUNT(*) FROM m WHERE a < 2":             PathSummary,
 	} {
-		db := saggDBRows(t, rows)
-		for sql, path := range map[string]string{
-			// a drives the scan, b stays residual.
-			"SELECT COUNT(*) FROM m WHERE a < 2 AND b < 102": PathPruned,
-			"SELECT COUNT(*) FROM m WHERE a < 2":             PathSummary,
-		} {
-			want := saggExec(t, db, sql, ExecOptions{Regime: PathRegen})
-			got := saggExec(t, db, sql, ExecOptions{})
-			if got.Path != path {
-				t.Errorf("%s: %s took path %q, want %q", name, sql, got.Path, path)
-			}
-			if got.Count != want.Count || got.Rows != want.Rows {
-				t.Errorf("%s: %s diverged from regeneration: %d/%d, want %d/%d", name, sql, got.Rows, got.Count, want.Rows, want.Count)
-			}
+		want := saggExec(t, db, sql, ExecOptions{Regime: PathRegen})
+		got := saggExec(t, db, sql, ExecOptions{})
+		if got.Path != path {
+			t.Errorf("%s took path %q, want %q", sql, got.Path, path)
+		}
+		if got.Count != want.Count || got.Rows != want.Rows {
+			t.Errorf("%s diverged from regeneration: %d/%d, want %d/%d", sql, got.Rows, got.Count, want.Rows, want.Count)
 		}
 	}
 }
