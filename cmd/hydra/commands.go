@@ -92,14 +92,17 @@ func cmdVendor(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-14s %-8s %-10s %-12s %-8s %-10s %-10s\n", "relation", "cons", "lp_vars", "grid_vars", "pivots", "resid", "solve")
+	fmt.Printf("%-14s %-8s %-10s %-12s %-8s %-10s %-10s %-10s %-10s %-10s\n",
+		"relation", "cons", "lp_vars", "grid_vars", "pivots", "resid", "part", "solve", "needs", "align")
+	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	for _, rr := range rep.Relations {
 		gv := "-"
 		if *grid {
 			gv = fmt.Sprint(rr.GridVars)
 		}
-		fmt.Printf("%-14s %-8d %-10d %-12s %-8d %-10d %-10v\n",
-			rr.Table, rr.Constraints, rr.LPVars, gv, rr.Pivots, rr.SumAbsResidual, rr.SolveTime.Round(time.Microsecond))
+		fmt.Printf("%-14s %-8d %-10d %-12s %-8d %-10d %-10v %-10v %-10v %-10v\n",
+			rr.Table, rr.Constraints, rr.LPVars, gv, rr.Pivots, rr.SumAbsResidual,
+			us(rr.PartitionTime), us(rr.SolveTime), us(rr.NeedsTime), us(rr.AlignTime))
 	}
 	fmt.Printf("total: %v, summary %d bytes -> %s\n", rep.TotalTime.Round(time.Millisecond), rep.SummaryBytes, *out)
 	f, err := os.Create(*out)

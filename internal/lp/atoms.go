@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -185,7 +184,9 @@ func repair(rows []AtomConstraint, counts []int64) {
 	}
 	// Each row's members by (degree, atom), sorted when the row is first
 	// unsatisfied; degrees never change, so later passes reuse the order.
-	order := make([][]int, len(rows))
+	// The sort runs over packed degree<<32|atom keys in one reused buffer.
+	order := make([][]int32, len(rows))
+	var keys []uint64
 	const passes = 8
 	for pass := 0; pass < passes; pass++ {
 		changed := false
@@ -202,10 +203,15 @@ func repair(rows []AtomConstraint, counts []int64) {
 				continue
 			}
 			if order[i] == nil {
-				order[i] = slices.Clone(r.Atoms)
-				slices.SortFunc(order[i], func(a, b int) int {
-					return cmp.Or(cmp.Compare(degree[a], degree[b]), cmp.Compare(a, b))
-				})
+				keys = keys[:0]
+				for _, a := range r.Atoms {
+					keys = append(keys, uint64(degree[a])<<32|uint64(a))
+				}
+				slices.Sort(keys)
+				order[i] = make([]int32, len(keys))
+				for j, k := range keys {
+					order[i][j] = int32(uint32(k))
+				}
 			}
 			for _, a := range order[i] {
 				if resid == 0 {

@@ -1,6 +1,8 @@
 package region
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"sort"
 
 	"repro/internal/value"
@@ -12,12 +14,6 @@ import (
 type SigAtom struct {
 	Members []int // ascending region indexes
 	Rep     []value.Interval
-}
-
-// In reports whether the atom lies inside region i.
-func (a *SigAtom) In(i int) bool {
-	j := sort.SearchInts(a.Members, i)
-	return j < len(a.Members) && a.Members[j] == i
 }
 
 // SignaturePartition computes the atoms of the Boolean algebra generated by
@@ -43,71 +39,88 @@ func SignaturePartition(s *Space, regions []Block) []SigAtom {
 	if words == 0 {
 		words = 1
 	}
-	type state struct {
-		sig  []uint64
-		cell []value.Interval // representative cell so far, one per processed axis
-	}
-	full := make([]uint64, words)
+	dims := s.Dims()
+	// A round's states live in one arena of signatures (state k's words
+	// at sigs[k*words:]); each state also records the state of the
+	// previous round it extends and the cell it took there, and the final
+	// atoms' representative cells are read back along those links.
+	type link struct{ prev, cell int32 }
+	sigs := make([]uint64, words)
 	for i := range regions {
-		full[i/64] |= 1 << (i % 64)
+		sigs[i/64] |= 1 << (i % 64)
 	}
-	states := []state{{sig: full}}
+	links := make([][]link, dims)
+	cellsOf := make([][]value.Interval, dims)
 
-	buf := make([]byte, 0, words*8)
-	key := func(sig []uint64) string {
-		buf = buf[:0]
-		for _, w := range sig {
-			for b := 0; b < 8; b++ {
-				buf = append(buf, byte(w>>(8*b)))
-			}
-		}
-		return string(buf)
-	}
-
-	for a := 0; a < s.Dims(); a++ {
+	sig := make([]uint64, words)
+	key := make([]byte, 0, words*8)
+	for a := 0; a < dims; a++ {
 		cells := axisCells(s.Domains[a], regions, a)
+		cellsOf[a] = cells
 		// Membership mask per cell: regions whose axis-a set contains it.
-		masks := make([][]uint64, len(cells))
+		masks := make([]uint64, len(cells)*words)
 		for ci, cell := range cells {
-			m := make([]uint64, words)
+			m := masks[ci*words : (ci+1)*words]
 			for ri, r := range regions {
 				if r[a].Contains(cell.Lo) {
 					m[ri/64] |= 1 << (ri % 64)
 				}
 			}
-			masks[ci] = m
 		}
-		next := make([]state, 0, len(states))
-		index := make(map[string]struct{}, len(states))
-		for _, st := range states {
-			for ci, cell := range cells {
-				sig := make([]uint64, words)
+		states := len(sigs) / words
+		next := make([]uint64, 0, len(sigs))
+		lk := make([]link, 0, states)
+		index := make(map[string]struct{}, states)
+		for k := 0; k < states; k++ {
+			st := sigs[k*words : (k+1)*words]
+			for ci := range cells {
+				m := masks[ci*words : (ci+1)*words]
+				key = key[:0]
 				for w := range sig {
-					sig[w] = st.sig[w] & masks[ci][w]
+					sig[w] = st[w] & m[w]
+					key = binary.LittleEndian.AppendUint64(key, sig[w])
 				}
-				k := key(sig)
-				if _, ok := index[k]; ok {
+				if _, ok := index[string(key)]; ok {
 					continue
 				}
-				index[k] = struct{}{}
-				nc := make([]value.Interval, len(st.cell), len(st.cell)+1)
-				copy(nc, st.cell)
-				nc = append(nc, cell)
-				next = append(next, state{sig: sig, cell: nc})
+				index[string(key)] = struct{}{}
+				next = append(next, sig...)
+				lk = append(lk, link{prev: int32(k), cell: int32(ci)})
 			}
 		}
-		states = next
+		sigs, links[a] = next, lk
 	}
 
-	atoms := make([]SigAtom, 0, len(states))
-	for _, st := range states {
-		var members []int
-		for i := range regions {
-			if st.sig[i/64]&(1<<(i%64)) != 0 {
-				members = append(members, i)
+	n := len(sigs) / words
+	total := 0
+	for _, w := range sigs {
+		total += bits.OnesCount64(w)
+	}
+	memberArena := make([]int, 0, total)
+	var repArena []value.Interval
+	if dims > 0 {
+		repArena = make([]value.Interval, n*dims)
+	}
+	atoms := make([]SigAtom, n)
+	for k := range atoms {
+		at := &atoms[k]
+		lo := len(memberArena)
+		for w, word := range sigs[k*words : (k+1)*words] {
+			for ; word != 0; word &= word - 1 {
+				memberArena = append(memberArena, w*64+bits.TrailingZeros64(word))
 			}
 		}
-		atoms = append(atoms, SigAtom{Members: members, Rep: st.cell})
+		if hi := len(memberArena); hi > lo {
+			at.Members = memberArena[lo:hi:hi]
+		}
+		if dims > 0 {
+			at.Rep = repArena[k*dims : (k+1)*dims : (k+1)*dims]
+			for a, st := dims-1, k; a >= 0; a-- {
+				l := links[a][st]
+				at.Rep[a] = cellsOf[a][l.cell]
+				st = int(l.prev)
+			}
+		}
 	}
 	return atoms
 }

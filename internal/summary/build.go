@@ -1,7 +1,10 @@
 package summary
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -57,7 +60,10 @@ type RelationReport struct {
 	SummaryRows    int
 	PartitionTime  time.Duration
 	SolveTime      time.Duration
-	AlignTime      time.Duration
+	// NeedsTime is the time spent propagating this relation's inhabitation
+	// requirements to the relations its foreign keys reference.
+	NeedsTime time.Duration
+	AlignTime time.Duration
 }
 
 // BuildReport aggregates per-relation reports.
@@ -184,15 +190,24 @@ type axisInfo struct {
 // conGroup is one independent constraint group: a set of axes no region
 // outside the group touches, its own partition, and its own LP.
 type conGroup struct {
-	axes     []int // indexes into rb.axes, ascending
-	space    *region.Space
-	regions  []region.Block // projected onto the group's axes
-	regIdx   map[int]int    // relation region index -> group region index
-	atoms    []region.SigAtom
-	sys      *lp.AtomSystem
-	res      *lp.SolveResult
-	layout   []int
-	needSeen map[string]bool
+	axes    []int // indexes into rb.axes, ascending
+	space   *region.Space
+	regions []region.Block // projected onto the group's axes
+	regIdx  map[int]int    // relation region index -> group region index
+	atoms   []region.SigAtom
+	sys     *lp.AtomSystem
+	res     *lp.SolveResult
+	layout  []int
+
+	// needSeen holds the atom bitsets already added as inhabitation rows.
+	needSeen map[string]struct{}
+	// satMemo maps (group axis, interval set) to the bitset of atoms whose
+	// representative lies in the set; see matchingAtoms.
+	satMemo map[string][]uint64
+	// Scratch of matchingAtoms: the map key, the result and one entry's
+	// satisfied set.
+	keyBuf       []byte
+	match, entry []uint64
 }
 
 // segment is one piece of the overlay of all group layouts: a contiguous
@@ -217,6 +232,10 @@ type relBuild struct {
 	axisGroup   []int // axis -> group index
 	axisInGroup []int // axis -> position within its group's axes
 	segments    []segment
+
+	// fkAtRisk's scratch: the per-region axis split and the entries.
+	fkAxes, others []int
+	risk           []atRisk
 }
 
 // prepareRelation resolves the constraint space, decomposes it into
@@ -324,7 +343,7 @@ func prepareRelation(t *schema.Table, s *schema.Schema, w *preprocess.Workload, 
 		if !ok {
 			gi = len(rb.groups)
 			groupOf[root] = gi
-			rb.groups = append(rb.groups, &conGroup{regIdx: make(map[int]int), needSeen: make(map[string]bool)})
+			rb.groups = append(rb.groups, &conGroup{regIdx: make(map[int]int)})
 		}
 		g := rb.groups[gi]
 		rb.axisGroup[a] = gi
@@ -334,7 +353,7 @@ func prepareRelation(t *schema.Table, s *schema.Schema, w *preprocess.Workload, 
 	if len(rb.groups) == 0 {
 		// No axes at all: a single trivial group so the machinery below
 		// stays uniform.
-		rb.groups = append(rb.groups, &conGroup{regIdx: make(map[int]int), needSeen: make(map[string]bool)})
+		rb.groups = append(rb.groups, &conGroup{regIdx: make(map[int]int)})
 	}
 	rb.rr.Groups = len(rb.groups)
 
@@ -371,8 +390,16 @@ func prepareRelation(t *schema.Table, s *schema.Schema, w *preprocess.Workload, 
 	}
 	rb.rr.PartitionTime = time.Since(tPart)
 
+	// Per group region, its atoms in ascending order: one inverted pass
+	// over the atoms' member lists.
+	regionAtoms := make([][][]int, len(rb.groups))
+	for gi, g := range rb.groups {
+		regionAtoms[gi] = invertMembers(g.atoms, len(g.regions))
+	}
+
 	// Constraint rows. A constraint over an unconstrained region pins the
 	// total of group 0.
+	var all []int
 	for _, c := range w.Constraints[t.Name] {
 		ri, ok := regionIdx[c.Spec.Key()]
 		if !ok {
@@ -381,21 +408,17 @@ func prepareRelation(t *schema.Table, s *schema.Schema, w *preprocess.Workload, 
 		gi := regionGroup[ri]
 		if gi < 0 {
 			g := rb.groups[0]
-			all := make([]int, len(g.atoms))
-			for i := range all {
-				all[i] = i
+			if all == nil {
+				all = make([]int, len(g.atoms))
+				for i := range all {
+					all[i] = i
+				}
 			}
 			g.sys.Cons = append(g.sys.Cons, lp.AtomConstraint{Atoms: all, Card: c.Card, Label: c.Label})
 			continue
 		}
 		g := rb.groups[gi]
-		gri := g.regIdx[ri]
-		var members []int
-		for ai := range g.atoms {
-			if g.atoms[ai].In(gri) {
-				members = append(members, ai)
-			}
-		}
+		members := regionAtoms[gi][g.regIdx[ri]]
 		g.sys.Cons = append(g.sys.Cons, lp.AtomConstraint{Atoms: members, Card: c.Card, Label: c.Label})
 	}
 
@@ -407,12 +430,12 @@ func prepareRelation(t *schema.Table, s *schema.Schema, w *preprocess.Workload, 
 			continue
 		}
 		gi := regionGroup[ri]
-		g, gri := rb.groups[gi], rb.groups[gi].regIdx[ri]
+		g := rb.groups[gi]
 		if prefer[gi] == nil {
 			prefer[gi] = make([]bool, len(g.atoms))
 		}
-		for ai := range g.atoms {
-			prefer[gi][ai] = prefer[gi][ai] || g.atoms[ai].In(gri)
+		for _, ai := range regionAtoms[gi][g.regIdx[ri]] {
+			prefer[gi][ai] = true
 		}
 	}
 	for gi, in := range prefer {
@@ -423,6 +446,35 @@ func prepareRelation(t *schema.Table, s *schema.Schema, w *preprocess.Workload, 
 		}
 	}
 	return rb, nil
+}
+
+// invertMembers returns, per region of [0, regions), the ascending indexes
+// of the atoms lying inside it, all carved from one arena.
+func invertMembers(atoms []region.SigAtom, regions int) [][]int {
+	start := make([]int, regions+1)
+	for ai := range atoms {
+		for _, ri := range atoms[ai].Members {
+			start[ri+1]++
+		}
+	}
+	for ri := 0; ri < regions; ri++ {
+		start[ri+1] += start[ri]
+	}
+	arena := make([]int, start[regions])
+	fill := slices.Clone(start[:regions])
+	for ai := range atoms {
+		for _, ri := range atoms[ai].Members {
+			arena[fill[ri]] = ai
+			fill[ri]++
+		}
+	}
+	out := make([][]int, regions)
+	for ri := range out {
+		if lo, hi := start[ri], start[ri+1]; hi > lo {
+			out[ri] = arena[lo:hi:hi]
+		}
+	}
+	return out
 }
 
 // solve runs every group's LP, forces group totals to agree, lays out each
@@ -580,12 +632,13 @@ type atRisk struct {
 
 // fkAtRisk computes the at-risk regions of one segment for the foreign key
 // with the given axis-key prefix. refAxisOf maps a stripped axis key to the
-// referenced relation's axis index (-1 when absent).
+// referenced relation's axis index (-1 when absent). The result is
+// scratch, valid until the next call.
 func (rb *relBuild) fkAtRisk(seg *segment, prefix string, refAxisOf func(string) int) []atRisk {
 	rep := func(a int) int64 { return rb.axisRep(seg, a).Lo }
-	var out []atRisk
+	out := rb.risk[:0]
 	for ri, reg := range rb.fullRegions {
-		var fkAxes, others []int
+		fkAxes, others := rb.fkAxes[:0], rb.others[:0]
 		for _, a := range rb.footprints[ri] {
 			key := rb.axes[a].Key
 			if len(key) > len(prefix) && key[:len(prefix)] == prefix {
@@ -594,6 +647,7 @@ func (rb *relBuild) fkAtRisk(seg *segment, prefix string, refAxisOf func(string)
 				others = append(others, a)
 			}
 		}
+		rb.fkAxes, rb.others = fkAxes, others
 		if len(fkAxes) == 0 {
 			continue
 		}
@@ -607,7 +661,11 @@ func (rb *relBuild) fkAtRisk(seg *segment, prefix string, refAxisOf func(string)
 		if !otherOK {
 			continue // some other conjunct already fails: not at risk
 		}
-		e := atRisk{need: true}
+		// Reuse the next slot's slices; an entry left without axes is
+		// dropped again.
+		out = slices.Grow(out, 1)[:len(out)+1]
+		e := &out[len(out)-1]
+		e.need, e.refAxes, e.sets = true, e.refAxes[:0], e.sets[:0]
 		for _, a := range fkAxes {
 			ra := refAxisOf(rb.axes[a].Key[len(prefix):])
 			if ra < 0 {
@@ -619,18 +677,20 @@ func (rb *relBuild) fkAtRisk(seg *segment, prefix string, refAxisOf func(string)
 			e.refAxes = append(e.refAxes, ra)
 			e.sets = append(e.sets, reg[a])
 		}
-		if len(e.refAxes) > 0 {
-			out = append(out, e)
+		if len(e.refAxes) == 0 {
+			out = out[:len(out)-1]
 		}
 	}
+	rb.risk = out
 	return out
 }
 
 // propagateNeeds adds, for every populated segment and every foreign key,
-// soft GE rows to the referenced relation's groups: at least one dimension
+// soft GE rows to the referenced relation's group: at least one dimension
 // tuple must realize the membership pattern the segment's foreign keys
 // require.
 func (rb *relBuild) propagateNeeds(builds map[string]*relBuild) error {
+	start := time.Now()
 	for ci, col := range rb.t.Columns {
 		if col.Ref == nil {
 			continue
@@ -639,6 +699,10 @@ func (rb *relBuild) propagateNeeds(builds map[string]*relBuild) error {
 		if ref == nil {
 			return fmt.Errorf("internal: referenced relation %s not prepared", col.Ref.Table)
 		}
+		if len(ref.groups) != 1 { // prepareRelation unions a referenced relation's axes
+			return fmt.Errorf("internal: referenced relation %s has %d constraint groups, want 1", ref.t.Name, len(ref.groups))
+		}
+		rg := ref.groups[0]
 		prefix := rb.t.Columns[ci].Name + "."
 		refAxisOf := func(key string) int {
 			if p, ok := ref.axisPos[key]; ok {
@@ -646,68 +710,125 @@ func (rb *relBuild) propagateNeeds(builds map[string]*relBuild) error {
 			}
 			return -1
 		}
+		label := fmt.Sprintf("inhabit(%s.%s)", rb.t.Name, col.Name)
 		for si := range rb.segments {
 			entries := rb.fkAtRisk(&rb.segments[si], prefix, refAxisOf)
 			if len(entries) == 0 {
 				continue
 			}
-			// Partition entries by the referenced group of their axes (a
-			// region's dimension part always lies within one group).
-			byGroup := make(map[int][]atRisk)
-			for _, e := range entries {
-				gi := ref.axisGroup[e.refAxes[0]]
-				byGroup[gi] = append(byGroup[gi], e)
+			match := ref.matchingAtoms(0, entries)
+			n := 0
+			for _, w := range match {
+				n += bits.OnesCount64(w)
 			}
-			for rgi, ges := range byGroup {
-				rg := ref.groups[rgi]
-				var members []int
-				for ai := range rg.atoms {
-					if ref.atomMatches(rgi, ai, ges) {
-						members = append(members, ai)
-					}
-				}
-				if len(members) == 0 {
-					continue // unrealizable pattern; clamp reports later
-				}
-				key := fmt.Sprint(members)
-				if rg.needSeen[key] {
-					continue
-				}
-				rg.needSeen[key] = true
-				rg.sys.Cons = append(rg.sys.Cons, lp.AtomConstraint{
-					Atoms: members,
-					Card:  1,
-					Kind:  lp.GE,
-					Label: fmt.Sprintf("inhabit(%s.%s)", rb.t.Name, col.Name),
-				})
+			if n == 0 {
+				continue // unrealizable pattern; clamp reports later
 			}
+			rg.keyBuf = appendWords(rg.keyBuf[:0], match)
+			if _, ok := rg.needSeen[string(rg.keyBuf)]; ok {
+				continue
+			}
+			if rg.needSeen == nil {
+				rg.needSeen = make(map[string]struct{})
+			}
+			rg.needSeen[string(rg.keyBuf)] = struct{}{}
+			members := make([]int, 0, n)
+			for w, word := range match {
+				for ; word != 0; word &= word - 1 {
+					members = append(members, w*64+bits.TrailingZeros64(word))
+				}
+			}
+			rg.sys.Cons = append(rg.sys.Cons, lp.AtomConstraint{
+				Atoms: members,
+				Card:  1,
+				Kind:  lp.GE,
+				Label: label,
+			})
 		}
 	}
+	rb.rr.NeedsTime = time.Since(start)
 	return nil
 }
 
-// atomMatches reports whether atom ai of group rgi realizes every at-risk
-// pattern entry: its representative satisfies the entry's condition exactly
-// when the entry needs it satisfied. Entry axes outside the group are
-// treated as satisfied (they are covered by their own group's row).
-func (rb *relBuild) atomMatches(rgi, ai int, entries []atRisk) bool {
-	rep := rb.groups[rgi].atoms[ai].Rep
+// matchingAtoms returns the bitset of group rgi's atoms that realize every
+// at-risk pattern entry: an atom's representative satisfies the entry's
+// condition exactly when the entry needs it satisfied. With S_e the atoms
+// satisfying entry e — the AND over e's axes in the group of the memoized
+// per-(axis, set) bitsets — the result is ∧_e (need ? S_e : ¬S_e). Entry
+// axes outside the group are treated as satisfied (they are covered by
+// their own group's row), and atoms with an empty representative satisfy
+// no in-group axis. The result is scratch, valid until the next call.
+func (rb *relBuild) matchingAtoms(rgi int, entries []atRisk) []uint64 {
+	g := rb.groups[rgi]
+	n := len(g.atoms)
+	words := (n + 63) / 64
+	g.match = ones(g.match, n)
 	for _, e := range entries {
-		sat := true
+		g.entry = ones(g.entry, n)
 		for i, ra := range e.refAxes {
 			if rb.axisGroup[ra] != rgi {
 				continue
 			}
-			if len(rep) == 0 || !e.sets[i].Contains(rep[rb.axisInGroup[ra]].Lo) {
-				sat = false
-				break
+			sat := g.satisfying(rb.axisInGroup[ra], e.sets[i])
+			for w := 0; w < words; w++ {
+				g.entry[w] &= sat[w]
 			}
 		}
-		if sat != e.need {
-			return false
+		if e.need {
+			for w := 0; w < words; w++ {
+				g.match[w] &= g.entry[w]
+			}
+		} else {
+			for w := 0; w < words; w++ {
+				g.match[w] &^= g.entry[w]
+			}
 		}
 	}
-	return true
+	return g.match
+}
+
+// satisfying returns the bitset of the group's atoms whose representative
+// on group axis ga lies in set, memoized per (ga, set).
+func (g *conGroup) satisfying(ga int, set value.IntervalSet) []uint64 {
+	g.keyBuf = binary.LittleEndian.AppendUint64(g.keyBuf[:0], uint64(ga))
+	for _, iv := range set {
+		g.keyBuf = binary.LittleEndian.AppendUint64(g.keyBuf, uint64(iv.Lo))
+		g.keyBuf = binary.LittleEndian.AppendUint64(g.keyBuf, uint64(iv.Hi))
+	}
+	if sat, ok := g.satMemo[string(g.keyBuf)]; ok {
+		return sat
+	}
+	sat := make([]uint64, (len(g.atoms)+63)/64)
+	for ai := range g.atoms {
+		if rep := g.atoms[ai].Rep; len(rep) > 0 && set.Contains(rep[ga].Lo) {
+			sat[ai/64] |= 1 << (ai % 64)
+		}
+	}
+	if g.satMemo == nil {
+		g.satMemo = make(map[string][]uint64)
+	}
+	g.satMemo[string(g.keyBuf)] = sat
+	return sat
+}
+
+// ones resizes buf to the bitset of n set bits.
+func ones(buf []uint64, n int) []uint64 {
+	buf = slices.Grow(buf[:0], (n+63)/64)[:(n+63)/64]
+	for w := range buf {
+		buf[w] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		buf[len(buf)-1] = 1<<(n%64) - 1
+	}
+	return buf
+}
+
+// appendWords appends the little-endian bytes of ws to buf.
+func appendWords(buf []byte, ws []uint64) []byte {
+	for _, w := range ws {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	return buf
 }
 
 // materialize performs deterministic alignment and expands segments into
