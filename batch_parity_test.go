@@ -3,10 +3,10 @@ package hydra
 // End-to-end parity of batched execution under full regeneration: over the
 // toy and TPC-DS-like workloads, every entry point at every worker count
 // (eachFront), dataless and materialized, must return results
-// byte-identical to the row-at-a-time reference — same rows, counts,
-// samples, path, and per-operator cardinalities. This is the contract that
-// lets execution default to batches while the row pivot stays the
-// executable specification.
+// byte-identical to the materialized database's answer under full
+// regeneration (oracle) — same rows, counts, samples, path, and
+// per-operator cardinalities. Dataless execution is held to stored data,
+// not to itself.
 
 import (
 	"reflect"
@@ -58,8 +58,8 @@ func sameNode(t *testing.T, label string, got, want *engine.ExecNode) {
 
 // checkWorkloadParity builds a summary from the package, then runs every
 // workload query on every entry point, dataless and materialized, and
-// requires results identical to the dataless row pivot's. Small batch sizes
-// force batch-boundary edge cases through every operator.
+// requires results identical to the materialized database's. Small batch
+// sizes force batch-boundary edge cases through every operator.
 func checkWorkloadParity(t *testing.T, pkg *TransferPackage, queries []string) {
 	t.Helper()
 	sum, _, err := Build(pkg, DefaultBuildOptions())
@@ -67,10 +67,7 @@ func checkWorkloadParity(t *testing.T, pkg *TransferPackage, queries []string) {
 		t.Fatal(err)
 	}
 	regen := Regen(sum, 0)
-	mat, err := Materialize(sum)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mat := mustMaterialize(t, sum)
 	for _, size := range []int{0, 3} {
 		// The PathRegen ceiling pins full regeneration: this suite compares
 		// operator trees node by node, which the summary-direct answer
@@ -80,7 +77,7 @@ func checkWorkloadParity(t *testing.T, pkg *TransferPackage, queries []string) {
 		// point in the summaryagg and scan-prune parity suites.
 		opts := ExecOptions{SampleLimit: 5, BatchSize: size, Regime: engine.PathRegen}
 		for _, sql := range queries {
-			ref := rowPivot(t, regen, sql, opts)
+			ref := oracle(t, mat, sql, opts.SampleLimit)
 			eachFront(t, regen, sql, opts, func(label string, res *ExecResult) {
 				sameResult(t, label, res, ref)
 			})

@@ -257,34 +257,15 @@ func cmdScenario(args []string) error {
 
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	exp := fs.String("exp", "all", "experiment id (E1..E18, E15 excepted — see EXPERIMENTS.md) or all")
+	exp := fs.String("exp", "all", "experiment id (E1..E10 — see EXPERIMENTS.md) or all")
 	sf := fs.Float64("sf", 1.0, "warehouse scale factor")
 	nq := fs.Int("queries", 131, "workload size")
 	seed := fs.Int64("seed", 7, "seed")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the benchmark run to this file")
 	fs.Parse(args)
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("creating cpu profile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("starting cpu profile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
 	cfg := experiments.Config{Seed: *seed, ScaleFactor: *sf, Queries: *nq}
 	w := os.Stdout
-	run := func(id string, fn func() error) error {
-		if *exp != "all" && !strings.EqualFold(*exp, id) {
-			return nil
-		}
-		fmt.Fprintf(w, "\n================ %s ================\n", id)
-		return fn()
-	}
 	steps := []struct {
 		id string
 		fn func() error
@@ -299,18 +280,32 @@ func cmdBench(args []string) error {
 		{"E8", func() error { return experiments.E8Scenario(w, cfg, []float64{10, 100, 1000, 10000}) }},
 		{"E9", func() error { return experiments.E9Referential(w, cfg, []float64{1, 0.5, 0.25}) }},
 		{"E10", func() error { return experiments.E10Ablation(w, cfg) }},
-		{"E11", func() error { return experiments.E11Parallel(w, cfg, []int{1, 2, 4, 8}) }},
-		{"E12", func() error { return experiments.E12Projection(w, cfg) }},
-		{"E13", func() error { return experiments.E13GroupBy(w, cfg, []int{0, 1, 2, 4, 8}) }},
-		{"E14", func() error { return experiments.E14TopK(w, cfg, []int{1000, 100, 10, 1}) }},
-		// E15 (overload sweep) runs through the loadtest harness (hydra
-		// loadtest), not as a table here.
-		{"E16", func() error { return experiments.E16TraceOverhead(w, cfg) }},
-		{"E17", func() error { return experiments.E17SummaryAgg(w, cfg, []float64{0.25, 0.5, 1, 2, 4}) }},
-		{"E18", func() error { return experiments.E18ScanPrune(w, cfg, []float64{0.001, 0.01, 0.1, 0.5, 1}) }},
+	}
+	if *exp != "all" {
+		i := 0
+		for i < len(steps) && !strings.EqualFold(*exp, steps[i].id) {
+			i++
+		}
+		if i == len(steps) {
+			return fmt.Errorf("unknown -exp %q: want one of E1..E10 or all", *exp)
+		}
+		steps = steps[i : i+1]
+	}
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return fmt.Errorf("creating cpu profile: %w", err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fmt.Errorf("starting cpu profile: %w", err)
+		}
+		defer pprof.StopCPUProfile()
 	}
 	for _, s := range steps {
-		if err := run(s.id, s.fn); err != nil {
+		fmt.Fprintf(w, "\n================ %s ================\n", s.id)
+		if err := s.fn(); err != nil {
 			return fmt.Errorf("%s: %w", s.id, err)
 		}
 	}

@@ -13,7 +13,7 @@
 //	               [-max-inflight 16] [-queue 64] [-timeout 30s] [-drain 10s]
 //	               [-trace] [-slow-query 250ms] [-pprof]
 //	hydra loadtest [-url http://127.0.0.1:8372] [-rate 500] [-clients 8] [-duration 5s]
-//	hydra bench    [-exp all|E1|…|E18] [-sf 1] [-queries 131]
+//	hydra bench    [-exp all|E1|…|E10] [-sf 1] [-queries 131]
 //
 // All artifacts are JSON; nothing touches a real database — the client
 // warehouse is the built-in synthetic TPC-DS-like generator (or the toy
@@ -76,7 +76,7 @@ commands:
   serve      serve concurrent SQL queries over HTTP from a loaded summary
              (EXPLAIN ANALYZE / "explain": true, slow-query log, /metricsz)
   loadtest   drive a running serve instance with a zipfian query mix
-  bench      run the paper's experiments (E1..E18)
+  bench      run the paper's experiments (E1..E10)
 
 run "hydra <command> -h" for command flags.
 `)

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -77,5 +78,13 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if err := cmdStats([]string{"-in", "/nonexistent.json", "-table", "a", "-column", "b"}); err == nil {
 		t.Error("missing package accepted by stats")
+	}
+	// Unknown experiment ids — a retired one, the loadtest-only E15, a
+	// typo — fail up front and name the valid ids.
+	for _, id := range []string{"E11", "E15", "E18", "E1O", ""} {
+		err := cmdBench([]string{"-exp", id})
+		if err == nil || !strings.Contains(err.Error(), "E1..E10 or all") {
+			t.Errorf("bench -exp %q: err = %v, want the valid ids named", id, err)
+		}
 	}
 }

@@ -5,13 +5,11 @@ package hydra
 // which worker counts, is decided here.
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/sqlkit"
 )
 
 // frontWorkers is the Parallelism sweep: sequential, the parallel branch
@@ -30,29 +28,33 @@ func oversubscribe(t testing.TB, n int) {
 	}
 }
 
-// rowPivot runs sql through the row-pivot reference, engine.ExecuteRowsContext.
-func rowPivot(t testing.TB, db *Database, sql string, opts ExecOptions) *ExecResult {
+// mustMaterialize stores every table the summary regenerates.
+func mustMaterialize(t testing.TB, sum *Summary) *Database {
 	t.Helper()
-	q, err := sqlkit.Parse(sql)
+	mat, err := Materialize(sum)
 	if err != nil {
-		t.Fatalf("parse %q: %v", sql, err)
+		t.Fatal(err)
 	}
-	plan, err := engine.BuildPlan(db.Schema, q)
+	return mat
+}
+
+// oracle runs sql on the materialized database under full regeneration —
+// stored tuples, every scan whole, every filter an operator — keeping
+// sampleLimit rows: the answer HYDRA's regenerated database is judged by.
+func oracle(t testing.TB, mat *Database, sql string, sampleLimit int) *ExecResult {
+	t.Helper()
+	res, err := Query(mat, sql, ExecOptions{Regime: engine.PathRegen, SampleLimit: sampleLimit})
 	if err != nil {
-		t.Fatalf("plan %q: %v", sql, err)
-	}
-	res, err := engine.ExecuteRowsContext(context.Background(), db, plan, opts)
-	if err != nil {
-		t.Fatalf("%s [rows]: %v", sql, err)
+		t.Fatalf("%s [materialized]: %v", sql, err)
 	}
 	return res
 }
 
 // eachFront runs (sql, opts) through every way the engine executes a query
 // — {fresh, prepared, steady} × {seq, par}: Query (ad hoc: empty caches,
-// fresh state), the row pivot, Prepared.Execute (shared builds, fresh
-// state) and Prepared.ExecuteIn three rounds on one reused state, each at
-// every frontWorkers count (overriding opts.Parallelism) — and hands each
+// fresh state), Prepared.Execute (shared builds, fresh state) and
+// Prepared.ExecuteIn three rounds on one reused state, each at every
+// frontWorkers count (overriding opts.Parallelism) — and hands each
 // labelled result to check while it is still valid (an ExecuteIn result
 // aliases its state). The regime axis is opts.Regime, the caller's. Any
 // execution error fails the test.
@@ -75,7 +77,6 @@ func eachFront(t *testing.T, db *Database, sql string, opts ExecOptions, check f
 		}
 		res, err := Query(db, sql, opts)
 		got("Query", res, err)
-		got("rows", rowPivot(t, db, sql, opts), nil)
 		res, err = prep.Execute(opts)
 		got("Prepared.Execute", res, err)
 		var st ExecState

@@ -92,7 +92,6 @@ func contextFronts(t *testing.T) []execFront {
 	oversubscribe(t, 8)
 	fronts := []execFront{
 		{"ExecuteContext", ExecuteContext},
-		{"ExecuteRowsContext", ExecuteRowsContext},
 	}
 	for _, w := range []int{1, 2, 4, 8} {
 		w := w

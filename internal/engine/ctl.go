@@ -23,9 +23,8 @@ import (
 //     sink and COUNT(*) drain loops, hash-join build drains, and the join
 //     probe's pull loop, because all of them advance only by pulling scan
 //     batches.
-//   - the root drive loop (runColumnar and the runRows pivot) — covers
-//     the emit phase of blocking sinks, whose output streaming pulls no
-//     scan batches.
+//   - the root drive loop (runColumnar) — covers the emit phase of
+//     blocking sinks, whose output streaming pulls no scan batches.
 //   - the parallel worker's morsel loop — each worker carries its own
 //     execCtl (latching is single-goroutine state), re-checked per morsel
 //     and, through the worker's scan leaf, per batch.

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/trace"
 )
 
@@ -164,49 +163,4 @@ func (o ExecOptions) Normalize() (ExecOptions, error) {
 func ExecuteContext(ctx context.Context, db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
 	p := Prepared{db: db, plan: plan}
 	return p.run(ctx, new(ExecState), opts)
-}
-
-// ExecuteRowsContext runs a plan and surfaces its output one row at a time:
-// a row-pivot sink over the same run path. There is no second operator set
-// and no second regime decision behind it — the pivot drives the very
-// iterators ExecuteContext drives, sequentially, and transposes each live
-// batch row out — so it is kept as the executable reference every
-// batch-driven entry point is pinned against: any divergence from it is a
-// bug in batch driving, not in operator semantics.
-func ExecuteRowsContext(ctx context.Context, db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
-	opts.Parallelism = 0
-	p := Prepared{db: db, plan: plan}
-	return p.run(ctx, &ExecState{pivot: true}, opts)
-}
-
-// runRows is the row pivot's drive loop: runColumnar's contract, one row at
-// a time.
-func runRows(ctl *execCtl, it colIterator, b *batch.ColBatch, plan *Plan, opts ExecOptions, res *ExecResult) error {
-	row := make([]int64, b.Width())
-	agg := plan.countStar()
-	for !ctl.stopped() && it.Next(b) {
-		live := b.Live()
-		for i := 0; i < live; i++ {
-			b.LiveRow(i, row)
-			res.Rows++
-			if len(res.Sample) < opts.SampleLimit {
-				res.Sample = append(res.Sample, append([]int64(nil), row...))
-			}
-			if agg {
-				res.Count = row[0]
-			}
-		}
-	}
-	res.Root.OutRows = res.Rows
-	return it.deferredErr()
-}
-
-// rowNeed is the column set the row pivot must materialize: every root
-// output column (rows are whole by definition), or just the count column
-// for COUNT(*) plans.
-func rowNeed(plan *Plan) []int {
-	if plan.countStar() {
-		return []int{0}
-	}
-	return batch.AllCols(len(plan.Root.Cols))
 }

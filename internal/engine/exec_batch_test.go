@@ -8,27 +8,33 @@ import (
 	"repro/internal/sqlkit"
 )
 
-// execBoth runs the same SQL through the batched and row-at-a-time paths,
-// requiring byte-identical results. Plans are rebuilt per execution so each
-// path observes fresh ExecNode trees.
+// execSQL plans and executes sql on db. The plan is rebuilt per call so
+// each execution observes a fresh ExecNode tree.
+func execSQL(t *testing.T, db *Database, sql string, opts ExecOptions) *ExecResult {
+	t.Helper()
+	q, err := sqlkit.Parse(sql)
+	if err != nil {
+		t.Fatalf("parse %q: %v", sql, err)
+	}
+	plan, err := BuildPlan(db.Schema, q)
+	if err != nil {
+		t.Fatalf("plan %q: %v", sql, err)
+	}
+	res, err := execute(db, plan, opts)
+	if err != nil {
+		t.Fatalf("exec %q: %v", sql, err)
+	}
+	return res
+}
+
+// execBoth runs the same SQL at opts.BatchSize and, as the reference, in
+// single batches (BatchSize 0: every star table fits in one default-size
+// batch, so no operator ever sees a batch boundary).
 func execBoth(t *testing.T, db *Database, sql string, opts ExecOptions) (*ExecResult, *ExecResult) {
 	t.Helper()
-	exec := func(f func(*Database, *Plan, ExecOptions) (*ExecResult, error)) *ExecResult {
-		q, err := sqlkit.Parse(sql)
-		if err != nil {
-			t.Fatalf("parse %q: %v", sql, err)
-		}
-		plan, err := BuildPlan(db.Schema, q)
-		if err != nil {
-			t.Fatalf("plan %q: %v", sql, err)
-		}
-		res, err := f(db, plan, opts)
-		if err != nil {
-			t.Fatalf("exec %q: %v", sql, err)
-		}
-		return res
-	}
-	return exec(execute), exec(executeRows)
+	ref := opts
+	ref.BatchSize = 0
+	return execSQL(t, db, sql, opts), execSQL(t, db, sql, ref)
 }
 
 // requireEqualResults compares every observable of two ExecResults: row and
@@ -98,26 +104,65 @@ var parityQueries = []string{
 	"SELECT d_fk, COUNT(*) FROM fact GROUP BY d_fk ORDER BY d_fk DESC LIMIT 2 OFFSET 1",
 }
 
-// TestBatchRowParityStored holds the batched path to the row path on
-// stored relations, across batch sizes that force mid-operator batch
-// boundaries (size 1 and 2 split every multi-row result).
+// parityCounts pins each parity query's {Rows, Count}, computed by hand
+// from starDatabase's four dim and six fact tuples: a reference that does
+// not run the engine.
+var parityCounts = map[string][2]int64{
+	"SELECT * FROM fact":                                                                                      {6, 0},
+	"SELECT * FROM fact WHERE q >= 3":                                                                         {4, 0},
+	"SELECT * FROM fact WHERE q >= 100":                                                                       {0, 0},
+	"SELECT COUNT(*) FROM dim WHERE a BETWEEN 20 AND 30":                                                      {1, 2},
+	"SELECT COUNT(*) FROM fact, dim WHERE fact.d_fk = dim.d_pk AND dim.a >= 30":                               {1, 3},
+	"SELECT * FROM fact, dim WHERE fact.d_fk = dim.d_pk AND dim.a = 40":                                       {2, 0},
+	"SELECT * FROM fact, dim WHERE fact.d_fk = dim.d_pk":                                                      {6, 0},
+	"SELECT COUNT(*) FROM fact, dim WHERE d_fk = d_pk AND a < 25 AND q > 1":                                   {1, 2},
+	"SELECT d_fk, COUNT(*) FROM fact GROUP BY d_fk":                                                           {4, 0},
+	"SELECT a, COUNT(*), SUM(q), MIN(q), MAX(q), AVG(q) FROM fact, dim WHERE fact.d_fk = dim.d_pk GROUP BY a": {4, 0},
+	"SELECT AVG(q), d_fk FROM fact GROUP BY d_fk":                                                             {4, 0},
+	"SELECT d_fk, q, COUNT(*) FROM fact GROUP BY d_fk, q":                                                     {6, 0},
+	"SELECT COUNT(q), SUM(q) FROM fact":                                                                       {1, 0},
+	"SELECT d_fk, SUM(q) FROM fact WHERE q >= 100 GROUP BY d_fk":                                              {0, 0},
+	"SELECT MIN(q), MAX(q) FROM fact WHERE q >= 100":                                                          {1, 0},
+	"SELECT * FROM fact ORDER BY q DESC":                                                                      {6, 0},
+	"SELECT * FROM fact, dim WHERE fact.d_fk = dim.d_pk ORDER BY a DESC, q":                                   {6, 0},
+	"SELECT * FROM fact ORDER BY q DESC LIMIT 3 OFFSET 1":                                                     {3, 0},
+	"SELECT * FROM fact LIMIT 4":                                                                              {4, 0},
+	"SELECT * FROM fact LIMIT 4 OFFSET 3":                                                                     {3, 0},
+	"SELECT * FROM fact LIMIT 5 OFFSET 100":                                                                   {0, 0},
+	"SELECT * FROM fact LIMIT 0":                                                                              {0, 0},
+	"SELECT COUNT(*) FROM fact LIMIT 1":                                                                       {1, 6},
+	"SELECT DISTINCT d_fk FROM fact":                                                                          {4, 0},
+	"SELECT DISTINCT d_fk, q FROM fact WHERE q >= 3":                                                          {4, 0},
+	"SELECT DISTINCT * FROM dim":                                                                              {4, 0},
+	"SELECT DISTINCT d_fk FROM fact ORDER BY d_fk DESC LIMIT 2":                                               {2, 0},
+	"SELECT d_fk, COUNT(*) FROM fact GROUP BY d_fk ORDER BY d_fk DESC LIMIT 2 OFFSET 1":                       {2, 0},
+}
+
+// TestBatchRowParityStored holds batched execution on stored relations to
+// the hand-computed counts and to single-batch execution, across batch
+// sizes that force mid-operator batch boundaries (size 1 and 2 split every
+// multi-row result).
 func TestBatchRowParityStored(t *testing.T) {
 	db := starDatabase(t)
-	for _, size := range []int{1, 2, 3, 5, 0} {
+	for _, size := range []int{1, 2, 3, 5} {
 		for _, sql := range parityQueries {
 			got, want := execBoth(t, db, sql, ExecOptions{SampleLimit: 100, BatchSize: size})
+			if c, ok := parityCounts[sql]; !ok || got.Rows != c[0] || got.Count != c[1] {
+				t.Fatalf("%s [batch=%d]: rows/count = %d/%d, want %v (pinned: %v)", sql, size, got.Rows, got.Count, c, ok)
+			}
 			requireEqualResults(t, sql, got, want)
 		}
 	}
 }
 
 // TestBatchRowParityDatagen re-runs the parity suite with both tables
-// served by row-reusing datagen streams, the dataless configuration.
+// served by row-reusing datagen streams, the dataless configuration, and
+// also holds each answer to the stored database the streams copy.
 func TestBatchRowParityDatagen(t *testing.T) {
-	db := starDatabase(t)
+	db, mat := starDatabase(t), starDatabase(t)
 	stored := map[string][][]int64{
-		"dim":  rowsOf(db.Relation("dim")),
-		"fact": rowsOf(db.Relation("fact")),
+		"dim":  rowsOf(mat.Relation("dim")),
+		"fact": rowsOf(mat.Relation("fact")),
 	}
 	for name, rows := range stored {
 		rows := rows
@@ -136,14 +181,16 @@ func TestBatchRowParityDatagen(t *testing.T) {
 	}
 	for _, size := range []int{1, 3, 0} {
 		for _, sql := range parityQueries {
-			got, want := execBoth(t, db, sql, ExecOptions{SampleLimit: 100, BatchSize: size})
+			opts := ExecOptions{SampleLimit: 100, BatchSize: size}
+			got, want := execBoth(t, db, sql, opts)
 			requireEqualResults(t, sql, got, want)
+			requireEqualResults(t, sql+" [stored]", got, execSQL(t, mat, sql, opts))
 		}
 	}
 }
 
-// TestBatchEmptyRelations checks both paths agree when inputs are empty on
-// either side of a join.
+// TestBatchEmptyRelations checks batched and single-batch execution agree
+// when inputs are empty on either side of a join.
 func TestBatchEmptyRelations(t *testing.T) {
 	s := starSchema()
 	if err := s.Validate(); err != nil {

@@ -19,11 +19,11 @@ import (
 // materialization. Blocking root operators (COUNT(*), GROUP BY, DISTINCT,
 // ORDER BY) are the sink framework in sink.go. The one executor
 // (Prepared.run) composes these same operators, opened by the one opener
-// (openCol), every way it runs: it drives them batch-wise, or through the
-// row pivot (exec.go), or opens the probe spine once per worker over shared
-// build arenas and folds sink partial states (exec_parallel.go), and a
-// caller-owned ExecState recycles the opened tree. The parity suites hold
-// all of them to byte-identical results.
+// (openCol), every way it runs: it drives them batch-wise, or opens the
+// probe spine once per worker over shared build arenas and folds sink
+// partial states (exec_parallel.go), and a caller-owned ExecState recycles
+// the opened tree. The parity suites hold all of them to byte-identical
+// results, and to the materialized database's answers.
 
 // colIterator is the engine-internal columnar operator contract — the one
 // operator set every execution composes. Next resets dst, fills it
@@ -164,13 +164,9 @@ func runColumnar(ctl *execCtl, it colIterator, b *batch.ColBatch, plan *Plan, op
 			}
 		}
 		if agg && live > 0 {
-			// The aggregate row may arrive under a selection (a LIMIT above
-			// the COUNT slices the batch); read the last live row.
-			r := b.Len() - 1
-			if sel := b.Sel(); sel != nil {
-				r = int(sel[live-1])
-			}
-			res.Count = b.Col(0)[r]
+			// COUNT(*) emits exactly one row, and a LIMIT above it never
+			// selects within a one-row batch, so the count is row 0.
+			res.Count = b.Col(0)[0]
 		}
 	}
 	res.Root.OutRows = res.Rows

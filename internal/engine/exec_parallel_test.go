@@ -44,14 +44,10 @@ func bigStarDatabase(t *testing.T, factRows int) *Database {
 	return db
 }
 
-// execute and executeRows are the ctx-free spellings of the package's two
-// ad-hoc entry points, for tests that have no context to pass.
+// execute is the ctx-free spelling of the package's ad-hoc entry point, for
+// tests that have no context to pass.
 func execute(db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
 	return ExecuteContext(context.Background(), db, plan, opts)
-}
-
-func executeRows(db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
-	return ExecuteRowsContext(context.Background(), db, plan, opts)
 }
 
 // oversubscribe raises GOMAXPROCS to n for the rest of the test, so worker
@@ -217,7 +213,6 @@ func TestExecOptionsValidation(t *testing.T) {
 		f    func(*Database, *Plan, ExecOptions) (*ExecResult, error)
 	}{
 		{"ExecuteContext", execute},
-		{"ExecuteRowsContext", executeRows},
 		{"Prepare", func(db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
 			_, err := Prepare(db, plan, opts)
 			return nil, err

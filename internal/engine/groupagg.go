@@ -21,10 +21,10 @@ var ErrAggOverflow = errors.New("aggregate overflow")
 // groupAggState is the vectorized hash-aggregation state behind OpGroupAgg
 // and OpDistinct (DISTINCT is grouping over the select list with no
 // aggregates, emitting only the keys). It implements the sinkState contract
-// (sink.go) and is thereby shared by the sequential columnar executor, the
-// row-pivot reference path, each worker of the parallel executor (partial
-// aggregation via observe, merged deterministically in worker order), and
-// the Prepared/ExecuteIn reuse path.
+// (sink.go) and is thereby shared by the sequential columnar executor, each
+// worker of the parallel executor (partial aggregation via observe, merged
+// deterministically in worker order), and the Prepared/ExecuteIn reuse
+// path.
 //
 // Layout is columnar throughout: group keys live in one slice per GROUP BY
 // column and accumulators in one slice per aggregate, both indexed by dense
@@ -35,8 +35,8 @@ var ErrAggOverflow = errors.New("aggregate overflow")
 // query on a reused state allocates nothing.
 //
 // SUM and AVG accumulate exactly in 128 bits (accs = low word, accsHi =
-// high word): intermediate partial sums cannot overflow, so sequential,
-// parallel, and row-at-a-time execution agree on the one check that
+// high word): intermediate partial sums cannot overflow, so sequential
+// and parallel execution at any batch size agree on the one check that
 // matters — whether the final total fits int64 (finish() raises
 // ErrAggOverflow otherwise). AVG finalizes as the truncated integer
 // quotient of that exact sum.
@@ -372,8 +372,8 @@ func (st *groupAggState) merge(o sinkState) {
 
 // finish freezes the deterministic output order — group ids sorted
 // ascending by key tuple (GROUP BY clause order); sorting, rather than
-// order of first appearance, is what makes sequential,
-// parallel-at-any-worker-count, and row-at-a-time output byte-identical —
+// order of first appearance, is what makes sequential and
+// parallel-at-any-worker-count output byte-identical at every batch size —
 // and judges every SUM/AVG total: a total outside int64 raises
 // ErrAggOverflow here, the one place all execution paths share.
 func (st *groupAggState) finish() {

@@ -75,8 +75,8 @@ type GroupOut struct {
 // the node's output and the direction. Ties across all sort keys are broken
 // by the remaining output columns ascending, so sorted output is a total
 // order up to full-row equality — the property that makes ORDER BY results
-// byte-identical across the sequential, row-pivot, and morsel-parallel
-// executors (SQL leaves tie order unspecified; Hydra pins it).
+// byte-identical across the sequential and morsel-parallel executors (SQL
+// leaves tie order unspecified; Hydra pins it).
 type SortKey struct {
 	Col  int
 	Desc bool
@@ -526,7 +526,7 @@ func countPlanNodes(pn *PlanNode) int {
 // materialize from that scan: predicate and join-key columns always, plus —
 // when withOutput is set, the sampling case — every column that reaches the
 // plan's output. This is the observable form of the executor's projection
-// pushdown (see EXPERIMENTS.md E12 for the throughput it buys).
+// pushdown.
 func (p *Plan) RequiredScanCols(withOutput bool) map[string][]int {
 	out := make(map[string][]int)
 	var walk func(pn *PlanNode, need []int)

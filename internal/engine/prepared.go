@@ -26,7 +26,6 @@ import (
 //
 //	entry point                 Prepared            ExecState
 //	ExecuteContext (ad hoc)     empty caches        fresh
-//	ExecuteRowsContext          empty caches        fresh, row-pivot drive
 //	Prepared.Execute[Context]   the caller's        fresh
 //	Prepared.ExecuteIn[Context] the caller's        the caller's, reused
 //
@@ -122,7 +121,6 @@ type ExecState struct {
 	res   ExecResult
 	opts  ExecOptions // the options the state was opened for: the reuse key
 	ctl   execCtl
-	pivot bool // ExecuteRowsContext's state: whole rows, driven one at a time
 	valid bool
 }
 
@@ -133,7 +131,7 @@ type ExecState struct {
 // aliases st — it is valid until the next ExecuteIn on the same state.
 // After the first call, sequential executions with an unchanged opts value
 // and SampleLimit == 0 allocate nothing: the steady-state scan→filter→count
-// path runs at zero allocations per query, which BenchmarkDatalessQuery
+// path runs at zero allocations per query, which TestSteadyStateZeroAlloc
 // pins. (With opts.Parallelism >= 1 the state is reopened per call: worker
 // partials fold into the tree, so a parallel plan runs once.) It is
 // ExecuteInContext over context.Background().
@@ -187,8 +185,6 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 		err = st.sagg.run(&st.ctl, res, opts)
 	case st.par != nil:
 		err = st.par.run(ctx, st, p.plan, opts)
-	case st.pivot:
-		err = runRows(&st.ctl, st.it, st.b, p.plan, opts, res)
 	default:
 		err = runColumnar(&st.ctl, st.it, st.b, p.plan, opts, res)
 	}
@@ -219,7 +215,7 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 // evaluator's scratch, the tree — is then recycled in place by later calls
 // with the same opts.
 func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
-	*st = ExecState{pivot: st.pivot, ctl: execCtl{ctx: st.ctl.ctx}}
+	*st = ExecState{ctl: execCtl{ctx: st.ctl.ctx}}
 	if opts.Trace {
 		st.ctl.rec = trace.NewRecorder(countPlanNodes(p.plan.Root))
 	}
@@ -239,11 +235,7 @@ func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 			// What this open drains, its other workers' opens find.
 			builds.m = make(map[*PlanNode]*preparedBuild)
 		}
-		need := rootNeed(p.plan, opts)
-		if st.pivot {
-			need = rowNeed(p.plan)
-		}
-		it, width, pop, node, err := openCol(p.db, p.plan.Root, need, opts.BatchSize, builds, &st.ctl)
+		it, width, pop, node, err := openCol(p.db, p.plan.Root, rootNeed(p.plan, opts), opts.BatchSize, builds, &st.ctl)
 		if err != nil {
 			return err
 		}

@@ -12,8 +12,6 @@ import (
 //
 //   - the sequential drive runs observe over child batches and emit over
 //     the finished state (colSinkIter);
-//   - ExecuteRowsContext is a row pivot over the identical pipeline, so the
-//     row path exercises the very same state;
 //   - the morsel-parallel branch gives every worker its own pipeline, the
 //     bottom sink's state included: workers fold their morsels in with
 //     observe, the partials merge into the first worker's state in

@@ -1,12 +1,14 @@
 // Package experiments regenerates every quantitative exhibit of the paper —
 // the demo's own figures and the EDBT'18 evaluation claims it cites — as
 // printed tables with the same rows/series structure. Each experiment (E1…
-// E9, see DESIGN.md) is exposed as a function over an io.Writer so the same
-// code backs the CLI ("hydra bench") and the testing.B benchmarks in
-// bench_test.go. EXPERIMENTS.md records paper-claim vs measured output.
+// E10, see DESIGN.md) is exposed as a function over an io.Writer that backs
+// the CLI ("hydra bench"); the tests in this package smoke-test each one.
+// EXPERIMENTS.md records paper-claim vs measured output. Engine performance
+// is measured by the bench/ harness, not here.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -67,7 +69,7 @@ func E1Example(w io.Writer, seed int64) error {
 	if err != nil {
 		return err
 	}
-	res, err := execute(db, plan, engine.ExecOptions{})
+	res, err := engine.ExecuteContext(context.Background(), db, plan, engine.ExecOptions{})
 	if err != nil {
 		return err
 	}
@@ -333,7 +335,7 @@ func runCount(db *engine.Database, sql string) (int64, error) {
 	}
 	// The count must come from actual regeneration (or materialized rows),
 	// not the summary-direct fast path this helper is meant to validate.
-	res, err := execute(db, plan, engine.ExecOptions{Regime: engine.PathPruned})
+	res, err := engine.ExecuteContext(context.Background(), db, plan, engine.ExecOptions{Regime: engine.PathPruned})
 	if err != nil {
 		return 0, err
 	}

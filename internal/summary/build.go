@@ -29,7 +29,7 @@ type BuildOptions struct {
 	// NoInhabitation disables the cross-relation inhabitation (GE)
 	// propagation — an ablation switch: without it, dimension LPs may
 	// leave cells empty that fact segments draw foreign keys from, and
-	// accuracy degrades to clamped fallbacks (see BenchmarkE10Ablation).
+	// accuracy degrades to clamped fallbacks (see experiments.E10Ablation).
 	NoInhabitation bool
 }
 

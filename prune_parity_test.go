@@ -2,13 +2,13 @@ package hydra
 
 // Cross-front parity for predicate pushdown into generation (scan pruning):
 // every entry point at every worker count (eachFront) must return results
-// byte-identical to the full-regeneration reference, which generates every
-// tuple and filters afterward. The suite sweeps selectivities from 0% to
-// 100% (including boundary-straddling and mid-cycle windows, primary-key
-// position restrictions, and a residual two-column conjunction), on the toy
-// and TPC-DS-like workloads, and asserts that pruning actually fires where
-// it must — guarding against a regression that silently scans unpruned
-// while parity keeps passing.
+// byte-identical to the materialized database under full regeneration,
+// which scans every stored tuple and filters afterward. The suite sweeps
+// selectivities from 0% to 100% (including boundary-straddling and
+// mid-cycle windows, primary-key position restrictions, and a residual
+// two-column conjunction), on the toy and TPC-DS-like workloads, and
+// asserts that pruning actually fires where it must — guarding against a
+// regression that silently scans unpruned while parity keeps passing.
 
 import (
 	"testing"
@@ -69,18 +69,24 @@ func prunedRows(n *engine.ExecNode) int64 {
 
 // pruneFronts runs sql on every entry point under the PathPruned ceiling
 // (the operator pipeline is the thing under test, so the summary-direct
-// answer stands aside) and compares each against the row pivot under
-// PathRegen. Pruning is a pure function of summary and predicate, so every
-// entry point must observe the identical pruned-row count, report the path
-// that count implies, and open the identical operator tree — an absorbed
-// filter is gone at every worker count, a residual one present at each.
-// Returns the count and the tree.
-func pruneFronts(t *testing.T, db *Database, sql string) (int64, *engine.ExecNode) {
+// answer stands aside) and compares each against the materialized database
+// mat under PathRegen (oracle). The dataless db under the PathRegen ceiling
+// must prune nothing and give the same answer. Pruning is a pure function
+// of summary and predicate, so every entry point must observe the
+// identical pruned-row count, report the path that count implies, and open
+// the identical operator tree — an absorbed filter is gone at every worker
+// count, a residual one present at each. Returns the count and the tree.
+func pruneFronts(t *testing.T, db, mat *Database, sql string) (int64, *engine.ExecNode) {
 	t.Helper()
-	want := rowPivot(t, db, sql, ExecOptions{SampleLimit: 8, Regime: engine.PathRegen})
-	if got := prunedRows(want.Root); got != 0 || want.Path != engine.PathRegen {
-		t.Errorf("%s: full-regeneration reference reports %d pruned rows on path %q", sql, got, want.Path)
+	want := oracle(t, mat, sql, 8)
+	regen, err := Query(db, sql, ExecOptions{SampleLimit: 8, Regime: engine.PathRegen})
+	if err != nil {
+		t.Fatalf("%s [regen ceiling]: %v", sql, err)
 	}
+	if got := prunedRows(regen.Root); got != 0 || regen.Path != engine.PathRegen {
+		t.Errorf("%s: the regen ceiling pruned %d rows on path %q", sql, got, regen.Path)
+	}
+	sameValues(t, sql+" [regen ceiling]", regen, want)
 	pruned, tree := int64(-1), (*engine.ExecNode)(nil)
 	eachFront(t, db, sql, ExecOptions{SampleLimit: 8, Regime: engine.PathPruned}, func(label string, res *ExecResult) {
 		sameValues(t, label, res, want)
@@ -112,8 +118,9 @@ func hasOp(n *engine.ExecNode, op string) bool {
 func TestScanPruneParityToy(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
+	mat := mustMaterialize(t, sum)
 	for _, probe := range toyPruneProbes {
-		pruned, tree := pruneFronts(t, db, probe.sql)
+		pruned, tree := pruneFronts(t, db, mat, probe.sql)
 		if probe.wantPrune && pruned == 0 {
 			t.Errorf("%s: expected pruning to fire, scanned unpruned", probe.sql)
 		}
@@ -126,7 +133,7 @@ func TestScanPruneParityToy(t *testing.T) {
 	queries := append(append(toy.Workload(), toy.GroupWorkload()...), toy.SortWorkload()...)
 	firing := int64(0)
 	for _, sql := range queries {
-		pruned, _ := pruneFronts(t, db, sql)
+		pruned, _ := pruneFronts(t, db, mat, sql)
 		firing += pruned
 	}
 	if firing == 0 {
@@ -153,10 +160,11 @@ func TestScanPruneParityTPCDS(t *testing.T) {
 		t.Fatal(err)
 	}
 	regen := core.RegenDatabase(sum, 0)
+	mat := mustMaterialize(t, sum)
 	firing := int64(0)
 	all := append(append(queries, tpcds.GroupWorkload()...), tpcds.SortWorkload()...)
 	for _, sql := range all {
-		pruned, _ := pruneFronts(t, regen, sql)
+		pruned, _ := pruneFronts(t, regen, mat, sql)
 		firing += pruned
 	}
 	if firing == 0 {

@@ -4,7 +4,7 @@ package hydra
 // match fresh execution byte for byte on dataless databases (generator
 // streams are rewound by SeekRow, not reopened), and the hot
 // scan→filter→count loop must allocate nothing per query after warmup —
-// the zero-allocation audit behind BenchmarkDatalessQuery.
+// the zero-allocation audit behind the ledger's engine.steady_allocs.
 
 import (
 	"testing"
@@ -78,8 +78,8 @@ func TestExecuteInDatalessParity(t *testing.T) {
 // TestSteadyStateZeroAlloc pins allocs_per_op == 0 for the dataless
 // scan→filter→count steady state: after the first ExecuteIn builds the
 // reusable state, repeated executions — regenerating every tuple from the
-// summary each time — allocate nothing. This is the contract
-// BenchmarkDatalessQuery reports.
+// summary each time — allocate nothing. This is the contract the bench/
+// ledger's engine.steady_allocs reports.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)

@@ -2,8 +2,8 @@ package hydra
 
 // Cross-front parity for the summary-direct aggregate fast path: every
 // entry point at every worker count (eachFront) must return results
-// byte-identical to the regenerating pipeline on the same query, whether
-// the summary or the pipeline answered. The suite runs the
+// byte-identical to the materialized database's answer on the same query,
+// whether the summary or the pipeline answered. The suite runs the
 // toy and TPC-DS-like workloads plus targeted probes for the arithmetic
 // edge cases (boundary-straddling predicates, empty matches, GROUP BY keys
 // drawn from cycling sets), and asserts that the fast path actually claims
@@ -39,13 +39,13 @@ var saggProbes = []string{
 	"SELECT COUNT(*), SUM(t.c) FROM t WHERE t.c < 5",
 }
 
-// summaryAggFronts runs sql on every entry point under the default regime
-// and compares each against the row pivot under full regeneration. Returns
-// whether the summary answered (it must answer uniformly: every entry point
-// or none).
-func summaryAggFronts(t *testing.T, db *Database, sql string) bool {
+// summaryAggFronts runs sql on every entry point of the dataless db under
+// the default regime and compares each against the materialized database
+// mat (oracle). Returns whether the summary answered (it must answer
+// uniformly: every entry point or none).
+func summaryAggFronts(t *testing.T, db, mat *Database, sql string) bool {
 	t.Helper()
-	want := rowPivot(t, db, sql, ExecOptions{SampleLimit: 8, Regime: engine.PathRegen})
+	want := oracle(t, mat, sql, 8)
 	path := ""
 	eachFront(t, db, sql, ExecOptions{SampleLimit: 8}, func(label string, res *ExecResult) {
 		sameValues(t, label, res, want)
@@ -62,10 +62,11 @@ func summaryAggFronts(t *testing.T, db *Database, sql string) bool {
 func TestSummaryAggParityToy(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
+	mat := mustMaterialize(t, sum)
 	queries := append(append(toy.Workload(), toy.GroupWorkload()...), toy.SortWorkload()...)
 	fast := 0
 	for _, sql := range append(queries, saggProbes...) {
-		if summaryAggFronts(t, db, sql) {
+		if summaryAggFronts(t, db, mat, sql) {
 			fast++
 		}
 	}
@@ -95,10 +96,11 @@ func TestSummaryAggParityTPCDS(t *testing.T) {
 		t.Fatal(err)
 	}
 	regen := core.RegenDatabase(sum, 0)
+	mat := mustMaterialize(t, sum)
 	fast := 0
 	all := append(append(queries, tpcds.GroupWorkload()...), tpcds.SortWorkload()...)
 	for _, sql := range all {
-		if summaryAggFronts(t, regen, sql) {
+		if summaryAggFronts(t, regen, mat, sql) {
 			fast++
 		}
 	}

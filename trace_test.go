@@ -136,8 +136,8 @@ func TestTraceSpanParityAcrossFronts(t *testing.T) {
 // TestSteadyStateZeroAllocTraced extends the zero-allocation audit to
 // tracing: ExecuteIn with Trace on recycles the span arena (Reset, not
 // reallocation), so the steady state allocates nothing on the count,
-// grouped, and sorted shapes alike — the structural half of the E16 <3%
-// overhead claim.
+// grouped, and sorted shapes alike — the structural half of the ledger's
+// engine.trace_overhead_share.
 func TestSteadyStateZeroAllocTraced(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
