@@ -43,7 +43,9 @@ type (
 	// Column is one attribute with its coded domain.
 	Column = schema.Column
 
-	// Database is the in-memory engine database (stored or dataless).
+	// Database is the in-memory engine database (stored or dataless). A
+	// table has one source: stored rows, a summary it regenerates from
+	// (Database.SetSummary), or a datagen function (Database.SetDatagen).
 	Database = engine.Database
 	// Relation is a stored table.
 	Relation = engine.Relation
@@ -51,7 +53,8 @@ type (
 	// NextColBatch fills the projected columns of a ColBatch. The
 	// generator's Stream, a Pace-d source, stored relations and FromRows
 	// all speak it, and a datagen function (Database.SetDatagen) returns
-	// one.
+	// one; a table registered with Database.SetSummary needs none, its
+	// scans are cut from one Stream over the whole table.
 	ColProjector = batch.ColProjector
 	// RowSource yields coded rows one at a time. It survives only as the
 	// input type of FromRows, for row-at-a-time producers outside this
@@ -78,10 +81,6 @@ type (
 	// and surface the root via ExecResult.Trace.
 	TraceSpan = trace.Span
 
-	// Batch is the row-major batch. Bench-only: nothing but the
-	// benchmark's generator.batch_rows_per_s row (Stream.NextBatch) uses
-	// it, and it goes when that row does.
-	Batch = batch.Batch
 	// ColBatch is the column-major batch (one vector per populated column
 	// plus a selection vector) — the only layout the generator, stored
 	// relations and the engine move tuples in.
@@ -273,9 +272,6 @@ func Rows(src ColProjector, b *ColBatch) *RowReader { return batch.NewRowReader(
 // datagen functions supplied from outside this module. A row whose length
 // differs from the table's width stops the scan and fails the query.
 func FromRows(src RowSource) ColProjector { return batch.FromRows(src) }
-
-// NewBatch returns an empty row-major batch. Bench-only, like Batch.
-func NewBatch(cols, capRows int) *Batch { return batch.New(cols, capRows) }
 
 // Pace throttles a scan source to rowsPerSec (the demo's velocity slider);
 // a non-positive rate returns the source unchanged. The paced source

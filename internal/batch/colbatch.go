@@ -133,11 +133,11 @@ func (b *ColBatch) LiveRow(i int, dst []int64) {
 // dense. Once it returns false the source is exhausted.
 //
 // The projection is the caller's required-column set: implementations must
-// never touch columns outside it. The generator's Stream and SectionSet,
-// its Paced wrapper, the engine's stored-relation cursor and the RowSource
-// adapter (FromRows) implement it; everything else a source may offer —
-// SeekRow, Total/Section, SectionSet, Err — is an optional capability the
-// engine discovers by type assertion.
+// never touch columns outside it. The generator's Stream, its Paced
+// wrapper, the engine's stored-relation cursor and the RowSource adapter
+// (FromRows) implement it; everything else a source may offer — SeekRow,
+// Total/Section, Err — is an optional capability the engine discovers by
+// type assertion.
 type ColProjector interface {
 	NextColBatch(dst *ColBatch, cols []int) bool
 }

@@ -135,30 +135,27 @@ func BuildFromPackage(pkg *TransferPackage, opts summary.BuildOptions) (*summary
 // RegenDatabase returns a dataless database: every table's scan is served
 // by the tuple generator straight from the summary (the paper's datagen
 // relation property). rowsPerSec throttles generation per scan; zero means
-// unlimited. Either way the source is a batch.ColProjector — the Stream
-// itself, or its Paced wrapper, which forwards the query's projection and
-// credits each batch against the rate.
+// unlimited.
 //
-// At full speed the summary is also registered with the engine, enabling the
-// summary-direct aggregate fast path: provably exact aggregates skip
-// regeneration entirely. Paced databases deliberately do not register it —
-// their purpose is to model a generation-rate budget, and a query answered
-// from the summary alone would bypass the pacing being measured.
+// At full speed each table registers its summary (engine SetSummary): the
+// engine regenerates every scan from it, prunes filters against it, and
+// answers provably exact aggregates from it without generating a tuple.
+// Paced, each table registers only a datagen source — a Stream behind a
+// Paced limiter, which forwards the query's projection and credits each
+// batch against the rate — and no summary: a paced database models a
+// generation-rate budget, and a query answered or pruned from the summary
+// would bypass the pacing being measured.
 func RegenDatabase(sum *summary.Database, rowsPerSec float64) *engine.Database {
 	db := engine.NewDatabase(sum.Schema)
-	for name := range sum.Relations {
-		rel := sum.Relations[name]
+	for name, rel := range sum.Relations {
+		if rowsPerSec <= 0 {
+			db.SetSummary(name, rel)
+			continue
+		}
 		t := sum.Schema.Table(name)
 		db.SetDatagen(name, func() (batch.ColProjector, error) {
-			stream := generator.NewStream(t, rel)
-			if rowsPerSec > 0 {
-				return generator.NewPaced(stream, rowsPerSec), nil
-			}
-			return stream, nil
+			return generator.NewPaced(generator.NewStream(t, rel), rowsPerSec), nil
 		})
-		if rowsPerSec == 0 {
-			db.SetSummary(name, rel)
-		}
 	}
 	return db
 }

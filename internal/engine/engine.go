@@ -15,6 +15,7 @@ import (
 	"weak"
 
 	"repro/internal/batch"
+	"repro/internal/generator"
 	"repro/internal/schema"
 	"repro/internal/synopsis"
 )
@@ -79,14 +80,25 @@ func (r *Relation) Row(i int) []int64 {
 	return row
 }
 
-// Database holds stored relations and per-table datagen overrides, and the
-// build sides Prepare drained over them (shared.go).
+// Database holds each table's one scan source — stored rows, a registered
+// summary the engine regenerates from, or an opaque datagen source — and
+// the build sides Prepare drained over them (shared.go). reg counts
+// registrations: a Prepared made under an older count is stale.
 type Database struct {
 	Schema    *schema.Schema
 	rels      map[string]*Relation
 	datagen   map[string]DatagenFunc
-	summaries map[string]*synopsis.Relation
+	summaries map[string]summaryScan
+	reg       uint64
 	builds    *sharedBuilds
+}
+
+// summaryScan is a table's registered summary and the one stream over the
+// whole table built from it at registration: every scan of the table is a
+// Section or a SectionSet of gen.
+type summaryScan struct {
+	rel *synopsis.Relation
+	gen *generator.Stream
 }
 
 // NewDatabase creates an empty database over the schema.
@@ -95,16 +107,24 @@ func NewDatabase(s *schema.Schema) *Database {
 		Schema:    s,
 		rels:      make(map[string]*Relation),
 		datagen:   make(map[string]DatagenFunc),
-		summaries: make(map[string]*synopsis.Relation),
+		summaries: make(map[string]summaryScan),
 		builds:    &sharedBuilds{m: make(map[buildLeaf]weak.Pointer[preparedBuild])},
 	}
+}
+
+// newRegistration drops the database's shared build sides (shared.go), which
+// hold what a table's scan returned before, and makes every Prepared made
+// so far stale: a Prepared's proofs and row-spaces were judged against the
+// registrations it was prepared under.
+func (db *Database) newRegistration() {
+	db.builds.clear()
+	db.reg++
 }
 
 // AddRelation registers a stored relation for a schema table. A relation
 // whose column count differs from the schema's table of that name is
 // refused: scans size their batches from the schema. Append the rows first:
-// like SetDatagen and SetSummary, registering drops the database's shared
-// build sides (shared.go), which hold what a table's scan returned then.
+// registering makes Prepareds already made stale (see newRegistration).
 func (db *Database) AddRelation(rel *Relation) error {
 	t := db.Schema.Table(rel.Table.Name)
 	if t == nil {
@@ -114,18 +134,21 @@ func (db *Database) AddRelation(rel *Relation) error {
 		return fmt.Errorf("engine: relation %s has %d columns, schema table has %d", rel.Table.Name, len(rel.Table.Columns), len(t.Columns))
 	}
 	db.rels[rel.Table.Name] = rel
-	db.builds.clear()
+	db.newRegistration()
 	return nil
 }
 
 // Relation returns the stored relation for a table, or nil.
 func (db *Database) Relation(name string) *Relation { return db.rels[name] }
 
-// SetDatagen enables the dataless "datagen" property for a table: scans of
-// the table stream rows from fn instead of stored data. Passing nil disables
-// it.
+// SetDatagen enables the dataless "datagen" property for a table with an
+// opaque source: scans of the table stream rows from fn instead of stored
+// data, and nothing is known about them ahead, so they are neither pruned
+// nor answered from a summary. It replaces a summary registered for the
+// table; passing nil disables it.
 func (db *Database) SetDatagen(table string, fn DatagenFunc) {
-	db.builds.clear()
+	db.newRegistration()
+	delete(db.summaries, table)
 	if fn == nil {
 		delete(db.datagen, table)
 		return
@@ -133,34 +156,44 @@ func (db *Database) SetDatagen(table string, fn DatagenFunc) {
 	db.datagen[table] = fn
 }
 
-// DatagenEnabled reports whether the table scans via dynamic regeneration.
+// DatagenEnabled reports whether the table scans via dynamic regeneration:
+// from a registered summary or a datagen source.
 func (db *Database) DatagenEnabled(table string) bool {
-	_, ok := db.datagen[table]
-	return ok
+	_, gen := db.datagen[table]
+	_, sum := db.summaries[table]
+	return gen || sum
 }
 
-// SetSummary registers the relation summary a table's datagen scans expand,
-// unlocking the summary-direct aggregate fast path (summaryagg.go): provably
-// exact aggregates are then answered in O(summary rows) without generating a
-// single tuple. Register a summary only when the table's scans regenerate
-// from exactly that summary at full speed — a paced or caller-supplied
-// datagen source must not register one, since queries answered
-// summary-directly bypass the scan entirely. Passing nil unregisters.
+// SetSummary makes a schema table regenerate from rel at full speed — the
+// one way a table regenerates from a summary. One generator stream over the
+// whole table is built here and every scan is cut from it, so what the
+// scans produce and what the pruner and the summary-direct evaluator
+// (summaryagg.go) reason over are the same relation: provably exact
+// aggregates are answered in O(summary rows) without generating a tuple,
+// and filters prune the rows they provably reject. It replaces a datagen
+// source registered for the table. rel is held, not copied, and must not
+// change while registered. Passing nil unregisters the summary and leaves
+// a datagen source in place; a table the schema lacks is ignored.
 func (db *Database) SetSummary(table string, rel *synopsis.Relation) {
-	db.builds.clear()
-	if rel == nil {
+	db.newRegistration()
+	t := db.Schema.Table(table)
+	if rel == nil || t == nil {
 		delete(db.summaries, table)
 		return
 	}
-	db.summaries[table] = rel
+	delete(db.datagen, table)
+	db.summaries[table] = summaryScan{rel: rel, gen: generator.NewStream(t, rel)}
 }
 
 // Summary returns the registered relation summary for a table, or nil.
-func (db *Database) Summary(table string) *synopsis.Relation { return db.summaries[table] }
+func (db *Database) Summary(table string) *synopsis.Relation { return db.summaries[table].rel }
 
-// openScan returns the table's scan source: the datagen source when
-// enabled, otherwise a cursor over the stored columns.
+// openScan returns a fresh cursor over the table's whole scan: a section of
+// its registered stream, a datagen source, or the stored columns.
 func (db *Database) openScan(table string) (batch.ColProjector, error) {
+	if r, ok := db.summaries[table]; ok {
+		return r.gen.Section(0, r.gen.Total()), nil
+	}
 	if fn, ok := db.datagen[table]; ok {
 		return fn()
 	}

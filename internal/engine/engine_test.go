@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/batch"
+	"repro/internal/generator"
 	"repro/internal/schema"
 	"repro/internal/sqlkit"
 )
@@ -180,6 +181,45 @@ func TestDatagenScan(t *testing.T) {
 	res = run(t, db, "SELECT COUNT(*) FROM dim WHERE a >= 55")
 	if res.Count != 0 {
 		t.Errorf("stored count = %d, want 0", res.Count)
+	}
+}
+
+// TestRegistrationReplacement pins that a table has one source: SetDatagen
+// after SetSummary drops the summary, so nothing answers from it; SetSummary
+// after SetDatagen regenerates the new relation on every regime; and
+// SetSummary(t, nil) leaves a datagen source in place.
+func TestRegistrationReplacement(t *testing.T) {
+	const sql = "SELECT COUNT(*) FROM m WHERE a < 3"
+	db := saggDB(t)
+	rel, tab := db.Summary("m"), db.Schema.Table("m")
+	old := saggExec(t, db, sql, ExecOptions{Regime: PathRegen}).Count
+	if old != 11 {
+		t.Fatalf("saggDB: count %d, want 11", old)
+	}
+	opened := func() (batch.ColProjector, error) { return generator.NewStream(tab, rel), nil }
+
+	db.SetDatagen("m", opened)
+	if db.Summary("m") != nil {
+		t.Fatal("SetDatagen left the summary registered")
+	}
+	if res := saggExec(t, db, sql, ExecOptions{}); res.Path != PathRegen || res.Count != old {
+		t.Fatalf("after SetDatagen: path %q count %d; want %q, %d", res.Path, res.Count, PathRegen, old)
+	}
+
+	db.SetSummary("m", coupledRel(t, db))
+	for regime, path := range map[string]string{"": PathSummary, PathPruned: PathPruned, PathRegen: PathRegen} {
+		if res := saggExec(t, db, sql, ExecOptions{Regime: regime}); res.Path != path || res.Count != 9 {
+			t.Fatalf("after SetSummary, regime %q: path %q count %d; want %q, 9", regime, res.Path, res.Count, path)
+		}
+	}
+
+	db.SetDatagen("m", opened)
+	db.SetSummary("m", nil)
+	if !db.DatagenEnabled("m") {
+		t.Fatal("SetSummary(t, nil) dropped the datagen source")
+	}
+	if res := saggExec(t, db, sql, ExecOptions{}); res.Path != PathRegen || res.Count != old {
+		t.Fatalf("after SetSummary(t, nil): path %q count %d; want %q, %d", res.Path, res.Count, PathRegen, old)
 	}
 }
 

@@ -161,6 +161,6 @@ func (o ExecOptions) Normalize() (ExecOptions, error) {
 // context.DeadlineExceeded — identically sequential or parallel, with no
 // goroutine left behind.
 func ExecuteContext(ctx context.Context, db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
-	p := Prepared{db: db, plan: plan}
+	p := Prepared{db: db, plan: plan, reg: db.reg}
 	return p.run(ctx, new(ExecState), opts)
 }

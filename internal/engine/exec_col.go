@@ -206,26 +206,19 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 		if pr := ctl.prunes.scan(pn); pr != nil {
 			// Predicate pushdown into generation: a precomputed qualifying
 			// row-space (only filter-over-scan has one) turns the child into
-			// a pruned scan — non-matching tuples are never generated, and
-			// parallel morsels partition live rows only. When every conjunct
-			// was proven the scan replaces the filter outright, skipping the
+			// a scan of the stream it was judged against, restricted to that
+			// space — non-matching tuples are never generated, and parallel
+			// morsels partition live rows only. When every conjunct was
+			// proven the scan replaces the filter outright, skipping the
 			// predicate columns the MatchVec would have read; otherwise the
 			// residual filter wraps it, exact because pruning only removed
-			// provably-failing tuples and never reordered survivors. A
-			// source without the capability (a paced stream, caller-supplied
-			// datagen) scans unpruned under the whole filter.
+			// provably-failing tuples and never reordered survivors.
 			table := pn.Children[0].Table
-			src, err := db.openScan(table)
-			if err != nil {
-				return nil, 0, nil, nil, err
-			}
-			if rs, ok := src.(rowSpaceSource); !ok {
-				pr = nil
-			} else if src = rs.SectionSet(pr.ivs); pr.absorbed {
+			if pr.absorbed {
 				childNeed = need
 			}
-			s, w := newColScanIter(db, table, src, childNeed, pr, ctl)
-			if pr != nil && pr.absorbed {
+			s, w := newColScanIter(db, table, pr.gen.SectionSet(pr.ivs), childNeed, pr, ctl)
+			if pr.absorbed {
 				return s, w, childNeed, s.node, nil
 			}
 			child, width, pop, childNode = s, w, childNeed, s.node
@@ -312,8 +305,8 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 }
 
 // newColScanIter wraps an opened source in the scan operator over the cols
-// projection, and reports the table's width. pr is the row-space src was
-// swapped for, nil for a whole-table scan.
+// projection, and reports the table's width. pr is the row-space src is
+// restricted to, nil for a whole-table scan.
 func newColScanIter(db *Database, table string, src batch.ColProjector, cols []int, pr *scanPrune, ctl *execCtl) (*colScanIter, int) {
 	node := &ExecNode{Op: OpScan.String(), Table: table}
 	if pr != nil {

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
 
 	"repro/internal/batch"
 	"repro/internal/trace"
@@ -11,8 +13,9 @@ import (
 // every hash-join build side has been drained into a read-only columnar
 // arena, so each Execute pays probe cost only. Because dataless scans are
 // pure functions of the summary, a build side depends on its build leaf
-// alone, and the arenas are valid for the database's lifetime: a Prepared
-// holds references to builds the database shares across Prepareds
+// alone, and the arenas are valid until a table of the database is
+// registered again (after which executions fail with ErrStalePrepared): a
+// Prepared holds references to builds the database shares across Prepareds
 // (shared.go), draining only the leaves no live Prepared already holds. A
 // Prepared is safe for concurrent Execute calls (each opens fresh probe
 // state over the shared builds). This is what the serve front end caches
@@ -35,9 +38,17 @@ import (
 type Prepared struct {
 	db     *Database
 	plan   *Plan
+	reg    uint64                       // db.reg when prepared: a later registration makes the Prepared stale
 	builds map[*PlanNode]*preparedBuild // every join's build side over all its columns, drained here or taken from db's shared layer
 	prunes *pruneCache                  // row-spaces and summary-direct proof, judged once at Prepare time
 }
+
+// ErrStalePrepared is returned by a Prepared's executions once a table of
+// its database has been registered again (AddRelation, SetDatagen,
+// SetSummary): the summary-direct proof and the row-spaces it judged at
+// Prepare time may no longer hold. Prepare the plan again. Test with
+// errors.Is.
+var ErrStalePrepared = errors.New("prepared statement is stale: a table was registered again")
 
 // Plan returns the compiled plan the Prepared executes.
 func (p *Prepared) Plan() *Plan { return p.plan }
@@ -54,7 +65,7 @@ func Prepare(db *Database, plan *Plan, opts ExecOptions) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{db: db, plan: plan, builds: make(map[*PlanNode]*preparedBuild)}
+	p := &Prepared{db: db, plan: plan, reg: db.reg, builds: make(map[*PlanNode]*preparedBuild)}
 	// Prune row-spaces are computed once and shared by every execution (and
 	// by the build drain below, so cached build sides make the same prune
 	// decisions as live ones — span-shape parity depends on it).
@@ -155,6 +166,9 @@ func (p *Prepared) ExecuteInContext(ctx context.Context, st *ExecState, opts Exe
 // into ctx, opens st for opts unless st already is, and drives whatever
 // open chose.
 func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*ExecResult, error) {
+	if p.reg != p.db.reg {
+		return nil, fmt.Errorf("engine: %w", ErrStalePrepared)
+	}
 	opts, err := opts.Normalize()
 	if err != nil {
 		return nil, err

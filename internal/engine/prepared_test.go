@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/generator"
+	"repro/internal/synopsis"
+	"repro/internal/value"
 )
 
 // TestPreparedParity holds Prepared.Execute — sequential and parallel,
@@ -96,18 +98,21 @@ func TestExecuteInZeroAllocStored(t *testing.T) {
 }
 
 // TestExecuteInFailedOpenInvalidatesState: a reopen that fails must not
-// leave the state claiming the previous tree. The table has a registered
-// summary (opts A is answered summary-directly, so the state holds no
-// operator tree) and a datagen func that fails on demand (opts B, capped
-// below summary-direct, has to open the scan and cannot). Returning to
-// opts A used to take the reuse branch — same opts as the last successful
-// open — with the evaluator already dropped, and rewound a nil tree.
+// leave the state claiming the previous tree. The table regenerates from a
+// datagen source that fails on demand: opts A opens a tree, opts B (another
+// batch size, so the state reopens) fails in open, and returning to opts A
+// must reopen — not take the reuse branch on the strength of A being the
+// last successful open — and give the first answer. (The sequence this
+// guarded first, a summary-direct A and a failing B, cannot happen: a
+// summary table's scans are cut from its registered stream and their open
+// cannot fail.)
 func TestExecuteInFailedOpenInvalidatesState(t *testing.T) {
 	db := saggDB(t)
 	rel, tab := db.Summary("m"), db.Schema.Table("m")
-	failing := false
+	failing, opens := false, 0
 	errDatagen := errors.New("datagen unavailable")
 	db.SetDatagen("m", func() (batch.ColProjector, error) {
+		opens++
 		if failing {
 			return nil, errDatagen
 		}
@@ -117,24 +122,79 @@ func TestExecuteInFailedOpenInvalidatesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	optsA, optsB := ExecOptions{}, ExecOptions{BatchSize: 3}
 	var st ExecState
-	want, err := prep.ExecuteIn(&st, ExecOptions{})
-	if err != nil || want.Path != PathSummary {
-		t.Fatalf("opts A: %v, %v; want a summary-direct answer", want, err)
+	want, err := prep.ExecuteIn(&st, optsA)
+	if err != nil || want.Path != PathRegen {
+		t.Fatalf("opts A: %v, %v; want an answer regenerated from the datagen source", want, err)
 	}
 	count := want.Count
 	failing = true
-	if _, err := prep.ExecuteIn(&st, ExecOptions{Regime: PathPruned}); !errors.Is(err, errDatagen) {
+	if _, err := prep.ExecuteIn(&st, optsB); !errors.Is(err, errDatagen) {
 		t.Fatalf("opts B with a failing scan: err = %v, want the datagen error", err)
 	}
-	got, err := prep.ExecuteIn(&st, ExecOptions{})
-	if err != nil || got.Path != PathSummary || got.Count != count {
-		t.Fatalf("opts A after the failed open: %+v, %v; want count %d on the summary path", got, err, count)
+	failing, opens = false, 0
+	got, err := prep.ExecuteIn(&st, optsA)
+	if err != nil || got.Count != count || opens != 1 {
+		t.Fatalf("opts A after the failed open: %+v, %v, %d opens; want count %d from one reopen", got, err, opens, count)
 	}
 	// And the state recovers for opts B once the scan opens again.
-	failing = false
-	if got, err = prep.ExecuteIn(&st, ExecOptions{Regime: PathPruned}); err != nil || got.Count != count {
+	if got, err = prep.ExecuteIn(&st, optsB); err != nil || got.Count != count {
 		t.Fatalf("opts B after recovery: %+v, %v; want count %d", got, err, count)
+	}
+}
+
+// coupledRel is one 12-tuple summary row of m: a cycles [0,4) and b cycles
+// [100,103), so a < 2 AND b < 102 holds for 2·2 of the 12 (a, b) phases
+// and a < 3 for 9 tuples.
+func coupledRel(t *testing.T, db *Database) *synopsis.Relation {
+	t.Helper()
+	rel := &synopsis.Relation{Table: "m", Total: 12, Rows: []synopsis.Row{
+		{Count: 12, Specs: []synopsis.ColSpec{synopsis.SetSpec(1, set(value.Ival(0, 4))), synopsis.SetSpec(2, set(value.Ival(100, 103)))}},
+	}}
+	if err := rel.Validate(db.Schema.Table("m")); err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// TestStalePreparedAfterRegistration: a Prepared pairs its Prepare-time
+// proof and row-spaces with the registrations it was prepared under, so
+// registering a table again makes it fail with ErrStalePrepared instead of
+// answering from a proof about rows its table no longer regenerates.
+// InvalidateBuilds changes no registration and leaves it running.
+func TestStalePreparedAfterRegistration(t *testing.T) {
+	const sql = "SELECT COUNT(*) FROM m WHERE a < 2 AND b < 102"
+	db := saggDB(t)
+	prep, err := Prepare(db, mustPlan(t, db, sql), ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.InvalidateBuilds()
+	if _, err := prep.Execute(ExecOptions{}); err != nil {
+		t.Fatalf("after InvalidateBuilds: %v", err)
+	}
+	var st ExecState
+	if _, err := prep.ExecuteIn(&st, ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	db.SetSummary("m", coupledRel(t, db))
+	if res, err := prep.Execute(ExecOptions{}); !errors.Is(err, ErrStalePrepared) {
+		t.Fatalf("after SetSummary: %+v, %v; want ErrStalePrepared", res, err)
+	}
+	if res, err := prep.ExecuteIn(&st, ExecOptions{}); !errors.Is(err, ErrStalePrepared) {
+		t.Fatalf("reused state after SetSummary: %+v, %v; want ErrStalePrepared", res, err)
+	}
+	fresh, err := Prepare(db, mustPlan(t, db, sql), ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, regime := range []string{"", PathPruned, PathRegen} {
+		res, err := fresh.Execute(ExecOptions{Regime: regime})
+		if err != nil || res.Count != 4 {
+			t.Fatalf("fresh Prepared, regime %q: %+v, %v; want count 4", regime, res, err)
+		}
 	}
 }
 

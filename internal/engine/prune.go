@@ -24,26 +24,18 @@ package engine
 // and never reorders the survivors.
 
 import (
-	"repro/internal/batch"
 	"repro/internal/cycle"
+	"repro/internal/generator"
 	"repro/internal/pred"
 	"repro/internal/synopsis"
 	"repro/internal/value"
 )
 
-// rowSpaceSource is the capability the pruned scan needs from a datagen
-// source: opening an independent sub-source restricted to a set of
-// qualifying global-row intervals. generator.Stream implements it
-// (SectionSet); sources that don't — paced streams, caller-supplied
-// datagen — simply scan unpruned.
-type rowSpaceSource interface {
-	SectionSet(ivs []value.Interval) batch.ColProjector
-}
-
 // scanPrune is the precomputed qualifying row-space for one OpFilter node
-// whose child scans a summary-backed datagen table.
+// whose child scans a table regenerated from a registered summary, and the
+// stream it was judged against: the scan opens gen restricted to ivs.
 type scanPrune struct {
-	table    string
+	gen      *generator.Stream
 	ivs      []value.Interval // qualifying [lo,hi) global-row intervals, ascending, disjoint
 	total    int64            // rows in ivs
 	pruned   int64            // rel.Total − total: tuples never generated
@@ -121,20 +113,14 @@ func buildPruneCache(db *Database, plan *Plan) *pruneCache {
 			return
 		}
 		table := pn.Children[0].Table
-		if pn.Pred == nil || pn.Pred.Table != table || !db.DatagenEnabled(table) {
+		r, ok := db.summaries[table]
+		if pn.Pred == nil || pn.Pred.Table != table || !ok {
 			return
 		}
-		rel := db.Summary(table)
-		if rel == nil {
-			return
-		}
-		t := db.Schema.Table(table)
-		if t == nil {
-			return
-		}
-		pr, exact := prunePred(pn.Pred, rel, t.PKIndex(), cand)
+		pr, exact := prunePred(pn.Pred, r.rel, db.Schema.Table(table).PKIndex(), cand)
 		pc.direct = pc.direct || exact
 		if pr != nil {
+			pr.gen = r.gen
 			pc.scans[pn] = pr
 		}
 	}
@@ -148,7 +134,7 @@ func buildPruneCache(db *Database, plan *Plan) *pruneCache {
 // plan's summary-direct candidate, is filtered by this same region, it also
 // reports whether every verdict leaves cand exactly answerable.
 func prunePred(p *pred.Region, rel *synopsis.Relation, pkIdx int, cand *PlanNode) (_ *scanPrune, exact bool) {
-	pr := &scanPrune{table: p.Table, absorbed: true}
+	pr := &scanPrune{absorbed: true}
 	exact = cand != nil && cand.Pred == p
 	var (
 		clipBuf  value.IntervalSet // Judge's pk-window scratch

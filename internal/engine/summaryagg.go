@@ -95,19 +95,17 @@ type summaryAggEval struct {
 
 // directCandidate returns the plan's summary-direct candidate together
 // with its relation summary and primary-key index, or a nil candidate when
-// the fast path cannot apply whatever the rows say: no candidate, no
-// registered summary, or a table that does not regenerate.
+// the fast path cannot apply whatever the rows say: no candidate, or no
+// registered summary the candidate's table regenerates from.
 func directCandidate(db *Database, plan *Plan) (cand *PlanNode, rel *synopsis.Relation, pk int) {
 	cand = plan.SummaryAgg
-	if cand == nil || !db.DatagenEnabled(cand.Table) {
+	if cand == nil {
 		return nil, nil, -1
 	}
-	rel = db.Summary(cand.Table)
-	t := db.Schema.Table(cand.Table)
-	if rel == nil || t == nil {
+	if rel = db.Summary(cand.Table); rel == nil {
 		return nil, nil, -1
 	}
-	return cand, rel, t.PKIndex()
+	return cand, rel, db.Schema.Table(cand.Table).PKIndex()
 }
 
 // summaryAggFor returns an evaluator for the plan's summary-direct

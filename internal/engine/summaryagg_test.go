@@ -74,10 +74,6 @@ func saggDBRows(t *testing.T, rows []synopsis.Row) *Database {
 // saggRegister opens a dataless database over rel as given, unvalidated.
 func saggRegister(s *schema.Schema, rel *synopsis.Relation) *Database {
 	db := NewDatabase(s)
-	tab := s.Table("m")
-	db.SetDatagen("m", func() (batch.ColProjector, error) {
-		return generator.NewStream(tab, rel), nil
-	})
 	db.SetSummary("m", rel)
 	return db
 }

@@ -9,14 +9,15 @@
 // summary row's Count tuples column by column in unit-stride passes,
 // hoisting the Fixed/Set dispatch out of the row loop and replacing the
 // per-row modulo of the cycling sets with an incrementing interval cursor.
-// Every source here — Stream, its Section/Partition sub-streams, the
-// SectionSet pruned scan and the Paced limiter — is a batch.ColProjector
-// and nothing else: NextColBatch is the kernel under projection pushdown.
-// Consumers that want whole rows read any of them through batch.RowReader.
+// There are two sources here, both batch.ColProjector and nothing else:
+// Stream, one cursor over a row space of the relation (the whole of it, a
+// Section or Partition of it, or the engine's pruned SectionSet of it),
+// and the Paced limiter. NextColBatch is the kernel under projection
+// pushdown. Consumers that want whole rows read either through
+// batch.RowReader.
 package generator
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/batch"
@@ -29,31 +30,41 @@ import (
 // order: summary row j expands to its Count tuples, and tuple i (globally)
 // receives primary key i. Stream implements batch.ColProjector.
 //
-// Because generation is a pure function of the summary, a stream's row
-// space is partitionable: SeekRow repositions to any global tuple index,
-// Section opens an independent sub-stream over a row range, and Partition
-// splits the stream n ways. The concatenation of a partition's outputs is
-// byte-identical to the sequential stream, which is what lets the engine's
-// morsel-driven executor fan generation out across workers.
+// A stream scans a row space: an ascending list of disjoint, non-empty
+// global-row intervals, [0, Total) for NewStream, and produces exactly the
+// tuples at those positions, in order — the output is byte-identical to
+// generating the whole relation and keeping those rows. Because generation
+// is a pure function of the summary, the row space is partitionable: row
+// indices of SeekRow, Section, Partition and Total count rows of the space
+// (for a restricted stream, index i addresses its i-th qualifying tuple),
+// and the concatenation of a partition's outputs is byte-identical to the
+// stream itself, which is what lets the engine's morsel-driven executor fan
+// generation out across workers.
 type Stream struct {
 	table *schema.Table
 	rel   *synopsis.Relation
 	pkIdx int
 
-	base int64 // first global tuple index this stream produces
-	end  int64 // exclusive global bound (rel.Total for full streams)
+	// cum holds the cumulative tuple counts of the summary rows: cum[j] =
+	// Σ Rows[:j].Count (len(Rows)+1 entries). NewStream builds it once, and
+	// every stream cut from that one shares it read-only, so sections may
+	// be opened and scanned concurrently.
+	cum []int64
+
+	// The row space: ivs are its global-row intervals, and pcum[k] the
+	// rows of the space before ivs[k] (len(ivs)+1 entries). Shared
+	// read-only, like cum.
+	ivs  []value.Interval
+	pcum []int64
+
+	base, end int64 // this stream's window of the row space
+	pos       int64 // next row of the space to produce
+	seg       int   // interval of ivs holding pos (valid while pos < end)
+	lim       int64 // global end of the current run: ivs[seg].Hi, cut at the window's end
 
 	rowIdx int   // current summary row
 	within int64 // tuples already emitted from the current summary row
 	pk     int64 // next primary key (global tuple index)
-
-	// cum, shared by all sections of one parent stream, holds the
-	// cumulative tuple counts of the summary rows: cum[j] = Σ Rows[:j].Count
-	// (len(Rows)+1 entries). Built lazily on the first seek; SeekRow binary
-	// searches it to land on the right summary row. cumOnce guards the
-	// build: the parallel executor calls Section concurrently from workers.
-	cum     []int64
-	cumOnce sync.Once
 
 	// Row-major adapter state, built on first use: appendRows transposes
 	// full-width column tiles. Bench-only, like NextBatch.
@@ -61,67 +72,79 @@ type Stream struct {
 	allCols []int
 }
 
-// NewStream opens a generation stream over a relation synopsis.
+// NewStream opens a generation stream over a relation synopsis, its row
+// space the whole relation.
 func NewStream(t *schema.Table, rel *synopsis.Relation) *Stream {
-	return &Stream{
-		table: t,
-		rel:   rel,
-		pkIdx: t.PKIndex(),
-		end:   rel.Total,
+	cum := make([]int64, len(rel.Rows)+1)
+	for j := range rel.Rows {
+		cum[j+1] = cum[j] + rel.Rows[j].Count
 	}
+	var all []value.Interval
+	if rel.Total > 0 {
+		all = []value.Interval{value.Ival(0, rel.Total)}
+	}
+	return (&Stream{table: t, rel: rel, pkIdx: t.PKIndex(), cum: cum}).SectionSet(all)
 }
 
-// Total returns the number of tuples the stream will produce in full (for
-// a Section or Partition sub-stream, the length of its row range).
+// SectionSet opens an independent stream whose row space is ivs: global-row
+// intervals — whatever the receiver's own row space — ascending, disjoint,
+// non-empty and within [0, rel.Total). It is the scan side of the engine's
+// predicate pushdown: the engine intersects a filter with the summary rows'
+// value sets, computes the qualifying positions in closed form, and scans
+// only those, so pruned tuples are never materialized. The receiver's
+// cursor is untouched; the result shares its summary and cumulative-count
+// index.
+func (s *Stream) SectionSet(ivs []value.Interval) *Stream {
+	pcum := make([]int64, len(ivs)+1)
+	for k, iv := range ivs {
+		pcum[k+1] = pcum[k] + (iv.Hi - iv.Lo)
+	}
+	r := &Stream{table: s.table, rel: s.rel, pkIdx: s.pkIdx, cum: s.cum, ivs: ivs, pcum: pcum, end: pcum[len(ivs)]}
+	r.SeekRow(0)
+	return r
+}
+
+// Total returns the number of tuples the stream will produce in full: the
+// rows of its window of the row space.
 func (s *Stream) Total() int64 { return s.end - s.base }
 
-// cumCounts returns the relation's cumulative tuple counts, building them
-// on first use and sharing the slice with every section of this stream.
-// Safe for concurrent callers (workers sectioning one parent stream).
-func (s *Stream) cumCounts() []int64 {
-	s.cumOnce.Do(func() {
-		if s.cum != nil {
-			return // a section constructed with the parent's index
-		}
-		cum := make([]int64, len(s.rel.Rows)+1)
-		for j := range s.rel.Rows {
-			cum[j+1] = cum[j] + s.rel.Rows[j].Count
-		}
-		s.cum = cum
-	})
-	return s.cum
-}
-
-// SeekRow repositions the stream so the next tuple produced is row i of
-// this stream's own row range (clamped to [0, Total()]) — for a full
-// stream that is global tuple i; for a Section or Partition sub-stream it
-// is relative to the sub-range, mirroring how the engine's stored-relation
-// cursor slices. The summary row holding the tuple is found by binary
-// search over the cumulative counts, and the offset within that row
-// phase-aligns every cycling-interval cursor: the sought tuple's cycling
-// values are identical to what sequential generation would have produced,
-// so seeking never perturbs the stream's deterministic content.
+// SeekRow repositions the stream so the next tuple produced is row i of its
+// own window (clamped to [0, Total()]), mirroring how the engine's
+// stored-relation cursor slices. The interval holding the row and the
+// summary row holding the tuple are found by binary search, and the offset
+// within that summary row phase-aligns every cycling-interval cursor: the
+// sought tuple's cycling values are identical to what sequential generation
+// would have produced, so seeking never perturbs the stream's content.
 func (s *Stream) SeekRow(i int64) {
-	if i < 0 {
-		i = 0
+	p := s.base + min(max(i, 0), s.Total())
+	if p == s.end {
+		s.pos = p // exhausted; fill guards on pos < end first
+		return
 	}
-	if n := s.end - s.base; i > n {
-		i = n
+	// Smallest k with pcum[k+1] > p: interval k holds row p of the space.
+	lo, hi := 0, len(s.ivs)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.pcum[mid+1] > p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
 	}
-	s.cumCounts()
-	s.seekTo(s.base + i)
+	s.seek(p, lo)
 }
 
-// seekTo lands the stream on global tuple index g. It is SeekRow without
-// the clamping or the lazy index build — s.cum must already be populated —
-// so the pruned scan's segment hopping (sectionset.go) can reposition from
-// hot generation loops without closures or sync.Once.
+// seek lands the stream on row p of its space (p < end), which interval
+// seg holds: the run it generates next ends at the interval's end or the
+// window's, whichever comes first.
 //
 //hydra:hotpath
-func (s *Stream) seekTo(g int64) {
+func (s *Stream) seek(p int64, seg int) {
+	g := s.ivs[seg].Lo + (p - s.pcum[seg])
+	s.pos, s.seg, s.pk = p, seg, g
+	s.lim = min(s.ivs[seg].Hi, g+(s.end-p))
+	// Smallest j with cum[j+1] > g: summary row j holds tuple g.
 	cum := s.cum
-	// Smallest j with cum[j+1] > g: summary row j holds tuple g. For
-	// g == Total the search lands past the last row, exhausting the stream.
 	lo, hi := 0, len(s.rel.Rows)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -131,67 +154,39 @@ func (s *Stream) seekTo(g int64) {
 			lo = mid + 1
 		}
 	}
-	s.rowIdx = lo
+	s.rowIdx, s.within = lo, 0
 	if lo < len(s.rel.Rows) {
 		s.within = g - cum[lo]
-	} else {
-		s.within = 0
 	}
-	s.pk = g
 }
 
-// section returns an independent sub-stream over rows [lo, hi) of s's own
-// row range, sharing the (immutable) cumulative-count index.
-func (s *Stream) section(lo, hi int64) *Stream {
-	n := s.end - s.base
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	if hi < lo {
-		hi = lo
-	}
-	sub := &Stream{
-		table: s.table,
-		rel:   s.rel,
-		pkIdx: s.pkIdx,
-		cum:   s.cumCounts(),
-		base:  s.base + lo,
-		end:   s.base + hi,
-	}
+// Section opens an independent sub-stream over rows [lo, hi) of this
+// stream's own window (bounds clamped; for a NewStream these are global
+// tuple indices, and sections nest). Sections of one parent may be opened
+// and consumed concurrently — each carries its own cursor — and their
+// concatenation in range order reproduces the parent exactly. Together
+// with Total this implements the parallel.Source contract the engine's
+// morsel-driven executor schedules over.
+func (s *Stream) Section(lo, hi int64) batch.ColProjector {
+	n := s.Total()
+	lo = min(max(lo, 0), n)
+	hi = min(max(hi, lo), n)
+	sub := &Stream{table: s.table, rel: s.rel, pkIdx: s.pkIdx, cum: s.cum, ivs: s.ivs, pcum: s.pcum, base: s.base + lo, end: s.base + hi}
 	sub.SeekRow(0)
 	return sub
 }
 
-// Section opens an independent sub-stream over rows [lo, hi) of this
-// stream's own row range (bounds clamped; for a full stream these are
-// global tuple indices, and sections nest). Sections of one parent may be
-// consumed concurrently — each carries its own cursor — and their
-// concatenation in range order reproduces the parent exactly. Together
-// with Total this implements the parallel.Source contract the engine's
-// morsel-driven executor schedules over.
-func (s *Stream) Section(lo, hi int64) batch.ColProjector { return s.section(lo, hi) }
-
-// Partition splits the stream's own row range into n contiguous
-// sub-streams of near-equal size (n < 1 is treated as 1). When n exceeds
-// the number of tuples the trailing sub-streams are empty. The
-// concatenation of the partitions' outputs is byte-identical to the
-// receiver's output; partitions of partitions nest accordingly.
+// Partition splits the stream's own window into n contiguous sub-streams
+// of near-equal size (n < 1 is treated as 1). When n exceeds the number of
+// tuples the trailing sub-streams are empty. The concatenation of the
+// partitions' outputs is byte-identical to the receiver's output;
+// partitions of partitions nest accordingly.
 func (s *Stream) Partition(n int) []*Stream {
-	if n < 1 {
-		n = 1
-	}
-	total := s.end - s.base
+	n = max(n, 1)
+	total := s.Total()
 	parts := make([]*Stream, n)
-	for k := 0; k < n; k++ {
-		lo := total * int64(k) / int64(n)
-		hi := total * int64(k+1) / int64(n)
-		parts[k] = s.section(lo, hi)
+	for k := range parts {
+		parts[k] = s.Section(total*int64(k)/int64(n), total*int64(k+1)/int64(n)).(*Stream)
 	}
 	return parts
 }
@@ -206,8 +201,7 @@ const tileRows = 128
 
 // NextBatch resets dst and fills it with up to dst.Cap() generated rows in
 // row-major form, reporting whether any were produced. dst must have width
-// Cols(). A Section or Partition sub-stream stops at its range's upper
-// bound.
+// Cols(). The stream stops at its window's end.
 //
 // Pinned by the benchmark (bench/regen.go times it as
 // generator.batch_rows_per_s) and called by nothing else outside tests: it
@@ -222,9 +216,9 @@ func (s *Stream) NextBatch(dst *batch.Batch) bool {
 }
 
 // appendRows is the row-major face of the kernel: it draws full-width
-// column tiles from fillColBatch and transposes each onto the end of dst,
-// until dst is full or the stream's range is exhausted. Row-major output
-// is therefore the columnar output pivoted, by construction.
+// column tiles from fill and transposes each onto the end of dst, until
+// dst is full or the stream's window is exhausted. Row-major output is
+// therefore the columnar output pivoted, by construction.
 //
 //hydra:hotpath
 func (s *Stream) appendRows(dst *batch.Batch) {
@@ -238,7 +232,7 @@ func (s *Stream) appendRows(dst *batch.Batch) {
 	ncols := len(s.allCols)
 	for free := dst.Cap() - dst.Len(); free > 0; free = dst.Cap() - dst.Len() {
 		s.tile.Reset()
-		s.fillColBatch(s.tile, s.allCols, min(free, tileRows))
+		s.fill(s.tile, s.allCols, min(free, tileRows))
 		k := s.tile.Len()
 		if k == 0 {
 			return
@@ -258,28 +252,47 @@ func (s *Stream) appendRows(dst *batch.Batch) {
 // in column-major form, materializing only the columns listed in cols —
 // the projection pushdown of the columnar engine. Unprojected columns are
 // never touched: no storage is read or written for them, so a query
-// needing three of a table's twenty-plus columns pays for three. Stream
-// implements batch.ColProjector; a Section or Partition sub-stream stops
-// at its range's upper bound.
+// needing three of a table's twenty-plus columns pays for three. Batches
+// stay full across the row space's interval hops until the window is
+// exhausted.
 //
 //hydra:hotpath
 func (s *Stream) NextColBatch(dst *batch.ColBatch, cols []int) bool {
 	dst.Reset()
-	s.fillColBatch(dst, cols, dst.Cap())
+	s.fill(dst, cols, dst.Cap())
 	return dst.Len() > 0
+}
+
+// fill appends to dst until it holds limit rows or the window is
+// exhausted, one run of the row space at a time: a run that ends with its
+// interval hops to the start of the next.
+//
+//hydra:hotpath
+func (s *Stream) fill(dst *batch.ColBatch, cols []int, limit int) {
+	for dst.Len() < limit && s.pos < s.end {
+		if s.pk == s.lim {
+			s.seek(s.pos, s.seg+1)
+		}
+		n := s.fillColBatch(dst, cols, limit)
+		if n == 0 {
+			return // the summary rows ran out before Total: nothing more to generate
+		}
+		s.pos += n
+	}
 }
 
 // fillColBatch is the generation kernel — the only code that turns a
 // summary row into tuples. It appends to dst until dst holds limit rows or
-// the stream's range is exhausted, filling each projected column of a
-// summary-row segment in one unit-stride pass under the law of
-// synopsis.Row.Spec: the primary key auto-numbers, an unspecced column is
-// 0, a fixed spec is a straight store, and a cycling set is walked with a
-// phase-aligned cursor.
+// the current run ends, filling each projected column of a summary-row
+// segment in one unit-stride pass under the law of synopsis.Row.Spec: the
+// primary key auto-numbers, an unspecced column is 0, a fixed spec is a
+// straight store, and a cycling set is walked with a phase-aligned cursor.
+// It returns the number of rows appended.
 //
 //hydra:hotpath
-func (s *Stream) fillColBatch(dst *batch.ColBatch, cols []int, limit int) {
-	for dst.Len() < limit && s.pk < s.end && s.rowIdx < len(s.rel.Rows) {
+func (s *Stream) fillColBatch(dst *batch.ColBatch, cols []int, limit int) int64 {
+	start := s.pk
+	for dst.Len() < limit && s.pk < s.lim && s.rowIdx < len(s.rel.Rows) {
 		row := &s.rel.Rows[s.rowIdx]
 		if s.within >= row.Count {
 			s.rowIdx++
@@ -287,7 +300,7 @@ func (s *Stream) fillColBatch(dst *batch.ColBatch, cols []int, limit int) {
 			continue
 		}
 		k := row.Count - s.within
-		if left := s.end - s.pk; k > left {
+		if left := s.lim - s.pk; k > left {
 			k = left
 		}
 		if free := int64(limit - dst.Len()); k > free {
@@ -321,6 +334,7 @@ func (s *Stream) fillColBatch(dst *batch.ColBatch, cols []int, limit int) {
 		s.within += k
 		s.pk += k
 	}
+	return s.pk - start
 }
 
 // fillCycling writes one cycling-set column segment: value i of the segment

@@ -192,7 +192,7 @@ func TestEverySourceKindObeysTheLaw(t *testing.T) {
 				}
 				sameRows(t, name+" Partition", got, want)
 
-				ss := NewStream(tbl, rel).sectionSet(ivs)
+				ss := NewStream(tbl, rel).SectionSet(ivs)
 				sameRows(t, name+" SectionSet", read(ss), kept)
 				n := ss.Total()
 				got = append(read(ss.Section(0, n/2)), read(ss.Section(n/2, n))...)

@@ -74,7 +74,7 @@ func TestSectionSetByteIdentical(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := reference(t, tab, rel, tc.ivs)
-			ss := NewStream(tab, rel).sectionSet(tc.ivs)
+			ss := NewStream(tab, rel).SectionSet(tc.ivs)
 			if got, wantN := ss.Total(), int64(len(want)); got != wantN {
 				t.Fatalf("Total() = %d, want %d", got, wantN)
 			}
@@ -83,7 +83,7 @@ func TestSectionSetByteIdentical(t *testing.T) {
 			// Under a projection the projected columns agree and the
 			// others are never touched.
 			cols := []int{0, 2}
-			ss2 := NewStream(tab, rel).sectionSet(tc.ivs)
+			ss2 := NewStream(tab, rel).SectionSet(tc.ivs)
 			sameRows(t, "projected", readRows(ss2, len(tab.Columns), 16, cols), project(want, cols))
 		})
 	}
@@ -96,7 +96,7 @@ func TestSectionSetSeekAndSection(t *testing.T) {
 
 	// SeekRow(i) mid-window resumes at the i-th qualifying row.
 	for _, at := range []int64{0, 1, 6, 7, 20, int64(len(want)) - 1, int64(len(want))} {
-		ss := NewStream(tab, rel).sectionSet(ivs)
+		ss := NewStream(tab, rel).SectionSet(ivs)
 		ss.SeekRow(at)
 		got := readAll(ss, len(tab.Columns), 32)
 		if wantTail := want[at:]; !reflect.DeepEqual(got, append([][]int64(nil), wantTail...)) {
@@ -108,7 +108,7 @@ func TestSectionSetSeekAndSection(t *testing.T) {
 
 	// Partitioning the pruned space: the concatenation of sections over
 	// pruned coordinates reproduces the whole window exactly.
-	ss := NewStream(tab, rel).sectionSet(ivs)
+	ss := NewStream(tab, rel).SectionSet(ivs)
 	total := ss.Total()
 	for _, n := range []int64{1, 2, 3, 7, total, total + 5} {
 		var got [][]int64
@@ -123,7 +123,7 @@ func TestSectionSetSeekAndSection(t *testing.T) {
 	}
 
 	// Sections nest: a section of a section addresses the inner window.
-	mid := ss.Section(3, total-2).(*SectionSet)
+	mid := ss.Section(3, total-2).(*Stream)
 	inner := readAll(mid.Section(1, 4), len(tab.Columns), 32)
 	if !reflect.DeepEqual(inner, append([][]int64(nil), want[4:7]...)) {
 		t.Fatalf("nested section: got %v, want %v", inner, want[4:7])

@@ -62,10 +62,6 @@ func slowServer(t *testing.T, total int64, delay time.Duration, opts Options) (*
 		g.delayNS.Store(delayNS.Load())
 		return g, nil
 	})
-	// The caller-supplied source no longer regenerates from the registered
-	// summary (different rows, deliberate slowness), so the summary-direct
-	// fast path must not answer for it — per the SetSummary contract.
-	srv.db.SetSummary("r", nil)
 	return srv, &delayNS
 }
 

@@ -17,15 +17,9 @@ import (
 
 // BuildOptions tune summary construction.
 type BuildOptions struct {
-	// SpreadUnconstrained gives columns no constraint touches a cycling
-	// set over their whole domain (realistic value diversity) instead of
-	// a single fixed value.
-	SpreadUnconstrained bool
 	// GridCompare additionally computes the DataSynth grid-partitioning
 	// variable count per relation for the complexity comparison report.
 	GridCompare bool
-	// TotalOverride replaces a table's row count (what-if scaling).
-	TotalOverride map[string]int64
 	// NoInhabitation disables the cross-relation inhabitation (GE)
 	// propagation — an ablation switch: without it, dimension LPs may
 	// leave cells empty that fact segments draw foreign keys from, and
@@ -34,9 +28,7 @@ type BuildOptions struct {
 }
 
 // DefaultBuildOptions returns the options used by the demo flows.
-func DefaultBuildOptions() BuildOptions {
-	return BuildOptions{SpreadUnconstrained: true}
-}
+func DefaultBuildOptions() BuildOptions { return BuildOptions{} }
 
 // RelationReport describes one relation's summary construction, including
 // the LP complexity numbers the demo's vendor interface tabulates.
@@ -165,7 +157,7 @@ func Build(s *schema.Schema, w *preprocess.Workload, opts BuildOptions) (*Databa
 	// Pass 3: align and materialize, dimensions first.
 	for _, t := range order {
 		rb := builds[t.Name]
-		rel, err := rb.materialize(db, opts)
+		rel, err := rb.materialize(db)
 		if err != nil {
 			return nil, nil, fmt.Errorf("summary: relation %s: %w", t.Name, err)
 		}
@@ -246,9 +238,6 @@ func prepareRelation(t *schema.Table, s *schema.Schema, w *preprocess.Workload, 
 		s:     s,
 		total: t.RowCount,
 		rr:    &RelationReport{Table: t.Name, Residuals: make(map[string]int64)},
-	}
-	if ov, ok := opts.TotalOverride[t.Name]; ok {
-		rb.total = ov
 	}
 
 	// Deterministic spec order.
@@ -834,7 +823,7 @@ func appendWords(buf []byte, ws []uint64) []byte {
 // materialize performs deterministic alignment and expands segments into
 // summary rows, resolving foreign keys against already-materialized
 // referenced relations.
-func (rb *relBuild) materialize(db *Database, opts BuildOptions) (*Relation, error) {
+func (rb *relBuild) materialize(db *Database) (*Relation, error) {
 	t := rb.t
 	tAlign := time.Now()
 	rel := &Relation{Table: t.Name, Total: rb.total}
@@ -852,7 +841,7 @@ func (rb *relBuild) materialize(db *Database, opts BuildOptions) (*Relation, err
 		}
 		rel.Atoms = append(rel.Atoms, AtomPK{Rep: rep, PK: value.NewIntervalSet(value.Ival(off, off+seg.count))})
 		row := Row{Count: seg.count}
-		row.Specs = rb.rowSpecs(seg, block, db, opts, &rel.ClampedRows)
+		row.Specs = rb.rowSpecs(seg, block, db, &rel.ClampedRows)
 		rel.Rows = append(rel.Rows, row)
 		off += seg.count
 	}
@@ -968,7 +957,7 @@ func resolveSpec(t *schema.Table, s *schema.Schema, sp *preprocess.RegionSpec, s
 // combination) the foreign key falls back to the keys matching the largest
 // number of at-risk regions and the affected tuples are charged to
 // clampedRows — the paper's "minor additive errors".
-func (rb *relBuild) rowSpecs(seg *segment, block []value.Interval, db *Database, opts BuildOptions, clampedRows *int64) []ColSpec {
+func (rb *relBuild) rowSpecs(seg *segment, block []value.Interval, db *Database, clampedRows *int64) []ColSpec {
 	t := rb.t
 	pk := t.PKIndex()
 	var specs []ColSpec
@@ -1000,7 +989,9 @@ func (rb *relBuild) rowSpecs(seg *segment, block []value.Interval, db *Database,
 			specs = append(specs, FixedSpec(ci, set[0].Lo))
 			continue
 		}
-		if opts.SpreadUnconstrained && set.Len() > 1 {
+		// Unconstrained attribute: a cycling set over its whole range
+		// (realistic value diversity), fixed only when it has one value.
+		if set.Len() > 1 {
 			specs = append(specs, SetSpec(ci, set))
 		} else {
 			specs = append(specs, FixedSpec(ci, set[0].Lo))

@@ -204,23 +204,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestTotalOverride(t *testing.T) {
-	db, err := toy.Database(11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := preprocess.NewWorkload()
-	opts := DefaultBuildOptions()
-	opts.TotalOverride = map[string]int64{"r": 123}
-	sum, _, err := Build(db.Schema, w, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Relations["r"].Total != 123 {
-		t.Errorf("override total = %d", sum.Relations["r"].Total)
-	}
-}
-
 func TestForceTotal(t *testing.T) {
 	counts := []int64{5, 10, 2}
 	forceTotal(counts, 20)

@@ -124,7 +124,8 @@ func TestParallelParityVelocityFallback(t *testing.T) {
 // over the same s build leaf — whatever its probe side or batch size —
 // takes the database's shared build and opens s not at all, a different s
 // filter is a different leaf and drains once, and SetDatagen or SetSummary
-// drops the shared builds so the next Prepare drains again.
+// drops the shared builds so the next Prepare drains again. (SetSummary
+// replaces the counting source, so that drop shows in SharedBuildBytes.)
 func TestBuildSideOpenedOnce(t *testing.T) {
 	db := core.RegenDatabase(toySummary(t), 0)
 	tab, rel, opens := db.Schema.Table("s"), db.Summary("s"), 0
@@ -170,7 +171,7 @@ func TestBuildSideOpenedOnce(t *testing.T) {
 	// wantOpens times by the Prepare, and holds every front's answer to the
 	// full-regeneration reference and each Prepared execution's tree to the
 	// ad hoc query's.
-	prepareOpens := func(label, sql string, size, wantOpens int) {
+	prepareOpens := func(label, sql string, size, wantOpens int) *Prepared {
 		t.Helper()
 		opens = 0
 		p, err := Prepare(db, sql, ExecOptions{BatchSize: size})
@@ -200,6 +201,7 @@ func TestBuildSideOpenedOnce(t *testing.T) {
 			}
 			sameResult(t, label, got, adhoc)
 		}
+		return p
 	}
 	prepareOpens("same s leaf, probe-side predicate", toy.Query+" AND r.r_pk < 6000", 0, 0)
 	prepareOpens("same query, batch size 7", toy.Query, 7, 0)
@@ -207,7 +209,14 @@ func TestBuildSideOpenedOnce(t *testing.T) {
 	db.SetDatagen("s", counting)
 	prepareOpens("after SetDatagen", toy.Query, 0, 1)
 	db.SetSummary("s", rel)
-	prepareOpens("after SetSummary", toy.Query, 0, 1)
+	if n := db.SharedBuildBytes(); n != 0 {
+		t.Errorf("after SetSummary: %d shared build bytes, want 0", n)
+	}
+	fresh := prepareOpens("after SetSummary", toy.Query, 0, 0)
+	if db.SharedBuildBytes() == 0 {
+		t.Error("after SetSummary: a held Prepared published no shared build")
+	}
 	// The first Prepared held the shared builds throughout.
 	runtime.KeepAlive(prep)
+	runtime.KeepAlive(fresh)
 }

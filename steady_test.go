@@ -152,7 +152,7 @@ func TestSteadyStateZeroAllocSummaryAgg(t *testing.T) {
 
 // TestSteadyStateZeroAllocPruned pins the zero-allocation contract on the
 // pruned scan path: a filtered join whose filter is absorbed into the scan's
-// row-space executes through SectionSet iterators that rewind in place, so
+// row-space executes through restricted streams that rewind in place, so
 // repeated ExecuteIn — regenerating only the qualifying tuples each time —
 // allocates nothing.
 func TestSteadyStateZeroAllocPruned(t *testing.T) {
