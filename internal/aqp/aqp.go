@@ -6,7 +6,6 @@
 package aqp
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -184,17 +183,6 @@ func RelErr(expected, actual int64) float64 {
 	return math.Abs(float64(expected-actual)) / float64(expected)
 }
 
-// Scale multiplies every cardinality annotation by factor (rounding),
-// producing the synthetic AQPs of the paper's what-if scenario construction.
-func (n *Node) Scale(factor float64) {
-	n.Walk(func(nd *Node) {
-		if nd.Op == "AGGREGATE" {
-			return // aggregates still emit one row
-		}
-		nd.Card = int64(math.Round(float64(nd.Card) * factor))
-	})
-}
-
 // String renders the plan as an indented tree with cardinality annotations,
 // in the spirit of the demo's plan display.
 func (n *Node) String() string {
@@ -219,24 +207,4 @@ func (n *Node) String() string {
 	}
 	rec(n, 0)
 	return sb.String()
-}
-
-// MarshalJSON / UnmarshalJSON for AQP use the default struct codec; these
-// helpers encode a workload.
-func EncodeWorkload(aqps []*AQP) ([]byte, error) {
-	return json.MarshalIndent(aqps, "", "  ")
-}
-
-// DecodeWorkload parses a JSON workload produced by EncodeWorkload.
-func DecodeWorkload(data []byte) ([]*AQP, error) {
-	var out []*AQP
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("aqp: decoding workload: %w", err)
-	}
-	for _, a := range out {
-		if a.Plan == nil {
-			return nil, fmt.Errorf("aqp: workload entry %q has no plan", a.SQL)
-		}
-	}
-	return out, nil
 }

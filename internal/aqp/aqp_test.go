@@ -113,46 +113,11 @@ func TestRelErr(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	p := samplePlan()
-	p.Scale(2.5)
-	if p.Card != 1 {
-		t.Error("aggregate card must stay 1")
-	}
-	if p.Children[0].Card != 25 {
-		t.Errorf("join card = %d, want 25", p.Children[0].Card)
-	}
-	if p.Children[0].Children[0].Card != 250 {
-		t.Errorf("scan card = %d, want 250", p.Children[0].Children[0].Card)
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	s := samplePlan().String()
 	for _, frag := range []string{"AGGREGATE", "HASH JOIN", "[a < 5]", "-> 10 rows"} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("String() missing %q:\n%s", frag, s)
 		}
-	}
-}
-
-func TestWorkloadCodec(t *testing.T) {
-	in := []*AQP{{SQL: "SELECT COUNT(*) FROM f", Plan: samplePlan()}}
-	data, err := EncodeWorkload(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeWorkload(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].SQL != in[0].SQL || out[0].Plan.Edges() != 5 {
-		t.Errorf("round trip = %+v", out)
-	}
-	if _, err := DecodeWorkload([]byte(`[{"sql":"x"}]`)); err == nil {
-		t.Error("plan-less entry accepted")
-	}
-	if _, err := DecodeWorkload([]byte(`{`)); err == nil {
-		t.Error("malformed JSON accepted")
 	}
 }

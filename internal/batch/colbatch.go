@@ -103,9 +103,6 @@ func (b *ColBatch) Col(c int) []int64 { return b.cols[c] }
 // directly.
 func (b *ColBatch) Cols() [][]int64 { return b.cols }
 
-// Populated reports whether column c carries storage.
-func (b *ColBatch) Populated(c int) bool { return b.cols[c] != nil }
-
 // Reset empties the batch: zero physical rows, dense selection, storage
 // retained.
 func (b *ColBatch) Reset() {

@@ -12,9 +12,6 @@ func TestColBatchPopulation(t *testing.T) {
 	}
 	for c := 0; c < 5; c++ {
 		want := c == 1 || c == 3
-		if b.Populated(c) != want {
-			t.Fatalf("Populated(%d) = %v, want %v", c, b.Populated(c), want)
-		}
 		if (b.Col(c) != nil) != want {
 			t.Fatalf("Col(%d) nil-ness wrong", c)
 		}

@@ -56,12 +56,15 @@ func DecodePackage(r io.Reader) (*TransferPackage, error) {
 	return &p, nil
 }
 
+// The shape of the shipped column statistics: equi-depth histogram buckets
+// and most-common values per column.
+const (
+	histogramBuckets = 20
+	mcvSize          = 10
+)
+
 // CaptureOptions tune client-site capture.
 type CaptureOptions struct {
-	// HistogramBuckets and MCVSize control the metadata statistics
-	// (defaults 20 and 10).
-	HistogramBuckets int
-	MCVSize          int
 	// SkipStats omits column statistics (they are informational; summary
 	// construction uses only the AQPs).
 	SkipStats bool
@@ -71,12 +74,6 @@ type CaptureOptions struct {
 // annotates each plan with observed cardinalities, gathers column
 // statistics, and assembles the transfer package.
 func CaptureClient(db *engine.Database, queries []string, opts CaptureOptions) (*TransferPackage, error) {
-	if opts.HistogramBuckets <= 0 {
-		opts.HistogramBuckets = 20
-	}
-	if opts.MCVSize <= 0 {
-		opts.MCVSize = 10
-	}
 	pkg := &TransferPackage{Schema: db.Schema.Clone()}
 
 	// Refresh row counts from the stored relations so the shipped schema
@@ -114,7 +111,7 @@ func CaptureClient(db *engine.Database, queries []string, opts CaptureOptions) (
 				if col.PrimaryKey {
 					continue
 				}
-				ts.Columns = append(ts.Columns, stats.BuildColumnStats(col.Name, rel.Col(ci), opts.HistogramBuckets, opts.MCVSize))
+				ts.Columns = append(ts.Columns, stats.BuildColumnStats(col.Name, rel.Col(ci), histogramBuckets, mcvSize))
 			}
 			pkg.Stats = append(pkg.Stats, ts)
 		}

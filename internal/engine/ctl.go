@@ -46,9 +46,9 @@ type execCtl struct {
 	ctx context.Context
 	err error // first observed ctx error, latched for the execution
 	rec *trace.Recorder
-	// prunes holds the precomputed qualifying row-space of each OpFilter
-	// plan node (prune.go). A nil cache (the PathRegen ceiling) misses every
-	// lookup, so operators need no separate gate.
+	// prunes holds the precomputed qualifying row-space of each filtered
+	// OpScan plan node (prune.go). A nil cache (the PathRegen ceiling)
+	// misses every lookup, so operators need no separate gate.
 	prunes *pruneCache
 }
 

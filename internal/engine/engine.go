@@ -84,6 +84,11 @@ func (r *Relation) Row(i int) []int64 {
 // summary the engine regenerates from, or an opaque datagen source — and
 // the build sides Prepare drained over them (shared.go). reg counts
 // registrations: a Prepared made under an older count is stale.
+//
+// Register every table (AddRelation, SetDatagen, SetSummary) before
+// querying: registrations are not safe concurrently with Prepare or
+// executions. Once registration is done, Prepare and every execution entry
+// point are safe for concurrent use.
 type Database struct {
 	Schema    *schema.Schema
 	rels      map[string]*Relation

@@ -154,8 +154,8 @@ func (o ExecOptions) Normalize() (ExecOptions, error) {
 // operator tree. Scans honor each table's datagen setting, so the same call
 // serves both stored and dataless execution. It is the ad-hoc entry to the
 // engine's one executor (Prepared.run): a Prepared with empty caches and a
-// fresh ExecState, so nothing is drained ahead and a row-space is judged
-// only when the summary-direct proof fails. Cancellation (and opts.Timeout,
+// fresh ExecState, so nothing is drained ahead and open reads the
+// summaries the plan scans, once. Cancellation (and opts.Timeout,
 // stacked onto any deadline ctx already carries) is observed cooperatively
 // at batch boundaries, and a stopped query returns context.Canceled or
 // context.DeadlineExceeded — identically sequential or parallel, with no

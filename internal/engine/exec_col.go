@@ -188,46 +188,40 @@ func runColumnar(ctl *execCtl, it colIterator, b *batch.ColBatch, plan *Plan, op
 func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildCache, ctl *execCtl) (colIterator, int, []int, *ExecNode, error) {
 	switch pn.Op {
 	case OpScan:
-		src, err := db.openScan(pn.Table)
-		if err != nil {
-			return nil, 0, nil, nil, err
-		}
-		s, width := newColScanIter(db, pn.Table, src, need, nil, ctl)
-		return s, width, need, s.node, nil
-
-	case OpFilter:
-		// The filter refines the child's selection in place, so its output
-		// batches are the child's: populated set passes through.
-		childNeed := pn.childNeeds(need)[0]
-		var child colIterator
-		var width int
-		var pop []int
-		var childNode *ExecNode
+		// The one place a scan source opens: the whole table, or — predicate
+		// pushdown into generation — the stream its reading was judged
+		// against, restricted to the qualifying row-space, so non-matching
+		// tuples are never generated and parallel morsels partition live
+		// rows only.
+		node := &ExecNode{Op: pn.Op.String(), Table: pn.Table}
+		var src batch.ColProjector
 		if pr := ctl.prunes.scan(pn); pr != nil {
-			// Predicate pushdown into generation: a precomputed qualifying
-			// row-space (only filter-over-scan has one) turns the child into
-			// a scan of the stream it was judged against, restricted to that
-			// space — non-matching tuples are never generated, and parallel
-			// morsels partition live rows only. When every conjunct was
-			// proven the scan replaces the filter outright, skipping the
-			// predicate columns the MatchVec would have read; otherwise the
-			// residual filter wraps it, exact because pruning only removed
-			// provably-failing tuples and never reordered survivors.
-			table := pn.Children[0].Table
-			if pr.absorbed {
-				childNeed = need
-			}
-			s, w := newColScanIter(db, table, pr.gen.SectionSet(pr.ivs), childNeed, pr, ctl)
-			if pr.absorbed {
-				return s, w, childNeed, s.node, nil
-			}
-			child, width, pop, childNode = s, w, childNeed, s.node
+			src = pr.gen.SectionSet(pr.ivs)
+			node.RowsPruned, node.SummaryRowsSkipped = pr.pruned, pr.skipped
 		} else {
 			var err error
-			child, width, pop, childNode, err = openCol(db, pn.Children[0], childNeed, capRows, builds, ctl)
-			if err != nil {
+			if src, err = db.openScan(pn.Table); err != nil {
 				return nil, 0, nil, nil, err
 			}
+		}
+		s := &colScanIter{table: pn.Table, src: src, cols: need, node: node, ctl: ctl}
+		s.sp, s.rowBytes = ctl.annotate(node), 8*int64(len(need))
+		return s, len(db.Schema.Table(pn.Table).Columns), need, node, nil
+
+	case OpFilter:
+		// When every conjunct was proven on the pruned scan beneath, the
+		// scan replaces the filter outright, opened with the parent's need
+		// — skipping the predicate columns the MatchVec would have read.
+		// Otherwise the filter refines the child's selection in place (a
+		// residual filter over a pruned scan is exact: pruning only removed
+		// provably-failing tuples and never reordered survivors), so its
+		// output batches are the child's: populated set passes through.
+		if pr := ctl.prunes.scan(pn.Children[0]); pr != nil && pr.absorbed {
+			return openCol(db, pn.Children[0], need, capRows, builds, ctl)
+		}
+		child, width, pop, childNode, err := openCol(db, pn.Children[0], pn.childNeeds(need)[0], capRows, builds, ctl)
+		if err != nil {
+			return nil, 0, nil, nil, err
 		}
 		table := db.Schema.Table(pn.Pred.Table)
 		node := &ExecNode{Op: pn.Op.String(), Table: pn.Pred.Table, PredSQL: pn.Pred.SQL(table), Children: []*ExecNode{childNode}}
@@ -302,19 +296,6 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 	default:
 		return nil, 0, nil, nil, fmt.Errorf("engine: unknown operator %v", pn.Op)
 	}
-}
-
-// newColScanIter wraps an opened source in the scan operator over the cols
-// projection, and reports the table's width. pr is the row-space src is
-// restricted to, nil for a whole-table scan.
-func newColScanIter(db *Database, table string, src batch.ColProjector, cols []int, pr *scanPrune, ctl *execCtl) (*colScanIter, int) {
-	node := &ExecNode{Op: OpScan.String(), Table: table}
-	if pr != nil {
-		node.RowsPruned, node.SummaryRowsSkipped = pr.pruned, pr.skipped
-	}
-	s := &colScanIter{table: table, src: src, cols: cols, node: node, ctl: ctl}
-	s.sp, s.rowBytes = ctl.annotate(node), 8*int64(len(cols))
-	return s, len(db.Schema.Table(table).Columns)
 }
 
 // colScanIter passes projected source batches through, counting them. It

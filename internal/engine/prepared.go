@@ -32,15 +32,15 @@ import (
 //	Prepared.Execute[Context]   the caller's        fresh
 //	Prepared.ExecuteIn[Context] the caller's        the caller's, reused
 //
-// Empty caches mean nothing is drained or judged ahead: builds drain live
-// at open, and a row-space is built only after the summary-direct proof
-// fails.
+// Empty caches mean nothing is drained or read ahead: builds drain live at
+// open, and open reads the registered summaries (buildPruneCache) itself.
+// Either way each plan reads each summary once.
 type Prepared struct {
 	db     *Database
 	plan   *Plan
 	reg    uint64                       // db.reg when prepared: a later registration makes the Prepared stale
 	builds map[*PlanNode]*preparedBuild // every join's build side over all its columns, drained here or taken from db's shared layer
-	prunes *pruneCache                  // row-spaces and summary-direct proof, judged once at Prepare time
+	prunes *pruneCache                  // the plan's reading of the summaries, taken at Prepare time
 }
 
 // ErrStalePrepared is returned by a Prepared's executions once a table of
@@ -66,8 +66,8 @@ func Prepare(db *Database, plan *Plan, opts ExecOptions) (*Prepared, error) {
 		return nil, err
 	}
 	p := &Prepared{db: db, plan: plan, reg: db.reg, builds: make(map[*PlanNode]*preparedBuild)}
-	// Prune row-spaces are computed once and shared by every execution (and
-	// by the build drain below, so cached build sides make the same prune
+	// The reading is taken once and shared by every execution (and by the
+	// build drain below, so cached build sides make the same prune
 	// decisions as live ones — span-shape parity depends on it).
 	p.prunes = buildPruneCache(db, plan)
 	if err := p.drainBuilds(plan.Root, opts.BatchSize, &buildCache{m: p.builds}, &execCtl{prunes: p.prunes}); err != nil {
@@ -214,11 +214,13 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 }
 
 // open decides the regime under opts.Regime's ceiling and builds st's
-// execution state for it — the one place either happens. Summary-direct is
-// tried first (from the Prepare-time proof when there is one); failing
-// that the operator tree opens over the plan's pruned row-spaces (cached,
-// or judged now), or over full scans under the PathRegen ceiling — one
-// openCol of the plan's root, whatever drives it afterwards. With
+// execution state for it — the one place either happens. Below the
+// PathRegen ceiling it takes the plan's reading of the summaries (the
+// Prepare-time one, or one read now when there is none): summary-direct
+// answers when the reading proved the candidate exact; failing that the
+// operator tree opens over the reading's pruned row-spaces, or over full
+// scans under the PathRegen ceiling — one openCol of the plan's root,
+// whatever drives it afterwards. With
 // opts.Parallelism >= 1 and a partitionable leaf scan that tree becomes the
 // first of the workers' (openParallel); otherwise it is driven as it
 // stands, so a table's DatagenFunc is invoked once per scan operator either
@@ -233,12 +235,19 @@ func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 	if opts.Trace {
 		st.ctl.rec = trace.NewRecorder(countPlanNodes(p.plan.Root))
 	}
+	rd := p.prunes
+	switch {
+	case opts.Regime == PathRegen:
+		rd = nil
+	case rd == nil:
+		rd = buildPruneCache(p.db, p.plan)
+	}
 	root, path := (*ExecNode)(nil), PathSummary
-	if st.sagg = summaryAggFor(p.db, p.plan, opts, p.prunes); st.sagg != nil {
+	if st.sagg = summaryAggFor(p.db, p.plan, opts, rd); st.sagg != nil {
 		st.sagg.open(&st.ctl)
 		root = &st.sagg.node
 	} else {
-		st.ctl.prunes = prunesFor(p.db, p.plan, opts, p.prunes)
+		st.ctl.prunes = rd
 		builds := &buildCache{base: p.builds}
 		if opts.Regime == PathRegen && p.prunes != nil && len(p.prunes.scans) > 0 {
 			// The cached build sides were drained over pruned scans; full

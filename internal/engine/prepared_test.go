@@ -162,17 +162,12 @@ func coupledRel(t *testing.T, db *Database) *synopsis.Relation {
 // proof and row-spaces with the registrations it was prepared under, so
 // registering a table again makes it fail with ErrStalePrepared instead of
 // answering from a proof about rows its table no longer regenerates.
-// InvalidateBuilds changes no registration and leaves it running.
 func TestStalePreparedAfterRegistration(t *testing.T) {
 	const sql = "SELECT COUNT(*) FROM m WHERE a < 2 AND b < 102"
 	db := saggDB(t)
 	prep, err := Prepare(db, mustPlan(t, db, sql), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	db.InvalidateBuilds()
-	if _, err := prep.Execute(ExecOptions{}); err != nil {
-		t.Fatalf("after InvalidateBuilds: %v", err)
 	}
 	var st ExecState
 	if _, err := prep.ExecuteIn(&st, ExecOptions{}); err != nil {
@@ -240,9 +235,9 @@ func joinBuild(t *testing.T, p *Prepared) *preparedBuild {
 }
 
 // TestSharedBuildsLifetime: Prepareds over one build leaf hold one build,
-// the layer weighs each live build once, InvalidateBuilds empties it
-// without touching the builds Prepareds hold, and once every Prepared is
-// dropped the GC clears the entries and their cleanups remove the keys.
+// the layer weighs each live build once, a registration empties it without
+// touching the builds Prepareds hold, and once every Prepared is dropped
+// the GC clears the entries and their cleanups remove the keys.
 func TestSharedBuildsLifetime(t *testing.T) {
 	db := bigStarDatabase(t, 200)
 	prepareAll := func() []*Prepared {
@@ -271,14 +266,16 @@ func TestSharedBuildsLifetime(t *testing.T) {
 		t.Fatalf("SharedBuildBytes = %d, want %d (each live build once)", got, want)
 	}
 
-	db.InvalidateBuilds()
+	if err := db.AddRelation(db.Relation("dim")); err != nil {
+		t.Fatal(err)
+	}
 	if n, b := sharedKeys(db), db.SharedBuildBytes(); n != 0 || b != 0 {
-		t.Fatalf("after InvalidateBuilds: %d keys, %d bytes, want 0", n, b)
+		t.Fatalf("after a registration: %d keys, %d bytes, want 0", n, b)
 	}
 	held := joinBuild(t, preps[0])
 	preps = prepareAll()
 	if joinBuild(t, preps[0]) == held {
-		t.Fatal("a Prepare after InvalidateBuilds took the build drained before it")
+		t.Fatal("a Prepare after a registration took the build drained before it")
 	}
 	for i, sql := range sharedJoins {
 		got, err := preps[i].Execute(ExecOptions{SampleLimit: 5})
@@ -302,14 +299,18 @@ func TestSharedBuildsLifetime(t *testing.T) {
 	}
 }
 
-// TestSharedBuildsInvalidatedMidDrain: a build whose drain an
-// InvalidateBuilds overtakes is not published, so no later Prepare takes
-// arenas drained against the state the invalidation disowned.
+// TestSharedBuildsInvalidatedMidDrain: a build whose drain a registration
+// overtakes — here one the drained source itself makes — is not published,
+// so no later Prepare takes arenas drained against the state the
+// registration replaced.
 func TestSharedBuildsInvalidatedMidDrain(t *testing.T) {
 	db := bigStarDatabase(t, 200)
 	rows := rowsOf(db.Relation("dim"))
+	fact := db.Relation("fact")
 	db.SetDatagen("dim", func() (batch.ColProjector, error) {
-		db.InvalidateBuilds()
+		if err := db.AddRelation(fact); err != nil {
+			return nil, err
+		}
 		return rowsScan(rows), nil
 	})
 	p, err := Prepare(db, mustPlan(t, db, sharedJoins[0]), ExecOptions{})
@@ -317,16 +318,16 @@ func TestSharedBuildsInvalidatedMidDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := sharedKeys(db); n != 0 {
-		t.Fatalf("a build drained across InvalidateBuilds was published (%d keys)", n)
+		t.Fatalf("a build drained across a registration was published (%d keys)", n)
 	}
 	runtime.KeepAlive(p)
 }
 
 // TestSharedBuildsConcurrent races Prepare and Execute — each goroutine on
 // its own plans, over the build leaf two of sharedJoins share and the two
-// leaves only one query uses — against InvalidateBuilds (run it under
-// -race): every answer and annotated tree equals the ad hoc execution's,
-// however its builds were come by.
+// leaves only one query uses — against each other (run it under -race):
+// every answer and annotated tree equals the ad hoc execution's, however
+// its builds were come by.
 func TestSharedBuildsConcurrent(t *testing.T) {
 	oversubscribe(t, 4)
 	db := bigStarDatabase(t, 500)
@@ -343,20 +344,6 @@ func TestSharedBuildsConcurrent(t *testing.T) {
 		wants = append(wants, execWithf(t, db, sql, opts, execute))
 	}
 
-	stop := make(chan struct{})
-	invalidated := make(chan struct{})
-	go func() {
-		defer close(invalidated)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				db.InvalidateBuilds()
-				runtime.Gosched()
-			}
-		}
-	}()
 	var wg sync.WaitGroup
 	for g := range goroutines {
 		wg.Add(1)
@@ -385,6 +372,4 @@ func TestSharedBuildsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	close(stop)
-	<-invalidated
 }

@@ -21,19 +21,20 @@ package engine
 // When no row needed a residual the filter operator is dropped entirely
 // (absorbed); otherwise the residual filter re-checks the generated rows,
 // which is exact because pruning only ever removes provably-failing tuples
-// and never reorders the survivors.
+// and never reorders the survivors. The same verdicts decide, row by row,
+// whether the plan's summary-direct candidate is exactly answerable
+// (summaryagg.go): a plan judges each summary it reads once.
 
 import (
 	"repro/internal/cycle"
 	"repro/internal/generator"
 	"repro/internal/pred"
-	"repro/internal/synopsis"
 	"repro/internal/value"
 )
 
-// scanPrune is the precomputed qualifying row-space for one OpFilter node
-// whose child scans a table regenerated from a registered summary, and the
-// stream it was judged against: the scan opens gen restricted to ivs.
+// scanPrune is the precomputed qualifying row-space for one filtered scan
+// of a table regenerated from a registered summary, and the stream it was
+// judged against: the scan opens gen restricted to ivs.
 type scanPrune struct {
 	gen      *generator.Stream
 	ivs      []value.Interval // qualifying [lo,hi) global-row intervals, ascending, disjoint
@@ -58,20 +59,28 @@ func (pr *scanPrune) add(lo, hi int64) {
 	pr.ivs = append(pr.ivs, value.Ival(lo, hi))
 }
 
+// skipRow marks a summary row that contributes nothing to the summary-direct
+// candidate in pruneCache.drives.
+const skipRow = -2
+
 // pruneCache is one plan's reading of the registered summaries, taken in a
-// single pass over each (filter, summary row) pair: the qualifying
-// row-space of every filtered datagen scan, and whether the plan's
-// summary-direct candidate is exactly answerable without scanning at all.
-// It is computed once per plan (at Prepare time for prepared statements)
-// and shared by every execution, so all of them make identical
-// decisions — a precondition for the byte-parity and span-shape invariants.
+// single judging pass over each (filter, summary row) pair: the qualifying
+// row-space of every filtered scan, and, when the plan's summary-direct
+// candidate is exactly answerable, each summary row's driving column. It
+// is read once per plan (at Prepare time for prepared statements, at open
+// for ad-hoc execution) and shared by every execution, so all of them make
+// identical decisions — a precondition for the byte-parity and span-shape
+// invariants.
 type pruneCache struct {
-	scans  map[*PlanNode]*scanPrune // by OpFilter node
-	direct bool                     // plan.SummaryAgg is provably exact on every summary row
+	scans map[*PlanNode]*scanPrune // by OpScan leaf
+	// drives holds, per summary row of the candidate's table, its driving
+	// column (-1 for none) or skipRow; nil when some row is not provably
+	// exact, or the plan has no candidate.
+	drives []int32
 }
 
-// scan returns the qualifying row-space of a filter node, nil when the
-// cache is absent (the PathRegen ceiling) or the filter's scan runs unpruned.
+// scan returns the qualifying row-space of a scan node, nil when the cache
+// is absent (the PathRegen ceiling) or the scan runs unpruned.
 func (pc *pruneCache) scan(pn *PlanNode) *scanPrune {
 	if pc == nil {
 		return nil
@@ -79,63 +88,54 @@ func (pc *pruneCache) scan(pn *PlanNode) *scanPrune {
 	return pc.scans[pn]
 }
 
-// prunesFor resolves the prune cache for one execution: the PathRegen
-// ceiling yields nil (every lookup misses), a prepared statement passes its
-// cached spaces through, and ad-hoc execution computes them fresh.
-func prunesFor(db *Database, plan *Plan, opts ExecOptions, cached *pruneCache) *pruneCache {
-	if opts.Regime == PathRegen {
-		return nil
-	}
-	if cached != nil {
-		return cached
-	}
-	return buildPruneCache(db, plan)
-}
-
-// buildPruneCache walks the plan for filter-over-scan shapes on
-// summary-backed datagen tables and precomputes each one's qualifying
-// row-space. Filters that prune nothing and absorb nothing are left out —
-// their scans run exactly as before. The summary-direct candidate, when
-// there is one, sits on the root's filter (or on a bare scan), so its proof
-// rides the same verdicts instead of judging the rows again.
+// buildPruneCache walks the plan for scans of summary-backed tables and
+// judges, once, each one that a filter sits on or that the summary-direct
+// candidate reads. Filters that prune nothing and absorb nothing are left
+// out — their scans run exactly as before. The candidate exists only for
+// single-table plans, so its scan is the plan's one scan, and its proof
+// rides that scan's verdicts.
 func buildPruneCache(db *Database, plan *Plan) *pruneCache {
 	pc := &pruneCache{scans: make(map[*PlanNode]*scanPrune)}
-	cand, candRel, candPK := directCandidate(db, plan)
-	if cand != nil && cand.Pred == nil {
-		pc.direct = directExact(cand, candRel, candPK)
-	}
-	var walk func(pn *PlanNode)
-	walk = func(pn *PlanNode) {
-		for _, c := range pn.Children {
-			walk(c)
-		}
-		if pn.Op != OpFilter || len(pn.Children) != 1 || pn.Children[0].Op != OpScan {
-			return
-		}
-		table := pn.Children[0].Table
-		r, ok := db.summaries[table]
-		if pn.Pred == nil || pn.Pred.Table != table || !ok {
-			return
-		}
-		pr, exact := prunePred(pn.Pred, r.rel, db.Schema.Table(table).PKIndex(), cand)
-		pc.direct = pc.direct || exact
-		if pr != nil {
-			pr.gen = r.gen
-			pc.scans[pn] = pr
+	cand := plan.SummaryAgg
+	var walk func(pn *PlanNode, p *pred.Region)
+	walk = func(pn *PlanNode, p *pred.Region) {
+		switch pn.Op {
+		case OpFilter:
+			walk(pn.Children[0], pn.Pred)
+		case OpScan:
+			r, ok := db.summaries[pn.Table]
+			if !ok || p == nil && cand == nil {
+				return
+			}
+			var pr *scanPrune
+			if pr, pc.drives = judgeScan(p, r, db.Schema.Table(pn.Table).PKIndex(), cand); pr != nil {
+				pc.scans[pn] = pr
+			}
+		default:
+			for _, c := range pn.Children {
+				walk(c, nil)
+			}
 		}
 	}
-	walk(plan.Root)
+	walk(plan.Root, nil)
 	return pc
 }
 
-// prunePred has every summary row of rel judged against the filter's
-// compiled region and assembles the qualifying row-space; nil when pruning
-// would change nothing (nothing pruned, nothing absorbed). When cand, the
-// plan's summary-direct candidate, is filtered by this same region, it also
-// reports whether every verdict leaves cand exactly answerable.
-func prunePred(p *pred.Region, rel *synopsis.Relation, pkIdx int, cand *PlanNode) (_ *scanPrune, exact bool) {
-	pr := &scanPrune{absorbed: true}
-	exact = cand != nil && cand.Pred == p
+// judgeScan has every summary row of r judged against the filter's
+// compiled region p (nil: an unfiltered scan) and assembles the qualifying
+// row-space over r's stream; nil when there is no filter or pruning would
+// change nothing (nothing pruned, nothing absorbed). When cand, the plan's
+// summary-direct candidate, is filtered by this same region, it also
+// records each row's driving column, or nil drives once some verdict
+// leaves cand inexact.
+func judgeScan(p *pred.Region, r summaryScan, pkIdx int, cand *PlanNode) (pr *scanPrune, drives []int32) {
+	rel := r.rel
+	if p != nil {
+		pr = &scanPrune{gen: r.gen, absorbed: true}
+	}
+	if cand != nil && cand.Pred == p {
+		drives = make([]int32, len(rel.Rows))
+	}
 	var (
 		clipBuf  value.IntervalSet // Judge's pk-window scratch
 		interBuf value.IntervalSet // S ∩ P scratch
@@ -147,15 +147,18 @@ func prunePred(p *pred.Region, rel *synopsis.Relation, pkIdx int, cand *PlanNode
 	for j := range rel.Rows {
 		row := &rel.Rows[j]
 		n := row.Count
-		if n == 0 {
-			continue
-		}
 		rowBase := base
 		base += n
 
 		v := cycle.Judge(row, rowBase, p, pkIdx, &clipBuf)
-		if exact {
-			_, exact = directRow(cand, row, pkIdx, v)
+		if drives != nil {
+			d, ok := directRow(cand, row, pkIdx, v)
+			if drives[j] = int32(d); !ok {
+				drives = nil
+			}
+		}
+		if pr == nil || n == 0 {
+			continue
 		}
 		switch v.Kind {
 		case cycle.Skip:
@@ -197,9 +200,10 @@ func prunePred(p *pred.Region, rel *synopsis.Relation, pkIdx int, cand *PlanNode
 			}
 		}
 	}
-	pr.pruned = rel.Total - pr.total
-	if pr.pruned == 0 && !pr.absorbed {
-		return nil, exact // nothing gained: no rows pruned, filter still needed
+	if pr != nil {
+		if pr.pruned = rel.Total - pr.total; pr.pruned == 0 && !pr.absorbed {
+			pr = nil // nothing gained: no rows pruned, filter still needed
+		}
 	}
-	return pr, exact
+	return pr, drives
 }

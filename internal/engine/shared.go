@@ -19,10 +19,11 @@ import (
 // perhaps a little longer, until the GC clears the pointer — results are
 // identical either way; only who drains differs), and a cleanup removes the
 // dead key. The layer never bounds memory itself; the Prepareds that hold
-// its builds do. The map is cleared, under mu, whenever what a build reads
-// may have changed: AddRelation, SetDatagen, SetSummary and
-// InvalidateBuilds. gen makes the clear stick against a drain in flight: a
-// build drained before a clear is not published after it.
+// its builds do. The map is cleared, under mu, by every registration
+// (AddRelation, SetDatagen, SetSummary), the one event that changes what a
+// build reads. gen makes the clear stick against a drain in flight — a
+// registration made mid-drain, say from inside the drained source: a build
+// drained before a clear is not published after it.
 type sharedBuilds struct {
 	mu  sync.Mutex
 	m   map[buildLeaf]weak.Pointer[preparedBuild]
@@ -111,13 +112,6 @@ func (s *sharedBuilds) bytes() int64 {
 	}
 	return n
 }
-
-// InvalidateBuilds drops every shared build side, so the next Prepare of
-// any join drains its build leaf afresh. Call it when what a dataless scan
-// regenerates changes behind the database's setters (the serve tier's
-// InvalidateCache does); Prepareds already made keep the builds they hold.
-// Safe for concurrent use with Prepare and executions.
-func (db *Database) InvalidateBuilds() { db.builds.clear() }
 
 // SharedBuildBytes reports the bytes held by the build sides live in the
 // database's shared layer, each counted once however many Prepareds hold

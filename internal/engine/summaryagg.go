@@ -16,10 +16,12 @@ package engine
 // value, unspecced columns hold 0, and the primary key auto-numbers
 // globally — a row whose first tuple is global tuple g spans [g, g+n), which
 // the evaluator treats as one more cycling set. cycle.Judge rules on the
-// predicate; a row is provable when at most one cycling column is
-// "driving" — the verdict's driver or one enumerated as a GROUP BY key — and
-// every cycling aggregate input coincides with it. Everything the row
-// contributes is then closed-form: with
+// predicate once per plan, in the judging pass that also prunes the
+// table's scan (prune.go); a row is provable when at most one cycling
+// column is "driving" — the verdict's driver or one enumerated as a GROUP
+// BY key — and every cycling aggregate input coincides with it. That pass
+// records each row's driving column, and run folds the recorded rows.
+// Everything a row contributes is then closed-form: with
 // I = S ∩ P, cycles = n/L, and Pref the first n mod L points of S,
 //
 //	matches  = cycles·|I| + |I ∩ Pref|
@@ -69,6 +71,8 @@ type summaryAggEval struct {
 
 	countOnly bool // OpAggregate root: bare COUNT(*), no select items
 
+	drives []int32 // per summary row: its driving column, -1 or skipRow (pruneCache.drives)
+
 	need   []int               // needed table columns, ascending
 	predOf []value.IntervalSet // per need position: predicate set or nil
 	grpOf  []bool              // per need position: is a GROUP BY key
@@ -78,11 +82,10 @@ type summaryAggEval struct {
 	contrib []aggContrib
 
 	// Interval scratch, reused via write-back so steady state allocates
-	// nothing: clipBuf is Judge's pk-window scratch, pkBuf synthesizes the
-	// row's primary-key range, interBuf holds I = S ∩ P, prefBuf the cycle
-	// prefix, iprefBuf their intersection. All uses extract scalars before
-	// the next column touches them.
-	clipBuf  value.IntervalSet
+	// nothing: pkBuf synthesizes the row's primary-key range, interBuf
+	// holds I = S ∩ P, prefBuf the cycle prefix, iprefBuf their
+	// intersection. All uses extract scalars before the next column touches
+	// them.
 	pkBuf    value.IntervalSet
 	interBuf value.IntervalSet
 	prefBuf  value.IntervalSet
@@ -93,49 +96,25 @@ type summaryAggEval struct {
 	sp     *trace.Span
 }
 
-// directCandidate returns the plan's summary-direct candidate together
-// with its relation summary and primary-key index, or a nil candidate when
-// the fast path cannot apply whatever the rows say: no candidate, or no
-// registered summary the candidate's table regenerates from.
-func directCandidate(db *Database, plan *Plan) (cand *PlanNode, rel *synopsis.Relation, pk int) {
-	cand = plan.SummaryAgg
-	if cand == nil {
-		return nil, nil, -1
-	}
-	if rel = db.Summary(cand.Table); rel == nil {
-		return nil, nil, -1
-	}
-	return cand, rel, db.Schema.Table(cand.Table).PKIndex()
-}
-
 // summaryAggFor returns an evaluator for the plan's summary-direct
-// candidate, or nil when the fast path does not apply: directCandidate's
-// gates, a Regime ceiling below it, or some summary row that is not provably
-// exact. judged, when non-nil, is the plan's Prepare-time pruneCache, whose
-// proof is reused instead of judging every row again.
-func summaryAggFor(db *Database, plan *Plan, opts ExecOptions, judged *pruneCache) *summaryAggEval {
-	if opts.Regime != "" {
+// candidate, or nil when the fast path does not apply: a Regime ceiling
+// below it, or a reading (the plan's pruneCache) that found no candidate,
+// no registered summary for its table, or some summary row that is not
+// provably exact.
+func summaryAggFor(db *Database, plan *Plan, opts ExecOptions, rd *pruneCache) *summaryAggEval {
+	if opts.Regime != "" || rd == nil || rd.drives == nil {
 		return nil
 	}
-	cand, rel, pk := directCandidate(db, plan)
-	if cand == nil {
-		return nil
-	}
-	exact := judged != nil && judged.direct
-	if judged == nil {
-		exact = directExact(cand, rel, pk)
-	}
-	if !exact {
-		return nil
-	}
-	return newSummaryAggEval(cand, rel, pk)
+	cand := plan.SummaryAgg
+	return newSummaryAggEval(cand, db.Summary(cand.Table), db.Schema.Table(cand.Table).PKIndex(), rd.drives)
 }
 
-func newSummaryAggEval(cand *PlanNode, rel *synopsis.Relation, pk int) *summaryAggEval {
+func newSummaryAggEval(cand *PlanNode, rel *synopsis.Relation, pk int, drives []int32) *summaryAggEval {
 	e := &summaryAggEval{
 		cand:      cand,
 		rel:       rel,
 		pk:        pk,
+		drives:    drives,
 		countOnly: len(cand.Items) == 0,
 	}
 	if cand.Pred != nil {
@@ -179,25 +158,10 @@ func (e *summaryAggEval) needPos(c int) int {
 	return -1
 }
 
-// directExact reports whether every summary row of rel is provably exact
-// for cand: the proof an execution without a Prepare-time pruneCache runs.
-func directExact(cand *PlanNode, rel *synopsis.Relation, pk int) bool {
-	var clip value.IntervalSet
-	var base int64
-	for j := range rel.Rows {
-		row := &rel.Rows[j]
-		if _, ok := directRow(cand, row, pk, cycle.Judge(row, base, cand.Pred, pk, &clip)); !ok {
-			return false
-		}
-		base += row.Count
-	}
-	return true
-}
-
 // directRow decides whether one summary row, given the predicate's verdict
 // v on it, is exactly answerable for cand, and names the row's driving
-// column (-1 when none). A skipped row is exact whatever else cycles: it
-// contributes nothing. Otherwise at most one column may cycle among the
+// column (-1 when none; skipRow for a skipped row, which is exact whatever
+// else cycles: it contributes nothing). Otherwise at most one column may cycle among the
 // verdict's driver, the GROUP BY keys and the aggregate inputs — the primary
 // key, one value per tuple, counts as cycling.
 //
@@ -205,7 +169,7 @@ func directExact(cand *PlanNode, rel *synopsis.Relation, pk int) bool {
 func directRow(cand *PlanNode, row *synopsis.Row, pk int, v cycle.Verdict) (drive int, ok bool) {
 	switch {
 	case v.Kind == cycle.Skip:
-		return -1, true
+		return skipRow, true
 	case v.Kind == cycle.Residual, v.Set != nil && v.Clip != nil:
 		// Two independently restricted cycles (a pk window on top of a
 		// cycling column is one) couple through tuple offsets.
@@ -282,14 +246,11 @@ func (e *summaryAggEval) run(ctl *execCtl, res *ExecResult, opts ExecOptions) er
 	}
 	e.st.reset()
 	var base int64
-	for j := range e.rel.Rows {
+	for j, drive := range e.drives {
 		row := &e.rel.Rows[j]
-		v := cycle.Judge(row, base, e.cand.Pred, e.pk, &e.clipBuf)
-		if v.Kind != cycle.Skip {
-			// summaryAggFor admitted the plan only if every row is provable.
+		if drive != skipRow {
 			e.resolve(row, base)
-			drive, _ := directRow(e.cand, row, e.pk, v)
-			e.addRow(row, e.needPos(drive))
+			e.addRow(row, e.needPos(int(drive)))
 		}
 		base += row.Count
 	}

@@ -328,8 +328,9 @@ func TestSummaryAggCandidateShapes(t *testing.T) {
 	}
 }
 
-// TestSummaryAggGateConditions pins the dispatch gate: no registered
-// summary, datagen disabled, or a Regime ceiling below it all yield nil.
+// TestSummaryAggGateConditions pins the dispatch gate: a reading taken
+// with no registered summary, no reading, or a Regime ceiling below it all
+// yield nil.
 func TestSummaryAggGateConditions(t *testing.T) {
 	db := saggDB(t)
 	q, err := sqlkit.Parse("SELECT COUNT(*) FROM m")
@@ -340,14 +341,18 @@ func TestSummaryAggGateConditions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if summaryAggFor(db, plan, ExecOptions{}, nil) == nil {
+	rd := buildPruneCache(db, plan)
+	if summaryAggFor(db, plan, ExecOptions{}, rd) == nil {
 		t.Fatal("eligible query did not get an evaluator")
 	}
-	if summaryAggFor(db, plan, ExecOptions{Regime: PathPruned}, nil) != nil {
+	if summaryAggFor(db, plan, ExecOptions{}, nil) != nil {
+		t.Fatal("an execution without a reading took the fast path")
+	}
+	if summaryAggFor(db, plan, ExecOptions{Regime: PathPruned}, rd) != nil {
 		t.Fatal("the pruned ceiling did not disable the fast path")
 	}
 	db.SetSummary("m", nil)
-	if summaryAggFor(db, plan, ExecOptions{}, nil) != nil {
+	if summaryAggFor(db, plan, ExecOptions{}, buildPruneCache(db, plan)) != nil {
 		t.Fatal("fast path survived summary unregistration")
 	}
 }

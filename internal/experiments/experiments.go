@@ -36,11 +36,6 @@ type Config struct {
 	Queries int
 }
 
-// DefaultConfig mirrors the paper's headline setting.
-func DefaultConfig() Config {
-	return Config{Seed: 7, ScaleFactor: 1.0, Queries: 131}
-}
-
 // capture builds the client warehouse and transfer package for a config.
 func capture(cfg Config) (*core.TransferPackage, error) {
 	s := tpcds.Schema(cfg.ScaleFactor)

@@ -365,33 +365,6 @@ func (r *Region) Empty() bool {
 // Unconstrained reports whether the region has no column constraints.
 func (r *Region) Unconstrained() bool { return len(r.Cols) == 0 }
 
-// WithColumn returns a copy of r with the given column additionally
-// constrained to set (intersected if already constrained).
-func (r *Region) WithColumn(col int, set value.IntervalSet) *Region {
-	out := &Region{Table: r.Table}
-	added := false
-	for i, c := range r.Cols {
-		if c == col {
-			out.Cols = append(out.Cols, c)
-			out.Sets = append(out.Sets, r.Sets[i].Intersect(set))
-			added = true
-			continue
-		}
-		if c > col && !added {
-			out.Cols = append(out.Cols, col)
-			out.Sets = append(out.Sets, set.Clone())
-			added = true
-		}
-		out.Cols = append(out.Cols, c)
-		out.Sets = append(out.Sets, r.Sets[i].Clone())
-	}
-	if !added {
-		out.Cols = append(out.Cols, col)
-		out.Sets = append(out.Sets, set.Clone())
-	}
-	return out
-}
-
 // Key returns a canonical string identifying the region's geometry, used to
 // deduplicate identical constraint regions across queries.
 func (r *Region) Key() string {

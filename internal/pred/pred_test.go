@@ -221,25 +221,6 @@ func TestRegionKeyDeterministic(t *testing.T) {
 	}
 }
 
-func TestWithColumn(t *testing.T) {
-	r := compileOneQuery(t, "m < 50")
-	set := value.NewIntervalSet(value.Ival(0, 10))
-	r2 := r.WithColumn(3, set)
-	if len(r2.Cols) != 2 || r2.Cols[0] != 1 || r2.Cols[1] != 3 {
-		t.Fatalf("WithColumn cols = %v", r2.Cols)
-	}
-	// Intersect with existing column.
-	r3 := r2.WithColumn(1, value.NewIntervalSet(value.Ival(40, 60)))
-	if got := setOf(t, r3, 1); !got.Equal(value.NewIntervalSet(value.Ival(40, 50))) {
-		t.Errorf("intersected = %v", got)
-	}
-	// Insert before existing columns.
-	r4 := r2.WithColumn(0, set)
-	if len(r4.Cols) != 3 || r4.Cols[0] != 0 {
-		t.Errorf("prepend cols = %v", r4.Cols)
-	}
-}
-
 func TestRegionSQLAndClone(t *testing.T) {
 	r := compileOneQuery(t, "m < 5")
 	tab := testTable()

@@ -3,81 +3,32 @@ package region
 import (
 	"math"
 	"sort"
-
-	"repro/internal/value"
 )
 
 // GridResult describes the DataSynth-style grid partition of a space.
 type GridResult struct {
-	// Cells are the materialized grid cells (as atoms, one single-interval
-	// block each) with their region memberships. Nil when the cell count
-	// exceeded the materialization cap.
-	Cells []Atom
-	// VarCount is the number of grid cells (LP variables), computed even
-	// when the grid is too large to materialize. Saturates at MaxInt64.
+	// VarCount is the number of grid cells (LP variables). Saturates at
+	// MaxInt64.
 	VarCount int64
-	// Materialized reports whether Cells was populated.
-	Materialized bool
 }
 
 // Grid computes the baseline grid partitioning of Arasu et al.: each axis is
 // cut at every boundary value of every constraint region, and the LP gets
-// one variable per cell of the resulting cross-product grid. maxCells caps
-// materialization; the cell count is always computed exactly (the paper's
-// complexity comparison only needs the count).
-func Grid(s *Space, regions []Block, maxCells int64) *GridResult {
-	bounds := gridBounds(s, regions)
+// one variable per cell of the resulting cross-product grid. Only the cell
+// count is computed (the paper's complexity comparison needs nothing else).
+func Grid(s *Space, regions []Block) *GridResult {
 	count := int64(1)
-	for _, bs := range bounds {
+	for _, bs := range gridBounds(s, regions) {
 		n := int64(len(bs) - 1)
 		if n <= 0 {
 			return &GridResult{VarCount: 0}
 		}
 		if count > math.MaxInt64/n {
-			count = math.MaxInt64
-			break
+			return &GridResult{VarCount: math.MaxInt64}
 		}
 		count *= n
 	}
-	res := &GridResult{VarCount: count}
-	if count > maxCells || count == math.MaxInt64 {
-		return res
-	}
-
-	// Materialize cells in row-major multi-index order.
-	dims := s.Dims()
-	idx := make([]int, dims)
-	pt := make([]int64, dims)
-	for {
-		cell := make(Block, dims)
-		for a := 0; a < dims; a++ {
-			cell[a] = value.NewIntervalSet(value.Ival(bounds[a][idx[a]], bounds[a][idx[a]+1]))
-			pt[a] = bounds[a][idx[a]]
-		}
-		var members []int
-		for i, r := range regions {
-			if r.Contains(pt) {
-				members = append(members, i)
-			}
-		}
-		res.Cells = append(res.Cells, Atom{Blocks: BlockUnion{cell}, Members: members})
-
-		// Advance the multi-index.
-		a := dims - 1
-		for a >= 0 {
-			idx[a]++
-			if idx[a] < len(bounds[a])-1 {
-				break
-			}
-			idx[a] = 0
-			a--
-		}
-		if a < 0 {
-			break
-		}
-	}
-	res.Materialized = true
-	return res
+	return &GridResult{VarCount: count}
 }
 
 // gridBounds collects, per axis, the sorted distinct cut points: the domain

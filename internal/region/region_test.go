@@ -240,33 +240,10 @@ func TestGridCountsAndMaterialization(t *testing.T) {
 	s := testSpace2D()
 	r1 := blockOf(t, s, map[int]value.IntervalSet{0: value.NewIntervalSet(value.Ival(2, 5))})
 	r2 := blockOf(t, s, map[int]value.IntervalSet{1: value.NewIntervalSet(value.Ival(4, 6))})
-	g := Grid(s, []Block{r1, r2}, 1000)
+	g := Grid(s, []Block{r1, r2})
 	// Axis x cuts: 0,2,5,10 -> 3 cells; axis y cuts: 0,4,6,10 -> 3 cells.
-	if g.VarCount != 9 || !g.Materialized || len(g.Cells) != 9 {
+	if g.VarCount != 9 {
 		t.Fatalf("grid = %+v", g)
-	}
-	var total int64
-	inR1 := 0
-	for _, c := range g.Cells {
-		total += c.Blocks.Points()
-		if c.In(0) {
-			inR1++
-		}
-	}
-	if total != 100 {
-		t.Errorf("grid cells cover %d points", total)
-	}
-	if inR1 != 3 {
-		t.Errorf("cells in r1 = %d, want 3", inR1)
-	}
-}
-
-func TestGridCapSkipsMaterialization(t *testing.T) {
-	s := testSpace2D()
-	r1 := blockOf(t, s, map[int]value.IntervalSet{0: value.NewIntervalSet(value.Ival(2, 5))})
-	g := Grid(s, []Block{r1}, 1)
-	if g.Materialized || g.Cells != nil || g.VarCount != 3 {
-		t.Errorf("capped grid = %+v", g)
 	}
 }
 
@@ -278,7 +255,7 @@ func TestGridRefinesPartition(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		regions := randRegions(r, 1+r.Intn(5))
 		atoms := Partition(s, regions)
-		g := Grid(s, regions, 0)
+		g := Grid(s, regions)
 		return g.VarCount >= int64(len(atoms))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -197,17 +197,6 @@ func (t *Table) PKIndex() int {
 	return -1
 }
 
-// ForeignKeys returns the indexes of all foreign-key columns.
-func (t *Table) ForeignKeys() []int {
-	var out []int
-	for i, c := range t.Columns {
-		if c.Ref != nil {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Schema is an ordered collection of tables.
 type Schema struct {
 	Tables []*Table `json:"tables"`

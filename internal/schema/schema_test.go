@@ -134,9 +134,6 @@ func TestColumnLookups(t *testing.T) {
 	if tab.PKIndex() != 0 {
 		t.Error("PKIndex misbehaves")
 	}
-	if fks := tab.ForeignKeys(); len(fks) != 1 || fks[0] != 1 {
-		t.Errorf("ForeignKeys = %v", fks)
-	}
 }
 
 func TestEncodeDecodeInt(t *testing.T) {

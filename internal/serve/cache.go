@@ -5,7 +5,9 @@
 // The cache keys normalized SQL to an engine.Prepared (compiled plan +
 // references to read-only build arenas the database shares across every
 // live Prepared), so a cache hit pays probe cost only, and a miss drains
-// only the build leaves no cached plan already holds.
+// only the build leaves no cached plan already holds. The summary never
+// changes under a running server, so an entry stays valid until the LRU
+// evicts it.
 package serve
 
 import (
@@ -16,11 +18,10 @@ import (
 	"repro/internal/engine"
 )
 
-// DefaultCacheSize is the LRU capacity used when Options.PlanCacheSize is
-// zero. Entries are one compiled plan plus references to the shared build
-// arenas of its join leaves, so memory scales with the distinct build
-// leaves the entries hold, not with the entries; a few dozen cover a
-// realistic dashboard workload.
+// DefaultCacheSize is the server's LRU capacity. Entries are one compiled
+// plan plus references to the shared build arenas of its join leaves, so
+// memory scales with the distinct build leaves the entries hold, not with
+// the entries; a few dozen cover a realistic dashboard workload.
 const DefaultCacheSize = 64
 
 // normalizeSQL collapses the whitespace variance of otherwise-identical
@@ -64,16 +65,15 @@ func normalizeSQL(sql string) string {
 	return sb.String()
 }
 
-// planCache is a mutex-guarded LRU from normalized SQL to prepared
-// executions. Lookups and insertions are O(1); eviction drops the least
-// recently used entry once the size cap is reached.
+// planCache is a mutex-guarded, single-flight LRU from normalized SQL to
+// prepared executions. Lookups and insertions are O(1); eviction drops the
+// least recently used entry once the size cap is reached.
 type planCache struct {
 	mu       sync.Mutex
 	cap      int
 	lru      *list.List // front = most recently used; values are *cacheEntry
 	entries  map[string]*list.Element
 	inflight map[string]*inflightPrepare
-	gen      int64 // bumped by invalidate; stale in-flight builds are not cached
 
 	hits, misses int64
 }
@@ -92,9 +92,6 @@ type inflightPrepare struct {
 }
 
 func newPlanCache(capacity int) *planCache {
-	if capacity == 0 {
-		capacity = DefaultCacheSize
-	}
 	return &planCache{
 		cap:      capacity,
 		lru:      list.New(),
@@ -103,18 +100,12 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// enabled reports whether caching is on (a negative capacity disables it).
-func (c *planCache) enabled() bool { return c != nil && c.cap > 0 }
-
 // get returns the prepared execution for key, promoting it to
 // most-recently-used. A hit is recorded here; a miss is not — the caller
 // proceeds into do, which accounts for how the miss was ultimately served
 // (built, coalesced onto another build, or found freshly inserted), so
 // hits + misses equals requests even under single flight.
 func (c *planCache) get(key string) (*engine.Prepared, bool) {
-	if !c.enabled() {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -127,9 +118,7 @@ func (c *planCache) get(key string) (*engine.Prepared, bool) {
 }
 
 // putLocked inserts (or refreshes) key's prepared execution, evicting the
-// least recently used entry beyond the size cap. The caller holds c.mu and
-// has verified the entry is current (generation re-checked in the same
-// critical section — see do).
+// least recently used entry beyond the size cap. The caller holds c.mu.
 func (c *planCache) putLocked(key string, prep *engine.Prepared) {
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*cacheEntry).prep = prep
@@ -144,18 +133,11 @@ func (c *planCache) putLocked(key string, prep *engine.Prepared) {
 	}
 }
 
-// testHookPostBuild, when non-nil, runs after a single-flight build
-// completes and before its result is offered to the cache — the window the
-// invalidation race lived in. Tests interleave an invalidate here to prove
-// a stale build can no longer be cached.
-var testHookPostBuild func()
-
 // do returns key's prepared execution, invoking build at most once across
 // concurrent callers (single flight): under a cold-start thundering herd,
 // one request drains the hash-join build sides and the rest wait for it
 // instead of each paying the heaviest cost the cache exists to amortize.
-// The winner's result is inserted unless the cache was invalidated while it
-// was building; a build error is shared, not cached.
+// The winner's result is inserted; a build error is shared, not cached.
 //
 // built reports whether this caller ran the build. It mirrors the stats:
 // the builder records the miss; a caller that finds the entry inserted
@@ -183,53 +165,24 @@ func (c *planCache) do(key string, build func() (*engine.Prepared, error)) (prep
 	fl := &inflightPrepare{done: make(chan struct{})}
 	c.inflight[key] = fl
 	c.misses++
-	gen := c.gen
 	c.mu.Unlock()
 
 	fl.prep, fl.err = build()
 	close(fl.done)
 
-	if testHookPostBuild != nil {
-		testHookPostBuild()
-	}
-	// One critical section retires the in-flight record, re-checks the
-	// generation, and inserts. Atomicity both ways: an invalidate can never
-	// land between "this build is fresh" and the insert (the race that used
-	// to cache a Prepared built against a disowned summary), and no request
-	// can observe neither an inflight record nor a cache entry and start a
-	// redundant build.
+	// One critical section retires the in-flight record and inserts, so no
+	// request can observe neither an inflight record nor a cache entry and
+	// start a redundant build.
 	c.mu.Lock()
-	if c.inflight[key] == fl {
-		delete(c.inflight, key)
-	}
-	if fl.err == nil && c.enabled() && c.gen == gen {
+	delete(c.inflight, key)
+	if fl.err == nil {
 		c.putLocked(key, fl.prep)
 	}
-	// A stale result (c.gen moved since the build began) was computed
-	// against state the operator disowned: serve it to the requests that
-	// hold it — arenas are immutable — but never cache it.
 	c.mu.Unlock()
 	if fl.err != nil {
 		return nil, true, fl.err
 	}
 	return fl.prep, true, nil
-}
-
-// invalidate drops every entry (hit/miss counters survive). The server
-// exposes it as the invalidation hook for summary swaps.
-func (c *planCache) invalidate() {
-	if !c.enabled() {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lru.Init()
-	c.entries = make(map[string]*list.Element)
-	// Detach in-flight builds: their waiters still get the shared result,
-	// but the stale-generation check keeps it out of the cache, and new
-	// requests start a fresh build immediately.
-	c.inflight = make(map[string]*inflightPrepare)
-	c.gen++
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness. Hits
@@ -251,9 +204,6 @@ type CacheStats struct {
 }
 
 func (c *planCache) stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.lru.Len(), Cap: c.cap}

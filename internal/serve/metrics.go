@@ -312,7 +312,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# TYPE hydra_summary_rows_skipped_total counter\n")
 	fmt.Fprintf(&b, "hydra_summary_rows_skipped_total %d\n", s.met.summaryRowsSkipped.Load())
 
-	fmt.Fprintf(&b, "# HELP hydra_plan_cache_build_seconds_total Wall time spent parsing, planning, and building (cache misses and bypasses).\n")
+	fmt.Fprintf(&b, "# HELP hydra_plan_cache_build_seconds_total Wall time spent parsing, planning, and building (cache misses).\n")
 	fmt.Fprintf(&b, "# TYPE hydra_plan_cache_build_seconds_total counter\n")
 	fmt.Fprintf(&b, "hydra_plan_cache_build_seconds_total %g\n", float64(s.met.cacheBuildNS.Load())/1e9)
 

@@ -212,6 +212,8 @@ func TestServeMaxTimeoutCap(t *testing.T) {
 	for name, req := range map[string]QueryRequest{
 		"no timeout_ms":   {SQL: "SELECT COUNT(*) FROM r"},
 		"huge timeout_ms": {SQL: "SELECT COUNT(*) FROM r", TimeoutMS: ptrInt64(60_000)},
+		// In nanoseconds this overflows int64 to a negative Duration.
+		"overflowing timeout_ms": {SQL: "SELECT COUNT(*) FROM r", TimeoutMS: ptrInt64(9223372036855)},
 	} {
 		resp, body := postQueryFull(t, ts.URL, req)
 		if resp.StatusCode != http.StatusGatewayTimeout {
@@ -222,12 +224,13 @@ func TestServeMaxTimeoutCap(t *testing.T) {
 
 func ptrInt64(v int64) *int64 { return &v }
 
-// TestServeBadTimeoutMS: non-positive timeout_ms is a 400.
+// TestServeBadTimeoutMS: non-positive timeout_ms is a 400, and so, with no
+// MaxTimeout to clamp it, is one too large for a time.Duration.
 func TestServeBadTimeoutMS(t *testing.T) {
 	srv := New(buildToySummary(t), Options{Logf: t.Logf})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	for _, v := range []int64{0, -5} {
+	for _, v := range []int64{0, -5, 9223372036855} {
 		resp, _ := postQueryFull(t, ts.URL, QueryRequest{SQL: "SELECT COUNT(*) FROM r", TimeoutMS: &v})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("timeout_ms %d got %d, want 400", v, resp.StatusCode)

@@ -59,6 +59,7 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"math"
 	"mime"
 	"net/http"
 	"net/http/pprof"
@@ -79,9 +80,6 @@ type Options struct {
 	// engine into [0, GOMAXPROCS]); 0 executes sequentially. A request may
 	// override it per query.
 	Parallelism int
-	// BatchSize overrides the execution batch capacity (0 = default). A
-	// request may override it per query.
-	BatchSize int
 	// SampleLimit caps how many result rows a response carries (decoded
 	// result sets can be arbitrarily large; COUNT(*) responses are exact
 	// regardless).
@@ -90,10 +88,6 @@ type Options struct {
 	// positive rate disables parallel execution (paced streams are
 	// serial), which the engine handles by transparent fallback.
 	RowsPerSec float64
-	// PlanCacheSize caps the plan/build cache (entries): 0 selects
-	// DefaultCacheSize, negative disables caching entirely (every request
-	// re-plans and rebuilds).
-	PlanCacheSize int
 
 	// MaxInFlight bounds concurrently executing queries; 0 = unlimited
 	// (admission control disabled except for draining). Requests beyond the
@@ -160,11 +154,6 @@ type Server struct {
 	// held) and before execution — the seam deterministic overload tests
 	// block in to hold slots occupied.
 	testHookAdmitted func()
-
-	// testHookInvalidating, when set, runs inside InvalidateCache between
-	// dropping the shared builds and dropping the cached plans — the window
-	// a miss must not carry an old build through.
-	testHookInvalidating func()
 }
 
 // New builds a server over the summary.
@@ -182,7 +171,7 @@ func New(sum *summary.Database, opts Options) *Server {
 		sum:        sum,
 		db:         core.RegenDatabase(sum, opts.RowsPerSec),
 		opts:       opts,
-		cache:      newPlanCache(opts.PlanCacheSize),
+		cache:      newPlanCache(DefaultCacheSize),
 		adm:        newAdmission(opts.MaxInFlight, opts.MaxQueue, opts.QueueWait),
 		met:        newMetrics(),
 		logf:       logf,
@@ -204,24 +193,6 @@ func (s *Server) BeginDrain() { s.adm.beginDrain() }
 // request finishes with 499. The escalation step when a drain's grace
 // period expires. Idempotent.
 func (s *Server) CancelInFlight() { s.hardCancel() }
-
-// InvalidateCache drops every cached plan and the database's shared build
-// arenas — the hook to call when the served summary is swapped or mutated
-// out from under the server. In-flight requests finish against the arenas
-// they already hold (arenas are immutable, so this is safe); new requests
-// re-plan and re-drain.
-//
-// The shared builds go first. A miss that starts between the two steps
-// then finds no old build to take, and one that took an old build before
-// the first step began its plan-cache build under the old generation,
-// which the second step retires, so its Prepared is never cached.
-func (s *Server) InvalidateCache() {
-	s.db.InvalidateBuilds()
-	if h := s.testHookInvalidating; h != nil {
-		h()
-	}
-	s.cache.invalidate()
-}
 
 // CacheStats snapshots plan-cache effectiveness and the bytes of the build
 // sides the cached plans share.
@@ -252,8 +223,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// QueryRequest is the POST /query body. BatchSize and Parallelism, when
-// present, override the server-wide defaults for this query; both pass
+// QueryRequest is the POST /query body. BatchSize, when present, sets the
+// query's batch capacity (else the engine's default), and Parallelism
+// overrides the server-wide default; both pass
 // through ExecOptions.Normalize, so invalid values are rejected with 400
 // and out-of-range parallelism is clamped.
 type QueryRequest struct {
@@ -275,8 +247,7 @@ type QueryRequest struct {
 // QueryResponse is the POST /query reply: the COUNT value (for COUNT(*)
 // queries), output cardinality, a bounded sample of output rows, the
 // cardinality-annotated operator tree, whether the plan/build cache served
-// the query ("hit", "miss", or "bypass" when caching is disabled), and
-// timing.
+// the query ("hit" or "miss"), and timing.
 type QueryResponse struct {
 	SQL         string           `json:"sql"`
 	RequestID   string           `json:"request_id,omitempty"`
@@ -405,7 +376,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	explain := req.Explain || hasExplainPrefix(req.SQL)
 	opts := engine.ExecOptions{
 		SampleLimit: s.opts.SampleLimit,
-		BatchSize:   s.opts.BatchSize,
 		Parallelism: s.opts.Parallelism,
 		Trace:       explain || s.opts.TraceQueries,
 	}
@@ -422,17 +392,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// The per-query deadline: the request's timeout_ms, clamped from above
 	// by the server's MaxTimeout (which also supplies the deadline when the
-	// request carries none).
-	var timeout time.Duration
-	if req.TimeoutMS != nil {
-		if *req.TimeoutMS <= 0 {
-			fail(outcomeBadRequest, http.StatusBadRequest, fmt.Errorf("timeout_ms must be positive, got %d", *req.TimeoutMS))
+	// request carries none). The clamp compares milliseconds, before the
+	// conversion to a Duration could overflow.
+	timeout := max(s.opts.MaxTimeout, 0)
+	if ms := req.TimeoutMS; ms != nil {
+		switch {
+		case *ms <= 0:
+			fail(outcomeBadRequest, http.StatusBadRequest, fmt.Errorf("timeout_ms must be positive, got %d", *ms))
 			return
+		case timeout > 0 && *ms > timeout.Milliseconds():
+			// The request asks for more than the cap: the cap stands.
+		case *ms > math.MaxInt64/int64(time.Millisecond):
+			fail(outcomeBadRequest, http.StatusBadRequest, fmt.Errorf("timeout_ms %d is out of range", *ms))
+			return
+		default:
+			timeout = time.Duration(*ms) * time.Millisecond
 		}
-		timeout = time.Duration(*req.TimeoutMS) * time.Millisecond
-	}
-	if cap := s.opts.MaxTimeout; cap > 0 && (timeout == 0 || timeout > cap) {
-		timeout = cap
 	}
 
 	// Admission: everything above is cheap, bounded work; execution holds a
@@ -582,10 +557,6 @@ func hasExplainPrefix(sql string) bool {
 // possible, otherwise parse + plan + build (and insert, keyed by the
 // normalized SQL, so whitespace variants of one query share an entry).
 func (s *Server) prepared(sql string, opts engine.ExecOptions) (*engine.Prepared, string, error) {
-	if !s.cache.enabled() {
-		prep, err := s.prepare(sql, opts)
-		return prep, "bypass", err
-	}
 	key := normalizeSQL(sql)
 	if prep, ok := s.cache.get(key); ok {
 		return prep, "hit", nil

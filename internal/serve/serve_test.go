@@ -261,8 +261,8 @@ func TestServeMethodNotAllowed(t *testing.T) {
 
 // TestServeCacheHit exercises the plan/build cache end to end: the first
 // request for a query misses and populates, repeats (including
-// whitespace-variant spellings) hit, answers stay identical, stats add up,
-// and the invalidation hook empties the cache.
+// whitespace-variant spellings) hit, answers stay identical, and stats add
+// up.
 func TestServeCacheHit(t *testing.T) {
 	sum := buildToySummary(t)
 	srv := New(sum, Options{SampleLimit: 3})
@@ -299,25 +299,12 @@ func TestServeCacheHit(t *testing.T) {
 	if st.Hits != 3 || st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("cache stats = %+v, want 3 hits / 1 miss / 1 entry", st)
 	}
-
-	srv.InvalidateCache()
-	if st := srv.CacheStats(); st.Entries != 0 {
-		t.Fatalf("after invalidate: %d entries", st.Entries)
-	}
-	resp, qr = postQuery(t, ts.URL, sql)
-	if resp.StatusCode != http.StatusOK || qr.Cache != "miss" {
-		t.Fatalf("post-invalidate: status %d cache %q, want 200 miss", resp.StatusCode, qr.Cache)
-	}
-	if qr.Count != want.Count {
-		t.Fatalf("post-invalidate count %d, want %d", qr.Count, want.Count)
-	}
 }
 
 // TestServeCacheSharedBuilds: two cold misses over one build leaf — the same
 // s filter, one with an added r predicate — are two plans, so both report
 // "miss", but the second drains nothing: s is not opened and /statsz
-// cache.bytes is unchanged. InvalidateCache takes cache.bytes to 0, and the
-// next miss drains s again.
+// cache.bytes is unchanged.
 func TestServeCacheSharedBuilds(t *testing.T) {
 	sum := buildToySummary(t)
 	srv := New(sum, Options{})
@@ -346,12 +333,6 @@ func TestServeCacheSharedBuilds(t *testing.T) {
 	}
 	b := miss("first miss", sql, 1, 0)
 	miss("same s leaf, added r predicate", sql+" AND r.t_fk < 30", 1, b)
-
-	srv.InvalidateCache()
-	if got := getStats(t, ts.URL).Cache.Bytes; got != 0 {
-		t.Fatalf("after InvalidateCache: cache.bytes %d, want 0", got)
-	}
-	miss("miss after InvalidateCache", sql, 2, b)
 }
 
 // countOpens makes table's datagen source count how often a scan opens it.
@@ -365,54 +346,12 @@ func countOpens(srv *Server, table string) *atomic.Int64 {
 	return &opens
 }
 
-// TestServeInvalidateCacheWindow starts a miss inside InvalidateCache, after
-// the shared builds are dropped and before the cached plans are. While a
-// cached entry still holds the old s build, the miss must drain s afresh
-// rather than take it, and what it prepared must not stay cached once
-// InvalidateCache returns.
-func TestServeInvalidateCacheWindow(t *testing.T) {
-	sum := buildToySummary(t)
-	srv := New(sum, Options{})
-	opens := countOpens(srv, "s")
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	const sql = "SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk AND s.a >= 20 AND s.a < 60"
-	const inWindow = sql + " AND r.t_fk < 30"
-	want := seqCount(t, sum, inWindow)
-	if resp, qr := postQuery(t, ts.URL, sql); resp.StatusCode != http.StatusOK || qr.Cache != "miss" || opens.Load() != 1 {
-		t.Fatalf("warm-up: status %d cache %q, s opened %d times, want 200 miss and 1", resp.StatusCode, qr.Cache, opens.Load())
-	}
-	// Keep the old build reachable through the window, whatever the LRU does.
-	held, ok := srv.cache.get(normalizeSQL(sql))
-	if !ok {
-		t.Fatal("warm-up query was not cached")
-	}
-
-	srv.testHookInvalidating = func() {
-		resp, qr := postQuery(t, ts.URL, inWindow)
-		if resp.StatusCode != http.StatusOK || qr.Cache != "miss" || qr.Count != want.Count {
-			t.Fatalf("miss inside InvalidateCache: status %d cache %q count %d, want 200 miss %d", resp.StatusCode, qr.Cache, qr.Count, want.Count)
-		}
-		if got := opens.Load(); got != 2 {
-			t.Fatalf("miss inside InvalidateCache: s opened %d times in all, want 2 (it took the old build)", got)
-		}
-	}
-	srv.InvalidateCache()
-	srv.testHookInvalidating = nil
-	runtime.KeepAlive(held)
-
-	resp, qr := postQuery(t, ts.URL, inWindow)
-	if resp.StatusCode != http.StatusOK || qr.Cache != "miss" || qr.Count != want.Count {
-		t.Fatalf("after InvalidateCache: status %d cache %q count %d, want 200 miss %d (the Prepared made inside it stayed cached)", resp.StatusCode, qr.Cache, qr.Count, want.Count)
-	}
-}
-
 // TestServeCacheLRUEviction fills a size-2 cache with three distinct
 // queries and checks the least recently used entry was evicted.
 func TestServeCacheLRUEviction(t *testing.T) {
 	sum := buildToySummary(t)
-	srv := New(sum, Options{PlanCacheSize: 2})
+	srv := New(sum, Options{})
+	srv.cache = newPlanCache(2)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -435,24 +374,6 @@ func TestServeCacheLRUEviction(t *testing.T) {
 	}
 	if _, qr := postQuery(t, ts.URL, queries[2]); qr.Cache != "hit" {
 		t.Fatalf("resident query missed")
-	}
-}
-
-// TestServeCacheDisabled: a negative PlanCacheSize bypasses caching.
-func TestServeCacheDisabled(t *testing.T) {
-	sum := buildToySummary(t)
-	srv := New(sum, Options{PlanCacheSize: -1})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	const sql = "SELECT COUNT(*) FROM s"
-	for i := 0; i < 2; i++ {
-		if _, qr := postQuery(t, ts.URL, sql); qr.Cache != "bypass" {
-			t.Fatalf("request %d: cache %q, want bypass", i, qr.Cache)
-		}
-	}
-	if st := srv.CacheStats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("disabled cache recorded activity: %+v", st)
 	}
 }
 
@@ -519,23 +440,32 @@ func TestServeRequestExecOptions(t *testing.T) {
 // BenchmarkServeQueryCacheHit measures steady-state handler latency for a
 // join query served from the plan/build cache — probe cost only, no parse,
 // no plan, no hash-table build. Compare with BenchmarkServeQueryCacheMiss
-// (which invalidates the cache every iteration, paying full build cost) for
-// the latency the cache removes.
+// (which sends every iteration to a fresh server, paying full build cost)
+// for the latency the cache removes.
 func BenchmarkServeQueryCacheHit(b *testing.B) {
-	srv, body := benchServer(b)
-	h := srv.Handler()
-	runServeBench(b, h, body, nil)
+	sum, body := benchSummary(b)
+	h := New(sum, Options{}).Handler()
+	serveBenchRequest(b, h, body) // warm the cache so the first iteration is hot
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveBenchRequest(b, h, body)
+	}
 }
 
-// BenchmarkServeQueryCacheMiss is the same request with the cache
-// invalidated before every iteration: parse + plan + build + probe.
+// BenchmarkServeQueryCacheMiss is the same request against a fresh server
+// every iteration, built outside the timer: parse + plan + build + probe.
 func BenchmarkServeQueryCacheMiss(b *testing.B) {
-	srv, body := benchServer(b)
-	h := srv.Handler()
-	runServeBench(b, h, body, srv.InvalidateCache)
+	sum, body := benchSummary(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		h := New(sum, Options{}).Handler()
+		b.StartTimer()
+		serveBenchRequest(b, h, body)
+	}
 }
 
-func benchServer(b *testing.B) (*Server, []byte) {
+func benchSummary(b *testing.B) (*summary.Database, []byte) {
 	b.Helper()
 	db, err := toy.Database(42)
 	if err != nil {
@@ -550,27 +480,14 @@ func benchServer(b *testing.B) (*Server, []byte) {
 		b.Fatal(err)
 	}
 	body, _ := json.Marshal(QueryRequest{SQL: "SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk AND s.a >= 20 AND s.a < 60"})
-	return New(sum, Options{}), body
+	return sum, body
 }
 
-func runServeBench(b *testing.B, h http.Handler, body []byte, perIter func()) {
-	b.Helper()
-	// Warm the cache once so the hit benchmark's first iteration is hot.
+func serveBenchRequest(b *testing.B, h http.Handler, body []byte) {
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
 	if w.Code != http.StatusOK {
-		b.Fatalf("warmup status %d: %s", w.Code, w.Body.String())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if perIter != nil {
-			perIter()
-		}
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
-		if w.Code != http.StatusOK {
-			b.Fatalf("status %d", w.Code)
-		}
+		b.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
 }
 
@@ -645,30 +562,6 @@ func TestPlanCacheSingleflight(t *testing.T) {
 }
 
 var errBoom = errors.New("boom")
-
-// TestPlanCacheInvalidateDuringBuild: a build in flight when invalidate
-// fires serves its waiters but must not repopulate the just-cleared cache.
-func TestPlanCacheInvalidateDuringBuild(t *testing.T) {
-	c := newPlanCache(8)
-	want := &engine.Prepared{}
-	prep, _, err := c.do("k", func() (*engine.Prepared, error) {
-		c.invalidate() // summary swapped while this build was running
-		return want, nil
-	})
-	if err != nil || prep != want {
-		t.Fatalf("do = %v, %v", prep, err)
-	}
-	if st := c.stats(); st.Entries != 0 {
-		t.Fatalf("stale build was cached: %d entries", st.Entries)
-	}
-	// The next request rebuilds and caches normally.
-	if _, _, err := c.do("k", func() (*engine.Prepared, error) { return want, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.stats(); st.Entries != 1 {
-		t.Fatalf("fresh build not cached: %d entries", st.Entries)
-	}
-}
 
 // TestServeBodyLimits pins the request-body hardening: an oversized body is
 // rejected with 413 before it can be decoded, and a declared non-JSON

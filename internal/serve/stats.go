@@ -15,7 +15,7 @@ const QueryRingSize = 32
 type QuerySummary struct {
 	SQL       string `json:"sql"`
 	RequestID string `json:"request_id,omitempty"`
-	// Cache is the plan-cache disposition: "hit", "miss", or "bypass".
+	// Cache is the plan-cache disposition: "hit" or "miss".
 	Cache     string `json:"cache,omitempty"`
 	ElapsedNS int64  `json:"elapsed_ns"`
 	Rows      int64  `json:"rows"`

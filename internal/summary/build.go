@@ -279,7 +279,7 @@ func prepareRelation(t *schema.Table, s *schema.Schema, w *preprocess.Workload, 
 		regionIdx[k] = i
 	}
 	if opts.GridCompare {
-		rb.rr.GridVars = region.Grid(fullSpace, rb.fullRegions, 0).VarCount
+		rb.rr.GridVars = region.Grid(fullSpace, rb.fullRegions).VarCount
 	}
 
 	// Union-find over axes: every region's footprint (the axes it

@@ -81,7 +81,6 @@ type Recorder struct {
 	arena []Span
 	used  int
 	extra []*Span // open-time overflow beyond the arena; recycled like the arena
-	root  *Span
 }
 
 // NewRecorder returns a recorder with an arena of capacity spans. The
@@ -110,12 +109,6 @@ func (r *Recorder) NewSpan(op, detail string) *Span {
 	sp.rec = r
 	return sp
 }
-
-// SetRoot designates the execution's root span; Root returns it.
-func (r *Recorder) SetRoot(sp *Span) { r.root = sp }
-
-// Root returns the execution's root span, or nil before SetRoot.
-func (r *Recorder) Root() *Span { return r.root }
 
 // Reset recycles every span for the next execution of the same operator
 // tree: counters and windows are zeroed, identities (Op, Detail, Children,

@@ -42,19 +42,6 @@ func (iv Interval) Len() int64 {
 // Contains reports whether v lies in the interval.
 func (iv Interval) Contains(v int64) bool { return v >= iv.Lo && v < iv.Hi }
 
-// ContainsInterval reports whether other is a subset of iv.
-func (iv Interval) ContainsInterval(other Interval) bool {
-	if other.Empty() {
-		return true
-	}
-	return other.Lo >= iv.Lo && other.Hi <= iv.Hi
-}
-
-// Overlaps reports whether the two intervals share at least one point.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Lo < other.Hi && other.Lo < iv.Hi && !iv.Empty() && !other.Empty()
-}
-
 // Intersect returns the intersection (possibly empty).
 func (iv Interval) Intersect(other Interval) Interval {
 	lo, hi := iv.Lo, iv.Hi
