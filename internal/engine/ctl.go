@@ -121,16 +121,19 @@ func (c *execCtl) annotateFrozen(node *ExecNode) *trace.Span {
 // span tree surface what generation never materialized. (annotate runs once
 // per open, off the hot path, so the formatting cost is irrelevant.)
 func nodeDetail(n *ExecNode) string {
+	detail := n.Table
 	switch {
 	case n.PredSQL != "":
 		return n.PredSQL
 	case n.JoinSQL != "":
 		return n.JoinSQL
 	case n.RowsPruned > 0 || n.SummaryRowsSkipped > 0:
-		return fmt.Sprintf("%s [pruned %d rows, skipped %d summary rows]", n.Table, n.RowsPruned, n.SummaryRowsSkipped)
-	default:
-		return n.Table
+		detail = fmt.Sprintf("%s [pruned %d rows, skipped %d summary rows]", n.Table, n.RowsPruned, n.SummaryRowsSkipped)
 	}
+	if n.Positional {
+		detail += " [positional]"
+	}
+	return detail
 }
 
 // withTimeout derives the execution deadline from ExecOptions.Timeout: a

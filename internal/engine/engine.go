@@ -7,7 +7,10 @@
 //
 // Values are integer codes (see package schema for the coding), moved in
 // column batches from one scan contract (batch.ColProjector); all operators
-// are pipelined iterators except the hash-join build side.
+// are pipelined iterators except a hash join's build side, which drains at
+// open — unless it is positional: a join on the primary key of a table
+// regenerated from its summary looks each probe key up in the summary and
+// drains nothing (exec_col.go, positionalLeaf).
 package engine
 
 import (
@@ -82,7 +85,7 @@ func (r *Relation) Row(i int) []int64 {
 
 // Database holds each table's one scan source — stored rows, a registered
 // summary the engine regenerates from, or an opaque datagen source — and
-// the build sides Prepare drained over them (shared.go). reg counts
+// the hash-join build sides Prepare drained over them (shared.go). reg counts
 // registrations: a Prepared made under an older count is stale.
 //
 // Register every table (AddRelation, SetDatagen, SetSummary) before

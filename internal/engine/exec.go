@@ -32,9 +32,14 @@ type ExecNode struct {
 	// RowsPruned and SummaryRowsSkipped are set on SCAN nodes whose
 	// row-space was pruned: tuples proven non-matching and never
 	// generated, and whole summary rows excluded outright.
-	RowsPruned         int64       `json:"rows_pruned,omitempty"`
-	SummaryRowsSkipped int64       `json:"summary_rows_skipped,omitempty"`
-	Children           []*ExecNode `json:"children,omitempty"`
+	RowsPruned         int64 `json:"rows_pruned,omitempty"`
+	SummaryRowsSkipped int64 `json:"summary_rows_skipped,omitempty"`
+	// Positional marks a join's build-side SCAN that is looked up by
+	// primary key in its summary instead of drained (see positionalLeaf):
+	// it generates nothing, so its OutRows is 0, and it keeps the pruning
+	// counts of the row-space its lookups are confined to.
+	Positional bool        `json:"positional,omitempty"`
+	Children   []*ExecNode `json:"children,omitempty"`
 
 	sp *trace.Span // span mirror when traced, nil otherwise
 }
@@ -57,7 +62,8 @@ type ExecResult struct {
 	// ExecOptions.Regime takes: PathSummary when the summary-direct aggregate
 	// fast path did, PathPruned when the operator pipeline ran over at least
 	// one scan whose row-space was pruned (some SCAN in Root reports
-	// RowsPruned > 0), PathRegen when every scan regenerated its whole table.
+	// RowsPruned > 0), PathRegen when every scan regenerated its whole table
+	// (or, a positional build leaf, looked keys up across all of it).
 	Path string
 }
 
@@ -105,9 +111,10 @@ type ExecOptions struct {
 	// engine take the best regime it can prove: summary-direct, else pruned
 	// scans, else full regeneration. PathPruned rules out the summary-direct
 	// answer (the operator pipeline runs, pruning where it can); PathRegen
-	// also rules out pruning (every scan iterates [0, Total) and every
-	// filter runs as a MatchVec operator). Lower regimes are byte-identical
-	// by construction; the ceiling exists for verification flows comparing
+	// also rules out pruning (every scan iterates [0, Total), every filter
+	// runs as a MatchVec operator, and every join drains its build side:
+	// none is positional). Lower regimes are byte-identical by
+	// construction; the ceiling exists for verification flows comparing
 	// full operator trees and for references and benchmarks that measure
 	// regeneration. ExecResult.Path reports the regime that ran. Prepare
 	// ignores it: it is a per-execution choice.

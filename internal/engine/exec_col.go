@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/generator"
 	"repro/internal/pred"
 	"repro/internal/trace"
 )
@@ -16,8 +18,13 @@ import (
 // each operator must populate, scans expand only those columns from the
 // summary, filters flip a selection vector instead of compacting row data,
 // and hash joins read nothing but the key column until output
-// materialization. Blocking root operators (COUNT(*), GROUP BY, DISTINCT,
-// ORDER BY) are the sink framework in sink.go. The one executor
+// materialization. A join's build side is one of two kinds. A hash build
+// drains its child into read-only arenas at open and indexes them. A
+// positional build — the build table regenerates from its summary and the
+// key is its primary key — drains nothing: each probe key is looked up in
+// the summary (generator.Lookup) and the matched tuple's columns are read
+// under the generator's law. Blocking root operators (COUNT(*), GROUP BY,
+// DISTINCT, ORDER BY) are the sink framework in sink.go. The one executor
 // (Prepared.run) composes these same operators, opened by the one opener
 // (openCol), every way it runs: it drives them batch-wise, or opens the
 // probe spine once per worker over shared build arenas and folds sink
@@ -56,7 +63,7 @@ type failingSource interface {
 	Err() error
 }
 
-// buildCache is where openCol's hash joins find their build sides — the
+// buildCache is where openCol's hash builds find their build sides — the
 // shared read-only columnar arena plus the build-side ExecNode subtree with
 // its counts as the drain left them — and where it leaves the ones it had to
 // drain. Two layers: base is a Prepared's cache, drained ahead over every
@@ -113,6 +120,34 @@ func (bc *buildCache) build(db *Database, pn *PlanNode, need []int, capRows int,
 		bc.m[pn] = &preparedBuild{jb: jb, node: node}
 	}
 	return jb, node, buildNS, nil
+}
+
+// positionalLeaf returns the scan join pn probes by position, with that
+// scan's reading (nil for a bare scan), or nil when the join builds a hash
+// table. A build is positional when its leaf is a scan of a summary-backed
+// table — bare, or under a filter the reading absorbed — and its key is
+// that table's primary key: tuple k of such a table is a pure function of
+// its summary and has primary key k, so a probe key finds its one match,
+// if any, by a lookup in the summary (generator.Lookup), and nothing is
+// drained. A residual filter stays an operator and a non-key build column
+// has many matches, so those leaves hash, as stored, paced and datagen
+// ones do. So do all leaves without a reading (the PathRegen ceiling):
+// full regeneration drains every build side.
+func positionalLeaf(db *Database, pn *PlanNode, pc *pruneCache) (*PlanNode, *scanPrune) {
+	if pc == nil {
+		return nil, nil
+	}
+	leaf := pn.Children[1]
+	if leaf.Op == OpFilter {
+		leaf = leaf.Children[0]
+		if pr := pc.scan(leaf); pr == nil || !pr.absorbed {
+			return nil, nil
+		}
+	}
+	if _, ok := db.summaries[leaf.Table]; !ok || leaf.Op != OpScan || db.Schema.Table(leaf.Table).PKIndex() != pn.RightKey {
+		return nil, nil
+	}
+	return leaf, pc.scan(leaf)
 }
 
 // cloneExecNode deep-copies a frozen build-side ExecNode subtree so each
@@ -180,11 +215,11 @@ func runColumnar(ctl *execCtl, it colIterator, b *batch.ColBatch, plan *Plan, op
 // It returns, besides the operator's output width, the populated column set
 // of the batches the operator fills — a superset of need when a scan also
 // writes predicate or key columns that ride along in the same physical
-// batch — which the parent must use to size its receiving batch. Hash-join
-// build sides are consumed at open time, through builds (see
-// buildCache.build). ctl is the execution's cancellation control, threaded
-// into every scan leaf (the engine's per-batch check point), and carries the
-// plan's pruned row-spaces.
+// batch — which the parent must use to size its receiving batch. Hash
+// builds are consumed at open time, through builds (see buildCache.build);
+// positional ones are looked up (positionalLeaf). ctl is the execution's
+// cancellation control, threaded into every scan leaf (the engine's
+// per-batch check point), and carries the plan's pruned row-spaces.
 func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildCache, ctl *execCtl) (colIterator, int, []int, *ExecNode, error) {
 	switch pn.Op {
 	case OpScan:
@@ -233,22 +268,42 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 		if err != nil {
 			return nil, 0, nil, nil, err
 		}
-		jb, buildNode, buildNS, err := builds.build(db, pn, cn[1], capRows, ctl)
-		if err != nil {
-			return nil, 0, nil, nil, err
+		var (
+			jb        *colJoinBuild
+			lk        *generator.Lookup
+			buildNode *ExecNode
+			buildNS   int64
+			bw        int
+		)
+		if leaf, pr := positionalLeaf(db, pn, ctl.prunes); leaf != nil {
+			// The build side is looked up, not drained: its leaf reports
+			// the reading's pruning and generates nothing.
+			gen := db.summaries[leaf.Table].gen
+			buildNode = &ExecNode{Op: leaf.Op.String(), Table: leaf.Table, Positional: true}
+			if pr != nil {
+				gen = pr.gen.SectionSet(pr.ivs)
+				buildNode.RowsPruned, buildNode.SummaryRowsSkipped = pr.pruned, pr.skipped
+			}
+			ctl.annotate(buildNode)
+			lk, bw = gen.Lookup(), gen.Cols()
+		} else {
+			if jb, buildNode, buildNS, err = builds.build(db, pn, cn[1], capRows, ctl); err != nil {
+				return nil, 0, nil, nil, err
+			}
+			bw = jb.width
 		}
 		node := &ExecNode{Op: pn.Op.String(), JoinSQL: pn.JoinSQL, Children: []*ExecNode{probeNode, buildNode}}
-		ji := newColHashJoinIter(probe, jb, pw, pn.LeftKey, need, probePop, capRows)
+		ji := newColHashJoinIter(probe, jb, lk, pw, pn.LeftKey, need, probePop, capRows)
 		ji.node = node
 		if sp := ctl.annotate(node); sp != nil {
 			// The build side drains at open, outside this operator's Next
 			// window: detach it from self-time math and report the drain
-			// wall clock on the join itself.
+			// wall clock on the join itself (0 for a positional build).
 			sp.BuildNS = buildNS
 			buildNode.sp.Detached = true
 			ji.sp, ji.rowBytes = sp, 8*int64(len(need))
 		}
-		return ji, pw + jb.width, need, node, nil
+		return ji, pw + bw, need, node, nil
 
 	case OpAggregate, OpGroupAgg, OpDistinct, OpSort:
 		// The blocking sinks are one operator over three states. What the
@@ -506,15 +561,35 @@ func (jb *colJoinBuild) index(key []int64) {
 	}
 }
 
+// maxBuildRows is the most rows a hash build indexes: the index holds arena
+// rows, run numbers and run bounds as int32.
+const maxBuildRows = math.MaxInt32
+
+// checkBuildRows fails a build that has reached rows rows, when the index
+// could not address them all: a build sound or an error, never one whose
+// int32 row numbers wrapped.
+func checkBuildRows(rows int) error {
+	if rows > maxBuildRows {
+		return fmt.Errorf("engine: hash-join build side of more than %d rows (%d drained) exceeds the join index", maxBuildRows, rows)
+	}
+	return nil
+}
+
 // newColJoinBuild drains the build-side iterator into the arenas, then
 // indexes them: only the need columns are retained (need must include the
 // key column); pop is the populated set of the build child's batches. The
 // drain is a complete execution of the build subtree, so its deferred error
-// (a scan source that stopped on bad input) is returned here.
+// (a scan source that stopped on bad input) is returned here, as is a build
+// too large to index (checkBuildRows).
 func newColJoinBuild(build colIterator, width, rightKey, capRows int, need, pop []int) (*colJoinBuild, error) {
 	jb := &colJoinBuild{width: width, arena: make([][]int64, width)}
 	b := batch.NewCol(width, capRows, pop)
+	rows := 0
 	for build.Next(b) {
+		rows += b.Live()
+		if err := checkBuildRows(rows); err != nil {
+			return nil, err
+		}
 		if sel := b.Sel(); sel == nil {
 			k := b.Len()
 			for _, c := range need {
@@ -535,12 +610,16 @@ func newColJoinBuild(build colIterator, width, rightKey, capRows int, need, pop 
 	return jb, build.deferredErr()
 }
 
-// colHashJoinIter streams probe batches against a colJoinBuild in two
-// phases per output batch. The pair loop walks the live probe rows in
-// selection order, reading nothing but the key column, looks each key up
-// once and appends a (probe row, arena row) pair per match; then one tight
-// gather loop per needed column fills the output — probe columns from the
-// probe batch by pRows, build columns from the arenas by bRows.
+// colHashJoinIter streams probe batches against a build side in two phases
+// per output batch. The pair loop walks the live probe rows in selection
+// order, reading nothing but the key column, looks each key up once and
+// appends a pair per match; then one tight gather loop per needed column
+// fills the output — probe columns from the probe batch by pRows, build
+// columns by the pairs' build halves. The build side is a colJoinBuild,
+// whose pairs name arena rows (bRows), or, for a positional join, a
+// generator.Lookup into the build table's summary: there a pair's probe
+// row is all it needs, its key naming the matched tuple, and the gather
+// reads the summary's law.
 type colHashJoinIter struct {
 	probe     colIterator
 	node      *ExecNode
@@ -548,11 +627,13 @@ type colHashJoinIter struct {
 	rowBytes  int64       // bytes materialized per output row
 	leftKey   int
 	probeCols int
-	build     *colJoinBuild
-	probeOut  []int // needed output columns from the probe side
-	buildOut  []int // needed output columns from the build side (build-local indices)
+	build     *colJoinBuild     // the hash build; nil for a positional join
+	pos       *generator.Lookup // the positional build; nil for a hash join
+	probeOut  []int             // needed output columns from the probe side
+	buildOut  []int             // needed output columns from the build side (build-local indices)
 
 	// The pair vectors, capacity the output batch's: pair i is output row i.
+	// bRows is nil for a positional join.
 	pRows, bRows []int32
 
 	// probe cursor, carried across Next calls when dst fills mid-batch
@@ -563,19 +644,22 @@ type colHashJoinIter struct {
 	done     bool
 }
 
-// newColHashJoinIter builds the probe-side iterator: need is the join
-// output's required columns, probePop the populated set of the probe
-// child's batches.
-func newColHashJoinIter(probe colIterator, jb *colJoinBuild, probeCols, leftKey int, need, probePop []int, capRows int) *colHashJoinIter {
+// newColHashJoinIter builds the probe-side iterator over one build side —
+// jb, or lk for a positional join: need is the join output's required
+// columns, probePop the populated set of the probe child's batches.
+func newColHashJoinIter(probe colIterator, jb *colJoinBuild, lk *generator.Lookup, probeCols, leftKey int, need, probePop []int, capRows int) *colHashJoinIter {
 	pbatch := batch.NewCol(probeCols, capRows, probePop)
 	h := &colHashJoinIter{
 		probe:     probe,
 		leftKey:   leftKey,
 		probeCols: probeCols,
 		build:     jb,
+		pos:       lk,
 		pRows:     make([]int32, pbatch.Cap()),
-		bRows:     make([]int32, pbatch.Cap()),
 		pbatch:    pbatch,
+	}
+	if lk == nil {
+		h.bRows = make([]int32, pbatch.Cap())
 	}
 	for _, c := range need {
 		if c < probeCols {
@@ -627,6 +711,9 @@ func (h *colHashJoinIter) Next(dst *batch.ColBatch) bool {
 // gathered first (from is where the ungathered pairs start); output
 // batches stay packed across probe batches.
 func (h *colHashJoinIter) next(dst *batch.ColBatch) bool {
+	if h.pos != nil {
+		return h.nextPositional(dst)
+	}
 	dst.Reset()
 	capRows := dst.Cap()
 	pRows, bRows := h.pRows[:capRows], h.bRows[:capRows]
@@ -690,6 +777,61 @@ func (h *colHashJoinIter) next(dst *batch.ColBatch) bool {
 	dst.SetLen(j)
 	h.node.OutRows += int64(j)
 	return j > 0
+}
+
+// nextPositional is next for a positional join: a key has at most one
+// match, so a pair never spills into the next output batch, and the pair
+// is its probe row alone — the gather reads each build column in the
+// summary at the probe row's key, for the pairs collected before each
+// probe pull as for the probe columns.
+func (h *colHashJoinIter) nextPositional(dst *batch.ColBatch) bool {
+	dst.Reset()
+	capRows := dst.Cap()
+	pRows := h.pRows[:capRows]
+	lk := h.pos
+	j, from := 0, 0
+	for j < capRows && !h.done {
+		live := h.pbatch.Live()
+		if h.pi >= live {
+			h.gatherPositional(dst, from, j)
+			from = j
+			if !h.probe.Next(h.pbatch) {
+				h.done = true
+				break
+			}
+			h.pi = 0
+			continue
+		}
+		keys, sel := h.pbatch.Col(h.leftKey), h.pbatch.Sel()
+		pi := h.pi
+		for pi < live && j < capRows {
+			p := int32(pi)
+			if sel != nil {
+				p = sel[pi]
+			}
+			pi++
+			if lk.Has(keys[p]) {
+				pRows[j] = p
+				j++
+			}
+		}
+		h.pi = pi
+	}
+	h.gatherPositional(dst, from, j)
+	dst.SetLen(j)
+	h.node.OutRows += int64(j)
+	return j > 0
+}
+
+// gatherPositional fills output rows [from, to) of a positional join from
+// the current probe batch: its probe columns, and the build columns of the
+// tuples its keys name.
+func (h *colHashJoinIter) gatherPositional(dst *batch.ColBatch, from, to int) {
+	h.gatherProbe(dst, from, to)
+	keys, rows := h.pbatch.Col(h.leftKey), h.pRows[from:to]
+	for _, bc := range h.buildOut {
+		h.pos.Gather(dst.Col(h.probeCols + bc)[from:to], bc, keys, rows)
+	}
 }
 
 // gatherProbe fills the probe columns of output rows [from, to) from the

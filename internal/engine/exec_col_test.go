@@ -294,7 +294,7 @@ func openRowsJoin(t *testing.T, probe, build [][]int64, size int) (ji *colHashJo
 	}
 	leaf = &colScanIter{src: rowsScan(probe), cols: []int{0, 1, 2}, node: &ExecNode{}, ctl: &execCtl{}}
 	pulls = &pullCounter{colIterator: leaf}
-	ji = newColHashJoinIter(pulls, jb, 3, 1, batch.AllCols(5), []int{0, 1, 2}, size)
+	ji = newColHashJoinIter(pulls, jb, nil, 3, 1, batch.AllCols(5), []int{0, 1, 2}, size)
 	ji.node = &ExecNode{}
 	return ji, leaf, pulls
 }
@@ -347,5 +347,22 @@ func TestHashJoinResetDropsCutRun(t *testing.T) {
 	got := drainProjected(ji, b, batch.AllCols(5))
 	if want := nestedLoopJoin(next, build, 1, 0, func([]int64) bool { return true }); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after reset: rows %v, want %v", got, want)
+	}
+}
+
+// TestHashBuildRowLimit: the join index numbers arena rows as int32, so a
+// hash build is refused once its drain passes maxBuildRows rows — checked
+// on the row count, which is what newColJoinBuild checks after every
+// batch, so the refusal is tested without allocating the rows.
+func TestHashBuildRowLimit(t *testing.T) {
+	for _, rows := range []int{0, 1, maxBuildRows - 1, maxBuildRows} {
+		if err := checkBuildRows(rows); err != nil {
+			t.Fatalf("%d rows: %v", rows, err)
+		}
+	}
+	for _, rows := range []int{maxBuildRows + 1, math.MaxInt32 + 4096, math.MaxInt} {
+		if err := checkBuildRows(rows); err == nil {
+			t.Fatalf("%d rows: a build the int32 index cannot address was accepted", rows)
+		}
 	}
 }

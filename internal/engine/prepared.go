@@ -10,8 +10,9 @@ import (
 )
 
 // Prepared is a plan readied for repeated execution against one database:
-// every hash-join build side has been drained into a read-only columnar
-// arena, so each Execute pays probe cost only. Because dataless scans are
+// every hash build side has been drained into a read-only columnar arena
+// (a positional one needs nothing ahead: it is looked up in the summary),
+// so each Execute pays probe cost only. Because dataless scans are
 // pure functions of the summary, a build side depends on its build leaf
 // alone, and the arenas are valid until a table of the database is
 // registered again (after which executions fail with ErrStalePrepared): a
@@ -32,9 +33,11 @@ import (
 //	Prepared.Execute[Context]   the caller's        fresh
 //	Prepared.ExecuteIn[Context] the caller's        the caller's, reused
 //
-// Empty caches mean nothing is drained or read ahead: builds drain live at
-// open, and open reads the registered summaries (buildPruneCache) itself.
-// Either way each plan reads each summary once.
+// Empty caches mean nothing is drained or read ahead: hash builds drain
+// live at open, and open reads the registered summaries (buildPruneCache)
+// itself. Either way each plan reads each summary once. Under the PathRegen
+// ceiling there is no reading, so no join is positional: a build Prepare
+// left to lookups drains live at open.
 type Prepared struct {
 	db     *Database
 	plan   *Plan
@@ -53,8 +56,9 @@ var ErrStalePrepared = errors.New("prepared statement is stale: a table was regi
 // Plan returns the compiled plan the Prepared executes.
 func (p *Prepared) Plan() *Plan { return p.plan }
 
-// Prepare compiles the plan's hash-join build sides into shared arenas.
-// Builds materialize every build-side column, so later executions may
+// Prepare compiles the plan's hash builds into shared arenas, and reads the
+// summaries once; positional builds need nothing more. Hash builds
+// materialize every build-side column, so later executions may
 // request any sample projection. opts supplies the build drain's batch
 // size; Parallelism, SampleLimit, Timeout, and Regime are ignored here (the
 // drain is deliberately uncancellable: a Prepared under construction is not
@@ -76,11 +80,11 @@ func Prepare(db *Database, plan *Plan, opts ExecOptions) (*Prepared, error) {
 	return p, nil
 }
 
-// drainBuilds fills the cache with the build side of every hash join under
-// pn. A build leaf the database's shared layer holds is taken from it; one
-// it lacks is drained and published. (A leaf's prune row-space, like its
-// rows, is a function of the leaf alone, so a shared build is the one this
-// plan would have drained.)
+// drainBuilds fills the cache with the build side of every hash build
+// under pn; a positional one is skipped. A build leaf the database's shared
+// layer holds is taken from it; one it lacks is drained and published. (A
+// leaf's prune row-space, like its rows, is a function of the leaf alone,
+// so a shared build is the one this plan would have drained.)
 func (p *Prepared) drainBuilds(pn *PlanNode, capRows int, builds *buildCache, ctl *execCtl) error {
 	for _, c := range pn.Children {
 		if err := p.drainBuilds(c, capRows, builds, ctl); err != nil {
@@ -89,6 +93,9 @@ func (p *Prepared) drainBuilds(pn *PlanNode, capRows int, builds *buildCache, ct
 	}
 	if pn.Op != OpHashJoin {
 		return nil
+	}
+	if leaf, _ := positionalLeaf(p.db, pn, p.prunes); leaf != nil {
+		return nil // looked up at open, never drained
 	}
 	leaf := buildLeafOf(pn)
 	pb, gen := p.db.builds.get(leaf)

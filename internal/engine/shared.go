@@ -15,6 +15,12 @@ import (
 // and a Prepare that drains one publishes it, so however many Prepareds
 // hold a leaf, it was drained and is stored once.
 //
+// The layer holds hash builds only: stored, paced and datagen tables, keys
+// other than a primary key, and filters a plan's reading leaves residual. A
+// join on the primary key of a summary-backed table is positional
+// (positionalLeaf) — it looks keys up in the summary, drains nothing, and
+// leaves nothing here.
+//
 // Entries are weak: one is found for as long as some Prepared holds it (and
 // perhaps a little longer, until the GC clears the pointer — results are
 // identical either way; only who drains differs), and a cleanup removes the
@@ -113,7 +119,8 @@ func (s *sharedBuilds) bytes() int64 {
 	return n
 }
 
-// SharedBuildBytes reports the bytes held by the build sides live in the
-// database's shared layer, each counted once however many Prepareds hold
-// it: per build its populated arenas plus its key index.
+// SharedBuildBytes reports the bytes held by the hash-join build sides live
+// in the database's shared layer, each counted once however many Prepareds
+// hold it: per build its populated arenas plus its key index. Positional
+// joins hold no build and add nothing.
 func (db *Database) SharedBuildBytes() int64 { return db.builds.bytes() }

@@ -14,10 +14,13 @@
 // Section or Partition of it, or the engine's pruned SectionSet of it),
 // and the Paced limiter. NextColBatch is the kernel under projection
 // pushdown. Consumers that want whole rows read either through
-// batch.RowReader.
+// batch.RowReader. Beside the kernel, a Lookup reads the same law at single
+// tuples by primary key: the engine's positional joins probe a regenerated
+// table through one instead of draining it.
 package generator
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/batch"
@@ -335,6 +338,155 @@ func (s *Stream) fillColBatch(dst *batch.ColBatch, cols []int, limit int) int64 
 		s.pk += k
 	}
 	return s.pk - start
+}
+
+// Lookup is a point-lookup cursor over a stream: the kernel's law read at
+// one tuple instead of expanded over a run. A stream's tuple with global
+// index k has primary key k, so a key–foreign-key join into the relation
+// finds its one match, if any, by position — no tuple is generated ahead
+// and nothing is hashed. The cursor remembers the key interval its last
+// hit landed in, the gap its last miss did, and the summary row its last
+// gathered key came from: regenerated foreign keys walk their cycling sets
+// in ascending runs, so a lookup rarely searches. It only reads the
+// stream, whose cursor it leaves alone, so any number of Lookups over one
+// stream may run concurrently, one per goroutine.
+type Lookup struct {
+	s *Stream
+	// ivs are the keys the stream produces, as ascending disjoint
+	// global-row intervals: its row space cut to its window and to the
+	// tuples the summary rows hold — the stream's own ivs when that cuts
+	// nothing.
+	ivs []value.Interval
+	// The interval of ivs the last hit landed in, and the gap between
+	// intervals the last miss did, each as its first key and its width: k
+	// lies in [lo, lo+n) exactly when uint64(k−lo) < n, int64 wrap-around
+	// included, which keeps Has one comparison per range.
+	lo, mlo int64
+	n, mn   uint64
+	row     int // summary row of the last key Gather read
+}
+
+// Lookup returns a point-lookup cursor over the tuples the stream produces
+// in full: those of its window of the row space.
+func (s *Stream) Lookup() *Lookup {
+	l := &Lookup{s: s, ivs: s.ivs}
+	last := s.cum[len(s.rel.Rows)]
+	if n := len(s.ivs); s.base > 0 || s.end < s.pcum[n] || n > 0 && s.ivs[n-1].Hi > last {
+		l.ivs = nil
+		for seg, iv := range s.ivs {
+			lo := iv.Lo + max(s.base-s.pcum[seg], 0)
+			hi := min(iv.Lo+(s.end-s.pcum[seg]), iv.Hi, last)
+			if lo < hi {
+				l.ivs = append(l.ivs, value.Ival(lo, hi))
+			}
+		}
+	}
+	return l
+}
+
+// Has reports whether the stream produces the tuple with global index (and
+// primary key) k: k lies in its row space, within its window, and before
+// the summary rows run out. Any other k, negative included, has no match.
+// Small enough to inline into a probe loop; find searches.
+func (l *Lookup) Has(k int64) bool {
+	return uint64(k-l.lo) < l.n || uint64(k-l.mlo) >= l.mn && l.find(k)
+}
+
+// find is Has on a key outside the remembered interval and gap: a binary
+// search for the interval that holds k, or for the gap k falls in.
+//
+//hydra:hotpath
+func (l *Lookup) find(k int64) bool {
+	ivs := l.ivs
+	// Smallest seg with ivs[seg].Hi > k: the only interval that can hold k.
+	lo, hi := 0, len(ivs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ivs[mid].Hi > k {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo < len(ivs) && k >= ivs[lo].Lo {
+		l.lo, l.n = ivs[lo].Lo, uint64(ivs[lo].Hi-ivs[lo].Lo)
+		return true
+	}
+	// The gap reaches from the interval below, or the least int64, to the
+	// interval above, or through the greatest int64. A gap from the least
+	// through the greatest is one key wider than a uint64 counts: its
+	// greatest key falls through to find, which answers false again.
+	l.mlo, l.mn = math.MinInt64, math.MaxUint64
+	if lo > 0 {
+		l.mlo = ivs[lo-1].Hi
+		l.mn = uint64(math.MaxInt64-l.mlo) + 1
+	}
+	if lo < len(ivs) {
+		l.mn = uint64(ivs[lo].Lo - l.mlo)
+	}
+	return false
+}
+
+// Gather fills dst[i] with column c of the tuple whose global index is
+// keys[at[i]] — a key Has found — exactly as fillColBatch generates it,
+// under the law of synopsis.Row.Spec: the key itself in the primary key, 0
+// where the tuple's summary row r leaves c unspecced, the row's Fixed
+// value, or Set.At((k − cum[r]) mod |Set|) for a cycling set. The summary
+// row is searched for only when a key leaves the last one's, and the spec
+// is resolved once per summary row. (at lets a join gather straight from
+// its probe batch's key column by the probe rows of its matches.)
+//
+//hydra:hotpath
+func (l *Lookup) Gather(dst []int64, c int, keys []int64, at []int32) {
+	s := l.s
+	if c == s.pkIdx {
+		for i, a := range at[:len(dst)] {
+			dst[i] = keys[a]
+		}
+		return
+	}
+	cum, r := s.cum, l.row
+	sp, span := s.spec(r, c)
+	for i, a := range at[:len(dst)] {
+		k := keys[a]
+		if k < cum[r] || k >= cum[r+1] {
+			// Smallest r with cum[r+1] > k: summary row r holds tuple k.
+			lo, hi := 0, len(s.rel.Rows)
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if cum[mid+1] > k {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			r = lo
+			sp, span = s.spec(r, c)
+		}
+		switch {
+		case sp == nil:
+			dst[i] = 0
+		case sp.Fixed != nil:
+			dst[i] = *sp.Fixed
+		default:
+			dst[i] = sp.Set.At((k - cum[r]) % span)
+		}
+	}
+	l.row = r
+}
+
+// spec resolves column c's spec in summary row r (nil past the last row,
+// where Gather's cursor starts on an empty relation) and, for a cycling
+// set, its length.
+func (s *Stream) spec(r, c int) (*synopsis.ColSpec, int64) {
+	if r >= len(s.rel.Rows) {
+		return nil, 0
+	}
+	sp := s.rel.Rows[r].Spec(c, s.pkIdx)
+	if sp == nil || sp.Fixed != nil {
+		return sp, 0
+	}
+	return sp, sp.Set.Len()
 }
 
 // fillCycling writes one cycling-set column segment: value i of the segment

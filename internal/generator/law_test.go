@@ -1,6 +1,9 @@
 package generator
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/batch"
@@ -233,5 +236,102 @@ func TestNextBatchIsTheKernelPivoted(t *testing.T) {
 	b := batch.New(s.Cols(), 8)
 	if s.NextBatch(b) || b.Len() != 0 {
 		t.Fatalf("empty relation: NextBatch produced %d rows", b.Len())
+	}
+}
+
+// randomLawSummary draws a summary over genTable's columns: rows of 0–9
+// tuples (zero-count rows among them), column a Fixed — 0 included, which
+// is not the same spec as none — or unspecced, and column fk a cycling set
+// of one to three intervals whose length rarely divides the row's count, so
+// cycles are cut at row boundaries and restart in the next row. skew moves
+// Total off the rows' sum: the stream then stops at whichever ends first.
+func randomLawSummary(rng *rand.Rand, skew int64) *synopsis.Relation {
+	rel := &synopsis.Relation{Table: "t"}
+	for range 1 + rng.Intn(8) {
+		row := synopsis.Row{Count: int64(rng.Intn(10))}
+		if rng.Intn(3) > 0 {
+			row.Specs = append(row.Specs, synopsis.FixedSpec(1, int64(rng.Intn(2)*rng.Intn(50))))
+		}
+		var set value.IntervalSet
+		lo := int64(rng.Intn(5))
+		for range 1 + rng.Intn(3) {
+			hi := lo + 1 + int64(rng.Intn(4))
+			set = append(set, value.Ival(lo, hi))
+			lo = hi + 1 + int64(rng.Intn(3))
+		}
+		row.Specs = append(row.Specs, synopsis.SetSpec(2, set))
+		rel.Rows = append(rel.Rows, row)
+		rel.Total += row.Count
+	}
+	rel.Total = max(rel.Total+skew, 0)
+	return rel
+}
+
+// TestLookupObeysTheLaw pins the point lookup to the kernel: over random
+// summaries and every kind of stream — whole, a random row space, a window
+// of that — Has finds exactly the primary keys the stream generates, and
+// Gather returns the generated tuple's value in every column, for keys in
+// generation order and shuffled (so the summary-row cache misses).
+// Outside what the stream generates — below 0, past Total, in the row
+// space's gaps, beyond the window, at the int64 extremes — there is no
+// match.
+func TestLookupObeysTheLaw(t *testing.T) {
+	tbl := genTable()
+	width := len(tbl.Columns)
+	rng := rand.New(rand.NewSource(36))
+	for i := range 300 {
+		rel := randomLawSummary(rng, int64(i%5)-2)
+		var ivs []value.Interval
+		for lo := int64(rng.Intn(3)); lo < rel.Total; lo += 2 + int64(rng.Intn(5)) {
+			hi := min(lo+1+int64(rng.Intn(4)), rel.Total)
+			ivs = append(ivs, value.Ival(lo, hi))
+			lo = hi
+		}
+		whole := NewStream(tbl, rel)
+		space := whole.SectionSet(ivs)
+		n := space.Total()
+		streams := map[string]*Stream{
+			"whole":  whole,
+			"space":  space,
+			"window": space.Section(n/4, n-n/3).(*Stream),
+		}
+		for name, s := range streams {
+			label := fmt.Sprintf("summary %d %s", i, name)
+			tuples := readAll(s.Section(0, s.Total()), width, 7)
+			byKey := make(map[int64][]int64, len(tuples))
+			var keys []int64
+			for _, tup := range tuples {
+				byKey[tup[0]] = tup
+				keys = append(keys, tup[0])
+			}
+			lk := s.Lookup()
+			probe := []int64{math.MinInt64, -1, rel.Total, rel.Total + 1, math.MaxInt64}
+			for k := int64(-3); k < rel.Total+3; k++ {
+				probe = append(probe, k)
+			}
+			for _, k := range probe {
+				if _, want := byKey[k]; lk.Has(k) != want {
+					t.Fatalf("%s: Has(%d) = %v, want %v (summary %+v, row space %v)", label, k, !want, want, rel, ivs)
+				}
+			}
+			// Gather reads keys by index: in generation order, and shuffled.
+			inOrder := make([]int32, len(keys))
+			for j := range inOrder {
+				inOrder[j] = int32(j)
+			}
+			shuffled := append([]int32(nil), inOrder...)
+			rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+			for _, at := range [][]int32{inOrder, shuffled} {
+				for c := range width {
+					got := make([]int64, len(at))
+					lk.Gather(got, c, keys, at)
+					for j, a := range at {
+						if k := keys[a]; got[j] != byKey[k][c] {
+							t.Fatalf("%s: column %d of tuple %d = %d, want %d (summary %+v)", label, c, k, got[j], byKey[k][c], rel)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -18,7 +18,9 @@
 // SelfNS = DurNS − Σ(nested children DurNS). Hash-join build sides are the
 // exception — they drain at operator-open time, outside the parent's Next
 // window — and are marked Detached so self-time math excludes them; the
-// drain wall clock is reported separately as the join's BuildNS.
+// drain wall clock is reported separately as the join's BuildNS. A
+// positional build side drains nothing: its span stays empty (0 rows, no
+// BuildNS), detached all the same, and its lookups are the join's own time.
 package trace
 
 import (

@@ -124,8 +124,11 @@ func TestParallelParityVelocityFallback(t *testing.T) {
 // over the same s build leaf — whatever its probe side or batch size —
 // takes the database's shared build and opens s not at all, a different s
 // filter is a different leaf and drains once, and SetDatagen or SetSummary
-// drops the shared builds so the next Prepare drains again. (SetSummary
-// replaces the counting source, so that drop shows in SharedBuildBytes.)
+// drops the shared builds so the next Prepare drains again. (s is a
+// datagen table throughout, so its build drains: a summary-backed s would
+// be looked up positionally and never drained. The SetSummary step
+// re-registers t, whose builds are positional, and the drop of s's build
+// shows in SharedBuildBytes.)
 func TestBuildSideOpenedOnce(t *testing.T) {
 	db := core.RegenDatabase(toySummary(t), 0)
 	tab, rel, opens := db.Schema.Table("s"), db.Summary("s"), 0
@@ -208,11 +211,11 @@ func TestBuildSideOpenedOnce(t *testing.T) {
 	prepareOpens("different s filter", strings.Replace(toy.Query, "s.a < 60", "s.a < 50", 1), 0, 1)
 	db.SetDatagen("s", counting)
 	prepareOpens("after SetDatagen", toy.Query, 0, 1)
-	db.SetSummary("s", rel)
+	db.SetSummary("t", db.Summary("t"))
 	if n := db.SharedBuildBytes(); n != 0 {
 		t.Errorf("after SetSummary: %d shared build bytes, want 0", n)
 	}
-	fresh := prepareOpens("after SetSummary", toy.Query, 0, 0)
+	fresh := prepareOpens("after SetSummary", toy.Query, 0, 1)
 	if db.SharedBuildBytes() == 0 {
 		t.Error("after SetSummary: a held Prepared published no shared build")
 	}

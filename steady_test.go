@@ -76,37 +76,52 @@ func TestExecuteInDatalessParity(t *testing.T) {
 }
 
 // TestSteadyStateZeroAlloc pins allocs_per_op == 0 for the dataless
-// scan→filter→count steady state: after the first ExecuteIn builds the
+// operator pipeline's steady state: after the first ExecuteIn builds the
 // reusable state, repeated executions — regenerating every tuple from the
-// summary each time — allocate nothing. This is the contract the bench/
-// ledger's engine.steady_allocs reports.
+// summary each time — allocate nothing. That holds for scan→filter→count
+// and for joins whose build sides are positional, looked up in the summary
+// per probe (the shape of the bench/ ledger's engine.steady_allocs, which
+// reports this contract).
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
 	// The PathPruned ceiling keeps this audit on the operator pipeline it
 	// was written for; the summary-direct path has its own audit below.
 	opts := ExecOptions{Regime: engine.PathPruned}
-	prep, err := Prepare(db, "SELECT COUNT(*) FROM s WHERE s.a >= 20 AND s.a < 60", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st engine.ExecState
-	res, err := prep.ExecuteIn(&st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := res.Count
-	allocs := testing.AllocsPerRun(200, func() {
+	for _, q := range []struct {
+		sql        string
+		positional int // positional build leaves the plan must hold
+	}{
+		{"SELECT COUNT(*) FROM s WHERE s.a >= 20 AND s.a < 60", 0},
+		{"SELECT s.b, COUNT(*), SUM(s.a) FROM r, s WHERE r.s_fk = s.s_pk GROUP BY s.b", 1},
+		{toy.Query, 2},
+	} {
+		sql := q.sql
+		prep, err := Prepare(db, sql, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st engine.ExecState
 		res, err := prep.ExecuteIn(&st, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Count != want {
-			t.Fatalf("count drifted: %d, want %d", res.Count, want)
+		if n := len(positionalTables(res.Root)); n != q.positional {
+			t.Fatalf("%s: %d positional build leaves, want %d", sql, n, q.positional)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state dataless count allocates %.2f objects per query, want 0", allocs)
+		rows, count := res.Rows, res.Count
+		allocs := testing.AllocsPerRun(200, func() {
+			res, err := prep.ExecuteIn(&st, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rows != rows || res.Count != count {
+				t.Fatalf("%s: rows/count drifted: %d/%d, want %d/%d", sql, res.Rows, res.Count, rows, count)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: steady state allocates %.2f objects per query, want 0", sql, allocs)
+		}
 	}
 }
 

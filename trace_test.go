@@ -185,22 +185,27 @@ func scrubTimings(s string) string {
 
 // TestExplainAnalyzeGolden pins the rendered EXPLAIN ANALYZE output for a
 // join query on the toy database: tree drawing, operator details, observed
-// cardinalities, selectivities, and the detached build-side marker, with
-// only the timing values scrubbed.
+// cardinalities, selectivities, the positional build leaves, and — under
+// full regeneration — the drained, detached build sides and their build=
+// clocks, with only the timing values scrubbed.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
-	res, err := Query(db, "EXPLAIN ANALYZE "+toy.Query, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace == nil {
-		t.Fatal("EXPLAIN ANALYZE returned no span tree")
-	}
-	got := scrubTimings(RenderTrace(res.Trace))
-	want := strings.TrimPrefix(explainGolden, "\n")
-	if got != want {
-		t.Fatalf("EXPLAIN ANALYZE render drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
+	for _, c := range []struct {
+		regime, golden string
+	}{{"", explainGolden}, {engine.PathRegen, explainRegenGolden}} {
+		res, err := Query(db, "EXPLAIN ANALYZE "+toy.Query, ExecOptions{Regime: c.regime})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Trace == nil {
+			t.Fatal("EXPLAIN ANALYZE returned no span tree")
+		}
+		got := scrubTimings(RenderTrace(res.Trace))
+		want := strings.TrimPrefix(c.golden, "\n")
+		if got != want {
+			t.Fatalf("regime %q: EXPLAIN ANALYZE render drifted:\n--- got ---\n%s--- want ---\n%s", c.regime, got, want)
+		}
 	}
 }
 
@@ -259,12 +264,28 @@ func TestRenderTraceParallelShape(t *testing.T) {
 // explainGolden is the scrubbed EXPLAIN ANALYZE rendering of toy.Query on
 // the seed-42 toy summary. Regenerate by running this test with -v after an
 // intentional render change and copying the "got" block. Both single-table
-// filters are fully absorbed by scan pruning: the scans iterate only the
-// qualifying row-space and report what generation never materialized.
+// filters are fully absorbed by scan pruning, and both joins are on the
+// build table's primary key, so each build side is positional: looked up in
+// its summary within the qualifying row-space, it drains nothing (rows=0,
+// no build= clock) and reports what generation never materialized.
 const explainGolden = `
+HASH JOIN r.t_fk = t.t_pk  (time=X self=X rows=531 batches=1 sel=13.5%)
+├── HASH JOIN r.s_fk = s.s_pk  (time=X self=X rows=3924 batches=4 bytes=31392 sel=39.2%)
+│   ├── SCAN r  (time=X self=X rows=10000 batches=10 bytes=160000)
+│   └── SCAN s [pruned 305 rows, skipped 3 summary rows] [positional]  (time=X self=X rows=0 batches=0 detached)
+└── SCAN t [pruned 86 rows, skipped 2 summary rows] [positional]  (time=X self=X rows=0 batches=0 detached)
+`
+
+// explainRegenGolden is the same query under the PathRegen ceiling: the
+// filters run as operators over whole scans, and every build side is
+// drained at open — detached from self time, its wall clock the join's
+// build=.
+const explainRegenGolden = `
 HASH JOIN r.t_fk = t.t_pk  (time=X self=X rows=531 batches=1 build=X sel=13.5%)
 ├── HASH JOIN r.s_fk = s.s_pk  (time=X self=X rows=3924 batches=4 bytes=31392 build=X sel=38.5%)
 │   ├── SCAN r  (time=X self=X rows=10000 batches=10 bytes=160000)
-│   └── SCAN s [pruned 305 rows, skipped 3 summary rows]  (time=X self=X rows=195 batches=1 bytes=1560 detached)
-└── SCAN t [pruned 86 rows, skipped 2 summary rows]  (time=X self=X rows=14 batches=1 bytes=112 detached)
+│   └── FILTER a ∈ {[20,60)}  (time=X self=X rows=195 batches=1 sel=39.0% detached)
+│       └── SCAN s  (time=X self=X rows=500 batches=1 bytes=8000)
+└── FILTER c ∈ {[2,3)}  (time=X self=X rows=14 batches=1 sel=14.0% detached)
+    └── SCAN t  (time=X self=X rows=100 batches=1 bytes=1600)
 `
