@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -68,7 +69,7 @@ func cmdClient(args []string) error {
 		}
 		fmt.Printf("anonymization mapping (keep private): %s\n", *mapOut)
 	}
-	if err := writePackage(*out, pkg); err != nil {
+	if err := writeFile(*out, pkg.Encode); err != nil {
 		return err
 	}
 	fmt.Printf("captured %d queries over %d tables -> %s\n", len(pkg.Workload), len(pkg.Schema.Tables), *out)
@@ -78,7 +79,7 @@ func cmdClient(args []string) error {
 func cmdVendor(args []string) error {
 	fs := flag.NewFlagSet("vendor", flag.ExitOnError)
 	in := fs.String("in", "pkg.json", "transfer package")
-	out := fs.String("out", "summary.json", "summary output (JSON)")
+	out := fs.String("out", "summary.json.gz", "summary output (gzip'd JSON)")
 	grid := fs.Bool("grid", false, "also compute the DataSynth grid-partitioning LP sizes")
 	fs.Parse(args)
 
@@ -105,17 +106,12 @@ func cmdVendor(args []string) error {
 			us(rr.PartitionTime), us(rr.SolveTime), us(rr.NeedsTime), us(rr.AlignTime))
 	}
 	fmt.Printf("total: %v, summary %d bytes -> %s\n", rep.TotalTime.Round(time.Millisecond), rep.SummaryBytes, *out)
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return sum.EncodeJSON(f)
+	return writeFile(*out, sum.EncodeJSON)
 }
 
 func cmdGenerate(args []string) error {
 	fs := flag.NewFlagSet("generate", flag.ExitOnError)
-	in := fs.String("summary", "summary.json", "summary file")
+	in := fs.String("summary", "summary.json.gz", "summary file")
 	table := fs.String("table", "", "table to regenerate (required)")
 	limit := fs.Int64("limit", 10, "rows to print (0 = all)")
 	rate := fs.Float64("rate", 0, "velocity in rows/sec (0 = unlimited)")
@@ -135,12 +131,11 @@ func cmdGenerate(args []string) error {
 		return fmt.Errorf("table %q not in summary", *table)
 	}
 	if *csvOut != "" {
-		f, err := os.Create(*csvOut)
-		if err != nil {
+		var n int64
+		err := writeFile(*csvOut, func(w io.Writer) (err error) {
+			n, err = generator.Materialize(w, t, rel)
 			return err
-		}
-		defer f.Close()
-		n, err := generator.Materialize(f, t, rel)
+		})
 		if err != nil {
 			return err
 		}
@@ -190,7 +185,7 @@ func cmdGenerate(args []string) error {
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	in := fs.String("in", "pkg.json", "transfer package (expected annotations)")
-	sumIn := fs.String("summary", "summary.json", "summary file")
+	sumIn := fs.String("summary", "summary.json.gz", "summary file")
 	worst := fs.Int("worst", 5, "show the k worst edges")
 	rate := fs.Float64("rate", 0, "generation velocity during verification")
 	fs.Parse(args)
@@ -247,7 +242,7 @@ func cmdScenario(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := writePackage(*out, scaled); err != nil {
+		if err := writeFile(*out, scaled.Encode); err != nil {
 			return err
 		}
 		fmt.Printf("scaled package -> %s\n", *out)

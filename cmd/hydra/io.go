@@ -1,21 +1,31 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
-	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
 	"repro/internal/summary"
 )
 
-func writePackage(path string, pkg *core.TransferPackage) error {
+// writeFile creates path and fills it through write, returning the first
+// of write's, the buffer flush's and the file close's errors: a full disk
+// may surface only at the flush or the close.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return pkg.Encode(f)
+	bw := bufio.NewWriter(f)
+	if err = write(bw); err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func readPackage(path string) (*core.TransferPackage, error) {
@@ -37,12 +47,6 @@ func readSummary(path string) (*summary.Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sum.Schema == nil {
-		return nil, fmt.Errorf("summary %s has no schema", path)
-	}
-	if err := sum.Schema.Validate(); err != nil {
-		return nil, err
-	}
 	if err := sum.Validate(); err != nil {
 		return nil, err
 	}
@@ -50,12 +54,9 @@ func readSummary(path string) (*summary.Database, error) {
 }
 
 func writeJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+	return writeFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }

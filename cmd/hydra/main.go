@@ -5,17 +5,17 @@
 // Usage:
 //
 //	hydra client   -scenario tpcds -sf 1 -queries 131 -out pkg.json [-anonymize]
-//	hydra vendor   -in pkg.json -out summary.json [-grid]
-//	hydra generate -summary summary.json -table item [-limit 10] [-rate 5000] [-csv out.csv]
-//	hydra verify   -in pkg.json -summary summary.json [-worst 10]
+//	hydra vendor   -in pkg.json -out summary.json.gz [-grid]
+//	hydra generate -summary summary.json.gz -table item [-limit 10] [-rate 5000] [-csv out.csv]
+//	hydra verify   -in pkg.json -summary summary.json.gz [-worst 10]
 //	hydra scenario -in pkg.json -factor 1000 [-out scaled.json]
-//	hydra serve    -summary summary.json [-addr :8372] [-parallelism 8] [-rate 0]
+//	hydra serve    -summary summary.json.gz [-addr :8372] [-parallelism 8] [-rate 0]
 //	               [-max-inflight 16] [-queue 64] [-timeout 30s] [-drain 10s]
 //	               [-trace] [-slow-query 250ms] [-pprof]
 //	hydra loadtest [-url http://127.0.0.1:8372] [-rate 500] [-clients 8] [-duration 5s]
 //	hydra bench    [-exp all|E1|…|E10] [-sf 1] [-queries 131]
 //
-// All artifacts are JSON; nothing touches a real database — the client
+// All artifacts are JSON (the summary gzip'd); nothing touches a real database — the client
 // warehouse is the built-in synthetic TPC-DS-like generator (or the toy
 // Figure 1 scenario with -scenario toy).
 package main

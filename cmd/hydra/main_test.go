@@ -13,7 +13,7 @@ import (
 func TestCLIRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	pkgPath := filepath.Join(dir, "pkg.json")
-	sumPath := filepath.Join(dir, "summary.json")
+	sumPath := filepath.Join(dir, "summary.json.gz")
 	csvPath := filepath.Join(dir, "item.csv")
 
 	if err := cmdClient([]string{"-scenario", "toy", "-out", pkgPath}); err != nil {
@@ -57,9 +57,28 @@ func TestCLIAnonymizedClient(t *testing.T) {
 	if _, err := os.Stat(mapPath); err != nil {
 		t.Fatalf("mapping not written: %v", err)
 	}
-	sumPath := filepath.Join(dir, "summary.json")
+	sumPath := filepath.Join(dir, "summary.json.gz")
 	if err := cmdVendor([]string{"-in", pkgPath, "-out", sumPath}); err != nil {
 		t.Fatalf("vendor on anonymized package: %v", err)
+	}
+}
+
+// TestCLIWriteErrors: an output file that cannot take the bytes fails the
+// command. On /dev/full every write fails; the summary's bytes reach the
+// file only at the buffer flush, after the gzip stream is closed.
+func TestCLIWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	pkgPath := filepath.Join(t.TempDir(), "pkg.json")
+	if err := cmdClient([]string{"-scenario", "toy", "-out", pkgPath}); err != nil {
+		t.Fatalf("client: %v", err)
+	}
+	if err := cmdVendor([]string{"-in", pkgPath, "-out", "/dev/full"}); err == nil {
+		t.Error("vendor -out /dev/full succeeded")
+	}
+	if err := cmdClient([]string{"-scenario", "toy", "-out", "/dev/full"}); err == nil {
+		t.Error("client -out /dev/full succeeded")
 	}
 }
 

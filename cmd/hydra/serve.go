@@ -25,7 +25,7 @@ import (
 // up to -drain, then hard-cancel the stragglers and exit 0.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	in := fs.String("summary", "summary.json", "summary file")
+	in := fs.String("summary", "summary.json.gz", "summary file")
 	addr := fs.String("addr", ":8372", "listen address")
 	par := fs.Int("parallelism", runtime.GOMAXPROCS(0), "workers per query (0 = sequential; clamped to GOMAXPROCS)")
 	sample := fs.Int("sample", 10, "max result rows returned per query")

@@ -181,7 +181,7 @@ func E5ErrorVsScale(w io.Writer, cfg Config, factors []float64) error {
 		if err != nil {
 			return err
 		}
-		sum, _, err := core.BuildFromPackage(scaled, summary.DefaultBuildOptions())
+		sum, build, err := core.BuildFromPackage(scaled, summary.DefaultBuildOptions())
 		if err != nil {
 			return err
 		}
@@ -189,13 +189,9 @@ func E5ErrorVsScale(w io.Writer, cfg Config, factors []float64) error {
 		if err != nil {
 			return err
 		}
-		var clamped int64
-		for _, rel := range sum.Relations {
-			clamped += rel.ClampedRows
-		}
 		max, _ := rep.MaxRelErr()
 		fmt.Fprintf(w, "%-8.1f %-12.3f %-12.5f %-12.5f %-12d\n",
-			f, rep.SatisfiedWithin(0), rep.MeanRelErr(), max, clamped)
+			f, rep.SatisfiedWithin(0), rep.MeanRelErr(), max, build.TotalClampedRows())
 	}
 	return nil
 }
@@ -389,7 +385,7 @@ func E9Referential(w io.Writer, cfg Config, dimFactors []float64) error {
 		if err != nil {
 			return err
 		}
-		sum, _, err := core.BuildFromPackage(scaled, summary.DefaultBuildOptions())
+		sum, build, err := core.BuildFromPackage(scaled, summary.DefaultBuildOptions())
 		if err != nil {
 			return err
 		}
@@ -397,11 +393,7 @@ func E9Referential(w io.Writer, cfg Config, dimFactors []float64) error {
 		if err != nil {
 			return err
 		}
-		var clamped int64
-		for _, rel := range sum.Relations {
-			clamped += rel.ClampedRows
-		}
-		fmt.Fprintf(w, "%-10.2f %-12d %-12.3f %-12.5f\n", f, clamped, rep.SatisfiedWithin(0), rep.MeanRelErr())
+		fmt.Fprintf(w, "%-10.2f %-12d %-12.3f %-12.5f\n", f, build.TotalClampedRows(), rep.SatisfiedWithin(0), rep.MeanRelErr())
 	}
 	return nil
 }
@@ -424,7 +416,7 @@ func E10Ablation(w io.Writer, cfg Config) error {
 	}{{"full", false}, {"no-inhabit", true}} {
 		opts := summary.DefaultBuildOptions()
 		opts.NoInhabitation = variant.off
-		sum, _, err := core.BuildFromPackage(pkg, opts)
+		sum, build, err := core.BuildFromPackage(pkg, opts)
 		if err != nil {
 			return err
 		}
@@ -432,12 +424,8 @@ func E10Ablation(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		var clamped int64
-		for _, rel := range sum.Relations {
-			clamped += rel.ClampedRows
-		}
 		fmt.Fprintf(w, "%-14s %-12.3f %-12.3f %-12.5f %-10d\n",
-			variant.name, rep.SatisfiedWithin(0), rep.SatisfiedWithin(0.1), rep.MeanRelErr(), clamped)
+			variant.name, rep.SatisfiedWithin(0), rep.SatisfiedWithin(0.1), rep.MeanRelErr(), build.TotalClampedRows())
 	}
 	return nil
 }

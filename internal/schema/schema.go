@@ -11,6 +11,7 @@ package schema
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/value"
@@ -217,6 +218,11 @@ func (s *Schema) Table(name string) *Table {
 // sane domains, sorted dictionaries, and an acyclic foreign-key graph.
 func (s *Schema) Validate() error {
 	seen := make(map[string]bool, len(s.Tables))
+	for _, t := range s.Tables {
+		if t == nil || slices.Contains(t.Columns, nil) {
+			return fmt.Errorf("schema: null table or column")
+		}
+	}
 	for _, t := range s.Tables {
 		if t.Name == "" {
 			return fmt.Errorf("schema: table with empty name")

@@ -56,13 +56,18 @@ type RelationReport struct {
 	// requirements to the relations its foreign keys reference.
 	NeedsTime time.Duration
 	AlignTime time.Duration
+	// ClampedRows counts tuples whose foreign-key set had to be clamped
+	// by referential post-processing (the paper's "minor additive
+	// errors").
+	ClampedRows int64
 }
 
 // BuildReport aggregates per-relation reports.
 type BuildReport struct {
 	Relations []*RelationReport
 	TotalTime time.Duration
-	// SummaryBytes is the gob-encoded summary size.
+	// SummaryBytes is the size of the summary's EncodeJSON encoding, the
+	// file `hydra vendor` writes.
 	SummaryBytes int
 }
 
@@ -71,6 +76,15 @@ func (b *BuildReport) TotalLPVars() int {
 	n := 0
 	for _, r := range b.Relations {
 		n += r.LPVars
+	}
+	return n
+}
+
+// TotalClampedRows sums the clamped tuple counts across relations.
+func (b *BuildReport) TotalClampedRows() int64 {
+	var n int64
+	for _, r := range b.Relations {
+		n += r.ClampedRows
 	}
 	return n
 }
@@ -111,19 +125,26 @@ func (b *BuildReport) TotalGridVars() int64 {
 //     surfaces later as the paper's "minor additive errors".
 //  3. Materialize (forward topological order: dimensions first).
 //     Deterministic alignment assigns each segment a contiguous primary-key
-//     range, recorded with its representative point in the alignment index;
-//     referencing relations materialize foreign keys by selecting exactly
-//     the dimension segments inside their cells — no sampling, so
-//     volumetric error stays deterministic.
+//     range, recorded with its representative point in the builder's
+//     alignment index; referencing relations materialize foreign keys by
+//     selecting exactly the dimension segments inside their cells — no
+//     sampling, so volumetric error stays deterministic. The index stays
+//     with the builder: the summary ships only the rows.
 //
 // Crucially, nothing here reads data rows: construction cost depends only
 // on the schema and the workload, which is the paper's data-scale-free
 // property (experiment E3).
 func Build(s *schema.Schema, w *preprocess.Workload, opts BuildOptions) (*Database, *BuildReport, error) {
+	db, report, _, err := build(s, w, opts)
+	return db, report, err
+}
+
+// build is Build, also returning the builder state of every relation.
+func build(s *schema.Schema, w *preprocess.Workload, opts BuildOptions) (*Database, *BuildReport, map[string]*relBuild, error) {
 	start := time.Now()
 	order, err := s.TopoOrder()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	db := &Database{Schema: s, Relations: make(map[string]*Relation, len(order))}
 	report := &BuildReport{}
@@ -133,7 +154,7 @@ func Build(s *schema.Schema, w *preprocess.Workload, opts BuildOptions) (*Databa
 	for _, t := range order {
 		rb, err := prepareRelation(t, s, w, opts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("summary: relation %s: %w", t.Name, err)
+			return nil, nil, nil, fmt.Errorf("summary: relation %s: %w", t.Name, err)
 		}
 		builds[t.Name] = rb
 		report.Relations = append(report.Relations, rb.rr)
@@ -144,31 +165,26 @@ func Build(s *schema.Schema, w *preprocess.Workload, opts BuildOptions) (*Databa
 	for i := len(order) - 1; i >= 0; i-- {
 		rb := builds[order[i].Name]
 		if err := rb.solve(opts); err != nil {
-			return nil, nil, fmt.Errorf("summary: relation %s: %w", rb.t.Name, err)
+			return nil, nil, nil, fmt.Errorf("summary: relation %s: %w", rb.t.Name, err)
 		}
 		if opts.NoInhabitation {
 			continue
 		}
 		if err := rb.propagateNeeds(builds); err != nil {
-			return nil, nil, fmt.Errorf("summary: relation %s: %w", rb.t.Name, err)
+			return nil, nil, nil, fmt.Errorf("summary: relation %s: %w", rb.t.Name, err)
 		}
 	}
 
 	// Pass 3: align and materialize, dimensions first.
 	for _, t := range order {
-		rb := builds[t.Name]
-		rel, err := rb.materialize(db)
-		if err != nil {
-			return nil, nil, fmt.Errorf("summary: relation %s: %w", t.Name, err)
-		}
-		db.Relations[t.Name] = rel
+		db.Relations[t.Name] = builds[t.Name].materialize(builds)
 	}
 
 	report.TotalTime = time.Since(start)
 	if n, err := db.Size(); err == nil {
 		report.SummaryBytes = n
 	}
-	return db, report, nil
+	return db, report, builds, nil
 }
 
 // axisInfo describes one axis of a relation's denormalized constraint
@@ -224,6 +240,11 @@ type relBuild struct {
 	axisGroup   []int // axis -> group index
 	axisInGroup []int // axis -> position within its group's axes
 	segments    []segment
+	// The alignment index materialize records, per segment: its
+	// representative cell (one interval per axis) and primary-key range.
+	// Referencing relations materialize foreign keys from it (fkSpec).
+	cells [][]value.Interval
+	pks   []value.IntervalSet
 
 	// fkAtRisk's scratch: the per-region axis split and the entries.
 	fkAxes, others []int
@@ -620,10 +641,9 @@ type atRisk struct {
 }
 
 // fkAtRisk computes the at-risk regions of one segment for the foreign key
-// with the given axis-key prefix. refAxisOf maps a stripped axis key to the
-// referenced relation's axis index (-1 when absent). The result is
-// scratch, valid until the next call.
-func (rb *relBuild) fkAtRisk(seg *segment, prefix string, refAxisOf func(string) int) []atRisk {
+// with the given axis-key prefix into the referenced relation ref. The
+// result is scratch, valid until the next call.
+func (rb *relBuild) fkAtRisk(seg *segment, prefix string, ref *relBuild) []atRisk {
 	rep := func(a int) int64 { return rb.axisRep(seg, a).Lo }
 	out := rb.risk[:0]
 	for ri, reg := range rb.fullRegions {
@@ -656,8 +676,8 @@ func (rb *relBuild) fkAtRisk(seg *segment, prefix string, refAxisOf func(string)
 		e := &out[len(out)-1]
 		e.need, e.refAxes, e.sets = true, e.refAxes[:0], e.sets[:0]
 		for _, a := range fkAxes {
-			ra := refAxisOf(rb.axes[a].Key[len(prefix):])
-			if ra < 0 {
+			ra, ok := ref.axisPos[rb.axes[a].Key[len(prefix):]]
+			if !ok {
 				continue
 			}
 			if !reg[a].Contains(rep(a)) {
@@ -693,15 +713,9 @@ func (rb *relBuild) propagateNeeds(builds map[string]*relBuild) error {
 		}
 		rg := ref.groups[0]
 		prefix := rb.t.Columns[ci].Name + "."
-		refAxisOf := func(key string) int {
-			if p, ok := ref.axisPos[key]; ok {
-				return p
-			}
-			return -1
-		}
 		label := fmt.Sprintf("inhabit(%s.%s)", rb.t.Name, col.Name)
 		for si := range rb.segments {
-			entries := rb.fkAtRisk(&rb.segments[si], prefix, refAxisOf)
+			entries := rb.fkAtRisk(&rb.segments[si], prefix, ref)
 			if len(entries) == 0 {
 				continue
 			}
@@ -820,35 +834,27 @@ func appendWords(buf []byte, ws []uint64) []byte {
 	return buf
 }
 
-// materialize performs deterministic alignment and expands segments into
-// summary rows, resolving foreign keys against already-materialized
-// referenced relations.
-func (rb *relBuild) materialize(db *Database) (*Relation, error) {
-	t := rb.t
+// materialize performs deterministic alignment, recording the alignment
+// index, and expands segments into summary rows, resolving foreign keys
+// against the indexes of already-materialized referenced relations.
+func (rb *relBuild) materialize(builds map[string]*relBuild) *Relation {
 	tAlign := time.Now()
-	rel := &Relation{Table: t.Name, Total: rb.total}
-	for _, a := range rb.axes {
-		rel.Axes = append(rel.Axes, a.Key)
-	}
+	rel := &Relation{Table: rb.t.Name, Total: rb.total}
 	var off int64
 	for si := range rb.segments {
 		seg := &rb.segments[si]
-		rep := make([]int64, len(rb.axes))
 		block := make([]value.Interval, len(rb.axes))
 		for a := range rb.axes {
 			block[a] = rb.axisRep(seg, a)
-			rep[a] = block[a].Lo
 		}
-		rel.Atoms = append(rel.Atoms, AtomPK{Rep: rep, PK: value.NewIntervalSet(value.Ival(off, off+seg.count))})
-		row := Row{Count: seg.count}
-		row.Specs = rb.rowSpecs(seg, block, db, &rel.ClampedRows)
-		rel.Rows = append(rel.Rows, row)
+		rb.cells = append(rb.cells, block)
+		rb.pks = append(rb.pks, value.NewIntervalSet(value.Ival(off, off+seg.count)))
+		rel.Rows = append(rel.Rows, Row{Count: seg.count, Specs: rb.rowSpecs(seg, block, builds)})
 		off += seg.count
 	}
-	rel.Total = off
 	rb.rr.AlignTime = time.Since(tAlign)
 	rb.rr.SummaryRows = len(rel.Rows)
-	return rel, nil
+	return rel
 }
 
 // isReferenced reports whether any table's foreign key targets t.
@@ -955,9 +961,9 @@ func resolveSpec(t *schema.Table, s *schema.Schema, sp *preprocess.RegionSpec, s
 // Referential post-processing: when no dimension segment realizes the
 // pattern (the dimension LPs could not co-locate the needed attribute
 // combination) the foreign key falls back to the keys matching the largest
-// number of at-risk regions and the affected tuples are charged to
-// clampedRows — the paper's "minor additive errors".
-func (rb *relBuild) rowSpecs(seg *segment, block []value.Interval, db *Database, clampedRows *int64) []ColSpec {
+// number of at-risk regions and the affected tuples are charged to the
+// report's ClampedRows — the paper's "minor additive errors".
+func (rb *relBuild) rowSpecs(seg *segment, block []value.Interval, builds map[string]*relBuild) []ColSpec {
 	t := rb.t
 	pk := t.PKIndex()
 	var specs []ColSpec
@@ -966,7 +972,7 @@ func (rb *relBuild) rowSpecs(seg *segment, block []value.Interval, db *Database,
 			continue
 		}
 		if col.Ref != nil {
-			specs = append(specs, rb.fkSpec(seg, ci, col, db, clampedRows))
+			specs = append(specs, rb.fkSpec(seg, ci, builds[col.Ref.Table]))
 			continue
 		}
 		pos := -1
@@ -1000,28 +1006,29 @@ func (rb *relBuild) rowSpecs(seg *segment, block []value.Interval, db *Database,
 	return specs
 }
 
-// fkSpec materializes one foreign-key column of a summary row.
-func (rb *relBuild) fkSpec(seg *segment, ci int, col *schema.Column, db *Database, clampedRows *int64) ColSpec {
-	ref := db.Relations[col.Ref.Table]
-	if ref == nil || ref.Total <= 0 {
-		// Referenced relation empty: unavoidable referential violation.
-		*clampedRows += seg.count
+// fkSpec materializes foreign-key column ci of a summary row from the
+// alignment index of ref, the materialized relation it references.
+func (rb *relBuild) fkSpec(seg *segment, ci int, ref *relBuild) ColSpec {
+	if ref == rb || ref.total <= 0 {
+		// Referenced relation empty, or the relation itself (its index is
+		// not complete yet): unavoidable referential violation.
+		rb.rr.ClampedRows += seg.count
 		return FixedSpec(ci, 0)
 	}
-	prefix := col.Name + "."
-	entries := rb.fkAtRisk(seg, prefix, ref.AxisIndex)
+	prefix := rb.t.Columns[ci].Name + "."
+	entries := rb.fkAtRisk(seg, prefix, ref)
 	if len(entries) == 0 {
-		return SetSpec(ci, value.NewIntervalSet(value.Ival(0, ref.Total)))
+		return SetSpec(ci, value.NewIntervalSet(value.Ival(0, ref.total)))
 	}
 	var pkset value.IntervalSet
 	bestScore := -1
 	var bestSet value.IntervalSet
-	for _, atom := range ref.Atoms {
+	for si, pk := range ref.pks {
 		score := 0
 		for _, e := range entries {
 			sat := true
 			for i, ra := range e.refAxes {
-				if !e.sets[i].Contains(atom.Rep[ra]) {
+				if !e.sets[i].Contains(ref.cells[si][ra].Lo) {
 					sat = false
 					break
 				}
@@ -1031,20 +1038,20 @@ func (rb *relBuild) fkSpec(seg *segment, ci int, col *schema.Column, db *Databas
 			}
 		}
 		if score == len(entries) {
-			pkset = pkset.Union(atom.PK)
+			pkset = pkset.Union(pk)
 		}
 		if score > bestScore {
 			bestScore = score
-			bestSet = atom.PK.Clone()
+			bestSet = pk.Clone()
 		} else if score == bestScore {
-			bestSet = bestSet.Union(atom.PK)
+			bestSet = bestSet.Union(pk)
 		}
 	}
 	if pkset.Empty() {
-		*clampedRows += seg.count
+		rb.rr.ClampedRows += seg.count
 		pkset = bestSet
 		if pkset.Empty() {
-			pkset = value.NewIntervalSet(value.Ival(0, ref.Total))
+			pkset = value.NewIntervalSet(value.Ival(0, ref.total))
 		}
 	}
 	return SetSpec(ci, pkset)

@@ -11,6 +11,26 @@ import (
 	"repro/internal/tpcds"
 )
 
+// buildTPCDS builds the summary of the TPC-DS-like warehouse at scale
+// factor sf (data seed 7) under the 131-query workload (seed 11), the
+// configuration `hydra client` and `hydra vendor` use by default.
+func buildTPCDS(t *testing.T, sf float64) (*Database, *BuildReport) {
+	t.Helper()
+	db, err := tpcds.GenerateDatabase(tpcds.Schema(sf), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := preprocess.Extract(db.Schema, captureWorkload(t, db, tpcds.Workload(131, 11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, rep, err := Build(db.Schema, w, DefaultBuildOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum, rep
+}
+
 func captureWorkload(t *testing.T, db *engine.Database, queries []string) []*aqp.AQP {
 	t.Helper()
 	var out []*aqp.AQP
@@ -60,5 +80,26 @@ func TestFactLPStaysTractable(t *testing.T) {
 		if rb.rr.Groups < 2 {
 			t.Errorf("fact constraints did not decompose (groups=%d)", rb.rr.Groups)
 		}
+	}
+}
+
+// TestSummaryBytesScaleFree holds the shipped summary to the paper's
+// data-scale-free claim (E3): the bytes `hydra vendor` writes for TPC-DS
+// sf 1 and sf 4 each stay within 8 KiB and within 10% of each other.
+func TestSummaryBytesScaleFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sf 1 and sf 4 captures")
+	}
+	_, rep1 := buildTPCDS(t, 1)
+	_, rep4 := buildTPCDS(t, 4)
+	b1, b4 := rep1.SummaryBytes, rep4.SummaryBytes
+	t.Logf("summary bytes: sf 1 %d, sf 4 %d", b1, b4)
+	for _, b := range []int{b1, b4} {
+		if b <= 0 || b > 8<<10 {
+			t.Errorf("summary is %d bytes, want (0, 8 KiB]", b)
+		}
+	}
+	if d := b4 - b1; 10*max(d, -d) > max(b1, b4) {
+		t.Errorf("summary bytes differ by more than 10%%: sf 1 %d, sf 4 %d", b1, b4)
 	}
 }

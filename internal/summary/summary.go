@@ -33,9 +33,6 @@ type ColSpec = synopsis.ColSpec
 // Row is one summary row: Count tuples sharing the value specs.
 type Row = synopsis.Row
 
-// AtomPK is one entry of a relation's alignment index; see synopsis.AtomPK.
-type AtomPK = synopsis.AtomPK
-
 // Relation is the summary of one table.
 type Relation = synopsis.Relation
 

@@ -99,19 +99,26 @@ func TestBuildToyExact(t *testing.T) {
 			t.Errorf("%s residuals: %v", rr.Table, rr.Residuals)
 		}
 	}
+	if n := rep.TotalClampedRows(); n != 0 {
+		t.Errorf("clamped %d rows", n)
+	}
 	for name, rel := range sum.Relations {
 		tbl := db.Schema.Table(name)
 		if rel.Total != tbl.RowCount {
 			t.Errorf("%s total = %d, want %d", name, rel.Total, tbl.RowCount)
 		}
-		if rel.ClampedRows != 0 {
-			t.Errorf("%s clamped %d rows", name, rel.ClampedRows)
-		}
 	}
 }
 
 func TestSummaryRowsSumToTotal(t *testing.T) {
-	_, sum, _ := buildToy(t)
+	db, err := toy.Database(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, _, builds, err := build(db.Schema, toyWorkload(t, db, toy.Workload()), DefaultBuildOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, rel := range sum.Relations {
 		var n int64
 		for _, row := range rel.Rows {
@@ -120,10 +127,15 @@ func TestSummaryRowsSumToTotal(t *testing.T) {
 		if n != rel.Total {
 			t.Errorf("%s rows sum %d != total %d", name, n, rel.Total)
 		}
-		// The alignment index covers [0, Total) exactly once.
+		// The builder's alignment index covers [0, Total) exactly once,
+		// one entry per summary row.
+		rb := builds[name]
+		if len(rb.pks) != len(rel.Rows) {
+			t.Errorf("%s alignment index has %d entries for %d rows", name, len(rb.pks), len(rel.Rows))
+		}
 		var pk int64
-		for _, atom := range rel.Atoms {
-			for _, iv := range atom.PK {
+		for _, set := range rb.pks {
+			for _, iv := range set {
 				if iv.Lo != pk {
 					t.Errorf("%s alignment gap at %d", name, pk)
 				}
@@ -160,29 +172,60 @@ func TestFKSpecsWithinReferencedRange(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTripAndSize(t *testing.T) {
-	_, sum, _ := buildToy(t)
-	var jbuf bytes.Buffer
-	if err := sum.EncodeJSON(&jbuf); err != nil {
-		t.Fatal(err)
+// TestCodecRoundTrip: EncodeJSON is lossless and deterministic, and Size
+// is its length — on the toy summary, on TPC-DS sf 1 (full mode), and on a
+// hand-made relation whose column is fixed at code 0, the value a codec
+// that omits zero values would lose.
+func TestCodecRoundTrip(t *testing.T) {
+	_, toySum, _ := buildToy(t)
+	fixed0 := &Database{Schema: toySum.Schema, Relations: map[string]*Relation{
+		"s": {Table: "s", Total: 3, Rows: []Row{
+			{Count: 2, Specs: []ColSpec{FixedSpec(1, 0)}},
+			{Count: 1, Specs: []ColSpec{SetSpec(1, value.NewIntervalSet(value.Ival(0, 4)))}},
+		}},
+	}}
+	if err := fixed0.Validate(); err != nil {
+		t.Fatalf("hand-made summary invalid: %v", err)
 	}
-	back, err := DecodeJSON(&jbuf)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		sum  func(*testing.T) *Database
+	}{
+		{"toy", func(*testing.T) *Database { return toySum }},
+		{"fixed0", func(*testing.T) *Database { return fixed0 }},
+		{"tpcds-sf1", func(t *testing.T) *Database {
+			if testing.Short() {
+				t.Skip("sf 1 capture")
+			}
+			sum, _ := buildTPCDS(t, 1)
+			return sum
+		}},
 	}
-	if err := back.Validate(); err != nil {
-		t.Fatalf("JSON round trip invalid: %v", err)
-	}
-	if back.Relations["r"].Total != sum.Relations["r"].Total {
-		t.Error("JSON round trip lost totals")
-	}
-
-	n, err := sum.Size()
-	if err != nil || n <= 0 {
-		t.Errorf("Size = %d, %v", n, err)
-	}
-	if n > 1<<20 {
-		t.Errorf("toy summary is %d bytes — not minuscule", n)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sum := tc.sum(t)
+			var a, b bytes.Buffer
+			if err := sum.EncodeJSON(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := sum.EncodeJSON(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Error("two encodings differ")
+			}
+			n, err := sum.Size()
+			if err != nil || n != a.Len() {
+				t.Errorf("Size = %d, %v; the encoding is %d bytes", n, err, a.Len())
+			}
+			back, err := DecodeJSON(&a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, sum) {
+				t.Error("decoded summary differs from the encoded one")
+			}
+		})
 	}
 }
 

@@ -13,9 +13,9 @@
 package synopsis
 
 import (
-	"bytes"
-	"encoding/gob"
+	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -69,48 +69,22 @@ func (r *Row) Spec(col, pkIdx int) *ColSpec {
 	return nil
 }
 
-// AtomPK is one entry of a relation's alignment index: a partition atom's
-// representative point (one code per axis of the relation's constraint
-// space) and the primary-key range its tuples occupy. Referencing relations
-// use the index to materialize foreign keys: a fact atom's dimension cell
-// selects exactly the dimension atoms whose representatives fall inside it.
-type AtomPK struct {
-	Rep []int64           `json:"rep"`
-	PK  value.IntervalSet `json:"pk"`
-}
-
-// Relation is the summary of one table.
+// Relation is the summary of one table: Total tuples, laid out by Rows in
+// primary-key order.
 type Relation struct {
 	Table string `json:"table"`
 	// Total is the number of tuples the summary regenerates; tuple i gets
 	// primary key i (auto-numbering).
 	Total int64 `json:"total"`
 	Rows  []Row `json:"rows"`
-	// Axes names the relation's constraint-space axes: own columns by
-	// name, attributes reached through a foreign key as "fkcol.axis".
-	Axes []string `json:"axes,omitempty"`
-	// Atoms is the deterministic-alignment index over those axes.
-	Atoms []AtomPK `json:"atoms,omitempty"`
-	// ClampedRows counts tuples whose foreign-key set had to be clamped
-	// by referential post-processing (the paper's "minor additive
-	// errors").
-	ClampedRows int64 `json:"clamped_rows,omitempty"`
-}
-
-// AxisIndex returns the position of an axis key, or -1.
-func (r *Relation) AxisIndex(key string) int {
-	for i, a := range r.Axes {
-		if a == key {
-			return i
-		}
-	}
-	return -1
 }
 
 // Validate checks internal consistency: counts non-negative and summing to
-// Total without overflowing, every spec either fixed or a non-empty set,
-// and at most one spec per column with none on the auto-numbered primary
-// key — so every spec a summary file carries is one Row.Spec honours.
+// Total without overflowing, every spec either fixed or a non-empty
+// canonical set spanning at most MaxInt64 codes (what IntervalSet.At and
+// the cycle verdicts assume), and at most one spec per column with none on
+// the auto-numbered primary key — so every spec a summary file carries is
+// one Row.Spec honours.
 func (r *Relation) Validate(t *schema.Table) error {
 	var sum int64
 	pk := t.PKIndex()
@@ -135,8 +109,15 @@ func (r *Relation) Validate(t *schema.Table) error {
 				return fmt.Errorf("summary: %s row %d: duplicate spec for column %d", r.Table, i, sp.Col)
 			}
 			seen[sp.Col] = true
-			if sp.Fixed == nil && sp.Set.Empty() {
+			switch {
+			case sp.Fixed != nil && sp.Set != nil:
+				return fmt.Errorf("summary: %s row %d col %d: both fixed and set", r.Table, i, sp.Col)
+			case sp.Fixed == nil && sp.Set.Empty():
 				return fmt.Errorf("summary: %s row %d col %d: empty spec", r.Table, i, sp.Col)
+			case sp.Fixed == nil && !sp.Set.Equal(sp.Set.Normalize()):
+				return fmt.Errorf("summary: %s row %d col %d: set %s not in canonical form", r.Table, i, sp.Col, sp.Set)
+			case sp.Fixed == nil && sp.Set[len(sp.Set)-1].Hi-sp.Set[0].Lo <= 0: // wrapped
+				return fmt.Errorf("summary: %s row %d col %d: set span overflows", r.Table, i, sp.Col)
 			}
 		}
 	}
@@ -156,12 +137,18 @@ type Database struct {
 // Relation returns the summary for a table, or nil.
 func (d *Database) Relation(name string) *Relation { return d.Relations[name] }
 
-// Validate checks every relation summary against the schema.
+// Validate checks the schema and every relation summary against it.
 func (d *Database) Validate() error {
+	if d.Schema == nil {
+		return fmt.Errorf("summary: no schema")
+	}
+	if err := d.Schema.Validate(); err != nil {
+		return err
+	}
 	for name, r := range d.Relations {
 		t := d.Schema.Table(name)
-		if t == nil {
-			return fmt.Errorf("summary: relation %s not in schema", name)
+		if t == nil || r == nil {
+			return fmt.Errorf("summary: relation %s null or not in schema", name)
 		}
 		if err := r.Validate(t); err != nil {
 			return err
@@ -170,36 +157,53 @@ func (d *Database) Validate() error {
 	return nil
 }
 
-// EncodeJSON writes the summary as indented JSON.
+// EncodeJSON writes the summary in the one format it ships in: compact
+// JSON, gzip'd at the default level with no name or modification time in
+// the header, so equal summaries are equal bytes. The error includes the
+// gzip close's, which writes most of them.
 func (d *Database) EncodeJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
+	zw := gzip.NewWriter(w)
+	if err := json.NewEncoder(zw).Encode(d); err != nil {
+		zw.Close()
+		return err
+	}
+	return zw.Close()
 }
 
-// DecodeJSON reads a summary written by EncodeJSON.
+// DecodeJSON reads a summary written by EncodeJSON: gzip'd JSON holding
+// one document. The whole input is read, so a corrupt checksum or trailing
+// data fails the decode.
 func DecodeJSON(r io.Reader) (*Database, error) {
+	zr, err := gzip.NewReader(r)
+	if err != nil {
+		return nil, fmt.Errorf("summary: decoding: %w", err)
+	}
+	dec := json.NewDecoder(zr)
 	var d Database
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
+	if err := dec.Decode(&d); err != nil {
+		return nil, fmt.Errorf("summary: decoding: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		if err == nil {
+			err = errors.New("trailing data")
+		}
 		return nil, fmt.Errorf("summary: decoding: %w", err)
 	}
 	return &d, nil
 }
 
-// EncodeGob writes the summary in the compact binary form used for the
-// size accounting the paper reports ("a few KB"). It is write-only: gob
-// omits zero values, so a Fixed spec of 0 would not survive a decode —
-// summaries travel as JSON.
-func (d *Database) EncodeGob(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(d)
+// Size returns the length in bytes of the summary's EncodeJSON encoding:
+// the size of the file that ships.
+func (d *Database) Size() (int, error) {
+	var n countingWriter
+	err := d.EncodeJSON(&n)
+	return int(n), err
 }
 
-// Size returns the gob-encoded size in bytes. The alignment index
-// (RegionPK) is part of the summary and included.
-func (d *Database) Size() (int, error) {
-	var buf bytes.Buffer
-	if err := d.EncodeGob(&buf); err != nil {
-		return 0, err
-	}
-	return buf.Len(), nil
+// countingWriter counts the bytes written to it and drops them.
+type countingWriter int
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	*c += countingWriter(len(p))
+	return len(p), nil
 }
