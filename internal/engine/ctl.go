@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/trace"
@@ -132,6 +133,12 @@ func nodeDetail(n *ExecNode) string {
 	}
 	if n.Positional {
 		detail += " [positional]"
+	}
+	if n.Cols != nil {
+		detail += " [cols " + strings.Join(n.Cols, ", ") + "]"
+	}
+	if n.Late {
+		detail = "[late]"
 	}
 	return detail
 }

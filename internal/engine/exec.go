@@ -38,8 +38,15 @@ type ExecNode struct {
 	// primary key in its summary instead of drained (see positionalLeaf):
 	// it generates nothing, so its OutRows is 0, and it keeps the pruning
 	// counts of the row-space its lookups are confined to.
-	Positional bool        `json:"positional,omitempty"`
-	Children   []*ExecNode `json:"children,omitempty"`
+	Positional bool `json:"positional,omitempty"`
+	// Late marks a SORT that runs as a late top-K (see lateSort): it
+	// collects only its keys and the columns up to the scanned table's
+	// primary key, and reads its other output columns from the summary for
+	// the rows it emits. Cols, on that sort's SCAN, names the columns the
+	// scan materializes.
+	Late     bool        `json:"late,omitempty"`
+	Cols     []string    `json:"cols,omitempty"`
+	Children []*ExecNode `json:"children,omitempty"`
 
 	sp *trace.Span // span mirror when traced, nil otherwise
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/batch"
@@ -24,13 +25,16 @@ import (
 // key is its primary key — drains nothing: each probe key is looked up in
 // the summary (generator.Lookup) and the matched tuple's columns are read
 // under the generator's law. Blocking root operators (COUNT(*), GROUP BY,
-// DISTINCT, ORDER BY) are the sink framework in sink.go. The one executor
-// (Prepared.run) composes these same operators, opened by the one opener
-// (openCol), every way it runs: it drives them batch-wise, or opens the
-// probe spine once per worker over shared build arenas and folds sink
-// partial states (exec_parallel.go), and a caller-owned ExecState recycles
-// the opened tree. The parity suites hold all of them to byte-identical
-// results, and to the materialized database's answers.
+// DISTINCT, ORDER BY) are the sink framework in sink.go. A bounded sort
+// over a scan of such a table runs late by the same law (lateSort): the
+// scan materializes only the sort keys and the columns up to the primary
+// key, and the winners' other columns are read from the summary at emit.
+// The one executor (Prepared.run) composes these same operators, opened by
+// the one opener (openCol), every way it runs: it drives them batch-wise,
+// or opens the probe spine once per worker over shared build arenas and
+// folds sink partial states (exec_parallel.go), and a caller-owned
+// ExecState recycles the opened tree. The parity suites hold all of them
+// to byte-identical results, and to the materialized database's answers.
 
 // colIterator is the engine-internal columnar operator contract — the one
 // operator set every execution composes. Next resets dst, fills it
@@ -150,6 +154,62 @@ func positionalLeaf(db *Database, pn *PlanNode, pc *pruneCache) (*PlanNode, *sca
 	return leaf, pc.scan(leaf)
 }
 
+// lateSort returns the summary reads of sort pn when it runs as a late
+// top-K, with the narrowed set its child materializes instead of collect
+// (the sort's collected set, childNeeds'), or nil and collect. A sort runs
+// late when it is bounded (sortBound), its child is a scan of a
+// summary-backed table — whole, a morsel's section or a pruned row-space,
+// bare or under filters — collect holds that table's primary key, and
+// some collected column lies past it: then the child materializes only
+// the sort keys, the predicate columns and the collected columns up to the
+// primary key (PlanNode.lateNeeds), which decide the sort's total order
+// alone, and the other collected columns are read at emit for the rows
+// emitted, from the table's registered stream at their primary keys —
+// tuple k of such a table is a pure function of its summary and has
+// primary key k (the positionalLeaf argument). Stored, paced and datagen
+// tables, joins under the sort, unbounded sorts and sorts that do not
+// collect the key collect every column. The decision depends on the plan,
+// the registrations and collect alone, so the sequential tree, every
+// parallel worker and a reused ExecState make it alike.
+func lateSort(db *Database, pn *PlanNode, collect []int) (*sortLate, []int) {
+	if sortBound(pn) == 0 {
+		return nil, collect
+	}
+	leaf := pn.Children[0]
+	for leaf.Op == OpFilter {
+		leaf = leaf.Children[0]
+	}
+	sc, ok := db.summaries[leaf.Table]
+	if !ok || leaf.Op != OpScan {
+		return nil, collect
+	}
+	pk := db.Schema.Table(leaf.Table).PKIndex()
+	if !slices.Contains(collect, pk) {
+		return nil, collect
+	}
+	child, cols := pn.lateNeeds(collect, pk)
+	if len(cols) == 0 {
+		return nil, collect
+	}
+	return &sortLate{lk: sc.gen.Lookup(), pk: pk, cols: cols}, child
+}
+
+// markLateScan names, on the scan leaf under a late sort's child node n,
+// the columns its batches populate (pop), and re-derives the leaf's span
+// detail to show them.
+func markLateScan(db *Database, n *ExecNode, pop []int) {
+	for n.Op == OpFilter.String() {
+		n = n.Children[0]
+	}
+	t := db.Schema.Table(n.Table)
+	for _, c := range pop {
+		n.Cols = append(n.Cols, t.Columns[c].Name)
+	}
+	if n.sp != nil {
+		n.sp.Detail = nodeDetail(n)
+	}
+}
+
 // cloneExecNode deep-copies a frozen build-side ExecNode subtree so each
 // execution reports its own annotated plan.
 func cloneExecNode(n *ExecNode) *ExecNode {
@@ -177,26 +237,24 @@ func rootNeed(plan *Plan, opts ExecOptions) []int {
 	return nil
 }
 
-// runColumnar drives the opened operator tree to exhaustion, accumulating
-// rows, samples, and the COUNT value into res, and returns the pipeline's
-// deferred error once the drain completes. The drive loop is one of
-// the engine's cancellation points: it stops pulling batches once ctl
-// observes the context done (covering sink emit phases, which pull no scan
-// batches); the caller surfaces ctl.err, which takes precedence over the
-// returned deferred error.
+// runColumnar drives st's opened operator tree to exhaustion, accumulating
+// rows, samples (in st's sample rows), and the COUNT value into st.res,
+// and returns the pipeline's deferred error once the drain completes. The
+// drive loop is one of the engine's cancellation points: it stops pulling
+// batches once the state's ctl observes the context done (covering sink
+// emit phases, which pull no scan batches); the caller surfaces ctl.err,
+// which takes precedence over the returned deferred error.
 //
 //hydra:hotpath
-func runColumnar(ctl *execCtl, it colIterator, b *batch.ColBatch, plan *Plan, opts ExecOptions, res *ExecResult) error {
+func runColumnar(st *ExecState, plan *Plan, opts ExecOptions) error {
 	agg := plan.countStar()
-	for !ctl.stopped() && it.Next(b) {
+	it, b, res := st.it, st.b, &st.res
+	st.sample.n = 0
+	for !st.ctl.stopped() && it.Next(b) {
 		live := b.Live()
 		res.Rows += int64(live)
-		if opts.SampleLimit > 0 {
-			for i := 0; len(res.Sample) < opts.SampleLimit && i < live; i++ {
-				row := make([]int64, b.Width())
-				b.LiveRow(i, row)
-				res.Sample = append(res.Sample, row)
-			}
+		for i := 0; st.sample.n < opts.SampleLimit && i < live; i++ {
+			b.LiveRow(i, st.sample.next(b.Width()))
 		}
 		if agg && live > 0 {
 			// COUNT(*) emits exactly one row, and a LIMIT above it never
@@ -204,8 +262,36 @@ func runColumnar(ctl *execCtl, it colIterator, b *batch.ColBatch, plan *Plan, op
 			res.Count = b.Col(0)[0]
 		}
 	}
+	res.Sample = st.sample.taken()
 	res.Root.OutRows = res.Rows
 	return it.deferredErr()
+}
+
+// sampleRows holds an execution's sample rows, one allocation each the
+// first time a row is taken. A reused ExecState recycles them — the result
+// aliases the state anyway — so a sampled steady state allocates nothing;
+// a fresh state's rows are its caller's.
+type sampleRows struct {
+	rows [][]int64 // every row allocated so far; the first n are this execution's
+	n    int
+}
+
+// next returns the storage of the execution's next row, w wide: the
+// root's width, the same for every execution an opened state runs.
+func (s *sampleRows) next(w int) []int64 {
+	if s.n == len(s.rows) {
+		s.rows = append(s.rows, make([]int64, w))
+	}
+	s.n++
+	return s.rows[s.n-1]
+}
+
+// taken returns the rows the execution took, nil for none.
+func (s *sampleRows) taken() [][]int64 {
+	if s.n == 0 {
+		return nil
+	}
+	return s.rows[:s.n:s.n]
 }
 
 // openCol builds the columnar operator tree for pn and its ExecNode mirror,
@@ -312,9 +398,14 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 		// aggregate inputs for GROUP BY and DISTINCT, whatever the parent
 		// needs; the output columns plus the sort keys for ORDER BY — the set
 		// the sort state collects, which is also its comparator's tiebreak
-		// domain (identical however the plan is executed). The sink's own
-		// output batches populate only need.
+		// domain (identical however the plan is executed) — narrowed, for a
+		// late top-K, to the keys and the columns up to the primary key
+		// (lateSort). The sink's own output batches populate only need.
 		childNeed := pn.childNeeds(need)[0]
+		var late *sortLate
+		if pn.Op == OpSort {
+			late, childNeed = lateSort(db, pn, childNeed)
+		}
 		child, width, pop, childNode, err := openCol(db, pn.Children[0], childNeed, capRows, builds, ctl)
 		if err != nil {
 			return nil, 0, nil, nil, err
@@ -323,14 +414,17 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 			child:   child,
 			buf:     batch.NewCol(width, capRows, pop),
 			outCols: need,
-			node:    &ExecNode{Op: pn.Op.String(), Children: []*ExecNode{childNode}},
+			node:    &ExecNode{Op: pn.Op.String(), Late: late != nil, Children: []*ExecNode{childNode}},
 			ctl:     ctl,
 		}
 		switch pn.Op {
 		case OpAggregate:
 			g.st, width = &countState{}, 1
 		case OpSort:
-			g.st = newSortState(pn, childNeed, width)
+			g.st = newSortState(pn, childNeed, width, late)
+			if late != nil {
+				markLateScan(db, childNode, pop)
+			}
 		default:
 			g.st, width = newGroupAggState(pn), len(pn.Items)
 		}

@@ -287,7 +287,7 @@ func (pp *parallelPlan) run(ctx context.Context, st *ExecState, plan *Plan, opts
 		// The merged state finishes once and worker 0's tree emits it through
 		// the very sinks the sequential drive runs.
 		sinkIt.adopt()
-		return runColumnar(&st.ctl, st.it, st.b, plan, opts, &st.res)
+		return runColumnar(st, plan, opts)
 	}
 	// Rows flowed out of the spine: the count is the merged spine top's, a
 	// LIMIT over it pure arithmetic, and the sample is cut from the

@@ -223,24 +223,26 @@ func (st *groupAggState) observe(b *batch.ColBatch) {
 		for ki, c := range st.groupBy {
 			st.gcols[ki] = b.Col(c)
 		}
-		if sel == nil {
-			for i := 0; i < live; i++ {
-				for ki := range st.gcols {
-					st.keyBuf[ki] = st.gcols[ki][i]
-				}
-				g := st.lookup(st.keyBuf)
-				rowGid[i] = g
-				st.counts[g]++
+		// A live row whose key tuple repeats the previous one's takes its
+		// group without a lookup: regenerated rows come in runs of one
+		// summary row, whose Fixed keys repeat for the whole run.
+		g := int32(-1)
+		for i := 0; i < live; i++ {
+			r := i
+			if sel != nil {
+				r = int(sel[i])
 			}
-		} else {
-			for i, r := range sel {
-				for ki := range st.gcols {
-					st.keyBuf[ki] = st.gcols[ki][r]
+			same := g >= 0
+			for ki, col := range st.gcols {
+				if v := col[r]; v != st.keyBuf[ki] {
+					st.keyBuf[ki], same = v, false
 				}
-				g := st.lookup(st.keyBuf)
-				rowGid[i] = g
-				st.counts[g]++
 			}
+			if !same {
+				g = st.lookup(st.keyBuf)
+			}
+			rowGid[i] = g
+			st.counts[g]++
 		}
 	} else {
 		st.counts[0] += int64(live)

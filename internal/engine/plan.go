@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/pred"
 	"repro/internal/schema"
@@ -486,7 +487,8 @@ func (pn *PlanNode) childNeeds(need []int) [][]int {
 	case OpSort:
 		// The sort's output layout is its child's; it additionally reads its
 		// key columns. What the child materializes here is also the sort's
-		// collected-column set — the tiebreak domain of its total order.
+		// collected-column set — the tiebreak domain of its total order —
+		// unless the sort runs late, which narrows it (lateNeeds).
 		child := append([]int(nil), need...)
 		for _, k := range pn.SortKeys {
 			child = addCol(child, k.Col)
@@ -498,6 +500,42 @@ func (pn *PlanNode) childNeeds(need []int) [][]int {
 	default:
 		return nil
 	}
+}
+
+// lateNeeds narrows a bounded sort's collected set — childNeeds' — for a
+// late top-K over a table whose primary key is column pk (lateSort,
+// exec_col.go): the child materializes the sort keys and the collected
+// columns up to pk, nothing else. The comparator orders by the keys, then
+// by the collected columns ascending, and no two rows share a primary key,
+// so every pair is decided by pk at the latest: this narrower domain gives
+// the very same total order. The columns it drops are the late ones, read
+// from the summary for the rows emitted.
+func (pn *PlanNode) lateNeeds(collect []int, pk int) (child, late []int) {
+	for _, c := range collect {
+		if c <= pk {
+			child = append(child, c)
+		}
+	}
+	for _, k := range pn.SortKeys {
+		child = addCol(child, k.Col)
+	}
+	for _, c := range collect {
+		if !slices.Contains(child, c) {
+			late = append(late, c)
+		}
+	}
+	return child, late
+}
+
+// topK is the bound of the plan's root when the root is a bounded sort
+// under a LIMIT — it emits at most that many rows — and 0 otherwise. A
+// plain LIMIT has no such bound on what passes through it: it drains its
+// child through the root batch.
+func (p *Plan) topK() int64 {
+	if r := p.Root; r.Op == OpLimit && r.Children[0].Op == OpSort {
+		return r.Children[0].SortBound
+	}
+	return 0
 }
 
 // countStar reports whether the plan computes COUNT(*): an OpAggregate at
@@ -526,7 +564,9 @@ func countPlanNodes(pn *PlanNode) int {
 // materialize from that scan: predicate and join-key columns always, plus —
 // when withOutput is set, the sampling case — every column that reaches the
 // plan's output. This is the observable form of the executor's projection
-// pushdown.
+// pushdown, except under a late top-K, whose scan the executor narrows
+// further at open (lateSort needs the registrations; EXPLAIN ANALYZE shows
+// that scan's columns).
 func (p *Plan) RequiredScanCols(withOutput bool) map[string][]int {
 	out := make(map[string][]int)
 	var walk func(pn *PlanNode, need []int)

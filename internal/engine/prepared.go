@@ -132,14 +132,15 @@ func (p *Prepared) ExecuteContext(ctx context.Context, opts ExecOptions) (*ExecR
 // call, so context plumbing costs no allocations). One goroutine per
 // ExecState.
 type ExecState struct {
-	it    colIterator     // the operator tree; nil when sagg answers
-	b     *batch.ColBatch // it's root batch
-	sagg  *summaryAggEval // summary-direct evaluator when that regime answers
-	par   *parallelPlan   // it's morsel workers when opts.Parallelism >= 1 found a partitionable leaf
-	res   ExecResult
-	opts  ExecOptions // the options the state was opened for: the reuse key
-	ctl   execCtl
-	valid bool
+	it     colIterator     // the operator tree; nil when sagg answers
+	b      *batch.ColBatch // it's root batch
+	sagg   *summaryAggEval // summary-direct evaluator when that regime answers
+	par    *parallelPlan   // it's morsel workers when opts.Parallelism >= 1 found a partitionable leaf
+	res    ExecResult
+	sample sampleRows  // res.Sample's storage, recycled by the next execution
+	opts   ExecOptions // the options the state was opened for: the reuse key
+	ctl    execCtl
+	valid  bool
 }
 
 // ExecuteIn runs the prepared plan inside st, reusing every piece of
@@ -148,11 +149,12 @@ type ExecState struct {
 // selection buffers, and ExecNodes are recycled, and the returned result
 // aliases st — it is valid until the next ExecuteIn on the same state.
 // After the first call, sequential executions with an unchanged opts value
-// and SampleLimit == 0 allocate nothing: the steady-state scan→filter→count
-// path runs at zero allocations per query, which TestSteadyStateZeroAlloc
-// pins. (With opts.Parallelism >= 1 the state is reopened per call: worker
-// partials fold into the tree, so a parallel plan runs once.) It is
-// ExecuteInContext over context.Background().
+// allocate nothing, sampled ones included (the state recycles its sample
+// rows): the steady-state scan→filter→count path runs at zero allocations
+// per query, which TestSteadyStateZeroAlloc pins. (With opts.Parallelism
+// >= 1 the state is reopened per call: worker partials fold into the
+// tree, so a parallel plan runs once.) It is ExecuteInContext over
+// context.Background().
 func (p *Prepared) ExecuteIn(st *ExecState, opts ExecOptions) (*ExecResult, error) {
 	return p.ExecuteInContext(context.Background(), st, opts)
 }
@@ -203,11 +205,11 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 	res.Rows, res.Count, res.Sample = 0, 0, nil
 	switch {
 	case st.sagg != nil:
-		err = st.sagg.run(&st.ctl, res, opts)
+		err = st.sagg.run(&st.ctl, res, &st.sample, opts)
 	case st.par != nil:
 		err = st.par.run(ctx, st, p.plan, opts)
 	default:
-		err = runColumnar(&st.ctl, st.it, st.b, p.plan, opts, res)
+		err = runColumnar(st, p.plan, opts)
 	}
 	// A context error latched mid-drive takes precedence over the
 	// pipeline's deferred error.
@@ -269,7 +271,16 @@ func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 		if err != nil {
 			return err
 		}
-		st.it, st.b, root = it, batch.NewCol(width, opts.BatchSize, pop), node
+		// A bounded sort under the root LIMIT emits at most its bound: the
+		// root batch need hold no more.
+		rootCap := opts.BatchSize
+		if rootCap <= 0 {
+			rootCap = batch.DefaultCap
+		}
+		if k := p.plan.topK(); k > 0 {
+			rootCap = int(min(int64(rootCap), k))
+		}
+		st.it, st.b, root = it, batch.NewCol(width, rootCap, pop), node
 		if opts.Parallelism >= 1 {
 			if st.par, err = openParallel(p.db, p.plan, it, node, st.b, opts, builds, &st.ctl); err != nil {
 				return err

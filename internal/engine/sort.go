@@ -2,9 +2,11 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/batch"
+	"repro/internal/generator"
 )
 
 // sortState is the ORDER BY operator's sinkState: collected rows live in
@@ -25,6 +27,14 @@ import (
 // finish re-sorts and re-truncates, so bounded and unbounded execution agree
 // wherever both emit.
 //
+// A late top-K (late non-nil; see lateSort in exec_col.go) is the bounded
+// state over a scan of a summary-backed table whose primary key it
+// collects: it collects only the sort keys and the columns up to the
+// primary key (PlanNode.lateNeeds), which decide the same total order,
+// and reads its other output columns from the summary at emit, for the
+// rows emitted alone. Nothing else differs: heap, merge and finish run on
+// the narrower arenas unchanged.
+//
 // Like groupAggState, every piece of storage survives reset: a steady-state
 // ORDER BY [+ LIMIT] query on a recycled state allocates nothing.
 type sortState struct {
@@ -35,21 +45,40 @@ type sortState struct {
 	slots   int32     // arena rows in use (including the bounded path's scratch slot)
 	bound   int       // > 0: retain only the bound smallest rows
 	free    int32     // bounded path: arena slot to write the next candidate into
+	late    *sortLate // a late top-K's summary reads; nil when every output column is collected
+}
+
+// sortLate is what a late top-K reads at emit: the output columns it does
+// not collect, gathered from the scanned table's summary at the collected
+// primary keys.
+type sortLate struct {
+	lk   *generator.Lookup // over the table's registered stream; its cursor is this state's
+	pk   int               // the primary key's column (collected)
+	cols []int             // the output columns read at emit, ascending
+}
+
+// sortBound is the top-K bound pn's state keeps, 0 for none: SortBound
+// when it is small enough for the heap's int32 slots, else the sort
+// collects everything and finish truncates.
+func sortBound(pn *PlanNode) int {
+	if pn.SortBound > 0 && pn.SortBound <= math.MaxInt32/2 {
+		return int(pn.SortBound)
+	}
+	return 0
 }
 
 // newSortState readies a state for pn's keys over a child of the given
 // width. collect is the child's materialized column set — output columns
-// plus sort keys — and doubles as the comparator's tiebreak domain.
-func newSortState(pn *PlanNode, collect []int, width int) *sortState {
-	st := &sortState{
+// plus sort keys, or a late top-K's narrower set — and doubles as the
+// comparator's tiebreak domain.
+func newSortState(pn *PlanNode, collect []int, width int, late *sortLate) *sortState {
+	return &sortState{
 		keys:    pn.SortKeys,
 		collect: collect,
 		arena:   make([][]int64, width),
+		bound:   sortBound(pn),
+		late:    late,
 	}
-	if pn.SortBound > 0 && pn.SortBound <= math.MaxInt32/2 {
-		st.bound = int(pn.SortBound)
-	}
-	return st
 }
 
 func (st *sortState) reset() {
@@ -239,7 +268,9 @@ func (st *sortState) Less(i, j int) bool { return st.cmp(st.order[i], st.order[j
 func (st *sortState) Swap(i, j int)      { st.order[i], st.order[j] = st.order[j], st.order[i] }
 
 // emit writes sorted rows order[pos:pos+k] into dst (k bounded by dst's
-// capacity), populating only outCols, one column pass at a time.
+// capacity), populating only outCols, one column pass at a time: a
+// collected column from its arena, a late one from the summary at the
+// rows' primary keys.
 func (st *sortState) emit(dst *batch.ColBatch, outCols []int, pos int) int {
 	k := len(st.order) - pos
 	if k <= 0 {
@@ -248,11 +279,16 @@ func (st *sortState) emit(dst *batch.ColBatch, outCols []int, pos int) int {
 	if k > dst.Cap() {
 		k = dst.Cap()
 	}
+	rows := st.order[pos : pos+k]
 	for _, c := range outCols {
-		out := dst.Col(c)
+		out := dst.Col(c)[:k]
+		if l := st.late; l != nil && slices.Contains(l.cols, c) {
+			l.lk.Gather(out, c, st.arena[l.pk], rows)
+			continue
+		}
 		src := st.arena[c]
-		for i := 0; i < k; i++ {
-			out[i] = src[st.order[pos+i]]
+		for i, g := range rows {
+			out[i] = src[g]
 		}
 	}
 	dst.SetLen(k)

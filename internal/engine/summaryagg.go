@@ -234,10 +234,10 @@ func (e *summaryAggEval) open(ctl *execCtl) {
 }
 
 // run evaluates every summary row into the shared aggregation state and
-// emits the result. Steady state allocates nothing (SampleLimit == 0).
+// emits the result, its sample rows in smp. Steady state allocates nothing.
 //
 //hydra:hotpath
-func (e *summaryAggEval) run(ctl *execCtl, res *ExecResult, opts ExecOptions) error {
+func (e *summaryAggEval) run(ctl *execCtl, res *ExecResult, smp *sampleRows, opts ExecOptions) error {
 	if ctl.stopped() {
 		return ctl.err
 	}
@@ -261,7 +261,7 @@ func (e *summaryAggEval) run(ctl *execCtl, res *ExecResult, opts ExecOptions) er
 		}
 		return err
 	}
-	e.emitExact(res, opts)
+	e.emitExact(res, smp, opts)
 	e.node.OutRows = res.Rows
 	if e.sp != nil {
 		e.sp.Observe(res.Rows, res.Rows*int64(e.width())*8)
@@ -458,27 +458,24 @@ func (e *summaryAggEval) pointContrib(ai int, v, cnt int64) aggContrib {
 
 // emitExact writes the result in the regenerating executors' conventions:
 // COUNT(*) is one row carrying the count; grouped output is one row per
-// group in the shared deterministic order, sampled on request.
-func (e *summaryAggEval) emitExact(res *ExecResult, opts ExecOptions) {
+// group in the shared deterministic order, sampled on request into smp.
+func (e *summaryAggEval) emitExact(res *ExecResult, smp *sampleRows, opts ExecOptions) {
 	st := e.st
+	smp.n = 0
 	if e.countOnly {
 		total := st.counts[0]
 		res.Rows, res.Count = 1, total
 		if opts.SampleLimit > 0 {
-			//hydralint:ignore hotpath sampled rows escape to the caller by design; SampleLimit>0 is off the steady-state path
-			res.Sample = append(res.Sample, []int64{total})
+			smp.next(1)[0] = total
 		}
-		return
-	}
-	res.Rows = int64(len(st.order))
-	if opts.SampleLimit > 0 {
-		for i := 0; i < len(st.order) && len(res.Sample) < opts.SampleLimit; i++ {
-			g := st.order[i]
-			out := make([]int64, len(e.cand.Items))
+	} else {
+		res.Rows = int64(len(st.order))
+		for i := 0; i < len(st.order) && i < opts.SampleLimit; i++ {
+			out := smp.next(len(e.cand.Items))
 			for oc, it := range e.cand.Items {
-				out[oc] = st.value(it, g)
+				out[oc] = st.value(it, st.order[i])
 			}
-			res.Sample = append(res.Sample, out)
 		}
 	}
+	res.Sample = smp.taken()
 }

@@ -7,6 +7,7 @@ package hydra
 // the zero-allocation audit behind the ledger's engine.steady_allocs.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -128,39 +129,43 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 // TestSteadyStateZeroAllocSummaryAgg pins the same contract on the
 // summary-direct fast path: after the first ExecuteIn builds and proves the
 // evaluator, repeated executions — filtered count and grouped
-// multi-aggregate alike — reuse its scratch interval sets and the shared
-// aggregation state, allocating nothing.
+// multi-aggregate alike, sampled or not — reuse its scratch interval sets,
+// the shared aggregation state and the sample rows, allocating nothing.
 func TestSteadyStateZeroAllocSummaryAgg(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
-	for _, sql := range []string{
-		"SELECT COUNT(*) FROM s WHERE s.a >= 20 AND s.a < 60",
-		"SELECT s.a, COUNT(*), SUM(s.b), MIN(s.b), MAX(s.b), AVG(s.b) FROM s WHERE s.a < 60 GROUP BY s.a",
-	} {
-		prep, err := Prepare(db, sql, ExecOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-		var st engine.ExecState
-		res, err := prep.ExecuteIn(&st, ExecOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-		if res.Path != engine.PathSummary {
-			t.Fatalf("%s: answered via %q, want the summary-direct path", sql, res.Path)
-		}
-		wantRows, wantCount := res.Rows, res.Count
-		allocs := testing.AllocsPerRun(200, func() {
-			res, err := prep.ExecuteIn(&st, ExecOptions{})
+	for _, opts := range []ExecOptions{{}, {SampleLimit: 8}} {
+		for _, sql := range []string{
+			"SELECT COUNT(*) FROM s WHERE s.a >= 20 AND s.a < 60",
+			"SELECT s.a, COUNT(*), SUM(s.b), MIN(s.b), MAX(s.b), AVG(s.b) FROM s WHERE s.a < 60 GROUP BY s.a",
+		} {
+			prep, err := Prepare(db, sql, opts)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", sql, err)
 			}
-			if res.Rows != wantRows || res.Count != wantCount {
-				t.Fatalf("result drifted: %d/%d, want %d/%d", res.Rows, res.Count, wantRows, wantCount)
+			var st engine.ExecState
+			res, err := prep.ExecuteIn(&st, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: summary-direct steady state allocates %.2f objects per query, want 0", sql, allocs)
+			if res.Path != engine.PathSummary {
+				t.Fatalf("%s: answered via %q, want the summary-direct path", sql, res.Path)
+			}
+			wantRows, wantCount, sample := res.Rows, res.Count, fmt.Sprint(res.Sample)
+			allocs := testing.AllocsPerRun(200, func() {
+				if res, err = prep.ExecuteIn(&st, opts); err != nil {
+					t.Fatal(err)
+				}
+				if res.Rows != wantRows || res.Count != wantCount {
+					t.Fatalf("result drifted: %d/%d, want %d/%d", res.Rows, res.Count, wantRows, wantCount)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s (sample %d): summary-direct steady state allocates %.2f objects per query, want 0", sql, opts.SampleLimit, allocs)
+			}
+			if got := fmt.Sprint(res.Sample); got != sample {
+				t.Fatalf("%s: recycled sample %s, want %s", sql, got, sample)
+			}
 		}
 	}
 }
@@ -289,39 +294,83 @@ func TestSteadyStateZeroAllocGroupBy(t *testing.T) {
 // TestSteadyStateZeroAllocOrderBy extends the zero-allocation audit to the
 // sort pipeline: after warmup, repeated ExecuteIn of ORDER BY + LIMIT
 // (top-K) and unbounded ORDER BY queries recycle the sort state — arenas,
-// order permutation, top-K heap, selection buffers — and allocate nothing.
+// order permutation, top-K heap, selection buffers, a late top-K's summary
+// cursor — and the sample rows, and allocate nothing, sampled or not.
+// Sampled, the scan top-K queries run late (the last is the benchmark's
+// R3 shape).
 func TestSteadyStateZeroAllocOrderBy(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
-	for _, sql := range []string{
-		"SELECT * FROM s WHERE s.a < 60 ORDER BY s.b DESC LIMIT 10 OFFSET 2",
-		"SELECT * FROM s ORDER BY s.b DESC",
-		"SELECT DISTINCT t.c FROM t ORDER BY t.c DESC LIMIT 3",
-	} {
-		prep, err := Prepare(db, sql, ExecOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-		var st engine.ExecState
-		res, err := prep.ExecuteIn(&st, ExecOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-		want := res.Rows
-		if want == 0 {
-			t.Fatalf("%s: steady-state query produced no rows", sql)
-		}
-		allocs := testing.AllocsPerRun(200, func() {
-			res, err := prep.ExecuteIn(&st, ExecOptions{})
+	for _, opts := range []ExecOptions{{}, {SampleLimit: 8}} {
+		for _, q := range []struct {
+			sql  string
+			late bool // runs late when sampled
+		}{
+			{"SELECT * FROM s WHERE s.a < 60 ORDER BY s.b DESC LIMIT 10 OFFSET 2", true},
+			{"SELECT * FROM s ORDER BY s.b DESC", false},
+			{"SELECT DISTINCT t.c FROM t ORDER BY t.c DESC LIMIT 3", false},
+			{"SELECT * FROM r ORDER BY r.t_fk DESC LIMIT 100", true},
+		} {
+			sql := q.sql
+			prep, err := Prepare(db, sql, opts)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", sql, err)
 			}
-			if res.Rows != want {
-				t.Fatalf("rows drifted: %d, want %d", res.Rows, want)
+			var st engine.ExecState
+			res, err := prep.ExecuteIn(&st, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: steady state allocates %.2f objects per query, want 0", sql, allocs)
+			want, sample := res.Rows, fmt.Sprint(res.Sample)
+			if want == 0 {
+				t.Fatalf("%s: steady-state query produced no rows", sql)
+			}
+			if _, late := lateSortScan(res.Root); late != (q.late && opts.SampleLimit > 0) {
+				t.Fatalf("%s (sample %d): late sort %v", sql, opts.SampleLimit, late)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if res, err = prep.ExecuteIn(&st, opts); err != nil {
+					t.Fatal(err)
+				}
+				if res.Rows != want {
+					t.Fatalf("rows drifted: %d, want %d", res.Rows, want)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s (sample %d): steady state allocates %.2f objects per query, want 0", sql, opts.SampleLimit, allocs)
+			}
+			if got := fmt.Sprint(res.Sample); got != sample {
+				t.Fatalf("%s: recycled sample %s, want %s", sql, got, sample)
+			}
 		}
+	}
+}
+
+// TestFreshStateSampleOwned pins that an execution on a fresh state —
+// Query, Prepared.Execute — returns sample rows its caller owns: no later
+// execution of the same Prepared writes over them.
+func TestFreshStateSampleOwned(t *testing.T) {
+	db := core.RegenDatabase(toySummary(t), 0)
+	opts := ExecOptions{SampleLimit: 8}
+	prep, err := Prepare(db, "SELECT * FROM r ORDER BY r.t_fk DESC LIMIT 5", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := prep.Execute(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(first.Sample)
+	for range 3 {
+		res, err := prep.Execute(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range res.Sample {
+			clear(row)
+		}
+	}
+	if got := fmt.Sprint(first.Sample); got != want || len(first.Sample) != 5 {
+		t.Fatalf("first sample became %s, want %s", got, want)
 	}
 }

@@ -187,14 +187,21 @@ func scrubTimings(s string) string {
 // join query on the toy database: tree drawing, operator details, observed
 // cardinalities, selectivities, the positional build leaves, and — under
 // full regeneration — the drained, detached build sides and their build=
-// clocks, with only the timing values scrubbed.
+// clocks, with only the timing values scrubbed; and for a sampled top-K
+// shaped like the benchmark's R3, the late sort and its scan's columns.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
 	for _, c := range []struct {
-		regime, golden string
-	}{{"", explainGolden}, {engine.PathRegen, explainRegenGolden}} {
-		res, err := Query(db, "EXPLAIN ANALYZE "+toy.Query, ExecOptions{Regime: c.regime})
+		sql    string
+		opts   ExecOptions
+		golden string
+	}{
+		{toy.Query, ExecOptions{}, explainGolden},
+		{toy.Query, ExecOptions{Regime: engine.PathRegen}, explainRegenGolden},
+		{explainTopKQuery, ExecOptions{SampleLimit: 8}, explainTopKGolden},
+	} {
+		res, err := Query(db, "EXPLAIN ANALYZE "+c.sql, c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +211,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		got := scrubTimings(RenderTrace(res.Trace))
 		want := strings.TrimPrefix(c.golden, "\n")
 		if got != want {
-			t.Fatalf("regime %q: EXPLAIN ANALYZE render drifted:\n--- got ---\n%s--- want ---\n%s", c.regime, got, want)
+			t.Fatalf("%s %+v: EXPLAIN ANALYZE render drifted:\n--- got ---\n%s--- want ---\n%s", c.sql, c.opts, got, want)
 		}
 	}
 }
@@ -288,4 +295,19 @@ HASH JOIN r.t_fk = t.t_pk  (time=X self=X rows=531 batches=1 build=X sel=13.5%)
 │       └── SCAN s  (time=X self=X rows=500 batches=1 bytes=8000)
 └── FILTER c ∈ {[2,3)}  (time=X self=X rows=14 batches=1 sel=14.0% detached)
     └── SCAN t  (time=X self=X rows=100 batches=1 bytes=1600)
+`
+
+// explainTopKQuery is the benchmark's R3 shape on the toy's r: a top-K
+// over a whole regenerated table, sampled, with an OFFSET.
+const explainTopKQuery = "SELECT * FROM r ORDER BY r.t_fk DESC LIMIT 5 OFFSET 2"
+
+// explainTopKGolden is explainTopKQuery's rendering. The sort is late: its
+// scan generates every tuple of r but materializes only the sort key and
+// the primary key, and the sort reads s_fk from the summary for the 7 rows
+// it emits. It emits them in one batch: the root batch holds exactly the
+// bound, offset+limit.
+const explainTopKGolden = `
+LIMIT  (time=X self=X rows=5 batches=1 sel=71.4%)
+└── SORT [late]  (time=X self=X rows=7 batches=1 bytes=168 sel=0.1%)
+    └── SCAN r [cols r_pk, t_fk]  (time=X self=X rows=10000 batches=10 bytes=160000)
 `
