@@ -9,7 +9,12 @@ package batch
 //
 // A batch is constructed for a fixed set of populated columns; the other
 // columns carry no storage (Col returns nil), so a scan projected to three
-// of twenty-plus columns never allocates — let alone writes — the rest.
+// of twenty-plus columns never allocates — let alone writes — the rest. A
+// batch may also be constructed with no storage at all and sized by its
+// writer (Reserve): the engine's root batch under a sink, which holds only
+// the rows the sink emits. And a scan source writing into a wider batch —
+// a join's, whose probe columns come first — sees the table's width
+// through a column-prefix view (PrefixView).
 type ColBatch struct {
 	width   int
 	capRows int
@@ -94,9 +99,34 @@ func (b *ColBatch) SelBuf() []int32 {
 	return b.selBuf[:0]
 }
 
-// Col returns column c's storage (length Cap; entries [0, Len) are
-// meaningful), or nil when c is unpopulated.
+// Col returns column c's storage, or nil when c is unpopulated; entries
+// [0, Len) are meaningful. Its length is Cap, except in a batch its writer
+// sizes (Reserve): there it is at least the rows last reserved, which are
+// at least Len.
 func (b *ColBatch) Col(c int) []int64 { return b.cols[c] }
+
+// Reserve gives each of cols storage for at least n rows, n <= Cap: a
+// column already that long — every column NewCol populated — is left as
+// it is, and a shorter one gets exactly n rows, so a writer that reserves
+// the same n every time allocates once. The engine's sinks reserve the
+// rows they are about to emit, in a root batch constructed without
+// storage.
+func (b *ColBatch) Reserve(cols []int, n int) {
+	for _, c := range cols {
+		if len(b.cols[c]) < n {
+			b.cols[c] = make([]int64, n)
+		}
+	}
+}
+
+// PrefixView makes v an empty batch over b's first width columns and its
+// capacity: v shares b's column storage, so what a writer fills in v is in
+// b (the writer then sets b's length). It allocates nothing — v is the
+// caller's — and lets a scan source that checks its table's width (RowScan)
+// write into a wider batch.
+func (b *ColBatch) PrefixView(v *ColBatch, width int) {
+	*v = ColBatch{width: width, capRows: b.capRows, cols: b.cols[:width:width]}
+}
 
 // Cols exposes the per-column storage slice, indexed by column position;
 // unpopulated columns are nil. Hot loops (predicate vectorization) index it

@@ -68,3 +68,46 @@ func TestColBatchDefaultCap(t *testing.T) {
 	}()
 	b.SetLen(DefaultCap + 1)
 }
+
+// TestColBatchReserve: a column shorter than the rows reserved gets
+// exactly that many, a long enough one — every column NewCol populated —
+// keeps its storage, and reserving again what is already held allocates
+// nothing.
+func TestColBatchReserve(t *testing.T) {
+	b := NewCol(3, 8, []int{2})
+	full := b.Col(2)
+	b.Reserve([]int{0, 2}, 5)
+	if len(b.Col(0)) != 5 || b.Col(1) != nil || &b.Col(2)[0] != &full[0] || len(b.Col(2)) != 8 {
+		t.Fatalf("after Reserve(5): lengths %d/%d/%d", len(b.Col(0)), len(b.Col(1)), len(b.Col(2)))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { b.Reserve([]int{0, 2}, 5) }); allocs != 0 {
+		t.Fatalf("reserving held rows allocates %.0f", allocs)
+	}
+	b.Reserve([]int{0}, 7)
+	if len(b.Col(0)) != 7 {
+		t.Fatalf("grown column holds %d rows, want 7", len(b.Col(0)))
+	}
+}
+
+// TestColBatchPrefixView: a view has the prefix's width and the batch's
+// capacity, starts empty, and what a writer fills in it is in the batch.
+func TestColBatchPrefixView(t *testing.T) {
+	b := NewCol(4, 8, AllCols(4))
+	b.SetLen(3)
+	b.SetSel(append(b.SelBuf(), 1))
+	var v ColBatch
+	b.PrefixView(&v, 2)
+	if v.Width() != 2 || v.Cap() != 8 || v.Len() != 0 || v.Sel() != nil {
+		t.Fatalf("view: width %d cap %d len %d sel %v", v.Width(), v.Cap(), v.Len(), v.Sel())
+	}
+	v.Col(1)[0] = 42
+	if b.Col(1)[0] != 42 {
+		t.Fatal("a value written through the view is not in the batch")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { b.PrefixView(&v, 2) }); allocs != 0 {
+		t.Fatalf("PrefixView allocates %.0f", allocs)
+	}
+	if src := FromRows(&sliceRows{rows: [][]int64{{1, 2}}}); !src.NextColBatch(&v, []int{0, 1}) || v.Len() != 1 {
+		t.Fatal("a two-column row source rejected the two-column view of a four-column batch")
+	}
+}

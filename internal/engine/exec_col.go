@@ -18,23 +18,32 @@ import (
 // materialization: required-column analysis (plan.go) decides which columns
 // each operator must populate, scans expand only those columns from the
 // summary, filters flip a selection vector instead of compacting row data,
-// and hash joins read nothing but the key column until output
-// materialization. A join's build side is one of two kinds. A hash build
-// drains its child into read-only arenas at open and indexes them. A
-// positional build — the build table regenerates from its summary and the
-// key is its primary key — drains nothing: each probe key is looked up in
-// the summary (generator.Lookup) and the matched tuple's columns are read
-// under the generator's law. Blocking root operators (COUNT(*), GROUP BY,
-// DISTINCT, ORDER BY) are the sink framework in sink.go. A bounded sort
-// over a scan of such a table runs late by the same law (lateSort): the
-// scan materializes only the sort keys and the columns up to the primary
-// key, and the winners' other columns are read from the summary at emit.
-// The one executor (Prepared.run) composes these same operators, opened by
-// the one opener (openCol), every way it runs: it drives them batch-wise,
-// or opens the probe spine once per worker over shared build arenas and
-// folds sink partial states (exec_parallel.go), and a caller-owned
-// ExecState recycles the opened tree. The parity suites hold all of them
-// to byte-identical results, and to the materialized database's answers.
+// and joins read nothing but the key column until output materialization.
+// A join's build side is one of two kinds. A hash build drains its child
+// into read-only arenas at open and indexes them. A positional build — the
+// build table regenerates from its summary and the key is its primary key
+// — drains nothing: each probe key is looked up in the summary
+// (generator.Lookup) and the matched tuple's columns are read under the
+// generator's law. A join whose build has at most one match per key — a
+// positional one, or a hash build whose keys turned out unique — runs in
+// place (colKeyJoinIter): its probe child fills the join's own output
+// batch, the join narrows that batch's selection to the rows whose key
+// matches, as a filter does, and reads the build columns into those same
+// rows, so a spine of scan, filters and key joins shares one batch. Only a
+// hash build with repeated keys pairs rows into a batch of its own
+// (colHashJoinIter). Blocking root operators (COUNT(*), GROUP BY,
+// DISTINCT, ORDER BY) are the sink framework in sink.go; at a plan's root a
+// sink's batch holds only the rows it emits (Prepared.open, Reserve). A
+// bounded sort over a scan of such a table runs late by the same law
+// (lateSort): the scan materializes only the sort keys and the columns up
+// to the primary key, and the winners' other columns are read from the
+// summary at emit. The one executor (Prepared.run) composes these same
+// operators, opened by the one opener (openCol), every way it runs: it
+// drives them batch-wise, or opens the probe spine once per worker over
+// shared build arenas and folds sink partial states (exec_parallel.go), and
+// a caller-owned ExecState recycles the opened tree. The parity suites hold
+// all of them to byte-identical results, and to the materialized
+// database's answers.
 
 // colIterator is the engine-internal columnar operator contract — the one
 // operator set every execution composes. Next resets dst, fills it
@@ -194,6 +203,28 @@ func lateSort(db *Database, pn *PlanNode, collect []int) (*sortLate, []int) {
 	return &sortLate{lk: sc.gen.Lookup(), pk: pk, cols: cols}, child
 }
 
+// keep moves into the collected set collect every late column the sort's
+// child materializes anyway — pop holds a residual filter's predicate
+// columns — so the sort keeps it in its arena instead of reading it again
+// at emit. Past the primary key, a kept column never decides the order. A
+// sort left with no late column is an ordinary bounded sort: nil.
+func (l *sortLate) keep(collect, pop []int) ([]int, *sortLate) {
+	collect = slices.Clip(collect) // the child's need: grow a copy
+	late := l.cols[:0]
+	for _, c := range l.cols {
+		if slices.Contains(pop, c) {
+			collect = addCol(collect, c)
+		} else {
+			late = append(late, c)
+		}
+	}
+	if len(late) == 0 {
+		return collect, nil
+	}
+	l.cols = late
+	return collect, l
+}
+
 // markLateScan names, on the scan leaf under a late sort's child node n,
 // the columns its batches populate (pop), and re-derives the leaf's span
 // detail to show them.
@@ -301,7 +332,8 @@ func (s *sampleRows) taken() [][]int64 {
 // It returns, besides the operator's output width, the populated column set
 // of the batches the operator fills — a superset of need when a scan also
 // writes predicate or key columns that ride along in the same physical
-// batch — which the parent must use to size its receiving batch. Hash
+// batch, as do the probe columns under an in-place key join — which the
+// parent must use to size its receiving batch. Hash
 // builds are consumed at open time, through builds (see buildCache.build);
 // positional ones are looked up (positionalLeaf). ctl is the execution's
 // cancellation control, threaded into every scan leaf (the engine's
@@ -325,9 +357,10 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 				return nil, 0, nil, nil, err
 			}
 		}
-		s := &colScanIter{table: pn.Table, src: src, cols: need, node: node, ctl: ctl}
+		width := len(db.Schema.Table(pn.Table).Columns)
+		s := &colScanIter{table: pn.Table, src: src, width: width, cols: need, node: node, ctl: ctl}
 		s.sp, s.rowBytes = ctl.annotate(node), 8*int64(len(need))
-		return s, len(db.Schema.Table(pn.Table).Columns), need, node, nil
+		return s, width, need, node, nil
 
 	case OpFilter:
 		// When every conjunct was proven on the pruned scan beneath, the
@@ -379,16 +412,30 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 			bw = jb.width
 		}
 		node := &ExecNode{Op: pn.Op.String(), JoinSQL: pn.JoinSQL, Children: []*ExecNode{probeNode, buildNode}}
-		ji := newColHashJoinIter(probe, jb, lk, pw, pn.LeftKey, need, probePop, capRows)
-		ji.node = node
-		if sp := ctl.annotate(node); sp != nil {
+		sp := ctl.annotate(node)
+		if sp != nil {
 			// The build side drains at open, outside this operator's Next
 			// window: detach it from self-time math and report the drain
 			// wall clock on the join itself (0 for a positional build).
 			sp.BuildNS = buildNS
 			buildNode.sp.Detached = true
-			ji.sp, ji.rowBytes = sp, 8*int64(len(need))
 		}
+		if lk != nil || jb.unique() {
+			// At most one match per key: the join runs in place in its
+			// probe's batch, which also carries the build columns it reads.
+			kj := &colKeyJoinIter{probe: probe, node: node, sp: sp, leftKey: pn.LeftKey, probeCols: pw, build: jb, pos: lk}
+			pop := slices.Clip(probePop)
+			for _, c := range need {
+				if c >= pw {
+					kj.buildOut = append(kj.buildOut, c-pw)
+					pop = append(pop, c)
+				}
+			}
+			kj.rowBytes = 8 * int64(len(kj.buildOut))
+			return kj, pw + bw, pop, node, nil
+		}
+		ji := newColHashJoinIter(probe, jb, pw, pn.LeftKey, need, probePop, capRows)
+		ji.node, ji.sp, ji.rowBytes = node, sp, 8*int64(len(need))
 		return ji, pw + bw, need, node, nil
 
 	case OpAggregate, OpGroupAgg, OpDistinct, OpSort:
@@ -409,6 +456,9 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 		child, width, pop, childNode, err := openCol(db, pn.Children[0], childNeed, capRows, builds, ctl)
 		if err != nil {
 			return nil, 0, nil, nil, err
+		}
+		if late != nil {
+			childNeed, late = late.keep(childNeed, pop)
 		}
 		g := &colSinkIter{
 			child:   child,
@@ -452,10 +502,15 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 // the tree — the filter's skip loop, sink and COUNT(*) drains, hash-join
 // build drains, probe pulls — advances only by pulling scan batches, so a
 // single check here stops them all within one batch of the context ending.
+// The source fills a view of the batch's first width columns, so it sees
+// its table's width even in a batch that is wider — an in-place key
+// join's, whose build columns follow the probe's.
 type colScanIter struct {
 	table    string
 	src      batch.ColProjector
+	width    int // the table's column count
 	cols     []int
+	view     batch.ColBatch // the source's view of the batch it fills
 	node     *ExecNode
 	ctl      *execCtl
 	sp       *trace.Span // nil when untraced
@@ -479,9 +534,12 @@ func (s *colScanIter) next(dst *batch.ColBatch) bool {
 	if s.ctl.stopped() {
 		return false
 	}
-	if !s.src.NextColBatch(dst, s.cols) {
+	dst.Reset()
+	dst.PrefixView(&s.view, s.width)
+	if !s.src.NextColBatch(&s.view, s.cols) {
 		return false
 	}
+	dst.SetLen(s.view.Len())
 	s.node.OutRows += int64(dst.Len())
 	return true
 }
@@ -562,6 +620,9 @@ func (f *colFilterIter) deferredErr() error { return f.child.deferredErr() }
 // away during the drain, so arena row r is the r-th surviving build row.
 // After construction a colJoinBuild is read-only: the parallel executor
 // shares one across all workers, and Prepare shares one across executions.
+// A build whose keys turned out unique (unique) is probed in place
+// (colKeyJoinIter): each key's run is its one arena row. One with repeated
+// keys pairs probe rows with runs (colHashJoinIter).
 //
 // The index groups the arena rows by key into runs, one per distinct key in
 // first-seen order, laid out compressed-sparse-row: run g's rows are
@@ -579,6 +640,9 @@ type colJoinBuild struct {
 	byKey []int32
 	shift uint // 64 − log2(len(slots))
 }
+
+// unique reports whether no key repeats: one run per arena row.
+func (jb *colJoinBuild) unique() bool { return len(jb.keys) == len(jb.byKey) }
 
 // bytes is the build's footprint: cap × 8 per populated arena, plus the
 // index — 4 B a slot, 8 B a key, 4 B a run start, 4 B a byKey row.
@@ -704,16 +768,112 @@ func newColJoinBuild(build colIterator, width, rightKey, capRows int, need, pop 
 	return jb, build.deferredErr()
 }
 
-// colHashJoinIter streams probe batches against a build side in two phases
-// per output batch. The pair loop walks the live probe rows in selection
-// order, reading nothing but the key column, looks each key up once and
-// appends a pair per match; then one tight gather loop per needed column
-// fills the output — probe columns from the probe batch by pRows, build
-// columns by the pairs' build halves. The build side is a colJoinBuild,
-// whose pairs name arena rows (bRows), or, for a positional join, a
-// generator.Lookup into the build table's summary: there a pair's probe
-// row is all it needs, its key naming the matched tuple, and the gather
-// reads the summary's law.
+// colKeyJoinIter is a join whose build side has at most one match per
+// probe key — a positional build (pos), or a hash build whose keys turned
+// out unique (build) — run in place: it owns no batch. Its probe child
+// fills the join's own output batch, which is wide enough for both sides;
+// per batch the join narrows that batch's selection to the live rows whose
+// key matches, in place as colFilterIter does, then reads each needed
+// build column into those same physical rows — from the summary at the
+// row's key (Lookup.Scatter), or from the arena at the key's one row. No
+// probe value moves, and a batch in which every key misses is skipped.
+type colKeyJoinIter struct {
+	probe     colIterator
+	node      *ExecNode
+	sp        *trace.Span // nil when untraced
+	rowBytes  int64       // bytes materialized per output row: the build columns'
+	leftKey   int
+	probeCols int
+	buildOut  []int             // needed output columns from the build side (build-local indices)
+	build     *colJoinBuild     // a unique-key hash build; nil for a positional join
+	pos       *generator.Lookup // the positional build; nil for a hash join
+	rows      []int32           // hash build: the arena row of each selected row, in selection order
+}
+
+func (k *colKeyJoinIter) Next(dst *batch.ColBatch) bool {
+	if k.sp == nil {
+		return k.next(dst)
+	}
+	k.sp.Begin()
+	if !k.next(dst) {
+		k.sp.ObserveEmpty()
+		return false
+	}
+	live := int64(dst.Live())
+	k.sp.Observe(live, live*k.rowBytes)
+	return true
+}
+
+func (k *colKeyJoinIter) next(dst *batch.ColBatch) bool {
+	for {
+		if !k.probe.Next(dst) {
+			return false
+		}
+		keys, sel, live := dst.Col(k.leftKey), dst.Sel(), dst.Live()
+		// The narrowed selection overwrites the one it reads: the write
+		// index never passes the read index.
+		out := dst.SelBuf()
+		if jb := k.build; jb != nil {
+			if cap(k.rows) < dst.Cap() {
+				k.rows = make([]int32, 0, dst.Cap())
+			}
+			rows := k.rows[:0]
+			for i := 0; i < live; i++ {
+				p := int32(i)
+				if sel != nil {
+					p = sel[i]
+				}
+				if lo, hi := jb.matches(keys[p]); lo < hi {
+					out = append(out, p)
+					rows = append(rows, jb.byKey[lo])
+				}
+			}
+			for _, bc := range k.buildOut {
+				src, col := jb.arena[bc], dst.Col(k.probeCols+bc)
+				for i, p := range out {
+					col[p] = src[rows[i]]
+				}
+			}
+		} else {
+			for i := 0; i < live; i++ {
+				p := int32(i)
+				if sel != nil {
+					p = sel[i]
+				}
+				if k.pos.Has(keys[p]) {
+					out = append(out, p)
+				}
+			}
+			for _, bc := range k.buildOut {
+				k.pos.Scatter(dst.Col(k.probeCols+bc), bc, keys, out)
+			}
+		}
+		if len(out) == 0 {
+			continue // every key missed; pull the next batch
+		}
+		if sel != nil || len(out) < live {
+			dst.SetSel(out)
+		}
+		k.node.OutRows += int64(len(out))
+		return true
+	}
+}
+
+func (k *colKeyJoinIter) rewind(db *Database) error {
+	k.node.OutRows = 0
+	return k.probe.rewind(db)
+}
+
+// deferredErr surfaces probe-side deferred errors; a hash build was fully
+// consumed at open, so any failure there was already returned.
+func (k *colKeyJoinIter) deferredErr() error { return k.probe.deferredErr() }
+
+// colHashJoinIter streams probe batches against a hash build with repeated
+// keys in two phases per output batch. The pair loop walks the live probe
+// rows in selection order, reading nothing but the key column, looks each
+// key up once and appends a pair per match; then one tight gather loop per
+// needed column fills the output — probe columns from the probe batch by
+// pRows, build columns from the arenas by bRows.
 type colHashJoinIter struct {
 	probe     colIterator
 	node      *ExecNode
@@ -721,13 +881,11 @@ type colHashJoinIter struct {
 	rowBytes  int64       // bytes materialized per output row
 	leftKey   int
 	probeCols int
-	build     *colJoinBuild     // the hash build; nil for a positional join
-	pos       *generator.Lookup // the positional build; nil for a hash join
-	probeOut  []int             // needed output columns from the probe side
-	buildOut  []int             // needed output columns from the build side (build-local indices)
+	build     *colJoinBuild
+	probeOut  []int // needed output columns from the probe side
+	buildOut  []int // needed output columns from the build side (build-local indices)
 
 	// The pair vectors, capacity the output batch's: pair i is output row i.
-	// bRows is nil for a positional join.
 	pRows, bRows []int32
 
 	// probe cursor, carried across Next calls when dst fills mid-batch
@@ -738,22 +896,19 @@ type colHashJoinIter struct {
 	done     bool
 }
 
-// newColHashJoinIter builds the probe-side iterator over one build side —
-// jb, or lk for a positional join: need is the join output's required
-// columns, probePop the populated set of the probe child's batches.
-func newColHashJoinIter(probe colIterator, jb *colJoinBuild, lk *generator.Lookup, probeCols, leftKey int, need, probePop []int, capRows int) *colHashJoinIter {
+// newColHashJoinIter builds the probe-side iterator over build side jb:
+// need is the join output's required columns, probePop the populated set
+// of the probe child's batches.
+func newColHashJoinIter(probe colIterator, jb *colJoinBuild, probeCols, leftKey int, need, probePop []int, capRows int) *colHashJoinIter {
 	pbatch := batch.NewCol(probeCols, capRows, probePop)
 	h := &colHashJoinIter{
 		probe:     probe,
 		leftKey:   leftKey,
 		probeCols: probeCols,
 		build:     jb,
-		pos:       lk,
 		pRows:     make([]int32, pbatch.Cap()),
+		bRows:     make([]int32, pbatch.Cap()),
 		pbatch:    pbatch,
-	}
-	if lk == nil {
-		h.bRows = make([]int32, pbatch.Cap())
 	}
 	for _, c := range need {
 		if c < probeCols {
@@ -805,9 +960,6 @@ func (h *colHashJoinIter) Next(dst *batch.ColBatch) bool {
 // gathered first (from is where the ungathered pairs start); output
 // batches stay packed across probe batches.
 func (h *colHashJoinIter) next(dst *batch.ColBatch) bool {
-	if h.pos != nil {
-		return h.nextPositional(dst)
-	}
 	dst.Reset()
 	capRows := dst.Cap()
 	pRows, bRows := h.pRows[:capRows], h.bRows[:capRows]
@@ -871,61 +1023,6 @@ func (h *colHashJoinIter) next(dst *batch.ColBatch) bool {
 	dst.SetLen(j)
 	h.node.OutRows += int64(j)
 	return j > 0
-}
-
-// nextPositional is next for a positional join: a key has at most one
-// match, so a pair never spills into the next output batch, and the pair
-// is its probe row alone — the gather reads each build column in the
-// summary at the probe row's key, for the pairs collected before each
-// probe pull as for the probe columns.
-func (h *colHashJoinIter) nextPositional(dst *batch.ColBatch) bool {
-	dst.Reset()
-	capRows := dst.Cap()
-	pRows := h.pRows[:capRows]
-	lk := h.pos
-	j, from := 0, 0
-	for j < capRows && !h.done {
-		live := h.pbatch.Live()
-		if h.pi >= live {
-			h.gatherPositional(dst, from, j)
-			from = j
-			if !h.probe.Next(h.pbatch) {
-				h.done = true
-				break
-			}
-			h.pi = 0
-			continue
-		}
-		keys, sel := h.pbatch.Col(h.leftKey), h.pbatch.Sel()
-		pi := h.pi
-		for pi < live && j < capRows {
-			p := int32(pi)
-			if sel != nil {
-				p = sel[pi]
-			}
-			pi++
-			if lk.Has(keys[p]) {
-				pRows[j] = p
-				j++
-			}
-		}
-		h.pi = pi
-	}
-	h.gatherPositional(dst, from, j)
-	dst.SetLen(j)
-	h.node.OutRows += int64(j)
-	return j > 0
-}
-
-// gatherPositional fills output rows [from, to) of a positional join from
-// the current probe batch: its probe columns, and the build columns of the
-// tuples its keys name.
-func (h *colHashJoinIter) gatherPositional(dst *batch.ColBatch, from, to int) {
-	h.gatherProbe(dst, from, to)
-	keys, rows := h.pbatch.Col(h.leftKey), h.pRows[from:to]
-	for _, bc := range h.buildOut {
-		h.pos.Gather(dst.Col(h.probeCols + bc)[from:to], bc, keys, rows)
-	}
 }
 
 // gatherProbe fills the probe columns of output rows [from, to) from the

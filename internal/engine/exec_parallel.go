@@ -73,7 +73,7 @@ type morselWorker struct {
 	ctl   *execCtl           // the tree's; bound to the pool's context while it runs
 	top   colIterator        // spine top: what a morsel drains
 	node  *ExecNode          // top's node
-	joins []*colHashJoinIter // probe cursors, reset per morsel
+	joins []*colHashJoinIter // pair-join probe cursors, reset per morsel
 	leaf  *colScanIter       // re-pointed at each morsel's section
 	b     *batch.ColBatch    // receives top's batches
 	sink  sinkState          // the innermost sink's state; nil when rows flow out (bare spine, LIMIT)
@@ -97,6 +97,9 @@ func newMorselWorker(it colIterator, node *ExecNode, b *batch.ColBatch, ctl *exe
 		switch s := it.(type) {
 		case *colHashJoinIter:
 			w.joins = append(w.joins, s)
+			it = s.probe
+		case *colKeyJoinIter:
+			// In place, like a filter: no cursor outlives a batch.
 			it = s.probe
 		case *colFilterIter:
 			it = s.child

@@ -461,6 +461,7 @@ func (st *groupAggState) emit(dst *batch.ColBatch, outCols []int, pos int) int {
 	if k > dst.Cap() {
 		k = dst.Cap()
 	}
+	dst.Reserve(outCols, k)
 	for _, oc := range outCols {
 		it := st.items[oc]
 		out := dst.Col(oc)

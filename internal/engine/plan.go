@@ -527,15 +527,15 @@ func (pn *PlanNode) lateNeeds(collect []int, pk int) (child, late []int) {
 	return child, late
 }
 
-// topK is the bound of the plan's root when the root is a bounded sort
-// under a LIMIT — it emits at most that many rows — and 0 otherwise. A
-// plain LIMIT has no such bound on what passes through it: it drains its
-// child through the root batch.
-func (p *Plan) topK() int64 {
-	if r := p.Root; r.Op == OpLimit && r.Children[0].Op == OpSort {
-		return r.Children[0].SortBound
+// sinkRoot reports whether the plan's root is a sink — COUNT(*), GROUP BY,
+// DISTINCT or ORDER BY — possibly under a LIMIT: the root's rows are then
+// exactly the ones the sink emits.
+func (p *Plan) sinkRoot() bool {
+	pn := p.Root
+	if pn.Op == OpLimit {
+		pn = pn.Children[0]
 	}
-	return 0
+	return pn.Op != OpLimit && isRootSink(pn.Op)
 }
 
 // countStar reports whether the plan computes COUNT(*): an OpAggregate at

@@ -271,16 +271,12 @@ func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 		if err != nil {
 			return err
 		}
-		// A bounded sort under the root LIMIT emits at most its bound: the
-		// root batch need hold no more.
-		rootCap := opts.BatchSize
-		if rootCap <= 0 {
-			rootCap = batch.DefaultCap
+		if p.plan.sinkRoot() {
+			// A sink's output is only what it emits: its root batch opens
+			// without storage, and each emit reserves the rows it writes.
+			pop = nil
 		}
-		if k := p.plan.topK(); k > 0 {
-			rootCap = int(min(int64(rootCap), k))
-		}
-		st.it, st.b, root = it, batch.NewCol(width, rootCap, pop), node
+		st.it, st.b, root = it, batch.NewCol(width, opts.BatchSize, pop), node
 		if opts.Parallelism >= 1 {
 			if st.par, err = openParallel(p.db, p.plan, it, node, st.b, opts, builds, &st.ctl); err != nil {
 				return err

@@ -37,8 +37,10 @@ type sinkState interface {
 	// failures. Called exactly once per execution, after the last observe —
 	// for parallel execution, after the last merge.
 	finish()
-	// emit writes output rows [pos, pos+k) into dst, populating only
-	// outCols, and returns k (0 = exhausted).
+	// emit writes output rows [pos, pos+k) into dst, k at most dst's
+	// capacity, populating only outCols — which it first reserves for the
+	// k rows (ColBatch.Reserve: the root batch holds no storage until its
+	// sink emits) — and returns k (0 = exhausted).
 	emit(dst *batch.ColBatch, outCols []int, pos int) int
 	// reset recycles the state for another execution without releasing
 	// storage (the zero-allocation steady-state contract).
@@ -148,6 +150,7 @@ func (st *countState) emit(dst *batch.ColBatch, outCols []int, pos int) int {
 	if pos > 0 {
 		return 0
 	}
+	dst.Reserve(outCols, 1)
 	dst.SetLen(1)
 	for _, c := range outCols {
 		dst.Col(c)[0] = st.n

@@ -279,6 +279,7 @@ func (st *sortState) emit(dst *batch.ColBatch, outCols []int, pos int) int {
 	if k > dst.Cap() {
 		k = dst.Cap()
 	}
+	dst.Reserve(outCols, k)
 	rows := st.order[pos : pos+k]
 	for _, c := range outCols {
 		out := dst.Col(c)[:k]

@@ -428,26 +428,44 @@ func (l *Lookup) find(k int64) bool {
 }
 
 // Gather fills dst[i] with column c of the tuple whose global index is
-// keys[at[i]] — a key Has found — exactly as fillColBatch generates it,
+// keys[at[i]] — a key Has found — for a compacted output: the late top-K's
+// emit reads its winners' columns with it. See read for the law.
+func (l *Lookup) Gather(dst []int64, c int, keys []int64, at []int32) {
+	l.read(dst, c, keys, at[:len(dst)], false)
+}
+
+// Scatter fills dst[a] with column c of the tuple whose global index is
+// keys[a], for each a in at — keys Has found — writing in place: the
+// in-place key join reads its build columns into the probe batch's own
+// rows with it, at is the batch's selection. See read for the law.
+func (l *Lookup) Scatter(dst []int64, c int, keys []int64, at []int32) {
+	l.read(dst, c, keys, at, true)
+}
+
+// read is Gather (output row i) and Scatter (output row at[i]): it reads
+// column c of the tuple keys[at[i]] exactly as fillColBatch generates it,
 // under the law of synopsis.Row.Spec: the key itself in the primary key, 0
 // where the tuple's summary row r leaves c unspecced, the row's Fixed
 // value, or Set.At((k − cum[r]) mod |Set|) for a cycling set. The summary
 // row is searched for only when a key leaves the last one's, and the spec
-// is resolved once per summary row. (at lets a join gather straight from
-// its probe batch's key column by the probe rows of its matches.)
+// is resolved once per summary row.
 //
 //hydra:hotpath
-func (l *Lookup) Gather(dst []int64, c int, keys []int64, at []int32) {
+func (l *Lookup) read(dst []int64, c int, keys []int64, at []int32, scatter bool) {
 	s := l.s
+	o := 0
 	if c == s.pkIdx {
-		for i, a := range at[:len(dst)] {
-			dst[i] = keys[a]
+		for i, a := range at {
+			if o = i; scatter {
+				o = int(a)
+			}
+			dst[o] = keys[a]
 		}
 		return
 	}
 	cum, r := s.cum, l.row
 	sp, span := s.spec(r, c)
-	for i, a := range at[:len(dst)] {
+	for i, a := range at {
 		k := keys[a]
 		if k < cum[r] || k >= cum[r+1] {
 			// Smallest r with cum[r+1] > k: summary row r holds tuple k.
@@ -463,13 +481,16 @@ func (l *Lookup) Gather(dst []int64, c int, keys []int64, at []int32) {
 			r = lo
 			sp, span = s.spec(r, c)
 		}
+		if o = i; scatter {
+			o = int(a)
+		}
 		switch {
 		case sp == nil:
-			dst[i] = 0
+			dst[o] = 0
 		case sp.Fixed != nil:
-			dst[i] = *sp.Fixed
+			dst[o] = *sp.Fixed
 		default:
-			dst[i] = sp.Set.At((k - cum[r]) % span)
+			dst[o] = sp.Set.At((k - cum[r]) % span)
 		}
 	}
 	l.row = r

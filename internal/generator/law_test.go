@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/batch"
@@ -271,7 +272,9 @@ func randomLawSummary(rng *rand.Rand, skew int64) *synopsis.Relation {
 // summaries and every kind of stream — whole, a random row space, a window
 // of that — Has finds exactly the primary keys the stream generates, and
 // Gather returns the generated tuple's value in every column, for keys in
-// generation order and shuffled (so the summary-row cache misses).
+// generation order and shuffled (so the summary-row cache misses), and
+// Scatter writes it at the key's own index, for every key and for a
+// random ascending subset (a join's selection), touching nothing else.
 // Outside what the stream generates — below 0, past Total, in the row
 // space's gaps, beyond the window, at the int64 extremes — there is no
 // match.
@@ -328,6 +331,30 @@ func TestLookupObeysTheLaw(t *testing.T) {
 					for j, a := range at {
 						if k := keys[a]; got[j] != byKey[k][c] {
 							t.Fatalf("%s: column %d of tuple %d = %d, want %d (summary %+v)", label, c, k, got[j], byKey[k][c], rel)
+						}
+					}
+				}
+			}
+			var subset []int32
+			for _, a := range inOrder {
+				if rng.Intn(3) > 0 {
+					subset = append(subset, a)
+				}
+			}
+			for _, at := range [][]int32{inOrder, subset} {
+				for c := range width {
+					got := make([]int64, len(keys))
+					for j := range got {
+						got[j] = -7
+					}
+					lk.Scatter(got, c, keys, at)
+					for j, k := range keys {
+						want := int64(-7)
+						if slices.Contains(at, int32(j)) {
+							want = byKey[k][c]
+						}
+						if got[j] != want {
+							t.Fatalf("%s: scattered column %d at row %d (key %d) = %d, want %d (summary %+v)", label, c, j, k, got[j], want, rel)
 						}
 					}
 				}

@@ -206,10 +206,12 @@ func TestSteadyStateZeroAllocPruned(t *testing.T) {
 	}
 }
 
-// TestSteadyStateZeroAllocJoin pins the contract on the hash-join probe: a
+// TestSteadyStateZeroAllocJoin pins the contract on the join probe: a
 // Prepared filtered join drains its build side once, at Prepare, and
 // repeated ExecuteIn — probing the frozen key index with every regenerated
-// (or, pruned, every qualifying) probe row — allocates nothing.
+// (or, pruned, every qualifying) probe row — allocates nothing. So does the
+// R5 shape, a COUNT(*) over a join into a summary-backed dimension, whose
+// build is positional and runs in place, as every join here does.
 func TestSteadyStateZeroAllocJoin(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
@@ -219,6 +221,7 @@ func TestSteadyStateZeroAllocJoin(t *testing.T) {
 	}{
 		{engine.PathRegen, "SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk AND s.a < 50"},
 		{engine.PathPruned, "SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk AND s.a < 50 AND r.t_fk < 30"},
+		{engine.PathPruned, "SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk AND s.a >= 10 AND s.a < 70"},
 	} {
 		opts := ExecOptions{Regime: c.regime}
 		prep, err := Prepare(db, c.sql, opts)
@@ -252,17 +255,26 @@ func TestSteadyStateZeroAllocJoin(t *testing.T) {
 // TestSteadyStateZeroAllocGroupBy extends the zero-allocation audit to the
 // hash-aggregation sink, GROUP BY and DISTINCT alike (one state serves
 // both): after warmup, repeated ExecuteIn recycles it — open-addressed
-// group table, key arenas, accumulators, output order — and allocates
-// nothing.
+// group table, key arenas, accumulators, output order, the root batch it
+// sized to its groups — and allocates nothing. The R1 shape, a GROUP BY
+// over a join run in place, is audited sampled, positional and under the
+// regen ceiling.
 func TestSteadyStateZeroAllocGroupBy(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
-	// Both shapes would otherwise be answered summary-directly.
-	opts := ExecOptions{Regime: engine.PathPruned}
-	for _, sql := range []string{
-		"SELECT s.a, COUNT(*), SUM(s.b), MIN(s.b), MAX(s.b), AVG(s.b) FROM s WHERE s.a < 60 GROUP BY s.a",
-		"SELECT DISTINCT s.a, s.b FROM s",
+	// The single-table shapes would otherwise be answered summary-directly.
+	pruned := ExecOptions{Regime: engine.PathPruned}
+	const r1 = "SELECT s.b, COUNT(*), SUM(r.r_pk) FROM r, s WHERE r.s_fk = s.s_pk GROUP BY s.b"
+	for _, c := range []struct {
+		sql  string
+		opts ExecOptions
+	}{
+		{"SELECT s.a, COUNT(*), SUM(s.b), MIN(s.b), MAX(s.b), AVG(s.b) FROM s WHERE s.a < 60 GROUP BY s.a", pruned},
+		{"SELECT DISTINCT s.a, s.b FROM s", pruned},
+		{r1, ExecOptions{SampleLimit: 8}},
+		{r1, ExecOptions{SampleLimit: 8, Regime: engine.PathRegen}},
 	} {
+		sql, opts := c.sql, c.opts
 		prep, err := Prepare(db, sql, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
@@ -273,8 +285,8 @@ func TestSteadyStateZeroAllocGroupBy(t *testing.T) {
 			t.Fatalf("%s: %v", sql, err)
 		}
 		want := res.Rows
-		if want == 0 {
-			t.Fatalf("%s: steady-state query produced no groups", sql)
+		if want == 0 || res.Path == engine.PathSummary {
+			t.Fatalf("%s: steady-state query produced %d groups via %q, want some from the operator pipeline", sql, want, res.Path)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
 			res, err := prep.ExecuteIn(&st, opts)

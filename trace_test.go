@@ -274,10 +274,13 @@ func TestRenderTraceParallelShape(t *testing.T) {
 // filters are fully absorbed by scan pruning, and both joins are on the
 // build table's primary key, so each build side is positional: looked up in
 // its summary within the qualifying row-space, it drains nothing (rows=0,
-// no build= clock) and reports what generation never materialized.
+// no build= clock) and reports what generation never materialized. Both
+// joins run in place in the scan's batches: a join emits one batch per
+// probe batch holding a match, and materializes only build columns — none
+// here, unsampled — so it reports no bytes.
 const explainGolden = `
-HASH JOIN r.t_fk = t.t_pk  (time=X self=X rows=531 batches=1 sel=13.5%)
-├── HASH JOIN r.s_fk = s.s_pk  (time=X self=X rows=3924 batches=4 bytes=31392 sel=39.2%)
+HASH JOIN r.t_fk = t.t_pk  (time=X self=X rows=531 batches=2 sel=13.5%)
+├── HASH JOIN r.s_fk = s.s_pk  (time=X self=X rows=3924 batches=4 sel=39.2%)
 │   ├── SCAN r  (time=X self=X rows=10000 batches=10 bytes=160000)
 │   └── SCAN s [pruned 305 rows, skipped 3 summary rows] [positional]  (time=X self=X rows=0 batches=0 detached)
 └── SCAN t [pruned 86 rows, skipped 2 summary rows] [positional]  (time=X self=X rows=0 batches=0 detached)
@@ -286,10 +289,10 @@ HASH JOIN r.t_fk = t.t_pk  (time=X self=X rows=531 batches=1 sel=13.5%)
 // explainRegenGolden is the same query under the PathRegen ceiling: the
 // filters run as operators over whole scans, and every build side is
 // drained at open — detached from self time, its wall clock the join's
-// build=.
+// build=. Each build's keys are unique, so both joins still run in place.
 const explainRegenGolden = `
-HASH JOIN r.t_fk = t.t_pk  (time=X self=X rows=531 batches=1 build=X sel=13.5%)
-├── HASH JOIN r.s_fk = s.s_pk  (time=X self=X rows=3924 batches=4 bytes=31392 build=X sel=38.5%)
+HASH JOIN r.t_fk = t.t_pk  (time=X self=X rows=531 batches=2 build=X sel=13.5%)
+├── HASH JOIN r.s_fk = s.s_pk  (time=X self=X rows=3924 batches=4 build=X sel=38.5%)
 │   ├── SCAN r  (time=X self=X rows=10000 batches=10 bytes=160000)
 │   └── FILTER a ∈ {[20,60)}  (time=X self=X rows=195 batches=1 sel=39.0% detached)
 │       └── SCAN s  (time=X self=X rows=500 batches=1 bytes=8000)
@@ -304,8 +307,8 @@ const explainTopKQuery = "SELECT * FROM r ORDER BY r.t_fk DESC LIMIT 5 OFFSET 2"
 // explainTopKGolden is explainTopKQuery's rendering. The sort is late: its
 // scan generates every tuple of r but materializes only the sort key and
 // the primary key, and the sort reads s_fk from the summary for the 7 rows
-// it emits. It emits them in one batch: the root batch holds exactly the
-// bound, offset+limit.
+// it emits. It emits them in one batch, which holds exactly those rows: a
+// root sink's batch is sized to what it emits.
 const explainTopKGolden = `
 LIMIT  (time=X self=X rows=5 batches=1 sel=71.4%)
 └── SORT [late]  (time=X self=X rows=7 batches=1 bytes=168 sel=0.1%)
