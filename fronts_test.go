@@ -52,7 +52,7 @@ func oracle(t testing.TB, mat *Database, sql string, sampleLimit int) *ExecResul
 
 // eachFront runs (sql, opts) through every way the engine executes a query
 // — {fresh, prepared, steady} × {seq, par}: Query (ad hoc: empty caches,
-// fresh state), Prepared.Execute (shared builds, fresh state) and
+// fresh state), Prepared.Execute (prepared builds, fresh state) and
 // Prepared.ExecuteIn three rounds on one reused state, each at every
 // frontWorkers count (overriding opts.Parallelism) — and hands each
 // labelled result to check while it is still valid (an ExecuteIn result

@@ -87,8 +87,8 @@ type (
 	ColBatch = batch.ColBatch
 
 	// Prepared is a plan readied for repeated execution: hash-join build
-	// sides are drained once into shared read-only arenas, so every
-	// Execute pays probe cost only. The serve front end caches one per
+	// sides are drained once into read-only arenas the Prepared owns, so
+	// every Execute pays probe cost only. The serve front end caches one per
 	// normalized query.
 	Prepared = engine.Prepared
 	// ExecState is caller-owned reusable state for Prepared.ExecuteIn,
@@ -227,7 +227,7 @@ func QueryContext(ctx context.Context, db *Database, sql string, opts ExecOption
 func RenderTrace(sp *TraceSpan) string { return trace.Render(sp) }
 
 // Prepare parses, plans, and readies one SQL query for repeated execution
-// against db: hash-join build sides are consumed once into shared
+// against db: hash-join build sides are consumed once into the Prepared's
 // read-only arenas, so each Prepared.Execute pays probe cost only —
 // identical results to Query, minus the build latency. For single-threaded
 // steady-state loops, Prepared.ExecuteIn additionally recycles all

@@ -15,7 +15,6 @@ package engine
 
 import (
 	"fmt"
-	"weak"
 
 	"repro/internal/batch"
 	"repro/internal/generator"
@@ -84,8 +83,8 @@ func (r *Relation) Row(i int) []int64 {
 }
 
 // Database holds each table's one scan source — stored rows, a registered
-// summary the engine regenerates from, or an opaque datagen source — and
-// the hash-join build sides Prepare drained over them (shared.go). reg counts
+// summary the engine regenerates from, or an opaque datagen source. It holds
+// no drained data: each Prepared owns its hash builds. reg counts
 // registrations: a Prepared made under an older count is stale.
 //
 // Register every table (AddRelation, SetDatagen, SetSummary) before
@@ -98,7 +97,6 @@ type Database struct {
 	datagen   map[string]DatagenFunc
 	summaries map[string]summaryScan
 	reg       uint64
-	builds    *sharedBuilds
 }
 
 // summaryScan is a table's registered summary and the one stream over the
@@ -116,16 +114,13 @@ func NewDatabase(s *schema.Schema) *Database {
 		rels:      make(map[string]*Relation),
 		datagen:   make(map[string]DatagenFunc),
 		summaries: make(map[string]summaryScan),
-		builds:    &sharedBuilds{m: make(map[buildLeaf]weak.Pointer[preparedBuild])},
 	}
 }
 
-// newRegistration drops the database's shared build sides (shared.go), which
-// hold what a table's scan returned before, and makes every Prepared made
-// so far stale: a Prepared's proofs and row-spaces were judged against the
+// newRegistration makes every Prepared made so far stale: a Prepared's
+// proofs, row-spaces and drained builds were taken against the
 // registrations it was prepared under.
 func (db *Database) newRegistration() {
-	db.builds.clear()
 	db.reg++
 }
 

@@ -77,14 +77,14 @@ type failingSource interface {
 }
 
 // buildCache is where openCol's hash builds find their build sides — the
-// shared read-only columnar arena plus the build-side ExecNode subtree with
-// its counts as the drain left them — and where it leaves the ones it had to
-// drain. Two layers: base is a Prepared's cache, drained ahead over every
-// build column and never written by an execution; m belongs to whoever is
-// opening (Prepare filling its cache, or one parallel execution whose
-// workers open the same plan one after another, so the first drains and the
-// rest hit). A nil m retains nothing: a sequential execution opens each
-// join once.
+// read-only columnar arena plus the build-side ExecNode subtree with its
+// counts as the drain left them — and where it leaves the ones it had to
+// drain. Two layers: base is a Prepared's own builds, drained by Prepare
+// over every build column and never written by an execution; m belongs to
+// whoever is opening (Prepare filling its builds, or one parallel execution
+// whose workers open the same plan one after another, so the first drains
+// and the rest hit). A nil m retains nothing: a sequential execution opens
+// each join once.
 type buildCache struct {
 	m    map[*PlanNode]*preparedBuild
 	base map[*PlanNode]*preparedBuild
@@ -619,7 +619,7 @@ func (f *colFilterIter) deferredErr() error { return f.child.deferredErr() }
 // storage) plus a flat key index over them. Selection vectors are compacted
 // away during the drain, so arena row r is the r-th surviving build row.
 // After construction a colJoinBuild is read-only: the parallel executor
-// shares one across all workers, and Prepare shares one across executions.
+// shares one across all workers, and a Prepared across its executions.
 // A build whose keys turned out unique (unique) is probed in place
 // (colKeyJoinIter): each key's run is its one arena row. One with repeated
 // keys pairs probe rows with runs (colHashJoinIter).
@@ -643,16 +643,6 @@ type colJoinBuild struct {
 
 // unique reports whether no key repeats: one run per arena row.
 func (jb *colJoinBuild) unique() bool { return len(jb.keys) == len(jb.byKey) }
-
-// bytes is the build's footprint: cap × 8 per populated arena, plus the
-// index — 4 B a slot, 8 B a key, 4 B a run start, 4 B a byKey row.
-func (jb *colJoinBuild) bytes() int64 {
-	n := 4*cap(jb.slots) + 8*cap(jb.keys) + 4*cap(jb.start) + 4*cap(jb.byKey)
-	for _, a := range jb.arena {
-		n += 8 * cap(a)
-	}
-	return int64(n)
-}
 
 // hashMul is 2^64/φ: Fibonacci hashing's multiplier.
 const hashMul = 0x9E3779B97F4A7C15

@@ -11,19 +11,15 @@ import (
 
 // Prepared is a plan readied for repeated execution against one database:
 // every hash build side has been drained into a read-only columnar arena
-// (a positional one needs nothing ahead: it is looked up in the summary),
-// so each Execute pays probe cost only. Because dataless scans are
-// pure functions of the summary, a build side depends on its build leaf
-// alone, and the arenas are valid until a table of the database is
-// registered again (after which executions fail with ErrStalePrepared): a
-// Prepared holds references to builds the database shares across Prepareds
-// (shared.go), draining only the leaves no live Prepared already holds. A
-// Prepared is safe for concurrent Execute calls (each opens fresh probe
-// state over the shared builds). This is what the serve front end caches
-// per normalized query — steady-state traffic never rebuilds a hash table.
-// Cancellation cannot poison a Prepared: the arenas are immutable after
-// their drain, and a canceled execution abandons only its private probe
-// state.
+// the Prepared owns (a positional one needs nothing ahead: it is looked up
+// in the summary), so each Execute pays probe cost only. The arenas are
+// valid until a table of the database is registered again, after which
+// executions fail with ErrStalePrepared. A Prepared is safe for concurrent
+// Execute calls (each opens fresh probe state over the read-only builds).
+// This is what the serve front end caches per normalized query —
+// steady-state traffic never rebuilds a hash table. Cancellation cannot
+// poison a Prepared: the arenas are immutable after their drain, and a
+// canceled execution abandons only its private probe state.
 //
 // Prepared is also the engine's one executor: every entry point is run over
 // some Prepared and some ExecState. What each owns:
@@ -42,7 +38,7 @@ type Prepared struct {
 	db     *Database
 	plan   *Plan
 	reg    uint64                       // db.reg when prepared: a later registration makes the Prepared stale
-	builds map[*PlanNode]*preparedBuild // every join's build side over all its columns, drained here or taken from db's shared layer
+	builds map[*PlanNode]*preparedBuild // every hash join's build side over all its columns, drained by Prepare
 	prunes *pruneCache                  // the plan's reading of the summaries, taken at Prepare time
 }
 
@@ -56,9 +52,9 @@ var ErrStalePrepared = errors.New("prepared statement is stale: a table was regi
 // Plan returns the compiled plan the Prepared executes.
 func (p *Prepared) Plan() *Plan { return p.plan }
 
-// Prepare compiles the plan's hash builds into shared arenas, and reads the
-// summaries once; positional builds need nothing more. Hash builds
-// materialize every build-side column, so later executions may
+// Prepare drains the plan's hash builds into the Prepared's arenas, and
+// reads the summaries once; positional builds need nothing more. Hash
+// builds materialize every build-side column, so later executions may
 // request any sample projection. opts supplies the build drain's batch
 // size; Parallelism, SampleLimit, Timeout, and Regime are ignored here (the
 // drain is deliberately uncancellable: a Prepared under construction is not
@@ -80,11 +76,9 @@ func Prepare(db *Database, plan *Plan, opts ExecOptions) (*Prepared, error) {
 	return p, nil
 }
 
-// drainBuilds fills the cache with the build side of every hash build
-// under pn; a positional one is skipped. A build leaf the database's shared
-// layer holds is taken from it; one it lacks is drained and published. (A
-// leaf's prune row-space, like its rows, is a function of the leaf alone,
-// so a shared build is the one this plan would have drained.)
+// drainBuilds drains the build side of every hash join under pn, over all
+// its columns, into p.builds; a positional one is looked up at open, never
+// drained.
 func (p *Prepared) drainBuilds(pn *PlanNode, capRows int, builds *buildCache, ctl *execCtl) error {
 	for _, c := range pn.Children {
 		if err := p.drainBuilds(c, capRows, builds, ctl); err != nil {
@@ -95,19 +89,10 @@ func (p *Prepared) drainBuilds(pn *PlanNode, capRows int, builds *buildCache, ct
 		return nil
 	}
 	if leaf, _ := positionalLeaf(p.db, pn, p.prunes); leaf != nil {
-		return nil // looked up at open, never drained
-	}
-	leaf := buildLeafOf(pn)
-	pb, gen := p.db.builds.get(leaf)
-	if pb != nil {
-		builds.m[pn] = pb
 		return nil
 	}
-	if _, _, _, err := builds.build(p.db, pn, batch.AllCols(len(pn.Children[1].Cols)), capRows, ctl); err != nil {
-		return err
-	}
-	builds.m[pn] = p.db.builds.put(leaf, builds.m[pn], gen)
-	return nil
+	_, _, _, err := builds.build(p.db, pn, batch.AllCols(len(pn.Children[1].Cols)), capRows, ctl)
+	return err
 }
 
 // Execute runs the prepared plan in a fresh ExecState: identical results to
@@ -119,7 +104,7 @@ func (p *Prepared) Execute(opts ExecOptions) (*ExecResult, error) {
 
 // ExecuteContext is Execute under a context, with the engine's
 // batch-boundary cancellation contract (see the package-level
-// ExecuteContext). The shared build arenas are untouched by a canceled
+// ExecuteContext). The Prepared's build arenas are untouched by a canceled
 // execution.
 func (p *Prepared) ExecuteContext(ctx context.Context, opts ExecOptions) (*ExecResult, error) {
 	return p.run(ctx, new(ExecState), opts)

@@ -3,10 +3,8 @@ package engine
 import (
 	"errors"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/generator"
@@ -215,119 +213,58 @@ var sharedJoins = []string{
 	"SELECT * FROM fact, dim WHERE fact.f_pk = dim.a",
 }
 
-// sharedKeys is the number of keys in db's shared build layer.
-func sharedKeys(db *Database) int {
-	db.builds.mu.Lock()
-	defer db.builds.mu.Unlock()
-	return len(db.builds.m)
-}
-
-// joinBuild returns the build p holds for its plan's one hash join.
-func joinBuild(t *testing.T, p *Prepared) *preparedBuild {
-	t.Helper()
-	for pn := p.plan.Root; len(pn.Children) > 0; pn = pn.Children[0] {
-		if pn.Op == OpHashJoin {
-			return p.builds[pn]
-		}
-	}
-	t.Fatal("plan has no hash join")
-	return nil
-}
-
-// TestSharedBuildsLifetime: Prepareds over one build leaf hold one build,
-// the layer weighs each live build once, a registration empties it without
-// touching the builds Prepareds hold, and once every Prepared is dropped
-// the GC clears the entries and their cleanups remove the keys.
-func TestSharedBuildsLifetime(t *testing.T) {
-	db := bigStarDatabase(t, 200)
-	prepareAll := func() []*Prepared {
-		var preps []*Prepared
-		for _, sql := range sharedJoins {
-			p, err := Prepare(db, mustPlan(t, db, sql), ExecOptions{})
-			if err != nil {
-				t.Fatalf("%s: %v", sql, err)
-			}
-			preps = append(preps, p)
-		}
-		return preps
-	}
-	preps := prepareAll()
-	if n := sharedKeys(db); n != 4 {
-		t.Fatalf("%d shared builds for four builds, want 4", n)
-	}
-	if joinBuild(t, preps[0]) != joinBuild(t, preps[1]) {
-		t.Fatal("two Prepareds over the bare dim scan hold two builds")
-	}
-	var want int64
-	for _, i := range []int{0, 2, 3, 4} {
-		want += joinBuild(t, preps[i]).jb.bytes()
-	}
-	if got := db.SharedBuildBytes(); got != want || got == 0 {
-		t.Fatalf("SharedBuildBytes = %d, want %d (each live build once)", got, want)
-	}
-
-	if err := db.AddRelation(db.Relation("dim")); err != nil {
-		t.Fatal(err)
-	}
-	if n, b := sharedKeys(db), db.SharedBuildBytes(); n != 0 || b != 0 {
-		t.Fatalf("after a registration: %d keys, %d bytes, want 0", n, b)
-	}
-	held := joinBuild(t, preps[0])
-	preps = prepareAll()
-	if joinBuild(t, preps[0]) == held {
-		t.Fatal("a Prepare after a registration took the build drained before it")
-	}
-	for i, sql := range sharedJoins {
-		got, err := preps[i].Execute(ExecOptions{SampleLimit: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireEqualResults(t, sql, got, execWithf(t, db, sql, ExecOptions{SampleLimit: 5}, execute))
-	}
-
-	preps, held = nil, nil
-	deadline := time.Now().Add(10 * time.Second)
-	for sharedKeys(db) > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d shared builds still keyed 10s after every Prepared was dropped", sharedKeys(db))
-		}
-		runtime.GC()
-		time.Sleep(time.Millisecond)
-	}
-	if b := db.SharedBuildBytes(); b != 0 {
-		t.Fatalf("empty layer weighs %d bytes", b)
-	}
-}
-
-// TestSharedBuildsInvalidatedMidDrain: a build whose drain a registration
-// overtakes — here one the drained source itself makes — is not published,
-// so no later Prepare takes arenas drained against the state the
-// registration replaced.
+// TestSharedBuildsInvalidatedMidDrain: a Prepared whose build drain a
+// registration overtakes — here one the drained source itself makes — holds
+// arenas drained against the state the registration replaced, so every
+// execution of it fails with ErrStalePrepared; a fresh Prepare answers like
+// the ad hoc query.
 func TestSharedBuildsInvalidatedMidDrain(t *testing.T) {
 	db := bigStarDatabase(t, 200)
 	rows := rowsOf(db.Relation("dim"))
 	fact := db.Relation("fact")
+	registered := false
 	db.SetDatagen("dim", func() (batch.ColProjector, error) {
-		if err := db.AddRelation(fact); err != nil {
-			return nil, err
+		if !registered {
+			registered = true
+			if err := db.AddRelation(fact); err != nil {
+				return nil, err
+			}
 		}
 		return rowsScan(rows), nil
 	})
-	p, err := Prepare(db, mustPlan(t, db, sharedJoins[0]), ExecOptions{})
+	sql := sharedJoins[0]
+	p, err := Prepare(db, mustPlan(t, db, sql), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := sharedKeys(db); n != 0 {
-		t.Fatalf("a build drained across a registration was published (%d keys)", n)
+	if !registered {
+		t.Fatal("Prepare did not drain dim")
 	}
-	runtime.KeepAlive(p)
+	for _, w := range []int{0, 2} {
+		if res, err := p.Execute(ExecOptions{Parallelism: w}); !errors.Is(err, ErrStalePrepared) {
+			t.Fatalf("%d workers: %+v, %v; want ErrStalePrepared", w, res, err)
+		}
+	}
+	var st ExecState
+	if res, err := p.ExecuteIn(&st, ExecOptions{}); !errors.Is(err, ErrStalePrepared) {
+		t.Fatalf("ExecuteIn: %+v, %v; want ErrStalePrepared", res, err)
+	}
+	fresh, err := Prepare(db, mustPlan(t, db, sql), ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := ExecOptions{SampleLimit: 5}
+	got, err := fresh.Execute(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqualResults(t, sql, got, execWithf(t, db, sql, opts, execute))
 }
 
 // TestSharedBuildsConcurrent races Prepare and Execute — each goroutine on
-// its own plans, over the build leaf two of sharedJoins share and the two
-// leaves only one query uses — against each other (run it under -race):
-// every answer and annotated tree equals the ad hoc execution's, however
-// its builds were come by.
+// its own plans over sharedJoins' dim builds, each Prepare draining its
+// own — against each other (run it under -race): every answer and
+// annotated tree equals the ad hoc execution's.
 func TestSharedBuildsConcurrent(t *testing.T) {
 	oversubscribe(t, 4)
 	db := bigStarDatabase(t, 500)

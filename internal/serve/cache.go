@@ -2,12 +2,11 @@
 // summary repeats a small set of query shapes, and for each of them the
 // expensive half of execution — parsing, planning, and above all draining
 // hash-join build sides into arenas — is a pure function of the database.
-// The cache keys normalized SQL to an engine.Prepared (compiled plan +
-// references to read-only build arenas the database shares across every
-// live Prepared), so a cache hit pays probe cost only, and a miss drains
-// only the build leaves no cached plan already holds. The summary never
-// changes under a running server, so an entry stays valid until the LRU
-// evicts it.
+// The cache keys normalized SQL to an engine.Prepared (compiled plan + the
+// read-only build arenas it drained), so a cache hit pays probe cost only.
+// A summary-backed key join is positional and drains nothing, so a miss
+// drains only hash builds. The summary never changes under a running
+// server, so an entry stays valid until the LRU evicts it.
 package serve
 
 import (
@@ -18,10 +17,9 @@ import (
 	"repro/internal/engine"
 )
 
-// DefaultCacheSize is the server's LRU capacity. Entries are one compiled
-// plan plus references to the shared build arenas of its join leaves, so
-// memory scales with the distinct build leaves the entries hold, not with
-// the entries; a few dozen cover a realistic dashboard workload.
+// DefaultCacheSize is the server's LRU capacity. An entry is one compiled
+// plan plus the arenas of its hash builds, if any; a few dozen cover a
+// realistic dashboard workload.
 const DefaultCacheSize = 64
 
 // normalizeSQL collapses the whitespace variance of otherwise-identical
@@ -192,15 +190,11 @@ func (c *planCache) do(key string, build func() (*engine.Prepared, error)) (prep
 // Misses counts builds. Hits + Misses therefore equals requests (failed
 // builds excepted: the builder's miss is recorded, its waiters record
 // nothing), so the hit rate stays honest under a coalesced cold-start herd.
-// Bytes is the footprint of the build sides live in the database's shared
-// layer (engine.Database.SharedBuildBytes), each counted once however many
-// entries hold it.
 type CacheStats struct {
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
 	Entries int   `json:"entries"`
 	Cap     int   `json:"cap"`
-	Bytes   int64 `json:"bytes"`
 }
 
 func (c *planCache) stats() CacheStats {

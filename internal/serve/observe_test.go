@@ -260,7 +260,6 @@ func TestServeObservabilityMetrics(t *testing.T) {
 		"hydra_rows_pruned_total",
 		"hydra_summary_rows_skipped_total",
 		"hydra_plan_cache_build_seconds_total",
-		"hydra_cache_bytes",
 		"hydra_goroutines",
 		"hydra_gc_pause_seconds_total",
 		"hydra_heap_inuse_bytes",

@@ -194,13 +194,8 @@ func (s *Server) BeginDrain() { s.adm.beginDrain() }
 // period expires. Idempotent.
 func (s *Server) CancelInFlight() { s.hardCancel() }
 
-// CacheStats snapshots plan-cache effectiveness and the bytes of the build
-// sides the cached plans share.
-func (s *Server) CacheStats() CacheStats {
-	st := s.cache.stats()
-	st.Bytes = s.db.SharedBuildBytes()
-	return st
-}
+// CacheStats snapshots plan-cache effectiveness.
+func (s *Server) CacheStats() CacheStats { return s.cache.stats() }
 
 // Handler returns the HTTP handler exposing the query, health, and stats
 // endpoints.

@@ -16,10 +16,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/generator"
 	"repro/internal/sqlkit"
 	"repro/internal/summary"
 	"repro/internal/toy"
@@ -299,51 +297,6 @@ func TestServeCacheHit(t *testing.T) {
 	if st.Hits != 3 || st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("cache stats = %+v, want 3 hits / 1 miss / 1 entry", st)
 	}
-}
-
-// TestServeCacheSharedBuilds: two cold misses over one build leaf — the same
-// s filter, one with an added r predicate — are two plans, so both report
-// "miss", but the second drains nothing: s is not opened and /statsz
-// cache.bytes is unchanged.
-func TestServeCacheSharedBuilds(t *testing.T) {
-	sum := buildToySummary(t)
-	srv := New(sum, Options{})
-	opens := countOpens(srv, "s")
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	const sql = "SELECT COUNT(*) FROM r, s WHERE r.s_fk = s.s_pk AND s.a >= 20 AND s.a < 60"
-	miss := func(label, sql string, wantOpens, wantBytes int64) int64 {
-		t.Helper()
-		resp, qr := postQuery(t, ts.URL, sql)
-		if resp.StatusCode != http.StatusOK || qr.Cache != "miss" {
-			t.Fatalf("%s: status %d cache %q, want 200 miss", label, resp.StatusCode, qr.Cache)
-		}
-		if want := seqCount(t, sum, sql); qr.Count != want.Count {
-			t.Fatalf("%s: count %d, want %d", label, qr.Count, want.Count)
-		}
-		if got := opens.Load(); got != wantOpens {
-			t.Fatalf("%s: s opened %d times in all, want %d", label, got, wantOpens)
-		}
-		b := getStats(t, ts.URL).Cache.Bytes
-		if b <= 0 || (wantBytes > 0 && b != wantBytes) {
-			t.Fatalf("%s: cache.bytes %d, want %d", label, b, wantBytes)
-		}
-		return b
-	}
-	b := miss("first miss", sql, 1, 0)
-	miss("same s leaf, added r predicate", sql+" AND r.t_fk < 30", 1, b)
-}
-
-// countOpens makes table's datagen source count how often a scan opens it.
-func countOpens(srv *Server, table string) *atomic.Int64 {
-	tab, rel := srv.db.Schema.Table(table), srv.db.Summary(table)
-	var opens atomic.Int64
-	srv.db.SetDatagen(table, func() (batch.ColProjector, error) {
-		opens.Add(1)
-		return generator.NewStream(tab, rel), nil
-	})
-	return &opens
 }
 
 // TestServeCacheLRUEviction fills a size-2 cache with three distinct

@@ -9,7 +9,7 @@ package hydra
 // single annotated plan.
 
 import (
-	"runtime"
+	"errors"
 	"strings"
 	"testing"
 
@@ -120,15 +120,13 @@ func TestParallelParityVelocityFallback(t *testing.T) {
 // however many workers probe it: the first worker's open drains it into the
 // execution's build cache and the others' opens find it there. Prepared,
 // the one drain happens at Prepare and an execution never opens the table.
-// Across Prepareds, while the first still holds its builds: any Prepare
-// over the same s build leaf — whatever its probe side or batch size —
-// takes the database's shared build and opens s not at all, a different s
-// filter is a different leaf and drains once, and SetDatagen or SetSummary
-// drops the shared builds so the next Prepare drains again. (s is a
-// datagen table throughout, so its build drains: a summary-backed s would
-// be looked up positionally and never drained. The SetSummary step
-// re-registers t, whose builds are positional, and the drop of s's build
-// shows in SharedBuildBytes.)
+// Each Prepare drains its own builds: one over the same s build leaf —
+// whatever its probe side or batch size — opens s once, as does one over a
+// different s filter. SetDatagen and SetSummary make a held Prepared stale,
+// and the next Prepare drains again. (s is a datagen table throughout, so
+// its build drains: a summary-backed s would be looked up positionally and
+// never drained. The SetSummary step re-registers t, whose builds are
+// positional.)
 func TestBuildSideOpenedOnce(t *testing.T) {
 	db := core.RegenDatabase(toySummary(t), 0)
 	tab, rel, opens := db.Schema.Table("s"), db.Summary("s"), 0
@@ -206,20 +204,19 @@ func TestBuildSideOpenedOnce(t *testing.T) {
 		}
 		return p
 	}
-	prepareOpens("same s leaf, probe-side predicate", toy.Query+" AND r.r_pk < 6000", 0, 0)
-	prepareOpens("same query, batch size 7", toy.Query, 7, 0)
+	prepareOpens("same s leaf, probe-side predicate", toy.Query+" AND r.r_pk < 6000", 0, 1)
+	prepareOpens("same query, batch size 7", toy.Query, 7, 1)
 	prepareOpens("different s filter", strings.Replace(toy.Query, "s.a < 60", "s.a < 50", 1), 0, 1)
+	requireStale := func(label string, p *Prepared) {
+		t.Helper()
+		if res, err := p.Execute(ExecOptions{}); !errors.Is(err, engine.ErrStalePrepared) {
+			t.Errorf("%s: held Prepared answered %+v, %v; want ErrStalePrepared", label, res, err)
+		}
+	}
 	db.SetDatagen("s", counting)
-	prepareOpens("after SetDatagen", toy.Query, 0, 1)
+	requireStale("after SetDatagen", prep)
+	held := prepareOpens("after SetDatagen", toy.Query, 0, 1)
 	db.SetSummary("t", db.Summary("t"))
-	if n := db.SharedBuildBytes(); n != 0 {
-		t.Errorf("after SetSummary: %d shared build bytes, want 0", n)
-	}
-	fresh := prepareOpens("after SetSummary", toy.Query, 0, 1)
-	if db.SharedBuildBytes() == 0 {
-		t.Error("after SetSummary: a held Prepared published no shared build")
-	}
-	// The first Prepared held the shared builds throughout.
-	runtime.KeepAlive(prep)
-	runtime.KeepAlive(fresh)
+	requireStale("after SetSummary", held)
+	prepareOpens("after SetSummary", toy.Query, 0, 1)
 }
