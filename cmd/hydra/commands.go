@@ -80,16 +80,13 @@ func cmdVendor(args []string) error {
 	fs := flag.NewFlagSet("vendor", flag.ExitOnError)
 	in := fs.String("in", "pkg.json", "transfer package")
 	out := fs.String("out", "summary.json.gz", "summary output (gzip'd JSON)")
-	grid := fs.Bool("grid", false, "also compute the DataSynth grid-partitioning LP sizes")
 	fs.Parse(args)
 
 	pkg, err := readPackage(*in)
 	if err != nil {
 		return err
 	}
-	opts := summary.DefaultBuildOptions()
-	opts.GridCompare = *grid
-	sum, rep, err := core.BuildFromPackage(pkg, opts)
+	sum, rep, err := core.BuildFromPackage(pkg, summary.DefaultBuildOptions())
 	if err != nil {
 		return err
 	}
@@ -97,12 +94,8 @@ func cmdVendor(args []string) error {
 		"relation", "cons", "lp_vars", "grid_vars", "pivots", "resid", "part", "solve", "needs", "align")
 	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	for _, rr := range rep.Relations {
-		gv := "-"
-		if *grid {
-			gv = fmt.Sprint(rr.GridVars)
-		}
-		fmt.Printf("%-14s %-8d %-10d %-12s %-8d %-10d %-10v %-10v %-10v %-10v\n",
-			rr.Table, rr.Constraints, rr.LPVars, gv, rr.Pivots, rr.SumAbsResidual,
+		fmt.Printf("%-14s %-8d %-10d %-12d %-8d %-10d %-10v %-10v %-10v %-10v\n",
+			rr.Table, rr.Constraints, rr.LPVars, rr.GridVars, rr.Pivots, rr.SumAbsResidual,
 			us(rr.PartitionTime), us(rr.SolveTime), us(rr.NeedsTime), us(rr.AlignTime))
 	}
 	fmt.Printf("total: %v, summary %d bytes -> %s\n", rep.TotalTime.Round(time.Millisecond), rep.SummaryBytes, *out)

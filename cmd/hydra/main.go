@@ -5,7 +5,7 @@
 // Usage:
 //
 //	hydra client   -scenario tpcds -sf 1 -queries 131 -out pkg.json [-anonymize]
-//	hydra vendor   -in pkg.json -out summary.json.gz [-grid]
+//	hydra vendor   -in pkg.json -out summary.json.gz
 //	hydra generate -summary summary.json.gz -table item [-limit 10] [-rate 5000] [-csv out.csv]
 //	hydra verify   -in pkg.json -summary summary.json.gz [-worst 10]
 //	hydra scenario -in pkg.json -factor 1000 [-out scaled.json]

@@ -22,7 +22,7 @@ func TestCLIRoundTrip(t *testing.T) {
 	if _, err := os.Stat(pkgPath); err != nil {
 		t.Fatalf("package not written: %v", err)
 	}
-	if err := cmdVendor([]string{"-in", pkgPath, "-out", sumPath, "-grid"}); err != nil {
+	if err := cmdVendor([]string{"-in", pkgPath, "-out", sumPath}); err != nil {
 		t.Fatalf("vendor: %v", err)
 	}
 	if err := cmdVerify([]string{"-in", pkgPath, "-summary", sumPath}); err != nil {

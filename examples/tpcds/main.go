@@ -43,9 +43,7 @@ func main() {
 	}
 	fmt.Printf("captured %d annotated plans in %v\n\n", len(pkg.Workload), time.Since(t0).Round(time.Millisecond))
 
-	opts := hydra.DefaultBuildOptions()
-	opts.GridCompare = true
-	sum, rep, err := hydra.Build(pkg, opts)
+	sum, rep, err := hydra.Build(pkg, hydra.DefaultBuildOptions())
 	if err != nil {
 		log.Fatalf("build: %v", err)
 	}

@@ -439,11 +439,11 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 		return ji, pw + bw, need, node, nil
 
 	case OpAggregate, OpGroupAgg, OpDistinct, OpSort:
-		// The blocking sinks are one operator over three states. What the
-		// child materializes is the sink's to say (childNeeds): nothing for
-		// COUNT(*), where only cardinalities flow; exactly the keys and
-		// aggregate inputs for GROUP BY and DISTINCT, whatever the parent
-		// needs; the output columns plus the sort keys for ORDER BY — the set
+		// The blocking sinks are one operator over two states. What the
+		// child materializes is the sink's to say (childNeeds): exactly the
+		// keys and aggregate inputs for COUNT(*) (none: only cardinalities
+		// flow), GROUP BY and DISTINCT, whatever the parent needs; the
+		// output columns plus the sort keys for ORDER BY — the set
 		// the sort state collects, which is also its comparator's tiebreak
 		// domain (identical however the plan is executed) — narrowed, for a
 		// late top-K, to the keys and the columns up to the primary key
@@ -467,19 +467,29 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 			node:    &ExecNode{Op: pn.Op.String(), Late: late != nil, Children: []*ExecNode{childNode}},
 			ctl:     ctl,
 		}
-		switch pn.Op {
-		case OpAggregate:
-			g.st, width = &countState{}, 1
-		case OpSort:
+		if pn.Op == OpSort {
 			g.st = newSortState(pn, childNeed, width, late)
 			if late != nil {
 				markLateScan(db, childNode, pop)
 			}
-		default:
+		} else {
 			g.st, width = newGroupAggState(pn), len(pn.Items)
 		}
 		g.sp, g.rowBytes = ctl.annotate(g.node), 8*int64(len(need))
 		return g, width, need, g.node, nil
+
+	case OpSummaryAgg:
+		// The summary-direct regime is the same aggregate sink, drained by
+		// the summary-row evaluator instead of a scan pipeline: it folds the
+		// reading's provably exact rows into the sink's state, and the sink
+		// emits it. The node is childless; no tuple is generated.
+		e := newSummaryAggEval(db, pn, ctl)
+		node := &ExecNode{Op: pn.Op.String(), Table: pn.Table}
+		g := &colSinkIter{child: e, st: e.st, outCols: need, node: node, ctl: ctl}
+		if g.sp, g.rowBytes = ctl.annotate(node), 8*int64(len(need)); g.sp != nil {
+			g.sp.Detail = fmt.Sprintf("%s [%d summary rows]", pn.Table, len(e.rel.Rows))
+		}
+		return g, len(pn.Items), need, node, nil
 
 	case OpLimit:
 		// Pure truncation over the child's batches: output layout and

@@ -25,7 +25,8 @@ const (
 	// OpSummaryAgg never appears in Plan.Root: it is the summary-direct
 	// aggregate candidate the planner attaches as Plan.SummaryAgg when the
 	// query's shape allows answering it from summary rows alone. Execution
-	// takes it only when the per-summary-row proof succeeds (summaryagg.go).
+	// opens it in place of Plan.Root only when the per-summary-row proof
+	// succeeds (summaryagg.go).
 	OpSummaryAgg
 )
 
@@ -231,7 +232,13 @@ func BuildPlan(s *schema.Schema, q *sqlkit.Query) (*Plan, error) {
 
 	switch {
 	case q.CountStar:
-		cur = &PlanNode{Op: OpAggregate, Children: []*PlanNode{cur}, Cols: nil}
+		// COUNT(*) is a global grouped aggregate: one group, one COUNT.
+		cur = &PlanNode{
+			Op:       OpAggregate,
+			Aggs:     []AggSpec{{Fn: sqlkit.AggCount, Col: -1}},
+			Items:    []GroupOut{{Key: -1, Agg: 0}},
+			Children: []*PlanNode{cur},
+		}
 	case q.Grouped():
 		gn, err := buildGroupAgg(tables, q, cur)
 		if err != nil {
@@ -467,13 +474,11 @@ func (pn *PlanNode) childNeeds(need []int) [][]int {
 		probe = addCol(probe, pn.LeftKey)
 		build = addCol(build, pn.RightKey)
 		return [][]int{probe, build}
-	case OpAggregate:
-		// COUNT(*) consumes cardinality only — no child columns at all.
-		return [][]int{nil}
-	case OpGroupAgg, OpDistinct:
+	case OpAggregate, OpGroupAgg, OpDistinct:
 		// The node's output columns are computed, so the parent's need is
 		// irrelevant: the child must materialize exactly the grouping (or
-		// distinct) keys and aggregate inputs.
+		// distinct) keys and aggregate inputs — none for COUNT(*), which
+		// consumes cardinality only.
 		var child []int
 		for _, c := range pn.GroupBy {
 			child = addCol(child, c)
@@ -678,32 +683,11 @@ func findCol(cols []ColRef, table string, col int) int {
 }
 
 // checkPredsResolve verifies every filter predicate binds to exactly one
-// FROM table.
+// FROM table, by the rules every other column reference resolves under.
 func checkPredsResolve(tables map[string]*schema.Table, q *sqlkit.Query) error {
 	for _, p := range q.FilterPreds() {
-		ref := predColumn(p)
-		if ref.Table != "" {
-			t := tables[ref.Table]
-			if t == nil {
-				return fmt.Errorf("engine: predicate references table %s not in FROM", ref.Table)
-			}
-			if t.ColumnIndex(ref.Column) < 0 {
-				return fmt.Errorf("engine: table %s has no column %s", ref.Table, ref.Column)
-			}
-			continue
-		}
-		n := 0
-		for _, t := range tables {
-			if t.ColumnIndex(ref.Column) >= 0 {
-				n++
-			}
-		}
-		switch n {
-		case 0:
-			return fmt.Errorf("engine: unknown column %s in predicate", ref.Column)
-		case 1:
-		default:
-			return fmt.Errorf("engine: ambiguous column %s in predicate", ref.Column)
+		if _, _, err := resolveColumnRef(tables, predColumn(p)); err != nil {
+			return err
 		}
 	}
 	return nil

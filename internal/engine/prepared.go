@@ -111,15 +111,13 @@ func (p *Prepared) ExecuteContext(ctx context.Context, opts ExecOptions) (*ExecR
 }
 
 // ExecState is caller-owned reusable execution state for ExecuteIn: the
-// opened operator tree (or the summary-direct evaluator), its ExecNode
-// mirror, the root column batch, the result struct, and the execution's
-// cancellation control (owned for the state's lifetime and rebound per
-// call, so context plumbing costs no allocations). One goroutine per
-// ExecState.
+// opened operator tree (whichever regime answers), its ExecNode mirror, the
+// root column batch, the result struct, and the execution's cancellation
+// control (owned for the state's lifetime and rebound per call, so context
+// plumbing costs no allocations). One goroutine per ExecState.
 type ExecState struct {
-	it     colIterator     // the operator tree; nil when sagg answers
+	it     colIterator     // the operator tree
 	b      *batch.ColBatch // it's root batch
-	sagg   *summaryAggEval // summary-direct evaluator when that regime answers
 	par    *parallelPlan   // it's morsel workers when opts.Parallelism >= 1 found a partitionable leaf
 	res    ExecResult
 	sample sampleRows  // res.Sample's storage, recycled by the next execution
@@ -178,22 +176,17 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 		if st.ctl.rec != nil {
 			st.ctl.rec.Reset()
 		}
-		if st.it != nil {
-			if err := st.it.rewind(p.db); err != nil {
-				return nil, err
-			}
+		if err := st.it.rewind(p.db); err != nil {
+			return nil, err
 		}
 	} else if err := p.open(st, opts); err != nil {
 		return nil, err
 	}
 	res := &st.res
 	res.Rows, res.Count, res.Sample = 0, 0, nil
-	switch {
-	case st.sagg != nil:
-		err = st.sagg.run(&st.ctl, res, &st.sample, opts)
-	case st.par != nil:
+	if st.par != nil {
 		err = st.par.run(ctx, st, p.plan, opts)
-	default:
+	} else {
 		err = runColumnar(st, p.plan, opts)
 	}
 	// A context error latched mid-drive takes precedence over the
@@ -210,20 +203,20 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 // open decides the regime under opts.Regime's ceiling and builds st's
 // execution state for it — the one place either happens. Below the
 // PathRegen ceiling it takes the plan's reading of the summaries (the
-// Prepare-time one, or one read now when there is none): summary-direct
-// answers when the reading proved the candidate exact; failing that the
-// operator tree opens over the reading's pruned row-spaces, or over full
-// scans under the PathRegen ceiling — one openCol of the plan's root,
-// whatever drives it afterwards. With
-// opts.Parallelism >= 1 and a partitionable leaf scan that tree becomes the
-// first of the workers' (openParallel); otherwise it is driven as it
-// stands, so a table's DatagenFunc is invoked once per scan operator either
-// way. st is reset before anything is built and valid only once open
-// succeeds, so a failed open never leaves a half-built state behind for the
-// reuse branch to trust.
-// Everything here — the trace arena (Trace is part of the reuse key), the
-// evaluator's scratch, the tree — is then recycled in place by later calls
-// with the same opts.
+// Prepare-time one, or one read now when there is none). The regime only
+// picks the plan node to open: the summary-direct candidate when the
+// reading proved it exact (its aggregate sink, drained by the summary-row
+// evaluator), else the plan's root, whose scans run over the reading's
+// pruned row-spaces, or whole under the PathRegen ceiling — one openCol,
+// whatever drives it afterwards. With opts.Parallelism >= 1 and a
+// partitionable leaf scan that tree becomes the first of the workers'
+// (openParallel); otherwise it is driven as it stands, so a table's
+// DatagenFunc is invoked once per scan operator either way. st is reset
+// before anything is built and valid only once open succeeds, so a failed
+// open never leaves a half-built state behind for the reuse branch to
+// trust. Everything here — the trace arena (Trace is part of the reuse
+// key), the evaluator's scratch, the tree — is then recycled in place by
+// later calls with the same opts.
 func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 	*st = ExecState{ctl: execCtl{ctx: st.ctl.ctx}}
 	if opts.Trace {
@@ -236,42 +229,40 @@ func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 	case rd == nil:
 		rd = buildPruneCache(p.db, p.plan)
 	}
-	root, path := (*ExecNode)(nil), PathSummary
-	if st.sagg = summaryAggFor(p.db, p.plan, opts, rd); st.sagg != nil {
-		st.sagg.open(&st.ctl)
-		root = &st.sagg.node
-	} else {
-		st.ctl.prunes = rd
-		builds := &buildCache{base: p.builds}
-		if opts.Regime == PathRegen && p.prunes != nil && len(p.prunes.scans) > 0 {
-			// The cached build sides were drained over pruned scans; full
-			// regeneration drains them live.
-			builds.base = nil
-		}
-		if opts.Parallelism >= 1 {
-			// What this open drains, its other workers' opens find.
-			builds.m = make(map[*PlanNode]*preparedBuild)
-		}
-		it, width, pop, node, err := openCol(p.db, p.plan.Root, rootNeed(p.plan, opts), opts.BatchSize, builds, &st.ctl)
-		if err != nil {
+	st.ctl.prunes = rd
+	root, path := p.plan.Root, PathRegen
+	if cand := summaryAggFor(p.db, p.plan, opts, rd); cand != nil {
+		root, path = cand, PathSummary
+	}
+	builds := &buildCache{base: p.builds}
+	if opts.Regime == PathRegen && p.prunes != nil && len(p.prunes.scans) > 0 {
+		// The cached build sides were drained over pruned scans; full
+		// regeneration drains them live.
+		builds.base = nil
+	}
+	if opts.Parallelism >= 1 {
+		// What this open drains, its other workers' opens find.
+		builds.m = make(map[*PlanNode]*preparedBuild)
+	}
+	it, width, pop, node, err := openCol(p.db, root, rootNeed(p.plan, opts), opts.BatchSize, builds, &st.ctl)
+	if err != nil {
+		return err
+	}
+	if p.plan.sinkRoot() {
+		// A sink's output is only what it emits: its root batch opens
+		// without storage, and each emit reserves the rows it writes.
+		pop = nil
+	}
+	st.it, st.b = it, batch.NewCol(width, opts.BatchSize, pop)
+	if opts.Parallelism >= 1 && path != PathSummary { // a summary-direct tree has no scan to split
+		if st.par, err = openParallel(p.db, p.plan, it, node, st.b, opts, builds, &st.ctl); err != nil {
 			return err
 		}
-		if p.plan.sinkRoot() {
-			// A sink's output is only what it emits: its root batch opens
-			// without storage, and each emit reserves the rows it writes.
-			pop = nil
-		}
-		st.it, st.b, root = it, batch.NewCol(width, opts.BatchSize, pop), node
-		if opts.Parallelism >= 1 {
-			if st.par, err = openParallel(p.db, p.plan, it, node, st.b, opts, builds, &st.ctl); err != nil {
-				return err
-			}
-		}
-		if path = PathRegen; prunedRows(root) > 0 {
-			path = PathPruned
-		}
 	}
-	st.res = ExecResult{Root: root, Trace: root.sp, Path: path}
+	if path == PathRegen && prunedRows(node) > 0 {
+		path = PathPruned
+	}
+	st.res = ExecResult{Root: node, Trace: node.sp, Path: path}
 	// Worker partials fold into a parallel plan's own nodes and spans, so it
 	// runs once: the state stays invalid and the next call reopens.
 	st.opts, st.valid = opts, st.par == nil

@@ -12,6 +12,10 @@ import (
 //
 //   - the sequential drive runs observe over child batches and emit over
 //     the finished state (colSinkIter);
+//   - the summary-direct regime opens the plan's aggregate sink over a
+//     childless drain, the summary-row evaluator (summaryagg.go), which
+//     folds straight into the state and hands the sink no batch; the sink
+//     then finishes and emits as above;
 //   - the morsel-parallel branch gives every worker its own pipeline, the
 //     bottom sink's state included: workers fold their morsels in with
 //     observe, the partials merge into the first worker's state in
@@ -51,9 +55,9 @@ type sinkState interface {
 
 // colSinkIter is the one blocking operator of the columnar pipeline: it
 // drains its child into a sinkState on the first Next, then streams the
-// state's deterministic output. OpGroupAgg, OpDistinct (both groupAggState),
-// OpSort (sortState) and OpAggregate (countState) are this operator with
-// different states.
+// state's deterministic output. OpAggregate (COUNT(*), one global group),
+// OpGroupAgg, OpDistinct and OpSummaryAgg (all groupAggState) and OpSort
+// (sortState) are this operator with different states.
 type colSinkIter struct {
 	child    colIterator
 	buf      *batch.ColBatch // child output drain batch
@@ -131,31 +135,6 @@ func (g *colSinkIter) deferredErr() error {
 		return err
 	}
 	return g.child.deferredErr()
-}
-
-// countState is COUNT(*) as a sinkState: a row counter emitting the single
-// aggregate row. Its drain batches materialize no columns at all — pure
-// cardinality flow.
-type countState struct {
-	n int64
-}
-
-func (st *countState) observe(b *batch.ColBatch) { st.n += int64(b.Live()) }
-func (st *countState) merge(o sinkState)         { st.n += o.(*countState).n }
-func (st *countState) finish()                   {}
-func (st *countState) reset()                    { st.n = 0 }
-func (st *countState) deferredErr() error        { return nil }
-
-func (st *countState) emit(dst *batch.ColBatch, outCols []int, pos int) int {
-	if pos > 0 {
-		return 0
-	}
-	dst.Reserve(outCols, 1)
-	dst.SetLen(1)
-	for _, c := range outCols {
-		dst.Col(c)[0] = st.n
-	}
-	return 1
 }
 
 // colLimitIter truncates its child's live-row stream to rows

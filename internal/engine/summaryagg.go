@@ -20,7 +20,8 @@ package engine
 // table's scan (prune.go); a row is provable when at most one cycling
 // column is "driving" — the verdict's driver or one enumerated as a GROUP
 // BY key — and every cycling aggregate input coincides with it. That pass
-// records each row's driving column, and run folds the recorded rows.
+// records each row's driving column, and the evaluator folds the recorded
+// rows.
 // Everything a row contributes is then closed-form: with
 // I = S ∩ P, cycles = n/L, and Pref the first n mod L points of S,
 //
@@ -30,18 +31,22 @@ package engine
 // and per-group counts enumerate v ∈ I with cnt(v) = cycles + [v ∈ Pref],
 // which is bounded by n, so the fast path is never worse than regeneration.
 //
-// Accumulation reuses groupAggState — the very state behind OpGroupAgg and
-// OpDistinct — so group ordering, empty-group identities, AVG truncation,
-// and the ErrAggOverflow policy are shared code, not re-implementations.
+// The regime runs through the ordinary operators: openCol opens the
+// candidate as the plan's own aggregate sink (colSinkIter over a
+// groupAggState, the very state behind COUNT(*), OpGroupAgg and
+// OpDistinct), with the evaluator as the sink's drain in place of a scan
+// pipeline, and runColumnar drives it like any other tree. Group ordering,
+// empty-group identities, AVG truncation, the ErrAggOverflow policy,
+// emission, sampling, tracing and cancellation are thereby shared code, not
+// re-implementations; only the closed-form fold below is the regime's own.
 
 import (
-	"fmt"
 	"math/bits"
 
+	"repro/internal/batch"
 	"repro/internal/cycle"
 	"repro/internal/sqlkit"
 	"repro/internal/synopsis"
-	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -60,16 +65,17 @@ type aggContrib struct {
 }
 
 // summaryAggEval evaluates one OpSummaryAgg candidate against one relation
-// summary. It is built once per execution (or once per prepared ExecState
-// and reused), and run() allocates nothing once its scratch buffers have
+// summary: it is the drain of the candidate's sink (openCol), folding the
+// summary rows into that sink's groupAggState where a regenerated plan's
+// scan pipeline would feed it batches. It is built at open and recycled with
+// the opened tree, and Next allocates nothing once its scratch buffers have
 // warmed up — the summary path inherits the engine's steady-state
 // zero-allocation contract.
 type summaryAggEval struct {
 	cand *PlanNode
 	rel  *synopsis.Relation
 	pk   int // primary-key column index, -1 when the table has none
-
-	countOnly bool // OpAggregate root: bare COUNT(*), no select items
+	ctl  *execCtl
 
 	drives []int32 // per summary row: its driving column, -1 or skipRow (pruneCache.drives)
 
@@ -78,7 +84,7 @@ type summaryAggEval struct {
 	grpOf  []bool              // per need position: is a GROUP BY key
 	rs     []rowSpec           // per need position: resolved spec (per row)
 
-	st      *groupAggState
+	st      *groupAggState // the sink's state
 	contrib []aggContrib
 
 	// Interval scratch, reused via write-back so steady state allocates
@@ -90,32 +96,30 @@ type summaryAggEval struct {
 	interBuf value.IntervalSet
 	prefBuf  value.IntervalSet
 	iprefBuf value.IntervalSet
-
-	node   ExecNode
-	detail string
-	sp     *trace.Span
 }
 
-// summaryAggFor returns an evaluator for the plan's summary-direct
-// candidate, or nil when the fast path does not apply: a Regime ceiling
-// below it, or a reading (the plan's pruneCache) that found no candidate,
-// no registered summary for its table, or some summary row that is not
-// provably exact.
-func summaryAggFor(db *Database, plan *Plan, opts ExecOptions, rd *pruneCache) *summaryAggEval {
-	if opts.Regime != "" || rd == nil || rd.drives == nil {
+// summaryAggFor returns the plan's summary-direct candidate when it answers
+// over db, nil when the fast path does not apply: a Regime ceiling below
+// it, or a reading (the plan's pruneCache) that found no candidate, no
+// registered summary for its table, or some summary row that is not
+// provably exact. Prepared.open opens the candidate in place of the plan's
+// root.
+func summaryAggFor(db *Database, plan *Plan, opts ExecOptions, rd *pruneCache) *PlanNode {
+	if opts.Regime != "" || rd == nil || rd.drives == nil || db.Summary(plan.SummaryAgg.Table) == nil {
 		return nil
 	}
-	cand := plan.SummaryAgg
-	return newSummaryAggEval(cand, db.Summary(cand.Table), db.Schema.Table(cand.Table).PKIndex(), rd.drives)
+	return plan.SummaryAgg
 }
 
-func newSummaryAggEval(cand *PlanNode, rel *synopsis.Relation, pk int, drives []int32) *summaryAggEval {
+// newSummaryAggEval readies the evaluator of candidate cand over the
+// table's registered summary, folding the rows ctl's reading recorded.
+func newSummaryAggEval(db *Database, cand *PlanNode, ctl *execCtl) *summaryAggEval {
 	e := &summaryAggEval{
-		cand:      cand,
-		rel:       rel,
-		pk:        pk,
-		drives:    drives,
-		countOnly: len(cand.Items) == 0,
+		cand:   cand,
+		rel:    db.Summary(cand.Table),
+		pk:     db.Schema.Table(cand.Table).PKIndex(),
+		ctl:    ctl,
+		drives: ctl.prunes.drives,
 	}
 	if cand.Pred != nil {
 		for _, c := range cand.Pred.Cols {
@@ -143,7 +147,6 @@ func newSummaryAggEval(cand *PlanNode, rel *synopsis.Relation, pk int, drives []
 	e.rs = make([]rowSpec, len(e.need))
 	e.st = newGroupAggState(cand)
 	e.contrib = make([]aggContrib, len(cand.Aggs))
-	e.detail = fmt.Sprintf("%s [%d summary rows]", cand.Table, len(rel.Rows))
 	return e
 }
 
@@ -222,29 +225,16 @@ func (e *summaryAggEval) resolve(row *synopsis.Row, base int64) {
 	}
 }
 
-// open mirrors the evaluation as a childless SUMMARY AGG ExecNode and, when
-// traced, one span. Called once per evaluator; prepared reuse recycles the
-// span through Recorder.Reset like any operator span.
-func (e *summaryAggEval) open(ctl *execCtl) {
-	e.node = ExecNode{Op: OpSummaryAgg.String(), Table: e.cand.Table}
-	if ctl.rec != nil {
-		e.sp = ctl.rec.NewSpan(e.node.Op, e.detail)
-		e.node.sp = e.sp
-	}
-}
-
-// run evaluates every summary row into the shared aggregation state and
-// emits the result, its sample rows in smp. Steady state allocates nothing.
+// Next folds every summary row the reading recorded into the sink's state
+// and returns no batch: the evaluator is its sink's whole drain, so the
+// sink finishes and emits the state exactly as it does a regenerated GROUP
+// BY's. Steady state allocates nothing.
 //
 //hydra:hotpath
-func (e *summaryAggEval) run(ctl *execCtl, res *ExecResult, smp *sampleRows, opts ExecOptions) error {
-	if ctl.stopped() {
-		return ctl.err
+func (e *summaryAggEval) Next(*batch.ColBatch) bool {
+	if e.ctl.stopped() {
+		return false
 	}
-	if e.sp != nil {
-		e.sp.Begin()
-	}
-	e.st.reset()
 	var base int64
 	for j, drive := range e.drives {
 		row := &e.rel.Rows[j]
@@ -254,27 +244,14 @@ func (e *summaryAggEval) run(ctl *execCtl, res *ExecResult, smp *sampleRows, opt
 		}
 		base += row.Count
 	}
-	e.st.finish()
-	if err := e.st.err; err != nil {
-		if e.sp != nil {
-			e.sp.ObserveEmpty()
-		}
-		return err
-	}
-	e.emitExact(res, smp, opts)
-	e.node.OutRows = res.Rows
-	if e.sp != nil {
-		e.sp.Observe(res.Rows, res.Rows*int64(e.width())*8)
-	}
-	return nil
+	return false
 }
 
-func (e *summaryAggEval) width() int {
-	if e.countOnly {
-		return 1
-	}
-	return len(e.cand.Items)
-}
+// rewind has nothing of its own to restore: the sink resets the state.
+func (e *summaryAggEval) rewind(*Database) error { return nil }
+
+// deferredErr is nil: the sink's state judges overflow at finish.
+func (e *summaryAggEval) deferredErr() error { return nil }
 
 // addRow folds one provably exact summary row into the aggregation state;
 // drive is its driving column as a need position, -1 when none.
@@ -454,28 +431,4 @@ func (e *summaryAggEval) pointContrib(ai int, v, cnt int64) aggContrib {
 	}
 	lo, hi := cycle.Mul128(x, cnt)
 	return aggContrib{sumLo: lo, sumHi: hi, min: x, max: x}
-}
-
-// emitExact writes the result in the regenerating executors' conventions:
-// COUNT(*) is one row carrying the count; grouped output is one row per
-// group in the shared deterministic order, sampled on request into smp.
-func (e *summaryAggEval) emitExact(res *ExecResult, smp *sampleRows, opts ExecOptions) {
-	st := e.st
-	smp.n = 0
-	if e.countOnly {
-		total := st.counts[0]
-		res.Rows, res.Count = 1, total
-		if opts.SampleLimit > 0 {
-			smp.next(1)[0] = total
-		}
-	} else {
-		res.Rows = int64(len(st.order))
-		for i := 0; i < len(st.order) && i < opts.SampleLimit; i++ {
-			out := smp.next(len(e.cand.Items))
-			for oc, it := range e.cand.Items {
-				out[oc] = st.value(it, st.order[i])
-			}
-		}
-	}
-	res.Sample = smp.taken()
 }

@@ -10,6 +10,9 @@ package engine
 // count, and sample).
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -354,5 +357,94 @@ func TestSummaryAggGateConditions(t *testing.T) {
 	db.SetSummary("m", nil)
 	if summaryAggFor(db, plan, ExecOptions{}, buildPruneCache(db, plan)) != nil {
 		t.Fatal("fast path survived summary unregistration")
+	}
+}
+
+// TestSummaryAggCancel: a context canceled before the call stops a
+// summary-direct answer with context.Canceled on every front — the
+// evaluator drains the plan's own sink, so it honors the drive loop's
+// cancellation contract — and a reused ExecState canceled mid-life answers
+// the next call exactly as before.
+func TestSummaryAggCancel(t *testing.T) {
+	db := saggDB(t)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM m WHERE a < 3",
+		"SELECT a, COUNT(*), SUM(b) FROM m GROUP BY a",
+	} {
+		plan := mustPlan(t, db, sql)
+		opts := ExecOptions{SampleLimit: 100}
+		want, err := execute(db, plan, opts)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		if want.Path != PathSummary {
+			t.Fatalf("%q: path %q, want the summary-direct answer", sql, want.Path)
+		}
+		for _, f := range contextFronts(t) {
+			if res, err := f.run(canceled, db, plan, opts); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s on %q: pre-canceled ctx returned (%v, %v), want context.Canceled", f.name, sql, res, err)
+			}
+		}
+
+		prep, err := Prepare(db, plan, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st ExecState
+		for i, ctx := range []context.Context{canceled, context.Background(), canceled, context.Background()} {
+			res, err := prep.ExecuteInContext(ctx, &st, opts)
+			if ctx == canceled {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%q call %d: reused state under a canceled ctx returned (%v, %v), want context.Canceled", sql, i, res, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%q call %d: %v", sql, i, err)
+			}
+			requireIdentical(t, fmt.Sprintf("%q reused call %d", sql, i), res, want)
+		}
+	}
+}
+
+// TestSummaryAggOverflow: a summary whose fixed measure times its count
+// overflows int64 fails SUM and AVG with ErrAggOverflow on the summary
+// path — fresh and reused state alike, never a wrapped total: 5·2^62 is
+// 2^64 + 2^62, whose low word alone would pass for a sum. The relation is
+// 2^62 tuples, so only the summary can answer it at all.
+func TestSummaryAggOverflow(t *testing.T) {
+	db := saggDBRows(t, []synopsis.Row{
+		{Count: 1 << 62, Specs: []synopsis.ColSpec{synopsis.FixedSpec(1, 4), synopsis.FixedSpec(2, 5)}},
+	})
+	for _, sql := range []string{
+		"SELECT SUM(b) FROM m",
+		"SELECT AVG(b) FROM m WHERE a < 10",
+		"SELECT a, SUM(b) FROM m GROUP BY a",
+	} {
+		plan := mustPlan(t, db, sql)
+		if summaryAggFor(db, plan, ExecOptions{}, buildPruneCache(db, plan)) == nil {
+			t.Fatalf("%q: the summary does not answer", sql)
+		}
+		if res, err := execute(db, plan, ExecOptions{}); !errors.Is(err, ErrAggOverflow) {
+			t.Fatalf("%q fresh: (%v, %v), want ErrAggOverflow", sql, res, err)
+		}
+		prep, err := Prepare(db, plan, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st ExecState
+		for i := 0; i < 2; i++ {
+			if res, err := prep.ExecuteIn(&st, ExecOptions{}); !errors.Is(err, ErrAggOverflow) {
+				t.Fatalf("%q reused call %d: (%v, %v), want ErrAggOverflow", sql, i, res, err)
+			}
+		}
+	}
+	// The same summary's COUNT fits: the state a failed SUM left behind
+	// does not leak into the next answer.
+	res, err := execute(db, mustPlan(t, db, "SELECT COUNT(*) FROM m"), ExecOptions{})
+	if err != nil || res.Count != 1<<62 || res.Path != PathSummary {
+		t.Fatalf("COUNT(*): (%+v, %v), want 2^62 on the summary path", res, err)
 	}
 }

@@ -88,10 +88,8 @@ func E2RegionVsGrid(w io.Writer, cfg Config, workloadSizes []int) error {
 		if err != nil {
 			return err
 		}
-		opts := summary.DefaultBuildOptions()
-		opts.GridCompare = true
 		start := time.Now()
-		_, rep, err := core.BuildFromPackage(pkg, opts)
+		_, rep, err := core.BuildFromPackage(pkg, summary.DefaultBuildOptions())
 		if err != nil {
 			return err
 		}

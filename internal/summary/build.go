@@ -17,9 +17,6 @@ import (
 
 // BuildOptions tune summary construction.
 type BuildOptions struct {
-	// GridCompare additionally computes the DataSynth grid-partitioning
-	// variable count per relation for the complexity comparison report.
-	GridCompare bool
 	// NoInhabitation disables the cross-relation inhabitation (GE)
 	// propagation — an ablation switch: without it, dimension LPs may
 	// leave cells empty that fact segments draw foreign keys from, and
@@ -40,7 +37,7 @@ type RelationReport struct {
 	// axis footprints) the relation's LP decomposed into.
 	Groups   int
 	LPVars   int   // region-partitioning atoms (Hydra), summed over groups
-	GridVars int64 // grid-partitioning cells (DataSynth baseline), if requested
+	GridVars int64 // grid-partitioning cells (DataSynth baseline)
 	Pivots   int
 	LPObj    float64
 	// Residuals holds the non-zero signed deviations per constraint label
@@ -299,9 +296,7 @@ func prepareRelation(t *schema.Table, s *schema.Schema, w *preprocess.Workload, 
 	for i, k := range keys {
 		regionIdx[k] = i
 	}
-	if opts.GridCompare {
-		rb.rr.GridVars = region.Grid(fullSpace, rb.fullRegions).VarCount
-	}
+	rb.rr.GridVars = region.Grid(fullSpace, rb.fullRegions).VarCount
 
 	// Union-find over axes: every region's footprint (the axes it
 	// actually constrains) merges into one group.
