@@ -66,7 +66,8 @@ type (
 	// ExecOptions tune query execution: sample retention, batch capacity,
 	// and morsel-driven parallelism (Parallelism 0 = sequential; n >= 1
 	// fans the probe pipeline out across n workers with results
-	// byte-identical to sequential execution).
+	// byte-identical to sequential execution). A deadline is not an
+	// option: set it on the context QueryContext takes.
 	ExecOptions = engine.ExecOptions
 	// ExecResult is an executed query's outcome: rows, COUNT value, sample,
 	// and the cardinality-annotated operator tree.
@@ -197,9 +198,8 @@ func Query(db *Database, sql string, opts ExecOptions) (*ExecResult, error) {
 	return QueryContext(context.Background(), db, sql, opts)
 }
 
-// QueryContext is Query under a context: execution observes ctx (and
-// opts.Timeout, whichever deadline is earlier) cooperatively at batch
-// boundaries on every path — sequential, parallel, and inside hash-join
+// QueryContext is Query under a context: execution observes ctx's
+// cancellation and deadline cooperatively at batch boundaries on every path — sequential, parallel, and inside hash-join
 // build drains — and returns ctx's error (context.Canceled or
 // context.DeadlineExceeded) once it stops. Cancellation never leaks a
 // goroutine: parallel workers drain cleanly and are always waited for.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -141,14 +140,4 @@ func nodeDetail(n *ExecNode) string {
 		detail = "[late]"
 	}
 	return detail
-}
-
-// withTimeout derives the execution deadline from ExecOptions.Timeout: a
-// positive timeout wraps ctx, anything else passes it through with a no-op
-// cancel so callers can defer unconditionally.
-func withTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, d)
 }

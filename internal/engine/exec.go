@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -97,15 +96,6 @@ type ExecOptions struct {
 	// the plan's leaf scan is partitionable. Normalize clamps it into
 	// [0, GOMAXPROCS]; that is its one meaning on every entry point.
 	Parallelism int
-	// Timeout bounds the execution's wall clock when positive: the
-	// context-taking entry points derive a deadline from it (stacked on
-	// whatever deadline the caller's context already carries — the
-	// earlier one wins) and the query fails with context.DeadlineExceeded
-	// at the next batch boundary after it expires. Zero means no
-	// engine-imposed deadline; negative is rejected by Normalize. The
-	// ctx-free entry points honor it too, so a plain Execute with a Timeout
-	// is self-limiting.
-	Timeout time.Duration
 	// Trace enables per-operator span recording: the result carries a span
 	// tree (ExecResult.Trace) mirroring the annotated plan with wall time,
 	// rows, batches, and bytes per operator. Off (the default), the engine
@@ -137,9 +127,6 @@ func (o ExecOptions) validate() error {
 	if o.BatchSize < 0 {
 		return fmt.Errorf("engine: %w: BatchSize %d is negative", ErrInvalidOptions, o.BatchSize)
 	}
-	if o.Timeout < 0 {
-		return fmt.Errorf("engine: %w: Timeout %v is negative", ErrInvalidOptions, o.Timeout)
-	}
 	switch o.Regime {
 	case "", PathPruned, PathRegen:
 	default:
@@ -169,11 +156,10 @@ func (o ExecOptions) Normalize() (ExecOptions, error) {
 // serves both stored and dataless execution. It is the ad-hoc entry to the
 // engine's one executor (Prepared.run): a Prepared with empty caches and a
 // fresh ExecState, so nothing is drained ahead and open reads the
-// summaries the plan scans, once. Cancellation (and opts.Timeout,
-// stacked onto any deadline ctx already carries) is observed cooperatively
-// at batch boundaries, and a stopped query returns context.Canceled or
-// context.DeadlineExceeded — identically sequential or parallel, with no
-// goroutine left behind.
+// summaries the plan scans, once. Cancellation and ctx's deadline are
+// observed cooperatively at batch boundaries, and a stopped query returns
+// context.Canceled or context.DeadlineExceeded — identically sequential or
+// parallel, with no goroutine left behind.
 func ExecuteContext(ctx context.Context, db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
 	p := Prepared{db: db, plan: plan, reg: db.reg}
 	return p.run(ctx, new(ExecState), opts)

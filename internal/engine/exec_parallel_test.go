@@ -222,7 +222,7 @@ func TestExecOptionsValidation(t *testing.T) {
 	} {
 		// The regime vocabulary is a ceiling: "summary" is the zero value's
 		// meaning, not a fourth word.
-		for _, bad := range []ExecOptions{{BatchSize: -1}, {Timeout: -1}, {Regime: PathSummary}, {Regime: "fast"}} {
+		for _, bad := range []ExecOptions{{BatchSize: -1}, {Regime: PathSummary}, {Regime: "fast"}} {
 			if _, err := exec.f(db, plan, bad); !errors.Is(err, ErrInvalidOptions) {
 				t.Fatalf("%s: %+v returned %v, want ErrInvalidOptions", exec.name, bad, err)
 			}

@@ -23,8 +23,11 @@ var ErrAggOverflow = errors.New("aggregate overflow")
 // aggregates, emitting only the keys). It implements the sinkState contract
 // (sink.go) and is thereby shared by the sequential columnar executor, each
 // worker of the parallel executor (partial aggregation via observe, merged
-// deterministically in worker order), and the Prepared/ExecuteIn reuse
-// path.
+// deterministically in worker order), the summary-direct regime, and the
+// Prepared/ExecuteIn reuse path. Batches come in through observe; whole
+// per-group partials — another worker's groups in merge, the summary
+// fold's closed-form observations — through add, the one per-group
+// combine.
 //
 // Layout is columnar throughout: group keys live in one slice per GROUP BY
 // column and accumulators in one slice per aggregate, both indexed by dense
@@ -50,9 +53,9 @@ type groupAggState struct {
 	counts []int64   // per group: row count (COUNT and AVG read it)
 	// accs holds one accumulator arena per aggregate, by group id: the
 	// MIN/MAX running value, or a 128-bit sum's low word (two's
-	// complement) with its high word in the parallel accsHi arena. COUNT
-	// is answered from counts, but its arenas are kept (zero-filled) so
-	// that accumulate and merge index uniformly across aggregates.
+	// complement) with its high word in the parallel accsHi arena. An
+	// aggregate has only the arenas it reads: COUNT, answered from
+	// counts, has neither, and MIN/MAX have no accsHi.
 	accs   [][]int64
 	accsHi [][]int64
 
@@ -60,6 +63,7 @@ type groupAggState struct {
 	rowGid []int32   // scratch: per-batch live-row position -> group id
 	gcols  [][]int64 // scratch: the batch's GroupBy column vectors
 	keyBuf []int64   // scratch: one row's key tuple
+	part   []int64   // scratch: one observation's partials, lo then hi (partials)
 	order  []int32   // group ids in deterministic output order
 
 	err error
@@ -122,12 +126,10 @@ func (st *groupAggState) addGroup(h uint64) int32 {
 			st.accs[i] = append(st.accs[i], math.MaxInt64)
 		case sqlkit.AggMax:
 			st.accs[i] = append(st.accs[i], math.MinInt64)
-		default:
-			// SUM/AVG start at a 128-bit zero; COUNT is answered from
-			// counts but keeps parallel arenas so indexing stays uniform.
+		case sqlkit.AggSum, sqlkit.AggAvg:
 			st.accs[i] = append(st.accs[i], 0)
+			st.accsHi[i] = append(st.accsHi[i], 0)
 		}
-		st.accsHi[i] = append(st.accsHi[i], 0)
 	}
 	return g
 }
@@ -328,9 +330,10 @@ func add128(lo, hi *int64, v int64) {
 // as int64: the high word must be the sign extension of the low word.
 func sum128Fits(lo, hi int64) bool { return hi == lo>>63 }
 
-// merge folds other's partial groups into st. Accumulation is by key
-// lookup, so morsel partitioning never changes the answer; calling merge in
-// worker-index order keeps the (overflow-checked) sum order deterministic.
+// merge folds other's partial groups into st through add. Accumulation is
+// by key lookup, so morsel partitioning never changes the answer; calling
+// merge in worker-index order keeps the (overflow-checked) sum order
+// deterministic.
 func (st *groupAggState) merge(o sinkState) {
 	other := o.(*groupAggState)
 	if st.err == nil {
@@ -339,35 +342,55 @@ func (st *groupAggState) merge(o sinkState) {
 	if st.err != nil {
 		return
 	}
-	for og := 0; og < len(other.counts); og++ {
-		var g int32
-		if len(st.groupBy) == 0 {
-			g = 0
-		} else {
-			for ki := range st.groupBy {
-				st.keyBuf[ki] = other.keys[ki][og]
-			}
-			g = st.lookup(st.keyBuf)
+	lo, hi := st.partials()
+	for og := range other.counts {
+		for ki := range st.groupBy {
+			st.keyBuf[ki] = other.keys[ki][og]
 		}
-		st.counts[g] += other.counts[og]
 		for ai := range st.aggs {
-			ov := other.accs[ai][og]
-			switch st.aggs[ai].Fn {
-			case sqlkit.AggSum, sqlkit.AggAvg:
-				// 128-bit partial-sum addition: exact, so the merged total
-				// is independent of how morsels were partitioned.
-				s, carry := bits.Add64(uint64(st.accs[ai][g]), uint64(ov), 0)
-				st.accs[ai][g] = int64(s)
-				st.accsHi[ai][g] += other.accsHi[ai][og] + int64(carry)
-			case sqlkit.AggMin:
-				if ov < st.accs[ai][g] {
-					st.accs[ai][g] = ov
-				}
-			case sqlkit.AggMax:
-				if ov > st.accs[ai][g] {
-					st.accs[ai][g] = ov
-				}
+			if acc := other.accs[ai]; acc != nil {
+				lo[ai] = acc[og]
 			}
+			if acc := other.accsHi[ai]; acc != nil {
+				hi[ai] = acc[og]
+			}
+		}
+		st.add(other.counts[og], lo, hi)
+	}
+}
+
+// partials returns scratch for one observation's per-aggregate partials,
+// add's lo and hi, allocated on first use.
+func (st *groupAggState) partials() (lo, hi []int64) {
+	if st.part == nil {
+		st.part = make([]int64, 2*len(st.aggs))
+	}
+	return st.part[:len(st.aggs)], st.part[len(st.aggs):]
+}
+
+// add folds one observation into the group of the key tuple in keyBuf (the
+// global group without GROUP BY): cnt rows whose per-aggregate partials are
+// lo[ai] — a MIN/MAX value or a sum's low word — and hi[ai], a sum's high
+// word. merge and the summary-direct fold (summaryagg.go) both combine
+// through it; COUNT reads neither partial.
+func (st *groupAggState) add(cnt int64, lo, hi []int64) {
+	var g int32
+	if len(st.groupBy) > 0 {
+		g = st.lookup(st.keyBuf)
+	}
+	st.counts[g] += cnt
+	for ai := range st.aggs {
+		switch acc := st.accs[ai]; st.aggs[ai].Fn {
+		case sqlkit.AggSum, sqlkit.AggAvg:
+			// 128-bit addition: exact, so the total is independent of how
+			// the rows were split into observations.
+			s, carry := bits.Add64(uint64(acc[g]), uint64(lo[ai]), 0)
+			acc[g] = int64(s)
+			st.accsHi[ai][g] += hi[ai] + int64(carry)
+		case sqlkit.AggMin:
+			acc[g] = min(acc[g], lo[ai])
+		case sqlkit.AggMax:
+			acc[g] = max(acc[g], lo[ai])
 		}
 	}
 }

@@ -56,7 +56,7 @@ func (p *Prepared) Plan() *Plan { return p.plan }
 // reads the summaries once; positional builds need nothing more. Hash
 // builds materialize every build-side column, so later executions may
 // request any sample projection. opts supplies the build drain's batch
-// size; Parallelism, SampleLimit, Timeout, and Regime are ignored here (the
+// size; Parallelism, SampleLimit and Regime are ignored here (the
 // drain is deliberately uncancellable: a Prepared under construction is not
 // yet shared, and a per-request deadline belongs to executions, not to the
 // cache-fill work other requests will reuse).
@@ -145,18 +145,17 @@ func (p *Prepared) ExecuteIn(st *ExecState, opts ExecOptions) (*ExecResult, erro
 // ExecuteInContext is ExecuteIn under a context: cancellation is observed
 // at batch boundaries through the state's own execCtl (a field rebind, not
 // a per-batch closure, so the zero-allocation steady state survives — with
-// a background context and no Timeout, nothing is allocated). A canceled
-// or failed execution leaves st reusable: the next call rewinds or reopens
-// the same state, and results are unaffected — neither can poison the
-// prepared state.
+// a background context, nothing is allocated). A canceled or failed
+// execution leaves st reusable: the next call rewinds or reopens the same
+// state, and results are unaffected — neither can poison the prepared
+// state.
 func (p *Prepared) ExecuteInContext(ctx context.Context, st *ExecState, opts ExecOptions) (*ExecResult, error) {
 	return p.run(ctx, st, opts)
 }
 
 // run is the engine's one executor, behind every entry point: it normalizes
-// the options (the one place Parallelism is clamped), folds the timeout
-// into ctx, opens st for opts unless st already is, and drives whatever
-// open chose.
+// the options (the one place Parallelism is clamped), opens st for opts
+// unless st already is, and drives whatever open chose.
 func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*ExecResult, error) {
 	if p.reg != p.db.reg {
 		return nil, fmt.Errorf("engine: %w", ErrStalePrepared)
@@ -165,12 +164,6 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := withTimeout(ctx, opts.Timeout)
-	defer cancel()
-	// The deadline now lives in ctx; zero the field so state reuse keys on
-	// the execution-shaping options only (a per-call Timeout change must
-	// not rebuild the operator tree).
-	opts.Timeout = 0
 	st.ctl.bind(ctx)
 	if st.valid && st.opts == opts {
 		if st.ctl.rec != nil {

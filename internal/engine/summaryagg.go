@@ -35,13 +35,16 @@ package engine
 // candidate as the plan's own aggregate sink (colSinkIter over a
 // groupAggState, the very state behind COUNT(*), OpGroupAgg and
 // OpDistinct), with the evaluator as the sink's drain in place of a scan
-// pipeline, and runColumnar drives it like any other tree. Group ordering,
-// empty-group identities, AVG truncation, the ErrAggOverflow policy,
-// emission, sampling, tracing and cancellation are thereby shared code, not
-// re-implementations; only the closed-form fold below is the regime's own.
+// pipeline, and runColumnar drives it like any other tree. Each observation
+// — a row's matching tuples, or one enumerated group value's — is combined
+// through groupAggState.add, the per-group combine the parallel executor's
+// merge uses. Group ordering, empty-group identities, the SUM/MIN/MAX
+// combine, AVG truncation, the ErrAggOverflow policy, emission, sampling,
+// tracing and cancellation are thereby shared code, not re-implementations;
+// only the closed forms below are the regime's own.
 
 import (
-	"math/bits"
+	"slices"
 
 	"repro/internal/batch"
 	"repro/internal/cycle"
@@ -50,18 +53,12 @@ import (
 	"repro/internal/value"
 )
 
-// rowSpec is one needed column's resolved value law within one summary row:
-// a cycling interval set, or (set == nil) a fixed value.
-type rowSpec struct {
-	set   value.IntervalSet
-	fixed int64
-}
-
-// aggContrib is one aggregate's exact contribution from one summary row (or
-// one enumerated group value): a 128-bit sum and the min/max witnessed.
-type aggContrib struct {
-	sumLo, sumHi int64
-	min, max     int64
+// colLaw is one table column as the fold sees it: the predicate's set (nil
+// when the predicate does not name the column) and, for the row being
+// folded, its value law — a cycling set, or (set == nil) a fixed value.
+type colLaw struct {
+	pred, set value.IntervalSet
+	fixed     int64
 }
 
 // summaryAggEval evaluates one OpSummaryAgg candidate against one relation
@@ -79,13 +76,8 @@ type summaryAggEval struct {
 
 	drives []int32 // per summary row: its driving column, -1 or skipRow (pruneCache.drives)
 
-	need   []int               // needed table columns, ascending
-	predOf []value.IntervalSet // per need position: predicate set or nil
-	grpOf  []bool              // per need position: is a GROUP BY key
-	rs     []rowSpec           // per need position: resolved spec (per row)
-
-	st      *groupAggState // the sink's state
-	contrib []aggContrib
+	cols []colLaw       // by table column
+	st   *groupAggState // the sink's state
 
 	// Interval scratch, reused via write-back so steady state allocates
 	// nothing: pkBuf synthesizes the row's primary-key range, interBuf
@@ -114,51 +106,22 @@ func summaryAggFor(db *Database, plan *Plan, opts ExecOptions, rd *pruneCache) *
 // newSummaryAggEval readies the evaluator of candidate cand over the
 // table's registered summary, folding the rows ctl's reading recorded.
 func newSummaryAggEval(db *Database, cand *PlanNode, ctl *execCtl) *summaryAggEval {
+	tbl := db.Schema.Table(cand.Table)
 	e := &summaryAggEval{
 		cand:   cand,
 		rel:    db.Summary(cand.Table),
-		pk:     db.Schema.Table(cand.Table).PKIndex(),
+		pk:     tbl.PKIndex(),
 		ctl:    ctl,
 		drives: ctl.prunes.drives,
+		cols:   make([]colLaw, len(tbl.Columns)),
+		st:     newGroupAggState(cand),
 	}
-	if cand.Pred != nil {
-		for _, c := range cand.Pred.Cols {
-			e.need = addCol(e.need, c)
-		}
-	}
-	for _, c := range cand.GroupBy {
-		e.need = addCol(e.need, c)
-	}
-	for _, a := range cand.Aggs {
-		if a.Col >= 0 {
-			e.need = addCol(e.need, a.Col)
-		}
-	}
-	e.predOf = make([]value.IntervalSet, len(e.need))
 	if cand.Pred != nil {
 		for i, c := range cand.Pred.Cols {
-			e.predOf[e.needPos(c)] = cand.Pred.Sets[i]
+			e.cols[c].pred = cand.Pred.Sets[i]
 		}
 	}
-	e.grpOf = make([]bool, len(e.need))
-	for _, c := range cand.GroupBy {
-		e.grpOf[e.needPos(c)] = true
-	}
-	e.rs = make([]rowSpec, len(e.need))
-	e.st = newGroupAggState(cand)
-	e.contrib = make([]aggContrib, len(cand.Aggs))
 	return e
-}
-
-func (e *summaryAggEval) needPos(c int) int {
-	if c >= 0 {
-		for i, nc := range e.need {
-			if nc == c {
-				return i
-			}
-		}
-	}
-	return -1
 }
 
 // directRow decides whether one summary row, given the predicate's verdict
@@ -208,20 +171,20 @@ func cyclesIn(row *synopsis.Row, c, pk int) bool {
 	return sp != nil && sp.Fixed == nil
 }
 
-// resolve loads e.rs with the row's value law for every needed column.
-func (e *summaryAggEval) resolve(row *synopsis.Row, base int64) {
-	for i, c := range e.need {
-		switch sp := row.Spec(c, e.pk); {
-		case c == e.pk:
-			e.pkBuf = append(e.pkBuf[:0], value.Ival(base, base+row.Count))
-			e.rs[i] = rowSpec{set: e.pkBuf}
-		case sp == nil:
-			e.rs[i] = rowSpec{}
-		case sp.Fixed != nil:
-			e.rs[i] = rowSpec{fixed: *sp.Fixed}
-		default:
-			e.rs[i] = rowSpec{set: sp.Set}
-		}
+// resolve loads column c's value law within the row whose first tuple is
+// global tuple base.
+func (e *summaryAggEval) resolve(row *synopsis.Row, base int64, c int) {
+	l := &e.cols[c]
+	switch sp := row.Spec(c, e.pk); {
+	case c == e.pk:
+		e.pkBuf = append(e.pkBuf[:0], value.Ival(base, base+row.Count))
+		l.set = e.pkBuf
+	case sp == nil:
+		l.set, l.fixed = nil, 0
+	case sp.Fixed != nil:
+		l.set, l.fixed = nil, *sp.Fixed
+	default:
+		l.set = sp.Set
 	}
 }
 
@@ -239,8 +202,7 @@ func (e *summaryAggEval) Next(*batch.ColBatch) bool {
 	for j, drive := range e.drives {
 		row := &e.rel.Rows[j]
 		if drive != skipRow {
-			e.resolve(row, base)
-			e.addRow(row, e.needPos(int(drive)))
+			e.addRow(row, base, int(drive))
 		}
 		base += row.Count
 	}
@@ -253,182 +215,105 @@ func (e *summaryAggEval) rewind(*Database) error { return nil }
 // deferredErr is nil: the sink's state judges overflow at finish.
 func (e *summaryAggEval) deferredErr() error { return nil }
 
-// addRow folds one provably exact summary row into the aggregation state;
-// drive is its driving column as a need position, -1 when none.
-func (e *summaryAggEval) addRow(row *synopsis.Row, drive int) {
+// addRow folds one provably exact summary row, whose first tuple is global
+// tuple base and whose driving column is d (-1 when none), into the state.
+// Without a driver every tuple matches and every key is fixed; a driver
+// that is a GROUP BY key has its matching values enumerated, each as one
+// observation in which the driver holds that value fixed.
+func (e *summaryAggEval) addRow(row *synopsis.Row, base int64, d int) {
 	n := row.Count
-	if drive < 0 {
-		// No driving column: every tuple matches, keys are fixed, cycling
-		// aggregate inputs run full independent cycles.
-		e.fillKeys(-1, 0)
-		for ai := range e.contrib {
-			e.contrib[ai] = e.fullCycleContrib(ai, n)
+	for _, c := range e.cand.GroupBy {
+		e.resolve(row, base, c)
+	}
+	for _, a := range e.cand.Aggs {
+		if a.Col >= 0 {
+			e.resolve(row, base, a.Col)
 		}
-		e.fold(n)
+	}
+	if d < 0 {
+		e.observe(n, n)
 		return
 	}
-	S := e.rs[drive].set
-	L := S.Len()
-	cycles, rem := n/L, n%L
-	I := S
-	if P := e.predOf[drive]; P != nil {
-		e.interBuf = S.IntersectInto(e.interBuf, P)
-		I = e.interBuf
-	}
-	e.prefBuf = S.PrefixInto(e.prefBuf, rem)
-	e.iprefBuf = I.IntersectInto(e.iprefBuf, e.prefBuf)
-	if e.grpOf[drive] {
-		// The driving column is a GROUP BY key: enumerate its matching
-		// values. With zero full cycles only the prefix's values occur, so
-		// the enumeration (like the whole evaluation) is bounded by n.
-		if cycles == 0 {
-			e.enumGroups(drive, e.iprefBuf, 0)
-		} else {
-			e.enumGroups(drive, I, cycles)
+	e.resolve(row, base, d)
+	I, ipref, cycles := e.closed(d, n)
+	if !slices.Contains(e.cand.GroupBy, d) {
+		if cnt := cycles*I.Len() + ipref.Len(); cnt > 0 {
+			e.observe(n, cnt)
 		}
 		return
 	}
-	cnt := cycles*I.Len() + e.iprefBuf.Len()
-	if cnt == 0 {
-		return
-	}
-	e.fillKeys(-1, 0)
-	for ai := range e.contrib {
-		e.contrib[ai] = e.drivenContrib(ai, I, cycles, cnt)
-	}
-	e.fold(cnt)
-}
-
-// enumGroups walks the driving column's matching values, contributing one
-// group observation per value with its exact tuple count.
-func (e *summaryAggEval) enumGroups(epos int, over value.IntervalSet, cycles int64) {
-	for _, iv := range over {
+	// Value v occurs cycles + [v ∈ I ∩ Pref] times, at least once: closed
+	// returns only the prefix when no cycle completes, which also bounds
+	// the enumeration, like the whole evaluation, by n. Every cycling input
+	// is the driver, now fixed, so observe leaves I and ipref's scratch
+	// alone.
+	for _, iv := range I {
 		for v := iv.Lo; v < iv.Hi; v++ {
 			cnt := cycles
-			if e.iprefBuf.Contains(v) {
+			if ipref.Contains(v) {
 				cnt++
 			}
-			if cnt == 0 {
-				continue
-			}
-			e.fillKeys(epos, v)
-			for ai := range e.contrib {
-				e.contrib[ai] = e.pointContrib(ai, v, cnt)
-			}
-			e.fold(cnt)
+			e.cols[d].set, e.cols[d].fixed = nil, v
+			e.observe(n, cnt)
 		}
 	}
 }
 
-// fillKeys assembles the group key tuple: the driving column (at need
-// position epos) takes v, every other key is fixed by classification.
-func (e *summaryAggEval) fillKeys(epos int, v int64) {
+// closed is cycling column c's closed form over the row's n tuples: its
+// matching set I = S ∩ P, the cycles = n / |S| full passes over it, and
+// the matching prefix I ∩ Pref, Pref being the first n mod |S| points of S.
+// A column the predicate leaves unrestricted matches its whole set. With no
+// full cycle only the prefix occurs, so I comes back as I ∩ Pref: the
+// match count cycles·|I| + |I ∩ Pref| and sum cycles·Σ(I) + Σ(I ∩ Pref)
+// hold either way, and I's extremes are the matches' extremes.
+func (e *summaryAggEval) closed(c int, n int64) (I, ipref value.IntervalSet, cycles int64) {
+	l := &e.cols[c]
+	S := l.set
+	I = S
+	if l.pred != nil {
+		e.interBuf = S.IntersectInto(e.interBuf, l.pred)
+		I = e.interBuf
+	}
+	e.prefBuf = S.PrefixInto(e.prefBuf, n%S.Len())
+	e.iprefBuf = I.IntersectInto(e.iprefBuf, e.prefBuf)
+	if cycles = n / S.Len(); cycles == 0 {
+		I = e.iprefBuf
+	}
+	return I, e.iprefBuf, cycles
+}
+
+// observe combines cnt matching tuples of an n-tuple row into the group of
+// their (fixed) keys. Each aggregate input contributes its partial: a fixed
+// input f·cnt (MIN/MAX f); the cycling input — the driver, or with no
+// driver an input cycling on its own — cycles·Σ(I) + Σ(I ∩ Pref) (MIN/MAX
+// I's extremes).
+func (e *summaryAggEval) observe(n, cnt int64) {
+	lo, hi := e.st.partials()
 	for ki, c := range e.cand.GroupBy {
-		pos := e.needPos(c)
-		if pos == epos {
-			e.st.keyBuf[ki] = v
-		} else {
-			e.st.keyBuf[ki] = e.rs[pos].fixed
+		e.st.keyBuf[ki] = e.cols[c].fixed
+	}
+	for ai, a := range e.cand.Aggs {
+		if a.Col < 0 {
+			continue // COUNT: answered from the group's tuple count
 		}
-	}
-}
-
-// fold merges one observation (cnt tuples with e.contrib's aggregate
-// contributions) into the shared groupAggState, mirroring observe+merge.
-func (e *summaryAggEval) fold(cnt int64) {
-	st := e.st
-	var g int32
-	if len(st.groupBy) == 0 {
-		g = 0
-	} else {
-		g = st.lookup(st.keyBuf)
-	}
-	st.counts[g] += cnt
-	for ai := range st.aggs {
-		c := &e.contrib[ai]
-		switch st.aggs[ai].Fn {
-		case sqlkit.AggSum, sqlkit.AggAvg:
-			s, carry := bits.Add64(uint64(st.accs[ai][g]), uint64(c.sumLo), 0)
-			st.accs[ai][g] = int64(s)
-			st.accsHi[ai][g] += c.sumHi + int64(carry)
+		l := &e.cols[a.Col]
+		if l.set == nil {
+			lo[ai], hi[ai] = cycle.Mul128(l.fixed, cnt)
+			if a.Fn == sqlkit.AggMin || a.Fn == sqlkit.AggMax {
+				lo[ai] = l.fixed
+			}
+			continue
+		}
+		switch I, ipref, cycles := e.closed(a.Col, n); a.Fn {
 		case sqlkit.AggMin:
-			if c.min < st.accs[ai][g] {
-				st.accs[ai][g] = c.min
-			}
+			lo[ai] = I.Min()
 		case sqlkit.AggMax:
-			if c.max > st.accs[ai][g] {
-				st.accs[ai][g] = c.max
-			}
+			lo[ai] = I.Max()
+		default:
+			slo, shi := cycle.SumSet128(I)
+			plo, phi := cycle.SumSet128(ipref)
+			lo[ai], hi[ai] = cycle.MulAcc128(plo, phi, slo, shi, cycles)
 		}
 	}
-}
-
-// fullCycleContrib is aggregate ai's contribution when all n tuples match:
-// a fixed input contributes n·f, a cycling input its full cycles plus the
-// phase prefix.
-func (e *summaryAggEval) fullCycleContrib(ai int, n int64) aggContrib {
-	c := e.cand.Aggs[ai].Col
-	if c < 0 {
-		return aggContrib{} // COUNT: answered from the group's tuple count
-	}
-	r := &e.rs[e.needPos(c)]
-	if r.set == nil {
-		lo, hi := cycle.Mul128(r.fixed, n)
-		return aggContrib{sumLo: lo, sumHi: hi, min: r.fixed, max: r.fixed}
-	}
-	S := r.set
-	cycles, rem := n/S.Len(), n%S.Len()
-	e.prefBuf = S.PrefixInto(e.prefBuf, rem)
-	slo, shi := cycle.SumSet128(S)
-	plo, phi := cycle.SumSet128(e.prefBuf)
-	lo, hi := cycle.MulAcc128(plo, phi, slo, shi, cycles)
-	out := aggContrib{sumLo: lo, sumHi: hi}
-	if cycles >= 1 {
-		out.min, out.max = S.Min(), S.Max()
-	} else {
-		out.min, out.max = e.prefBuf.Min(), e.prefBuf.Max()
-	}
-	return out
-}
-
-// drivenContrib is aggregate ai's contribution when the driving column
-// restricts the row to cnt tuples: a fixed input contributes cnt·f; a
-// cycling input is the driving column itself (classification guarantees
-// coincidence), summing its matching values weighted by occurrences.
-func (e *summaryAggEval) drivenContrib(ai int, I value.IntervalSet, cycles, cnt int64) aggContrib {
-	c := e.cand.Aggs[ai].Col
-	if c < 0 {
-		return aggContrib{}
-	}
-	r := &e.rs[e.needPos(c)]
-	if r.set == nil {
-		lo, hi := cycle.Mul128(r.fixed, cnt)
-		return aggContrib{sumLo: lo, sumHi: hi, min: r.fixed, max: r.fixed}
-	}
-	slo, shi := cycle.SumSet128(I)
-	plo, phi := cycle.SumSet128(e.iprefBuf)
-	lo, hi := cycle.MulAcc128(plo, phi, slo, shi, cycles)
-	out := aggContrib{sumLo: lo, sumHi: hi}
-	if cycles >= 1 {
-		out.min, out.max = I.Min(), I.Max()
-	} else {
-		out.min, out.max = e.iprefBuf.Min(), e.iprefBuf.Max()
-	}
-	return out
-}
-
-// pointContrib is aggregate ai's contribution from cnt tuples whose driving
-// column holds v.
-func (e *summaryAggEval) pointContrib(ai int, v, cnt int64) aggContrib {
-	c := e.cand.Aggs[ai].Col
-	if c < 0 {
-		return aggContrib{}
-	}
-	r := &e.rs[e.needPos(c)]
-	x := r.fixed
-	if r.set != nil {
-		x = v // the input is the driving column, by classification
-	}
-	lo, hi := cycle.Mul128(x, cnt)
-	return aggContrib{sumLo: lo, sumHi: hi, min: x, max: x}
+	e.st.add(cnt, lo, hi)
 }

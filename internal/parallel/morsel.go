@@ -45,9 +45,3 @@ func (m *Morsels) Next() (lo, hi int64, ok bool) {
 	}
 	return lo, hi, true
 }
-
-// Size returns the configured morsel size in rows.
-func (m *Morsels) Size() int64 { return m.size }
-
-// Total returns the scheduled row-space size.
-func (m *Morsels) Total() int64 { return m.total }

@@ -10,8 +10,9 @@
 //     ("morsels", after Leis et al.'s morsel-driven parallelism) of a
 //     relation's [0, Total) row space, so workers self-balance instead of
 //     being assigned static partitions.
-//   - Run: a fixed worker pool that runs one function per worker and
-//     collects the first error deterministically (lowest worker index).
+//   - RunCtx: a fixed worker pool that runs one function per worker under
+//     a shared context, cancels the siblings of a failing worker, and
+//     picks the error to return deterministically (lowest worker index).
 //
 // The Source interface names the contract a scan source must satisfy to be
 // morsel-partitionable; generator.Stream and the engine's stored-relation
@@ -24,35 +25,10 @@ import (
 	"sync"
 )
 
-// Run executes fn on n concurrent workers (n < 1 is treated as 1), passing
-// each its worker index in [0, n), and waits for all of them. If any worker
-// returns an error, Run returns the error of the lowest-indexed failing
-// worker — a deterministic choice, so error surfaces do not depend on
-// goroutine scheduling.
-func Run(n int, fn func(worker int) error) error {
-	if n < 1 {
-		n = 1
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = fn(w)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunCtx is Run under a context. Workers receive a child context that is
-// canceled as soon as any worker returns an error, so siblings drain at
+// RunCtx executes fn on n concurrent workers (n < 1 is treated as 1),
+// passing each its worker index in [0, n), and waits for all of them.
+// Workers receive a child context that is canceled as soon as any worker
+// returns an error, so siblings drain at
 // their next cooperative check instead of finishing doomed work; every
 // worker always runs to return and is always waited for — cancellation
 // never leaks a goroutine.

@@ -30,7 +30,7 @@ func TestMorselsCoverExactlyOnce(t *testing.T) {
 			total = 0
 		}
 		covered := make([]int32, total)
-		err := Run(8, func(worker int) error {
+		err := RunCtx(context.Background(), 8, func(_ context.Context, worker int) error {
 			for {
 				lo, hi, ok := m.Next()
 				if !ok {
@@ -78,7 +78,7 @@ func TestMorselsAscendingAndSized(t *testing.T) {
 
 func TestRunWorkerIndices(t *testing.T) {
 	var seen [5]int32
-	if err := Run(5, func(w int) error {
+	if err := RunCtx(context.Background(), 5, func(_ context.Context, w int) error {
 		atomic.AddInt32(&seen[w], 1)
 		return nil
 	}); err != nil {
@@ -94,10 +94,10 @@ func TestRunWorkerIndices(t *testing.T) {
 func TestRunReturnsLowestWorkerError(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
-	// Workers 1 and 3 fail; Run must deterministically surface worker 1's
-	// error regardless of scheduling.
+	// Workers 1 and 3 fail; RunCtx must deterministically surface worker
+	// 1's error regardless of scheduling.
 	for trial := 0; trial < 20; trial++ {
-		err := Run(4, func(w int) error {
+		err := RunCtx(context.Background(), 4, func(_ context.Context, w int) error {
 			switch w {
 			case 1:
 				return errA
@@ -116,7 +116,7 @@ func TestRunClampsWorkerCount(t *testing.T) {
 	var n int32
 	var mu sync.Mutex
 	workers := map[int]bool{}
-	if err := Run(0, func(w int) error {
+	if err := RunCtx(context.Background(), 0, func(_ context.Context, w int) error {
 		atomic.AddInt32(&n, 1)
 		mu.Lock()
 		workers[w] = true
@@ -126,7 +126,7 @@ func TestRunClampsWorkerCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != 1 || !workers[0] {
-		t.Fatalf("Run(0) ran %d workers (%v), want exactly worker 0", n, workers)
+		t.Fatalf("RunCtx(0) ran %d workers (%v), want exactly worker 0", n, workers)
 	}
 }
 
