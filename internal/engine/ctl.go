@@ -25,9 +25,9 @@ import (
 //     batches.
 //   - the root drive loop (runColumnar) — covers the emit phase of
 //     blocking sinks, whose output streaming pulls no scan batches.
-//   - the parallel worker's morsel loop — each worker carries its own
-//     execCtl (latching is single-goroutine state), re-checked per morsel
-//     and, through the worker's scan leaf, per batch.
+//   - the morsel worker's loop in a sink's parallel drain — each worker
+//     carries its own execCtl (latching is single-goroutine state),
+//     re-checked per morsel and, through the worker's scan leaf, per batch.
 //
 // The state is an execCtl struct threaded through the operator tree as a
 // field at open time — never a per-batch closure — so the steady-state
@@ -50,6 +50,10 @@ type execCtl struct {
 	// OpScan plan node (prune.go). A nil cache (the PathRegen ceiling)
 	// misses every lookup, so operators need no separate gate.
 	prunes *pruneCache
+	// workers is ExecOptions.Parallelism: the morsel workers the innermost
+	// sink drains its spine with (openMorsels). 0 — and every worker's own
+	// control — drains in place.
+	workers int
 }
 
 // bind points the control at the next execution's context, clearing any

@@ -23,10 +23,11 @@ import (
 )
 
 // DatagenFunc opens a fresh dynamic-regeneration source for a table. It is
-// invoked once per scan operator opened on the table: once for a build side
-// however many workers probe it, and, for the leaf of a morsel-parallel
-// execution, once per worker (each then scans sections of the first
-// worker's source). The source speaks the engine's one scan contract,
+// invoked once per scan operator opened on the table, when an execution
+// state opens, not per execution (a reused ExecState rewinds its scans):
+// once for a build side however many workers probe it, and, for the
+// partitionable leaf of a sink's morsel-parallel drain, once per worker
+// (each then scans sections of the first worker's source). The source speaks the engine's one scan contract,
 // batch.ColProjector; a caller outside this module that produces rows one
 // at a time wraps its producer in batch.FromRows.
 type DatagenFunc func() (batch.ColProjector, error)

@@ -91,10 +91,13 @@ type ExecOptions struct {
 	// exercising batch boundaries.
 	BatchSize int
 	// Parallelism selects morsel-driven parallel execution: 0 (the
-	// default) drives the operator tree sequentially, n >= 1 runs the
-	// scan→filter→probe pipeline on n workers (see exec_parallel.go) when
-	// the plan's leaf scan is partitionable. Normalize clamps it into
-	// [0, GOMAXPROCS]; that is its one meaning on every entry point.
+	// default) drains every operator sequentially; n >= 1 lets the plan's
+	// innermost blocking sink (COUNT(*), GROUP BY, DISTINCT, ORDER BY)
+	// drain its scan→filter→join spine on up to n workers (see
+	// exec_parallel.go) when the spine's leaf scan is partitionable. A plan
+	// with no sink, LIMIT or not, drains sequentially at any n. Normalize
+	// clamps it into [0, GOMAXPROCS]; that is its one meaning on every
+	// entry point.
 	Parallelism int
 	// Trace enables per-operator span recording: the result carries a span
 	// tree (ExecResult.Trace) mirroring the annotated plan with wall time,

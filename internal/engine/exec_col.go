@@ -39,11 +39,12 @@ import (
 // to the primary key, and the winners' other columns are read from the
 // summary at emit. The one executor (Prepared.run) composes these same
 // operators, opened by the one opener (openCol), every way it runs: it
-// drives them batch-wise, or opens the probe spine once per worker over
-// shared build arenas and folds sink partial states (exec_parallel.go), and
-// a caller-owned ExecState recycles the opened tree. The parity suites hold
-// all of them to byte-identical results, and to the materialized
-// database's answers.
+// drives them batch-wise through runColumnar; an innermost sink may drain
+// its spine on morsel workers, each opened by openCol over shared build
+// arenas, and fold their partial states (exec_parallel.go); and a
+// caller-owned ExecState recycles the opened tree, workers included. The
+// parity suites hold all of them to byte-identical results, and to the
+// materialized database's answers.
 
 // colIterator is the engine-internal columnar operator contract — the one
 // operator set every execution composes. Next resets dst, fills it
@@ -82,9 +83,9 @@ type failingSource interface {
 // drain. Two layers: base is a Prepared's own builds, drained by Prepare
 // over every build column and never written by an execution; m belongs to
 // whoever is opening (Prepare filling its builds, or one parallel execution
-// whose workers open the same plan one after another, so the first drains
-// and the rest hit). A nil m retains nothing: a sequential execution opens
-// each join once.
+// whose sink opens its workers' spines one after another, so the first
+// drains and the rest hit). A nil m retains nothing: a sequential execution
+// opens each join once.
 type buildCache struct {
 	m    map[*PlanNode]*preparedBuild
 	base map[*PlanNode]*preparedBuild
@@ -328,7 +329,7 @@ func (s *sampleRows) taken() [][]int64 {
 // openCol builds the columnar operator tree for pn and its ExecNode mirror,
 // materializing only the need columns of pn's output — the only code that
 // turns a plan node into an operator, for every caller: the sequential
-// tree, each parallel worker's pipeline, a build side about to be drained.
+// tree, each morsel worker's spine, a build side about to be drained.
 // It returns, besides the operator's output width, the populated column set
 // of the batches the operator fills — a superset of need when a scan also
 // writes predicate or key columns that ride along in the same physical
@@ -457,25 +458,32 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 		if err != nil {
 			return nil, 0, nil, nil, err
 		}
+		openNeed := childNeed
 		if late != nil {
 			childNeed, late = late.keep(childNeed, pop)
 		}
 		g := &colSinkIter{
 			child:   child,
 			buf:     batch.NewCol(width, capRows, pop),
+			st:      newSinkState(pn, childNeed, width, late),
 			outCols: need,
 			node:    &ExecNode{Op: pn.Op.String(), Late: late != nil, Children: []*ExecNode{childNode}},
 			ctl:     ctl,
 		}
-		if pn.Op == OpSort {
-			g.st = newSortState(pn, childNeed, width, late)
-			if late != nil {
-				markLateScan(db, childNode, pop)
-			}
-		} else {
-			g.st, width = newGroupAggState(pn), len(pn.Items)
+		if late != nil {
+			markLateScan(db, childNode, pop)
+		}
+		if pn.Op != OpSort {
+			width = len(pn.Items)
 		}
 		g.sp, g.rowBytes = ctl.annotate(g.node), 8*int64(len(need))
+		if ctl.workers >= 1 {
+			// The innermost sink over a partitionable spine drains it on
+			// morsel workers, each opened as its child was (openMorsels).
+			if err := openMorsels(db, pn, g, openNeed, childNeed, late, capRows, builds); err != nil {
+				return nil, 0, nil, nil, err
+			}
+		}
 		return g, width, need, g.node, nil
 
 	case OpSummaryAgg:

@@ -265,3 +265,15 @@ func TestInPlaceBatches(t *testing.T) {
 		}
 	}
 }
+
+// sinkInput returns the operator a root sink operator drains, nil when it is
+// a spine operator.
+func sinkInput(it colIterator) colIterator {
+	switch s := it.(type) {
+	case *colSinkIter:
+		return s.child
+	case *colLimitIter:
+		return s.child
+	}
+	return nil
+}

@@ -540,7 +540,11 @@ func (p *Plan) sinkRoot() bool {
 	if pn.Op == OpLimit {
 		pn = pn.Children[0]
 	}
-	return pn.Op != OpLimit && isRootSink(pn.Op)
+	switch pn.Op {
+	case OpAggregate, OpGroupAgg, OpDistinct, OpSort:
+		return true
+	}
+	return false
 }
 
 // countStar reports whether the plan computes COUNT(*): an OpAggregate at

@@ -116,9 +116,8 @@ func (p *Prepared) ExecuteContext(ctx context.Context, opts ExecOptions) (*ExecR
 // control (owned for the state's lifetime and rebound per call, so context
 // plumbing costs no allocations). One goroutine per ExecState.
 type ExecState struct {
-	it     colIterator     // the operator tree
+	it     colIterator     // the operator tree, morsel workers included
 	b      *batch.ColBatch // it's root batch
-	par    *parallelPlan   // it's morsel workers when opts.Parallelism >= 1 found a partitionable leaf
 	res    ExecResult
 	sample sampleRows  // res.Sample's storage, recycled by the next execution
 	opts   ExecOptions // the options the state was opened for: the reuse key
@@ -134,10 +133,10 @@ type ExecState struct {
 // After the first call, sequential executions with an unchanged opts value
 // allocate nothing, sampled ones included (the state recycles its sample
 // rows): the steady-state scan→filter→count path runs at zero allocations
-// per query, which TestSteadyStateZeroAlloc pins. (With opts.Parallelism
-// >= 1 the state is reopened per call: worker partials fold into the
-// tree, so a parallel plan runs once.) It is ExecuteInContext over
-// context.Background().
+// per query, which TestSteadyStateZeroAlloc pins. A parallel state is
+// rewound the same way, its sink's morsel workers with it; only the
+// drain's goroutines and morsel queue are new per call. It is
+// ExecuteInContext over context.Background().
 func (p *Prepared) ExecuteIn(st *ExecState, opts ExecOptions) (*ExecResult, error) {
 	return p.ExecuteInContext(context.Background(), st, opts)
 }
@@ -155,7 +154,8 @@ func (p *Prepared) ExecuteInContext(ctx context.Context, st *ExecState, opts Exe
 
 // run is the engine's one executor, behind every entry point: it normalizes
 // the options (the one place Parallelism is clamped), opens st for opts
-// unless st already is, and drives whatever open chose.
+// unless st already is, and drives whatever open chose through
+// runColumnar — a sink's morsel workers run inside its drain.
 func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*ExecResult, error) {
 	if p.reg != p.db.reg {
 		return nil, fmt.Errorf("engine: %w", ErrStalePrepared)
@@ -177,11 +177,7 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 	}
 	res := &st.res
 	res.Rows, res.Count, res.Sample = 0, 0, nil
-	if st.par != nil {
-		err = st.par.run(ctx, st, p.plan, opts)
-	} else {
-		err = runColumnar(st, p.plan, opts)
-	}
+	err = runColumnar(st, p.plan, opts)
 	// A context error latched mid-drive takes precedence over the
 	// pipeline's deferred error.
 	if st.ctl.err != nil {
@@ -200,18 +196,18 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 // picks the plan node to open: the summary-direct candidate when the
 // reading proved it exact (its aggregate sink, drained by the summary-row
 // evaluator), else the plan's root, whose scans run over the reading's
-// pruned row-spaces, or whole under the PathRegen ceiling — one openCol,
-// whatever drives it afterwards. With opts.Parallelism >= 1 and a
-// partitionable leaf scan that tree becomes the first of the workers'
-// (openParallel); otherwise it is driven as it stands, so a table's
-// DatagenFunc is invoked once per scan operator either way. st is reset
-// before anything is built and valid only once open succeeds, so a failed
-// open never leaves a half-built state behind for the reuse branch to
-// trust. Everything here — the trace arena (Trace is part of the reuse
-// key), the evaluator's scratch, the tree — is then recycled in place by
-// later calls with the same opts.
+// pruned row-spaces, or whole under the PathRegen ceiling — one openCol.
+// With opts.Parallelism >= 1 the innermost sink over a partitionable spine
+// opens its other morsel workers' spines inside that openCol
+// (openMorsels), so a table's DatagenFunc is invoked once per scan
+// operator: once per worker for such a leaf. st is reset before anything
+// is built and valid only once open succeeds, so a failed open never
+// leaves a half-built state behind for the reuse branch to trust.
+// Everything here — the trace arena (Trace is part of the reuse key), the
+// evaluator's scratch, the tree and its workers — is then recycled in place
+// by later calls with the same opts.
 func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
-	*st = ExecState{ctl: execCtl{ctx: st.ctl.ctx}}
+	*st = ExecState{ctl: execCtl{ctx: st.ctl.ctx, workers: opts.Parallelism}}
 	if opts.Trace {
 		st.ctl.rec = trace.NewRecorder(countPlanNodes(p.plan.Root))
 	}
@@ -247,18 +243,11 @@ func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 		pop = nil
 	}
 	st.it, st.b = it, batch.NewCol(width, opts.BatchSize, pop)
-	if opts.Parallelism >= 1 && path != PathSummary { // a summary-direct tree has no scan to split
-		if st.par, err = openParallel(p.db, p.plan, it, node, st.b, opts, builds, &st.ctl); err != nil {
-			return err
-		}
-	}
 	if path == PathRegen && prunedRows(node) > 0 {
 		path = PathPruned
 	}
 	st.res = ExecResult{Root: node, Trace: node.sp, Path: path}
-	// Worker partials fold into a parallel plan's own nodes and spans, so it
-	// runs once: the state stays invalid and the next call reopens.
-	st.opts, st.valid = opts, st.par == nil
+	st.opts, st.valid = opts, true
 	return nil
 }
 

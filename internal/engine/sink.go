@@ -16,14 +16,15 @@ import (
 //     childless drain, the summary-row evaluator (summaryagg.go), which
 //     folds straight into the state and hands the sink no batch; the sink
 //     then finishes and emits as above;
-//   - the morsel-parallel branch gives every worker its own pipeline, the
-//     bottom sink's state included: workers fold their morsels in with
-//     observe, the partials merge into the first worker's state in
-//     worker-index order, and that worker's tree — the execution's — emits
-//     from there (colSinkIter.adopt), through the very sinks the sequential
-//     drive runs;
-//   - a reused ExecState (Prepared.ExecuteIn) recycles the state via reset,
-//     so grouped, distinct, and sorted steady-state queries allocate nothing.
+//   - the morsel-parallel regime gives the innermost sink another such
+//     drain, the morsel pool (exec_parallel.go): every worker's spine folds
+//     its morsels into a partial state with observe, worker 0's being the
+//     sink's own child and state, and the partials merge into the sink's
+//     state in worker-index order; the sink then finishes and emits as
+//     above;
+//   - a reused ExecState (Prepared.ExecuteIn) recycles the states via
+//     reset, so grouped, distinct, and sorted steady-state queries allocate
+//     nothing.
 //
 // finish freezes the deterministic output order exactly once; emit is then a
 // pure, restartable read. deferredErr surfaces failures that can only be
@@ -39,7 +40,7 @@ type sinkState interface {
 	merge(other sinkState)
 	// finish freezes the deterministic output order and judges deferred
 	// failures. Called exactly once per execution, after the last observe —
-	// for parallel execution, after the last merge.
+	// for a morsel-parallel drain, after the last merge.
 	finish()
 	// emit writes output rows [pos, pos+k) into dst, k at most dst's
 	// capacity, populating only outCols — which it first reserves for the
@@ -57,7 +58,9 @@ type sinkState interface {
 // drains its child into a sinkState on the first Next, then streams the
 // state's deterministic output. OpAggregate (COUNT(*), one global group),
 // OpGroupAgg, OpDistinct and OpSummaryAgg (all groupAggState) and OpSort
-// (sortState) are this operator with different states.
+// (sortState) are this operator with different states. Its child is a
+// spine, a sink, or a drain that folds into st itself and hands it no
+// batch: the summary-row evaluator or the morsel pool.
 type colSinkIter struct {
 	child    colIterator
 	buf      *batch.ColBatch // child output drain batch
@@ -70,6 +73,16 @@ type colSinkIter struct {
 
 	drained bool
 	pos     int // next output row to emit
+}
+
+// newSinkState returns sink pn's empty state over child batches width
+// columns wide: a sort collecting collect (late, for a late top-K), or a
+// grouped aggregate.
+func newSinkState(pn *PlanNode, collect []int, width int, late *sortLate) sinkState {
+	if pn.Op == OpSort {
+		return newSortState(pn, collect, width, late)
+	}
+	return newGroupAggState(pn)
 }
 
 func (g *colSinkIter) Next(dst *batch.ColBatch) bool {
@@ -113,13 +126,6 @@ func (g *colSinkIter) next(dst *batch.ColBatch) bool {
 	g.pos += k
 	g.node.OutRows += int64(k)
 	return true
-}
-
-// adopt takes the state as drained: the parallel branch folded the workers'
-// partials into it, so the first Next finishes nothing and drains nothing.
-func (g *colSinkIter) adopt() {
-	g.st.finish()
-	g.drained = true
 }
 
 func (g *colSinkIter) rewind(db *Database) error {

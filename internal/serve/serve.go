@@ -2,8 +2,9 @@
 // (stdlib net/http + encoding/json only) over one loaded database summary.
 // It demonstrates the regenerator as a service — many concurrent clients
 // issuing SQL against a database holding zero stored rows, each query's
-// scans regenerated on the fly and, when Parallelism is enabled, fanned
-// out across workers by the engine's morsel-driven executor.
+// scans regenerated on the fly and, when Parallelism is enabled, those
+// under an aggregate, DISTINCT or ORDER BY fanned out across workers by
+// the engine's morsel-driven drain.
 //
 // Repeated query shapes are served from a keyed plan/build cache
 // (cache.go): the first request for a query pays parse + plan + hash-join

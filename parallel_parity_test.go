@@ -10,6 +10,7 @@ package hydra
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -168,6 +169,25 @@ func TestBuildSideOpenedOnce(t *testing.T) {
 		}
 	}
 
+	// The COUNT(*) form ends in a sink, so its spine does fan out: however
+	// many workers probe s, the first worker's open drains it.
+	count := strings.Replace(toy.Query, "SELECT *", "SELECT COUNT(*)", 1)
+	countWant, err := Query(db, count, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 4} {
+		opens = 0
+		got, err := Query(db, count, ExecOptions{Parallelism: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, "ad hoc COUNT(*)", got, countWant)
+		if opens != 1 {
+			t.Errorf("ad hoc COUNT(*), %d workers: s opened %d times, want 1", w, opens)
+		}
+	}
+
 	// prepareOpens prepares sql at batch size size, requires s opened
 	// wantOpens times by the Prepare, and holds every front's answer to the
 	// full-regeneration reference and each Prepared execution's tree to the
@@ -219,4 +239,64 @@ func TestBuildSideOpenedOnce(t *testing.T) {
 	db.SetSummary("t", db.Summary("t"))
 	requireStale("after SetSummary", held)
 	prepareOpens("after SetSummary", toy.Query, 0, 1)
+}
+
+// TestMorselDrainOpensPerWorkerOnce pins where morsel parallelism lives and
+// what a reused state keeps. r is registered through a partitionable
+// DatagenFunc that counts its calls. A plan with no sink — rows flowing out
+// of the spine, with or without LIMIT — drains sequentially at every
+// Parallelism, so it opens r once. The COUNT(*) form drains its spine on
+// two workers, each opening r once; an ExecState reused for more rounds
+// rewinds those workers instead of reopening them, so r is not opened
+// again. Every answer equals the sequential one.
+func TestMorselDrainOpensPerWorkerOnce(t *testing.T) {
+	db := core.RegenDatabase(toySummary(t), 0)
+	tab, rel, opens := db.Schema.Table("r"), db.Summary("r"), 0
+	db.SetDatagen("r", func() (batch.ColProjector, error) {
+		opens++
+		return generator.NewStream(tab, rel), nil
+	})
+	oversubscribe(t, 4)
+	for _, sql := range []string{toy.Query, toy.Query + " LIMIT 3"} {
+		want, err := Query(db, sql, ExecOptions{SampleLimit: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opens = 0
+		got, err := Query(db, sql, ExecOptions{SampleLimit: 5, Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, sql+" [4 workers]", got, want)
+		if opens != 1 {
+			t.Errorf("%s, 4 workers: r opened %d times, want 1", sql, opens)
+		}
+	}
+
+	count := strings.Replace(toy.Query, "SELECT *", "SELECT COUNT(*)", 1)
+	want, err := Query(db, count, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := Prepare(db, count, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st ExecState
+	for round := 0; round < 3; round++ {
+		opens = 0
+		got, err := prep.ExecuteIn(&st, ExecOptions{Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("%s [ExecuteIn#%d, 2 workers]", count, round), got, want)
+		// r's 10000 rows cut into 1250-row morsels: both workers run.
+		wantOpens := 0
+		if round == 0 {
+			wantOpens = 2
+		}
+		if opens != wantOpens {
+			t.Errorf("ExecuteIn#%d, 2 workers: r opened %d times, want %d", round, opens, wantOpens)
+		}
+	}
 }

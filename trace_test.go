@@ -266,6 +266,20 @@ func TestRenderTraceParallelShape(t *testing.T) {
 		t.Fatalf("parallel render diverged from sequential:\n%s\nvs\n%s",
 			scrub(par.Trace), scrub(seq.Trace))
 	}
+	// toy.Query has no sink, so it drains sequentially at any Parallelism;
+	// its COUNT(*) form drains the same spine on the workers and merges
+	// their spans.
+	count := strings.Replace(toy.Query, "SELECT *", "SELECT COUNT(*)", 1)
+	if seq, err = Query(db, count, ExecOptions{Trace: true}); err != nil {
+		t.Fatal(err)
+	}
+	if par, err = Query(db, count, ExecOptions{Trace: true, Parallelism: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if scrub(seq.Trace) != scrub(par.Trace) {
+		t.Fatalf("parallel COUNT(*) render diverged from sequential:\n%s\nvs\n%s",
+			scrub(par.Trace), scrub(seq.Trace))
+	}
 }
 
 // explainGolden is the scrubbed EXPLAIN ANALYZE rendering of toy.Query on
