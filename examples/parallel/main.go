@@ -2,10 +2,11 @@
 // workload's summary is built once, then the first captured query that
 // joins runs sequentially and then with ExecOptions.Parallelism at 1, 2, 4
 // and 8 workers, and every run must return the same answer in the same
-// regime (the example exits non-zero otherwise). The per-run timings are
-// printed for reference only: at sf 0.5 the query takes a fraction of a
-// millisecond, so goroutine start-up and the merge weigh against any
-// speed-up, and worker counts above GOMAXPROCS are clamped to it. It also
+// regime (the example exits non-zero otherwise). One worker drains in
+// place, like the sequential run. The per-run timings are printed for
+// reference only: at sf 0.5 the query takes a fraction of a millisecond,
+// so goroutine start-up and the merge weigh against any speed-up, and
+// worker counts above GOMAXPROCS are clamped to it. It also
 // shows raw generation fanned out over partitioned streams — the
 // embarrassing parallelism that deterministic summary layout buys.
 //

@@ -64,10 +64,10 @@ type (
 	RowReader = batch.RowReader
 
 	// ExecOptions tune query execution: sample retention, batch capacity,
-	// and morsel-driven parallelism (Parallelism 0 = sequential; n >= 1
+	// and morsel-driven parallelism (Parallelism 0 = sequential; n >= 2
 	// drains the scan→filter→join pipeline under a COUNT(*), GROUP BY,
 	// DISTINCT or ORDER BY on up to n workers, with results byte-identical
-	// to sequential execution). A deadline is not an option: set it on the
+	// to sequential execution; one worker drains in place). A deadline is not an option: set it on the
 	// context QueryContext takes.
 	ExecOptions = engine.ExecOptions
 	// ExecResult is an executed query's outcome: rows, COUNT value, sample,
@@ -188,7 +188,7 @@ func Verify(db *Database, workload []*AQP) (*Report, error) {
 // per distinct tuple, sorted ascending; ORDER BY breaks ties by the
 // remaining columns ascending; a LIMIT directly above an ORDER BY runs as
 // a bounded top-K sort. All of it identically on every execution path.
-// With opts.Parallelism >= 1 the pipeline under a query's aggregate,
+// With opts.Parallelism >= 2 the pipeline under a query's aggregate,
 // DISTINCT or ORDER BY is morsel-parallel (per-worker partial states merged
 // deterministically); a query with none of them runs sequentially. ExecResult.Path names the regime that answered —
 // summary, pruned, or regen — and opts.Regime caps it. db is safe for

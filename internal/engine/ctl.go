@@ -34,14 +34,20 @@ import (
 // reuse path (Prepared.ExecuteIn) keeps its zero-allocation contract: the
 // ExecState owns one execCtl for its lifetime and rebinding it to the next
 // call's context writes two words.
+//
+// The control also opens each operator's meter (meter, exec_col.go): the
+// operator's ExecNode and, when traced, its span, allocated here with the
+// tree. A rewind clears each operator's own meter; the recorder only
+// re-bases its epoch.
 
 // execCtl carries one execution's cancellation state and, when the
 // execution is traced (ExecOptions.Trace), its span recorder. It is single-
 // goroutine by construction: the sequential tree shares one, each parallel
 // worker owns one. A nil ctx never stops (the Prepare-time build drain and
-// ctx-free wrappers run uncancellable); a nil rec records nothing — the
-// untraced hot path pays one nil check per operator Next and allocates
-// nothing, preserving the steady-state contract above.
+// ctx-free wrappers run uncancellable); a nil rec records nothing — its
+// meters carry no span, so the untraced hot path pays a nil check per
+// operator Next and allocates nothing, preserving the steady-state
+// contract above.
 type execCtl struct {
 	ctx context.Context
 	err error // first observed ctx error, latched for the execution
@@ -51,8 +57,8 @@ type execCtl struct {
 	// misses every lookup, so operators need no separate gate.
 	prunes *pruneCache
 	// workers is ExecOptions.Parallelism: the morsel workers the innermost
-	// sink drains its spine with (openMorsels). 0 — and every worker's own
-	// control — drains in place.
+	// sink drains its spine with (openMorsels). Below 2 — and every worker's
+	// own control carries 0 — it drains in place.
 	workers int
 }
 
@@ -80,10 +86,17 @@ func (c *execCtl) stopped() bool {
 	return false
 }
 
+// meter returns the account of the operator node mirrors: its OutRows and,
+// when traced, its span (annotate). rowBytes is what the operator
+// materializes per output row.
+func (c *execCtl) meter(node *ExecNode, rowBytes int64) meter {
+	return meter{node: node, sp: c.annotate(node), rowBytes: rowBytes}
+}
+
 // annotate mirrors a freshly built ExecNode into a trace span when the
 // execution is traced, wiring the children's already-created spans into the
 // tree (openCol builds children first, so they are annotated by the time
-// the parent node exists). Returns nil when tracing is off; iterators store
+// the parent node exists). Returns nil when tracing is off; meters store
 // the nil and skip recording on it.
 func (c *execCtl) annotate(node *ExecNode) *trace.Span {
 	if c.rec == nil {
@@ -100,11 +113,11 @@ func (c *execCtl) annotate(node *ExecNode) *trace.Span {
 }
 
 // annotateFrozen mirrors a cloned prepared-build ExecNode subtree into
-// spans: cardinalities come from the counts frozen at Prepare time, no wall
-// time is attributed (the drain ran before this execution), and the subtree
-// root is detached from the join's self-time math. This keeps the span tree
-// the same shape whether a join's build side was drained live or served
-// from the build cache.
+// spans: cardinalities come from the counts its drain left, no wall time is
+// attributed (the drain ran before this execution), and the subtree root is
+// detached from the join's self-time math. This keeps the span tree the
+// same shape whether a join's build side was drained live or served from
+// the build cache. No operator runs these spans, so no rewind clears them.
 func (c *execCtl) annotateFrozen(node *ExecNode) *trace.Span {
 	if c.rec == nil {
 		return nil
@@ -114,9 +127,6 @@ func (c *execCtl) annotateFrozen(node *ExecNode) *trace.Span {
 	}
 	sp := c.annotate(node)
 	sp.Rows = node.OutRows
-	// The frozen counters are written exactly once (nothing executes in this
-	// subtree), so state-reusing executions must not zero them on Reset.
-	sp.Freeze()
 	return sp
 }
 

@@ -91,10 +91,11 @@ type ExecOptions struct {
 	// exercising batch boundaries.
 	BatchSize int
 	// Parallelism selects morsel-driven parallel execution: 0 (the
-	// default) drains every operator sequentially; n >= 1 lets the plan's
+	// default) drains every operator sequentially; n >= 2 lets the plan's
 	// innermost blocking sink (COUNT(*), GROUP BY, DISTINCT, ORDER BY)
 	// drain its scan→filter→join spine on up to n workers (see
-	// exec_parallel.go) when the spine's leaf scan is partitionable. A plan
+	// exec_parallel.go) when the spine's leaf scan is partitionable. One
+	// worker drains in place, as does a spine of one morsel, and a plan
 	// with no sink, LIMIT or not, drains sequentially at any n. Normalize
 	// clamps it into [0, GOMAXPROCS]; that is its one meaning on every
 	// entry point.

@@ -50,10 +50,11 @@ import (
 // operator set every execution composes. Next resets dst, fills it
 // with up to dst.Cap() physical output rows (of which Live() are selected),
 // and reports whether it produced any. After the first false return the
-// operator is exhausted. rewind restores the just-opened state for another
-// execution of the same plan (the Prepared reuse path), zeroing the
-// operator's own ExecNode count; shared join builds and their frozen
-// build-side counts are untouched. deferredErr is the engine's single
+// operator is exhausted. Every operator's Next is its meter's bracket
+// around its own next. rewind restores the just-opened state for another
+// execution of the same plan (the Prepared reuse path), clearing the
+// operator's meter; a join's build side is never rewound, so its subtree
+// keeps the counts of its drain. deferredErr is the engine's single
 // deferred-error convention: a failure only detectable after an operator's
 // drain (aggregate overflow) parks in the operator and is surfaced here,
 // recursively through the tree, once the drive loop finishes.
@@ -61,6 +62,47 @@ type colIterator interface {
 	Next(dst *batch.ColBatch) bool
 	rewind(db *Database) error
 	deferredErr() error
+}
+
+// meter is the one account of an operator's output, embedded in every
+// operator: the rows of the batches its Next returns, added to its
+// ExecNode's OutRows and, when the execution is traced, observed on its
+// span with the Next call's wall time and rowBytes per row.
+type meter struct {
+	node     *ExecNode
+	sp       *trace.Span // nil when untraced
+	rowBytes int64       // bytes materialized per output row
+}
+
+// begin stamps a Next call's entry.
+func (m *meter) begin() {
+	if m.sp != nil {
+		m.sp.Begin()
+	}
+}
+
+// end accounts for the Next call that produced dst when ok, and returns ok.
+func (m *meter) end(dst *batch.ColBatch, ok bool) bool {
+	if !ok {
+		if m.sp != nil {
+			m.sp.ObserveEmpty()
+		}
+		return false
+	}
+	live := int64(dst.Live())
+	m.node.OutRows += live
+	if m.sp != nil {
+		m.sp.Observe(live, live*m.rowBytes)
+	}
+	return true
+}
+
+// clear zeroes the account for another execution.
+func (m *meter) clear() {
+	m.node.OutRows = 0
+	if m.sp != nil {
+		m.sp.Reset()
+	}
 }
 
 // rowSeeker is the rewind capability of deterministic scan sources: the
@@ -79,9 +121,10 @@ type failingSource interface {
 
 // buildCache is where openCol's hash builds find their build sides — the
 // read-only columnar arena plus the build-side ExecNode subtree with its
-// counts as the drain left them — and where it leaves the ones it had to
-// drain. Two layers: base is a Prepared's own builds, drained by Prepare
-// over every build column and never written by an execution; m belongs to
+// counts as the drain left them (the drained operators are never rewound,
+// so nothing clears them) — and where it leaves the ones it had to drain.
+// Two layers: base is a Prepared's own builds, drained by Prepare over
+// every build column and never written by an execution; m belongs to
 // whoever is opening (Prepare filling its builds, or one parallel execution
 // whose sink opens its workers' spines one after another, so the first
 // drains and the rest hit). A nil m retains nothing: a sequential execution
@@ -98,7 +141,7 @@ type preparedBuild struct {
 
 // build returns join pn's build side, holding at least the need columns, and
 // the ExecNode subtree that reports it: a cached side is probed as is, its
-// subtree cloned into the caller's plan annotation with the counts frozen;
+// subtree cloned into the caller's plan annotation with the drain's counts;
 // an uncached one is opened and drained here — the one place a build side is
 // drained, whoever asks — and retained when the cache retains. buildNS is
 // the drain's wall clock, zero on a hit. The drain is a cancellation point
@@ -127,9 +170,6 @@ func (bc *buildCache) build(db *Database, pn *PlanNode, need []int, capRows int,
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	// The subtree ran for the last time: its spans keep the drain's counters
-	// when a reused state recycles the arena for the next execution.
-	trace.Walk(node.sp, (*trace.Span).Freeze)
 	if bc.m != nil {
 		bc.m[pn] = &preparedBuild{jb: jb, node: node}
 	}
@@ -242,7 +282,7 @@ func markLateScan(db *Database, n *ExecNode, pop []int) {
 	}
 }
 
-// cloneExecNode deep-copies a frozen build-side ExecNode subtree so each
+// cloneExecNode deep-copies a drained build-side ExecNode subtree so each
 // execution reports its own annotated plan.
 func cloneExecNode(n *ExecNode) *ExecNode {
 	out := *n
@@ -295,7 +335,6 @@ func runColumnar(st *ExecState, plan *Plan, opts ExecOptions) error {
 		}
 	}
 	res.Sample = st.sample.taken()
-	res.Root.OutRows = res.Rows
 	return it.deferredErr()
 }
 
@@ -359,8 +398,7 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 			}
 		}
 		width := len(db.Schema.Table(pn.Table).Columns)
-		s := &colScanIter{table: pn.Table, src: src, width: width, cols: need, node: node, ctl: ctl}
-		s.sp, s.rowBytes = ctl.annotate(node), 8*int64(len(need))
+		s := &colScanIter{meter: ctl.meter(node, 8*int64(len(need))), table: pn.Table, src: src, width: width, cols: need, ctl: ctl}
 		return s, width, need, node, nil
 
 	case OpFilter:
@@ -380,7 +418,8 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 		}
 		table := db.Schema.Table(pn.Pred.Table)
 		node := &ExecNode{Op: pn.Op.String(), Table: pn.Pred.Table, PredSQL: pn.Pred.SQL(table), Children: []*ExecNode{childNode}}
-		return &colFilterIter{child: child, m: pn.Pred.Matcher(), node: node, sp: ctl.annotate(node)}, width, pop, node, nil
+		// The filter moves no row data: rows pass, bytes stay zero.
+		return &colFilterIter{meter: ctl.meter(node, 0), child: child, m: pn.Pred.Matcher()}, width, pop, node, nil
 
 	case OpHashJoin:
 		cn := pn.childNeeds(need)
@@ -413,18 +452,18 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 			bw = jb.width
 		}
 		node := &ExecNode{Op: pn.Op.String(), JoinSQL: pn.JoinSQL, Children: []*ExecNode{probeNode, buildNode}}
-		sp := ctl.annotate(node)
-		if sp != nil {
+		m := ctl.meter(node, 8*int64(len(need)))
+		if m.sp != nil {
 			// The build side drains at open, outside this operator's Next
 			// window: detach it from self-time math and report the drain
 			// wall clock on the join itself (0 for a positional build).
-			sp.BuildNS = buildNS
+			m.sp.BuildNS = buildNS
 			buildNode.sp.Detached = true
 		}
 		if lk != nil || jb.unique() {
 			// At most one match per key: the join runs in place in its
 			// probe's batch, which also carries the build columns it reads.
-			kj := &colKeyJoinIter{probe: probe, node: node, sp: sp, leftKey: pn.LeftKey, probeCols: pw, build: jb, pos: lk}
+			kj := &colKeyJoinIter{meter: m, probe: probe, leftKey: pn.LeftKey, probeCols: pw, build: jb, pos: lk}
 			pop := slices.Clip(probePop)
 			for _, c := range need {
 				if c >= pw {
@@ -436,7 +475,7 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 			return kj, pw + bw, pop, node, nil
 		}
 		ji := newColHashJoinIter(probe, jb, pw, pn.LeftKey, need, probePop, capRows)
-		ji.node, ji.sp, ji.rowBytes = node, sp, 8*int64(len(need))
+		ji.meter = m
 		return ji, pw + bw, need, node, nil
 
 	case OpAggregate, OpGroupAgg, OpDistinct, OpSort:
@@ -462,12 +501,13 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 		if late != nil {
 			childNeed, late = late.keep(childNeed, pop)
 		}
+		node := &ExecNode{Op: pn.Op.String(), Late: late != nil, Children: []*ExecNode{childNode}}
 		g := &colSinkIter{
+			meter:   ctl.meter(node, 8*int64(len(need))),
 			child:   child,
 			buf:     batch.NewCol(width, capRows, pop),
 			st:      newSinkState(pn, childNeed, width, late),
 			outCols: need,
-			node:    &ExecNode{Op: pn.Op.String(), Late: late != nil, Children: []*ExecNode{childNode}},
 			ctl:     ctl,
 		}
 		if late != nil {
@@ -476,15 +516,14 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 		if pn.Op != OpSort {
 			width = len(pn.Items)
 		}
-		g.sp, g.rowBytes = ctl.annotate(g.node), 8*int64(len(need))
-		if ctl.workers >= 1 {
+		if ctl.workers >= 2 {
 			// The innermost sink over a partitionable spine drains it on
 			// morsel workers, each opened as its child was (openMorsels).
 			if err := openMorsels(db, pn, g, openNeed, childNeed, late, capRows, builds); err != nil {
 				return nil, 0, nil, nil, err
 			}
 		}
-		return g, width, need, g.node, nil
+		return g, width, need, node, nil
 
 	case OpSummaryAgg:
 		// The summary-direct regime is the same aggregate sink, drained by
@@ -493,8 +532,8 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 		// emits it. The node is childless; no tuple is generated.
 		e := newSummaryAggEval(db, pn, ctl)
 		node := &ExecNode{Op: pn.Op.String(), Table: pn.Table}
-		g := &colSinkIter{child: e, st: e.st, outCols: need, node: node, ctl: ctl}
-		if g.sp, g.rowBytes = ctl.annotate(node), 8*int64(len(need)); g.sp != nil {
+		g := &colSinkIter{meter: ctl.meter(node, 8*int64(len(need))), child: e, st: e.st, outCols: need, ctl: ctl}
+		if g.sp != nil {
 			g.sp.Detail = fmt.Sprintf("%s [%d summary rows]", pn.Table, len(e.rel.Rows))
 		}
 		return g, len(pn.Items), need, node, nil
@@ -507,7 +546,8 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 			return nil, 0, nil, nil, err
 		}
 		node := &ExecNode{Op: pn.Op.String(), Children: []*ExecNode{childNode}}
-		l := &colLimitIter{child: child, limit: pn.Limit, offset: pn.Offset, node: node, sp: ctl.annotate(node)}
+		// Pure selection arithmetic: rows pass, no bytes move.
+		l := &colLimitIter{meter: ctl.meter(node, 0), child: child, limit: pn.Limit, offset: pn.Offset}
 		return l, width, pop, node, nil
 
 	default:
@@ -524,28 +564,18 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 // its table's width even in a batch that is wider — an in-place key
 // join's, whose build columns follow the probe's.
 type colScanIter struct {
-	table    string
-	src      batch.ColProjector
-	width    int // the table's column count
-	cols     []int
-	view     batch.ColBatch // the source's view of the batch it fills
-	node     *ExecNode
-	ctl      *execCtl
-	sp       *trace.Span // nil when untraced
-	rowBytes int64       // bytes materialized per output row (populated cols × 8)
+	meter
+	table string
+	src   batch.ColProjector
+	width int // the table's column count
+	cols  []int
+	view  batch.ColBatch // the source's view of the batch it fills
+	ctl   *execCtl
 }
 
 func (s *colScanIter) Next(dst *batch.ColBatch) bool {
-	if s.sp == nil {
-		return s.next(dst)
-	}
-	s.sp.Begin()
-	if !s.next(dst) {
-		s.sp.ObserveEmpty()
-		return false
-	}
-	s.sp.Observe(int64(dst.Len()), int64(dst.Len())*s.rowBytes)
-	return true
+	s.begin()
+	return s.end(dst, s.next(dst))
 }
 
 func (s *colScanIter) next(dst *batch.ColBatch) bool {
@@ -558,12 +588,11 @@ func (s *colScanIter) next(dst *batch.ColBatch) bool {
 		return false
 	}
 	dst.SetLen(s.view.Len())
-	s.node.OutRows += int64(dst.Len())
 	return true
 }
 
 func (s *colScanIter) rewind(db *Database) error {
-	s.node.OutRows = 0
+	s.clear()
 	if sk, ok := s.src.(rowSeeker); ok {
 		sk.SeekRow(0)
 		return nil
@@ -590,24 +619,14 @@ func (s *colScanIter) deferredErr() error {
 // the compiled predicate's vector matcher. No row data moves; order is
 // preserved. Batches whose selection empties are skipped.
 type colFilterIter struct {
+	meter
 	child colIterator
 	m     *pred.Matcher
-	node  *ExecNode
-	sp    *trace.Span // nil when untraced
 }
 
 func (f *colFilterIter) Next(dst *batch.ColBatch) bool {
-	if f.sp == nil {
-		return f.next(dst)
-	}
-	f.sp.Begin()
-	if !f.next(dst) {
-		f.sp.ObserveEmpty()
-		return false
-	}
-	// The filter moves no row data: rows pass, bytes stay zero.
-	f.sp.Observe(int64(dst.Live()), 0)
-	return true
+	f.begin()
+	return f.end(dst, f.next(dst))
 }
 
 func (f *colFilterIter) next(dst *batch.ColBatch) bool {
@@ -618,7 +637,6 @@ func (f *colFilterIter) next(dst *batch.ColBatch) bool {
 		sel := f.m.MatchVec(dst.Cols(), dst.Len(), dst.Sel(), dst.SelBuf())
 		if len(sel) > 0 {
 			dst.SetSel(sel)
-			f.node.OutRows += int64(len(sel))
 			return true
 		}
 		// Whole batch filtered out; pull the next one.
@@ -626,7 +644,7 @@ func (f *colFilterIter) next(dst *batch.ColBatch) bool {
 }
 
 func (f *colFilterIter) rewind(db *Database) error {
-	f.node.OutRows = 0
+	f.clear()
 	return f.child.rewind(db)
 }
 
@@ -786,10 +804,8 @@ func newColJoinBuild(build colIterator, width, rightKey, capRows int, need, pop 
 // row's key (Lookup.Scatter), or from the arena at the key's one row. No
 // probe value moves, and a batch in which every key misses is skipped.
 type colKeyJoinIter struct {
+	meter     // rowBytes counts the build columns only
 	probe     colIterator
-	node      *ExecNode
-	sp        *trace.Span // nil when untraced
-	rowBytes  int64       // bytes materialized per output row: the build columns'
 	leftKey   int
 	probeCols int
 	buildOut  []int             // needed output columns from the build side (build-local indices)
@@ -799,17 +815,8 @@ type colKeyJoinIter struct {
 }
 
 func (k *colKeyJoinIter) Next(dst *batch.ColBatch) bool {
-	if k.sp == nil {
-		return k.next(dst)
-	}
-	k.sp.Begin()
-	if !k.next(dst) {
-		k.sp.ObserveEmpty()
-		return false
-	}
-	live := int64(dst.Live())
-	k.sp.Observe(live, live*k.rowBytes)
-	return true
+	k.begin()
+	return k.end(dst, k.next(dst))
 }
 
 func (k *colKeyJoinIter) next(dst *batch.ColBatch) bool {
@@ -862,13 +869,12 @@ func (k *colKeyJoinIter) next(dst *batch.ColBatch) bool {
 		if sel != nil || len(out) < live {
 			dst.SetSel(out)
 		}
-		k.node.OutRows += int64(len(out))
 		return true
 	}
 }
 
 func (k *colKeyJoinIter) rewind(db *Database) error {
-	k.node.OutRows = 0
+	k.clear()
 	return k.probe.rewind(db)
 }
 
@@ -883,10 +889,8 @@ func (k *colKeyJoinIter) deferredErr() error { return k.probe.deferredErr() }
 // needed column fills the output — probe columns from the probe batch by
 // pRows, build columns from the arenas by bRows.
 type colHashJoinIter struct {
+	meter
 	probe     colIterator
-	node      *ExecNode
-	sp        *trace.Span // nil when untraced
-	rowBytes  int64       // bytes materialized per output row
 	leftKey   int
 	probeCols int
 	build     *colJoinBuild
@@ -941,7 +945,7 @@ func (h *colHashJoinIter) reset() {
 
 func (h *colHashJoinIter) rewind(db *Database) error {
 	h.reset()
-	h.node.OutRows = 0
+	h.clear()
 	return h.probe.rewind(db)
 }
 
@@ -951,16 +955,8 @@ func (h *colHashJoinIter) rewind(db *Database) error {
 func (h *colHashJoinIter) deferredErr() error { return h.probe.deferredErr() }
 
 func (h *colHashJoinIter) Next(dst *batch.ColBatch) bool {
-	if h.sp == nil {
-		return h.next(dst)
-	}
-	h.sp.Begin()
-	if !h.next(dst) {
-		h.sp.ObserveEmpty()
-		return false
-	}
-	h.sp.Observe(int64(dst.Len()), int64(dst.Len())*h.rowBytes)
-	return true
+	h.begin()
+	return h.end(dst, h.next(dst))
 }
 
 // next fills dst with up to Cap pairs' output. A probe pull overwrites
@@ -1029,7 +1025,6 @@ func (h *colHashJoinIter) next(dst *batch.ColBatch) bool {
 		}
 	}
 	dst.SetLen(j)
-	h.node.OutRows += int64(j)
 	return j > 0
 }
 

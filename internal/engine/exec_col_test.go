@@ -49,7 +49,7 @@ func TestJoinIndexMatchesMapOracle(t *testing.T) {
 				rows[i] = []int64{keys[i], int64(i)}
 			}
 			label := fmt.Sprintf("%s, %d rows", set.name, n)
-			build := &colScanIter{src: rowsScan(rows), width: 2, cols: []int{0, 1}, node: &ExecNode{}, ctl: &execCtl{}}
+			build := &colScanIter{src: rowsScan(rows), width: 2, cols: []int{0, 1}, meter: meter{node: &ExecNode{}}, ctl: &execCtl{}}
 			jb, err := newColJoinBuild(build, 2, 0, 64, []int{0, 1}, []int{0, 1})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -271,12 +271,12 @@ func (c *pullCounter) Next(dst *batch.ColBatch) bool {
 // size size; leaf is the probe scan, under a pull counter.
 func openRowsJoin(t *testing.T, probe, build [][]int64, size int) (ji *colHashJoinIter, leaf *colScanIter, pulls *pullCounter) {
 	t.Helper()
-	bscan := &colScanIter{src: rowsScan(build), width: 2, cols: []int{0, 1}, node: &ExecNode{}, ctl: &execCtl{}}
+	bscan := &colScanIter{src: rowsScan(build), width: 2, cols: []int{0, 1}, meter: meter{node: &ExecNode{}}, ctl: &execCtl{}}
 	jb, err := newColJoinBuild(bscan, 2, 0, size, []int{0, 1}, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf = &colScanIter{src: rowsScan(probe), width: 3, cols: []int{0, 1, 2}, node: &ExecNode{}, ctl: &execCtl{}}
+	leaf = &colScanIter{src: rowsScan(probe), width: 3, cols: []int{0, 1, 2}, meter: meter{node: &ExecNode{}}, ctl: &execCtl{}}
 	pulls = &pullCounter{colIterator: leaf}
 	ji = newColHashJoinIter(pulls, jb, 3, 1, batch.AllCols(5), []int{0, 1, 2}, size)
 	ji.node = &ExecNode{}

@@ -31,7 +31,8 @@ import (
 // (exact 128-bit sums; total-order sorting), so the ExecResult is
 // byte-identical to the sequential drive regardless of worker count or
 // scheduling. A plan with no sink — rows flowing out of the spine, under a
-// LIMIT or not — drains sequentially at every Parallelism. A reused
+// LIMIT or not — drains sequentially at every Parallelism, as does a sink
+// at Parallelism 1 or over a spine of one morsel. A reused
 // ExecState rewinds the pool with its sink: the same spines, states and
 // batches serve the next execution.
 
@@ -83,12 +84,12 @@ func newMorselWorker(top colIterator, node *ExecNode, b *batch.ColBatch, ctl *ex
 // openMorsels readies sink g, just opened for plan node pn, to drain its
 // spine on g.ctl.workers workers — its child becomes their morselDrain — or
 // leaves it sequential when the child is not a spine over a partitionable
-// leaf. need is the set g's child was opened with; collect and late are
-// g's state's (a late top-K's, after sortLate.keep). Every other worker
-// opens pn's child with need against builds, which retains what g's child
-// drained, so each of theirs hits on every join, and the same prune cache
-// yields the same pruned scans and absorbed filters — the spines are
-// identically shaped by construction.
+// leaf, or when the clamp leaves one worker. need is the set g's child was
+// opened with; collect and late are g's state's (a late top-K's, after
+// sortLate.keep). Every other worker opens pn's child with need against
+// builds, which retains what g's child drained, so each of theirs hits on
+// every join, and the same prune cache yields the same pruned scans and
+// absorbed filters — the spines are identically shaped by construction.
 func openMorsels(db *Database, pn *PlanNode, g *colSinkIter, need, collect []int, late *sortLate, capRows int, builds *buildCache) error {
 	w0 := newMorselWorker(g.child, g.node.Children[0], g.buf, g.ctl)
 	if w0 == nil {
@@ -98,13 +99,17 @@ func openMorsels(db *Database, pn *PlanNode, g *colSinkIter, need, collect []int
 	if !ok {
 		return nil
 	}
-	w0.sink = g.st
 	// A worker beyond the morsel count would open a spine only to find the
 	// queue empty; the clamp depends only on plan and options, so
-	// determinism is preserved.
+	// determinism is preserved. One worker would pay a goroutine, a queue
+	// and a section per morsel for no concurrency: it drains in place.
 	total := src.Total()
 	size := morselRows(total, g.ctl.workers, capRows)
 	n := int(min(int64(g.ctl.workers), max((total+size-1)/size, 1)))
+	if n < 2 {
+		return nil
+	}
+	w0.sink = g.st
 	d := &morselDrain{src: src, size: size, workers: []*morselWorker{w0}}
 	for len(d.workers) < n {
 		// Each worker owns its cancellation control (latching is

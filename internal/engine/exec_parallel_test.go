@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/sqlkit"
+	"repro/internal/trace"
 )
 
 // bigStarDatabase stores enough fact rows that small batch sizes split the
@@ -87,7 +88,9 @@ func requireIdentical(t *testing.T, label string, got, want *ExecResult) {
 }
 
 // parallelQueries covers every spine shape: bare scan, filtered scan,
-// join, filtered join, and COUNT(*) variants of each.
+// join, filtered join, and COUNT(*) variants of each. Only a sink drains
+// its spine on workers: the sinkless entries (rows flowing out of the spine,
+// under a LIMIT or not) pin the sequential fallback at every worker count.
 var parallelQueries = []string{
 	"SELECT * FROM fact",
 	"SELECT COUNT(*) FROM fact",
@@ -102,8 +105,9 @@ var parallelQueries = []string{
 	"SELECT COUNT(q), SUM(q) FROM fact",
 	"SELECT d_fk, SUM(q) FROM fact WHERE q >= 100 GROUP BY d_fk", // empty input
 	// Sink stacks over the spine: per-worker sort partials (full and
-	// top-K), morsel-ordered LIMIT runs, distinct partials, and their
-	// compositions — all byte-identical to sequential at any worker count.
+	// top-K), distinct partials, and their compositions, with sinkless
+	// LIMITs among them — all byte-identical to sequential at any worker
+	// count.
 	"SELECT * FROM fact ORDER BY q DESC",
 	"SELECT * FROM fact, dim WHERE d_fk = d_pk ORDER BY a DESC, q",
 	"SELECT * FROM fact ORDER BY q DESC LIMIT 7 OFFSET 2",
@@ -116,6 +120,10 @@ var parallelQueries = []string{
 	"SELECT DISTINCT d_fk, q FROM fact WHERE q >= 3",
 	"SELECT DISTINCT q FROM fact ORDER BY q DESC LIMIT 3",
 	"SELECT d_fk, COUNT(*) FROM fact GROUP BY d_fk ORDER BY d_fk DESC LIMIT 2 OFFSET 1",
+	// LIMIT edge cases over a sink, so they reach the parallel drain.
+	"SELECT * FROM fact ORDER BY q LIMIT 5 OFFSET 100000", // offset past end
+	"SELECT * FROM fact ORDER BY q LIMIT 0",
+	"SELECT * FROM fact WHERE q >= 3 ORDER BY q, d_fk LIMIT 11 OFFSET 5",
 }
 
 // TestParallelStoredParity holds morsel-parallel execution over
@@ -162,8 +170,8 @@ func TestParallelFallback(t *testing.T) {
 	for _, sql := range []string{
 		"SELECT COUNT(*) FROM fact WHERE q >= 3",
 		"SELECT * FROM fact",
-		// Sink plans fall back the same way: the pre-opened scan is handed
-		// to the sequential executor underneath the sink stack.
+		// Sink plans fall back the same way: a spine whose leaf cannot be
+		// partitioned is drained in place by its sink.
 		"SELECT * FROM fact ORDER BY q DESC LIMIT 3",
 		"SELECT DISTINCT q FROM fact",
 	} {
@@ -255,18 +263,44 @@ func TestExecOptionsNormalizeClampsParallelism(t *testing.T) {
 }
 
 // TestExecuteDispatchesOnParallelism checks the wiring: ExecuteContext
-// with Parallelism >= 1 must produce the same result object shape as the
+// with Parallelism >= 2 must produce the same result object shape as the
 // sequential default (a smoke check that the dispatch itself is sound).
 func TestExecuteDispatchesOnParallelism(t *testing.T) {
+	oversubscribe(t, 2)
 	db := bigStarDatabase(t, 1000)
 	plan := mustPlan(t, db, "SELECT COUNT(*) FROM fact, dim WHERE d_fk = d_pk AND q >= 2")
 	want, err := execute(db, plan, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := execute(db, plan, ExecOptions{Parallelism: 1, BatchSize: 16})
+	got, err := execute(db, plan, ExecOptions{Parallelism: 2, BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireIdentical(t, "dispatch", got, want)
+}
+
+// TestOneWorkerDrainsInPlace pins that Parallelism 1 drains the sink's
+// spine as the sequential executor does, not on a one-worker pool: morsels
+// would cut the scan into sections, and a section boundary inside a batch
+// adds a batch, so every span's batch count must match the sequential run.
+func TestOneWorkerDrainsInPlace(t *testing.T) {
+	db := bigStarDatabase(t, 5000)
+	plan := mustPlan(t, db, "SELECT COUNT(*) FROM fact WHERE q >= 3")
+	var spans [2][]*trace.Span
+	for i, w := range []int{0, 1} {
+		res, err := execute(db, plan, ExecOptions{BatchSize: 64, Trace: true, Parallelism: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace.Walk(res.Trace, func(sp *trace.Span) { spans[i] = append(spans[i], sp) })
+	}
+	if len(spans[0]) != len(spans[1]) {
+		t.Fatalf("span trees differ: %d spans sequential, %d at one worker", len(spans[0]), len(spans[1]))
+	}
+	for i, want := range spans[0] {
+		if got := spans[1][i]; got.Op != want.Op || got.Batches != want.Batches || got.Rows != want.Rows {
+			t.Fatalf("%s: one worker read %d batches / %d rows, sequential %s %d / %d", got.Op, got.Batches, got.Rows, want.Op, want.Batches, want.Rows)
+		}
+	}
 }

@@ -558,17 +558,6 @@ func (p *Plan) countStar() bool {
 	return pn.Op == OpAggregate
 }
 
-// countPlanNodes sizes a plan subtree — the span-arena capacity a traced
-// execution of it needs, since ExecNodes (and so spans) mirror plan nodes
-// one-to-one.
-func countPlanNodes(pn *PlanNode) int {
-	n := 1
-	for _, c := range pn.Children {
-		n += countPlanNodes(c)
-	}
-	return n
-}
-
 // RequiredScanCols reports, per scanned table, the columns the plan must
 // materialize from that scan: predicate and join-key columns always, plus —
 // when withOutput is set, the sampling case — every column that reaches the

@@ -197,19 +197,19 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 // reading proved it exact (its aggregate sink, drained by the summary-row
 // evaluator), else the plan's root, whose scans run over the reading's
 // pruned row-spaces, or whole under the PathRegen ceiling — one openCol.
-// With opts.Parallelism >= 1 the innermost sink over a partitionable spine
+// With opts.Parallelism >= 2 the innermost sink over a partitionable spine
 // opens its other morsel workers' spines inside that openCol
 // (openMorsels), so a table's DatagenFunc is invoked once per scan
 // operator: once per worker for such a leaf. st is reset before anything
 // is built and valid only once open succeeds, so a failed open never
 // leaves a half-built state behind for the reuse branch to trust.
-// Everything here — the trace arena (Trace is part of the reuse key), the
+// Everything here — the spans (Trace is part of the reuse key), the
 // evaluator's scratch, the tree and its workers — is then recycled in place
 // by later calls with the same opts.
 func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 	*st = ExecState{ctl: execCtl{ctx: st.ctl.ctx, workers: opts.Parallelism}}
 	if opts.Trace {
-		st.ctl.rec = trace.NewRecorder(countPlanNodes(p.plan.Root))
+		st.ctl.rec = trace.NewRecorder()
 	}
 	rd := p.prunes
 	switch {
@@ -229,7 +229,7 @@ func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 		// regeneration drains them live.
 		builds.base = nil
 	}
-	if opts.Parallelism >= 1 {
+	if opts.Parallelism >= 2 {
 		// What this open drains, its other workers' opens find.
 		builds.m = make(map[*PlanNode]*preparedBuild)
 	}
@@ -252,7 +252,7 @@ func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 }
 
 // prunedRows sums RowsPruned over the tree's scans — live ones and the
-// frozen build sides a Prepared carries alike.
+// drained build sides a Prepared carries alike.
 func prunedRows(n *ExecNode) int64 {
 	total := n.RowsPruned
 	for _, c := range n.Children {

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"repro/internal/batch"
-	"repro/internal/trace"
-)
+import "repro/internal/batch"
 
 // The sink framework: every blocking root operator — grouped aggregation,
 // DISTINCT, ORDER BY, COUNT(*) — is one state object implementing sinkState,
@@ -62,14 +59,12 @@ type sinkState interface {
 // spine, a sink, or a drain that folds into st itself and hands it no
 // batch: the summary-row evaluator or the morsel pool.
 type colSinkIter struct {
-	child    colIterator
-	buf      *batch.ColBatch // child output drain batch
-	st       sinkState
-	outCols  []int // output columns the caller materializes
-	node     *ExecNode
-	ctl      *execCtl
-	sp       *trace.Span // nil when untraced
-	rowBytes int64       // bytes materialized per emitted row
+	meter
+	child   colIterator
+	buf     *batch.ColBatch // child output drain batch
+	st      sinkState
+	outCols []int // output columns the caller materializes
+	ctl     *execCtl
 
 	drained bool
 	pos     int // next output row to emit
@@ -85,20 +80,12 @@ func newSinkState(pn *PlanNode, collect []int, width int, late *sortLate) sinkSt
 	return newGroupAggState(pn)
 }
 
+// Next's first call covers the whole child drain, so a traced sink's
+// inclusive time is dominated by its children; emit batches account for the
+// sink's own output.
 func (g *colSinkIter) Next(dst *batch.ColBatch) bool {
-	if g.sp == nil {
-		return g.next(dst)
-	}
-	// The first traced Next covers the whole child drain, so the sink's
-	// inclusive time is dominated by its children; emit batches account for
-	// the sink's own output.
-	g.sp.Begin()
-	if !g.next(dst) {
-		g.sp.ObserveEmpty()
-		return false
-	}
-	g.sp.Observe(int64(dst.Live()), int64(dst.Live())*g.rowBytes)
-	return true
+	g.begin()
+	return g.end(dst, g.next(dst))
 }
 
 func (g *colSinkIter) next(dst *batch.ColBatch) bool {
@@ -124,7 +111,6 @@ func (g *colSinkIter) next(dst *batch.ColBatch) bool {
 		return false
 	}
 	g.pos += k
-	g.node.OutRows += int64(k)
 	return true
 }
 
@@ -132,7 +118,7 @@ func (g *colSinkIter) rewind(db *Database) error {
 	g.st.reset()
 	g.drained = false
 	g.pos = 0
-	g.node.OutRows = 0
+	g.clear()
 	return g.child.rewind(db)
 }
 
@@ -152,27 +138,17 @@ func (g *colSinkIter) deferredErr() error {
 // the engine's contract, and a short-circuiting LIMIT would make upstream
 // OutRows depend on batch size and execution mode.
 type colLimitIter struct {
+	meter
 	child         colIterator
 	limit, offset int64
-	node          *ExecNode
-	sp            *trace.Span // nil when untraced
 
 	seen    int64 // live child rows seen so far
 	emitted int64 // rows passed downstream so far
 }
 
 func (l *colLimitIter) Next(dst *batch.ColBatch) bool {
-	if l.sp == nil {
-		return l.next(dst)
-	}
-	l.sp.Begin()
-	if !l.next(dst) {
-		l.sp.ObserveEmpty()
-		return false
-	}
-	// Pure selection arithmetic: rows pass, no bytes move.
-	l.sp.Observe(int64(dst.Live()), 0)
-	return true
+	l.begin()
+	return l.end(dst, l.next(dst))
 }
 
 func (l *colLimitIter) next(dst *batch.ColBatch) bool {
@@ -209,7 +185,6 @@ func (l *colLimitIter) next(dst *batch.ColBatch) bool {
 			}
 		}
 		l.emitted += take
-		l.node.OutRows += take
 		return true
 	}
 }
@@ -217,7 +192,7 @@ func (l *colLimitIter) next(dst *batch.ColBatch) bool {
 func (l *colLimitIter) rewind(db *Database) error {
 	l.seen = 0
 	l.emitted = 0
-	l.node.OutRows = 0
+	l.clear()
 	return l.child.rewind(db)
 }
 

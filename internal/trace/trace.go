@@ -4,14 +4,15 @@
 // A Span mirrors one operator of an executed plan and accumulates the
 // operator's observed batches: wall time inside its Next calls (inclusive
 // of nested children, like any call stack), output rows, batch count, and
-// bytes materialized into output batches. Spans live in a fixed arena owned
-// by a Recorder: the arena is sized up front (for Prepared plans, at
-// Prepare time, from the plan's node count), spans are handed out at
-// operator-open time, and the hot path only ever writes fields of
-// already-allocated spans — Observe and Reset perform no allocation, so a
-// traced steady-state execution (Prepared.ExecuteIn with Trace on) stays at
-// zero allocations per query once the tree is open. With tracing off no
-// Recorder exists at all and the engine's 0 allocs/op contract is untouched.
+// bytes materialized into output batches. Spans are allocated with the
+// operator tree, one per operator at open, and the hot path only ever
+// writes fields of already-allocated spans. An operator that is run again
+// (a reused execution state) clears its own span with Span.Reset, and the
+// Recorder's Reset only re-bases the epoch; Observe and both resets perform
+// no allocation, so a traced steady-state execution (Prepared.ExecuteIn
+// with Trace on) stays at zero allocations per query once the tree is
+// open. With tracing off no Recorder exists at all and the engine's 0
+// allocs/op contract is untouched.
 //
 // Time accounting is inclusive: a parent's duration covers the child Next
 // calls it makes. Self time is therefore derived, not stored:
@@ -57,7 +58,7 @@ type Span struct {
 	Bytes   int64 `json:"bytes"`
 
 	// Detached marks a child whose time was not spent inside the parent's
-	// Next window (hash-join build sides, frozen prepared builds); self-time
+	// Next window (hash-join build sides, live or a Prepared's); self-time
 	// derivation skips it.
 	Detached bool `json:"detached,omitempty"`
 
@@ -66,69 +67,31 @@ type Span struct {
 	rec     *Recorder
 	cur     int64 // Begin's entry timestamp, consumed by the next Observe
 	started bool
-	frozen  bool // counters fixed at open time (cached build sides); Reset keeps them
 }
 
-// Freeze marks the span's counters as fixed at open time — a cached build
-// side whose cardinality was recorded once and is never re-observed during
-// execution — so Reset recycles the span without losing them.
-func (sp *Span) Freeze() { sp.frozen = true }
-
-// Recorder owns one execution's span arena and time epoch. Spans are
-// allocated from the arena at operator-open time and recycled by Reset for
-// the next execution of the same tree; neither the per-batch Observe path
-// nor Reset allocates.
+// Recorder is one execution tree's time epoch: the zero point of every
+// span's StartNS/StopNS.
 type Recorder struct {
 	epoch time.Time
-	arena []Span
-	used  int
-	extra []*Span // open-time overflow beyond the arena; recycled like the arena
 }
 
-// NewRecorder returns a recorder with an arena of capacity spans. The
-// epoch — the zero point of every span's StartNS/StopNS — is now.
-func NewRecorder(capacity int) *Recorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Recorder{epoch: time.Now(), arena: make([]Span, capacity)}
-}
+// NewRecorder returns a recorder whose epoch is now.
+func NewRecorder() *Recorder { return &Recorder{epoch: time.Now()} }
 
-// NewSpan hands out a span from the arena (or, past capacity, a fresh
-// allocation tracked for recycling). Open-time only: NewSpan must not be
-// called concurrently or from a hot loop.
+// NewSpan allocates a span on the recorder's clock. Open-time only: the
+// hot path allocates nothing.
 func (r *Recorder) NewSpan(op, detail string) *Span {
-	var sp *Span
-	if r.used < len(r.arena) {
-		sp = &r.arena[r.used]
-		r.used++
-	} else {
-		sp = &Span{}
-		r.extra = append(r.extra, sp)
-	}
-	sp.Op = op
-	sp.Detail = detail
-	sp.rec = r
-	return sp
+	return &Span{Op: op, Detail: detail, rec: r}
 }
 
-// Reset recycles every span for the next execution of the same operator
-// tree: counters and windows are zeroed, identities (Op, Detail, Children,
-// Detached) are kept, and the epoch restarts. No allocation.
-func (r *Recorder) Reset() {
-	r.epoch = time.Now()
-	for i := range r.arena[:r.used] {
-		r.arena[i].zero()
-	}
-	for _, sp := range r.extra {
-		sp.zero()
-	}
-}
+// Reset restarts the epoch for the next execution of the same tree; each
+// operator clears its own span (Span.Reset).
+func (r *Recorder) Reset() { r.epoch = time.Now() }
 
-func (sp *Span) zero() {
-	if sp.frozen {
-		return
-	}
+// Reset zeroes the span's counters and window for another execution of its
+// operator, keeping its identity (Op, Detail, Children, Detached). No
+// allocation.
+func (sp *Span) Reset() {
 	sp.StartNS, sp.StopNS = 0, 0
 	sp.DurNS, sp.BuildNS = 0, 0
 	sp.Rows, sp.Batches, sp.Bytes = 0, 0, 0

@@ -6,21 +6,13 @@ import (
 	"time"
 )
 
-// TestRecorderArena pins the arena discipline: spans come from the
-// preallocated arena up to capacity, overflow spans are tracked for
-// recycling, and Reset zeroes counters everywhere while keeping identity
-// (Op, Detail, Children) and frozen counters.
-func TestRecorderArena(t *testing.T) {
-	r := NewRecorder(2)
+// TestSpanReset pins the span lifecycle: Observe accumulates, Span.Reset
+// zeroes counters and window while keeping identity (Op, Detail, Children),
+// Recorder.Reset only re-bases the epoch, and none of them allocates.
+func TestSpanReset(t *testing.T) {
+	r := NewRecorder()
 	a := r.NewSpan("SCAN", "t")
 	b := r.NewSpan("FILTER", "p")
-	c := r.NewSpan("LIMIT", "") // past capacity: overflow
-	if a != &r.arena[0] || b != &r.arena[1] {
-		t.Fatal("first spans not drawn from the arena")
-	}
-	if len(r.extra) != 1 || r.extra[0] != c {
-		t.Fatalf("overflow span not tracked: %v", r.extra)
-	}
 	b.Children = append(b.Children, a)
 
 	a.Begin()
@@ -30,9 +22,6 @@ func TestRecorderArena(t *testing.T) {
 	a.Observe(5, 40)
 	b.Begin()
 	b.ObserveEmpty()
-	c.Begin()
-	c.Observe(1, 8)
-	c.Freeze()
 	if a.Rows != 15 || a.Batches != 2 || a.Bytes != 120 {
 		t.Fatalf("observe accumulation wrong: %+v", a)
 	}
@@ -41,24 +30,27 @@ func TestRecorderArena(t *testing.T) {
 	}
 
 	r.Reset()
-	if a.Rows != 0 || a.DurNS != 0 || a.started || b.DurNS != 0 {
-		t.Fatalf("reset did not zero arena spans: %+v %+v", a, b)
+	if a.Rows != 15 || b.DurNS <= 0 {
+		t.Fatalf("recorder reset touched span counters: %+v %+v", a, b)
 	}
-	if a.Op != "SCAN" || a.Detail != "t" || len(b.Children) != 1 {
-		t.Fatalf("reset destroyed span identity: %+v", a)
+	a.Reset()
+	b.Reset()
+	if a.Rows != 0 || a.Batches != 0 || a.Bytes != 0 || a.DurNS != 0 || a.started || a.StartNS != 0 || a.StopNS != 0 || b.DurNS != 0 {
+		t.Fatalf("span reset did not zero counters: %+v %+v", a, b)
 	}
-	if c.Rows != 1 || c.Bytes != 8 {
-		t.Fatalf("reset zeroed a frozen span: %+v", c)
+	if a.Op != "SCAN" || a.Detail != "t" || len(b.Children) != 1 || b.Children[0] != a {
+		t.Fatalf("span reset destroyed identity: %+v %+v", a, b)
 	}
 
-	// The recycled arena hands out nothing new; Observe and Reset on live
-	// spans allocate nothing.
+	// Observe and both resets on live spans allocate nothing.
 	allocs := testing.AllocsPerRun(100, func() {
 		a.Begin()
 		a.Observe(3, 24)
 		b.Begin()
 		b.ObserveEmpty()
 		r.Reset()
+		a.Reset()
+		b.Reset()
 	})
 	if allocs != 0 {
 		t.Fatalf("hot path allocates %.2f objects per run, want 0", allocs)
@@ -69,7 +61,7 @@ func TestRecorderArena(t *testing.T) {
 // subtract from the parent's inclusive time, detached children do not, and
 // clock-granularity underflow clamps at zero.
 func TestSelfTimeAndDetach(t *testing.T) {
-	r := NewRecorder(4)
+	r := NewRecorder()
 	child := r.NewSpan("SCAN", "")
 	build := r.NewSpan("FILTER", "")
 	parent := r.NewSpan("HASH JOIN", "")
@@ -91,7 +83,7 @@ func TestSelfTimeAndDetach(t *testing.T) {
 // TestMerge pins the parallel worker-order merge: counters sum, windows
 // widen, and merging an unstarted span changes nothing.
 func TestMerge(t *testing.T) {
-	r := NewRecorder(3)
+	r := NewRecorder()
 	dst := r.NewSpan("SCAN", "")
 	w1 := r.NewSpan("SCAN", "")
 	w2 := r.NewSpan("SCAN", "")
@@ -112,7 +104,7 @@ func TestMerge(t *testing.T) {
 
 // TestTopSelf pins deterministic top-K selection by self time.
 func TestTopSelf(t *testing.T) {
-	r := NewRecorder(3)
+	r := NewRecorder()
 	root := r.NewSpan("LIMIT", "")
 	mid := r.NewSpan("SORT", "")
 	leaf := r.NewSpan("SCAN", "")
@@ -132,7 +124,7 @@ func TestTopSelf(t *testing.T) {
 // TestRender pins the rendered tree's load-bearing pieces: box drawing,
 // operator lines, selectivity, and the detached marker.
 func TestRender(t *testing.T) {
-	r := NewRecorder(3)
+	r := NewRecorder()
 	root := r.NewSpan("FILTER", "x > 3")
 	leaf := r.NewSpan("SCAN", "t")
 	det := r.NewSpan("SCAN", "frozen")

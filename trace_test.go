@@ -4,9 +4,9 @@ package hydra
 // must mirror the plan's shape with identical per-operator cardinalities on
 // every entry point at every worker count (eachFront), and tracing must not
 // change any answer. The traced steady state shares the
-// zero-allocation contract: spans are preallocated at Prepare time and
-// recycled by Reset, so ExecuteIn with Trace on allocates nothing after
-// warmup.
+// zero-allocation contract: spans are allocated with the operator tree at
+// open and cleared by each operator's rewind, so ExecuteIn with Trace on
+// allocates nothing after warmup.
 
 import (
 	"fmt"
@@ -62,8 +62,9 @@ func checkSpanMirrorsPlan(t *testing.T, label string, sp *TraceSpan, node *ExecN
 // on every entry point and holds each span tree to the sequential
 // reference: identical preorder shape, ops, details, cardinalities, and
 // detached markers, with the answer itself unchanged by tracing. The three
-// ExecuteIn rounds on one state also pin that the recycled span arena
-// reports single-execution counters each time, not accumulations.
+// ExecuteIn rounds on one state also pin that the reused spans report
+// single-execution counters each time, not accumulations, and that build
+// sides, which are never rewound, keep their drain's counts.
 func TestTraceSpanParityAcrossFronts(t *testing.T) {
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
@@ -134,8 +135,8 @@ func TestTraceSpanParityAcrossFronts(t *testing.T) {
 }
 
 // TestSteadyStateZeroAllocTraced extends the zero-allocation audit to
-// tracing: ExecuteIn with Trace on recycles the span arena (Reset, not
-// reallocation), so the steady state allocates nothing on the count,
+// tracing: ExecuteIn with Trace on reuses the tree's spans (cleared on
+// rewind, not reallocated), so the steady state allocates nothing on the count,
 // grouped, and sorted shapes alike — the structural half of the ledger's
 // engine.trace_overhead_share.
 func TestSteadyStateZeroAllocTraced(t *testing.T) {
