@@ -79,8 +79,12 @@ func main() {
 			log.Fatalf("parallelism %d changed the answer: %d (%s) != %d (%s)", w, res.Count, res.Path, base.Count, base.Path)
 		}
 		elapsed := timeQuery(regen, sql, opts)
-		fmt.Printf("  workers=%d (clamped to GOMAXPROCS=%d): COUNT=%d in %v (%.2fx)\n",
-			w, runtime.GOMAXPROCS(0), res.Count, elapsed.Round(time.Microsecond),
+		clamp := ""
+		if procs := runtime.GOMAXPROCS(0); w > procs {
+			clamp = fmt.Sprintf(" (clamped to GOMAXPROCS=%d)", procs)
+		}
+		fmt.Printf("  workers=%d%s: COUNT=%d in %v (%.2fx)\n",
+			w, clamp, res.Count, elapsed.Round(time.Microsecond),
 			float64(baseElapsed)/float64(elapsed))
 	}
 

@@ -56,6 +56,10 @@ type execCtl struct {
 	// OpScan plan node (prune.go). A nil cache (the PathRegen ceiling)
 	// misses every lookup, so operators need no separate gate.
 	prunes *pruneCache
+	// answer is the sink the reading answers when the execution takes the
+	// summary-direct regime (Prepared.open), nil otherwise: openCol drains
+	// it with the summary-row evaluator.
+	answer *PlanNode
 	// workers is ExecOptions.Parallelism: the morsel workers the innermost
 	// sink drains its spine with (openMorsels). Below 2 — and every worker's
 	// own control carries 0 — it drains in place.

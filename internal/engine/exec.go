@@ -65,11 +65,10 @@ type ExecResult struct {
 	// time, rows, batches, and bytes per operator.
 	Trace *trace.Span
 	// Path names the regime that answered the query, in the vocabulary
-	// ExecOptions.Regime takes: PathSummary when the summary-direct aggregate
-	// fast path did, PathPruned when the operator pipeline ran over at least
-	// one scan whose row-space was pruned (some SCAN in Root reports
-	// RowsPruned > 0), PathRegen when every scan regenerated its whole table
-	// (or, a positional build leaf, looked keys up across all of it).
+	// ExecOptions.Regime takes, read at open from the plan's reading of the
+	// summaries: PathSummary when the reading answers the root sink and no
+	// ceiling is set, PathPruned when some scan it judged prunes tuples (its
+	// SCAN in Root reports RowsPruned > 0), PathRegen otherwise.
 	Path string
 }
 

@@ -479,15 +479,30 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 		return ji, pw + bw, need, node, nil
 
 	case OpAggregate, OpGroupAgg, OpDistinct, OpSort:
-		// The blocking sinks are one operator over two states. What the
-		// child materializes is the sink's to say (childNeeds): exactly the
-		// keys and aggregate inputs for COUNT(*) (none: only cardinalities
-		// flow), GROUP BY and DISTINCT, whatever the parent needs; the
-		// output columns plus the sort keys for ORDER BY — the set
-		// the sort state collects, which is also its comparator's tiebreak
-		// domain (identical however the plan is executed) — narrowed, for a
-		// late top-K, to the keys and the columns up to the primary key
-		// (lateSort). The sink's own output batches populate only need.
+		// The blocking sinks are one operator over two states, and this is
+		// the one place a sink's drain is chosen. The sink the plan's
+		// reading answers (execCtl.answer) is drained by the summary-row
+		// evaluator: it folds the reading's provably exact rows into the
+		// sink's state, no tuple is generated and the node is childless.
+		if pn == ctl.answer {
+			e := newSummaryAggEval(db, pn, ctl)
+			node := &ExecNode{Op: OpSummaryAgg.String(), Table: e.table}
+			g := &colSinkIter{meter: ctl.meter(node, 8*int64(len(need))), child: e, st: e.st, outCols: need, ctl: ctl}
+			if g.sp != nil {
+				g.sp.Detail = fmt.Sprintf("%s [%d summary rows]", e.table, len(e.rel.Rows))
+			}
+			return g, len(pn.Items), need, node, nil
+		}
+		// Any other sink drains its child spine, which openMorsels may turn
+		// into the morsel pool below. What the child materializes is the
+		// sink's to say (childNeeds): exactly the keys and aggregate inputs
+		// for COUNT(*) (none: only cardinalities flow), GROUP BY and
+		// DISTINCT, whatever the parent needs; the output columns plus the
+		// sort keys for ORDER BY — the set the sort state collects, which
+		// is also its comparator's tiebreak domain (identical however the
+		// plan is executed) — narrowed, for a late top-K, to the keys and
+		// the columns up to the primary key (lateSort). The sink's own
+		// output batches populate only need.
 		childNeed := pn.childNeeds(need)[0]
 		var late *sortLate
 		if pn.Op == OpSort {
@@ -524,19 +539,6 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 			}
 		}
 		return g, width, need, node, nil
-
-	case OpSummaryAgg:
-		// The summary-direct regime is the same aggregate sink, drained by
-		// the summary-row evaluator instead of a scan pipeline: it folds the
-		// reading's provably exact rows into the sink's state, and the sink
-		// emits it. The node is childless; no tuple is generated.
-		e := newSummaryAggEval(db, pn, ctl)
-		node := &ExecNode{Op: pn.Op.String(), Table: pn.Table}
-		g := &colSinkIter{meter: ctl.meter(node, 8*int64(len(need))), child: e, st: e.st, outCols: need, ctl: ctl}
-		if g.sp != nil {
-			g.sp.Detail = fmt.Sprintf("%s [%d summary rows]", pn.Table, len(e.rel.Rows))
-		}
-		return g, len(pn.Items), need, node, nil
 
 	case OpLimit:
 		// Pure truncation over the child's batches: output layout and

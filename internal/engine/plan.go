@@ -22,11 +22,8 @@ const (
 	OpDistinct  // SELECT DISTINCT: dedup over the selected columns
 	OpSort      // ORDER BY keys (ascending/descending, full-row tiebreak)
 	OpLimit     // LIMIT n [OFFSET k]
-	// OpSummaryAgg never appears in Plan.Root: it is the summary-direct
-	// aggregate candidate the planner attaches as Plan.SummaryAgg when the
-	// query's shape allows answering it from summary rows alone. Execution
-	// opens it in place of Plan.Root only when the per-summary-row proof
-	// succeeds (summaryagg.go).
+	// OpSummaryAgg is no plan node: it names the ExecNode and span of a
+	// root sink the plan's reading of the summaries answers (summaryagg.go).
 	OpSummaryAgg
 )
 
@@ -131,16 +128,6 @@ type PlanNode struct {
 type Plan struct {
 	Query *sqlkit.Query
 	Root  *PlanNode
-
-	// SummaryAgg, when non-nil, is the summary-direct aggregate candidate:
-	// an OpSummaryAgg node describing the same computation as Root for a
-	// shape (single table, aggregate/distinct root, conjunctive interval
-	// predicate, no ORDER BY / LIMIT) that may be answerable from the
-	// table's summary without generating rows. It is a side-channel, not
-	// part of the Root tree: executors consult it first and silently fall
-	// back to Root when the table has no registered summary or the
-	// per-summary-row exactness proof fails (see summaryagg.go).
-	SummaryAgg *PlanNode
 }
 
 // BuildPlan compiles a parsed query into the canonical plan Hydra uses at
@@ -281,50 +268,7 @@ func BuildPlan(s *schema.Schema, q *sqlkit.Query) (*Plan, error) {
 		}
 		cur = ln
 	}
-	return &Plan{Query: q, Root: cur, SummaryAgg: summaryAggCandidate(q, cur)}, nil
-}
-
-// summaryAggCandidate recognizes plans whose answer may be computable from
-// summary rows alone and describes the computation as a detached
-// OpSummaryAgg node. The shape requirements are structural only — exactness
-// is proved per summary row at execution time:
-//
-//   - exactly one table, scanned (optionally filtered) directly: the
-//     summary models base tables, not join results;
-//   - an aggregate or distinct root (COUNT(*) / GROUP BY / DISTINCT):
-//     plain row-returning selects need the rows themselves;
-//   - no ORDER BY or LIMIT above the root: those sinks reorder or truncate
-//     grouped output in ways the direct evaluation does not reproduce.
-//
-// Because the child is a single-table scan, the candidate's GroupBy, Aggs,
-// and Pred column indices are all table column indices.
-func summaryAggCandidate(q *sqlkit.Query, root *PlanNode) *PlanNode {
-	if len(q.Tables) != 1 || len(q.OrderBy) > 0 || q.Limit != nil {
-		return nil
-	}
-	switch root.Op {
-	case OpAggregate, OpGroupAgg, OpDistinct:
-	default:
-		return nil
-	}
-	child := root.Children[0]
-	var region *pred.Region
-	if child.Op == OpFilter {
-		region = child.Pred
-		child = child.Children[0]
-	}
-	if child.Op != OpScan {
-		return nil
-	}
-	return &PlanNode{
-		Op:      OpSummaryAgg,
-		Table:   child.Table,
-		Pred:    region,
-		GroupBy: root.GroupBy,
-		Aggs:    root.Aggs,
-		Items:   root.Items,
-		Cols:    root.Cols,
-	}
+	return &Plan{Query: q, Root: cur}, nil
 }
 
 // buildDistinct compiles SELECT DISTINCT onto the join tree: the selected

@@ -192,20 +192,21 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 // open decides the regime under opts.Regime's ceiling and builds st's
 // execution state for it — the one place either happens. Below the
 // PathRegen ceiling it takes the plan's reading of the summaries (the
-// Prepare-time one, or one read now when there is none). The regime only
-// picks the plan node to open: the summary-direct candidate when the
-// reading proved it exact (its aggregate sink, drained by the summary-row
-// evaluator), else the plan's root, whose scans run over the reading's
-// pruned row-spaces, or whole under the PathRegen ceiling — one openCol.
-// With opts.Parallelism >= 2 the innermost sink over a partitionable spine
-// opens its other morsel workers' spines inside that openCol
-// (openMorsels), so a table's DatagenFunc is invoked once per scan
-// operator: once per worker for such a leaf. st is reset before anything
-// is built and valid only once open succeeds, so a failed open never
-// leaves a half-built state behind for the reuse branch to trust.
-// Everything here — the spans (Trace is part of the reuse key), the
-// evaluator's scratch, the tree and its workers — is then recycled in place
-// by later calls with the same opts.
+// Prepare-time one, or one read now when there is none), and the regime is
+// read from it: summary when the reading answers the root sink and no
+// ceiling is set, pruned when some judged scan prunes tuples, regen
+// otherwise. The answered sink rides the execution's control into openCol,
+// which drains it with the summary-row evaluator; every other scan runs
+// over the reading's pruned row-spaces, or whole under the PathRegen
+// ceiling — one openCol over the plan's root. With opts.Parallelism >= 2
+// the innermost sink over a partitionable spine opens its other morsel
+// workers' spines inside that openCol (openMorsels), so a table's
+// DatagenFunc is invoked once per scan operator: once per worker for such a
+// leaf. st is reset before anything is built and valid only once open
+// succeeds, so a failed open never leaves a half-built state behind for the
+// reuse branch to trust. Everything here — the spans (Trace is part of the
+// reuse key), the evaluator's scratch, the tree and its workers — is then
+// recycled in place by later calls with the same opts.
 func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 	*st = ExecState{ctl: execCtl{ctx: st.ctl.ctx, workers: opts.Parallelism}}
 	if opts.Trace {
@@ -219,9 +220,13 @@ func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 		rd = buildPruneCache(p.db, p.plan)
 	}
 	st.ctl.prunes = rd
-	root, path := p.plan.Root, PathRegen
-	if cand := summaryAggFor(p.db, p.plan, opts, rd); cand != nil {
-		root, path = cand, PathSummary
+	path := PathRegen
+	switch {
+	case rd == nil:
+	case rd.answer != nil && opts.Regime == "":
+		path, st.ctl.answer = PathSummary, rd.answer
+	case rd.pruned():
+		path = PathPruned
 	}
 	builds := &buildCache{base: p.builds}
 	if opts.Regime == PathRegen && p.prunes != nil && len(p.prunes.scans) > 0 {
@@ -233,7 +238,7 @@ func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 		// What this open drains, its other workers' opens find.
 		builds.m = make(map[*PlanNode]*preparedBuild)
 	}
-	it, width, pop, node, err := openCol(p.db, root, rootNeed(p.plan, opts), opts.BatchSize, builds, &st.ctl)
+	it, width, pop, node, err := openCol(p.db, p.plan.Root, rootNeed(p.plan, opts), opts.BatchSize, builds, &st.ctl)
 	if err != nil {
 		return err
 	}
@@ -243,20 +248,7 @@ func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 		pop = nil
 	}
 	st.it, st.b = it, batch.NewCol(width, opts.BatchSize, pop)
-	if path == PathRegen && prunedRows(node) > 0 {
-		path = PathPruned
-	}
 	st.res = ExecResult{Root: node, Trace: node.sp, Path: path}
 	st.opts, st.valid = opts, true
 	return nil
-}
-
-// prunedRows sums RowsPruned over the tree's scans — live ones and the
-// drained build sides a Prepared carries alike.
-func prunedRows(n *ExecNode) int64 {
-	total := n.RowsPruned
-	for _, c := range n.Children {
-		total += prunedRows(c)
-	}
-	return total
 }

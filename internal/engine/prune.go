@@ -22,8 +22,8 @@ package engine
 // (absorbed); otherwise the residual filter re-checks the generated rows,
 // which is exact because pruning only ever removes provably-failing tuples
 // and never reorders the survivors. The same verdicts decide, row by row,
-// whether the plan's summary-direct candidate is exactly answerable
-// (summaryagg.go): a plan judges each summary it reads once.
+// whether the summary answers the plan's root sink exactly (summaryagg.go):
+// a plan judges each summary it reads once.
 
 import (
 	"repro/internal/cycle"
@@ -59,23 +59,23 @@ func (pr *scanPrune) add(lo, hi int64) {
 	pr.ivs = append(pr.ivs, value.Ival(lo, hi))
 }
 
-// skipRow marks a summary row that contributes nothing to the summary-direct
-// candidate in pruneCache.drives.
+// skipRow marks a summary row that contributes nothing to the answered
+// sink in pruneCache.drives.
 const skipRow = -2
 
 // pruneCache is one plan's reading of the registered summaries, taken in a
 // single judging pass over each (filter, summary row) pair: the qualifying
-// row-space of every filtered scan, and, when the plan's summary-direct
-// candidate is exactly answerable, each summary row's driving column. It
-// is read once per plan (at Prepare time for prepared statements, at open
-// for ad-hoc execution) and shared by every execution, so all of them make
-// identical decisions — a precondition for the byte-parity and span-shape
-// invariants.
+// row-space of every filtered scan, and whether the summaries answer the
+// plan's root sink. It is read once per plan (at Prepare time for prepared
+// statements, at open for ad-hoc execution) and shared by every execution,
+// so all of them make identical decisions — a precondition for the
+// byte-parity and span-shape invariants.
 type pruneCache struct {
 	scans map[*PlanNode]*scanPrune // by OpScan leaf
-	// drives holds, per summary row of the candidate's table, its driving
-	// column (-1 for none) or skipRow; nil when some row is not provably
-	// exact, or the plan has no candidate.
+	// answer is the plan's root sink when its table's summary answers it
+	// exactly, nil otherwise; drives then holds, per summary row, its
+	// driving column (-1 for none) or skipRow.
+	answer *PlanNode
 	drives []int32
 }
 
@@ -88,15 +88,25 @@ func (pc *pruneCache) scan(pn *PlanNode) *scanPrune {
 	return pc.scans[pn]
 }
 
+// pruned reports whether some judged scan generates fewer tuples than its
+// table holds.
+func (pc *pruneCache) pruned() bool {
+	for _, pr := range pc.scans {
+		if pr.pruned > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // buildPruneCache walks the plan for scans of summary-backed tables and
-// judges, once, each one that a filter sits on or that the summary-direct
-// candidate reads. Filters that prune nothing and absorb nothing are left
-// out — their scans run exactly as before. The candidate exists only for
-// single-table plans, so its scan is the plan's one scan, and its proof
-// rides that scan's verdicts.
+// judges, once, each one that a filter sits on or that an answerable root
+// sink reads. Filters that prune nothing and absorb nothing are left out —
+// their scans run exactly as before. An answerable sink reads the plan's
+// one scan, so its proof rides that scan's verdicts.
 func buildPruneCache(db *Database, plan *Plan) *pruneCache {
 	pc := &pruneCache{scans: make(map[*PlanNode]*scanPrune)}
-	cand := plan.SummaryAgg
+	sink := answerable(plan.Root)
 	var walk func(pn *PlanNode, p *pred.Region)
 	walk = func(pn *PlanNode, p *pred.Region) {
 		switch pn.Op {
@@ -104,11 +114,11 @@ func buildPruneCache(db *Database, plan *Plan) *pruneCache {
 			walk(pn.Children[0], pn.Pred)
 		case OpScan:
 			r, ok := db.summaries[pn.Table]
-			if !ok || p == nil && cand == nil {
+			if !ok || p == nil && sink == nil {
 				return
 			}
 			var pr *scanPrune
-			if pr, pc.drives = judgeScan(p, r, db.Schema.Table(pn.Table).PKIndex(), cand); pr != nil {
+			if pr, pc.drives = judgeScan(p, r, db.Schema.Table(pn.Table).PKIndex(), sink); pr != nil {
 				pc.scans[pn] = pr
 			}
 		default:
@@ -118,22 +128,53 @@ func buildPruneCache(db *Database, plan *Plan) *pruneCache {
 		}
 	}
 	walk(plan.Root, nil)
+	if pc.drives != nil {
+		pc.answer = sink
+	}
 	return pc
+}
+
+// answerable returns the plan's root when its shape may be answered from
+// summary rows alone, nil otherwise: a COUNT(*), GROUP BY or DISTINCT sink
+// directly over one table's scan, filtered or not. The summary models base
+// tables, not join results; a row-returning select needs the rows; and a
+// sink under an ORDER BY or LIMIT, whose reordering or truncation the
+// evaluator does not reproduce, is not the root. The gate is structural
+// only — exactness is proved per summary row by judgeScan.
+func answerable(root *PlanNode) *PlanNode {
+	switch root.Op {
+	case OpAggregate, OpGroupAgg, OpDistinct:
+		if scan, _ := sinkScan(root); scan.Op == OpScan {
+			return root
+		}
+	}
+	return nil
+}
+
+// sinkScan returns the node under sink with any filter on it peeled off,
+// and that filter's region (nil for none). Under an answerable sink the
+// node is the table's scan, and the sink's GroupBy, Aggs and the region's
+// columns are all table column indices.
+func sinkScan(sink *PlanNode) (*PlanNode, *pred.Region) {
+	if c := sink.Children[0]; c.Op == OpFilter {
+		return c.Children[0], c.Pred
+	}
+	return sink.Children[0], nil
 }
 
 // judgeScan has every summary row of r judged against the filter's
 // compiled region p (nil: an unfiltered scan) and assembles the qualifying
 // row-space over r's stream; nil when there is no filter or pruning would
-// change nothing (nothing pruned, nothing absorbed). When cand, the plan's
-// summary-direct candidate, is filtered by this same region, it also
-// records each row's driving column, or nil drives once some verdict
-// leaves cand inexact.
-func judgeScan(p *pred.Region, r summaryScan, pkIdx int, cand *PlanNode) (pr *scanPrune, drives []int32) {
+// change nothing (nothing pruned, nothing absorbed). When sink, the plan's
+// answerable root sink, is non-nil — this scan is then its one scan — it
+// also records each row's driving column, or nil drives once some verdict
+// leaves sink inexact.
+func judgeScan(p *pred.Region, r summaryScan, pkIdx int, sink *PlanNode) (pr *scanPrune, drives []int32) {
 	rel := r.rel
 	if p != nil {
 		pr = &scanPrune{gen: r.gen, absorbed: true}
 	}
-	if cand != nil && cand.Pred == p {
+	if sink != nil {
 		drives = make([]int32, len(rel.Rows))
 	}
 	var (
@@ -152,7 +193,7 @@ func judgeScan(p *pred.Region, r summaryScan, pkIdx int, cand *PlanNode) (pr *sc
 
 		v := cycle.Judge(row, rowBase, p, pkIdx, &clipBuf)
 		if drives != nil {
-			d, ok := directRow(cand, row, pkIdx, v)
+			d, ok := directRow(sink, row, pkIdx, v)
 			if drives[j] = int32(d); !ok {
 				drives = nil
 			}

@@ -4,24 +4,22 @@ import "repro/internal/batch"
 
 // The sink framework: every blocking root operator — grouped aggregation,
 // DISTINCT, ORDER BY, COUNT(*) — is one state object implementing sinkState,
-// executed by the single colSinkIter operator. The same state serves every
-// way the executor runs:
+// executed by the single colSinkIter operator, which finishes the state and
+// emits it whatever drained it. A sink has one of three drains, chosen in
+// one place, openCol's sink case:
 //
-//   - the sequential drive runs observe over child batches and emit over
-//     the finished state (colSinkIter);
-//   - the summary-direct regime opens the plan's aggregate sink over a
-//     childless drain, the summary-row evaluator (summaryagg.go), which
-//     folds straight into the state and hands the sink no batch; the sink
-//     then finishes and emits as above;
-//   - the morsel-parallel regime gives the innermost sink another such
-//     drain, the morsel pool (exec_parallel.go): every worker's spine folds
-//     its morsels into a partial state with observe, worker 0's being the
-//     sink's own child and state, and the partials merge into the sink's
-//     state in worker-index order; the sink then finishes and emits as
-//     above;
-//   - a reused ExecState (Prepared.ExecuteIn) recycles the states via
-//     reset, so grouped, distinct, and sorted steady-state queries allocate
-//     nothing.
+//   - its spine: observe runs over the child's batches;
+//   - the summary-row evaluator (summaryagg.go), for the sink the plan's
+//     reading answers: it folds straight into the state and hands the sink
+//     no batch;
+//   - the morsel pool (exec_parallel.go), which openMorsels makes of the
+//     innermost sink's spine: every worker's spine folds its morsels into a
+//     partial state with observe, worker 0's being the sink's own child and
+//     state, and the partials merge into the sink's state in worker-index
+//     order.
+//
+// A reused ExecState (Prepared.ExecuteIn) recycles the states via reset, so
+// grouped, distinct, and sorted steady-state queries allocate nothing.
 //
 // finish freezes the deterministic output order exactly once; emit is then a
 // pure, restartable read. deferredErr surfaces failures that can only be
@@ -54,8 +52,8 @@ type sinkState interface {
 // colSinkIter is the one blocking operator of the columnar pipeline: it
 // drains its child into a sinkState on the first Next, then streams the
 // state's deterministic output. OpAggregate (COUNT(*), one global group),
-// OpGroupAgg, OpDistinct and OpSummaryAgg (all groupAggState) and OpSort
-// (sortState) are this operator with different states. Its child is a
+// OpGroupAgg and OpDistinct (all groupAggState) and OpSort (sortState) are
+// this operator with different states. Its child is a
 // spine, a sink, or a drain that folds into st itself and hands it no
 // batch: the summary-row evaluator or the morsel pool.
 type colSinkIter struct {

@@ -3,11 +3,11 @@ package engine
 // Summary-direct aggregate execution: the fast path that answers
 // COUNT / COUNT(col) / SUM / MIN / MAX / AVG — global or GROUP BY — straight
 // from a table's relation summary in O(summary rows), without regenerating a
-// single tuple. The planner attaches an OpSummaryAgg candidate to eligible
-// plan shapes (Plan.SummaryAgg); execution takes it only when every summary
-// row is provably exactly answerable from interval arithmetic alone, falling
-// back to regeneration otherwise, so results are byte-identical to the
-// regenerating executors by construction.
+// single tuple. The plan's reading of the summaries (buildPruneCache) takes
+// it only for a root sink of an answerable shape whose every summary row is
+// provably exactly answerable from interval arithmetic alone; otherwise the
+// plan regenerates, so results are byte-identical to the regenerating
+// executors by construction.
 //
 // Provability is judged per summary row against the generator's value law
 // (synopsis.Row.Spec): within a summary row of Count n, the tuple at offset
@@ -31,11 +31,11 @@ package engine
 // and per-group counts enumerate v ∈ I with cnt(v) = cycles + [v ∈ Pref],
 // which is bounded by n, so the fast path is never worse than regeneration.
 //
-// The regime runs through the ordinary operators: openCol opens the
-// candidate as the plan's own aggregate sink (colSinkIter over a
-// groupAggState, the very state behind COUNT(*), OpGroupAgg and
-// OpDistinct), with the evaluator as the sink's drain in place of a scan
-// pipeline, and runColumnar drives it like any other tree. Each observation
+// The regime runs through the ordinary operators: openCol opens the plan's
+// own aggregate sink (colSinkIter over a groupAggState, the very state
+// behind COUNT(*), OpGroupAgg and OpDistinct), with the evaluator as the
+// sink's drain in place of its scan pipeline, and runColumnar drives it
+// like any other tree. Each observation
 // — a row's matching tuples, or one enumerated group value's — is combined
 // through groupAggState.add, the per-group combine the parallel executor's
 // merge uses. Group ordering, empty-group identities, the SUM/MIN/MAX
@@ -61,18 +61,19 @@ type colLaw struct {
 	fixed     int64
 }
 
-// summaryAggEval evaluates one OpSummaryAgg candidate against one relation
-// summary: it is the drain of the candidate's sink (openCol), folding the
-// summary rows into that sink's groupAggState where a regenerated plan's
-// scan pipeline would feed it batches. It is built at open and recycled with
+// summaryAggEval evaluates one answered sink against its table's relation
+// summary: it is the sink's drain (openCol), folding the summary rows into
+// the sink's groupAggState where a regenerated plan's scan pipeline would
+// feed it batches. It is built at open and recycled with
 // the opened tree, and Next allocates nothing once its scratch buffers have
 // warmed up — the summary path inherits the engine's steady-state
 // zero-allocation contract.
 type summaryAggEval struct {
-	cand *PlanNode
-	rel  *synopsis.Relation
-	pk   int // primary-key column index, -1 when the table has none
-	ctl  *execCtl
+	sink  *PlanNode
+	table string
+	rel   *synopsis.Relation
+	pk    int // primary-key column index, -1 when the table has none
+	ctl   *execCtl
 
 	drives []int32 // per summary row: its driving column, -1 or skipRow (pruneCache.drives)
 
@@ -90,49 +91,39 @@ type summaryAggEval struct {
 	iprefBuf value.IntervalSet
 }
 
-// summaryAggFor returns the plan's summary-direct candidate when it answers
-// over db, nil when the fast path does not apply: a Regime ceiling below
-// it, or a reading (the plan's pruneCache) that found no candidate, no
-// registered summary for its table, or some summary row that is not
-// provably exact. Prepared.open opens the candidate in place of the plan's
-// root.
-func summaryAggFor(db *Database, plan *Plan, opts ExecOptions, rd *pruneCache) *PlanNode {
-	if opts.Regime != "" || rd == nil || rd.drives == nil || db.Summary(plan.SummaryAgg.Table) == nil {
-		return nil
-	}
-	return plan.SummaryAgg
-}
-
-// newSummaryAggEval readies the evaluator of candidate cand over the
-// table's registered summary, folding the rows ctl's reading recorded.
-func newSummaryAggEval(db *Database, cand *PlanNode, ctl *execCtl) *summaryAggEval {
-	tbl := db.Schema.Table(cand.Table)
+// newSummaryAggEval readies the evaluator of the answered sink over its
+// table's registered summary, folding the rows ctl's reading recorded. The
+// table and predicate are the sink's child's.
+func newSummaryAggEval(db *Database, sink *PlanNode, ctl *execCtl) *summaryAggEval {
+	scan, p := sinkScan(sink)
+	tbl := db.Schema.Table(scan.Table)
 	e := &summaryAggEval{
-		cand:   cand,
-		rel:    db.Summary(cand.Table),
+		sink:   sink,
+		table:  scan.Table,
+		rel:    db.Summary(scan.Table),
 		pk:     tbl.PKIndex(),
 		ctl:    ctl,
 		drives: ctl.prunes.drives,
 		cols:   make([]colLaw, len(tbl.Columns)),
-		st:     newGroupAggState(cand),
+		st:     newGroupAggState(sink),
 	}
-	if cand.Pred != nil {
-		for i, c := range cand.Pred.Cols {
-			e.cols[c].pred = cand.Pred.Sets[i]
+	if p != nil {
+		for i, c := range p.Cols {
+			e.cols[c].pred = p.Sets[i]
 		}
 	}
 	return e
 }
 
 // directRow decides whether one summary row, given the predicate's verdict
-// v on it, is exactly answerable for cand, and names the row's driving
+// v on it, is exactly answerable for sink, and names the row's driving
 // column (-1 when none; skipRow for a skipped row, which is exact whatever
 // else cycles: it contributes nothing). Otherwise at most one column may cycle among the
 // verdict's driver, the GROUP BY keys and the aggregate inputs — the primary
 // key, one value per tuple, counts as cycling.
 //
 //hydra:hotpath
-func directRow(cand *PlanNode, row *synopsis.Row, pk int, v cycle.Verdict) (drive int, ok bool) {
+func directRow(sink *PlanNode, row *synopsis.Row, pk int, v cycle.Verdict) (drive int, ok bool) {
 	switch {
 	case v.Kind == cycle.Skip:
 		return skipRow, true
@@ -142,7 +133,7 @@ func directRow(cand *PlanNode, row *synopsis.Row, pk int, v cycle.Verdict) (driv
 		return -1, false
 	}
 	drive = v.Col
-	for _, c := range cand.GroupBy {
+	for _, c := range sink.GroupBy {
 		if !cyclesIn(row, c, pk) {
 			continue
 		}
@@ -153,8 +144,8 @@ func directRow(cand *PlanNode, row *synopsis.Row, pk int, v cycle.Verdict) (driv
 		}
 		drive = c
 	}
-	for ai := range cand.Aggs {
-		if c := cand.Aggs[ai].Col; c >= 0 && drive >= 0 && drive != c && cyclesIn(row, c, pk) {
+	for ai := range sink.Aggs {
+		if c := sink.Aggs[ai].Col; c >= 0 && drive >= 0 && drive != c && cyclesIn(row, c, pk) {
 			return drive, false
 		}
 	}
@@ -222,10 +213,10 @@ func (e *summaryAggEval) deferredErr() error { return nil }
 // observation in which the driver holds that value fixed.
 func (e *summaryAggEval) addRow(row *synopsis.Row, base int64, d int) {
 	n := row.Count
-	for _, c := range e.cand.GroupBy {
+	for _, c := range e.sink.GroupBy {
 		e.resolve(row, base, c)
 	}
-	for _, a := range e.cand.Aggs {
+	for _, a := range e.sink.Aggs {
 		if a.Col >= 0 {
 			e.resolve(row, base, a.Col)
 		}
@@ -236,7 +227,7 @@ func (e *summaryAggEval) addRow(row *synopsis.Row, base int64, d int) {
 	}
 	e.resolve(row, base, d)
 	I, ipref, cycles := e.closed(d, n)
-	if !slices.Contains(e.cand.GroupBy, d) {
+	if !slices.Contains(e.sink.GroupBy, d) {
 		if cnt := cycles*I.Len() + ipref.Len(); cnt > 0 {
 			e.observe(n, cnt)
 		}
@@ -289,10 +280,10 @@ func (e *summaryAggEval) closed(c int, n int64) (I, ipref value.IntervalSet, cyc
 // I's extremes).
 func (e *summaryAggEval) observe(n, cnt int64) {
 	lo, hi := e.st.partials()
-	for ki, c := range e.cand.GroupBy {
+	for ki, c := range e.sink.GroupBy {
 		e.st.keyBuf[ki] = e.cols[c].fixed
 	}
-	for ai, a := range e.cand.Aggs {
+	for ai, a := range e.sink.Aggs {
 		if a.Col < 0 {
 			continue // COUNT: answered from the group's tuple count
 		}

@@ -298,12 +298,13 @@ func TestSummaryAggHardSpecs(t *testing.T) {
 	}
 }
 
-// TestSummaryAggCandidateShapes pins the planner's structural gate.
+// TestSummaryAggCandidateShapes pins the reading's structural gate: only a
+// COUNT(*), GROUP BY or DISTINCT root sink directly over one table's scan
+// is answerable, and on saggDB, whose rows are all provably exact for these
+// shapes, the reading answers exactly those plans and open drains their
+// root with the summary-row evaluator.
 func TestSummaryAggCandidateShapes(t *testing.T) {
-	s := saggSchema()
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	db := saggDB(t)
 	for sql, want := range map[string]bool{
 		"SELECT COUNT(*) FROM m":                          true,
 		"SELECT COUNT(*) FROM m WHERE a < 3":              true,
@@ -314,49 +315,63 @@ func TestSummaryAggCandidateShapes(t *testing.T) {
 		"SELECT * FROM m":                                 false,
 		"SELECT * FROM m WHERE a < 3":                     false,
 	} {
-		q, err := sqlkit.Parse(sql)
+		plan := mustPlan(t, db, sql)
+		if got := answerable(plan.Root) != nil; got != want {
+			t.Errorf("%s: answerable = %v, want %v", sql, got, want)
+		}
+		if got := buildPruneCache(db, plan).answer; (got == plan.Root) != want || !want && got != nil {
+			t.Errorf("%s: reading answers %v, want the root: %v", sql, got, want)
+		}
+		res, err := execute(db, plan, ExecOptions{})
 		if err != nil {
-			t.Fatalf("parse %q: %v", sql, err)
+			t.Fatalf("%s: %v", sql, err)
 		}
-		plan, err := BuildPlan(s, q)
-		if err != nil {
-			t.Fatalf("plan %q: %v", sql, err)
-		}
-		if got := plan.SummaryAgg != nil; got != want {
-			t.Errorf("%s: candidate = %v, want %v", sql, got, want)
-		}
-		if plan.SummaryAgg != nil && plan.SummaryAgg.Op != OpSummaryAgg {
-			t.Errorf("%s: candidate op = %v", sql, plan.SummaryAgg.Op)
+		if got := res.Path == PathSummary && res.Root.Op == OpSummaryAgg.String(); got != want {
+			t.Errorf("%s: path %q, root op %q; want the summary answer: %v", sql, res.Path, res.Root.Op, want)
 		}
 	}
 }
 
-// TestSummaryAggGateConditions pins the dispatch gate: a reading taken
-// with no registered summary, no reading, or a Regime ceiling below it all
-// yield nil.
+// TestSummaryAggGateConditions pins the dispatch gate: a reading that
+// answers is taken with no ceiling, on a fresh and on a prepared
+// execution; an execution without a reading (the PathRegen ceiling), the
+// PathPruned ceiling, and a reading taken with no registered summary do not
+// answer from the summary.
 func TestSummaryAggGateConditions(t *testing.T) {
 	db := saggDB(t)
-	q, err := sqlkit.Parse("SELECT COUNT(*) FROM m")
+	plan := mustPlan(t, db, "SELECT COUNT(*) FROM m")
+	if rd := buildPruneCache(db, plan); rd.answer != plan.Root {
+		t.Fatal("the reading did not answer an eligible query")
+	}
+	prep, err := Prepare(db, plan, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := BuildPlan(db.Schema, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd := buildPruneCache(db, plan)
-	if summaryAggFor(db, plan, ExecOptions{}, rd) == nil {
-		t.Fatal("eligible query did not get an evaluator")
-	}
-	if summaryAggFor(db, plan, ExecOptions{}, nil) != nil {
-		t.Fatal("an execution without a reading took the fast path")
-	}
-	if summaryAggFor(db, plan, ExecOptions{Regime: PathPruned}, rd) != nil {
-		t.Fatal("the pruned ceiling did not disable the fast path")
+	for _, c := range []struct {
+		opts ExecOptions
+		want string
+	}{
+		{ExecOptions{}, PathSummary},
+		{ExecOptions{Regime: PathRegen}, PathRegen},
+		{ExecOptions{Regime: PathPruned}, PathRegen},
+	} {
+		fresh, err := execute(db, plan, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared, err := prep.Execute(c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range []*ExecResult{fresh, prepared} {
+			if res.Path != c.want || (res.Root.Op == OpSummaryAgg.String()) != (c.want == PathSummary) {
+				t.Fatalf("%+v: path %q, root op %q; want path %q", c.opts, res.Path, res.Root.Op, c.want)
+			}
+		}
 	}
 	db.SetSummary("m", nil)
-	if summaryAggFor(db, plan, ExecOptions{}, buildPruneCache(db, plan)) != nil {
-		t.Fatal("fast path survived summary unregistration")
+	if rd := buildPruneCache(db, plan); rd.answer != nil || rd.drives != nil {
+		t.Fatal("the reading answered after summary unregistration")
 	}
 }
 
@@ -424,7 +439,7 @@ func TestSummaryAggOverflow(t *testing.T) {
 		"SELECT a, SUM(b) FROM m GROUP BY a",
 	} {
 		plan := mustPlan(t, db, sql)
-		if summaryAggFor(db, plan, ExecOptions{}, buildPruneCache(db, plan)) == nil {
+		if buildPruneCache(db, plan).answer == nil {
 			t.Fatalf("%q: the summary does not answer", sql)
 		}
 		if res, err := execute(db, plan, ExecOptions{}); !errors.Is(err, ErrAggOverflow) {

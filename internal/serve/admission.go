@@ -130,12 +130,3 @@ func (a *admission) beginDrain() {
 		close(a.drainCh)
 	}
 }
-
-// inFlight reports currently held execution slots (0 when unlimited — the
-// server tracks its own gauge in that case).
-func (a *admission) inFlight() int {
-	if a.sem == nil {
-		return 0
-	}
-	return len(a.sem)
-}

@@ -98,23 +98,6 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// get returns the prepared execution for key, promoting it to
-// most-recently-used. A hit is recorded here; a miss is not — the caller
-// proceeds into do, which accounts for how the miss was ultimately served
-// (built, coalesced onto another build, or found freshly inserted), so
-// hits + misses equals requests even under single flight.
-func (c *planCache) get(key string) (*engine.Prepared, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).prep, true
-}
-
 // putLocked inserts (or refreshes) key's prepared execution, evicting the
 // least recently used entry beyond the size cap. The caller holds c.mu.
 func (c *planCache) putLocked(key string, prep *engine.Prepared) {
@@ -131,19 +114,20 @@ func (c *planCache) putLocked(key string, prep *engine.Prepared) {
 	}
 }
 
-// do returns key's prepared execution, invoking build at most once across
-// concurrent callers (single flight): under a cold-start thundering herd,
-// one request drains the hash-join build sides and the rest wait for it
-// instead of each paying the heaviest cost the cache exists to amortize.
-// The winner's result is inserted; a build error is shared, not cached.
+// do returns key's prepared execution, promoting it to most-recently-used,
+// and invokes build on a miss at most once across concurrent callers
+// (single flight): under a cold-start thundering herd, one request drains
+// the hash-join build sides and the rest wait for it instead of each paying
+// the heaviest cost the cache exists to amortize. The winner's result is
+// inserted; a build error is shared, not cached.
 //
 // built reports whether this caller ran the build. It mirrors the stats:
-// the builder records the miss; a caller that finds the entry inserted
-// since its lookup, or coalesces onto an in-flight build that succeeds,
-// was served by the cache and records a hit.
+// the builder records the miss; a caller that finds the entry, or
+// coalesces onto an in-flight build that succeeds, was served by the cache
+// and records a hit, so hits + misses equals requests.
 func (c *planCache) do(key string, build func() (*engine.Prepared, error)) (prep *engine.Prepared, built bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok { // inserted since the caller's miss
+	if el, ok := c.entries[key]; ok {
 		c.hits++
 		c.lru.MoveToFront(el)
 		prep := el.Value.(*cacheEntry).prep
@@ -184,10 +168,9 @@ func (c *planCache) do(key string, build func() (*engine.Prepared, error)) (prep
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness. Hits
-// counts requests served without running a build — direct lookups,
-// single-flight waiters that shared a winner's result, and lookups that
-// found the entry inserted between their miss and their build attempt;
-// Misses counts builds. Hits + Misses therefore equals requests (failed
+// counts requests served without running a build — lookups that found the
+// entry and single-flight waiters that shared a winner's result; Misses
+// counts builds. Hits + Misses therefore equals requests (failed
 // builds excepted: the builder's miss is recorded, its waiters record
 // nothing), so the hit rate stays honest under a coalesced cold-start herd.
 type CacheStats struct {

@@ -553,16 +553,12 @@ func hasExplainPrefix(sql string) bool {
 // possible, otherwise parse + plan + build (and insert, keyed by the
 // normalized SQL, so whitespace variants of one query share an entry).
 func (s *Server) prepared(sql string, opts engine.ExecOptions) (*engine.Prepared, string, error) {
-	key := normalizeSQL(sql)
-	if prep, ok := s.cache.get(key); ok {
-		return prep, "hit", nil
-	}
-	// Single-flighted miss: concurrent cold requests for one query share
-	// one parse + plan + build instead of racing N of them. Only the
-	// request that actually ran the build reports "miss" — a coalesced
+	// Single-flighted: concurrent cold requests for one query share one
+	// parse + plan + build instead of racing N of them. Only the request
+	// that actually ran the build reports "miss" — a hit or a coalesced
 	// waiter was served by the cache, and its response label agrees with
 	// what CacheStats counted it as.
-	prep, built, err := s.cache.do(key, func() (*engine.Prepared, error) {
+	prep, built, err := s.cache.do(normalizeSQL(sql), func() (*engine.Prepared, error) {
 		return s.prepare(sql, opts)
 	})
 	if err != nil {
