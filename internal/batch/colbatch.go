@@ -29,16 +29,8 @@ type ColBatch struct {
 // populated indices must be in [0, width) and are deduplicated by the
 // caller's contract (duplicates are harmless but waste nothing here).
 func NewCol(width, capRows int, populated []int) *ColBatch {
-	if capRows <= 0 {
-		capRows = DefaultCap
-	}
-	b := &ColBatch{width: width, capRows: capRows, cols: make([][]int64, width)}
-	for _, c := range populated {
-		if b.cols[c] == nil {
-			b.cols[c] = make([]int64, capRows)
-		}
-	}
-	return b
+	var s *Store
+	return s.NewCol(width, capRows, populated)
 }
 
 // AllCols is the complete column set [0, n): the populated list of a
@@ -110,13 +102,10 @@ func (b *ColBatch) Col(c int) []int64 { return b.cols[c] }
 // it is, and a shorter one gets exactly n rows, so a writer that reserves
 // the same n every time allocates once. The engine's sinks reserve the
 // rows they are about to emit, in a root batch constructed without
-// storage.
+// storage (through Store.Reserve, which draws the rows from a store).
 func (b *ColBatch) Reserve(cols []int, n int) {
-	for _, c := range cols {
-		if len(b.cols[c]) < n {
-			b.cols[c] = make([]int64, n)
-		}
-	}
+	var s *Store
+	s.Reserve(b, cols, n)
 }
 
 // PrefixView makes v an empty batch over b's first width columns and its

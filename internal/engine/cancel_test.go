@@ -279,3 +279,63 @@ func TestCancelResultParity(t *testing.T) {
 		requireIdentical(t, sql+" [live context]", got, want)
 	}
 }
+
+// TestExecuteInUnbindsContext pins that a state returned from
+// ExecuteInContext keeps no context: not the state's own control, nor, at
+// Parallelism 2, any morsel worker's — after a completed run and after a
+// canceled one alike. A state parked between requests would otherwise pin
+// the last request's context and everything it carries.
+func TestExecuteInUnbindsContext(t *testing.T) {
+	oversubscribe(t, 2)
+	db := bigStarDatabase(t, 5000)
+	plan := mustPlan(t, db, "SELECT COUNT(*) FROM fact WHERE q >= 3")
+	type key struct{}
+	for _, workers := range []int{0, 2} {
+		opts := ExecOptions{BatchSize: 64, Parallelism: workers}
+		prep, err := Prepare(db, plan, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st ExecState
+		ctx, cancel := context.WithCancel(context.WithValue(context.Background(), key{}, "request"))
+		if _, err := prep.ExecuteInContext(ctx, &st, opts); err != nil {
+			t.Fatal(err)
+		}
+		ctls := boundControls(t, &st, workers)
+		cancel()
+		if _, err := prep.ExecuteInContext(ctx, &st, opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: canceled run returned %v, want context.Canceled", workers, err)
+		}
+		ctls += boundControls(t, &st, workers)
+		if ctls != 0 {
+			t.Fatalf("workers %d: %d controls still bound to a context after ExecuteInContext returned", workers, ctls)
+		}
+	}
+}
+
+// boundControls counts the controls of st, its own and its morsel
+// workers', that are bound to a context; at workers >= 2 the root sink must
+// drain on a pool of that many workers.
+func boundControls(t *testing.T, st *ExecState, workers int) int {
+	t.Helper()
+	n := 0
+	if st.ctl.ctx != nil {
+		n++
+	}
+	g, ok := st.it.(*colSinkIter)
+	if !ok {
+		t.Fatalf("root %T, want a sink", st.it)
+	}
+	d, ok := g.child.(*morselDrain)
+	if (workers >= 2) != ok || ok && len(d.workers) != workers {
+		t.Fatalf("sink drains %T at Parallelism %d", g.child, workers)
+	}
+	if ok {
+		for _, w := range d.workers {
+			if w.ctl.ctx != nil {
+				n++
+			}
+		}
+	}
+	return n
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/batch"
 	"repro/internal/trace"
 )
 
@@ -33,7 +34,9 @@ import (
 // field at open time — never a per-batch closure — so the steady-state
 // reuse path (Prepared.ExecuteIn) keeps its zero-allocation contract: the
 // ExecState owns one execCtl for its lifetime and rebinding it to the next
-// call's context writes two words.
+// call's context writes two words. Every control is unbound again when its
+// execution returns (each morsel worker's when its loop ends, the state's
+// when run does), so a state kept between calls holds no context.
 //
 // The control also opens each operator's meter (meter, exec_col.go): the
 // operator's ExecNode and, when traced, its span, allocated here with the
@@ -64,6 +67,11 @@ type execCtl struct {
 	// sink drains its spine with (openMorsels). Below 2 — and every worker's
 	// own control carries 0 — it drains in place.
 	workers int
+	// store is the ExecState's column storage, which every batch the tree
+	// opens draws from (batch.Store): nil on a state's first open, and on
+	// the Prepare-time build drain's control, which allocates. Batches are
+	// made at open, on one goroutine, so the workers' controls share it.
+	store *batch.Store
 }
 
 // bind points the control at the next execution's context, clearing any
@@ -72,6 +80,11 @@ func (c *execCtl) bind(ctx context.Context) {
 	c.ctx = ctx
 	c.err = nil
 }
+
+// unbind drops the context once the execution returns, so a state kept
+// for reuse holds no request's context between calls. A latched error
+// stays for the caller to read; the next bind clears it.
+func (c *execCtl) unbind() { c.ctx = nil }
 
 // stopped reports whether the execution should halt, latching the context
 // error on first observation so every later check agrees without touching

@@ -164,6 +164,6 @@ func (o ExecOptions) Normalize() (ExecOptions, error) {
 // context.Canceled or context.DeadlineExceeded — identically sequential or
 // parallel, with no goroutine left behind.
 func ExecuteContext(ctx context.Context, db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
-	p := Prepared{db: db, plan: plan, reg: db.reg}
+	p := Prepared{id: preparedIDs.Add(1), db: db, plan: plan, reg: db.reg}
 	return p.run(ctx, new(ExecState), opts)
 }

@@ -474,7 +474,7 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 			kj.rowBytes = 8 * int64(len(kj.buildOut))
 			return kj, pw + bw, pop, node, nil
 		}
-		ji := newColHashJoinIter(probe, jb, pw, pn.LeftKey, need, probePop, capRows)
+		ji := newColHashJoinIter(probe, jb, pw, pn.LeftKey, need, probePop, capRows, ctl.store)
 		ji.meter = m
 		return ji, pw + bw, need, node, nil
 
@@ -520,7 +520,7 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds *buildC
 		g := &colSinkIter{
 			meter:   ctl.meter(node, 8*int64(len(need))),
 			child:   child,
-			buf:     batch.NewCol(width, capRows, pop),
+			buf:     ctl.store.NewCol(width, capRows, pop),
 			st:      newSinkState(pn, childNeed, width, late),
 			outCols: need,
 			ctl:     ctl,
@@ -912,9 +912,9 @@ type colHashJoinIter struct {
 
 // newColHashJoinIter builds the probe-side iterator over build side jb:
 // need is the join output's required columns, probePop the populated set
-// of the probe child's batches.
-func newColHashJoinIter(probe colIterator, jb *colJoinBuild, probeCols, leftKey int, need, probePop []int, capRows int) *colHashJoinIter {
-	pbatch := batch.NewCol(probeCols, capRows, probePop)
+// of the probe child's batches, drawn from store.
+func newColHashJoinIter(probe colIterator, jb *colJoinBuild, probeCols, leftKey int, need, probePop []int, capRows int, store *batch.Store) *colHashJoinIter {
+	pbatch := store.NewCol(probeCols, capRows, probePop)
 	h := &colHashJoinIter{
 		probe:     probe,
 		leftKey:   leftKey,

@@ -278,7 +278,7 @@ func openRowsJoin(t *testing.T, probe, build [][]int64, size int) (ji *colHashJo
 	}
 	leaf = &colScanIter{src: rowsScan(probe), width: 3, cols: []int{0, 1, 2}, meter: meter{node: &ExecNode{}}, ctl: &execCtl{}}
 	pulls = &pullCounter{colIterator: leaf}
-	ji = newColHashJoinIter(pulls, jb, 3, 1, batch.AllCols(5), []int{0, 1, 2}, size)
+	ji = newColHashJoinIter(pulls, jb, 3, 1, batch.AllCols(5), []int{0, 1, 2}, size, nil)
 	ji.node = &ExecNode{}
 	return ji, leaf, pulls
 }

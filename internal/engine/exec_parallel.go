@@ -115,12 +115,12 @@ func openMorsels(db *Database, pn *PlanNode, g *colSinkIter, need, collect []int
 		// Each worker owns its cancellation control (latching is
 		// single-goroutine state); spans come from the execution's recorder,
 		// here, before the pool starts (it is not concurrency-safe).
-		ctl := &execCtl{rec: g.ctl.rec, prunes: g.ctl.prunes}
+		ctl := &execCtl{rec: g.ctl.rec, prunes: g.ctl.prunes, store: g.ctl.store}
 		it, width, pop, node, err := openCol(db, pn.Children[0], need, capRows, builds, ctl)
 		if err != nil {
 			return err
 		}
-		w := newMorselWorker(it, node, batch.NewCol(width, capRows, pop), ctl)
+		w := newMorselWorker(it, node, ctl.store.NewCol(width, capRows, pop), ctl)
 		w.sink = newSinkState(pn, collect, width, late)
 		d.workers = append(d.workers, w)
 	}
@@ -201,6 +201,7 @@ func (d *morselDrain) drain() error {
 // sequential drive.
 func (w *morselWorker) run(ctx context.Context, src parallel.Source, morsels *parallel.Morsels) error {
 	w.ctl.bind(ctx)
+	defer w.ctl.unbind()
 	for !w.ctl.stopped() {
 		lo, hi, ok := morsels.Next()
 		if !ok {

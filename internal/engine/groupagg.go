@@ -476,7 +476,7 @@ func (st *groupAggState) value(it GroupOut, g int32) int64 {
 // emit writes output rows for the sorted groups order[pos:pos+k] into dst
 // (k bounded by dst's capacity), populating only outCols, one column pass
 // at a time. It returns k; zero means exhausted.
-func (st *groupAggState) emit(dst *batch.ColBatch, outCols []int, pos int) int {
+func (st *groupAggState) emit(dst *batch.ColBatch, outCols []int, pos int, store *batch.Store) int {
 	k := len(st.order) - pos
 	if k <= 0 {
 		return 0
@@ -484,7 +484,7 @@ func (st *groupAggState) emit(dst *batch.ColBatch, outCols []int, pos int) int {
 	if k > dst.Cap() {
 		k = dst.Cap()
 	}
-	dst.Reserve(outCols, k)
+	store.Reserve(dst, outCols, k)
 	for _, oc := range outCols {
 		it := st.items[oc]
 		out := dst.Col(oc)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/batch"
 	"repro/internal/trace"
@@ -15,7 +16,7 @@ import (
 // in the summary), so each Execute pays probe cost only. The arenas are
 // valid until a table of the database is registered again, after which
 // executions fail with ErrStalePrepared. A Prepared is safe for concurrent
-// Execute calls (each opens fresh probe state over the read-only builds).
+// Execute calls (each runs in its own ExecState over the read-only builds).
 // This is what the serve front end caches per normalized query —
 // steady-state traffic never rebuilds a hash table. Cancellation cannot
 // poison a Prepared: the arenas are immutable after their drain, and a
@@ -29,18 +30,27 @@ import (
 //	Prepared.Execute[Context]   the caller's        fresh
 //	Prepared.ExecuteIn[Context] the caller's        the caller's, reused
 //
+// Serve runs every request through ExecuteInContext, in an idle state of
+// its own pool: rewound when its last request ran the same Prepared,
+// otherwise reopened over the column storage it already holds.
+//
 // Empty caches mean nothing is drained or read ahead: hash builds drain
 // live at open, and open reads the registered summaries (buildPruneCache)
 // itself. Either way each plan reads each summary once. Under the PathRegen
 // ceiling there is no reading, so no join is positional: a build Prepare
 // left to lookups drains live at open.
 type Prepared struct {
+	id     uint64 // this Prepared's number, never 0: an ExecState's reuse key
 	db     *Database
 	plan   *Plan
 	reg    uint64                       // db.reg when prepared: a later registration makes the Prepared stale
 	builds map[*PlanNode]*preparedBuild // every hash join's build side over all its columns, drained by Prepare
 	prunes *pruneCache                  // the plan's reading of the summaries, taken at Prepare time
 }
+
+// preparedIDs numbers Prepareds, so that an ExecState can name the one it
+// is open for without holding it (an ad hoc Prepared lives on the stack).
+var preparedIDs atomic.Uint64
 
 // ErrStalePrepared is returned by a Prepared's executions once a table of
 // its database has been registered again (AddRelation, SetDatagen,
@@ -65,7 +75,7 @@ func Prepare(db *Database, plan *Plan, opts ExecOptions) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{db: db, plan: plan, reg: db.reg, builds: make(map[*PlanNode]*preparedBuild)}
+	p := &Prepared{id: preparedIDs.Add(1), db: db, plan: plan, reg: db.reg, builds: make(map[*PlanNode]*preparedBuild)}
 	// The reading is taken once and shared by every execution (and by the
 	// build drain below, so cached build sides make the same prune
 	// decisions as live ones — span-shape parity depends on it).
@@ -113,16 +123,22 @@ func (p *Prepared) ExecuteContext(ctx context.Context, opts ExecOptions) (*ExecR
 // ExecState is caller-owned reusable execution state for ExecuteIn: the
 // opened operator tree (whichever regime answers), its ExecNode mirror, the
 // root column batch, the result struct, and the execution's cancellation
-// control (owned for the state's lifetime and rebound per call, so context
-// plumbing costs no allocations). One goroutine per ExecState.
+// control (owned for the state's lifetime, bound to a call's context only
+// while that call runs, so context plumbing costs no allocations and an
+// idle state pins no request). One goroutine at a time per ExecState. A
+// state is rewound only for the Prepared and the options it was opened
+// for; any other Prepared, or other options, reopens it in place, so one
+// state may serve several Prepareds in turn. From its second open on, a
+// state keeps its batches' column storage (execCtl.store), and each later
+// open draws from what the trees before it held.
 type ExecState struct {
 	it     colIterator     // the operator tree, morsel workers included
 	b      *batch.ColBatch // it's root batch
 	res    ExecResult
 	sample sampleRows  // res.Sample's storage, recycled by the next execution
-	opts   ExecOptions // the options the state was opened for: the reuse key
+	id     uint64      // the id of the Prepared the state is open for, 0 until an open succeeds,
+	opts   ExecOptions // and its options: together, the reuse key
 	ctl    execCtl
-	valid  bool
 }
 
 // ExecuteIn runs the prepared plan inside st, reusing every piece of
@@ -130,10 +146,11 @@ type ExecState struct {
 // (deterministic scans re-seek to row zero instead of reopening), batches,
 // selection buffers, and ExecNodes are recycled, and the returned result
 // aliases st — it is valid until the next ExecuteIn on the same state.
-// After the first call, sequential executions with an unchanged opts value
-// allocate nothing, sampled ones included (the state recycles its sample
-// rows): the steady-state scan→filter→count path runs at zero allocations
-// per query, which TestSteadyStateZeroAlloc pins. A parallel state is
+// After the first call, sequential executions of the same Prepared with an
+// unchanged opts value allocate nothing, sampled ones included (the state
+// recycles its sample rows): the steady-state scan→filter→count path runs
+// at zero allocations per query, which TestSteadyStateZeroAlloc pins. A
+// state last opened by another Prepared is reopened. A parallel state is
 // rewound the same way, its sink's morsel workers with it; only the
 // drain's goroutines and morsel queue are new per call. It is
 // ExecuteInContext over context.Background().
@@ -165,28 +182,38 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 		return nil, err
 	}
 	st.ctl.bind(ctx)
-	if st.valid && st.opts == opts {
+	err = p.drive(st, opts)
+	// The state outlives the call (serve keeps it between requests): it
+	// must not keep the caller's context, nor what that context carries.
+	st.ctl.unbind()
+	if err != nil {
+		return nil, err
+	}
+	return &st.res, nil
+}
+
+// drive rewinds st, or opens it for p and opts, and drives it through
+// runColumnar.
+func (p *Prepared) drive(st *ExecState, opts ExecOptions) error {
+	if st.id == p.id && st.opts == opts {
 		if st.ctl.rec != nil {
 			st.ctl.rec.Reset()
 		}
 		if err := st.it.rewind(p.db); err != nil {
-			return nil, err
+			return err
 		}
 	} else if err := p.open(st, opts); err != nil {
-		return nil, err
+		return err
 	}
 	res := &st.res
 	res.Rows, res.Count, res.Sample = 0, 0, nil
-	err = runColumnar(st, p.plan, opts)
+	err := runColumnar(st, p.plan, opts)
 	// A context error latched mid-drive takes precedence over the
 	// pipeline's deferred error.
 	if st.ctl.err != nil {
-		return nil, st.ctl.err
+		return st.ctl.err
 	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return err
 }
 
 // open decides the regime under opts.Regime's ceiling and builds st's
@@ -202,13 +229,24 @@ func (p *Prepared) run(ctx context.Context, st *ExecState, opts ExecOptions) (*E
 // the innermost sink over a partitionable spine opens its other morsel
 // workers' spines inside that openCol (openMorsels), so a table's
 // DatagenFunc is invoked once per scan operator: once per worker for such a
-// leaf. st is reset before anything is built and valid only once open
+// leaf. st is reset before anything is built and names p only once open
 // succeeds, so a failed open never leaves a half-built state behind for the
 // reuse branch to trust. Everything here — the spans (Trace is part of the
 // reuse key), the evaluator's scratch, the tree and its workers — is then
-// recycled in place by later calls with the same opts.
+// recycled in place by later calls of p with the same opts. A state opened
+// before is one its caller reuses: from its second open on, its batches
+// draw their columns from its store, which each later open first recycles
+// (the tree it replaces is gone). A state opened once — every fresh-state
+// entry point's — keeps nothing.
 func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
-	*st = ExecState{ctl: execCtl{ctx: st.ctl.ctx, workers: opts.Parallelism}}
+	store := st.ctl.store
+	switch {
+	case store != nil:
+		store.Recycle()
+	case st.id != 0:
+		store = new(batch.Store)
+	}
+	*st = ExecState{ctl: execCtl{ctx: st.ctl.ctx, workers: opts.Parallelism, store: store}}
 	if opts.Trace {
 		st.ctl.rec = trace.NewRecorder()
 	}
@@ -247,8 +285,8 @@ func (p *Prepared) open(st *ExecState, opts ExecOptions) error {
 		// without storage, and each emit reserves the rows it writes.
 		pop = nil
 	}
-	st.it, st.b = it, batch.NewCol(width, opts.BatchSize, pop)
+	st.it, st.b = it, st.ctl.store.NewCol(width, opts.BatchSize, pop)
 	st.res = ExecResult{Root: node, Trace: node.sp, Path: path}
-	st.opts, st.valid = opts, true
+	st.id, st.opts = p.id, opts
 	return nil
 }

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -70,6 +72,67 @@ func TestExecuteInReuse(t *testing.T) {
 		}
 		requireEqualResults(t, sql+" [opts change]", got2, want2)
 	}
+}
+
+// TestExecuteInReopenKeepsColumns: a state that runs several Prepareds in
+// turn is reopened for each, and each reopen draws its batches' columns
+// from what the tree before it held (ExecState.store). Once every plan has
+// run in the state, a round of reopens allocates under two thirds of what
+// a round of fresh states does (about half, against all of it when nothing
+// is kept) — sequential, and at Parallelism 2, whose workers'
+// batches draw from the same store — and answers the same.
+func TestExecuteInReopenKeepsColumns(t *testing.T) {
+	oversubscribe(t, 2)
+	db := bigStarDatabase(t, 5000)
+	sqls := []string{
+		"SELECT COUNT(*) FROM fact WHERE q >= 3",
+		"SELECT q, COUNT(*) FROM fact GROUP BY q",
+		"SELECT * FROM fact, dim WHERE d_fk = d_pk AND q < 2 ORDER BY f_pk DESC LIMIT 7",
+	}
+	for _, workers := range []int{0, 2} {
+		opts := ExecOptions{SampleLimit: 4, BatchSize: 256, Parallelism: workers}
+		preps := make([]*Prepared, len(sqls))
+		wants := make([]*ExecResult, len(sqls))
+		for i, sql := range sqls {
+			var err error
+			if preps[i], err = Prepare(db, mustPlan(t, db, sql), opts); err != nil {
+				t.Fatal(err)
+			}
+			wants[i] = execWithf(t, db, sql, opts, execute)
+		}
+		round := func(st *ExecState) {
+			for i, p := range preps {
+				s := st
+				if s == nil {
+					s = new(ExecState)
+				}
+				got, err := p.ExecuteIn(s, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireEqualResults(t, fmt.Sprintf("%s [workers %d]", sqls[i], workers), got, wants[i])
+			}
+		}
+		var st ExecState
+		for range 2 { // the first open keeps nothing; the second starts keeping
+			round(&st)
+		}
+		fresh, reopen := allocBytes(func() { round(nil) }), allocBytes(func() { round(&st) })
+		if 3*reopen > 2*fresh {
+			t.Fatalf("workers %d: a round of reopens allocated %d bytes, fresh states %d: the columns were not kept", workers, reopen, fresh)
+		}
+	}
+}
+
+// allocBytes returns the bytes f allocates, averaged over ten calls.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 10 {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / 10
 }
 
 // TestExecuteInZeroAllocStored pins the zero-allocation contract on stored

@@ -39,9 +39,9 @@ type sinkState interface {
 	finish()
 	// emit writes output rows [pos, pos+k) into dst, k at most dst's
 	// capacity, populating only outCols — which it first reserves for the
-	// k rows (ColBatch.Reserve: the root batch holds no storage until its
-	// sink emits) — and returns k (0 = exhausted).
-	emit(dst *batch.ColBatch, outCols []int, pos int) int
+	// k rows from store (Store.Reserve: the root batch holds no storage
+	// until its sink emits) — and returns k (0 = exhausted).
+	emit(dst *batch.ColBatch, outCols []int, pos int, store *batch.Store) int
 	// reset recycles the state for another execution without releasing
 	// storage (the zero-allocation steady-state contract).
 	reset()
@@ -104,7 +104,7 @@ func (g *colSinkIter) next(dst *batch.ColBatch) bool {
 	if g.st.deferredErr() != nil {
 		return false
 	}
-	k := g.st.emit(dst, g.outCols, g.pos)
+	k := g.st.emit(dst, g.outCols, g.pos, g.ctl.store)
 	if k == 0 {
 		return false
 	}

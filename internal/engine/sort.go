@@ -271,7 +271,7 @@ func (st *sortState) Swap(i, j int)      { st.order[i], st.order[j] = st.order[j
 // capacity), populating only outCols, one column pass at a time: a
 // collected column from its arena, a late one from the summary at the
 // rows' primary keys.
-func (st *sortState) emit(dst *batch.ColBatch, outCols []int, pos int) int {
+func (st *sortState) emit(dst *batch.ColBatch, outCols []int, pos int, store *batch.Store) int {
 	k := len(st.order) - pos
 	if k <= 0 {
 		return 0
@@ -279,7 +279,7 @@ func (st *sortState) emit(dst *batch.ColBatch, outCols []int, pos int) int {
 	if k > dst.Cap() {
 		k = dst.Cap()
 	}
-	dst.Reserve(outCols, k)
+	store.Reserve(dst, outCols, k)
 	rows := st.order[pos : pos+k]
 	for _, c := range outCols {
 		out := dst.Col(c)[:k]

@@ -1,12 +1,15 @@
 // The serve-side plan/build cache: steady-state traffic against one
 // summary repeats a small set of query shapes, and for each of them the
-// expensive half of execution — parsing, planning, and above all draining
-// hash-join build sides into arenas — is a pure function of the database.
-// The cache keys normalized SQL to an engine.Prepared (compiled plan + the
-// read-only build arenas it drained), so a cache hit pays probe cost only.
-// A summary-backed key join is positional and drains nothing, so a miss
-// drains only hash builds. The summary never changes under a running
-// server, so an entry stays valid until the LRU evicts it.
+// planning half of execution — parsing, planning, the plan's reading of
+// the summaries, and draining any hash-join build side into arenas — is a
+// pure function of the database. The cache keys normalized SQL to an
+// engine.Prepared (compiled plan + the read-only build arenas it
+// drained), so a cache hit pays probe cost only. A summary-backed key join
+// is positional and drains nothing, so a miss drains only hash builds. An
+// entry holds no execution state: requests run in states of the server's
+// pool (states.go), whichever plan they execute. The summary never
+// changes under a running server, so an entry stays valid until the LRU
+// evicts it.
 package serve
 
 import (

@@ -9,6 +9,8 @@
 // Repeated query shapes are served from a keyed plan/build cache
 // (cache.go): the first request for a query pays parse + plan + hash-join
 // build cost, every later request probes the shared read-only arenas only.
+// Every request runs in an execution state an earlier one left in the
+// server's pool (states.go), rewound or reopened in place.
 // Grouped-aggregate queries (GROUP BY with COUNT/SUM/MIN/MAX/AVG) flow
 // through the same cache; their group rows are returned in the response's
 // rows count and bounded sample.
@@ -49,8 +51,10 @@
 // (499). The engine guarantees cancellation never leaks a goroutine.
 //
 // The handler is safe for concurrent use: the underlying dataless
-// database is read-only after construction, every request opens fresh
-// probe state, and cached build arenas are immutable after construction.
+// database is read-only after construction, a request's execution state is
+// its own until it returns it to the pool (which hands each state to one
+// request at a time), and cached build arenas are immutable after
+// construction.
 package serve
 
 import (
@@ -131,6 +135,7 @@ type Server struct {
 	db    *engine.Database
 	opts  Options
 	cache *planCache
+	pool  statePool // idle execution states (states.go)
 	adm   *admission
 	met   *metrics
 	logf  func(format string, args ...any)
@@ -467,7 +472,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		fail(outcomeError, http.StatusInternalServerError, err)
 		return
 	}
-	res, err := prep.ExecuteContext(ctx, opts)
+	// An idle state of the pool: res aliases it, so it goes back only
+	// once the response is encoded. A canceled or failed run leaves it
+	// reusable, so every path returns it.
+	st := s.pool.get()
+	defer s.pool.put(st)
+	res, err := prep.ExecuteInContext(ctx, st, opts)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -570,9 +580,11 @@ func (s *Server) prepared(sql string, opts engine.ExecOptions) (*engine.Prepared
 	return prep, "miss", nil
 }
 
-// prepare parses, plans, and builds one query. The wall clock of the whole
-// operation — dominated by draining hash-join build sides — feeds the
-// hydra_plan_cache_build_seconds_total counter, so cache-miss cost is
+// prepare parses, plans, and builds one query. Unless RowsPerSec paces the
+// scans, every table is summary-backed, so a join on a pk is positional and
+// drains nothing: the cost is parse, plan and the plan's one reading of the
+// summaries, plus any hash build over a non-pk key. Its wall clock feeds
+// the hydra_plan_cache_build_seconds_total counter, so cache-miss cost is
 // visible next to the hit rate.
 func (s *Server) prepare(sql string, opts engine.ExecOptions) (*engine.Prepared, error) {
 	start := time.Now()

@@ -76,6 +76,42 @@ func TestExecuteInDatalessParity(t *testing.T) {
 	}
 }
 
+// TestExecuteInAcrossPrepareds runs the toy workload's Prepareds in turn
+// on one shared state, twice round, and holds every answer to a fresh
+// Query: a state opened by one Prepared is reopened, never rewound, by
+// another with the same options.
+func TestExecuteInAcrossPrepareds(t *testing.T) {
+	db := core.RegenDatabase(toySummary(t), 0)
+	opts := ExecOptions{SampleLimit: 4}
+	queries := toy.Workload()
+	preps := make([]*Prepared, len(queries))
+	wants := make([]*ExecResult, len(queries))
+	for i, sql := range queries {
+		var err error
+		if preps[i], err = Prepare(db, sql, opts); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if wants[i], err = Query(db, sql, opts); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	var st ExecState
+	for round := 0; round < 2; round++ {
+		for i, sql := range queries {
+			got, err := preps[i].ExecuteIn(&st, opts)
+			if err != nil {
+				t.Fatalf("%s round %d: %v", sql, round, err)
+			}
+			want := wants[i]
+			if got.Rows != want.Rows || got.Count != want.Count || got.Path != want.Path ||
+				fmt.Sprint(got.Sample) != fmt.Sprint(want.Sample) {
+				t.Fatalf("%s round %d: rows/count/path %d/%d/%s sample %v, want %d/%d/%s %v", sql, round,
+					got.Rows, got.Count, got.Path, got.Sample, want.Rows, want.Count, want.Path, want.Sample)
+			}
+		}
+	}
+}
+
 // TestSteadyStateZeroAlloc pins allocs_per_op == 0 for the dataless
 // operator pipeline's steady state: after the first ExecuteIn builds the
 // reusable state, repeated executions — regenerating every tuple from the
